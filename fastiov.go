@@ -286,9 +286,7 @@ type Suite struct {
 func NewSuite(cfg RunConfig) *Suite {
 	x := experiments.NewExec(cfg.Workers, cfg.Seeds)
 	x.SetVerify(cfg.VerifyDeterminism)
-	x.SetTrace(cfg.Trace)
-	x.SetMetrics(cfg.Metrics)
-	x.SetJourneys(cfg.Journeys)
+	x.SetObserve(experiments.Observers(cfg.Trace, cfg.Metrics, cfg.Journeys))
 	x.SetFleet(cfg.Fleet.Hosts, cfg.Fleet.Policy)
 	x.SetServe(cfg.Serve.Hosts, cfg.Serve.Policy, cfg.Serve.Tenants, cfg.Serve.Rate)
 	x.SetAvailability(cfg.Availability.MTBF)
@@ -352,7 +350,9 @@ func (s *Suite) VerifyDeterminism(id string, n int) error {
 	// the pooled run used cached boot snapshots, the serial re-run boots
 	// every host from scratch (and vice versa), so the byte comparison
 	// also pins snapshot transparency end-to-end.
-	serial := NewSuite(RunConfig{Workers: 1, Seeds: s.cfg.Seeds, FaultSpec: s.cfg.FaultSpec, Trace: s.cfg.Trace, Metrics: s.cfg.Metrics, Journeys: s.cfg.Journeys, Fleet: s.cfg.Fleet, Serve: s.cfg.Serve, Availability: s.cfg.Availability, DisableSnapshots: !s.cfg.DisableSnapshots})
+	cfg := s.cfg
+	cfg.Workers, cfg.VerifyDeterminism, cfg.DisableSnapshots = 1, false, !s.cfg.DisableSnapshots
+	serial := NewSuite(cfg)
 	rep2, err := serial.Run(id, n)
 	if err != nil {
 		return fmt.Errorf("%s: serial re-run: %w", id, err)

@@ -13,9 +13,6 @@ import (
 // FastIOV's gain depends on requests arriving simultaneously? Poisson and
 // uniformly spread arrivals relax the contention the devset lock turns
 // into queueing delay.
-func ExtArrivals(n int) (*Report, error) { return defaultExec().ExtArrivals(n) }
-
-// ExtArrivals on an executor.
 func (x *Exec) ExtArrivals(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
@@ -32,10 +29,10 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 	for _, pat := range patterns {
 		arr := pat.arrival
 		specs = append(specs,
-			startupSpec{Baseline: cluster.BaselineVanilla, N: n, Arrival: &arr},
-			startupSpec{Baseline: cluster.BaselineFastIOV, N: n, Arrival: &arr})
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n, Arrival: &arr},
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: n, Arrival: &arr})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +45,7 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 			perSeed[k] = 100 * stats.ReductionRatio(
 				van.PerSeed()[k].Totals.Mean(), fio.PerSeed()[k].Totals.Mean())
 		}
-		t.AddRow(pat.label, van.MeanTotal(), fio.MeanTotal(), pctString(perSeed))
+		t.AddRow(pat.label, meanTotal(van), meanTotal(fio), pctString(perSeed))
 	}
 	rep.Notes = append(rep.Notes,
 		"the devset queue saturates under burst and moderate Poisson load, where FastIOV's gain is largest; once arrivals spread widely the queue drains between requests and the gain shrinks")

@@ -43,45 +43,27 @@ func availPlan(c availCell) string {
 	return fmt.Sprintf("host-crash@%s:host=0,mtbf=%s;host-recover=%s", c.MTBF, c.MTBF, c.MTTR)
 }
 
-// Availability sweeps admission policy × baseline over the failure ladder.
-// See the executor method.
-func Availability(n int) (*Report, error) { return defaultExec().Availability(n) }
-
-// Availability on an executor: the fleet-availability study. The serving
-// control plane runs its open-loop window while host 0 crashes on an MTBF
-// clock and reboots MTTR later, so every layer of the failure path is
-// exercised together: the kernel kills the host's procs, the LostToCrash
-// ledger absorbs what they stranded, the heartbeat monitor flips the host
-// out of the scheduler, dispatchers reroute crash-lost starts under the
-// bounded backoff policy, and admission control sees the shrunken fleet
-// through the health-aware headroom signal. The headline is the
-// recovery-time asymmetry: a vanilla reboot re-zeroes the whole 256-VF pool
-// serially (a ~2s cliff on every crash), while FastIOV reloads fastiovd and
-// re-registers scrub state in microseconds — so vanilla's effective outage
-// per crash is MTTR plus the cliff, and its goodput degrades much faster as
-// MTBF shrinks.
+// Availability sweeps admission policy × baseline over the failure ladder:
+// the fleet-availability study. The serving control plane runs its open-loop
+// window while host 0 crashes on an MTBF clock and reboots MTTR later, so
+// every layer of the failure path is exercised together: the kernel kills
+// the host's procs, the LostToCrash ledger absorbs what they stranded, the
+// heartbeat monitor flips the host out of the scheduler, dispatchers reroute
+// crash-lost starts under the bounded backoff policy, and admission control
+// sees the shrunken fleet through the health-aware headroom signal. The
+// headline is the recovery-time asymmetry: a vanilla reboot re-zeroes the
+// whole 256-VF pool serially (a ~2s cliff on every crash), while FastIOV
+// reloads fastiovd and re-registers scrub state in microseconds — so
+// vanilla's effective outage per crash is MTTR plus the cliff, and its
+// goodput degrades much faster as MTBF shrinks.
 func (x *Exec) Availability(n int) (*Report, error) {
-	hosts := x.serveHosts
-	if hosts <= 0 {
-		hosts = serve.DefaultHosts
+	hosts, policies, err := x.serveSweep()
+	if err != nil {
+		return nil, err
 	}
 	rate := DefaultAvailRate
 	if x.serveRate > 0 {
 		rate = x.serveRate
-	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
 	}
 	ladder := append([]availCell(nil), DefaultAvailLadder...)
 	switch {
@@ -103,12 +85,12 @@ func (x *Exec) Availability(n int) (*Report, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: availability plan: %w", err)
 				}
-				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: rate, Faults: pl})
+				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: rate, env: env{Faults: pl}})
 			}
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -41,21 +41,19 @@ func injectedPerRun(r *cluster.Result) int {
 	return total
 }
 
-// Chaos sweeps fault probability over FastIOV startup at concurrency n.
-func Chaos(n int) (*Report, error) { return defaultExec().Chaos(n) }
-
-// Chaos on an executor: for each probability, start n containers under the
-// chaos plan and report survival rate, the survivors' latency distribution,
-// and the injector's activity. Startup failures (retry budgets exhausted)
+// Chaos sweeps fault probability over FastIOV startup at concurrency n: for
+// each probability, start n containers under the chaos plan and report
+// survival rate, the survivors' latency distribution, and the injector's
+// activity. Startup failures (retry budgets exhausted)
 // remove their container from the latency population rather than aborting
 // the run — exactly the degraded-but-alive regime the robustness policies
 // target.
 func (x *Exec) Chaos(n int) (*Report, error) {
 	specs := make([]startupSpec, len(chaosProbs))
 	for i, p := range chaosProbs {
-		specs[i] = startupSpec{Baseline: cluster.BaselineFastIOV, N: n, Faults: chaosPlan(p)}
+		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, env: env{Faults: chaosPlan(p)}}, N: n}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -63,16 +61,16 @@ func (x *Exec) Chaos(n int) (*Report, error) {
 	rep := &Report{ID: "chaos", Title: fmt.Sprintf("Chaos sweep: FastIOV startup under injected faults (concurrency=%d)", n)}
 	for i, p := range chaosProbs {
 		res := rs[i]
-		rates := make([]float64, 0, len(res.perSeed))
-		injected := make([]float64, 0, len(res.perSeed))
-		for _, r := range res.perSeed {
+		rates := make([]float64, 0, len(res.PerSeed()))
+		injected := make([]float64, 0, len(res.PerSeed()))
+		for _, r := range res.PerSeed() {
 			rates = append(rates, 100*r.SuccessRate())
 			injected = append(injected, float64(injectedPerRun(r)))
 		}
 		injMean, _, _ := stats.FloatEstimateOf(injected)
 		t.AddRow(fmt.Sprintf("%.2f", p), pctString(rates),
-			res.MeanTotal(), res.TotalPercentile(50), res.TotalPercentile(99),
-			fmt.Sprintf("%.1f", injMean), res.StageMean(telemetry.StageRetry))
+			meanTotal(res), totalPercentile(res, 50), totalPercentile(res, 99),
+			fmt.Sprintf("%.1f", injMean), stageMean(res, telemetry.StageRetry))
 	}
 	rep.Table = t
 	worst := rs[len(rs)-1].Primary()

@@ -24,17 +24,13 @@ func devsetLock(name string) bool { return strings.Contains(name, vfio.DevsetLoc
 // per-container critical-path decomposition (service vs blocked vs
 // runnable). Vanilla exposes the devset global mutex as the dominant
 // blocker; FastIOV's decomposed locking is shown for contrast.
-func Contention(n int) (*Report, error) { return defaultExec().Contention(n) }
-
-// Contention on an executor. See the package-level wrapper.
 func (x *Exec) Contention(n int) (*Report, error) {
-	pin := true
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 	specs := make([]startupSpec, len(baselines))
 	for i, b := range baselines {
-		specs[i] = startupSpec{Baseline: b, N: n, Trace: &pin}
+		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: b, env: env{Observe: ObserveTrace}}, N: n}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}

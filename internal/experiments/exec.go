@@ -25,24 +25,15 @@ type Exec struct {
 	pool  *harness.Pool
 	seeds []uint64
 	// faults is the executor-wide default fault plan (nil = fault-free):
-	// every spec that does not pin its own plan inherits it. The chaos
+	// every scenario that does not pin its own plan inherits it. The chaos
 	// experiment pins per-row plans and is therefore unaffected.
 	faults *fault.Plan
-	// trace enables event-sourced tracing on every spec that does not pin
-	// its own setting. Traced runs carry a trace on the result and verify
-	// the critical-path decomposition, but render identically to untraced
-	// runs; the contention experiment pins tracing on regardless.
-	trace bool
-	// metrics enables the simulated-time metrics registry on every spec
-	// that does not pin its own setting. Metered runs carry a sealed
-	// registry on the result but render identically to unmetered runs; the
-	// saturation experiment pins metrics on regardless.
-	metrics bool
-	// journeys enables per-request journey tracing on every serving spec
-	// that does not pin its own setting. Journey-traced runs carry a span
-	// recorder on the result but render identically to untraced runs; the
-	// slowatch experiment pins journeys (and alert rules) on regardless.
-	journeys bool
+	// observe is the executor-wide observer set, attached to every scenario
+	// on top of the observers it forces on itself (the contention,
+	// saturation, and slowatch experiments force theirs). Observed runs carry
+	// the recordings on their results but render identically to unobserved
+	// runs.
+	observe Observe
 	// fleetHosts overrides the fleet experiment's host count (<= 0 selects
 	// the paper-scale default); fleetPolicy restricts it to one placement
 	// policy ("" sweeps all of them).
@@ -93,17 +84,6 @@ func SeedList(k int) []uint64 {
 	return seeds
 }
 
-// defaultExec is the executor behind the package-level convenience
-// wrappers: serial, single seed — the pre-harness behaviour.
-func defaultExec() *Exec { return NewExec(1, nil) }
-
-// Seeds returns the executor's seed list (not a copy; callers must not
-// mutate).
-func (x *Exec) Seeds() []uint64 { return x.seeds }
-
-// Workers returns the executor's concurrency bound.
-func (x *Exec) Workers() int { return x.pool.Workers() }
-
 // SetVerify toggles scenario-level determinism verification: every sim run
 // executes twice and any byte-level divergence of its canonical result
 // encoding fails the experiment.
@@ -118,28 +98,15 @@ func (x *Exec) SetSnapshots(v bool) { x.snapshots = v }
 // Snapshots reports whether boot-prefix snapshot caching is enabled.
 func (x *Exec) Snapshots() bool { return x.snapshots }
 
-// SetFaults installs an executor-wide fault plan inherited by every spec
-// that does not pin its own. The plan participates in cache keys, so
-// faulted and fault-free runs of the same scenario never share results.
+// SetFaults installs an executor-wide fault plan inherited by every
+// scenario that does not pin its own. The plan participates in cache keys,
+// so faulted and fault-free runs of the same scenario never share results.
 func (x *Exec) SetFaults(pl *fault.Plan) { x.faults = pl }
 
-// Faults returns the executor-wide default plan (nil = fault-free).
-func (x *Exec) Faults() *fault.Plan { return x.faults }
-
-// SetTrace enables event-sourced tracing for every spec that does not pin
-// its own setting. Tracing participates in cache keys, so traced and
-// untraced runs of the same scenario never share results.
-func (x *Exec) SetTrace(v bool) { x.trace = v }
-
-// SetMetrics enables the simulated-time metrics registry for every spec
-// that does not pin its own setting. Metrics participate in cache keys, so
-// metered and unmetered runs of the same scenario never share results.
-func (x *Exec) SetMetrics(v bool) { x.metrics = v }
-
-// SetJourneys enables per-request journey tracing for every serving spec
-// that does not pin its own setting. Journeys participate in cache keys, so
-// traced and untraced runs of the same scenario never share results.
-func (x *Exec) SetJourneys(v bool) { x.journeys = v }
+// SetObserve attaches the observer set to every scenario. Observers
+// participate in cache keys, so observed and unobserved runs of the same
+// scenario never share results.
+func (x *Exec) SetObserve(o Observe) { x.observe = o }
 
 // SetFleet sizes the fleet experiment: hosts overrides the host count
 // (<= 0 keeps the paper-scale default) and policy restricts the sweep to
@@ -179,35 +146,190 @@ func FirstDivergence(a, b []byte) (offset int, detail string) {
 }
 
 // ----------------------------------------------------------------------
-// Boot-prefix snapshot cache.
+// Scenarios: the one path from an experiment's parameter sweep to cached,
+// seed-swept simulation runs.
 
-// bootParams canonically encodes everything that shapes a host boot: the
-// scenario key minus the fields that only shape the measured wave
-// (concurrency, arrival process). Scenarios agreeing on these tokens — and
-// on the seed — boot byte-identical hosts and therefore share one cached
-// snapshot.
-func bootParams(baseline string, layout *hypervisor.Layout, spec *cluster.HostSpec, noscrub bool, faults *fault.Plan, traced, metered bool) string {
+// Observe is a set of pure observers attached to a simulation run.
+type Observe uint8
+
+const (
+	// ObserveTrace records the event-sourced trace: lock waits, holds, and
+	// wake-up causality, with the critical-path identity verified per
+	// container.
+	ObserveTrace Observe = 1 << iota
+	// ObserveMetrics samples the simulated-time metrics registry.
+	ObserveMetrics
+	// ObserveJourneys records per-request journey spans on serving runs.
+	ObserveJourneys
+)
+
+// observeNames spells each Observe bit, in bit order, for cache keys.
+var observeNames = []string{"trace", "metrics", "journeys"}
+
+// Observers builds the observer set from one switch per observer.
+func Observers(trace, metrics, journeys bool) Observe {
+	var o Observe
+	for i, on := range []bool{trace, metrics, journeys} {
+		if on {
+			o |= 1 << i
+		}
+	}
+	return o
+}
+
+// env is what a scenario shares with its executor: a nil Faults inherits
+// the executor-wide plan (a non-nil empty plan pins "fault-free", which
+// keys like an unfaulted scenario), and Observe lists the observers the
+// scenario forces on regardless of the executor-wide set.
+type env struct {
+	Faults  *fault.Plan
+	Observe Observe
+}
+
+// inherit applies the executor's defaults to the scenario.
+func (e *env) inherit(x *Exec) {
+	if e.Faults == nil {
+		e.Faults = x.faults
+	}
+	e.Observe |= x.observe
+}
+
+// key encodes the resolved env as cache-key tokens.
+func (e env) key() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "b=%s", baseline)
-	if layout != nil {
-		fmt.Fprintf(&b, " layout=%+v", *layout)
+	if !e.Faults.Empty() {
+		fmt.Fprintf(&b, " faults=%s", e.Faults)
 	}
-	if spec != nil {
-		fmt.Fprintf(&b, " spec=%+v", *spec)
-	}
-	if noscrub {
-		b.WriteString(" noscrub")
-	}
-	if !faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", faults)
-	}
-	if traced {
-		b.WriteString(" trace")
-	}
-	if metered {
-		b.WriteString(" metrics")
+	for i, name := range observeNames {
+		if e.Observe&(1<<i) != 0 {
+			b.WriteString(" " + name)
+		}
 	}
 	return b.String()
+}
+
+// scenario is one independently schedulable simulation kind. scope and
+// params form the cache key: params canonically encodes every input that
+// shapes a run, so equal keys at equal seeds are one simulation. run
+// executes the scenario at one seed, and fingerprint canonically
+// serializes its result for determinism verification.
+type scenario[T any] interface {
+	scope() string
+	params() string
+	run(x *Exec, seed uint64) (T, error)
+	fingerprint(T) []byte
+}
+
+// Multi is one scenario's outcome across the executor's seeds. Scalar
+// metrics aggregate across seeds into mean ± 95% CI; rich renderings
+// (timelines, breakdowns, CDFs) come from the primary (first) seed's full
+// record.
+type Multi[T any] struct {
+	perSeed []T
+}
+
+// Primary returns the first seed's full result.
+func (m *Multi[T]) Primary() T { return m.perSeed[0] }
+
+// PerSeed returns every seed's result, in seed-list order.
+func (m *Multi[T]) PerSeed() []T { return m.perSeed }
+
+// Metric aggregates f over every seed's result.
+func (m *Multi[T]) Metric(f func(T) time.Duration) stats.Estimate {
+	return stats.EstimateMetric(m.perSeed, f)
+}
+
+// runAll fans the scenarios across the pool at every seed and returns one
+// Multi per scenario, in input order. Scenarios carrying an env inherit the
+// executor's defaults before they are keyed. Results are cached and shared
+// across experiments, so callers must treat them as immutable.
+func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
+	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
+	for _, sp := range specs {
+		if in, ok := any(&sp).(interface{ inherit(*Exec) }); ok {
+			in.inherit(x)
+		}
+		scope, params := sp.scope(), sp.params()
+		for _, seed := range x.seeds {
+			jobs = append(jobs, harness.Job{
+				Key:         harness.Key{Scope: scope, Params: params, Seed: seed},
+				Fn:          func() (any, error) { return sp.run(x, seed) },
+				Fingerprint: func(v any) ([]byte, error) { return sp.fingerprint(v.(T)), nil },
+			})
+		}
+	}
+	vals, err := x.pool.Do(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Multi[T], len(specs))
+	for i := range out {
+		m := &Multi[T]{perSeed: make([]T, len(x.seeds))}
+		for j := range m.perSeed {
+			m.perSeed[j] = vals[i*len(x.seeds)+j].(T)
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
+// ----------------------------------------------------------------------
+// Boot-prefix snapshot cache.
+
+// bootSpec is everything that shapes a host boot. Scenarios agreeing on it
+// — and on the seed — boot byte-identical hosts and therefore share one
+// cached snapshot. Its key is both the snapshot key and the prefix of every
+// single-host scenario key.
+type bootSpec struct {
+	Baseline string
+	// Layout overrides the per-container guest memory geometry.
+	Layout *hypervisor.Layout
+	// Spec overrides the whole host (VF population, memory geometry, NIC).
+	Spec *cluster.HostSpec
+	// DisableScrubber turns off fastiovd's background zeroing thread.
+	DisableScrubber bool
+	env
+}
+
+// key canonically encodes the boot inputs.
+func (b bootSpec) key() string {
+	var s strings.Builder
+	fmt.Fprintf(&s, "b=%s", b.Baseline)
+	if b.Layout != nil {
+		fmt.Fprintf(&s, " layout=%+v", *b.Layout)
+	}
+	if b.Spec != nil {
+		fmt.Fprintf(&s, " spec=%+v", *b.Spec)
+	}
+	if b.DisableScrubber {
+		s.WriteString(" noscrub")
+	}
+	return s.String() + b.env.key()
+}
+
+// options resolves the host options at one seed. Every harness run is
+// audited: after measurement the surviving sandboxes are stopped and the
+// host's conservation counters diffed against the boot baseline. The
+// teardown phase runs after all telemetry marks and consumes no
+// randomness, so the rendered results are unchanged — but a leak anywhere
+// in the registry fails loudly.
+func (b bootSpec) options(seed uint64) (cluster.Options, error) {
+	opts, err := cluster.OptionsFor(b.Baseline)
+	if err != nil {
+		return opts, err
+	}
+	opts.Seed = seed
+	if b.Layout != nil {
+		opts.Layout = *b.Layout
+	}
+	if b.DisableScrubber {
+		opts.DisableScrubber = true
+	}
+	opts.Faults = b.Faults
+	opts.Trace = b.Observe&ObserveTrace != 0
+	opts.Metrics = b.Observe&ObserveMetrics != 0
+	opts.Audit = true
+	return opts, nil
 }
 
 // boot obtains a booted host for a scenario. With snapshots enabled, the
@@ -218,12 +340,16 @@ func bootParams(baseline string, layout *hypervisor.Layout, spec *cluster.HostSp
 // restored host adopts it verbatim, so wave-shaping fields (Arrival,
 // StartJitter, Audit) that are deliberately outside the boot key still
 // take effect.
-func (x *Exec) boot(params string, spec cluster.HostSpec, opts cluster.Options) (*cluster.Host, error) {
+func (x *Exec) boot(b bootSpec, opts cluster.Options) (*cluster.Host, error) {
+	spec := cluster.DefaultHostSpec()
+	if b.Spec != nil {
+		spec = *b.Spec
+	}
 	if !x.snapshots {
 		return cluster.NewHost(spec, opts)
 	}
 	v, err := x.pool.One(harness.Job{
-		Key: harness.Key{Scope: "boot", Params: params, Seed: opts.Seed},
+		Key: harness.Key{Scope: "boot", Params: b.key(), Seed: opts.Seed},
 		Fn: func() (any, error) {
 			h, err := cluster.NewHost(spec, opts)
 			if err != nil {
@@ -231,7 +357,9 @@ func (x *Exec) boot(params string, spec cluster.HostSpec, opts cluster.Options) 
 			}
 			return cluster.CaptureSnapshot(h)
 		},
-		Fingerprint: fingerprintSnapshot,
+		Fingerprint: func(v any) ([]byte, error) {
+			return v.(*cluster.Snapshot).AppendCanonical(nil), nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -247,114 +375,39 @@ func (x *Exec) boot(params string, spec cluster.HostSpec, opts cluster.Options) 
 	return h, nil
 }
 
-// fingerprintSnapshot canonically serializes a boot snapshot so verify
-// mode can double-boot and byte-compare the captures.
-func fingerprintSnapshot(v any) ([]byte, error) {
-	snap, ok := v.(*cluster.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *cluster.Snapshot", v)
-	}
-	return snap.AppendCanonical(nil), nil
-}
-
 // ----------------------------------------------------------------------
 // Startup scenarios: one baseline at one concurrency, optional overrides.
 
-// startupSpec identifies one independently schedulable startup run. Every
-// field participates in the cache key, so equal specs at equal seeds are
-// one simulation.
+// startupSpec identifies one independently schedulable startup run.
 type startupSpec struct {
-	Baseline string
-	N        int
-	// Layout overrides the per-container guest memory geometry.
-	Layout *hypervisor.Layout
-	// Spec overrides the whole host (VF population, memory geometry, NIC).
-	Spec *cluster.HostSpec
-	// DisableScrubber turns off fastiovd's background zeroing thread.
-	DisableScrubber bool
+	bootSpec
+	N int
 	// Arrival overrides the invocation arrival process.
 	Arrival *cluster.Arrival
-	// Faults pins this spec's fault plan. Nil inherits the executor-wide
-	// plan; a non-nil empty plan pins "fault-free" (the chaos p=0 row),
-	// which canonicalizes to the same cache key as an unfaulted spec.
-	Faults *fault.Plan
-	// Trace pins event-sourced tracing for this spec. Nil inherits the
-	// executor-wide setting (see Exec.SetTrace); the contention experiment
-	// pins true.
-	Trace *bool
-	// Metrics pins the simulated-time metrics registry for this spec. Nil
-	// inherits the executor-wide setting (see Exec.SetMetrics); the
-	// saturation experiment pins true.
-	Metrics *bool
 }
 
-// traced resolves the effective tracing setting after inheritance.
-func (s startupSpec) traced() bool { return s.Trace != nil && *s.Trace }
+func (startupSpec) scope() string { return "startup" }
 
-// metered resolves the effective metrics setting after inheritance.
-func (s startupSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
-
-// params canonically encodes the spec for the cache key.
 func (s startupSpec) params() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "b=%s n=%d", s.Baseline, s.N)
-	if s.Layout != nil {
-		fmt.Fprintf(&b, " layout=%+v", *s.Layout)
-	}
-	if s.Spec != nil {
-		fmt.Fprintf(&b, " spec=%+v", *s.Spec)
-	}
-	if s.DisableScrubber {
-		b.WriteString(" noscrub")
-	}
+	p := s.key() + fmt.Sprintf(" n=%d", s.N)
 	if s.Arrival != nil {
-		fmt.Fprintf(&b, " arrival=%+v", *s.Arrival)
+		p += fmt.Sprintf(" arrival=%+v", *s.Arrival)
 	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
-	return b.String()
+	return p
 }
 
 // run executes the spec at one seed on a private simulated host (booted
 // from the executor's snapshot cache when enabled). The returned result is
-// sealed (samples pre-sorted) and must be treated as immutable: the
-// harness caches and shares it across experiments.
+// sealed (samples pre-sorted).
 func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
-	opts, err := cluster.OptionsFor(s.Baseline)
+	opts, err := s.options(seed)
 	if err != nil {
 		return nil, err
-	}
-	opts.Seed = seed
-	if s.Layout != nil {
-		opts.Layout = *s.Layout
-	}
-	if s.DisableScrubber {
-		opts.DisableScrubber = true
 	}
 	if s.Arrival != nil {
 		opts.Arrival = *s.Arrival
 	}
-	opts.Faults = s.Faults
-	opts.Trace = s.traced()
-	opts.Metrics = s.metered()
-	// Every harness run is audited: after measurement the surviving
-	// sandboxes are stopped and the host's conservation counters diffed
-	// against the boot baseline. The teardown phase runs after all
-	// telemetry marks and consumes no randomness, so the rendered results
-	// are unchanged — but a leak anywhere in the registry fails loudly.
-	opts.Audit = true
-	spec := cluster.DefaultHostSpec()
-	if s.Spec != nil {
-		spec = *s.Spec
-	}
-	h, err := x.boot(bootParams(s.Baseline, s.Layout, s.Spec, s.DisableScrubber, s.Faults, s.traced(), s.metered()), spec, opts)
+	h, err := x.boot(s.bootSpec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -379,13 +432,9 @@ func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	return res, nil
 }
 
-// fingerprintResult canonically serializes a startup run for determinism
-// verification: every per-container total plus the full telemetry record.
-func fingerprintResult(v any) ([]byte, error) {
-	res, ok := v.(*cluster.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *cluster.Result", v)
-	}
+// fingerprint canonically serializes a startup run: every per-container
+// total plus the full telemetry record.
+func (startupSpec) fingerprint(res *cluster.Result) []byte {
 	var b []byte
 	for _, d := range res.Totals.Values() {
 		b = fmt.Appendf(b, "total %d\n", d)
@@ -417,52 +466,32 @@ func fingerprintResult(v any) ([]byte, error) {
 	if res.Metrics != nil {
 		b = fmt.Appendf(b, "metrics samples=%d fp=%016x\n", res.Metrics.Samples(), res.Metrics.Fingerprint())
 	}
-	return res.Recorder.AppendCanonical(b), nil
+	return res.Recorder.AppendCanonical(b)
 }
 
-// MultiResult is one startup scenario's outcome across the executor's
-// seeds. Scalar metrics aggregate across seeds into mean ± 95% CI; rich
-// renderings (timelines, breakdowns, CDFs) come from the primary (first)
-// seed's full record.
-type MultiResult struct {
-	seeds   []uint64
-	perSeed []*cluster.Result
-}
-
-// Primary returns the first seed's full result.
-func (m *MultiResult) Primary() *cluster.Result { return m.perSeed[0] }
-
-// PerSeed returns every seed's result, in seed-list order.
-func (m *MultiResult) PerSeed() []*cluster.Result { return m.perSeed }
-
-// Metric aggregates f over every seed's result.
-func (m *MultiResult) Metric(f func(*cluster.Result) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// MeanTotal is the cross-seed estimate of the average startup time.
-func (m *MultiResult) MeanTotal() stats.Estimate {
+// meanTotal is the cross-seed estimate of the average startup time.
+func meanTotal(m *Multi[*cluster.Result]) stats.Estimate {
 	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Mean() })
 }
 
-// TotalPercentile is the cross-seed estimate of a startup-time percentile.
-func (m *MultiResult) TotalPercentile(p float64) stats.Estimate {
+// totalPercentile is the cross-seed estimate of a startup-time percentile.
+func totalPercentile(m *Multi[*cluster.Result], p float64) stats.Estimate {
 	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Percentile(p) })
 }
 
-// MaxTotal is the cross-seed estimate of the slowest container's startup.
-func (m *MultiResult) MaxTotal() stats.Estimate {
+// maxTotal is the cross-seed estimate of the slowest container's startup.
+func maxTotal(m *Multi[*cluster.Result]) stats.Estimate {
 	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Max() })
 }
 
-// MeanVFRelated is the cross-seed estimate of per-container VF-related
+// meanVFRelated is the cross-seed estimate of per-container VF-related
 // stage time.
-func (m *MultiResult) MeanVFRelated() stats.Estimate {
+func meanVFRelated(m *Multi[*cluster.Result]) stats.Estimate {
 	return m.Metric(func(r *cluster.Result) time.Duration { return r.VFRelated.Mean() })
 }
 
-// StageMean is the cross-seed estimate of one stage's per-container mean.
-func (m *MultiResult) StageMean(st telemetry.Stage) stats.Estimate {
+// stageMean is the cross-seed estimate of one stage's per-container mean.
+func stageMean(m *Multi[*cluster.Result], st telemetry.Stage) stats.Estimate {
 	return m.Metric(func(r *cluster.Result) time.Duration {
 		if s := r.Recorder.ByStage()[st]; s != nil {
 			return s.Mean()
@@ -471,124 +500,28 @@ func (m *MultiResult) StageMean(st telemetry.Stage) stats.Estimate {
 	})
 }
 
-// startups fans the given specs across the pool at every seed and returns
-// one MultiResult per spec, in input order.
-func (x *Exec) startups(specs []startupSpec) ([]*MultiResult, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "startup", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(x, seed) },
-				Fingerprint: fingerprintResult,
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiResult, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiResult{seeds: x.seeds}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*cluster.Result))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// startup runs a single spec.
-func (x *Exec) startup(sp startupSpec) (*MultiResult, error) {
-	rs, err := x.startups([]startupSpec{sp})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // ----------------------------------------------------------------------
 // Serverless scenarios: a baseline running one SeBS app to completion.
 
 // serverlessSpec identifies one schedulable serverless completion run.
 type serverlessSpec struct {
-	Baseline        string
-	N               int
-	App             serverless.App
-	Layout          *hypervisor.Layout
-	DisableScrubber bool
-	// Faults pins this spec's fault plan; nil inherits the executor-wide
-	// plan (see startupSpec.Faults).
-	Faults *fault.Plan
-	// Trace pins event-sourced tracing; nil inherits the executor-wide
-	// setting (see startupSpec.Trace).
-	Trace *bool
-	// Metrics pins the metrics registry; nil inherits the executor-wide
-	// setting (see startupSpec.Metrics).
-	Metrics *bool
+	bootSpec
+	N   int
+	App serverless.App
 }
 
-func (s serverlessSpec) traced() bool { return s.Trace != nil && *s.Trace }
-
-func (s serverlessSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
+func (serverlessSpec) scope() string { return "serverless" }
 
 func (s serverlessSpec) params() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "b=%s n=%d app=%s", s.Baseline, s.N, s.App.Name)
-	if s.Layout != nil {
-		fmt.Fprintf(&b, " layout=%+v", *s.Layout)
-	}
-	if s.DisableScrubber {
-		b.WriteString(" noscrub")
-	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
-	return b.String()
+	return s.key() + fmt.Sprintf(" n=%d app=%s", s.N, s.App.Name)
 }
 
 func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
-	opts, err := cluster.OptionsFor(s.Baseline)
+	opts, err := s.options(seed)
 	if err != nil {
 		return nil, err
 	}
-	opts.Seed = seed
-	if s.Layout != nil {
-		opts.Layout = *s.Layout
-	}
-	if s.DisableScrubber {
-		opts.DisableScrubber = true
-	}
-	opts.Faults = s.Faults
-	opts.Trace = s.traced()
-	opts.Metrics = s.metered()
-	// Harness serverless runs audit too: completed sandboxes are stopped
-	// after the sample is taken and the conservation counters checked (see
-	// startupSpec.run).
-	opts.Audit = true
-	h, err := x.boot(bootParams(s.Baseline, s.Layout, nil, s.DisableScrubber, s.Faults, s.traced(), s.metered()), cluster.DefaultHostSpec(), opts)
+	h, err := x.boot(s.bootSpec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -605,80 +538,13 @@ func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
 	return sample, nil
 }
 
-func fingerprintSample(v any) ([]byte, error) {
-	sample, ok := v.(*stats.Sample)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *stats.Sample", v)
-	}
+func (serverlessSpec) fingerprint(sample *stats.Sample) []byte {
 	var b []byte
 	for _, d := range sample.Values() {
 		b = fmt.Appendf(b, "%d\n", d)
 	}
-	return b, nil
+	return b
 }
 
-// MultiSample is one serverless scenario's completion-time sample across
-// seeds.
-type MultiSample struct {
-	perSeed []*stats.Sample
-}
-
-// Primary returns the first seed's sample.
-func (m *MultiSample) Primary() *stats.Sample { return m.perSeed[0] }
-
-// Metric aggregates f over every seed's sample.
-func (m *MultiSample) Metric(f func(*stats.Sample) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// Mean is the cross-seed estimate of mean completion time.
-func (m *MultiSample) Mean() stats.Estimate {
-	return m.Metric(func(s *stats.Sample) time.Duration { return s.Mean() })
-}
-
-// P99 is the cross-seed estimate of p99 completion time.
-func (m *MultiSample) P99() stats.Estimate {
-	return m.Metric(func(s *stats.Sample) time.Duration { return s.P99() })
-}
-
-// serverlessRuns fans the specs across the pool at every seed.
-func (x *Exec) serverlessRuns(specs []serverlessSpec) ([]*MultiSample, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "serverless", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(x, seed) },
-				Fingerprint: fingerprintSample,
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiSample, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiSample{}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*stats.Sample))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
-}
+// meanCompletion is the cross-seed estimate of mean completion time.
+func meanCompletion(m *Multi[*stats.Sample]) stats.Estimate { return m.Metric((*stats.Sample).Mean) }

@@ -3,13 +3,11 @@
 // testbed. Each runner returns a Report whose table reproduces the rows or
 // series of the original, plus free-form renderings (timelines, CDFs).
 //
-// Every runner decomposes its parameter sweep into independently
-// schedulable jobs — one deterministic sim run per (scenario, seed) — and
-// executes them through an Exec (see exec.go), which fans the runs across
-// a worker pool, sweeps each scenario over K seeds (reporting mean ± 95%
-// CI when K > 1), and memoizes results so scenarios shared across figures
-// simulate once. The package-level functions run serially at the single
-// historical seed, preserving pre-harness behaviour.
+// Every runner is a method on an Exec (see exec.go). It decomposes its
+// parameter sweep into scenarios, and one generic runner turns each
+// scenario into deterministic sim runs — one per seed — fanned across a
+// worker pool, swept over K seeds (reporting mean ± 95% CI when K > 1),
+// and memoized so scenarios shared across figures simulate once.
 //
 // The per-experiment index lives in DESIGN.md §4; measured-vs-paper numbers
 // are recorded in EXPERIMENTS.md.
@@ -23,7 +21,6 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/cri"
-	"fastiov/internal/harness"
 	"fastiov/internal/hypervisor"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
@@ -90,7 +87,7 @@ var breakdownStages = []telemetry.Stage{
 // pairedMetric estimates f(hi) − f(lo) seed by seed. Pairing matters: both
 // scenarios saw the same seed, so the difference's confidence interval
 // reflects the difference's own spread, not the operands' summed variance.
-func pairedMetric(lo, hi *MultiResult, f func(*cluster.Result) time.Duration) stats.Estimate {
+func pairedMetric(lo, hi *Multi[*cluster.Result], f func(*cluster.Result) time.Duration) stats.Estimate {
 	vals := make([]time.Duration, len(lo.perSeed))
 	for i := range lo.perSeed {
 		vals[i] = f(hi.perSeed[i]) - f(lo.perSeed[i])
@@ -118,9 +115,6 @@ func seedNote(rep *Report, x *Exec, what string) {
 
 // Fig1 reproduces Figure 1: the overhead of enabling SR-IOV on average
 // startup time as concurrency grows from 10 to 200.
-func Fig1(concurrencies []int) (*Report, error) { return defaultExec().Fig1(concurrencies) }
-
-// Fig1 on an executor. See the package-level wrapper.
 func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 150, 200}
@@ -128,10 +122,10 @@ func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 	var specs []startupSpec
 	for _, c := range concurrencies {
 		specs = append(specs,
-			startupSpec{Baseline: cluster.BaselineNoNet, N: c},
-			startupSpec{Baseline: cluster.BaselineVanilla, N: c})
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineNoNet}, N: c},
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: c})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -140,13 +134,13 @@ func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 	for i, c := range concurrencies {
 		non, van := rs[2*i], rs[2*i+1]
 		overhead := pairedMetric(non, van, func(r *cluster.Result) time.Duration { return r.Totals.Mean() })
-		t.AddRow(c, non.MeanTotal(), van.MeanTotal(), overhead,
-			100*stats.OverheadRatio(non.MeanTotal().Mean, van.MeanTotal().Mean))
+		t.AddRow(c, meanTotal(non), meanTotal(van), overhead,
+			100*stats.OverheadRatio(meanTotal(non).Mean, meanTotal(van).Mean))
 		if c == DefaultConcurrency {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"at c=200 enabling SR-IOV adds %v (+%.0f%%); paper: +12.2s (+305%%)",
 				overhead.Mean.Round(10*time.Millisecond),
-				100*stats.OverheadRatio(non.MeanTotal().Mean, van.MeanTotal().Mean)))
+				100*stats.OverheadRatio(meanTotal(non).Mean, meanTotal(van).Mean)))
 		}
 	}
 	return rep, nil
@@ -154,18 +148,15 @@ func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 
 // Fig5 reproduces Figure 5: the per-container timeline breakdown of a
 // 200-container vanilla startup, rendered as an ASCII Gantt chart.
-func Fig5(n int) (*Report, error) { return defaultExec().Fig5(n) }
-
-// Fig5 on an executor.
 func (x *Exec) Fig5(n int) (*Report, error) {
-	res, err := x.startup(startupSpec{Baseline: cluster.BaselineVanilla, N: n})
+	rs, err := runAll(x, []startupSpec{{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n}})
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
 		ID:    "fig5",
 		Title: fmt.Sprintf("Breakdown of time-consuming steps (%d concurrent containers)", n),
-		Text:  res.Primary().Recorder.Timeline(100, 25),
+		Text:  rs[0].Primary().Recorder.Timeline(100, 25),
 	}
 	seedNote(rep, x, "timeline")
 	return rep, nil
@@ -173,14 +164,12 @@ func (x *Exec) Fig5(n int) (*Report, error) {
 
 // Table1 reproduces Table 1: per-stage proportions of the average and the
 // 99th-percentile startup time under vanilla SR-IOV.
-func Table1(n int) (*Report, error) { return defaultExec().Table1(n) }
-
-// Table1 on an executor.
 func (x *Exec) Table1(n int) (*Report, error) {
-	res, err := x.startup(startupSpec{Baseline: cluster.BaselineVanilla, N: n})
+	rs, err := runAll(x, []startupSpec{{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n}})
 	if err != nil {
 		return nil, err
 	}
+	res := rs[0]
 	rep := &Report{
 		ID:    "tab1",
 		Title: "Time proportions of time-consuming steps (vanilla)",
@@ -204,16 +193,13 @@ func (x *Exec) Table1(n int) (*Report, error) {
 
 // Fig11 reproduces Figure 11: average startup time for every baseline at
 // c=200, split into VF-related and other time.
-func Fig11(n int) (*Report, error) { return defaultExec().Fig11(n) }
-
-// Fig11 on an executor.
 func (x *Exec) Fig11(n int) (*Report, error) {
 	names := cluster.Baselines()
 	specs := make([]startupSpec, len(names))
 	for i, name := range names {
-		specs[i] = startupSpec{Baseline: name, N: n}
+		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: name}, N: n}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -222,9 +208,9 @@ func (x *Exec) Fig11(n int) (*Report, error) {
 	var vanilla, fastiov, vanVF, fioVF time.Duration
 	for i, name := range names {
 		res := rs[i]
-		mean := res.MeanTotal()
-		vf := res.MeanVFRelated()
-		others := stats.EstimateMetric(res.perSeed, func(r *cluster.Result) time.Duration {
+		mean := meanTotal(res)
+		vf := meanVFRelated(res)
+		others := res.Metric(func(r *cluster.Result) time.Duration {
 			return r.Totals.Mean() - r.VFRelated.Mean()
 		})
 		if name == cluster.BaselineVanilla {
@@ -249,16 +235,13 @@ func (x *Exec) Fig11(n int) (*Report, error) {
 
 // Fig12 reproduces Figure 12: the startup-time CDF at c=200 for No-Net,
 // FastIOV, Pre100, and Vanilla.
-func Fig12(n int) (*Report, error) { return defaultExec().Fig12(n) }
-
-// Fig12 on an executor.
 func (x *Exec) Fig12(n int) (*Report, error) {
 	names := []string{cluster.BaselineNoNet, cluster.BaselineFastIOV, cluster.BaselinePre100, cluster.BaselineVanilla}
 	specs := make([]startupSpec, len(names))
 	for i, name := range names {
-		specs[i] = startupSpec{Baseline: name, N: n}
+		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: name}, N: n}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -268,18 +251,18 @@ func (x *Exec) Fig12(n int) (*Report, error) {
 	var vanP99, fioP99 time.Duration
 	for i, name := range names {
 		res := rs[i]
-		t.AddRow(name, res.TotalPercentile(10), res.TotalPercentile(50), res.TotalPercentile(90),
-			res.TotalPercentile(99), res.MaxTotal())
+		t.AddRow(name, totalPercentile(res, 10), totalPercentile(res, 50), totalPercentile(res, 90),
+			totalPercentile(res, 99), maxTotal(res))
 		fmt.Fprintf(&text, "%s CDF: ", name)
 		for _, pt := range res.Primary().Totals.CDF(10) {
 			fmt.Fprintf(&text, "(%.2f,%v) ", pt.Frac, pt.Value.Round(10*time.Millisecond))
 		}
 		text.WriteByte('\n')
 		if name == cluster.BaselineVanilla {
-			vanP99 = res.TotalPercentile(99).Mean
+			vanP99 = totalPercentile(res, 99).Mean
 		}
 		if name == cluster.BaselineFastIOV {
-			fioP99 = res.TotalPercentile(99).Mean
+			fioP99 = totalPercentile(res, 99).Mean
 		}
 	}
 	rep.Text = text.String()
@@ -292,9 +275,6 @@ func (x *Exec) Fig12(n int) (*Report, error) {
 
 // Fig13a reproduces Figure 13a: vanilla vs FastIOV startup distribution as
 // concurrency grows, 512 MB per container.
-func Fig13a(concurrencies []int) (*Report, error) { return defaultExec().Fig13a(concurrencies) }
-
-// Fig13a on an executor.
 func (x *Exec) Fig13a(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -302,10 +282,10 @@ func (x *Exec) Fig13a(concurrencies []int) (*Report, error) {
 	var specs []startupSpec
 	for _, c := range concurrencies {
 		specs = append(specs,
-			startupSpec{Baseline: cluster.BaselineVanilla, N: c},
-			startupSpec{Baseline: cluster.BaselineFastIOV, N: c})
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: c},
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: c})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -313,8 +293,8 @@ func (x *Exec) Fig13a(concurrencies []int) (*Report, error) {
 	rep := &Report{ID: "fig13a", Title: "Impact of concurrency (512 MB per container)", Table: t}
 	for i, c := range concurrencies {
 		van, fio := rs[2*i], rs[2*i+1]
-		t.AddRow(c, van.MeanTotal(), van.TotalPercentile(99), fio.MeanTotal(), fio.TotalPercentile(99),
-			100*stats.ReductionRatio(van.MeanTotal().Mean, fio.MeanTotal().Mean))
+		t.AddRow(c, meanTotal(van), totalPercentile(van, 99), meanTotal(fio), totalPercentile(fio, 99),
+			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
 	}
 	rep.Notes = append(rep.Notes, "paper: reductions range 46.7%-65.6%, growing with concurrency")
 	return rep, nil
@@ -329,11 +309,6 @@ func layoutWithRAM(ram int64) hypervisor.Layout {
 
 // Fig13b reproduces Figure 13b: vanilla vs FastIOV as per-container memory
 // grows from 512 MB to 2 GB at concurrency 50.
-func Fig13b(memories []int64, concurrency int) (*Report, error) {
-	return defaultExec().Fig13b(memories, concurrency)
-}
-
-// Fig13b on an executor.
 func (x *Exec) Fig13b(memories []int64, concurrency int) (*Report, error) {
 	if len(memories) == 0 {
 		memories = []int64{512 << 20, 1 << 30, 2 << 30}
@@ -345,10 +320,10 @@ func (x *Exec) Fig13b(memories []int64, concurrency int) (*Report, error) {
 	for _, ram := range memories {
 		l := layoutWithRAM(ram)
 		specs = append(specs,
-			startupSpec{Baseline: cluster.BaselineVanilla, N: concurrency, Layout: &l},
-			startupSpec{Baseline: cluster.BaselineFastIOV, N: concurrency, Layout: &l})
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &l}, N: concurrency},
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &l}, N: concurrency})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -357,13 +332,13 @@ func (x *Exec) Fig13b(memories []int64, concurrency int) (*Report, error) {
 	var first, last [2]time.Duration
 	for i, ram := range memories {
 		van, fio := rs[2*i], rs[2*i+1]
-		t.AddRow(fmt.Sprintf("%dMB", ram>>20), van.MeanTotal(), fio.MeanTotal(),
-			100*stats.ReductionRatio(van.MeanTotal().Mean, fio.MeanTotal().Mean))
+		t.AddRow(fmt.Sprintf("%dMB", ram>>20), meanTotal(van), meanTotal(fio),
+			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
 		if i == 0 {
-			first = [2]time.Duration{van.MeanTotal().Mean, fio.MeanTotal().Mean}
+			first = [2]time.Duration{meanTotal(van).Mean, meanTotal(fio).Mean}
 		}
 		if i == len(memories)-1 {
-			last = [2]time.Duration{van.MeanTotal().Mean, fio.MeanTotal().Mean}
+			last = [2]time.Duration{meanTotal(van).Mean, meanTotal(fio).Mean}
 		}
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
@@ -390,9 +365,6 @@ func fullyLoadedLayout(spec cluster.HostSpec, c int) hypervisor.Layout {
 
 // Fig13c reproduces Figure 13c: the fully-loaded server — host memory is
 // divided evenly among the concurrent containers.
-func Fig13c(concurrencies []int) (*Report, error) { return defaultExec().Fig13c(concurrencies) }
-
-// Fig13c on an executor.
 func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -403,10 +375,10 @@ func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 	for i, c := range concurrencies {
 		layouts[i] = fullyLoadedLayout(spec, c)
 		specs = append(specs,
-			startupSpec{Baseline: cluster.BaselineVanilla, N: c, Layout: &layouts[i]},
-			startupSpec{Baseline: cluster.BaselineFastIOV, N: c, Layout: &layouts[i]})
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &layouts[i]}, N: c},
+			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &layouts[i]}, N: c})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -414,8 +386,8 @@ func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 	rep := &Report{ID: "fig13c", Title: "Fully loaded server (resources evenly divided)", Table: t}
 	for i, c := range concurrencies {
 		van, fio := rs[2*i], rs[2*i+1]
-		t.AddRow(c, fmt.Sprintf("%dMB", layouts[i].RAMBytes>>20), van.MeanTotal(), fio.MeanTotal(),
-			100*stats.ReductionRatio(van.MeanTotal().Mean, fio.MeanTotal().Mean))
+		t.AddRow(c, fmt.Sprintf("%dMB", layouts[i].RAMBytes>>20), meanTotal(van), meanTotal(fio),
+			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
 	}
 	rep.Notes = append(rep.Notes, "paper: reduction grows from 65.7% at c=200 to 79.5% at c=10")
 	return rep, nil
@@ -423,27 +395,24 @@ func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 
 // Fig14 reproduces Figure 14: FastIOV vs the IPvtap software CNI, with the
 // software CNI's bottleneck stages broken out.
-func Fig14(n int) (*Report, error) { return defaultExec().Fig14(n) }
-
-// Fig14 on an executor.
 func (x *Exec) Fig14(n int) (*Report, error) {
-	rs, err := x.startups([]startupSpec{
-		{Baseline: cluster.BaselineIPvtap, N: n},
-		{Baseline: cluster.BaselineFastIOV, N: n},
+	rs, err := runAll(x, []startupSpec{
+		{bootSpec: bootSpec{Baseline: cluster.BaselineIPvtap}, N: n},
+		{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: n},
 	})
 	if err != nil {
 		return nil, err
 	}
 	ipv, fio := rs[0], rs[1]
 	t := stats.NewTable("metric", "ipvtap", "fastiov")
-	t.AddRow("avg total", ipv.MeanTotal(), fio.MeanTotal())
-	t.AddRow("p99 total", ipv.TotalPercentile(99), fio.TotalPercentile(99))
-	t.AddRow("addCNI stage", ipv.StageMean(telemetry.StageAddCNI), fio.StageMean(telemetry.StageAddCNI))
-	t.AddRow("cgroup stage", ipv.StageMean(telemetry.StageCgroup), fio.StageMean(telemetry.StageCgroup))
+	t.AddRow("avg total", meanTotal(ipv), meanTotal(fio))
+	t.AddRow("p99 total", totalPercentile(ipv, 99), totalPercentile(fio, 99))
+	t.AddRow("addCNI stage", stageMean(ipv, telemetry.StageAddCNI), stageMean(fio, telemetry.StageAddCNI))
+	t.AddRow("cgroup stage", stageMean(ipv, telemetry.StageCgroup), stageMean(fio, telemetry.StageCgroup))
 	rep := &Report{ID: "fig14", Title: fmt.Sprintf("Comparison with software CNI (concurrency=%d)", n), Table: t}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"FastIOV average is %.1f%% lower than IPvtap; paper: 31.8%%",
-		100*stats.ReductionRatio(ipv.MeanTotal().Mean, fio.MeanTotal().Mean)))
+		100*stats.ReductionRatio(meanTotal(ipv).Mean, meanTotal(fio).Mean)))
 	return rep, nil
 }
 
@@ -454,10 +423,18 @@ type memPerfOutcome struct {
 	Elapsed time.Duration
 }
 
-// memPerfRun boots the named baseline, starts one container, and runs the
+// memPerfSpec boots the named baseline, starts one container, and runs the
 // in-guest memory workload.
-func memPerfRun(baseline string, seed uint64) (*memPerfOutcome, error) {
-	opts, err := cluster.OptionsFor(baseline)
+type memPerfSpec struct {
+	Baseline string
+}
+
+func (memPerfSpec) scope() string { return "memperf" }
+
+func (s memPerfSpec) params() string { return "b=" + s.Baseline }
+
+func (s memPerfSpec) run(_ *Exec, seed uint64) (*memPerfOutcome, error) {
+	opts, err := cluster.OptionsFor(s.Baseline)
 	if err != nil {
 		return nil, err
 	}
@@ -495,49 +472,26 @@ func memPerfRun(baseline string, seed uint64) (*memPerfOutcome, error) {
 	return out, nil
 }
 
+func (memPerfSpec) fingerprint(o *memPerfOutcome) []byte {
+	return fmt.Appendf(nil, "faults=%d elapsed=%d", o.Faults, o.Elapsed)
+}
+
 // MemPerf reproduces §6.5: the impact of FastIOV's EPT-fault interception
 // on in-guest memory performance, tinymembench-style.
-func MemPerf() (*Report, error) { return defaultExec().MemPerf() }
-
-// MemPerf on an executor.
 func (x *Exec) MemPerf() (*Report, error) {
-	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
-	jobs := make([]harness.Job, 0, len(baselines)*len(x.seeds))
-	for _, name := range baselines {
-		name := name
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key: harness.Key{Scope: "memperf", Params: "b=" + name, Seed: seed},
-				Fn:  func() (any, error) { return memPerfRun(name, seed) },
-				Fingerprint: func(v any) ([]byte, error) {
-					o := v.(*memPerfOutcome)
-					return fmt.Appendf(nil, "faults=%d elapsed=%d", o.Faults, o.Elapsed), nil
-				},
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
+	specs := []memPerfSpec{{cluster.BaselineVanilla}, {cluster.BaselineFastIOV}}
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
-	perBaseline := make([][]*memPerfOutcome, len(baselines))
-	k := 0
-	for i := range baselines {
-		for range x.seeds {
-			perBaseline[i] = append(perBaseline[i], vals[k].(*memPerfOutcome))
-			k++
-		}
-	}
+	elapsed := func(o *memPerfOutcome) time.Duration { return o.Elapsed }
 	t := stats.NewTable("config", "EPT faults", "10-pass time", "per-pass")
-	for i, name := range baselines {
-		elapsed := stats.EstimateMetric(perBaseline[i], func(o *memPerfOutcome) time.Duration { return o.Elapsed })
-		perPass := stats.EstimateMetric(perBaseline[i], func(o *memPerfOutcome) time.Duration { return o.Elapsed / 10 })
-		t.AddRow(name, perBaseline[i][0].Faults, elapsed, perPass)
+	for i, sp := range specs {
+		perPass := rs[i].Metric(func(o *memPerfOutcome) time.Duration { return o.Elapsed / 10 })
+		t.AddRow(sp.Baseline, rs[i].Primary().Faults, rs[i].Metric(elapsed), perPass)
 	}
 	rep := &Report{ID: "sec6.5", Title: "Impact on memory access performance (tinymembench-style)", Table: t}
-	van := stats.EstimateMetric(perBaseline[0], func(o *memPerfOutcome) time.Duration { return o.Elapsed })
-	fio := stats.EstimateMetric(perBaseline[1], func(o *memPerfOutcome) time.Duration { return o.Elapsed })
+	van, fio := rs[0].Metric(elapsed), rs[1].Metric(elapsed)
 	degr := 100 * (float64(fio.Mean)/float64(van.Mean) - 1)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"FastIOV memory-path degradation: %.2f%%; paper: within 1%%", degr))

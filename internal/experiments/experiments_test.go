@@ -12,8 +12,11 @@ import (
 // benchmarks and cmd/fastiov-bench run the paper's full c=200 settings.
 const testN = 50
 
+// defaultExec is the executor most tests run on: serial, single seed.
+func defaultExec() *Exec { return NewExec(1, nil) }
+
 func TestFig1ShapeHolds(t *testing.T) {
-	rep, err := Fig1([]int{10, 50})
+	rep, err := defaultExec().Fig1([]int{10, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +33,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 }
 
 func TestFig5TimelineRenders(t *testing.T) {
-	rep, err := Fig5(testN)
+	rep, err := defaultExec().Fig5(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestFig5TimelineRenders(t *testing.T) {
 }
 
 func TestTable1VFRelatedDominates(t *testing.T) {
-	rep, err := Table1(testN)
+	rep, err := defaultExec().Table1(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestTable1VFRelatedDominates(t *testing.T) {
 }
 
 func TestFig11HeadlineReductions(t *testing.T) {
-	rep, err := Fig11(testN)
+	rep, err := defaultExec().Fig11(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestFig11HeadlineReductions(t *testing.T) {
 }
 
 func TestFig12CDFMonotone(t *testing.T) {
-	rep, err := Fig12(testN)
+	rep, err := defaultExec().Fig12(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestFig12CDFMonotone(t *testing.T) {
 }
 
 func TestFig13aReductionGrowsWithConcurrency(t *testing.T) {
-	rep, err := Fig13a([]int{10, 50})
+	rep, err := defaultExec().Fig13a([]int{10, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func cell(t *testing.T, row string, idx int) float64 {
 }
 
 func TestFig13bVanillaMoreMemorySensitive(t *testing.T) {
-	rep, err := Fig13b([]int64{512 << 20, 2 << 30}, 25)
+	rep, err := defaultExec().Fig13b([]int64{512 << 20, 2 << 30}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestFig13bVanillaMoreMemorySensitive(t *testing.T) {
 }
 
 func TestFig13cRuns(t *testing.T) {
-	rep, err := Fig13c([]int{10, 25})
+	rep, err := defaultExec().Fig13c([]int{10, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestFig13cRuns(t *testing.T) {
 }
 
 func TestFig14SoftwareCNIBottlenecks(t *testing.T) {
-	rep, err := Fig14(testN)
+	rep, err := defaultExec().Fig14(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestFig14SoftwareCNIBottlenecks(t *testing.T) {
 }
 
 func TestMemPerfDegradationUnderOnePercent(t *testing.T) {
-	rep, err := MemPerf()
+	rep, err := defaultExec().MemPerf()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestMemPerfDegradationUnderOnePercent(t *testing.T) {
 }
 
 func TestFig15ReductionShrinksWithExecTime(t *testing.T) {
-	rep, err := Fig15(30)
+	rep, err := defaultExec().Fig15(30)
 	if err != nil {
 		t.Fatal(err)
 	}

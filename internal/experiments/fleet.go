@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"fastiov/internal/cluster"
-	"fastiov/internal/fault"
 	"fastiov/internal/fleet"
-	"fastiov/internal/harness"
 	"fastiov/internal/stats"
 )
 
@@ -31,38 +28,18 @@ type fleetSpec struct {
 	Policy   string
 	Hosts    int
 	PerHost  int
-	// Faults pins this spec's fault plan; nil inherits the executor-wide
-	// plan (see startupSpec.Faults).
-	Faults *fault.Plan
-	// Trace and Metrics pin observability; nil inherits the executor-wide
-	// settings.
-	Trace   *bool
-	Metrics *bool
+	env
 }
 
-func (s fleetSpec) traced() bool { return s.Trace != nil && *s.Trace }
+func (fleetSpec) scope() string { return "fleet" }
 
-func (s fleetSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
-
-// params canonically encodes the spec for the cache key.
 func (s fleetSpec) params() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "b=%s policy=%s hosts=%d c=%d", s.Baseline, s.Policy, s.Hosts, s.PerHost)
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
-	return b.String()
+	return fmt.Sprintf("b=%s policy=%s hosts=%d c=%d", s.Baseline, s.Policy, s.Hosts, s.PerHost) + s.env.key()
 }
 
 // run executes the spec at one seed: a heterogeneous fleet sharing one
 // kernel, audited per host and fleet-wide.
-func (s fleetSpec) run(seed uint64) (*fleet.Result, error) {
+func (s fleetSpec) run(_ *Exec, seed uint64) (*fleet.Result, error) {
 	res, err := fleet.Run(fleet.Config{
 		Baseline:  s.Baseline,
 		Policy:    s.Policy,
@@ -70,100 +47,43 @@ func (s fleetSpec) run(seed uint64) (*fleet.Result, error) {
 		Requests:  s.Hosts * s.PerHost,
 		Seed:      seed,
 		Faults:    s.Faults,
-		Trace:     s.traced(),
-		Metrics:   s.metered(),
+		Trace:     s.Observe&ObserveTrace != 0,
+		Metrics:   s.Observe&ObserveMetrics != 0,
 		// Standing invariant, as for single-host harness runs: audit every
 		// fleet and fail loudly on any leak, per host or fleet-wide.
 		Audit: true,
 	})
+	if err == nil {
+		err = auditFleet(res)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", s.Baseline, s.Policy, err)
-	}
-	if !res.CleanPerHost() {
-		for i, rep := range res.PerHost {
-			if !rep.Clean() {
-				return nil, fmt.Errorf("%s/%s: host %d dirty leak audit:\n%s", s.Baseline, s.Policy, i, rep)
-			}
-		}
-	}
-	if !res.Leaks.Clean() {
-		return nil, fmt.Errorf("%s/%s: fleet-wide dirty leak audit:\n%s", s.Baseline, s.Policy, res.Leaks)
 	}
 	return res, nil
 }
 
-// fingerprintFleet canonically serializes a fleet run for determinism
-// verification: placements, queue peaks, busy integrals, every per-start
-// total, audit outcome, and the observers' digests when attached.
-func fingerprintFleet(v any) ([]byte, error) {
-	res, ok := v.(*fleet.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *fleet.Result", v)
-	}
-	return res.Fingerprint(), nil
-}
+// fingerprint canonically serializes a fleet run: placements, queue peaks,
+// busy integrals, every per-start total, audit outcome, and the observers'
+// digests when attached.
+func (fleetSpec) fingerprint(res *fleet.Result) []byte { return res.Fingerprint() }
 
-// MultiFleet is one fleet scenario's outcome across the executor's seeds.
-type MultiFleet struct {
-	perSeed []*fleet.Result
-}
-
-// Primary returns the first seed's full result.
-func (m *MultiFleet) Primary() *fleet.Result { return m.perSeed[0] }
-
-// Metric aggregates f over every seed's result.
-func (m *MultiFleet) Metric(f func(*fleet.Result) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// fleets fans the specs across the pool at every seed.
-func (x *Exec) fleets(specs []fleetSpec) ([]*MultiFleet, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "fleet", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(seed) },
-				Fingerprint: fingerprintFleet,
-			})
+// auditFleet reports the first dirty leak audit of a fleet run, per host
+// and then fleet-wide.
+func auditFleet(res *fleet.Result) error {
+	for i, rep := range res.PerHost {
+		if !rep.Clean() {
+			return fmt.Errorf("host %d dirty leak audit:\n%s", i, rep)
 		}
 	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
+	if !res.Leaks.Clean() {
+		return fmt.Errorf("fleet-wide dirty leak audit:\n%s", res.Leaks)
 	}
-	out := make([]*MultiFleet, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiFleet{}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*fleet.Result))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
+	return nil
 }
 
 // Fleet sweeps placement policy × baseline across a heterogeneous fleet
 // sharing one simulation kernel, plus a fleet-size ladder for the
-// signal-driven policies. See the executor method.
-func Fleet(n int) (*Report, error) { return defaultExec().Fleet(n) }
-
-// Fleet on an executor. The cluster-level claim mirrors the paper's
+// signal-driven policies. The cluster-level claim mirrors the paper's
 // host-level one: under vanilla, placement policy decides how much of the
 // devset-queue collapse each host absorbs — VF-aware placement (free VFs,
 // queue depth, membw pressure) recovers most of the tail that random
@@ -194,13 +114,10 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 	// ladder (quarter, half) and a light-load point (half per-host
 	// concurrency) for the extreme policies — the blind one and the
 	// signal-driven one.
-	type row struct {
-		spec fleetSpec
-	}
-	var rows []row
+	var specs []fleetSpec
 	for _, p := range policies {
 		for _, b := range baselines {
-			rows = append(rows, row{fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: perHost}})
+			specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: perHost})
 		}
 	}
 	ladder := []string{fleet.PolicyRandom, fleet.PolicyVFAware}
@@ -213,23 +130,19 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 		}
 		for _, p := range ladder {
 			for _, b := range baselines {
-				rows = append(rows, row{fleetSpec{Baseline: b, Policy: p, Hosts: h, PerHost: perHost}})
+				specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: h, PerHost: perHost})
 			}
 		}
 	}
 	if half := perHost / 2; half >= 1 && half != perHost {
 		for _, p := range ladder {
 			for _, b := range baselines {
-				rows = append(rows, row{fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: half}})
+				specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: half})
 			}
 		}
 	}
 
-	specs := make([]fleetSpec, len(rows))
-	for i, r := range rows {
-		specs[i] = r.spec
-	}
-	rs, err := x.fleets(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -240,22 +153,22 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 	// p99 by (baseline, policy) at full scale, for the notes.
 	p99 := map[string]map[string]time.Duration{}
 	qpeak := map[string]map[string]int{}
-	for i, r := range rows {
+	for i, sp := range specs {
 		m := rs[i]
 		pri := m.Primary()
-		t.AddRow(r.spec.Baseline, r.spec.Policy, r.spec.Hosts, r.spec.PerHost,
+		t.AddRow(sp.Baseline, sp.Policy, sp.Hosts, sp.PerHost,
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.P50() }),
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.P99() }),
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.Max() }),
 			pri.MaxQueuePeak(), pri.PlacementSpread(), pri.Rejected)
-		if r.spec.Hosts == hosts && r.spec.PerHost == perHost {
-			if p99[r.spec.Baseline] == nil {
-				p99[r.spec.Baseline] = map[string]time.Duration{}
-				qpeak[r.spec.Baseline] = map[string]int{}
+		if sp.Hosts == hosts && sp.PerHost == perHost {
+			if p99[sp.Baseline] == nil {
+				p99[sp.Baseline] = map[string]time.Duration{}
+				qpeak[sp.Baseline] = map[string]int{}
 			}
-			p99[r.spec.Baseline][r.spec.Policy] = m.Metric(
+			p99[sp.Baseline][sp.Policy] = m.Metric(
 				func(fr *fleet.Result) time.Duration { return fr.Totals.P99() }).Mean
-			qpeak[r.spec.Baseline][r.spec.Policy] = pri.MaxQueuePeak()
+			qpeak[sp.Baseline][sp.Policy] = pri.MaxQueuePeak()
 		}
 	}
 	rep.Table = t

@@ -5,7 +5,10 @@ package experiments
 // rendered report byte, for every experiment in the registry. The journey
 // recorder and alert engine are pure observers — if attaching them
 // perturbs an admission decision, a placement, or a single timestamp, the
-// reports diverge and this test names the experiment.
+// reports diverge and this test names the experiment. The same runs pin the
+// registry's scenario-cache traffic, so a change to how scenarios inherit
+// executor settings and become cache keys cannot silently merge or split
+// scenarios.
 
 import (
 	"strings"
@@ -17,10 +20,15 @@ import (
 // kernel-side ones as a reduced sweep.
 const journeyTransparencyN = 8
 
+// registryTraffic is the full registry's cache traffic on NewExec(2,
+// {1,2}) at journeyTransparencyN, journeys on or off: the CLI's
+// "-experiment all -n 8 -workers 2 -seeds 2" summary line.
+var registryTraffic = CacheStats{Runs: 454, Hits: 224}
+
 func runRegistryReports(t *testing.T, journeys bool) map[string]string {
 	t.Helper()
 	x := NewExec(2, []uint64{1, 2})
-	x.SetJourneys(journeys)
+	x.SetObserve(Observers(false, false, journeys))
 	out := make(map[string]string)
 	for _, e := range Registry() {
 		rep, err := e.Run(x, journeyTransparencyN)
@@ -28,6 +36,10 @@ func runRegistryReports(t *testing.T, journeys bool) map[string]string {
 			t.Fatalf("%s (journeys=%v): %v", e.ID, journeys, err)
 		}
 		out[e.ID] = rep.String()
+	}
+	if st := x.CacheStats(); st.Runs != registryTraffic.Runs || st.Hits != registryTraffic.Hits {
+		t.Errorf("journeys=%v: cache traffic %d runs, %d hits; want %d runs, %d hits",
+			journeys, st.Runs, st.Hits, registryTraffic.Runs, registryTraffic.Hits)
 	}
 	return out
 }

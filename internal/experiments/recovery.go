@@ -6,7 +6,6 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
-	"fastiov/internal/harness"
 	"fastiov/internal/stats"
 )
 
@@ -21,7 +20,8 @@ type recoverySpec struct {
 	Faults   *fault.Plan
 }
 
-// params canonically encodes the spec for the cache key.
+func (recoverySpec) scope() string { return "recovery" }
+
 func (s recoverySpec) params() string {
 	p := fmt.Sprintf("b=%s n=%d waves=%d", s.Baseline, s.N, s.Waves)
 	if !s.Faults.Empty() {
@@ -33,7 +33,7 @@ func (s recoverySpec) params() string {
 // run executes the spec at one seed. A genuine error or a dirty leak audit
 // fails the run: leak-free recycling is the experiment's contract, not a
 // statistic.
-func (s recoverySpec) run(seed uint64) (*cluster.ChurnResult, error) {
+func (s recoverySpec) run(_ *Exec, seed uint64) (*cluster.ChurnResult, error) {
 	opts, err := cluster.OptionsFor(s.Baseline)
 	if err != nil {
 		return nil, err
@@ -56,13 +56,8 @@ func (s recoverySpec) run(seed uint64) (*cluster.ChurnResult, error) {
 	return res, nil
 }
 
-// fingerprintChurn canonically serializes a churn run for determinism
-// verification.
-func fingerprintChurn(v any) ([]byte, error) {
-	res, ok := v.(*cluster.ChurnResult)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *cluster.ChurnResult", v)
-	}
+// fingerprint canonically serializes a churn run.
+func (recoverySpec) fingerprint(res *cluster.ChurnResult) []byte {
 	var b []byte
 	b = fmt.Appendf(b, "started %d failed %d rollbacks %d leaks %d\n",
 		res.Started, res.Failed, res.Rollbacks, res.Leaks.Count())
@@ -75,7 +70,7 @@ func fingerprintChurn(v any) ([]byte, error) {
 	for _, st := range res.FaultStats {
 		b = fmt.Appendf(b, "fault %s occ=%d inj=%d\n", st.Site, st.Occurrences, st.Injected)
 	}
-	return b, nil
+	return b
 }
 
 // recoveryPlan merges the chaos plan at fault probability pFault with
@@ -93,16 +88,14 @@ func recoveryPlan(stages []fault.CrashStage, pCrash, pFault float64) *fault.Plan
 // the sweep fast.
 const recoveryWaves = 3
 
-// Recovery sweeps crash points and fault rates over churn waves.
-func Recovery(n int) (*Report, error) { return defaultExec().Recovery(n) }
-
-// Recovery on an executor: churn waves of n concurrent starts under a
-// fault-heavy plan, interrupting startup at every crash point in turn
-// (then all at once, then all at once on the flawed rebinding CNI, whose
-// rollback must also unwind a vfio registration). Reports success rate,
-// reclaim latency percentiles, per-container rollback cost, and the leak
-// count — which must be identically zero: a dirty audit fails the
-// experiment rather than rendering a number.
+// Recovery sweeps crash points and fault rates over churn waves of n
+// concurrent starts under a fault-heavy plan, interrupting startup at
+// every crash point in turn (then all at once, then all at once on the
+// flawed rebinding CNI, whose rollback must also unwind a vfio
+// registration). Reports success rate, reclaim latency percentiles,
+// per-container rollback cost, and the leak count — which must be
+// identically zero: a dirty audit fails the experiment rather than rendering
+// a number.
 func (x *Exec) Recovery(n int) (*Report, error) {
 	type row struct {
 		label string
@@ -123,19 +116,11 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 		row{"rebind+crash@all", mk(cluster.BaselineRebind, recoveryPlan(fault.CrashStages(), 0.05, 0.10))},
 	)
 
-	jobs := make([]harness.Job, 0, len(rows)*len(x.seeds))
-	for _, r := range rows {
-		sp := r.spec
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "recovery", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(seed) },
-				Fingerprint: fingerprintChurn,
-			})
-		}
+	specs := make([]recoverySpec, len(rows))
+	for i, r := range rows {
+		specs[i] = r.spec
 	}
-	vals, err := x.pool.Do(jobs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -143,13 +128,8 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 	t := stats.NewTable("plan", "success %", "reclaim p50", "reclaim p99", "rollback mean", "rollbacks/run", "leaks")
 	rep := &Report{ID: "recovery", Title: fmt.Sprintf(
 		"Recovery: churn under crash injection (%d waves x %d containers)", recoveryWaves, n)}
-	k := 0
-	for _, r := range rows {
-		perSeed := make([]*cluster.ChurnResult, 0, len(x.seeds))
-		for range x.seeds {
-			perSeed = append(perSeed, vals[k].(*cluster.ChurnResult))
-			k++
-		}
+	for i, r := range rows {
+		perSeed := rs[i].PerSeed()
 		rates := make([]float64, 0, len(perSeed))
 		rollbacks := make([]float64, 0, len(perSeed))
 		leaks := 0
@@ -160,9 +140,9 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 		}
 		rbMean, _, _ := stats.FloatEstimateOf(rollbacks)
 		t.AddRow(r.label, pctString(rates),
-			stats.EstimateMetric(perSeed, func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(50) }),
-			stats.EstimateMetric(perSeed, func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(99) }),
-			stats.EstimateMetric(perSeed, func(cr *cluster.ChurnResult) time.Duration { return cr.Rollback.Mean() }),
+			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(50) }),
+			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(99) }),
+			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Rollback.Mean() }),
 			fmt.Sprintf("%.1f", rbMean), leaks)
 	}
 	rep.Table = t

@@ -31,23 +31,19 @@ func saturationSweep(max int) []int {
 // concurrency and membw pins at 100% through the zeroing phase, while
 // FastIOV keeps the queue near zero and defers zeroing off the startup
 // path.
-func Saturation(n int) (*Report, error) { return defaultExec().Saturation(n) }
-
-// Saturation on an executor. See the package-level wrapper.
 func (x *Exec) Saturation(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
 	}
-	pin := true
 	concs := saturationSweep(n)
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 	var specs []startupSpec
 	for _, c := range concs {
 		for _, b := range baselines {
-			specs = append(specs, startupSpec{Baseline: b, N: c, Metrics: &pin})
+			specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: b, env: env{Observe: ObserveMetrics}}, N: c})
 		}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -108,18 +108,15 @@ func runServerless(baseline string, n int, app serverless.App, mutate func(*clus
 
 // Fig15 reproduces Figure 15: task-completion-time distribution for the
 // four SeBS applications at c=200, vanilla vs FastIOV.
-func Fig15(n int) (*Report, error) { return defaultExec().Fig15(n) }
-
-// Fig15 on an executor.
 func (x *Exec) Fig15(n int) (*Report, error) {
 	apps := serverless.Apps()
 	var specs []serverlessSpec
 	for _, app := range apps {
 		specs = append(specs,
-			serverlessSpec{Baseline: cluster.BaselineVanilla, N: n, App: app},
-			serverlessSpec{Baseline: cluster.BaselineFastIOV, N: n, App: app})
+			serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n, App: app},
+			serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: n, App: app})
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +124,11 @@ func (x *Exec) Fig15(n int) (*Report, error) {
 	rep := &Report{ID: "fig15", Title: fmt.Sprintf("Serverless application performance (concurrency=%d)", n), Table: t}
 	var minRed, maxRed float64 = 101, -1
 	for i, app := range apps {
-		van, fio := rs[2*i], rs[2*i+1]
-		avgRed := 100 * stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean)
-		p99Red := 100 * stats.ReductionRatio(van.P99().Mean, fio.P99().Mean)
-		t.AddRow(app.Name, van.Mean(), van.P99(), fio.Mean(), fio.P99(), avgRed, p99Red)
+		vanAvg, fioAvg := meanCompletion(rs[2*i]), meanCompletion(rs[2*i+1])
+		vanP99, fioP99 := rs[2*i].Metric((*stats.Sample).P99), rs[2*i+1].Metric((*stats.Sample).P99)
+		avgRed := 100 * stats.ReductionRatio(vanAvg.Mean, fioAvg.Mean)
+		p99Red := 100 * stats.ReductionRatio(vanP99.Mean, fioP99.Mean)
+		t.AddRow(app.Name, vanAvg, vanP99, fioAvg, fioP99, avgRed, p99Red)
 		if avgRed < minRed {
 			minRed = avgRed
 		}
@@ -146,11 +144,6 @@ func (x *Exec) Fig15(n int) (*Report, error) {
 
 // Fig16Concurrency reproduces Fig. 16a-d: per-app average task completion
 // and reduction ratio across concurrency levels.
-func Fig16Concurrency(concurrencies []int) (*Report, error) {
-	return defaultExec().Fig16Concurrency(concurrencies)
-}
-
-// Fig16Concurrency on an executor.
 func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -160,11 +153,11 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 	for _, app := range apps {
 		for _, c := range concurrencies {
 			specs = append(specs,
-				serverlessSpec{Baseline: cluster.BaselineVanilla, N: c, App: app},
-				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: c, App: app})
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: c, App: app},
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: c, App: app})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +168,8 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 		for _, c := range concurrencies {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, c, van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, c, meanCompletion(van), meanCompletion(fio),
+				100*stats.ReductionRatio(meanCompletion(van).Mean, meanCompletion(fio).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: higher gain at higher concurrency (Fig. 16a-d)")
@@ -185,11 +178,6 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 
 // Fig16Memory reproduces Fig. 16e-h: per-app completion across memory
 // allocations at fixed concurrency.
-func Fig16Memory(memories []int64, concurrency int) (*Report, error) {
-	return defaultExec().Fig16Memory(memories, concurrency)
-}
-
-// Fig16Memory on an executor.
 func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 	if len(memories) == 0 {
 		memories = []int64{512 << 20, 1 << 30, 2 << 30}
@@ -203,11 +191,11 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 		for _, ram := range memories {
 			l := layoutWithRAM(ram)
 			specs = append(specs,
-				serverlessSpec{Baseline: cluster.BaselineVanilla, N: concurrency, App: app, Layout: &l},
-				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: concurrency, App: app, Layout: &l})
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &l}, N: concurrency, App: app},
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &l}, N: concurrency, App: app})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +206,8 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 		for _, ram := range memories {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, fmt.Sprintf("%dMB", ram>>20), van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, fmt.Sprintf("%dMB", ram>>20), meanCompletion(van), meanCompletion(fio),
+				100*stats.ReductionRatio(meanCompletion(van).Mean, meanCompletion(fio).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: higher gain with larger allocations; FastIOV completion flat or decreasing (Fig. 16e-h)")
@@ -228,11 +216,6 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 
 // Fig16FullyLoaded reproduces Fig. 16i-l: per-app completion on a fully
 // loaded server (memory divided evenly among containers).
-func Fig16FullyLoaded(concurrencies []int) (*Report, error) {
-	return defaultExec().Fig16FullyLoaded(concurrencies)
-}
-
-// Fig16FullyLoaded on an executor.
 func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -246,11 +229,11 @@ func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 			l := fullyLoadedLayout(spec, c)
 			ramByConc[c] = l.RAMBytes
 			specs = append(specs,
-				serverlessSpec{Baseline: cluster.BaselineVanilla, N: c, App: app, Layout: &l},
-				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: c, App: app, Layout: &l})
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &l}, N: c, App: app},
+				serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &l}, N: c, App: app})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +244,8 @@ func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 		for _, c := range concurrencies {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, c, fmt.Sprintf("%dMB", ramByConc[c]>>20), van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, c, fmt.Sprintf("%dMB", ramByConc[c]>>20), meanCompletion(van), meanCompletion(fio),
+				100*stats.ReductionRatio(meanCompletion(van).Mean, meanCompletion(fio).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: clear reduction at all settings, most pronounced at low concurrency (Fig. 16i-l)")

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"fastiov/internal/cluster"
-	"fastiov/internal/fault"
-	"fastiov/internal/harness"
 	"fastiov/internal/serve"
 	"fastiov/internal/stats"
 )
@@ -34,53 +31,37 @@ type serveSpec struct {
 	Rate     float64
 	// Workload is the canonical tenant spec ("" = serve default).
 	Workload string
-	// Faults pins this spec's fault plan; nil inherits the executor-wide
-	// plan (see startupSpec.Faults).
-	Faults *fault.Plan
-	// Trace, Metrics, and Journeys pin observability; nil inherits the
-	// executor-wide settings.
-	Trace    *bool
-	Metrics  *bool
-	Journeys *bool
 	// Alerts is an optional alert-rule spec evaluated by the simulated-time
-	// engine during the run (requires Metrics); "" runs no engine.
+	// engine during the run (requires metrics); "" runs no engine.
 	Alerts string
+	env
 }
 
-func (s serveSpec) traced() bool { return s.Trace != nil && *s.Trace }
+// inherit applies the executor's defaults. Alert engines read the metrics
+// registry, so a spec that carries rules always carries metrics too.
+func (s *serveSpec) inherit(x *Exec) {
+	s.env.inherit(x)
+	if s.Alerts != "" {
+		s.Observe |= ObserveMetrics
+	}
+}
 
-func (s serveSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
+func (serveSpec) scope() string { return "serve" }
 
-func (s serveSpec) journeyed() bool { return s.Journeys != nil && *s.Journeys }
-
-// params canonically encodes the spec for the cache key.
 func (s serveSpec) params() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "b=%s policy=%s hosts=%d rate=%g", s.Baseline, s.Policy, s.Hosts, s.Rate)
+	p := fmt.Sprintf("b=%s policy=%s hosts=%d rate=%g", s.Baseline, s.Policy, s.Hosts, s.Rate)
 	if s.Workload != "" {
-		fmt.Fprintf(&b, " w=%s", s.Workload)
-	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
-	if s.journeyed() {
-		b.WriteString(" journeys")
+		p += " w=" + s.Workload
 	}
 	if s.Alerts != "" {
-		fmt.Fprintf(&b, " alerts=%s", s.Alerts)
+		p += " alerts=" + s.Alerts
 	}
-	return b.String()
+	return p + s.env.key()
 }
 
 // run executes the spec at one seed: a full serving window over an audited
 // fleet, failing loudly on any leak — shed requests included.
-func (s serveSpec) run(seed uint64) (*serve.Result, error) {
+func (s serveSpec) run(_ *Exec, seed uint64) (*serve.Result, error) {
 	res, err := serve.Run(serve.Config{
 		Baseline:  s.Baseline,
 		Policy:    s.Policy,
@@ -89,149 +70,68 @@ func (s serveSpec) run(seed uint64) (*serve.Result, error) {
 		Rate:      s.Rate,
 		Seed:      seed,
 		Faults:    s.Faults,
-		Trace:     s.traced(),
-		Metrics:   s.metered(),
-		Journeys:  s.journeyed(),
+		Trace:     s.Observe&ObserveTrace != 0,
+		Metrics:   s.Observe&ObserveMetrics != 0,
+		Journeys:  s.Observe&ObserveJourneys != 0,
 		AlertSpec: s.Alerts,
 		Audit:     true,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s rate=%g: %w", s.Baseline, s.Policy, s.Rate, err)
-	}
 	// Standing invariant: request conservation at drain and clean leak
 	// audits, per host and fleet-wide, however much the policy shed.
-	if res.Arrived != res.Admitted+res.Shed() {
-		return nil, fmt.Errorf("%s/%s rate=%g: conservation broken: arrived %d != admitted %d + shed %d",
-			s.Baseline, s.Policy, s.Rate, res.Arrived, res.Admitted, res.Shed())
+	if err == nil && res.Arrived != res.Admitted+res.Shed() {
+		err = fmt.Errorf("conservation broken: arrived %d != admitted %d + shed %d",
+			res.Arrived, res.Admitted, res.Shed())
 	}
-	if !res.Fleet.CleanPerHost() {
-		for i, rep := range res.Fleet.PerHost {
-			if !rep.Clean() {
-				return nil, fmt.Errorf("%s/%s rate=%g: host %d dirty leak audit:\n%s",
-					s.Baseline, s.Policy, s.Rate, i, rep)
-			}
-		}
+	if err == nil {
+		err = auditFleet(res.Fleet)
 	}
-	if !res.Fleet.Leaks.Clean() {
-		return nil, fmt.Errorf("%s/%s rate=%g: fleet-wide dirty leak audit:\n%s",
-			s.Baseline, s.Policy, s.Rate, res.Fleet.Leaks)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s rate=%g: %w", s.Baseline, s.Policy, s.Rate, err)
 	}
 	return res, nil
 }
 
-// fingerprintServe canonically serializes a serving run for determinism
-// verification: the admission accounting, per-tenant tallies, every sojourn,
-// and the fleet fingerprint beneath (placements, audits, observer digests).
-func fingerprintServe(v any) ([]byte, error) {
-	res, ok := v.(*serve.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *serve.Result", v)
-	}
-	return res.Fingerprint(), nil
-}
+// fingerprint canonically serializes a serving run: the admission
+// accounting, per-tenant tallies, every sojourn, and the fleet fingerprint
+// beneath (placements, audits, observer digests).
+func (serveSpec) fingerprint(res *serve.Result) []byte { return res.Fingerprint() }
 
-// MultiServe is one serving scenario's outcome across the executor's seeds.
-type MultiServe struct {
-	perSeed []*serve.Result
-}
-
-// Primary returns the first seed's full result.
-func (m *MultiServe) Primary() *serve.Result { return m.perSeed[0] }
-
-// Metric aggregates f over every seed's result.
-func (m *MultiServe) Metric(f func(*serve.Result) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// serves fans the specs across the pool at every seed.
-func (x *Exec) serves(specs []serveSpec) ([]*MultiServe, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		if sp.Journeys == nil {
-			jv := x.journeys
-			sp.Journeys = &jv
-		}
-		// Alert engines read the metrics registry; a spec that carries rules
-		// must carry metrics too, whatever the executor-wide default says.
-		if sp.Alerts != "" && !*sp.Metrics {
-			mv := true
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "serve", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(seed) },
-				Fingerprint: fingerprintServe,
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiServe, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiServe{}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*serve.Result))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// Serving sweeps admission policy × baseline across an offered-load ladder.
-// See the executor method.
-func Serving(n int) (*Report, error) { return defaultExec().Serving(n) }
-
-// Serving on an executor: the admission-control study. An open-loop
-// multi-tenant arrival process feeds pod-start requests through the serving
-// control plane at rates from under vanilla's saturation point to 4× past
-// it. The headline is the cliff and the recovery: the no-admission baseline
-// (fifo) lets the queue — and the admitted p99 — grow without bound as
-// offered load passes capacity, while SLO-aware shedding holds p99 near its
-// target by trading goodput, and per-tenant token buckets cap each tenant at
-// its contracted share. A flash-crowd row stresses the extreme policies with
-// a 6× burst mid-window.
-func (x *Exec) Serving(n int) (*Report, error) {
-	hosts := x.serveHosts
+// serveSweep resolves the fleet size and admission-policy sweep shared by
+// the serving, availability, and slowatch experiments, rejecting an unknown
+// pinned policy.
+func (x *Exec) serveSweep() (hosts int, policies []string, err error) {
+	hosts = x.serveHosts
 	if hosts <= 0 {
 		hosts = serve.DefaultHosts
+	}
+	if x.servePolicy == "" {
+		return hosts, serve.Policies(), nil
+	}
+	if _, err := serve.NewPolicy(x.servePolicy, serve.PolicyConfig{}); err != nil {
+		return 0, nil, err
+	}
+	return hosts, []string{x.servePolicy}, nil
+}
+
+// Serving sweeps admission policy × baseline across an offered-load ladder:
+// the admission-control study. An open-loop multi-tenant arrival process
+// feeds pod-start requests through the serving control plane at rates from
+// under vanilla's saturation point to 4× past it. The headline is the cliff
+// and the recovery: the no-admission baseline (fifo) lets the queue — and
+// the admitted p99 — grow without bound as offered load passes capacity,
+// while SLO-aware shedding holds p99 near its target by trading goodput, and
+// per-tenant token buckets cap each tenant at its contracted share. A
+// flash-crowd row stresses the extreme policies with a 6× burst mid-window.
+func (x *Exec) Serving(n int) (*Report, error) {
+	hosts, policies, err := x.serveSweep()
+	if err != nil {
+		return nil, err
 	}
 	workload := x.serveTenants
 	if workload != "" {
 		if _, err := serve.ParseWorkload(workload); err != nil {
 			return nil, err
 		}
-	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
 	}
 	rates := append([]float64(nil), DefaultServeRates...)
 	switch {
@@ -274,7 +174,7 @@ func (x *Exec) Serving(n int) (*Report, error) {
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -74,43 +74,25 @@ func slowatchScenarios() []slowatchScenario {
 }
 
 // Slowatch runs the SLO-watch study: alert detection latency per incident.
-// See the executor method.
-func Slowatch(n int) (*Report, error) { return defaultExec().Slowatch(n) }
-
-// Slowatch on an executor: the alerting study. Each scenario injects one
-// incident into the serving window — a host crash with recovery, or a 6×
-// flash crowd — while the simulated-time alert engine evaluates the
-// multi-window burn-rate rules against the live metrics registry. The
-// reported detection latency is simulated seconds from incident onset (the
-// crash ledger instant, or the burst clause) to the rule's first firing;
-// the resolve column is when the page clears again. The headline is the
-// observability face of the recovery asymmetry: vanilla's serial VF-pool
-// re-zero turns a 300ms reboot into a multi-second outage the burn-rate
-// rule pages on, while FastIOV's microsecond scrub-state rebuild keeps the
-// error fraction low enough that the same page resolves almost immediately
-// — or never fires at all.
+// Each scenario injects one incident into the serving window — a host crash
+// with recovery, or a 6× flash crowd — while the simulated-time alert engine
+// evaluates the multi-window burn-rate rules against the live metrics
+// registry. The reported detection latency is simulated seconds from
+// incident onset (the crash ledger instant, or the burst clause) to the
+// rule's first firing; the resolve column is when the page clears again. The
+// headline is the observability face of the recovery asymmetry: vanilla's
+// serial VF-pool re-zero turns a 300ms reboot into a multi-second outage the
+// burn-rate rule pages on, while FastIOV's microsecond scrub-state rebuild
+// keeps the error fraction low enough that the same page resolves almost
+// immediately — or never fires at all.
 func (x *Exec) Slowatch(n int) (*Report, error) {
-	hosts := x.serveHosts
-	if hosts <= 0 {
-		hosts = serve.DefaultHosts
+	hosts, policies, err := x.serveSweep()
+	if err != nil {
+		return nil, err
 	}
 	rate := DefaultSlowatchRate
 	if x.serveRate > 0 {
 		rate = x.serveRate
-	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
 	}
 	scenarios := slowatchScenarios()
 	if n > 0 {
@@ -120,7 +102,6 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
-	on := true
 	var specs []serveSpec
 	for _, sc := range scenarios {
 		for _, p := range policies {
@@ -128,8 +109,8 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 				sp := serveSpec{
 					Baseline: b, Policy: p, Hosts: hosts, Rate: rate,
 					Workload: sc.Workload,
-					Metrics:  &on, Journeys: &on,
-					Alerts: DefaultSlowatchRules,
+					Alerts:   DefaultSlowatchRules,
+					env:      env{Observe: ObserveMetrics | ObserveJourneys},
 				}
 				if sc.Faults != "" {
 					pl, err := fault.ParsePlan(sc.Faults)
@@ -147,7 +128,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}

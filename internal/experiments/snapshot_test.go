@@ -6,7 +6,8 @@ package experiments
 // reference; the snapshots-on executor boots once per (boot inputs, seed)
 // and clones. The spec matrix deliberately crosses the cache-key
 // dimensions — baseline, tracing, metrics, faults, scrubber, arrival
-// process — including pairs that share one cached boot.
+// process, scenario kind, executor-wide observers — including scenarios
+// that share one cached boot.
 
 import (
 	"bytes"
@@ -15,83 +16,102 @@ import (
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
 	"fastiov/internal/harness"
+	"fastiov/internal/serverless"
 )
 
-func transparencySpecs(t *testing.T) []startupSpec {
+func transparencySpecs(t *testing.T) ([]startupSpec, []serverlessSpec) {
 	t.Helper()
 	pl, err := fault.ParsePlan("vfio-reset:p=0.2;dma-map:every=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := true
-	return []startupSpec{
-		{Baseline: cluster.BaselineVanilla, N: 40},
+	startups := []startupSpec{
+		{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: 40},
 		// Same boot inputs as above, different wave: must share the cached
 		// boot yet produce its own (Poisson) arrival pattern.
-		{Baseline: cluster.BaselineVanilla, N: 25,
+		{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: 25,
 			Arrival: &cluster.Arrival{Kind: cluster.ArrivalPoisson, RatePerSec: 200}},
-		{Baseline: cluster.BaselineFastIOV, N: 40, Trace: &on},
-		{Baseline: cluster.BaselineFastIOV, N: 30, Metrics: &on},
-		{Baseline: cluster.BaselinePre50, N: 20, DisableScrubber: true},
-		{Baseline: cluster.BaselineFastIOV, N: 30, Faults: pl},
+		{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, env: env{Observe: ObserveTrace}}, N: 40},
+		{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, env: env{Observe: ObserveMetrics}}, N: 30},
+		{bootSpec: bootSpec{Baseline: cluster.BaselinePre50, DisableScrubber: true}, N: 20},
+		{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, env: env{Faults: pl}}, N: 30},
 	}
+	// A serverless scenario on the first startup's boot inputs: the two
+	// scenario kinds must share one cached boot.
+	serverlessRuns := []serverlessSpec{
+		{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: 12, App: serverless.Image},
+	}
+	return startups, serverlessRuns
 }
 
-// runFingerprints executes the specs on one executor and returns each
-// primary result's canonical fingerprint.
-func runFingerprints(t *testing.T, x *Exec, specs []startupSpec) [][]byte {
+// fingerprints executes the specs on one executor and returns each primary
+// result's canonical fingerprint.
+func fingerprints[S scenario[T], T any](t *testing.T, x *Exec, specs []S) [][]byte {
 	t.Helper()
-	results, err := x.startups(specs)
+	results, err := runAll(x, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fps := make([][]byte, len(results))
 	for i, m := range results {
-		fp, err := fingerprintResult(m.Primary())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[i] = fp
+		fps[i] = specs[i].fingerprint(m.Primary())
 	}
 	return fps
+}
+
+// sameFingerprints fails for every scenario whose snapshot-cached result
+// diverges from its from-scratch reference.
+func sameFingerprints[S scenario[T], T any](t *testing.T, ref, snapped *Exec, specs []S) {
+	t.Helper()
+	want, got := fingerprints(t, ref, specs), fingerprints(t, snapped, specs)
+	for i := range specs {
+		if !bytes.Equal(want[i], got[i]) {
+			off, detail := harness.FirstDivergence(want[i], got[i])
+			t.Errorf("%s spec %d (%s): snapshot-cached result diverges from from-scratch boot at byte %d: %s",
+				specs[i].scope(), i, specs[i].params(), off, detail)
+		}
+	}
 }
 
 // TestSnapshotCacheTransparency compares every scenario's fingerprint
 // across snapshots-off (reference) and snapshots-on executors, with
 // verification enabled on the snapshot path so each cached boot is also
-// double-booted and byte-compared.
+// double-booted and byte-compared. It runs once with no executor-wide
+// observers and once with tracing and metrics on executor-wide, which the
+// scenarios must inherit into both their results and their boot keys.
 func TestSnapshotCacheTransparency(t *testing.T) {
-	specs := transparencySpecs(t)
-
-	ref := NewExec(2, []uint64{1, 2})
-	ref.SetSnapshots(false)
-	want := runFingerprints(t, ref, specs)
-
-	snapped := NewExec(2, []uint64{1, 2})
-	snapped.SetVerify(true)
-	if !snapped.Snapshots() {
-		t.Fatal("snapshot caching must be on by default")
-	}
-	got := runFingerprints(t, snapped, specs)
-
-	for i := range specs {
-		if !bytes.Equal(want[i], got[i]) {
-			off, detail := harness.FirstDivergence(want[i], got[i])
-			t.Errorf("spec %d (%s): snapshot-cached result diverges from from-scratch boot at byte %d: %s",
-				i, specs[i].params(), off, detail)
+	startups, serverlessRuns := transparencySpecs(t)
+	seeds := []uint64{1, 2}
+	for _, tc := range []struct {
+		observe Observe
+		// boots is the number of distinct boot inputs across the specs:
+		// the three vanilla scenarios share one, and executor-wide tracing
+		// plus metrics merges the traced and the metered FastIOV boots.
+		boots int
+	}{
+		{0, 5},
+		{ObserveTrace | ObserveMetrics, 4},
+	} {
+		ref := NewExec(2, seeds)
+		ref.SetSnapshots(false)
+		ref.SetObserve(tc.observe)
+		snapped := NewExec(2, seeds)
+		snapped.SetVerify(true)
+		snapped.SetObserve(tc.observe)
+		if !snapped.Snapshots() {
+			t.Fatal("snapshot caching must be on by default")
 		}
-	}
+		sameFingerprints(t, ref, snapped, startups)
+		sameFingerprints(t, ref, snapped, serverlessRuns)
 
-	// The two vanilla specs differ only in wave shaping, so at two seeds the
-	// snapshot run needs strictly fewer executions than jobs: boot sharing
-	// must actually have happened.
-	st := snapped.CacheStats()
-	jobs := len(specs) * 2 // scenario jobs across both seeds
-	if st.Hits == 0 {
-		t.Errorf("snapshot run recorded no cache hits (runs=%d); boot sharing is not happening", st.Runs)
-	}
-	if st.Runs <= jobs {
-		t.Logf("cache traffic: runs=%d hits=%d verified=%d (jobs=%d)", st.Runs, st.Hits, st.Verified, jobs)
+		// Every scenario job runs twice under verification and each run
+		// requests its boot, so each distinct boot simulates once per seed
+		// and every other boot request is a cache hit.
+		jobs := (len(startups) + len(serverlessRuns)) * len(seeds)
+		want := CacheStats{Runs: jobs + tc.boots*len(seeds), Hits: 2*jobs - tc.boots*len(seeds), Verified: jobs + tc.boots*len(seeds)}
+		if st := snapped.CacheStats(); st != want {
+			t.Errorf("observe=%b: cache traffic %+v, want %+v", tc.observe, st, want)
+		}
 	}
 }
 
