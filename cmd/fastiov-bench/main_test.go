@@ -138,24 +138,35 @@ func traceFile(t *testing.T, extra ...string) []byte {
 	return b
 }
 
-// TestGoldenTraceJSON pins the exported Chrome trace of a small run
+// TestGoldenTraceJSON pins the exported Chrome traces of small runs
 // byte-for-byte: event names, timestamps, durations, and tid/pid layout are
-// all pure functions of (baseline, n, seed).
+// all pure functions of (baseline, n, seed). The fastiov trace pins the
+// fastiovd scrubber's per-page memory-bandwidth holds, which vanilla lacks.
 func TestGoldenTraceJSON(t *testing.T) {
-	got := traceFile(t, "-n", "5")
-	path := filepath.Join("testdata", "trace_n5.json")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/fastiov-bench -run TestGolden -update` to create)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("trace JSON differs from %s (re-run with -update after intended changes)", path)
+	for _, c := range []struct {
+		file string
+		args []string
+	}{
+		{"trace_n5.json", []string{"-n", "5"}},
+		{"trace_fastiov_n5.json", []string{"-trace-baseline", "fastiov", "-n", "5"}},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			got := traceFile(t, c.args...)
+			path := filepath.Join("testdata", c.file)
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `go test ./cmd/fastiov-bench -run TestGolden -update` to create)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("trace JSON differs from %s (re-run with -update after intended changes)", path)
+			}
+		})
 	}
 }
 
