@@ -25,46 +25,31 @@ import (
 	"fastiov/internal/sim"
 )
 
-// pageInfo is the second-tier hash table value. The paper stores "detailed
-// page information"; the fields we need are the registration time (for age
-// statistics) alone — the page index is the key.
-type pageInfo struct {
-	registered time.Duration
-}
-
-// scrubEntry is one deferred page in the scrubber's FIFO.
-type scrubEntry struct {
-	pid  int
-	page int64
-}
-
 // Module is one loaded instance of fastiovd.
 type Module struct {
 	k   *sim.Kernel
 	mem *hostmem.Allocator
 
-	// tables is the two-tier hash table: PID -> (HPA page -> info).
-	tables map[int]map[int64]pageInfo
+	// tables is the two-tier table: PID -> the pid's deferred pages.
+	// tracked is the sum of their sizes.
+	tables  map[int]*pageSet
+	tracked int
 
-	// scrubQueue holds (pid, page) pairs in registration order so the
-	// background scrubber drains deterministically (map iteration order
-	// would make simulation runs irreproducible). Entries already zeroed
-	// via the fault path are skipped when dequeued.
-	scrubQueue []scrubEntry
+	// scrubQueue holds (pid, page run) entries in registration order so
+	// the background scrubber drains deterministically, page by page from
+	// scrubHead. Pages already zeroed via the fault path are skipped when
+	// dequeued; scrubLen counts the queued pages, skipped ones included.
+	scrubQueue []scrubRun
+	scrubHead  int
+	scrubLen   int64
 
-	// inflight tracks pages whose zeroing has been claimed but not yet
+	// inflight holds the pages whose zeroing has been claimed but not yet
 	// completed (the zeroer is waiting on memory bandwidth). A concurrent
 	// EPT fault on such a page must wait for completion — this is the
-	// "notify KVM upon completion" handshake of §5.
-	inflight map[int64]*sim.Event
-
-	// released records pids whose tables Release dropped. A zeroing claim
-	// unwound after the owner's teardown must not resurrect the table: the
-	// pages have returned to the allocator and are re-zeroed for their next
-	// owner, so restoring the claim would strand a tracked entry forever
-	// (the pid-churn regime, where VMs retire while the scrubber is
-	// mid-zero). Registering for the pid again reclaims ownership.
-	released map[int]bool
+	// "notify KVM upon completion" handshake of §5. There are at most a
+	// few at a time: one per zeroing thread.
+	inflight []claim
+	claims   uint64 // claim ids issued
 
 	// RegisterCostPerPage models the bookkeeping insert per deferred page.
 	RegisterCostPerPage time.Duration
@@ -97,14 +82,40 @@ type Module struct {
 	ScrubberRestarts int
 }
 
+// scrubRun is one scrub-queue entry: count pages of pid from start on.
+type scrubRun struct {
+	pid          int
+	start, count int64
+}
+
+// claim is one page being zeroed.
+type claim struct {
+	id   uint64
+	page int64
+	pid  int
+	// ev is created by the first EPT fault that has to wait for this
+	// claim; completion fires it if it exists.
+	ev *sim.Event
+	// current marks the claim a fault on page waits for: the latest one
+	// started, until any claim on page ends. (Two claims on one page
+	// overlap only when a released page is re-registered by its next
+	// owner mid-zero.)
+	current bool
+	// released records that Release dropped pid's table after the claim
+	// started and no Register has reclaimed it since. An unwound claim
+	// must then not resurrect the table: the pages have returned to the
+	// allocator and are re-zeroed for their next owner, so restoring the
+	// claim would strand a tracked page forever (the pid-churn regime,
+	// where VMs retire while the scrubber is mid-zero).
+	released bool
+}
+
 // New loads the module.
 func New(k *sim.Kernel, mem *hostmem.Allocator) *Module {
 	return &Module{
 		k:                   k,
 		mem:                 mem,
-		tables:              make(map[int]map[int64]pageInfo),
-		inflight:            make(map[int64]*sim.Event),
-		released:            make(map[int]bool),
+		tables:              make(map[int]*pageSet),
 		RegisterCostPerPage: 120 * time.Nanosecond,
 	}
 }
@@ -113,21 +124,48 @@ func New(k *sim.Kernel, mem *hostmem.Allocator) *Module {
 // This replaces eager zeroing in the VFIO DMA-map path; it is the hook
 // passed to vfio.MapDMA.
 func (m *Module) Register(p *sim.Proc, pid int, region *hostmem.Region) {
-	delete(m.released, pid)
-	t := m.tables[pid]
-	if t == nil {
-		t = make(map[int64]pageInfo)
-		m.tables[pid] = t
-	}
-	now := p.Now()
+	m.setReleased(pid, false)
 	var n int64
-	region.Pages(func(pg int64) {
-		t[pg] = pageInfo{registered: now}
-		m.scrubQueue = append(m.scrubQueue, scrubEntry{pid: pid, page: pg})
-		n++
-	})
+	for _, run := range region.Runs {
+		if run.Count > 0 {
+			m.track(pid, run.Start, run.Count)
+			n += run.Count
+		}
+	}
 	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
+	}
+}
+
+// track adds count pages of pid from start on to its table and queues them
+// for the scrubber.
+func (m *Module) track(pid int, start, count int64) {
+	s := m.tables[pid]
+	if s == nil {
+		s = new(pageSet)
+		m.tables[pid] = s
+	}
+	m.tracked += s.add(start, count)
+	m.enqueue(pid, start, count)
+}
+
+// enqueue appends a run to the scrub queue, first sliding the unread
+// entries to the front when the backing array is full.
+func (m *Module) enqueue(pid int, start, count int64) {
+	if m.scrubHead > 0 && len(m.scrubQueue) == cap(m.scrubQueue) {
+		n := copy(m.scrubQueue, m.scrubQueue[m.scrubHead:])
+		m.scrubQueue, m.scrubHead = m.scrubQueue[:n], 0
+	}
+	m.scrubQueue = append(m.scrubQueue, scrubRun{pid: pid, start: start, count: count})
+	m.scrubLen += count
+}
+
+// setReleased sets the released flag of pid's in-flight claims.
+func (m *Module) setReleased(pid int, released bool) {
+	for i := range m.inflight {
+		if m.inflight[i].pid == pid {
+			m.inflight[i].released = released
+		}
 	}
 }
 
@@ -145,55 +183,78 @@ func (m *Module) RegisterInstant(p *sim.Proc, pid int, region *hostmem.Region) {
 // thread (the scrubber) is already zeroing the page, wait for it to finish
 // before letting KVM install the EPT entry.
 func (m *Module) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
-	t := m.tables[pid]
-	if t != nil {
-		if _, ok := t[hpaPage]; ok {
-			m.claimAndZero(p, pid, hpaPage)
-			m.LazyZeroed++
+	if s := m.tables[pid]; s != nil && s.has(hpaPage) {
+		m.claimAndZero(p, pid, s, hpaPage)
+		m.LazyZeroed++
+		return
+	}
+	for i := range m.inflight {
+		if c := &m.inflight[i]; c.page == hpaPage && c.current {
+			if c.ev == nil {
+				c.ev = sim.NewEvent(m.k, "fastiovd-zero")
+			}
+			c.ev.Await(p)
 			return
 		}
-	}
-	if ev, busy := m.inflight[hpaPage]; busy {
-		ev.Await(p)
 	}
 }
 
-// claimAndZero removes the page from the table (claiming it), publishes an
-// in-flight marker, performs the zeroing, and signals completion. If the
+// claimAndZero removes the page from pid's table s (claiming it), publishes
+// an in-flight claim, performs the zeroing, and signals completion. If the
 // zeroing Proc is unwound mid-zero (the scrubber daemon reaped at the end
 // of a Run phase), the claim is rolled back so the page is still tracked —
 // and still gets zeroed before any later exposure.
-func (m *Module) claimAndZero(p *sim.Proc, pid int, hpaPage int64) {
-	t := m.tables[pid]
-	delete(t, hpaPage)
-	if len(t) == 0 {
+func (m *Module) claimAndZero(p *sim.Proc, pid int, s *pageSet, hpaPage int64) {
+	s.remove(hpaPage)
+	m.tracked--
+	if s.n == 0 {
 		delete(m.tables, pid)
 	}
-	ev := sim.NewEvent(m.k, "fastiovd-zero")
-	m.inflight[hpaPage] = ev
+	m.claims++
+	id := m.claims
+	m.uncurrent(hpaPage)
+	m.inflight = append(m.inflight, claim{id: id, page: hpaPage, pid: pid, current: true})
 	completed := false
 	defer func() {
-		delete(m.inflight, hpaPage)
+		c := m.finish(id)
 		if completed {
-			ev.Fire(p)
+			if c.ev != nil {
+				c.ev.Fire(p)
+			}
 			return
 		}
 		// Unwound mid-zero: restore the claim — unless the owner was torn
-		// down in the meantime. A released pid's pages are back in the
-		// allocator; re-tracking them would strand a table entry forever.
-		if m.released[pid] {
-			return
+		// down in the meantime.
+		if !c.released {
+			m.track(pid, hpaPage, 1)
 		}
-		tt := m.tables[pid]
-		if tt == nil {
-			tt = make(map[int64]pageInfo)
-			m.tables[pid] = tt
-		}
-		tt[hpaPage] = pageInfo{registered: p.Now()}
-		m.scrubQueue = append(m.scrubQueue, scrubEntry{pid: pid, page: hpaPage})
 	}()
 	m.zero(p, hpaPage)
 	completed = true
+}
+
+// uncurrent clears the current mark of every claim on page.
+func (m *Module) uncurrent(page int64) {
+	for i := range m.inflight {
+		if m.inflight[i].page == page {
+			m.inflight[i].current = false
+		}
+	}
+}
+
+// finish removes claim id from the in-flight set and returns it. Faults on
+// its page stop waiting for any claim from here on.
+func (m *Module) finish(id uint64) claim {
+	last := len(m.inflight) - 1
+	for i := range m.inflight {
+		if c := m.inflight[i]; c.id == id {
+			m.inflight[i] = m.inflight[last]
+			m.inflight = m.inflight[:last]
+			m.uncurrent(c.page)
+			return c
+		}
+	}
+	panic("fastiovd: finishing an unknown claim")
 }
 
 // ScrubProc returns the live scrubber daemon (nil before StartScrubber).
@@ -222,7 +283,7 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 	m.scrubProc = nil
 	// The dying pass may have re-queued its in-flight page; the rebuild
 	// below supersedes the old queue entirely.
-	m.scrubQueue = m.scrubQueue[:0]
+	m.scrubQueue, m.scrubHead, m.scrubLen = m.scrubQueue[:0], 0, 0
 	pids := make([]int, 0, len(m.tables))
 	for pid := range m.tables {
 		pids = append(pids, pid)
@@ -230,16 +291,10 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 	sort.Ints(pids)
 	var n int64
 	for _, pid := range pids {
-		t := m.tables[pid]
-		pages := make([]int64, 0, len(t))
-		for pg := range t {
-			pages = append(pages, pg)
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		for _, pg := range pages {
-			m.scrubQueue = append(m.scrubQueue, scrubEntry{pid: pid, page: pg})
-			n++
-		}
+		m.tables[pid].eachRun(func(start, count int64) {
+			m.enqueue(pid, start, count)
+			n += count
+		})
 	}
 	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
@@ -258,28 +313,30 @@ func (m *Module) zero(p *sim.Proc, hpaPage int64) {
 }
 
 // Tracked returns the number of pages still awaiting zeroing for pid.
-func (m *Module) Tracked(pid int) int { return len(m.tables[pid]) }
+func (m *Module) Tracked(pid int) int {
+	if s := m.tables[pid]; s != nil {
+		return s.n
+	}
+	return 0
+}
 
 // TrackedTotal returns the table-wide deferred page count.
-func (m *Module) TrackedTotal() int {
-	n := 0
-	for _, t := range m.tables {
-		n += len(t)
-	}
-	return n
-}
+func (m *Module) TrackedTotal() int { return m.tracked }
 
 // ScrubQueueLen returns the length of the background scrub list — the
 // deferred pages queued for the scrubber thread, in registration order.
-func (m *Module) ScrubQueueLen() int { return len(m.scrubQueue) }
+func (m *Module) ScrubQueueLen() int { return int(m.scrubLen) }
 
 // Release drops pid's table without zeroing (VM teardown: the pages return
-// to the allocator dirty and are re-zeroed for their next owner). The pid is
-// marked released so an in-flight zeroing claim unwound later does not
+// to the allocator dirty and are re-zeroed for their next owner). The pid's
+// in-flight claims are marked released so one unwound later does not
 // resurrect the table.
 func (m *Module) Release(pid int) {
-	delete(m.tables, pid)
-	m.released[pid] = true
+	if s := m.tables[pid]; s != nil {
+		m.tracked -= s.n
+		delete(m.tables, pid)
+	}
+	m.setReleased(pid, true)
 }
 
 // StartScrubber launches the module's background thread (§5): it
@@ -299,20 +356,33 @@ func (m *Module) StartScrubber(interval time.Duration, pagesPerPass int) {
 				continue
 			}
 			cleared := 0
-			for cleared < pagesPerPass && len(m.scrubQueue) > 0 {
-				e := m.scrubQueue[0]
-				m.scrubQueue = m.scrubQueue[1:]
-				t := m.tables[e.pid]
-				if t == nil {
-					continue
-				}
-				if _, ok := t[e.page]; !ok {
+			for cleared < pagesPerPass && m.scrubLen > 0 {
+				pid, pg := m.dequeue()
+				s := m.tables[pid]
+				if s == nil || !s.has(pg) {
 					continue // already zeroed on the fault path
 				}
-				m.claimAndZero(p, e.pid, e.page)
+				m.claimAndZero(p, pid, s, pg)
 				m.ScrubZeroed++
 				cleared++
 			}
 		}
 	})
+}
+
+// dequeue pops the next page off the scrub queue, resetting the queue once
+// it is drained so its backing array is reused from the front.
+func (m *Module) dequeue() (pid int, page int64) {
+	e := &m.scrubQueue[m.scrubHead]
+	pid, page = e.pid, e.start
+	e.start++
+	e.count--
+	m.scrubLen--
+	if e.count == 0 {
+		m.scrubHead++
+		if m.scrubHead == len(m.scrubQueue) {
+			m.scrubQueue, m.scrubHead = m.scrubQueue[:0], 0
+		}
+	}
+	return pid, page
 }
