@@ -162,6 +162,10 @@ type Fleet struct {
 	placements                               []int
 	totalInflight, started, failed, rejected int
 	startupHist                              *metrics.Histogram
+	// placeBuf is the host-state slice Dispatch refills for every Place
+	// call.
+	placeBuf []HostState
+
 	// onPlace is the Config placement observer (nil when unset).
 	onPlace func(at time.Duration, id int, st HostState, score float64, scored bool)
 
@@ -307,21 +311,33 @@ func (f *Fleet) attachMetrics() {
 // Pure observation: live substrate reads plus watcher state, no simulated
 // time, no PRNG draws.
 func (f *Fleet) States() []HostState {
-	out := make([]HostState, len(f.Hosts))
-	for i, h := range f.Hosts {
-		out[i] = HostState{
-			Index:      i,
-			CapVFs:     h.Spec.NumVFs,
-			FreeVFs:    h.NIC.FreeVFs(),
-			Inflight:   f.inflight[i],
-			QueueDepth: f.queues[i].Depth(),
-			MembwBusy:  f.membw[i].Busy(),
-		}
-		if f.health != nil {
-			out[i].Health = f.health[i]
-		}
+	return f.fillStates(make([]HostState, len(f.Hosts)))
+}
+
+// fillStates writes every host's state into out, which must hold one slot
+// per host, and returns it.
+func (f *Fleet) fillStates(out []HostState) []HostState {
+	for i := range f.Hosts {
+		out[i] = f.state(i)
 	}
 	return out
+}
+
+// state is host i's scheduler view (see States).
+func (f *Fleet) state(i int) HostState {
+	h := f.Hosts[i]
+	st := HostState{
+		Index:      i,
+		CapVFs:     h.Spec.NumVFs,
+		FreeVFs:    h.NIC.FreeVFs(),
+		Inflight:   f.inflight[i],
+		QueueDepth: f.queues[i].Depth(),
+		MembwBusy:  f.membw[i].Busy(),
+	}
+	if f.health != nil {
+		st.Health = f.health[i]
+	}
+	return st
 }
 
 // Inflight returns the number of container starts currently in progress
@@ -333,7 +349,8 @@ func (f *Fleet) Inflight() int { return f.totalInflight }
 // admission capacity in VF terms. Zero means no host is eligible right now.
 func (f *Fleet) FreeVFHeadroom() int {
 	total := 0
-	for _, st := range f.States() {
+	for i := range f.Hosts {
+		st := f.state(i)
 		if st.Health != HealthUp {
 			// A crashed or recovering host contributes no admission capacity:
 			// this is how the serving layer's admission control sees the
@@ -565,7 +582,10 @@ func (r *Result) Fingerprint() []byte {
 // Finish). Dispatch is the hook the serving control plane drives; Run
 // places every request through it.
 func (f *Fleet) Dispatch(p *sim.Proc, id int) (host int, sb *cri.Sandbox, took time.Duration, err error) {
-	states := f.States()
+	if f.placeBuf == nil {
+		f.placeBuf = make([]HostState, len(f.Hosts))
+	}
+	states := f.fillStates(f.placeBuf)
 	pick, perr := f.Sched.Place(states)
 	if perr != nil || pick < 0 || pick >= len(f.Hosts) {
 		return -1, nil, 0, perr

@@ -287,3 +287,16 @@ func TestFleetScopedHostCompletes(t *testing.T) {
 		t.Errorf("dirty audit:\n%s", res.Leaks)
 	}
 }
+
+// TestFreeVFHeadroomDoesNotAllocate pins the serving admission path's
+// fleet-capacity read to zero allocations: it is evaluated on every
+// arrival, so a per-call host-state slice would dominate its cost.
+func TestFreeVFHeadroomDoesNotAllocate(t *testing.T) {
+	f, err := New(smallCfg(cluster.BaselineFastIOV, PolicyLeastLoaded, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.FreeVFHeadroom() }); n != 0 {
+		t.Errorf("FreeVFHeadroom allocates %v times per call, want 0", n)
+	}
+}

@@ -101,7 +101,9 @@ type Scheduler interface {
 	// the request with a reason — ErrAllHostsDown when zero hosts are in
 	// service, ErrNoCapacity when the in-service hosts are full.
 	// Implementations must never panic and must only return a valid,
-	// eligible index or an explicit reject.
+	// eligible index or an explicit reject. hosts is valid only during
+	// the call: the fleet refills it for the next placement, so an
+	// implementation must copy any state it keeps.
 	Place(hosts []HostState) (int, error)
 }
 
