@@ -1,9 +1,14 @@
 // Package fastiovd is the reproduction of the paper's portable kernel
 // module (§5): the heart of FastIOV's decoupled lazy zeroing (§4.3.2).
 //
-// It maintains a two-tier hash table — first tier keyed by the microVM's
-// host PID, second tier by HPA page — of physical pages whose zeroing has
-// been deferred. Zeroing happens at the latest safe moment:
+// It maintains the paper's two-tier hash table — first tier keyed by the
+// microVM's host PID, second tier by HPA page — of physical pages whose
+// zeroing has been deferred. Here the first tier is a map from PID to a
+// dense page set: the page runs the PID registered plus one presence bit
+// per page, so no structure is allocated per page. The scrubber's FIFO
+// holds one entry per registered run, and a page being zeroed gets a
+// completion event only if an EPT fault actually has to wait for it.
+// Zeroing happens at the latest safe moment:
 //
 //   - on the page's first EPT fault (hooked into KVM),
 //   - or earlier, by a background scrubber thread that drains the table
