@@ -129,7 +129,6 @@ func (r *opsRig) runPhase(ops [][4]byte, dt time.Duration, interval time.Duratio
 	deadline := r.k.Now() + dt
 	r.k.Go("idle", func(p *sim.Proc) { p.Sleep(dt) })
 	for _, op := range ops {
-		op := op
 		off := time.Duration(op[0]/16%8) * 50 * time.Microsecond
 		pid := int(op[1])%opsPids + 1
 		ri := int(op[2]) % opsRegions

@@ -29,7 +29,7 @@ type refScrubEntry struct {
 	page int64
 }
 
-// Module is one loaded instance of fastiovd.
+// refModule is the reference model of Module.
 type refModule struct {
 	k   *sim.Kernel
 	mem *hostmem.Allocator
