@@ -228,17 +228,9 @@ type AvailabilityConfig struct {
 	MTBF time.Duration
 }
 
-// ValidateWorkloadSpec parses a serving workload expression and reports the
-// first grammar error, if any. The grammar is semicolon-separated clauses,
-// each either a tenant
-//
-//	name:rate=<req/s>[,prio=low|normal|high][,weight=<n>]
-//
-// or at most one flash-crowd burst
-//
-//	flash@<start>:x=<factor>[,for=<duration>]
-//
-// Example:
+// ValidateWorkloadSpec parses a serving workload expression (the tenant
+// grammar in EXPERIMENTS.md, "Spec grammars") and reports the first error,
+// if any. Example:
 //
 //	web:rate=60,prio=high;batch:rate=30,prio=low;flash@3s:x=6,for=2s
 func ValidateWorkloadSpec(spec string) error {
@@ -249,23 +241,12 @@ func ValidateWorkloadSpec(spec string) error {
 	return err
 }
 
-// ValidateFaultSpec parses a fault-plan expression and reports the first
-// grammar error, if any. The grammar is semicolon-separated site clauses:
+// ValidateFaultSpec parses a fault-plan expression (the fault grammar in
+// EXPERIMENTS.md, "Spec grammars": site rules, crash@<stage>, host-crash@,
+// daemon-crash@ and host-recover= clauses) and reports the first error, if
+// any. Example:
 //
-//	site:key=value[,key=value...][;site:...]
-//
-// with sites vfio-reset, bus-reset, dma-map, mem-bw, scrubber, cni-add and
-// keys p (failure probability in [0,1]), every (fail every Nth occurrence),
-// limit (max injections), lat (latency multiplier > 0). Example:
-//
-//	vfio-reset:p=0.1;dma-map:every=5,limit=3;mem-bw:lat=1.5
-//
-// Crash points are sites too: crash@<stage> deterministically aborts a
-// container's startup at that stage boundary, exercising the transactional
-// rollback path (stages cni, microvm, vfio-reg, dma, vhost, dev, firmware,
-// boot; lat is not valid for crash sites). Example:
-//
-//	crash@dma:p=0.2;crash@boot:every=7
+//	vfio-reset:p=0.1;dma-map:every=5,limit=3;crash@boot:every=7
 func ValidateFaultSpec(spec string) error {
 	_, err := fault.ParsePlan(spec)
 	return err
@@ -424,12 +405,8 @@ func StartupMetrics(baseline string, n int, seed uint64) (*MetricSet, error) {
 // sojourn SLO plus a fast-sustain ticket on crash-lost starts.
 const DefaultAlertRules = experiments.DefaultSlowatchRules
 
-// ValidateAlertRules parses an alert rule spec and reports the first
-// grammar error, if any. The grammar is semicolon-separated rules:
-//
-//	alert <name>: burnrate(<metric>, slo=<dur>, short=<win>, long=<win>) > <factor>
-//	alert <name>: value(<metric>) > <threshold> [for <dur>]
-//
+// ValidateAlertRules parses an alert rule spec (the alert grammar in
+// EXPERIMENTS.md, "Spec grammars") and reports the first error, if any.
 // Example:
 //
 //	alert slo-burn: burnrate(serve_sojourn_seconds, slo=2s, short=500ms, long=2s) > 0.25

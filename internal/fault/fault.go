@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"fastiov/internal/clause"
 	"fastiov/internal/sim"
 )
 
@@ -124,14 +125,15 @@ func knownSite(s Site) bool {
 	return IsCrashSite(s)
 }
 
-// Host-scoped clause prefixes in the plan grammar. Unlike site rules, host
+// Host-scoped clause keywords in the plan grammar: <kind>@<t> for the two
+// crash kinds, host-recover=<dur> for the MTTR. Unlike site rules, host
 // clauses are not evaluated by the Injector: the fleet layer reads them off
 // the plan and schedules deterministic whole-host (or daemon) crashes on
 // simulated time.
 const (
-	hostCrashPrefix   = "host-crash@"
-	daemonCrashPrefix = "daemon-crash@"
-	hostRecoverPrefix = "host-recover="
+	hostCrash   = "host-crash"
+	daemonCrash = "daemon-crash"
+	hostRecover = "host-recover"
 )
 
 // HostClause is one host-scoped crash event: at simulated time At, host
@@ -149,11 +151,11 @@ type HostClause struct {
 
 // String renders the clause in the plan grammar.
 func (c HostClause) String() string {
-	prefix := hostCrashPrefix
+	kind := hostCrash
 	if c.Daemon {
-		prefix = daemonCrashPrefix
+		kind = daemonCrash
 	}
-	s := prefix + c.At.String()
+	s := kind + "@" + c.At.String()
 	var kvs []string
 	if c.Host != 0 {
 		kvs = append(kvs, "host="+strconv.Itoa(c.Host))
@@ -286,19 +288,21 @@ func (pl *Plan) Empty() bool {
 }
 
 // String renders the plan in the -faults grammar with sites sorted, host
-// clauses in canonical order, and inert fields omitted, so equal plans
-// render identically (the rendering doubles as a cache-key component). An
-// empty plan renders as "".
+// clauses in canonical order, and inert rules and fields omitted, so plans
+// that behave the same render identically (the rendering doubles as a
+// cache-key component). An empty plan renders as "".
 func (pl *Plan) String() string {
-	if pl == nil || (len(pl.rules) == 0 && len(pl.hosts) == 0 && pl.recoverAfter == 0) {
+	if pl.Empty() {
 		return ""
 	}
 	sites := make([]string, 0, len(pl.rules))
-	for s := range pl.rules {
-		sites = append(sites, string(s))
+	for s, r := range pl.rules {
+		if r.active() {
+			sites = append(sites, string(s))
+		}
 	}
 	sort.Strings(sites)
-	var b strings.Builder
+	var clauses []string
 	for _, s := range sites {
 		r := pl.rules[Site(s)]
 		var kvs []string
@@ -314,30 +318,16 @@ func (pl *Plan) String() string {
 		if r.Latency > 0 && r.Latency != 1 {
 			kvs = append(kvs, "lat="+strconv.FormatFloat(r.Latency, 'g', -1, 64))
 		}
-		if len(kvs) == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(s)
-		b.WriteByte(':')
-		b.WriteString(strings.Join(kvs, ","))
+		clauses = append(clauses, s+":"+strings.Join(kvs, ","))
 	}
 	for _, c := range pl.HostClauses() {
-		if b.Len() > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(c.String())
+		clauses = append(clauses, c.String())
 	}
-	if pl.recoverAfter > 0 {
-		if b.Len() > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(hostRecoverPrefix)
-		b.WriteString(pl.recoverAfter.String())
+	// host-recover is inert without a crash clause to recover from.
+	if pl.recoverAfter > 0 && pl.HasHostFaults() {
+		clauses = append(clauses, hostRecover+"="+pl.recoverAfter.String())
 	}
-	return b.String()
+	return strings.Join(clauses, ";")
 }
 
 // Uniform builds a plan failing each listed site (every site when none are
@@ -353,121 +343,76 @@ func Uniform(p float64, sites ...Site) *Plan {
 	return pl
 }
 
-// ParsePlan parses the -faults grammar:
+// ParsePlan parses the -faults grammar (EXPERIMENTS.md, "Spec grammars";
+// lexed by package clause):
 //
-//	site:key=val[,key=val...][;site:key=val...]
-//
-// where site is one of Sites() or crash@<stage> with stage from
-// CrashStages(), and keys are p (probability in [0,1]), every (fail each
-// Nth occurrence, N >= 1), limit (max injected failures, >= 0), and lat
-// (latency factor, > 0). Crash sites reject lat: a crash aborts the
-// container at the stage boundary, it has no latency to inflate.
-//
-// Three host-scoped clauses extend the grammar for fleet runs:
-//
+//	<site>:key=val[,key=val...]                site rule: p, every, limit, lat
 //	host-crash@<t>[:host=<sel>][,mtbf=<dur>]   kill a whole host at t
 //	daemon-crash@<t>[:host=<sel>][,mtbf=<dur>] kill only its fastiovd at t
 //	host-recover=<dur>                         MTTR: recovery starts dur after a crash
 //
-// Crash clauses reject lat too — a crash is an instant, not a latency.
-// host-recover may appear at most once. Malformed specs return an error;
-// the parser never panics. The empty string parses to an empty plan.
+// where site is one of Sites() or crash@<stage> with stage from
+// CrashStages(). Crash sites and crash clauses reject lat: a crash is an
+// instant, it has no latency to inflate. A site and host-recover may each
+// appear at most once. Malformed specs return an error; the parser never
+// panics. The empty string parses to an empty plan.
 func ParsePlan(spec string) (*Plan, error) {
 	pl := NewPlan()
-	if strings.TrimSpace(spec) == "" {
-		return pl, nil
-	}
 	seenRecover := false
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, hostRecoverPrefix); ok {
+	for _, part := range clause.Split(spec) {
+		if k, v, ok := strings.Cut(part, "="); ok && strings.TrimSpace(k) == hostRecover {
 			if seenRecover {
 				return nil, fmt.Errorf("fault: host-recover specified twice")
 			}
-			d, err := time.ParseDuration(strings.TrimSpace(rest))
+			d, err := clause.Duration(strings.TrimSpace(v))
 			if err != nil {
-				return nil, fmt.Errorf("fault: host-recover=%q: %v", rest, err)
-			}
-			if d <= 0 {
-				return nil, fmt.Errorf("fault: host-recover=%q: want duration > 0", rest)
+				return nil, fmt.Errorf("fault: host-recover=%w", err)
 			}
 			seenRecover = true
 			pl.recoverAfter = d
 			continue
 		}
-		if rest, ok := strings.CutPrefix(part, hostCrashPrefix); ok {
-			c, err := parseHostClause("host-crash", rest, false)
+		name, kvs, hasKVs := strings.Cut(part, ":")
+		name = strings.TrimSpace(name)
+		if kind, at, _ := strings.Cut(name, "@"); kind == hostCrash || kind == daemonCrash {
+			c, err := parseHostClause(kind, at, kvs, hasKVs)
 			if err != nil {
 				return nil, err
 			}
 			pl.hosts = append(pl.hosts, c)
 			continue
 		}
-		if rest, ok := strings.CutPrefix(part, daemonCrashPrefix); ok {
-			c, err := parseHostClause("daemon-crash", rest, true)
-			if err != nil {
-				return nil, err
-			}
-			pl.hosts = append(pl.hosts, c)
-			continue
-		}
-		siteStr, kvs, ok := strings.Cut(part, ":")
-		if !ok {
+		if !hasKVs {
 			return nil, fmt.Errorf("fault: %q: want site:key=val[,key=val...]", part)
 		}
-		site := Site(strings.TrimSpace(siteStr))
+		site := Site(name)
 		if !knownSite(site) {
-			return nil, fmt.Errorf("fault: unknown site %q (known: %s)", siteStr, siteList())
+			return nil, fmt.Errorf("fault: unknown site %q (known: %s)", name, siteList())
 		}
 		if _, dup := pl.Rule(site); dup {
 			return nil, fmt.Errorf("fault: site %q specified twice", site)
 		}
+		args, err := clause.Args(kvs, "p", "every", "limit", "lat")
+		if err != nil {
+			return nil, fmt.Errorf("fault: %s: %w", site, err)
+		}
 		var r Rule
-		for _, kv := range strings.Split(kvs, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return nil, fmt.Errorf("fault: %s: %q: want key=val", site, kv)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			switch k {
+		for _, a := range args {
+			switch a.Key {
 			case "p":
-				f, err := parseFloat(site, k, v)
-				if err != nil {
-					return nil, err
-				}
-				if f < 0 || f > 1 {
-					return nil, fmt.Errorf("fault: %s: p=%v out of [0,1]", site, v)
-				}
-				r.Prob = f
+				r.Prob, err = clause.Float(a.Val, 0, 1)
 			case "every":
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("fault: %s: every=%q: want integer >= 1", site, v)
-				}
-				r.EveryN = n
+				r.EveryN, err = clause.Int(a.Val, 1)
 			case "limit":
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("fault: %s: limit=%q: want integer >= 0", site, v)
-				}
-				r.Limit = n
+				r.Limit, err = clause.Int(a.Val, 0)
 			case "lat":
 				if IsCrashSite(site) {
 					return nil, fmt.Errorf("fault: %s: lat is not valid for crash sites (want p, every, limit)", site)
 				}
-				f, err := parseFloat(site, k, v)
-				if err != nil {
-					return nil, err
-				}
-				if f <= 0 {
-					return nil, fmt.Errorf("fault: %s: lat=%v must be > 0", site, v)
-				}
-				r.Latency = f
-			default:
-				return nil, fmt.Errorf("fault: %s: unknown key %q (want p, every, limit, lat)", site, k)
+				r.Latency, err = clause.Positive(a.Val)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("fault: %s: %s=%w", site, a.Key, err)
 			}
 		}
 		pl.Set(site, r)
@@ -475,61 +420,35 @@ func ParsePlan(spec string) (*Plan, error) {
 	return pl, nil
 }
 
-// parseHostClause parses the "<t>[:key=val[,key=val...]]" tail of a
-// host-crash@/daemon-crash@ clause.
-func parseHostClause(clause, rest string, daemon bool) (HostClause, error) {
-	timeStr, kvs, hasKVs := strings.Cut(rest, ":")
-	at, err := time.ParseDuration(strings.TrimSpace(timeStr))
+// parseHostClause parses a host-crash@/daemon-crash@ clause of the given
+// kind: the crash time at and, when hasKVs, its key=val list.
+func parseHostClause(kind, at, kvs string, hasKVs bool) (HostClause, error) {
+	t, err := clause.Time(strings.TrimSpace(at))
 	if err != nil {
-		return HostClause{}, fmt.Errorf("fault: %s@%q: %v", clause, timeStr, err)
+		return HostClause{}, fmt.Errorf("fault: %s@%w", kind, err)
 	}
-	if at < 0 {
-		return HostClause{}, fmt.Errorf("fault: %s@%q: want time >= 0", clause, timeStr)
-	}
-	c := HostClause{At: at, Daemon: daemon}
+	c := HostClause{At: t, Daemon: kind == daemonCrash}
 	if !hasKVs {
 		return c, nil
 	}
-	for _, kv := range strings.Split(kvs, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return HostClause{}, fmt.Errorf("fault: %s: %q: want key=val", clause, kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch k {
+	args, err := clause.Args(kvs, "host", "mtbf", "lat")
+	if err != nil {
+		return HostClause{}, fmt.Errorf("fault: %s: %w", kind, err)
+	}
+	for _, a := range args {
+		switch a.Key {
 		case "host":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return HostClause{}, fmt.Errorf("fault: %s: host=%q: want integer >= 0", clause, v)
-			}
-			c.Host = n
+			c.Host, err = clause.Int(a.Val, 0)
 		case "mtbf":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return HostClause{}, fmt.Errorf("fault: %s: mtbf=%q: want duration > 0", clause, v)
-			}
-			c.MTBF = d
+			c.MTBF, err = clause.Duration(a.Val)
 		case "lat":
-			return HostClause{}, fmt.Errorf("fault: %s: lat is not valid for crash clauses (want host, mtbf)", clause)
-		default:
-			return HostClause{}, fmt.Errorf("fault: %s: unknown key %q (want host, mtbf)", clause, k)
+			return HostClause{}, fmt.Errorf("fault: %s: lat is not valid for crash clauses (want host, mtbf)", kind)
+		}
+		if err != nil {
+			return HostClause{}, fmt.Errorf("fault: %s: %s=%w", kind, a.Key, err)
 		}
 	}
 	return c, nil
-}
-
-// parseFloat rejects NaN and ±Inf in addition to syntax errors: a
-// non-finite probability or latency factor would poison every downstream
-// duration.
-func parseFloat(site Site, key, v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("fault: %s: %s=%q: %v", site, key, v, err)
-	}
-	if f != f || f > 1e308 || f < -1e308 {
-		return 0, fmt.Errorf("fault: %s: %s=%q: non-finite value", site, key, v)
-	}
-	return f, nil
 }
 
 func siteList() string {

@@ -65,6 +65,7 @@ func TestParsePlanErrors(t *testing.T) {
 		{"vfio-reset:lat=-1", "must be > 0"},
 		{"vfio-reset:speed=9", "unknown key"},
 		{"vfio-reset:p=0.1;vfio-reset:p=0.2", "specified twice"},
+		{"vfio-reset:p=0.1,p=0.2", "duplicate key"},
 	}
 	for _, c := range cases {
 		pl, err := ParsePlan(c.spec)
@@ -103,6 +104,22 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	if got := pl.String(); got != want {
 		t.Errorf("canonical String() = %q, want %q", got, want)
 	}
+	// Inert rules and a host-recover with no crash clause change nothing,
+	// so they drop out of the rendering.
+	for spec, want := range map[string]string{
+		"vfio-reset:p=0.1;dma-map:limit=3":           "vfio-reset:p=0.1",
+		"vfio-reset:p=0.1;mem-bw:lat=1":              "vfio-reset:p=0.1",
+		"vfio-reset:p=0.1;host-recover=1s":           "vfio-reset:p=0.1",
+		"host-crash@1s;host-recover=1s;mem-bw:lat=1": "host-crash@1s;host-recover=1s",
+	} {
+		pl, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
+		}
+		if got := pl.String(); got != want {
+			t.Errorf("ParsePlan(%q).String() = %q, want %q", spec, got, want)
+		}
+	}
 }
 
 func TestPlanEmpty(t *testing.T) {
@@ -125,6 +142,20 @@ func TestPlanEmpty(t *testing.T) {
 	}
 	if inj := NewInjector(7, pl); inj != nil {
 		t.Error("empty plan produced a non-nil injector")
+	}
+	if got := pl.String(); got != "" {
+		t.Errorf("plan of inert rules renders %q, want \"\"", got)
+	}
+	// Parsed inert rules and a bare host-recover are empty too, and an
+	// empty plan renders as "".
+	for _, spec := range []string{"vfio-reset:limit=5", "mem-bw:lat=1", "host-recover=1s"} {
+		pl, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
+		}
+		if !pl.Empty() || pl.String() != "" {
+			t.Errorf("ParsePlan(%q): Empty()=%v String()=%q, want true and \"\"", spec, pl.Empty(), pl.String())
+		}
 	}
 }
 
@@ -386,6 +417,7 @@ func TestParsePlanHostClauseErrors(t *testing.T) {
 		{"host-crash@2s:mtbf=-5s", "want duration > 0"},
 		{"host-crash@2s:speed=9", "unknown key"},
 		{"host-crash@2s:host", "want key=val"},
+		{"host-crash@2s:host=1,host=2", "duplicate key"},
 		{"host-recover=0s", "want duration > 0"},
 		{"host-recover=-1s", "want duration > 0"},
 		{"host-recover=x", "invalid duration"},

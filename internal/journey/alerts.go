@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"fastiov/internal/clause"
 	"fastiov/internal/sim"
 )
 
@@ -88,18 +89,6 @@ func FormatRules(rules []Rule) string {
 	return strings.Join(parts, ";")
 }
 
-func isRuleName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
-			return false
-		}
-	}
-	return true
-}
-
 func isMetricName(s string) bool {
 	if s == "" {
 		return false
@@ -115,39 +104,20 @@ func isMetricName(s string) bool {
 	return true
 }
 
-func parseDurArg(arg, key string) (time.Duration, error) {
-	arg = strings.TrimSpace(arg)
-	val, ok := strings.CutPrefix(arg, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("expected %s=<dur>, got %q", key, arg)
-	}
-	d, err := time.ParseDuration(strings.TrimSpace(val))
-	if err != nil {
-		return 0, fmt.Errorf("bad %s duration %q", key, val)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("%s must be positive, got %s", key, d)
-	}
-	return d, nil
-}
-
-// ParseRules parses a ';'-separated alert rule spec. Empty clauses are
-// skipped, so a trailing ';' is harmless. Accepted specs re-parse to a
-// fixed point: ParseRules(FormatRules(rules)) round-trips (fuzz-tested).
+// ParseRules parses a ';'-separated alert rule spec (lexed by package
+// clause), so empty clauses are skipped and a trailing ';' is harmless.
+// Accepted specs re-parse to a fixed point: ParseRules(FormatRules(rules))
+// round-trips (fuzz-tested).
 func ParseRules(spec string) ([]Rule, error) {
 	var rules []Rule
 	seen := make(map[string]bool)
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		r, err := parseRule(clause)
+	for _, c := range clause.Split(spec) {
+		r, err := parseRule(c)
 		if err != nil {
-			return nil, fmt.Errorf("alert rule %q: %w", clause, err)
+			return nil, fmt.Errorf("alert rule %q: %w", c, err)
 		}
 		if seen[r.Name] {
-			return nil, fmt.Errorf("alert rule %q: duplicate name %q", clause, r.Name)
+			return nil, fmt.Errorf("alert rule %q: duplicate name %q", c, r.Name)
 		}
 		seen[r.Name] = true
 		rules = append(rules, r)
@@ -155,9 +125,9 @@ func ParseRules(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
-func parseRule(clause string) (Rule, error) {
+func parseRule(c string) (Rule, error) {
 	var r Rule
-	rest, ok := strings.CutPrefix(clause, "alert ")
+	rest, ok := strings.CutPrefix(c, "alert ")
 	if !ok {
 		return r, fmt.Errorf(`expected "alert <name>: ..."`)
 	}
@@ -166,10 +136,9 @@ func parseRule(clause string) (Rule, error) {
 		return r, fmt.Errorf(`missing ':' after alert name`)
 	}
 	r.Name = strings.TrimSpace(name)
-	if !isRuleName(r.Name) {
-		return r, fmt.Errorf("bad alert name %q (want [a-z0-9-]+)", r.Name)
+	if err := clause.Name(r.Name); err != nil {
+		return r, fmt.Errorf("bad alert name %w", err)
 	}
-	expr = strings.TrimSpace(expr)
 
 	// Split off the comparison: `<call> > <f> [for <dur>]`.
 	call, cmp, ok := strings.Cut(expr, ">")
@@ -180,61 +149,51 @@ func parseRule(clause string) (Rule, error) {
 	cmp = strings.TrimSpace(cmp)
 
 	// Optional `for <dur>` suffix on the comparison side.
-	if num, durs, found := cutLast(cmp, " for "); found {
-		d, err := time.ParseDuration(strings.TrimSpace(durs))
-		if err != nil {
-			return r, fmt.Errorf("bad for duration %q", durs)
+	var err error
+	if num, dur, found := cutLast(cmp, " for "); found {
+		if r.For, err = clause.Time(strings.TrimSpace(dur)); err != nil {
+			return r, fmt.Errorf("bad for %w", err)
 		}
-		if d < 0 {
-			return r, fmt.Errorf("for duration must be non-negative, got %s", d)
-		}
-		r.For = d
 		cmp = strings.TrimSpace(num)
 	}
-	f, err := strconv.ParseFloat(cmp, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return r, fmt.Errorf("bad threshold %q", cmp)
+	if r.Threshold, err = clause.Float(cmp, math.Inf(-1), math.Inf(1)); err != nil {
+		return r, fmt.Errorf("bad threshold %w", err)
 	}
-	r.Threshold = f
 
 	inner, ok := strings.CutSuffix(call, ")")
-	if !ok {
-		return r, fmt.Errorf("expected burnrate(...) or value(...)")
-	}
-	switch {
-	case strings.HasPrefix(inner, "burnrate("):
+	fn, list, _ := strings.Cut(inner, "(")
+	switch fn = strings.TrimSpace(fn); {
+	case ok && fn == "value":
+		r.Kind = KindValue
+		r.Metric = strings.TrimSpace(list)
+	case ok && fn == "burnrate":
 		if r.For != 0 {
 			return r, fmt.Errorf("burnrate rules do not take 'for'")
 		}
 		r.Kind = KindBurnRate
-		args := strings.Split(strings.TrimPrefix(inner, "burnrate("), ",")
-		if len(args) != 4 {
-			return r, fmt.Errorf("burnrate wants (metric, slo=, short=, long=), got %d args", len(args))
+		metric, kvs, _ := strings.Cut(list, ",")
+		r.Metric = strings.TrimSpace(metric)
+		args, err := clause.Args(kvs, "slo", "short", "long")
+		if err == nil && len(args) != 3 {
+			err = fmt.Errorf("want (metric, slo=, short=, long=)")
 		}
-		r.Metric = strings.TrimSpace(args[0])
-		if !isMetricName(r.Metric) {
-			return r, fmt.Errorf("bad metric name %q", r.Metric)
+		if err != nil {
+			return r, fmt.Errorf("burnrate: %w", err)
 		}
-		if r.SLO, err = parseDurArg(args[1], "slo"); err != nil {
-			return r, err
-		}
-		if r.Short, err = parseDurArg(args[2], "short"); err != nil {
-			return r, err
-		}
-		if r.Long, err = parseDurArg(args[3], "long"); err != nil {
-			return r, err
+		dst := map[string]*time.Duration{"slo": &r.SLO, "short": &r.Short, "long": &r.Long}
+		for _, a := range args {
+			if *dst[a.Key], err = clause.Duration(a.Val); err != nil {
+				return r, fmt.Errorf("burnrate: %s=%w", a.Key, err)
+			}
 		}
 		if r.Short > r.Long {
 			return r, fmt.Errorf("short window %s exceeds long window %s", r.Short, r.Long)
 		}
-	case strings.HasPrefix(inner, "value("):
-		r.Kind = KindValue
-		r.Metric = strings.TrimSpace(strings.TrimPrefix(inner, "value("))
-		if !isMetricName(r.Metric) {
-			return r, fmt.Errorf("bad metric name %q", r.Metric)
-		}
 	default:
 		return r, fmt.Errorf("expected burnrate(...) or value(...)")
+	}
+	if !isMetricName(r.Metric) {
+		return r, fmt.Errorf("bad metric name %q", r.Metric)
 	}
 	return r, nil
 }

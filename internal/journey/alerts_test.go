@@ -29,6 +29,11 @@ func TestParseRulesRoundTrip(t *testing.T) {
 			t.Errorf("re-parse diverged for %q: %v", spec, err)
 		}
 	}
+	// Keyed burnrate args may come in any order, with any whitespace.
+	const canon = "alert a: burnrate(m, slo=1s, short=250ms, long=1s) > 0.5"
+	if rules, err := ParseRules(" alert a : burnrate( m , long=1s,short = 250ms , slo=1s ) > 0.5 ; "); err != nil || FormatRules(rules) != canon {
+		t.Errorf("reordered burnrate args: rules=%v err=%v, want %q", rules, err, canon)
+	}
 	// Empty clauses are skipped.
 	if rules, err := ParseRules(";;alert a: value(x) > 1;;"); err != nil || len(rules) != 1 {
 		t.Errorf("empty clauses: rules=%v err=%v", rules, err)
@@ -57,6 +62,8 @@ func TestParseRulesRejects(t *testing.T) {
 		"duplicate-name":   "alert a: value(x) > 1;alert a: value(y) > 2",
 		"bad-slo-duration": "alert a: burnrate(m, slo=wat, short=1s, long=1s) > 0.5",
 		"missing-slo-key":  "alert a: burnrate(m, 1s, short=1s, long=1s) > 0.5",
+		"duplicate-key":    "alert a: burnrate(m, slo=1s, slo=2s, long=1s) > 0.5",
+		"unknown-key":      "alert a: burnrate(m, slo=1s, short=1s, mid=1s) > 0.5",
 		"unclosed-paren":   "alert a: value(x > 1",
 		"bad-for-duration": "alert a: value(x) > 1 for soon",
 	}

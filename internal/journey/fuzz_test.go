@@ -1,6 +1,10 @@
 package journey
 
-import "testing"
+import (
+	"testing"
+
+	"fastiov/internal/clause"
+)
 
 // FuzzParseAlertRules pins the grammar's two contracts: the parser never
 // panics on arbitrary input, and every accepted spec renders back to a
@@ -17,21 +21,14 @@ func FuzzParseAlertRules(f *testing.F) {
 		"alert a: value(x) > NaN",
 		"alert a: mean(x) > 1",
 		"alert name-9: value(a:b_c) > -3.5",
+		" ; alert a : burnrate( m , long=2s , slo=1s , short=1s ) > 0.5 ; ",
+		"alert a: burnrate(m, slo=1s, slo=2s, long=1s) > 0.5",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		rules, err := ParseRules(spec)
-		if err != nil {
-			return
-		}
-		canon := FormatRules(rules)
-		again, err := ParseRules(canon)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %q from %q: %v", canon, spec, err)
-		}
-		if got := FormatRules(again); got != canon {
-			t.Fatalf("not a fixed point:\n spec  %q\n canon %q\n again %q", spec, canon, got)
+		if err := clause.FixedPoint(spec, ParseRules, FormatRules); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

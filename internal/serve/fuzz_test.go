@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"fastiov/internal/clause"
+)
 
 // FuzzParseWorkload drives the tenant/priority/rate grammar with arbitrary
 // input, mirroring fault.FuzzParsePlan: the parser must never panic, must
@@ -30,27 +34,18 @@ func FuzzParseWorkload(f *testing.F) {
 		"api:rate==1",
 		"api:rate=10,,prio=low",
 		"API:rate=10",
+		"api:rate=10;",
+		" api : rate = 10 ; flash@ 1s : x = 2 ",
+		"api:rate=10;flash@1s:x=2,x=3",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		w, err := ParseWorkload(spec)
-		if err != nil {
-			if w != nil {
-				t.Errorf("ParseWorkload(%q) returned both a workload and error %v", spec, err)
-			}
-			return
+		if err := clause.FixedPoint(spec, ParseWorkload, (*Workload).String); err != nil {
+			t.Fatal(err)
 		}
-		if w == nil {
-			t.Fatalf("ParseWorkload(%q) returned nil without error", spec)
-		}
-		canon := w.String()
-		w2, err := ParseWorkload(canon)
-		if err != nil {
-			t.Fatalf("canonical form %q of accepted spec %q does not re-parse: %v", canon, spec, err)
-		}
-		if got := w2.String(); got != canon {
-			t.Errorf("canonical form not a fixed point: %q -> %q -> %q", spec, canon, got)
+		if w, err := ParseWorkload(spec); (w == nil) == (err == nil) {
+			t.Errorf("ParseWorkload(%q) = %v, %v: want exactly one of workload and error", spec, w, err)
 		}
 	})
 }

@@ -12,11 +12,13 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"fastiov/internal/clause"
 	"fastiov/internal/sim"
 )
 
@@ -57,7 +59,7 @@ func parsePriority(s string) (Priority, error) {
 	case "high":
 		return PrioHigh, nil
 	}
-	return PrioNormal, fmt.Errorf("unknown priority %q (want low|normal|high)", s)
+	return PrioNormal, fmt.Errorf("%q: unknown priority (want low|normal|high)", s)
 }
 
 // Tenant is one workload source: a named Poisson arrival stream with an
@@ -88,51 +90,41 @@ type Workload struct {
 	Flash   *Flash
 }
 
-// ParseWorkload parses the tenant/priority/rate grammar: semicolon-separated
-// clauses, each either a tenant
+// ParseWorkload parses the tenant grammar (EXPERIMENTS.md, "Spec grammars";
+// lexed by package clause): ';'-separated tenants and at most one
+// flash-crowd burst,
 //
 //	name:rate=<req/s>[,prio=low|normal|high][,weight=<n>]
-//
-// (names are [a-z0-9-]+ and unique) or at most one flash-crowd burst
-//
 //	flash@<start>:x=<factor>[,for=<duration>]
 //
-// (durations in time.ParseDuration syntax; for defaults to 1s). Example:
-//
-//	web:rate=60,prio=high;batch:rate=30,prio=low;flash@3s:x=6,for=2s
-//
-// The canonical rendering (String) sorts tenants by name, omits default
+// with names [a-z0-9-]+ and unique, and for defaulting to 1s. The
+// canonical rendering (String) sorts tenants by name, omits default
 // fields, and re-parses to an identical workload — a fixed point, like
 // fault.Plan.String.
 func ParseWorkload(spec string) (*Workload, error) {
-	w := &Workload{}
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("serve: empty workload")
 	}
-	seen := map[string]bool{}
-	for _, clause := range strings.Split(spec, ";") {
-		if clause == "" {
-			return nil, fmt.Errorf("serve: empty clause in %q", spec)
-		}
-		if rest, ok := strings.CutPrefix(clause, "flash@"); ok {
+	w := &Workload{}
+	for _, c := range clause.Split(spec) {
+		if rest, ok := strings.CutPrefix(c, "flash@"); ok {
 			if w.Flash != nil {
-				return nil, fmt.Errorf("serve: duplicate flash clause %q", clause)
+				return nil, fmt.Errorf("serve: duplicate flash clause %q", c)
 			}
 			fl, err := parseFlash(rest)
 			if err != nil {
-				return nil, fmt.Errorf("serve: clause %q: %w", clause, err)
+				return nil, fmt.Errorf("serve: clause %q: %w", c, err)
 			}
 			w.Flash = fl
 			continue
 		}
-		t, err := parseTenant(clause)
+		t, err := parseTenant(c)
 		if err != nil {
-			return nil, fmt.Errorf("serve: clause %q: %w", clause, err)
+			return nil, fmt.Errorf("serve: clause %q: %w", c, err)
 		}
-		if seen[t.Name] {
+		if slices.ContainsFunc(w.Tenants, func(o Tenant) bool { return o.Name == t.Name }) {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", t.Name)
 		}
-		seen[t.Name] = true
 		w.Tenants = append(w.Tenants, t)
 	}
 	if len(w.Tenants) == 0 {
@@ -142,53 +134,36 @@ func ParseWorkload(spec string) (*Workload, error) {
 	return w, nil
 }
 
-func parseTenant(clause string) (Tenant, error) {
-	t := Tenant{Weight: 1, Priority: PrioNormal}
-	name, kvs, ok := strings.Cut(clause, ":")
+func parseTenant(c string) (Tenant, error) {
+	name, kvs, ok := strings.Cut(c, ":")
+	t := Tenant{Name: strings.TrimSpace(name), Weight: 1, Priority: PrioNormal}
 	if !ok {
 		return t, fmt.Errorf("want name:key=value[,...]")
 	}
-	if !validName(name) {
-		return t, fmt.Errorf("bad tenant name %q (want [a-z0-9-]+)", name)
+	if err := clause.Name(t.Name); err != nil {
+		return t, fmt.Errorf("bad tenant name %w", err)
 	}
-	t.Name = name
+	args, err := clause.Args(kvs, "rate", "prio", "weight")
+	if err != nil {
+		return t, err
+	}
 	haveRate := false
-	keys := map[string]bool{}
-	for _, kv := range strings.Split(kvs, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return t, fmt.Errorf("bad key=value %q", kv)
-		}
-		if keys[k] {
-			return t, fmt.Errorf("duplicate key %q", k)
-		}
-		keys[k] = true
-		switch k {
+	for _, a := range args {
+		switch a.Key {
 		case "rate":
-			r, err := parseRate(v)
-			if err != nil {
-				return t, err
-			}
-			t.Rate = r
+			t.Rate, err = clause.Float(a.Val, 0, math.Inf(1))
 			haveRate = true
 		case "prio":
-			p, err := parsePriority(v)
-			if err != nil {
-				return t, err
-			}
-			t.Priority = p
+			t.Priority, err = parsePriority(a.Val)
 		case "weight":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return t, fmt.Errorf("bad weight %q (want integer >= 1)", v)
-			}
-			t.Weight = n
-		default:
-			return t, fmt.Errorf("unknown key %q (want rate|prio|weight)", k)
+			t.Weight, err = clause.Int(a.Val, 1)
+		}
+		if err != nil {
+			return t, fmt.Errorf("bad %s %w", a.Key, err)
 		}
 	}
 	if !haveRate {
-		return t, fmt.Errorf("tenant %q missing rate", name)
+		return t, fmt.Errorf("tenant %q missing rate", t.Name)
 	}
 	return t, nil
 }
@@ -198,69 +173,31 @@ func parseFlash(rest string) (*Flash, error) {
 	if !ok {
 		return nil, fmt.Errorf("want flash@<start>:x=<factor>[,for=<duration>]")
 	}
-	start, err := parseDur(at)
-	if err != nil || start < 0 {
-		return nil, fmt.Errorf("bad flash start %q", at)
+	start, err := clause.Time(strings.TrimSpace(at))
+	if err != nil {
+		return nil, fmt.Errorf("bad flash start %w", err)
 	}
 	fl := &Flash{At: start, For: time.Second}
-	haveX := false
-	keys := map[string]bool{}
-	for _, kv := range strings.Split(kvs, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad key=value %q", kv)
-		}
-		if keys[k] {
-			return nil, fmt.Errorf("duplicate key %q", k)
-		}
-		keys[k] = true
-		switch k {
+	args, err := clause.Args(kvs, "x", "for")
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range args {
+		switch a.Key {
 		case "x":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 {
-				return nil, fmt.Errorf("bad flash factor %q (want finite > 0)", v)
+			if fl.Factor, err = clause.Positive(a.Val); err != nil {
+				return nil, fmt.Errorf("bad flash factor %w", err)
 			}
-			fl.Factor = f
-			haveX = true
 		case "for":
-			d, err := parseDur(v)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("bad flash duration %q", v)
+			if fl.For, err = clause.Duration(a.Val); err != nil {
+				return nil, fmt.Errorf("bad flash duration %w", err)
 			}
-			fl.For = d
-		default:
-			return nil, fmt.Errorf("unknown key %q (want x|for)", k)
 		}
 	}
-	if !haveX {
+	if fl.Factor == 0 {
 		return nil, fmt.Errorf("flash missing x=<factor>")
 	}
 	return fl, nil
-}
-
-// parseDur accepts any time.ParseDuration form; the canonical rendering
-// uses Duration.String, so accepted inputs converge to a fixed point after
-// one re-encode (e.g. "90s" canonicalizes to "1m30s").
-func parseDur(s string) (time.Duration, error) { return time.ParseDuration(s) }
-
-func parseRate(v string) (float64, error) {
-	r, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
-		return 0, fmt.Errorf("bad rate %q (want finite >= 0)", v)
-	}
-	return r, nil
-}
-
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
-			return false
-		}
-	}
-	return true
 }
 
 // fmtRate renders a rate so it re-parses to the identical float64.

@@ -28,6 +28,19 @@ func TestParseWorkloadValid(t *testing.T) {
 	if got := w.TotalRate(); got != 90 {
 		t.Errorf("TotalRate = %v, want 90", got)
 	}
+	// Empty clauses are skipped and whitespace around separators ignored.
+	for spec, want := range map[string]string{
+		"api:rate=10;":                       "api:rate=10",
+		";; api : rate = 10 , prio = high ;": "api:rate=10,prio=high",
+		"api:rate=10; flash@ 3s : x = 6 ;":   "api:rate=10;flash@3s:x=6,for=1s",
+	} {
+		w, err := ParseWorkload(spec)
+		if err != nil {
+			t.Errorf("ParseWorkload(%q): %v", spec, err)
+		} else if got := w.String(); got != want {
+			t.Errorf("ParseWorkload(%q) = %q, want %q", spec, got, want)
+		}
+	}
 }
 
 func TestParseWorkloadDefaults(t *testing.T) {
@@ -56,8 +69,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 	cases := []struct{ spec, wantSub string }{
 		{"", "empty workload"},
 		{"   ", "empty workload"},
-		{";", "empty clause"},
-		{"api:rate=10;", "empty clause"},
+		{";", "no tenants"},
 		{"api", "want name:key=value"},
 		{"API:rate=10", "bad tenant name"},
 		{"a_b:rate=10", "bad tenant name"},
@@ -73,6 +85,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 		{"api:rate=10,weight=x", "bad weight"},
 		{"api:rate=10,speed=9", "unknown key"},
 		{"api:rate=10,rate=20", "duplicate key"},
+		{"api:rate=10;flash@1s:x=2,x=3", "duplicate key"},
 		{"api:rate=10;api:rate=20", "duplicate tenant"},
 		{"flash@1s:x=2", "no tenants"},
 		{"api:rate=10;flash@1s:x=2;flash@2s:x=3", "duplicate flash"},
