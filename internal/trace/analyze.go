@@ -2,18 +2,12 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"fastiov/internal/sim"
 )
-
-// lockKey identifies one contended primitive. RWMutex read and write sides
-// profile separately (they have different hold semantics).
-type lockKey struct {
-	class sim.WaitClass
-	obj   string
-}
 
 // Histogram buckets a duration distribution into decades:
 // <1µs, <10µs, <100µs, <1ms, <10ms, <100ms, <1s, <10s, ≥10s.
@@ -78,6 +72,7 @@ type LockStat struct {
 	HoldHist  Histogram
 
 	MaxQueue int // deepest observed wait queue
+	depth    int // current wait queue, during Analyze
 
 	// blockedBy attributes each completed wait to the proc whose release
 	// (or wake) ended it.
@@ -130,16 +125,23 @@ func (s *LockStat) TopBlockers(t *Trace, k int) []Blocker {
 // interval is one closed blocking interval of a proc.
 type interval struct {
 	start, end time.Duration
+	obj        uint32
 	class      sim.WaitClass
-	obj        string
 }
 
-// openWait tracks a proc currently parked.
+// openWait tracks a proc currently parked; class is WaitNone when the proc
+// is not parked.
 type openWait struct {
+	start   int64
+	blocker int32 // slot of the proc whose release or wake ended the wait
+	obj     uint32
 	class   sim.WaitClass
-	obj     string
-	start   time.Duration
-	blocker int
+}
+
+// openHold is one hold a proc has not yet released.
+type openHold struct {
+	start int64
+	key   int32 // the held (object, class) pair's lock-table index
 }
 
 // Analysis is the validated, indexed view of a trace: per-proc blocking
@@ -147,130 +149,180 @@ type openWait struct {
 // query it with Profile and CriticalPaths.
 type Analysis struct {
 	t       *Trace
-	perProc map[int][]interval
-	locks   map[lockKey]*LockStat
+	perProc [][]interval // by proc slot
+	locks   []*LockStat  // in first-use order
+}
+
+// lockName renders a (class, object) pair as "class obj".
+func lockName(class sim.WaitClass, obj string) string {
+	return (&LockStat{Class: class, Obj: obj}).Name()
 }
 
 // Analyze replays the event stream, building the per-proc interval index
 // and the per-primitive contention profile. It never panics on arbitrary
 // input: ill-nested streams — a block inside a block, an unblock or release
 // with no matching open, a class/object mismatch, time running backwards —
-// are rejected with an error naming the offending event.
+// are rejected with an error naming the offending event, as are events
+// FromEvents could not store.
+//
+// The replay uses dense tables only: the open wait and the open holds are
+// indexed by proc slot, and the lock table has one entry per (object,
+// class) pair holding its stats and queue depth. A release closes the most
+// recent open hold of the same pair by the same proc.
 func Analyze(t *Trace) (*Analysis, error) {
-	a := &Analysis{
-		t:       t,
-		perProc: make(map[int][]interval),
-		locks:   make(map[lockKey]*LockStat),
+	if t.err != nil {
+		return nil, t.err
 	}
-	waiting := make(map[int]*openWait)
-	holds := make(map[lockKey]map[int][]time.Duration)
-	depth := make(map[lockKey]int)
-	var lastAt time.Duration
+	a := &Analysis{t: t, perProc: make([][]interval, t.nslots)}
+	// Size every proc's interval list up front, carved from one backing
+	// array: each unblock appends exactly one interval.
+	counts := make([]int, t.nslots)
+	total := 0
+	for ci := range t.chunks {
+		for _, r := range t.chunk(ci) {
+			if Kind(r.kind) == Unblock {
+				counts[r.proc]++
+				total++
+			}
+		}
+	}
+	backing := make([]interval, total)
+	for s, n := range counts {
+		a.perProc[s], backing = backing[:0:n], backing[n:]
+	}
+	waiting := make([]openWait, t.nslots)
+	holds := make([][]openHold, t.nslots)
+	table := make([]*LockStat, len(t.objs)*numClasses) // by lockKey
+	var lastAt int64
 
-	stat := func(key lockKey) *LockStat {
-		s := a.locks[key]
+	// stat returns the stats of lock-table entry k, creating them on first
+	// use.
+	stat := func(k int32, r *record) *LockStat {
+		s := table[k]
 		if s == nil {
-			s = &LockStat{Class: key.class, Obj: key.obj, blockedBy: make(map[int]time.Duration)}
-			a.locks[key] = s
+			s = &LockStat{Class: sim.WaitClass(r.class), Obj: t.objs[r.obj]}
+			table[k] = s
+			a.locks = append(a.locks, s)
 		}
 		return s
 	}
 
-	for i, e := range t.events {
-		if e.At < lastAt {
-			return nil, fmt.Errorf("trace: event %d: time went backwards (%v after %v)", i, e.At, lastAt)
-		}
-		lastAt = e.At
-		key := lockKey{e.Class, e.Obj}
-		switch e.Kind {
-		case Block:
-			if e.Class == sim.WaitNone {
-				return nil, fmt.Errorf("trace: event %d: proc %d blocks with no wait class", i, e.Proc)
+	i := 0
+	for ci := range t.chunks {
+		for j := range t.chunk(ci) {
+			r := &t.chunks[ci][j]
+			if r.at < lastAt {
+				return nil, fmt.Errorf("trace: event %d: time went backwards (%v after %v)",
+					i, time.Duration(r.at), time.Duration(lastAt))
 			}
-			if ow := waiting[e.Proc]; ow != nil {
-				return nil, fmt.Errorf("trace: event %d: proc %d blocks on %s %q while already blocked on %s %q",
-					i, e.Proc, e.Class, e.Obj, ow.class, ow.obj)
-			}
-			waiting[e.Proc] = &openWait{class: e.Class, obj: e.Obj, start: e.At}
-			if e.Class != sim.WaitSleep {
-				s := stat(key)
-				depth[key]++
-				if depth[key] > s.MaxQueue {
-					s.MaxQueue = depth[key]
+			lastAt = r.at
+			class := sim.WaitClass(r.class)
+			switch Kind(r.kind) {
+			case Block:
+				if class == sim.WaitNone {
+					return nil, fmt.Errorf("trace: event %d: proc %d blocks with no wait class", i, t.procID(r.proc))
 				}
-			}
-		case Unblock:
-			ow := waiting[e.Proc]
-			if ow == nil {
-				return nil, fmt.Errorf("trace: event %d: proc %d unblocks without a matching block", i, e.Proc)
-			}
-			if ow.class != e.Class || ow.obj != e.Obj {
-				return nil, fmt.Errorf("trace: event %d: proc %d unblocks from %s %q but blocked on %s %q",
-					i, e.Proc, e.Class, e.Obj, ow.class, ow.obj)
-			}
-			delete(waiting, e.Proc)
-			a.perProc[e.Proc] = append(a.perProc[e.Proc],
-				interval{start: ow.start, end: e.At, class: e.Class, obj: e.Obj})
-			if e.Class != sim.WaitSleep {
-				s := stat(key)
-				depth[key]--
-				d := e.At - ow.start
-				s.Waits++
-				s.TotalWait += d
-				if d > s.MaxWait {
-					s.MaxWait = d
+				if ow := &waiting[r.proc]; ow.class != sim.WaitNone {
+					return nil, fmt.Errorf("trace: event %d: proc %d blocks on %s %q while already blocked on %s %q",
+						i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
 				}
-				s.WaitHist.Add(d)
-				if ow.blocker != 0 {
-					s.blockedBy[ow.blocker] += d
+				waiting[r.proc] = openWait{class: class, obj: r.obj, start: r.at}
+				if class != sim.WaitSleep {
+					s := stat(lockKey(r), r)
+					s.depth++
+					if s.depth > s.MaxQueue {
+						s.MaxQueue = s.depth
+					}
 				}
+			case Unblock:
+				ow := waiting[r.proc]
+				if ow.class == sim.WaitNone {
+					return nil, fmt.Errorf("trace: event %d: proc %d unblocks without a matching block", i, t.procID(r.proc))
+				}
+				if ow.class != class || ow.obj != r.obj {
+					return nil, fmt.Errorf("trace: event %d: proc %d unblocks from %s %q but blocked on %s %q",
+						i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
+				}
+				waiting[r.proc] = openWait{}
+				a.perProc[r.proc] = append(a.perProc[r.proc],
+					interval{start: time.Duration(ow.start), end: time.Duration(r.at), class: class, obj: r.obj})
+				if class != sim.WaitSleep {
+					s := stat(lockKey(r), r)
+					s.depth--
+					d := time.Duration(r.at - ow.start)
+					s.Waits++
+					s.TotalWait += d
+					if d > s.MaxWait {
+						s.MaxWait = d
+					}
+					s.WaitHist.Add(d)
+					if ow.blocker != 0 {
+						if s.blockedBy == nil {
+							s.blockedBy = make(map[int]time.Duration)
+						}
+						s.blockedBy[t.procID(ow.blocker)] += d
+					}
+				}
+			case Acquire:
+				k := lockKey(r)
+				stat(k, r).Acquires++
+				holds[r.proc] = append(holds[r.proc], openHold{start: r.at, key: k})
+				attribute(waiting, r)
+			case Release:
+				k := lockKey(r)
+				start, ok := popHold(holds, r.proc, k)
+				if !ok {
+					return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
+						i, t.procID(r.proc), class, t.objs[r.obj])
+				}
+				s := table[k]
+				d := time.Duration(r.at - start)
+				s.Holds++
+				s.TotalHold += d
+				if d > s.MaxHold {
+					s.MaxHold = d
+				}
+				s.HoldHist.Add(d)
+			case Wake:
+				attribute(waiting, r)
 			}
-		case Acquire:
-			s := stat(key)
-			s.Acquires++
-			hp := holds[key]
-			if hp == nil {
-				hp = make(map[int][]time.Duration)
-				holds[key] = hp
-			}
-			hp[e.Proc] = append(hp[e.Proc], e.At)
-			if ow := waiting[e.Proc]; ow != nil && ow.class == e.Class && ow.obj == e.Obj && e.Waker != 0 {
-				ow.blocker = e.Waker
-			}
-		case Release:
-			hp := holds[key]
-			if hp == nil || len(hp[e.Proc]) == 0 {
-				return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
-					i, e.Proc, e.Class, e.Obj)
-			}
-			stack := hp[e.Proc]
-			start := stack[len(stack)-1]
-			hp[e.Proc] = stack[:len(stack)-1]
-			s := stat(key)
-			d := e.At - start
-			s.Holds++
-			s.TotalHold += d
-			if d > s.MaxHold {
-				s.MaxHold = d
-			}
-			s.HoldHist.Add(d)
-		case Wake:
-			if ow := waiting[e.Proc]; ow != nil && ow.class == e.Class && ow.obj == e.Obj && e.Waker != 0 {
-				ow.blocker = e.Waker
-			}
+			i++
 		}
 	}
 	return a, nil
+}
+
+// lockKey returns the lock-table index of r's (object, class) pair.
+func lockKey(r *record) int32 { return int32(r.obj)*int32(numClasses) + int32(r.class) }
+
+// attribute records r's waker as the cause of its proc's open wait, when
+// the proc is parked on r's (class, object).
+func attribute(waiting []openWait, r *record) {
+	if ow := &waiting[r.proc]; ow.class == sim.WaitClass(r.class) && ow.class != sim.WaitNone &&
+		ow.obj == r.obj && r.waker != 0 {
+		ow.blocker = r.waker
+	}
+}
+
+// popHold removes proc's most recent open hold of lock-table entry key and
+// returns its start.
+func popHold(holds [][]openHold, proc, key int32) (int64, bool) {
+	stack := holds[proc]
+	for j := len(stack) - 1; j >= 0; j-- {
+		if stack[j].key == key {
+			start := stack[j].start
+			holds[proc] = append(stack[:j], stack[j+1:]...)
+			return start, true
+		}
+	}
+	return 0, false
 }
 
 // Profile returns the contention profile, worst first: descending total
 // wait, then descending total hold, then name. Primitives that were
 // acquired but never waited on still appear (with zero wait columns).
 func (a *Analysis) Profile() []*LockStat {
-	out := make([]*LockStat, 0, len(a.locks))
-	for _, s := range a.locks {
-		out = append(out, s)
-	}
+	out := slices.Clone(a.locks)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalWait != out[j].TotalWait {
 			return out[i].TotalWait > out[j].TotalWait

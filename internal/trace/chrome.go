@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"fastiov/internal/sim"
 	"fastiov/internal/telemetry"
@@ -65,53 +64,55 @@ func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
 // ChromeEvents builds the kernel-trace event list: process/thread metadata
 // first, then telemetry stage spans, then per-proc service/wait intervals,
 // in proc-id order. The output is a pure function of its inputs, so
-// seed-fixed reruns are byte-identical.
+// seed-fixed reruns are byte-identical. If two procs bind the same
+// container the stage spans are left out; WriteChrome reports that as an
+// error.
 func ChromeEvents(a *Analysis, rec *telemetry.Recorder, bind Binder) []ChromeEvent {
-	var events []ChromeEvent
+	procOf, _ := a.bindProcs(bind)
+	return a.chromeEvents(rec, procOf)
+}
 
-	ids := make([]int, 0, len(a.t.names))
-	for id := range a.t.names {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
-	events = append(events, ChromeEvent{
+// chromeEvents builds the event list with stage spans drawn on the procs
+// procOf binds (none when procOf is nil).
+func (a *Analysis) chromeEvents(rec *telemetry.Recorder, procOf map[int]int32) []ChromeEvent {
+	t := a.t
+	events := []ChromeEvent{{
 		Name: "process_name", Ph: "M", PID: chromePID, TID: 0,
 		Args: map[string]string{"name": "fastiov-sim"},
-	})
-	for _, id := range ids {
-		events = append(events, ChromeEvent{
-			Name: "thread_name", Ph: "M", PID: chromePID, TID: id,
-			Args: map[string]string{"name": a.t.ProcName(id)},
-		})
+	}}
+	for s, p := range t.procs {
+		if p.named {
+			events = append(events, ChromeEvent{
+				Name: "thread_name", Ph: "M", PID: chromePID, TID: t.procID(int32(s)),
+				Args: map[string]string{"name": p.name},
+			})
+		}
 	}
 
 	// Stage spans from the telemetry recorder, drawn on the thread of the
 	// container's driving proc.
-	if rec != nil && bind != nil {
-		procOf := make(map[int]int)
-		for id, name := range a.t.names {
-			if ctr, ok := bind(name); ok {
-				procOf[ctr] = id
-			}
-		}
+	if rec != nil {
 		for _, sp := range rec.Spans() {
-			tid, ok := procOf[sp.Container]
+			s, ok := procOf[sp.Container]
 			if !ok {
 				continue
 			}
 			events = append(events, ChromeEvent{
 				Name: string(sp.Stage), Cat: "stage", Ph: "X",
 				TS: us(sp.Start), Dur: durp(sp.End - sp.Start),
-				PID: chromePID, TID: tid,
+				PID: chromePID, TID: t.procID(s),
 			})
 		}
 	}
 
 	// Blocking intervals: sleeps are the proc doing simulated work, the
 	// rest are waits on a named primitive.
-	for _, id := range ids {
-		for _, iv := range a.perProc[id] {
+	for s, p := range t.procs {
+		if !p.named {
+			continue
+		}
+		id := t.procID(int32(s))
+		for _, iv := range a.perProc[s] {
 			ev := ChromeEvent{
 				Ph: "X", TS: us(iv.start), Dur: durp(iv.end - iv.start),
 				PID: chromePID, TID: id,
@@ -119,7 +120,7 @@ func ChromeEvents(a *Analysis, rec *telemetry.Recorder, bind Binder) []ChromeEve
 			if iv.class == sim.WaitSleep {
 				ev.Name, ev.Cat = "service", "service"
 			} else {
-				ev.Name = "wait " + (&LockStat{Class: iv.class, Obj: iv.obj}).Name()
+				ev.Name = "wait " + lockName(iv.class, t.objs[iv.obj])
 				ev.Cat = "wait"
 			}
 			events = append(events, ev)
@@ -131,7 +132,12 @@ func ChromeEvents(a *Analysis, rec *telemetry.Recorder, bind Binder) []ChromeEve
 // WriteChrome exports the analyzed trace as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) and chrome://tracing. Procs render
 // as threads; sleeps, waits, and telemetry stage spans render as complete
-// ("X") events. rec may be nil to omit stage spans.
+// ("X") events. rec may be nil to omit stage spans. Two procs binding the
+// same container are an error.
 func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder, bind Binder) error {
-	return WriteChromeEvents(w, ChromeEvents(a, rec, bind))
+	procOf, err := a.bindProcs(bind)
+	if err != nil {
+		return err
+	}
+	return WriteChromeEvents(w, a.chromeEvents(rec, procOf))
 }

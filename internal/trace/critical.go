@@ -60,20 +60,40 @@ func DefaultBinder(name string) (int, bool) {
 	return 0, false
 }
 
-// CriticalPaths decomposes every completed container in rec. Each
-// container's driving proc is found through bind; its blocking intervals
-// are clipped to the recorder's [start, end] window and summed by target.
-func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomposition, error) {
-	procOf := make(map[int]int)
-	for id, name := range a.t.names {
-		ctr, ok := bind(name)
+// bindProcs maps each container to the slot of the one named proc that
+// binds to it (nil when bind is nil). Procs are visited in ascending id
+// order; two procs binding the same container are an error, since either
+// could be its driving proc.
+func (a *Analysis) bindProcs(bind Binder) (map[int]int32, error) {
+	if bind == nil {
+		return nil, nil
+	}
+	t := a.t
+	procOf := make(map[int]int32)
+	for s, p := range t.procs {
+		if !p.named {
+			continue
+		}
+		ctr, ok := bind(p.name)
 		if !ok {
 			continue
 		}
 		if other, dup := procOf[ctr]; dup {
-			return nil, fmt.Errorf("trace: procs %d and %d both bind to container %d", other, id, ctr)
+			return nil, fmt.Errorf("trace: procs %d and %d both bind to container %d",
+				t.procID(other), t.procID(int32(s)), ctr)
 		}
-		procOf[ctr] = id
+		procOf[ctr] = int32(s)
+	}
+	return procOf, nil
+}
+
+// CriticalPaths decomposes every completed container in rec. Each
+// container's driving proc is found through bind; its blocking intervals
+// are clipped to the recorder's [start, end] window and summed by target.
+func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomposition, error) {
+	procOf, err := a.bindProcs(bind)
+	if err != nil {
+		return nil, err
 	}
 	var out []Decomposition
 	for _, ctr := range rec.Containers() {
@@ -81,15 +101,15 @@ func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomp
 		if total == 0 {
 			continue // incomplete (failed under injected faults)
 		}
-		proc, ok := procOf[ctr]
+		slot, ok := procOf[ctr]
 		if !ok {
 			return nil, fmt.Errorf("trace: container %d completed but no proc binds to it", ctr)
 		}
 		start, _ := rec.Start(ctr)
 		end, _ := rec.End(ctr)
-		d := Decomposition{Container: ctr, Proc: proc, Total: total,
+		d := Decomposition{Container: ctr, Proc: a.t.procID(slot), Total: total,
 			Blocked: make(map[string]time.Duration)}
-		for _, iv := range a.perProc[proc] {
+		for _, iv := range a.perProc[slot] {
 			lo, hi := iv.start, iv.end
 			if lo < start {
 				lo = start
@@ -103,7 +123,7 @@ func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomp
 			if iv.class == sim.WaitSleep {
 				d.Service += hi - lo
 			} else {
-				d.Blocked[(&LockStat{Class: iv.class, Obj: iv.obj}).Name()] += hi - lo
+				d.Blocked[lockName(iv.class, a.t.objs[iv.obj])] += hi - lo
 			}
 		}
 		d.Runnable = total - d.Service - d.BlockedTotal()

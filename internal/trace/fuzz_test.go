@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -20,12 +21,19 @@ var fuzzClasses = []sim.WaitClass{
 	sim.WaitWG,
 }
 
-var fuzzObjs = []string{"", "a", "b", "vfio-devset-1"}
+// fuzzObjs includes names the canonical encoder must quote exactly as fmt's
+// %q does: quotes, backslashes, non-ASCII, control bytes, invalid UTF-8.
+var fuzzObjs = []string{"", "a", "b", "vfio-devset-1", `q"uote`, `back\slash`, "naïve-設備", "ctl\x00\t\x7f\xff"}
 
 // decodeEvents turns arbitrary fuzz bytes into an event stream, five bytes
 // per event. Time advances by the low bits of the fifth byte but can also
 // stall or (when the high bit is set) jump backwards, so the analyzer's
 // monotonicity check gets exercised too.
+//
+// Proc ids are 1..8 unless the third byte's top bits select an edge case:
+// 0xe0.. proc 0, 0xe8.. negative, 0xf0.. the largest int32 ids (valid),
+// 0xf8.. ids above math.MaxInt32 (rejected). Bit 0x40 of the fifth byte
+// replaces the waker with -1, math.MaxInt32 or math.MaxInt32+1.
 func decodeEvents(data []byte) []Event {
 	var events []Event
 	var at time.Duration
@@ -38,7 +46,7 @@ func decodeEvents(data []byte) []Event {
 		} else {
 			at += dt
 		}
-		events = append(events, Event{
+		e := Event{
 			At:    at,
 			Kind:  fuzzKinds[int(b[0])%len(fuzzKinds)],
 			Class: fuzzClasses[int(b[1])%len(fuzzClasses)],
@@ -46,7 +54,21 @@ func decodeEvents(data []byte) []Event {
 			Proc:  int(b[2]%8) + 1,
 			Waker: int(b[3] % 9), // 0 = none
 			N:     int64(b[3] >> 4),
-		})
+		}
+		switch low := int64(b[2] % 8); b[2] >> 3 {
+		case 28:
+			e.Proc = 0
+		case 29:
+			e.Proc = int(-1 - low)
+		case 30:
+			e.Proc = int(math.MaxInt32 - low)
+		case 31:
+			e.Proc = int(math.MaxInt32 + 1 + low)
+		}
+		if b[4]&0x40 != 0 {
+			e.Waker = int([]int64{-1, math.MaxInt32, math.MaxInt32 + 1}[b[3]%3])
+		}
+		events = append(events, e)
 	}
 	return events
 }
@@ -74,10 +96,25 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add([]byte{2, 2, 1, 0, 10, 3, 2, 1, 0, 0x85})
 	// Sleep intervals (service time) mixed with spawn/exit.
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 1, 0, 5, 3, 1, 1, 0, 0, 1, 0, 1, 0, 2})
+	// Proc 0 and the largest valid ids contending for a quoted object.
+	f.Add([]byte{
+		4, 0x41, 0xe0, 0, 1, // acquire mutex `q"uote` p0
+		2, 0x41, 0xf0, 0, 1, // block p(MaxInt32)
+		5, 0x41, 0xe0, 0, 2, // release p0
+		4, 0x41, 0xf0, 1, 0x40, // acquire p(MaxInt32), waker MaxInt32
+		3, 0x41, 0xf0, 1, 0, // unblock
+	})
+	// A negative proc, a proc above MaxInt32, and an out-of-range waker.
+	f.Add([]byte{0, 0, 0xe8, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0xf8, 0, 0})
+	f.Add([]byte{6, 0x77, 1, 2, 0x40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeEvents(data)
 		tr := FromEvents(events, nil)
+		if tr.err == nil && !bytes.Equal(tr.AppendCanonical(nil), refCanonical(events)) {
+			t.Fatal("canonical encoding differs from the fmt reference")
+		}
 		a, err := Analyze(tr)
 		if err != nil {
 			return // rejection is the correct outcome for ill-nested input

@@ -3,8 +3,15 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fastiov/internal/sim"
 	"fastiov/internal/telemetry"
@@ -297,5 +304,209 @@ func TestWriteChromeValidAndDeterministic(t *testing.T) {
 	}
 	if waits == 0 {
 		t.Error("no wait events exported")
+	}
+}
+
+func TestRecordIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 32 {
+		t.Errorf("stored record is %d bytes, want at most 32", size)
+	}
+}
+
+// refCanonical is the canonical encoding as originally specified, through
+// fmt: the strconv encoder must reproduce it byte for byte.
+func refCanonical(events []Event) []byte {
+	var b []byte
+	for _, e := range events {
+		b = fmt.Appendf(b, "%d %s %s %q p%d w%d n%d\n",
+			e.At, e.Kind, e.Class, e.Obj, e.Proc, e.Waker, e.N)
+	}
+	return b
+}
+
+func TestCanonicalMatchesFmtReference(t *testing.T) {
+	objs := []string{"", "m", `q"uote`, `back\slash`, "naïve-設備", "ctl\x00\t\n\x7f", "bad-utf8\xff\xfe", "vfio-devset-1"}
+	var events []Event
+	for i, obj := range objs {
+		events = append(events,
+			Event{At: ms(i), Kind: Acquire, Class: sim.WaitMutex, Obj: obj, Proc: i + 1, Waker: i, N: int64(i)},
+			Event{At: ms(i), Kind: Release, Class: sim.WaitResource, Obj: obj, Proc: math.MaxInt32, N: -3},
+			Event{At: -ms(i), Kind: Spawn, Obj: obj})
+	}
+	tr := FromEvents(events, nil)
+	want := refCanonical(events)
+	if got := tr.AppendCanonical(nil); !bytes.Equal(got, want) {
+		t.Fatalf("canonical encoding differs from the fmt reference:\n got %q\nwant %q", got, want)
+	}
+	h := fnv.New64a()
+	h.Write(want)
+	if tr.Fingerprint() != h.Sum64() {
+		t.Error("fingerprint is not the FNV-1a hash of the reference encoding")
+	}
+
+	// A recorded kernel stream too, which stores kernel ids as slots.
+	live := contendedRun(t)
+	var replay []Event
+	for ci := range live.chunks {
+		for _, r := range live.chunk(ci) {
+			replay = append(replay, Event{At: time.Duration(r.at), Kind: Kind(r.kind), Class: sim.WaitClass(r.class),
+				Obj: live.objs[r.obj], Proc: live.procID(r.proc), Waker: live.procID(r.waker), N: r.n})
+		}
+	}
+	if !bytes.Equal(live.AppendCanonical(nil), refCanonical(replay)) {
+		t.Error("recorded stream's canonical encoding differs from the fmt reference")
+	}
+}
+
+// TestBadProcIDsRejected pins that ids the dense tables cannot index are
+// reported as errors naming the event, and that 0 and the largest int32
+// are valid.
+func TestBadProcIDsRejected(t *testing.T) {
+	maxID := math.MaxInt32
+	ok := Event{Kind: Spawn, Proc: 1}
+	cases := []struct {
+		name string
+		ev   Event
+		bad  bool
+	}{
+		{"proc 0", Event{Kind: Acquire, Class: sim.WaitMutex, Obj: "m", Proc: 0}, false},
+		{"largest proc", Event{Kind: Acquire, Class: sim.WaitMutex, Obj: "m", Proc: maxID, Waker: maxID}, false},
+		{"negative proc", Event{Kind: Spawn, Proc: -1}, true},
+		{"negative waker", Event{Kind: Wake, Class: sim.WaitEvent, Proc: 1, Waker: -7}, true},
+		{"proc above MaxInt32", Event{Kind: Spawn, Proc: maxID + 1}, true},
+		{"waker above MaxInt32", Event{Kind: Spawn, Proc: 1, Waker: maxID + 1}, true},
+		{"unknown kind", Event{Kind: Wake + 1, Proc: 1}, true},
+		{"unknown class", Event{Kind: Block, Class: sim.WaitWG + 1, Proc: 1}, true},
+	}
+	for _, c := range cases {
+		tr := FromEvents([]Event{ok, c.ev}, nil)
+		a, err := Analyze(tr)
+		if !c.bad {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				continue
+			}
+			if _, err := a.CriticalPaths(telemetry.NewRecorder(), DefaultBinder); err != nil {
+				t.Errorf("%s: critical paths: %v", c.name, err)
+			}
+			if got := tr.ProcName(c.ev.Proc); got != fmt.Sprintf("proc-%d", c.ev.Proc) {
+				t.Errorf("%s: ProcName = %q", c.name, got)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), "event 1:") {
+			t.Errorf("%s: error %q does not name event 1", c.name, err)
+		}
+	}
+	if _, err := Analyze(FromEvents(nil, map[int]string{-2: "x"})); err == nil {
+		t.Error("negative name id accepted")
+	}
+}
+
+func TestFromEventsSparseIDs(t *testing.T) {
+	big := math.MaxInt32 - 1
+	events := []Event{
+		{At: 0, Kind: Acquire, Class: sim.WaitMutex, Obj: "m", Proc: big},
+		{At: 0, Kind: Block, Class: sim.WaitMutex, Obj: "m", Proc: 3},
+		{At: ms(4), Kind: Release, Class: sim.WaitMutex, Obj: "m", Proc: big},
+		{At: ms(4), Kind: Acquire, Class: sim.WaitMutex, Obj: "m", Proc: 3, Waker: big},
+		{At: ms(4), Kind: Unblock, Class: sim.WaitMutex, Obj: "m", Proc: 3},
+	}
+	tr := FromEvents(events, map[int]string{big: "holder", 3: "ctr-3", 99: "idle"})
+	a, err := Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := a.Profile()[0].TopBlockers(tr, 1)
+	if len(top) != 1 || top[0].Proc != big || top[0].Name != "holder" || top[0].Wait != ms(4) {
+		t.Errorf("top blockers = %+v, want holder (%d) for 4ms", top, big)
+	}
+	if tr.ProcName(99) != "idle" || tr.ProcName(100) != "proc-100" {
+		t.Errorf("names: %q %q", tr.ProcName(99), tr.ProcName(100))
+	}
+	var tids []int
+	for _, ev := range ChromeEvents(a, nil, nil) {
+		if ev.Name == "thread_name" {
+			tids = append(tids, ev.TID)
+		}
+	}
+	if want := []int{3, 99, big}; !slices.Equal(tids, want) {
+		t.Errorf("thread tids = %v, want %v (ascending id)", tids, want)
+	}
+}
+
+// TestDuplicateBindingRejected pins that two procs binding one container
+// fail both the critical-path decomposition and the Chrome export, instead
+// of one of them winning by map order.
+func TestDuplicateBindingRejected(t *testing.T) {
+	events := []Event{
+		{Kind: Spawn, Proc: 1},
+		{Kind: Spawn, Proc: 2},
+	}
+	tr := FromEvents(events, map[int]string{1: "ctr-1", 2: "ctr-1"})
+	a, err := Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewRecorder()
+	rec.MarkStart(1, 0)
+	rec.MarkEnd(1, ms(1))
+	if err := WriteChrome(io.Discard, a, rec, DefaultBinder); err == nil {
+		t.Error("WriteChrome accepted two procs bound to container 1")
+	}
+	if _, err := a.CriticalPaths(rec, DefaultBinder); err == nil {
+		t.Error("CriticalPaths accepted two procs bound to container 1")
+	}
+}
+
+// TestReleaseMatchesHoldOfSameKey pins hold matching: a release closes the
+// releasing proc's most recent open hold of the same (class, object), even
+// when holds of other objects were taken after it.
+func TestReleaseMatchesHoldOfSameKey(t *testing.T) {
+	a, err := Analyze(FromEvents([]Event{
+		{At: 0, Kind: Acquire, Class: sim.WaitMutex, Obj: "a", Proc: 1},
+		{At: ms(1), Kind: Acquire, Class: sim.WaitMutex, Obj: "b", Proc: 1},
+		{At: ms(2), Kind: Acquire, Class: sim.WaitResource, Obj: "r", Proc: 1, N: 1},
+		{At: ms(3), Kind: Acquire, Class: sim.WaitResource, Obj: "r", Proc: 1, N: 1},
+		{At: ms(4), Kind: Release, Class: sim.WaitMutex, Obj: "a", Proc: 1},
+		{At: ms(6), Kind: Release, Class: sim.WaitResource, Obj: "r", Proc: 1, N: 1},
+		{At: ms(7), Kind: Release, Class: sim.WaitMutex, Obj: "b", Proc: 1},
+		{At: ms(8), Kind: Release, Class: sim.WaitResource, Obj: "r", Proc: 1, N: 1},
+	}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]time.Duration{ // total, max hold
+		"mutex a":    {ms(4), ms(4)},
+		"mutex b":    {ms(6), ms(6)},
+		"resource r": {ms(3) + ms(6), ms(6)},
+	}
+	for _, s := range a.Profile() {
+		if w := want[s.Name()]; s.TotalHold != w[0] || s.MaxHold != w[1] {
+			t.Errorf("%s: total hold %v, max %v; want %v, %v", s.Name(), s.TotalHold, s.MaxHold, w[0], w[1])
+		}
+	}
+}
+
+// TestWaitAttributedOnlyToMatchingTarget pins blocker attribution: an
+// acquire or wake ends a wait only when it names the parked proc's own
+// (class, object).
+func TestWaitAttributedOnlyToMatchingTarget(t *testing.T) {
+	tr := FromEvents([]Event{
+		{At: 0, Kind: Block, Class: sim.WaitMutex, Obj: "m", Proc: 1},
+		{At: ms(2), Kind: Acquire, Class: sim.WaitMutex, Obj: "m", Proc: 1, Waker: 2},
+		{At: ms(2), Kind: Wake, Class: sim.WaitEvent, Obj: "m", Proc: 1, Waker: 5},
+		{At: ms(2), Kind: Wake, Class: sim.WaitMutex, Obj: "n", Proc: 1, Waker: 6},
+		{At: ms(2), Kind: Unblock, Class: sim.WaitMutex, Obj: "m", Proc: 1},
+	}, nil)
+	a, err := Analyze(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := a.Profile()[0].TopBlockers(tr, 3)
+	if len(top) != 1 || top[0].Proc != 2 || top[0].Wait != ms(2) {
+		t.Errorf("top blockers = %+v, want only proc 2 for 2ms", top)
 	}
 }
