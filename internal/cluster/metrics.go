@@ -2,7 +2,11 @@
 // gauges and counters with the simulated-time registry (internal/metrics).
 // Instruments are closures over live substrate state — registration and
 // sampling consume no simulated time and no PRNG draws, so metrics-enabled
-// runs stay byte-identical to metrics-off runs.
+// runs stay byte-identical to metrics-off runs. The saturation signals
+// come from the primitives that own them: the zeroing-bandwidth
+// sim.Resource keeps its busy integral and the vfio driver its devset
+// waiter tally, both exact at every transition. No kernel probe is
+// installed for metrics.
 package cluster
 
 import (
@@ -11,7 +15,6 @@ import (
 	"fastiov/internal/hostmem"
 	"fastiov/internal/metrics"
 	"fastiov/internal/telemetry"
-	"fastiov/internal/vfio"
 )
 
 // Instrument ids shared with the saturation experiment and the conservation
@@ -52,24 +55,28 @@ func pageSizeLabel(bytes int64) string {
 	}
 }
 
-// attachMetrics registers every host instrument with h.Metrics. The probe
-// observer (devset queue depth, membw busy integral) is installed by the
-// caller via sim.Kernel.ChainProbe.
+// attachMetrics registers every host instrument with h.Metrics.
 func (h *Host) attachMetrics() {
 	m := h.Metrics
 
 	// hostmem: allocator and zeroing-bandwidth saturation. The busy
-	// integral is event-driven (probe), so conservation properties hold
-	// exactly, not just at sample instants.
+	// integral is kept by the resource at every acquire and release, so
+	// conservation properties hold exactly, not just at sample instants.
+	// Samples read it through the last change; the sealed final extends
+	// it to the end of the measured phase.
 	mem := h.Mem
 	bw := mem.Bandwidth()
-	membw := m.WatchResource(h.Opts.Scope + hostmem.MemBWName)
 	m.GaugeFunc(MetricMembwInUse, "zeroing-bandwidth streams currently held", nil,
 		func() float64 { return float64(bw.InUse()) })
 	m.GaugeFunc(MetricMembwUtil, "zeroing-bandwidth utilization in percent of stream capacity", nil,
 		func() float64 { return 100 * float64(bw.InUse()) / float64(bw.Cap()) })
 	m.CounterFunc(MetricMembwBusy, "accumulated busy time across zeroing-bandwidth streams in stream-seconds", nil,
-		func() float64 { return membw.Busy().Seconds() })
+		func() float64 {
+			if m.Sealed() {
+				return bw.BusyAt(m.End()).Seconds()
+			}
+			return bw.Busy().Seconds()
+		})
 	m.GaugeFunc("hostmem_free_pages", "free physical pages",
 		[]metrics.Label{{Key: "size", Value: pageSizeLabel(mem.PageSize())}},
 		func() float64 { return float64(mem.FreePages()) })
@@ -81,8 +88,9 @@ func (h *Host) attachMetrics() {
 		func() float64 { return float64(mem.ZeroedBytes) })
 
 	// vfio: devset serialization (the paper's §3.2 bottleneck) and device
-	// lifecycle. Queue depth is event-driven and exact at every transition.
-	q := m.WatchLockQueue(h.Opts.Scope + vfio.DevsetLockPrefix)
+	// lifecycle. The driver's waiter tally sums every devset lock and is
+	// exact at every park and handoff.
+	q := h.VFIO.DevsetWaits()
 	m.GaugeFunc(MetricDevsetQueueDepth, "containers queued on a vfio devset lock", nil,
 		func() float64 { return float64(q.Depth()) })
 	m.GaugeFunc(MetricDevsetQueuePeak, "maximum observed vfio devset lock queue depth", nil,

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"fastiov/internal/cluster"
-	"fastiov/internal/hostmem"
+	"fastiov/internal/metrics"
 	"fastiov/internal/stats"
-	"fastiov/internal/vfio"
 )
 
 // saturationSweep expands a max concurrency into the sweep the saturation
@@ -25,12 +25,12 @@ func saturationSweep(max int) []int {
 
 // Saturation contrasts host saturation over time between vanilla and
 // FastIOV across a concurrency sweep, using the simulated-time metrics
-// registry: the vfio devset lock queue depth (exact, event-driven) and the
-// zeroing-bandwidth utilization curve. The paper's §3.2 claim is visible as
-// a time series: under vanilla the devset queue grows roughly linearly with
-// concurrency and membw pins at 100% through the zeroing phase, while
-// FastIOV keeps the queue near zero and defers zeroing off the startup
-// path.
+// registry: the vfio devset lock queue depth (exact, kept by the locks)
+// and the zeroing-bandwidth utilization curve. The paper's §3.2 claim is
+// visible as a time series: under vanilla the devset queue grows roughly
+// linearly with concurrency and membw pins at 100% through the zeroing
+// phase, while FastIOV keeps the queue near zero and defers zeroing off
+// the startup path.
 func (x *Exec) Saturation(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
@@ -60,10 +60,10 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 			idx++
 			q := reg.Summary(cluster.MetricDevsetQueueDepth)
 			u := reg.Summary(cluster.MetricMembwUtil)
-			peak := reg.QueuePeak(vfio.DevsetLockPrefix)
+			peak := int(reg.Final(cluster.MetricDevsetQueuePeak))
 			peaks[b] = append(peaks[b], peak)
 			t.AddRow(b, c, peak, q.Mean, u.Max, u.Mean,
-				reg.BusyIntegral(hostmem.MemBWName),
+				membwBusy(reg),
 				reg.Final(cluster.MetricZeroedBytes)/float64(1<<30),
 				reg.Samples())
 		}
@@ -100,9 +100,15 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 		"membw at c=%d: vanilla pins all streams (100%%) for %.0f%% of samples (mean %.0f%%); fastiov defers zeroing off the startup path (mean %.0f%%, busy %v vs %v)",
 		n, 100*fractionAt(van.Series(cluster.MetricMembwUtil), 100), van.Summary(cluster.MetricMembwUtil).Mean,
 		fast.Summary(cluster.MetricMembwUtil).Mean,
-		van.BusyIntegral(hostmem.MemBWName).Round(time.Millisecond), fast.BusyIntegral(hostmem.MemBWName).Round(time.Millisecond)))
+		membwBusy(van).Round(time.Millisecond), membwBusy(fast).Round(time.Millisecond)))
 	seedNote(rep, x, "saturation dashboard")
 	return rep, nil
+}
+
+// membwBusy reads a sealed host registry's membw busy integral back as a
+// duration (the counter exports it in stream-seconds).
+func membwBusy(reg *metrics.Registry) time.Duration {
+	return time.Duration(math.Round(reg.Final(cluster.MetricMembwBusy) * float64(time.Second)))
 }
 
 // fractionAt returns the fraction of samples at or above the threshold.

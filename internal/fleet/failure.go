@@ -219,8 +219,8 @@ func (f *Fleet) armCrash(c fault.HostClause, delay time.Duration) {
 // crashHost kills host hi at the current instant: every tracked proc dies
 // in ascending proc-id order (in-flight starts, async vf-init threads),
 // the fastiovd scrubber daemon dies with them, live pods are destroyed
-// releasing nothing, the host's signal watchers are reset (their probes'
-// releases from the kill unwind land first), and the generation's
+// releasing nothing, the host's signals retire the dead generation (the
+// kill unwind's releases are charged first), and the generation's
 // unreturned state is recorded on the LostToCrash ledger. Detection is
 // heartbeat-driven: the scheduler keeps seeing the host as up until the
 // monitor notices the silence.
@@ -252,11 +252,10 @@ func (f *Fleet) crashHost(p *sim.Proc, hi int) {
 	f.lostPods += len(f.live[hi])
 	f.live[hi] = nil
 
-	// Reset the watchers after the kills so the deferred releases of the
+	// Retire the signals after the kills so the deferred releases of the
 	// dying procs are charged to the dead generation, then freeze.
 	now := p.Now()
-	f.membw[hi].Reset(now)
-	f.queues[hi].Reset()
+	f.signals[hi].crash(now)
 
 	// The crash snapshot is taken after the kill sweep: whatever the
 	// unwinds gave back (CPU units, bandwidth streams) is not lost; what
@@ -301,6 +300,9 @@ func (f *Fleet) recoverHost(q *sim.Proc, hi int) {
 		f.errs = append(f.errs, fmt.Errorf("fleet: host %d recovery (gen %d): %w", hi, gen, err))
 		return
 	}
+	// The new generation's signals count from boot, not from its return
+	// to service: its scrubber already runs during the readiness delay.
+	f.signals[hi].live = h
 	q.Sleep(h.RecoveryCost(lost))
 
 	f.Hosts[hi] = h

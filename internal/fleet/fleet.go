@@ -5,9 +5,11 @@
 // so the fleet run is bit-for-bit deterministic per seed while hosts never
 // share or collide random state. Placement policies (scheduler.go) read
 // per-host signals — free VFs, in-flight starts, devset lock queue depth,
-// membw busy integral — from always-on, read-only metrics watchers, which
-// cost no simulated time and no randomness: observing a host to schedule on
-// it never perturbs it.
+// membw busy integral — straight from the substrate: the vfio driver's
+// devset waiter tally and the zeroing-bandwidth resource's busy integral
+// are kept by the sim primitives themselves. Reading them costs no
+// simulated time and no randomness, and installs no kernel probe:
+// observing a host to schedule on it never perturbs it.
 package fleet
 
 import (
@@ -20,12 +22,10 @@ import (
 	"fastiov/internal/cluster"
 	"fastiov/internal/cri"
 	"fastiov/internal/fault"
-	"fastiov/internal/hostmem"
 	"fastiov/internal/metrics"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
 	"fastiov/internal/trace"
-	"fastiov/internal/vfio"
 )
 
 // DefaultJitter spreads fleet arrivals over this window when the config
@@ -100,8 +100,8 @@ type Config struct {
 	// kernel; per-host critical paths are verified against each host's
 	// telemetry. Never perturbs the run.
 	Trace bool
-	// Metrics attaches a fleet-level sampled registry (fleet gauges +
-	// per-host watcher-backed signals). Never perturbs the run.
+	// Metrics attaches a fleet-level sampled registry (fleet gauges over
+	// the per-host signals). Never perturbs the run.
 	Metrics        bool
 	MetricsCadence time.Duration
 	// Audit stops every surviving sandbox after measurement and checks
@@ -148,14 +148,11 @@ type Fleet struct {
 	// Sched is the placement policy instance.
 	Sched Scheduler
 
-	// signals is the always-on, never-started watcher registry backing the
-	// scheduler's per-host queue-depth and membw signals. It is pure
-	// event-driven bookkeeping: chaining it costs nothing and it is chained
-	// unconditionally, so scheduled runs render identically whether or not
-	// the sampled registry is attached.
-	signals *metrics.Registry
-	membw   []*metrics.ResourceWatch
-	queues  []*metrics.QueueWatch
+	// signals backs the scheduler's per-host queue-depth and membw
+	// signals across crash generations (see hostSignal). They are read
+	// from the primitives, so scheduled runs render identically whether or
+	// not the sampled registry is attached.
+	signals []hostSignal
 
 	// Placement bookkeeping, maintained by Dispatch.
 	inflight                                 []int
@@ -198,9 +195,9 @@ type Fleet struct {
 }
 
 // New boots the fleet: one shared kernel, the optional tracer first (so its
-// stream covers host boot), the signal watchers, then each host under its
-// own scope and derived PRNG stream, and finally the optional sampled
-// metrics registry and the scheduler.
+// stream covers host boot), then each host under its own scope and derived
+// PRNG stream, and finally the optional sampled metrics registry and the
+// scheduler.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.HostSpecs) == 0 {
@@ -218,23 +215,16 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Trace {
 		f.Tracer = trace.Attach(f.K)
 	}
-	f.signals = metrics.New(0)
-	f.K.ChainProbe(f.signals.Observer())
 
 	n := len(cfg.HostSpecs)
 	f.Hosts = make([]*cluster.Host, n)
-	f.membw = make([]*metrics.ResourceWatch, n)
-	f.queues = make([]*metrics.QueueWatch, n)
+	f.signals = make([]hostSignal, n)
 	f.inflight = make([]int, n)
 	f.placements = make([]int, n)
 	f.live = make([][]*cri.Sandbox, n)
 	for i, spec := range cfg.HostSpecs {
-		scope := Scope(i)
-		f.membw[i] = f.signals.WatchResource(scope + hostmem.MemBWName)
-		f.queues[i] = f.signals.WatchLockQueue(scope + vfio.DevsetLockPrefix)
-
 		opts := base
-		opts.Scope = scope
+		opts.Scope = Scope(i)
 		opts.Seed = sim.SplitSeed(cfg.Seed, uint64(i))
 		opts.Faults = cfg.Faults
 		// The fleet owns observability and lifecycle: hosts must not install
@@ -248,6 +238,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: host %d: %w", i, err)
 		}
 		f.Hosts[i] = h
+		f.signals[i].live = h
 	}
 
 	// Failure domains arm only for plans with host-scoped crash clauses:
@@ -265,7 +256,6 @@ func New(cfg Config) (*Fleet, error) {
 		if cfg.RegisterMetrics != nil {
 			cfg.RegisterMetrics(f.Metrics)
 		}
-		f.K.ChainProbe(f.Metrics.Observer())
 		f.Metrics.Start(f.K)
 	}
 
@@ -296,20 +286,14 @@ func (f *Fleet) attachMetrics() {
 			return float64(total)
 		})
 	m.GaugeFunc(MetricFleetQueueDepth, "vfio devset lock waiters summed across hosts", nil,
-		func() float64 {
-			total := 0
-			for _, q := range f.queues {
-				total += q.Depth()
-			}
-			return float64(total)
-		})
+		func() float64 { return float64(f.DevsetWaiters()) })
 	f.startupHist = m.NewHistogram("fleet_startup_seconds", "end-to-end container startup latency fleet-wide", nil,
 		[]float64{0.25, 0.5, 1, 2, 4, 8, 16, 32})
 }
 
 // States snapshots every host's scheduler view at the current instant.
-// Pure observation: live substrate reads plus watcher state, no simulated
-// time, no PRNG draws.
+// Pure observation: live substrate reads, no simulated time, no PRNG
+// draws.
 func (f *Fleet) States() []HostState {
 	return f.fillStates(make([]HostState, len(f.Hosts)))
 }
@@ -326,13 +310,14 @@ func (f *Fleet) fillStates(out []HostState) []HostState {
 // state is host i's scheduler view (see States).
 func (f *Fleet) state(i int) HostState {
 	h := f.Hosts[i]
+	depth, _, busy := f.signals[i].read()
 	st := HostState{
 		Index:      i,
 		CapVFs:     h.Spec.NumVFs,
 		FreeVFs:    h.NIC.FreeVFs(),
 		Inflight:   f.inflight[i],
-		QueueDepth: f.queues[i].Depth(),
-		MembwBusy:  f.membw[i].Busy(),
+		QueueDepth: depth,
+		MembwBusy:  busy,
 	}
 	if f.health != nil {
 		st.Health = f.health[i]
@@ -368,8 +353,9 @@ func (f *Fleet) FreeVFHeadroom() int {
 // the paper's §3.2 serialization signal, fleet-wide.
 func (f *Fleet) DevsetWaiters() int {
 	total := 0
-	for _, q := range f.queues {
-		total += q.Depth()
+	for i := range f.signals {
+		depth, _, _ := f.signals[i].read()
+		total += depth
 	}
 	return total
 }
@@ -377,10 +363,44 @@ func (f *Fleet) DevsetWaiters() int {
 // MembwBusyTotal sums every host's zeroing-bandwidth busy integral so far.
 func (f *Fleet) MembwBusyTotal() time.Duration {
 	var total time.Duration
-	for _, w := range f.membw {
-		total += w.Busy()
+	for i := range f.signals {
+		_, _, busy := f.signals[i].read()
+		total += busy
 	}
 	return total
+}
+
+// hostSignal reads one host's saturation signals across crash generations:
+// the live generation's vfio devset waiter tally and zeroing-bandwidth
+// busy integral, plus what dead generations left behind. A crash banks the
+// dead generation's integral extended to the crash instant and keeps its
+// peak; its depth stops counting, since killed waiters never get the
+// handoff that would dequeue them. The recovered generation is counted
+// from the moment it boots, before it returns to service.
+type hostSignal struct {
+	live     *cluster.Host // nil from a crash until the next generation boots
+	deadBusy time.Duration
+	deadPeak int
+}
+
+// read returns the live generation's devset queue depth, the deepest
+// queue any generation reached, and the membw busy integral over every
+// generation (the live one through its last change).
+func (s *hostSignal) read() (depth, peak int, busy time.Duration) {
+	peak, busy = s.deadPeak, s.deadBusy
+	if s.live != nil {
+		w := s.live.VFIO.DevsetWaits()
+		depth, peak = w.Depth(), max(peak, w.Peak())
+		busy += s.live.Mem.Bandwidth().Busy()
+	}
+	return depth, peak, busy
+}
+
+// crash retires the live generation at instant at.
+func (s *hostSignal) crash(at time.Duration) {
+	_, s.deadPeak, _ = s.read()
+	s.deadBusy += s.live.Mem.Bandwidth().BusyAt(at)
+	s.live = nil
 }
 
 // Result carries one fleet run's outcome.
@@ -723,9 +743,8 @@ func (f *Fleet) Finish() *Result {
 	res.Placements = append([]int(nil), f.placements...)
 	res.QueuePeaks = make([]int, len(f.Hosts))
 	res.MembwBusy = make([]time.Duration, len(f.Hosts))
-	for i := range f.Hosts {
-		res.QueuePeaks[i] = f.queues[i].Peak()
-		res.MembwBusy[i] = f.membw[i].Busy()
+	for i := range f.signals {
+		_, res.QueuePeaks[i], res.MembwBusy[i] = f.signals[i].read()
 	}
 	res.Trace = f.Tracer
 
@@ -747,9 +766,10 @@ func (f *Fleet) Finish() *Result {
 	}
 
 	if cfg.Audit {
-		// Detach the probe before teardown so the trace stream, the sealed
-		// registry, and the watcher peaks cover exactly the measured phase —
-		// audited runs stay byte-identical to unaudited ones.
+		// Detach the tracer before teardown so the trace stream covers
+		// exactly the measured phase — audited runs stay byte-identical to
+		// unaudited ones. The signals were read above and the registry is
+		// sealed.
 		f.K.SetProbe(nil)
 		for hi, sbs := range live {
 			h := f.Hosts[hi]

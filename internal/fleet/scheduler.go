@@ -1,8 +1,8 @@
 // Fleet scheduling: the placement policies that choose a host for each
 // arriving container start. Policies see a read-only HostState snapshot per
-// host, taken at the arrival instant from live substrate state and the
-// event-driven metrics watchers (free VFs, in-flight starts, devset lock
-// queue depth, membw busy integral). Every policy is deterministic given
+// host, taken at the arrival instant from live substrate state (free VFs,
+// in-flight starts, and the devset lock queue depth and membw busy
+// integral the sim primitives keep). Every policy is deterministic given
 // its inputs (the random policy draws from its own injected PRNG stream),
 // so fleet runs stay bit-for-bit reproducible.
 package fleet
@@ -63,11 +63,12 @@ type HostState struct {
 	FreeVFs int
 	// Inflight counts container starts currently in progress on the host.
 	Inflight int
-	// QueueDepth is the host's current VFIO devset lock queue depth (exact,
-	// event-driven; the §3.2 serialization signal).
+	// QueueDepth is the host's current VFIO devset lock queue depth (exact
+	// at every park and handoff; the §3.2 serialization signal).
 	QueueDepth int
 	// MembwBusy is the host's accumulated zeroing-bandwidth busy integral
-	// in stream-time (event-driven; the §3.3 bandwidth-pressure signal).
+	// in stream-time through its last change (exact at every acquire and
+	// release; the §3.3 bandwidth-pressure signal).
 	MembwBusy time.Duration
 	// Health is the host's failure-domain state (see Health). The zero
 	// value is HealthUp, so states built without failure tracking are

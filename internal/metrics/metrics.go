@@ -13,12 +13,13 @@
 //     takes no locks, holds no resources, and never touches the kernel's
 //     PRNG, so the relative order of every other event is unchanged and a
 //     metrics-enabled run renders byte-identically to a metrics-off run.
-//   - Event-driven watchers (resource busy integrals, lock queue depths)
-//     hang off the kernel probe stream (internal/sim probe hooks) and only
-//     observe.
+//   - Saturation signals (resource busy integrals, lock queue depths) are
+//     kept exactly by the sim primitives that own the state; instruments
+//     read them like any other substrate counter. The registry consumes no
+//     kernel probe events.
 //
-// After Seal, the registry is frozen: final values are snapshotted, probe
-// events are ignored, and the three exporters (OpenMetrics text, CSV time
+// After Seal, the registry is frozen: final values are snapshotted, further
+// samples are ignored, and the three exporters (OpenMetrics text, CSV time
 // series, ASCII dashboard) render byte-deterministic output — a pure
 // function of the seeded simulation.
 package metrics
@@ -223,73 +224,14 @@ func (h *Histogram) CountAbove(v float64) uint64 {
 	return h.total - le
 }
 
-// ResourceWatch tracks a sim.Resource through the probe stream, maintaining
-// the exact time-weighted busy integral (units x time): every acquire and
-// release updates the integral at event granularity, so conservation
-// properties hold exactly instead of up to sampling error.
-type ResourceWatch struct {
-	name  string
-	inUse int64
-	last  sim.Duration
-	busy  int64 // unit-nanoseconds
-}
-
-// InUse returns the units currently held, as observed via the probe.
-func (w *ResourceWatch) InUse() int64 { return w.inUse }
-
-// Busy returns the accumulated busy integral in unit-seconds, expressed as
-// a duration (1 unit held for 1 s == 1 s).
-func (w *ResourceWatch) Busy() time.Duration { return time.Duration(w.busy) }
-
-// update advances the integral to at, then applies the in-use delta.
-func (w *ResourceWatch) update(at sim.Duration, delta int64) {
-	w.busy += w.inUse * int64(at-w.last)
-	w.last = at
-	w.inUse += delta
-}
-
-// Reset zeroes the in-use level after advancing the busy integral to at.
-// A host crash kills procs that hold units without a release probe ever
-// firing; the fleet calls Reset at the crash instant so the integral stops
-// charging the dead holders and the recovered generation (whose primitives
-// reuse the scoped name) starts from an empty watch.
-func (w *ResourceWatch) Reset(at sim.Duration) {
-	w.busy += w.inUse * int64(at-w.last)
-	w.last = at
-	w.inUse = 0
-}
-
-// QueueWatch tracks the waiter-queue depth of every lock whose name matches
-// a prefix, via the probe stream: a Block on the lock enters the queue, a
-// contended Acquire (FIFO handoff, Waker != nil) leaves it. Peak is exact —
-// it observes every transition, not just sample instants.
-type QueueWatch struct {
-	prefix string
-	depth  int
-	peak   int
-}
-
-// Depth returns the current waiter count.
-func (q *QueueWatch) Depth() int { return q.depth }
-
-// Peak returns the maximum waiter count observed.
-func (q *QueueWatch) Peak() int { return q.peak }
-
-// Reset zeroes the current depth, keeping the peak. A host crash kills
-// blocked waiters whose dequeue handoff never fires; the fleet calls Reset
-// at the crash instant so the corpses stop counting as queued.
-func (q *QueueWatch) Reset() { q.depth = 0 }
-
 // Registry is a set of instruments plus their sampled time series.
 type Registry struct {
-	cadence   time.Duration
-	insts     []*instrument
-	byID      map[string]*instrument
-	times     []sim.Duration
-	end       sim.Duration
-	sealed    bool
-	resources map[string]*ResourceWatch
-	queues    []*QueueWatch
+	cadence time.Duration
+	insts   []*instrument
+	byID    map[string]*instrument
+	times   []sim.Duration
+	end     sim.Duration
+	sealed  bool
 }
 
 // New returns an empty registry sampling at the given cadence (<= 0 selects
@@ -299,9 +241,8 @@ func New(cadence time.Duration) *Registry {
 		cadence = DefaultCadence
 	}
 	return &Registry{
-		cadence:   cadence,
-		byID:      make(map[string]*instrument),
-		resources: make(map[string]*ResourceWatch),
+		cadence: cadence,
+		byID:    make(map[string]*instrument),
 	}
 }
 
@@ -341,79 +282,6 @@ func (r *Registry) NewHistogram(name, help string, labels []Label, buckets []flo
 	return h
 }
 
-// WatchResource registers an event-driven busy-integral tracker for the
-// named sim.Resource. The returned watch is fed by Observer; it must be
-// registered before any simulated work runs.
-func (r *Registry) WatchResource(name string) *ResourceWatch {
-	if w, ok := r.resources[name]; ok {
-		return w
-	}
-	w := &ResourceWatch{name: name}
-	r.resources[name] = w
-	return w
-}
-
-// WatchLockQueue registers an event-driven waiter-queue tracker for every
-// mutex/rwmutex whose name starts with prefix.
-func (r *Registry) WatchLockQueue(prefix string) *QueueWatch {
-	q := &QueueWatch{prefix: prefix}
-	r.queues = append(r.queues, q)
-	return q
-}
-
-// lockClass reports whether a probe wait class is a mutex-family lock.
-func lockClass(c sim.WaitClass) bool {
-	return c == sim.WaitMutex || c == sim.WaitRWRead || c == sim.WaitRWWrite
-}
-
-// Observer returns the registry's kernel probe: it feeds the resource and
-// lock-queue watchers and only observes (it never calls back into the
-// scheduler). Install it with sim.Kernel.ChainProbe so it composes with the
-// tracing probe.
-func (r *Registry) Observer() func(at sim.Duration, ev sim.ProbeEvent) {
-	return func(at sim.Duration, ev sim.ProbeEvent) {
-		if r.sealed {
-			return
-		}
-		switch ev.Kind {
-		case sim.ProbeAcquire:
-			if ev.Class == sim.WaitResource {
-				if w := r.resources[ev.Obj]; w != nil {
-					w.update(at, ev.N)
-				}
-				return
-			}
-			// A contended FIFO handoff (Waker != nil) is the instant the
-			// waiter leaves the lock's queue; uncontended acquires never
-			// queued.
-			if ev.Waker != nil && lockClass(ev.Class) {
-				for _, q := range r.queues {
-					if strings.HasPrefix(ev.Obj, q.prefix) {
-						q.depth--
-					}
-				}
-			}
-		case sim.ProbeRelease:
-			if ev.Class == sim.WaitResource {
-				if w := r.resources[ev.Obj]; w != nil {
-					w.update(at, -ev.N)
-				}
-			}
-		case sim.ProbeBlock:
-			if lockClass(ev.Class) {
-				for _, q := range r.queues {
-					if strings.HasPrefix(ev.Obj, q.prefix) {
-						q.depth++
-						if q.depth > q.peak {
-							q.peak = q.depth
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // Start launches the sampler as a daemon Proc: it snapshots every
 // instrument now and then every cadence until the simulation quiesces.
 // Daemons do not keep the simulation alive and are reaped when Run
@@ -438,22 +306,20 @@ func (r *Registry) sample(at sim.Duration) {
 	}
 }
 
-// Seal freezes the registry at the end of the measured phase: resource
-// integrals are extended to end, every instrument's final value is
-// snapshotted, and all further probe events and samples are ignored.
+// Seal freezes the registry at the end of the measured phase: every
+// instrument's final value is snapshotted and all further samples are
+// ignored. The registry reads as sealed at end while the finals are taken,
+// so an instrument over a time integral can extend it to End.
 // Idempotent — only the first call takes effect.
 func (r *Registry) Seal(end sim.Duration) {
 	if r.sealed {
 		return
 	}
-	for _, w := range r.resources {
-		w.update(end, 0)
-	}
+	r.end = end
+	r.sealed = true
 	for _, in := range r.insts {
 		in.final = in.value()
 	}
-	r.end = end
-	r.sealed = true
 }
 
 // Sealed reports whether the registry has been frozen.
@@ -490,26 +356,6 @@ func (r *Registry) Series(id string) []float64 {
 func (r *Registry) Final(id string) float64 {
 	if in, ok := r.byID[id]; ok {
 		return in.final
-	}
-	return 0
-}
-
-// BusyIntegral returns the exact time-weighted busy integral of a watched
-// resource (unit-seconds as a duration), or 0 if the resource is unwatched.
-func (r *Registry) BusyIntegral(resource string) time.Duration {
-	if w, ok := r.resources[resource]; ok {
-		return w.Busy()
-	}
-	return 0
-}
-
-// QueuePeak returns the exact peak waiter depth of the first queue watch
-// with the given prefix (0 if none).
-func (r *Registry) QueuePeak(prefix string) int {
-	for _, q := range r.queues {
-		if q.prefix == prefix {
-			return q.peak
-		}
 	}
 	return 0
 }

@@ -113,95 +113,33 @@ func TestGaugeSeriesTracksValue(t *testing.T) {
 	}
 }
 
-// TestResourceWatchExactIntegral drives a capacity-2 resource through
-// overlapping holds and checks the probe-fed busy integral is exact: one
-// unit for 30 ms plus one unit for 10 ms = 40 unit-ms, independent of the
-// sampling cadence.
-func TestResourceWatchExactIntegral(t *testing.T) {
-	k := sim.NewKernel(1)
-	r := New(time.Second) // cadence far coarser than the events
-	res := sim.NewResource("pool", 2)
-	w := r.WatchResource("pool")
-	k.ChainProbe(r.Observer())
-	r.Start(k)
-	k.Go("a", func(p *sim.Proc) {
-		res.Acquire(p, 1)
-		p.Sleep(30 * time.Millisecond)
-		res.Release(p, 1)
-	})
-	k.Go("b", func(p *sim.Proc) {
-		p.Sleep(10 * time.Millisecond)
-		res.Acquire(p, 1)
-		p.Sleep(10 * time.Millisecond)
-		res.Release(p, 1)
-	})
-	end := k.Run()
-	r.Seal(end)
-	if got, want := w.Busy(), 40*time.Millisecond; got != want {
-		t.Fatalf("busy integral = %v, want %v", got, want)
-	}
-	if r.BusyIntegral("pool") != w.Busy() {
-		t.Fatal("BusyIntegral disagrees with the watch")
-	}
-	if w.InUse() != 0 {
-		t.Fatalf("in-use at quiesce = %d, want 0", w.InUse())
-	}
-}
-
-// TestQueueWatchDepthAndPeak drives three procs through one mutex: with a
-// 30 ms hold, the queue reaches depth 2 and drains one FIFO handoff at a
-// time. Peak is exact (event-driven), not sampled.
-func TestQueueWatchDepthAndPeak(t *testing.T) {
-	k := sim.NewKernel(1)
-	r := New(time.Second)
-	mu := sim.NewMutex("vfio-devset-0")
-	q := r.WatchLockQueue("vfio-devset-")
-	k.ChainProbe(r.Observer())
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Go("p", func(p *sim.Proc) {
-			p.Sleep(time.Duration(i) * time.Millisecond)
-			mu.Lock(p)
-			p.Sleep(30 * time.Millisecond)
-			mu.Unlock(p)
-		})
-	}
-	end := k.Run()
-	r.Seal(end)
-	if q.Peak() != 2 {
-		t.Fatalf("queue peak = %d, want 2", q.Peak())
-	}
-	if q.Depth() != 0 {
-		t.Fatalf("queue depth at quiesce = %d, want 0", q.Depth())
-	}
-	if r.QueuePeak("vfio-devset-") != 2 {
-		t.Fatal("QueuePeak disagrees with the watch")
-	}
-	if r.QueuePeak("other-") != 0 {
-		t.Fatal("QueuePeak invented a watch")
-	}
-}
-
-// TestSealIdempotentAndObserverFrozen checks Seal only takes effect once
-// and that post-seal probe events and samples are ignored.
-func TestSealIdempotentAndObserverFrozen(t *testing.T) {
+// TestSealIdempotentAndFrozen checks Seal only takes effect once, that
+// finals are snapshotted with the registry already reading as sealed at
+// end (so an integral instrument can extend itself to End), and that
+// post-seal samples are ignored.
+func TestSealIdempotentAndFrozen(t *testing.T) {
 	r := New(time.Millisecond)
 	v := 1.0
 	r.GaugeFunc("g", "g", nil, func() float64 { return v })
-	w := r.WatchResource("pool")
-	obs := r.Observer()
-	obs(0, sim.ProbeEvent{Kind: sim.ProbeAcquire, Class: sim.WaitResource, Obj: "pool", N: 1})
+	r.CounterFunc("busy_total", "busy", nil, func() float64 {
+		if r.Sealed() {
+			return r.End().Seconds()
+		}
+		return 0
+	})
 	r.sample(0)
 	r.Seal(10 * time.Millisecond)
 	if !r.Sealed() {
 		t.Fatal("not sealed")
 	}
-	busy := w.Busy()
-	obs(20*time.Millisecond, sim.ProbeEvent{Kind: sim.ProbeRelease, Class: sim.WaitResource, Obj: "pool", N: 1})
+	if got := r.Final("busy_total"); got != 0.01 {
+		t.Fatalf("final read before the seal took effect: %v, want 0.01", got)
+	}
+	v = 2
 	r.sample(20 * time.Millisecond)
 	r.Seal(20 * time.Millisecond)
-	if w.Busy() != busy {
-		t.Fatal("post-seal probe event moved the integral")
+	if r.Final("g") != 1 {
+		t.Fatalf("second Seal moved the final: %v", r.Final("g"))
 	}
 	if r.Samples() != 1 {
 		t.Fatalf("post-seal sample recorded: %d", r.Samples())

@@ -114,8 +114,9 @@ func (k *Kernel) SetProbe(fn func(at Duration, ev ProbeEvent)) { k.probe = fn }
 
 // ChainProbe installs fn downstream of any already-installed probe: each
 // event is delivered first to the existing probe, then to fn. This lets
-// independent observers (tracing, metrics) share the single probe slot.
-// Like SetProbe, it must be called before any simulated work runs.
+// independent observers (the tracer, a benchmark's event counter) share
+// the single probe slot. Like SetProbe, it must be called before any
+// simulated work runs.
 func (k *Kernel) ChainProbe(fn func(at Duration, ev ProbeEvent)) {
 	prev := k.probe
 	if prev == nil {

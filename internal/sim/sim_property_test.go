@@ -70,12 +70,16 @@ func TestResourceCapacityProperty(t *testing.T) {
 		}
 		k := NewKernel(3)
 		r := NewResource("r", 7)
+		var held Duration
 		for _, s := range sizes {
 			n := int64(s%7) + 1
+			held += Duration(n) * time.Duration(s) * time.Microsecond
 			k.Go("u", func(p *Proc) { r.Use(p, n, time.Duration(s)*time.Microsecond) })
 		}
-		k.Run()
-		return r.MaxInUse <= 7 && r.InUse() == 0
+		end := k.Run()
+		// Every hold is charged in full, and the units held never exceed
+		// the capacity at any instant, so the integral is at most 7×end.
+		return r.Busy() == held && r.Busy() <= 7*end && r.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

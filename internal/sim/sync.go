@@ -13,22 +13,23 @@ type Mutex struct {
 	name    string
 	owner   *Proc
 	waiters []*Proc
-
-	// Contended counts Lock calls that had to wait; Acquisitions counts all
-	// Lock calls. Experiments use these to report contention statistics.
-	Contended    uint64
-	Acquisitions uint64
+	count   *WaitCount // nil unless CountWaiters attached one
 }
 
 // NewMutex returns a named mutex. The name appears in deadlock reports.
 func NewMutex(name string) *Mutex { return &Mutex{name: name} }
+
+// CountWaiters makes m tally its parked waiters into c and returns m.
+func (m *Mutex) CountWaiters(c *WaitCount) *Mutex {
+	m.count = c
+	return m
+}
 
 // Name returns the mutex's name.
 func (m *Mutex) Name() string { return m.name }
 
 // Lock acquires m, blocking p until the mutex is available.
 func (m *Mutex) Lock(p *Proc) {
-	m.Acquisitions++
 	if m.owner == nil {
 		m.owner = p
 		if p.k.probing() {
@@ -39,8 +40,8 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic("sim: recursive Lock of " + m.name + " by " + p.name)
 	}
-	m.Contended++
 	m.waiters = append(m.waiters, p)
+	m.count.add(p.k, 1)
 	p.park(WaitMutex, m.name)
 }
 
@@ -49,7 +50,6 @@ func (m *Mutex) TryLock(p *Proc) bool {
 	if m.owner != nil {
 		return false
 	}
-	m.Acquisitions++
 	m.owner = p
 	if p.k.probing() {
 		p.k.emit(ProbeAcquire, WaitMutex, m.name, p, nil, 0)
@@ -76,6 +76,7 @@ func (m *Mutex) Unlock(p *Proc) {
 			continue
 		}
 		m.owner = next
+		m.count.add(p.k, -1)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitMutex, m.name, next, p, 0)
 		}
@@ -87,6 +88,31 @@ func (m *Mutex) Unlock(p *Proc) {
 
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.owner != nil }
+
+// WaitCount tallies the procs parked on a group of locks: the current
+// waiter depth and its peak. Every lock attached with CountWaiters adds to
+// the same tally, so the peak is taken over the group's summed depth. The
+// depth rises when a waiter parks and drops at the FIFO handoff that grants
+// it the lock, not when it resumes. A waiter killed while parked is skipped
+// at handoff and stays counted. Transitions during Kernel abort are not
+// counted: that unwind is not part of the observed execution.
+type WaitCount struct {
+	depth, peak int
+}
+
+// Depth returns the current number of parked waiters.
+func (c *WaitCount) Depth() int { return c.depth }
+
+// Peak returns the largest depth reached.
+func (c *WaitCount) Peak() int { return c.peak }
+
+func (c *WaitCount) add(k *Kernel, delta int) {
+	if c == nil || k.aborted {
+		return
+	}
+	c.depth += delta
+	c.peak = max(c.peak, c.depth)
+}
 
 // rwWaiter is an entry in an RWMutex wait queue.
 type rwWaiter struct {
@@ -103,20 +129,23 @@ type RWMutex struct {
 	readers int
 	writer  *Proc
 	waiters []rwWaiter
-
-	Contended    uint64
-	Acquisitions uint64
+	count   *WaitCount // nil unless CountWaiters attached one
 }
 
 // NewRWMutex returns a named reader/writer lock.
 func NewRWMutex(name string) *RWMutex { return &RWMutex{name: name} }
+
+// CountWaiters makes rw tally its parked waiters into c and returns rw.
+func (rw *RWMutex) CountWaiters(c *WaitCount) *RWMutex {
+	rw.count = c
+	return rw
+}
 
 // Name returns the lock's name.
 func (rw *RWMutex) Name() string { return rw.name }
 
 // RLock acquires a read (shared) hold.
 func (rw *RWMutex) RLock(p *Proc) {
-	rw.Acquisitions++
 	if rw.writer == nil && len(rw.waiters) == 0 {
 		rw.readers++
 		if p.k.probing() {
@@ -124,8 +153,8 @@ func (rw *RWMutex) RLock(p *Proc) {
 		}
 		return
 	}
-	rw.Contended++
 	rw.waiters = append(rw.waiters, rwWaiter{p, false})
+	rw.count.add(p.k, 1)
 	p.park(WaitRWRead, rw.name)
 }
 
@@ -145,7 +174,6 @@ func (rw *RWMutex) RUnlock(p *Proc) {
 
 // Lock acquires the write (exclusive) hold.
 func (rw *RWMutex) Lock(p *Proc) {
-	rw.Acquisitions++
 	if rw.writer == nil && rw.readers == 0 && len(rw.waiters) == 0 {
 		rw.writer = p
 		if p.k.probing() {
@@ -153,8 +181,8 @@ func (rw *RWMutex) Lock(p *Proc) {
 		}
 		return
 	}
-	rw.Contended++
 	rw.waiters = append(rw.waiters, rwWaiter{p, true})
+	rw.count.add(p.k, 1)
 	p.park(WaitRWWrite, rw.name)
 }
 
@@ -185,6 +213,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 		next := rw.waiters[0].p
 		rw.waiters = rw.waiters[1:]
 		rw.writer = next
+		rw.count.add(p.k, -1)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWWrite, rw.name, next, p, 0)
 		}
@@ -198,6 +227,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 			continue
 		}
 		rw.readers++
+		rw.count.add(p.k, -1)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWRead, rw.name, next, p, 0)
 		}
@@ -222,10 +252,13 @@ type Resource struct {
 	inUse int64
 	waitq []resWaiter
 
-	// MaxInUse tracks the high-water mark, Waits the number of blocking
-	// acquisitions.
-	MaxInUse int64
-	Waits    uint64
+	// busy is the time-weighted busy integral in unit-nanoseconds through
+	// the last charged change at last, and level the in-use count it
+	// charges. Changes made during Kernel abort are not charged, so after
+	// an aborted Run level can differ from inUse.
+	busy  int64
+	last  Duration
+	level int64
 }
 
 // NewResource returns a resource with the given capacity in abstract units.
@@ -245,29 +278,38 @@ func (r *Resource) Cap() int64 { return r.cap }
 // InUse returns the units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
+// Busy returns the busy integral through the last change in units held:
+// 1 unit held for 1 s is 1 s.
+func (r *Resource) Busy() Duration { return Duration(r.busy) }
+
+// BusyAt returns the busy integral extended to at (not before the last
+// change), as if the units held stayed held until then.
+func (r *Resource) BusyAt(at Duration) Duration {
+	return Duration(r.busy + r.level*int64(at-r.last))
+}
+
 // Acquire blocks p until n units are available.
 func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %s", n, r.cap, r.name))
 	}
 	if len(r.waitq) == 0 && r.inUse+n <= r.cap {
-		r.take(n)
+		r.adjust(p.k, n)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitResource, r.name, p, nil, n)
 		}
 		return
 	}
-	r.Waits++
 	r.waitq = append(r.waitq, resWaiter{p, n})
 	p.park(WaitResource, r.name)
 }
 
 // Release returns n units and admits queued waiters in FIFO order.
 func (r *Resource) Release(p *Proc, n int64) {
-	r.inUse -= n
-	if r.inUse < 0 {
+	if r.inUse < n {
 		panic("sim: over-release of " + r.name)
 	}
+	r.adjust(p.k, -n)
 	if p.k.probing() {
 		p.k.emit(ProbeRelease, WaitResource, r.name, p, nil, n)
 	}
@@ -283,7 +325,7 @@ func (r *Resource) Release(p *Proc, n int64) {
 		}
 		w := r.waitq[0]
 		r.waitq = r.waitq[1:]
-		r.take(w.n)
+		r.adjust(p.k, w.n)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitResource, r.name, w.p, p, w.n)
 		}
@@ -301,11 +343,16 @@ func (r *Resource) Use(p *Proc, n int64, d Duration) {
 	p.Sleep(d)
 }
 
-func (r *Resource) take(n int64) {
-	r.inUse += n
-	if r.inUse > r.MaxInUse {
-		r.MaxInUse = r.inUse
+// adjust applies delta to the units held and, unless k is aborting,
+// advances the busy integral to now and applies delta to the charged level.
+func (r *Resource) adjust(k *Kernel, delta int64) {
+	r.inUse += delta
+	if k.aborted {
+		return
 	}
+	r.busy += r.level * int64(k.now-r.last)
+	r.last = k.now
+	r.level += delta
 }
 
 // WaitGroup mirrors sync.WaitGroup for simulated threads.

@@ -111,8 +111,8 @@ type Driver struct {
 	// Scope prefixes every lock name the driver creates (devset and
 	// per-device locks). Multi-host simulations sharing one kernel set a
 	// per-host scope (e.g. "h003-") before the first Register so name-matching
-	// observers (trace profiles, metrics queue watchers) can tell hosts
-	// apart; the empty default keeps the historical names.
+	// observers (trace profiles) can tell hosts apart; the empty default
+	// keeps the historical names.
 	Scope string
 
 	busSets   map[int]*DevSet // bus number -> shared devset
@@ -121,6 +121,10 @@ type Driver struct {
 	nextSet   int
 	nextGroup int
 	nextCont  int
+
+	// devsetWaits tallies the procs parked on any of the driver's devset
+	// locks (see DevsetWaits).
+	devsetWaits sim.WaitCount
 }
 
 // New creates a driver.
@@ -139,6 +143,11 @@ func New(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.I
 
 // Mode returns the configured lock discipline.
 func (d *Driver) Mode() LockMode { return d.mode }
+
+// DevsetWaits is the host's devset queue: the procs parked on any devset
+// lock, summed over every devset and both disciplines, with the peak taken
+// over that sum — the paper's §3.2 serialization signal.
+func (d *Driver) DevsetWaits() *sim.WaitCount { return &d.devsetWaits }
 
 // DevSet groups devices sharing a reset domain (§3.2.2).
 type DevSet struct {
@@ -159,11 +168,6 @@ func (s *DevSet) Devices() []*Device { return s.devices }
 
 // TotalOpen returns the devset-wide open count.
 func (s *DevSet) TotalOpen() int { return s.totalOpen }
-
-// GlobalLockStats exposes contention counters for the experiment reports.
-func (s *DevSet) GlobalLockStats() (acquisitions, contended uint64) {
-	return s.global.Acquisitions, s.global.Contended
-}
 
 // Device is a VFIO-bound device.
 type Device struct {
@@ -235,10 +239,11 @@ const DevLockPrefix = "vfio-dev-"
 
 func (d *Driver) newSet() *DevSet {
 	d.nextSet++
+	name := fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)
 	return &DevSet{
 		ID:     d.nextSet,
-		global: sim.NewMutex(fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)),
-		rw:     sim.NewRWMutex(fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)),
+		global: sim.NewMutex(name).CountWaiters(&d.devsetWaits),
+		rw:     sim.NewRWMutex(name).CountWaiters(&d.devsetWaits),
 	}
 }
 
@@ -281,8 +286,8 @@ func (d *Driver) Clone(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator
 		cs := &DevSet{
 			ID:        s.ID,
 			totalOpen: s.totalOpen,
-			global:    sim.NewMutex(s.global.Name()),
-			rw:        sim.NewRWMutex(s.rw.Name()),
+			global:    sim.NewMutex(s.global.Name()).CountWaiters(&c.devsetWaits),
+			rw:        sim.NewRWMutex(s.rw.Name()).CountWaiters(&c.devsetWaits),
 		}
 		setMap[s] = cs
 		// Member order is preserved: ResetSet iterates it, so a reordered
