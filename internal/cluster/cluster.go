@@ -436,7 +436,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	if opts.LazyZeroing {
 		h.Lazy = fastiovd.New(k, h.Mem)
 		h.Lazy.Faults = h.Faults
-		h.KVM.Hook = h.Lazy.OnEPTFault
+		h.KVM.Hook = h.Lazy
 		if !opts.DisableScrubber {
 			h.Lazy.StartScrubber(2*time.Millisecond, 8)
 		}

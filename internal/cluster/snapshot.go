@@ -146,7 +146,7 @@ func RestoreSnapshot(snap *Snapshot) (*Host, error) {
 	if opts.LazyZeroing {
 		h.Lazy = fastiovd.New(k, h.Mem)
 		h.Lazy.Faults = h.Faults
-		h.KVM.Hook = h.Lazy.OnEPTFault
+		h.KVM.Hook = h.Lazy
 		if !opts.DisableScrubber {
 			h.Lazy.StartScrubber(2*time.Millisecond, 8)
 		}

@@ -59,7 +59,7 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 	var mod *fastiovd.Module
 	if cfg.lazy {
 		mod = fastiovd.New(k, mem)
-		kv.Hook = mod.OnEPTFault
+		kv.Hook = mod
 	}
 	if !cfg.rebind && !cfg.noNet {
 		for _, vf := range card.VFs() {

@@ -77,12 +77,11 @@ type Module struct {
 	// ScrubberStalls counts wakes lost to injected stalls.
 	ScrubberStalls int
 
-	// scrubProc is the live scrubber daemon (nil before StartScrubber);
-	// scrubInterval and scrubPagesPerPass remember its configuration so
-	// CrashDaemon can restart it identically.
-	scrubProc         *sim.Proc
-	scrubInterval     time.Duration
-	scrubPagesPerPass int
+	// scrubProc is the live scrubber daemon (nil before StartScrubber) and
+	// scrub its state, which keeps the configuration CrashDaemon restarts
+	// it with.
+	scrubProc *sim.Proc
+	scrub     scrubber
 	// ScrubberRestarts counts daemon-crash failovers (CrashDaemon calls).
 	ScrubberRestarts int
 }
@@ -193,49 +192,82 @@ func (m *Module) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
 		m.LazyZeroed++
 		return
 	}
-	for i := range m.inflight {
-		if c := &m.inflight[i]; c.page == hpaPage && c.current {
-			if c.ev == nil {
-				c.ev = sim.NewEvent(m.k, "fastiovd-zero")
-			}
-			c.ev.Await(p)
-			return
+	if c := m.current(hpaPage); c != nil {
+		if c.ev == nil {
+			c.ev = sim.NewEvent(m.k, "fastiovd-zero")
 		}
+		c.ev.Await(p)
 	}
 }
 
-// claimAndZero removes the page from pid's table s (claiming it), publishes
-// an in-flight claim, performs the zeroing, and signals completion. If the
-// zeroing Proc is unwound mid-zero (the scrubber daemon reaped at the end
-// of a Run phase), the claim is rolled back so the page is still tracked —
-// and still gets zeroed before any later exposure.
+// FaultPending reports whether OnEPTFault has work for the page: it is
+// tracked for pid, or a claim on it is in flight. When it reports false,
+// OnEPTFault would return at once, so KVM may skip the call.
+func (m *Module) FaultPending(pid int, hpaPage int64) bool {
+	if s := m.tables[pid]; s != nil && s.has(hpaPage) {
+		return true
+	}
+	return m.current(hpaPage) != nil
+}
+
+// current returns the in-flight claim a fault on page waits for, if any.
+func (m *Module) current(page int64) *claim {
+	for i := range m.inflight {
+		if c := &m.inflight[i]; c.page == page && c.current {
+			return c
+		}
+	}
+	return nil
+}
+
+// claimAndZero claims the page, zeroes it, and signals completion. If the
+// zeroing Proc is unwound mid-zero, the claim is rolled back so the page is
+// still tracked — and still gets zeroed before any later exposure.
 func (m *Module) claimAndZero(p *sim.Proc, pid int, s *pageSet, hpaPage int64) {
-	s.remove(hpaPage)
+	id := m.claimPage(pid, s, hpaPage)
+	completed := false
+	defer func() {
+		if completed {
+			m.complete(p, id)
+		} else {
+			m.rollback(id)
+		}
+	}()
+	m.audit(hpaPage)
+	m.mem.ZeroPage(p, hpaPage)
+	completed = true
+}
+
+// claimPage removes the page from pid's table s and publishes an in-flight
+// claim on it, returning the claim's id. The zeroer ends the claim with
+// complete or rollback.
+func (m *Module) claimPage(pid int, s *pageSet, page int64) uint64 {
+	s.remove(page)
 	m.tracked--
 	if s.n == 0 {
 		delete(m.tables, pid)
 	}
 	m.claims++
-	id := m.claims
-	m.uncurrent(hpaPage)
-	m.inflight = append(m.inflight, claim{id: id, page: hpaPage, pid: pid, current: true})
-	completed := false
-	defer func() {
-		c := m.finish(id)
-		if completed {
-			if c.ev != nil {
-				c.ev.Fire(p)
-			}
-			return
-		}
-		// Unwound mid-zero: restore the claim — unless the owner was torn
-		// down in the meantime.
-		if !c.released {
-			m.track(pid, hpaPage, 1)
-		}
-	}()
-	m.zero(p, hpaPage)
-	completed = true
+	m.uncurrent(page)
+	m.inflight = append(m.inflight, claim{id: m.claims, page: page, pid: pid, current: true})
+	return m.claims
+}
+
+// complete ends claim id once its page is zeroed, waking the faults that
+// wait for it.
+func (m *Module) complete(p *sim.Proc, id uint64) {
+	if c := m.finish(id); c.ev != nil {
+		c.ev.Fire(p)
+	}
+}
+
+// rollback ends claim id whose zeroer was unwound mid-zero (a scrubber
+// reaped at the end of a Run phase, a killed proc): the page is tracked
+// again — unless its owner was torn down in the meantime.
+func (m *Module) rollback(id uint64) {
+	if c := m.finish(id); !c.released {
+		m.track(c.pid, c.page, 1)
+	}
 }
 
 // uncurrent clears the current mark of every claim on page.
@@ -281,9 +313,9 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 	if m.scrubProc == nil {
 		return
 	}
-	// Kill the daemon. If it is mid-zero, claimAndZero's deferred rollback
-	// re-tracks the in-flight page, so nothing is lost — only the queue
-	// order it had accumulated.
+	// Kill the daemon. If it is mid-zero, its unwind re-tracks the
+	// in-flight page, so nothing is lost — only the queue order it had
+	// accumulated.
 	m.k.Kill(m.scrubProc)
 	m.scrubProc = nil
 	// The dying pass may have re-queued its in-flight page; the rebuild
@@ -305,16 +337,15 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 		p.Sleep(cost)
 	}
 	m.ScrubberRestarts++
-	m.StartScrubber(m.scrubInterval, m.scrubPagesPerPass)
+	m.StartScrubber(m.scrub.interval, m.scrub.pagesPerPass)
 }
 
-// zero clears one page, auditing the crash case: the page must not already
-// hold live data (that data would be destroyed).
-func (m *Module) zero(p *sim.Proc, hpaPage int64) {
+// audit counts a corruption if the page about to be zeroed already holds
+// live data (that data would be destroyed).
+func (m *Module) audit(hpaPage int64) {
 	if m.mem.State(hpaPage) == hostmem.Written {
 		m.Corruptions++
 	}
-	m.mem.ZeroPage(p, hpaPage)
 }
 
 // Tracked returns the number of pages still awaiting zeroing for pid.
@@ -347,32 +378,138 @@ func (m *Module) Release(pid int) {
 // StartScrubber launches the module's background thread (§5): it
 // periodically sweeps the two-tier table, zeroing up to pagesPerPass pages
 // per wake and removing them, overlapping zeroing with other startup stages.
+// A module runs one scrubber at a time: starting a second while the first
+// is alive panics.
 func (m *Module) StartScrubber(interval time.Duration, pagesPerPass int) {
-	m.scrubInterval, m.scrubPagesPerPass = interval, pagesPerPass
-	m.scrubProc = m.k.GoDaemon("fastiovd-scrub", func(p *sim.Proc) {
-		for {
-			p.Sleep(m.Faults.Inflate(fault.SiteScrubber, interval))
-			if err := m.Faults.Fail(fault.SiteScrubber); err != nil {
-				// Stalled wake: the scrubber thread lost its slice (e.g.
-				// preempted by a higher-priority task) and zeroes nothing
-				// this pass; deferred pages wait for the next wake or the
-				// EPT-fault path.
-				m.ScrubberStalls++
-				continue
-			}
-			cleared := 0
-			for cleared < pagesPerPass && m.scrubLen > 0 {
-				pid, pg := m.dequeue()
-				s := m.tables[pid]
-				if s == nil || !s.has(pg) {
-					continue // already zeroed on the fault path
-				}
-				m.claimAndZero(p, pid, s, pg)
-				m.ScrubZeroed++
-				cleared++
-			}
+	if m.scrubProc != nil && !m.scrubProc.Finished() {
+		panic("fastiovd: StartScrubber with a scrubber already running")
+	}
+	m.scrub = scrubber{m: m, interval: interval, pagesPerPass: pagesPerPass}
+	m.scrubProc = m.k.GoDaemon("fastiovd-scrub", m.scrub.run)
+}
+
+// scrubber is the background scrubber daemon's state. The daemon runs it as
+// a sim.Stepper: each Step does the daemon's work up to its next sleep —
+// the wake interval, or the membw hold of one page — so a whole pass runs
+// on the kernel's stack without switching to the daemon's coroutine. Only
+// a contended membw unit sends the daemon back to the coroutine, to wait
+// in Acquire.
+type scrubber struct {
+	m            *Module
+	p            *sim.Proc
+	interval     time.Duration
+	pagesPerPass int
+	state        scrubState
+	cleared      int // pages zeroed this pass
+
+	// id is the in-flight claim on page (0 when none), hold how long
+	// zeroing the page holds a membw unit, and holding whether the daemon
+	// holds that unit.
+	id      uint64
+	page    int64
+	hold    time.Duration
+	holding bool
+}
+
+// scrubState is what the daemon's next Step resumes after.
+type scrubState uint8
+
+const (
+	scrubStart    scrubState = iota // nothing yet: sleep the first interval
+	scrubWoke                       // the interval sleep
+	scrubAcquired                   // the coroutine's Acquire of the membw unit
+	scrubHeld                       // the membw hold: the page is clear
+)
+
+// run is the daemon body.
+func (s *scrubber) run(p *sim.Proc) {
+	s.p = p
+	defer s.unwind()
+	bw := s.m.mem.Bandwidth()
+	for {
+		// Steps returns only when membw is contended.
+		p.Steps(s)
+		bw.Acquire(p, 1)
+		s.holding = true
+		s.state = scrubAcquired
+	}
+}
+
+// Step implements sim.Stepper. Its order of effects is the one of
+// OnEPTFault's claimAndZero: claim, audit, zeroing-time draw, acquire,
+// hold, release, mark zeroed, complete.
+func (s *scrubber) Step() (time.Duration, bool) {
+	m := s.m
+	switch s.state {
+	case scrubStart:
+		return s.sleep()
+	case scrubWoke:
+		if err := m.Faults.Fail(fault.SiteScrubber); err != nil {
+			// Stalled wake: the scrubber thread lost its slice (e.g.
+			// preempted by a higher-priority task) and zeroes nothing this
+			// pass; deferred pages wait for the next wake or the EPT-fault
+			// path.
+			m.ScrubberStalls++
+			return s.sleep()
 		}
-	})
+		s.cleared = 0
+	case scrubAcquired:
+		s.state = scrubHeld
+		return s.hold, true
+	case scrubHeld:
+		m.mem.Bandwidth().Release(s.p, 1)
+		s.holding = false
+		m.mem.MarkZeroed(s.page)
+		s.zeroed()
+	}
+	for s.cleared < s.pagesPerPass && m.scrubLen > 0 {
+		pid, pg := m.dequeue()
+		t := m.tables[pid]
+		if t == nil || !t.has(pg) {
+			continue // already zeroed on the fault path
+		}
+		s.id, s.page = m.claimPage(pid, t, pg), pg
+		m.audit(pg)
+		d, dirty := m.mem.ZeroCost(pg)
+		if !dirty {
+			s.zeroed()
+			continue
+		}
+		s.hold = d
+		if !m.mem.Bandwidth().TryAcquire(s.p, 1) {
+			return 0, false
+		}
+		s.holding = true
+		s.state = scrubHeld
+		return d, true
+	}
+	return s.sleep()
+}
+
+// sleep ends a pass: the daemon sleeps until its next wake.
+func (s *scrubber) sleep() (time.Duration, bool) {
+	s.state = scrubWoke
+	return s.m.Faults.Inflate(fault.SiteScrubber, s.interval), true
+}
+
+// zeroed completes the claim on the page just cleared.
+func (s *scrubber) zeroed() {
+	s.m.complete(s.p, s.id)
+	s.id = 0
+	s.m.ScrubZeroed++
+	s.cleared++
+}
+
+// unwind runs when the daemon is killed or reaped mid-zero. It returns a
+// held membw unit first and then rolls the claim back: the order in which
+// ZeroPage's and claimAndZero's deferred cleanup run on the fault path.
+func (s *scrubber) unwind() {
+	if s.holding {
+		s.m.mem.Bandwidth().Release(s.p, 1)
+	}
+	if s.id != 0 {
+		s.m.rollback(s.id)
+	}
 }
 
 // dequeue pops the next page off the scrub queue, resetting the queue once

@@ -25,7 +25,7 @@ func newRig() *rig {
 	mem := hostmem.New(k, cfg)
 	h := kvm.New(k, mem)
 	mod := New(k, mem)
-	h.Hook = mod.OnEPTFault
+	h.Hook = mod
 	return &rig{k: k, mem: mem, h: h, mod: mod}
 }
 

@@ -121,6 +121,23 @@ func (r *opsRig) logState(tag string) {
 	r.log.WriteString("\n")
 }
 
+// fault runs the EPT-fault hook. On the module it also checks FaultPending
+// against what the hook did: it has work exactly when it zeroes the page or
+// waits for the claim in flight on it. A wrong prediction is logged, so the
+// run diverges from the reference's.
+func (r *opsRig) fault(p *sim.Proc, pid int, page int64) {
+	m, ok := r.mod.(*Module)
+	if !ok {
+		r.mod.OnEPTFault(p, pid, page)
+		return
+	}
+	pending, lazy, at := m.FaultPending(pid, page), m.LazyZeroed, p.Now()
+	m.OnEPTFault(p, pid, page)
+	if worked := m.LazyZeroed != lazy || p.Now() != at; worked != pending {
+		fmt.Fprintf(&r.log, "FaultPending(%d, %d) = %v, but the hook worked = %v\n", pid, page, pending, worked)
+	}
+}
+
 // runPhase starts the scrubber, runs the phase's ops as procs at their
 // offsets, and stops the kernel at the deadline, unwinding whatever is
 // still mid-zero (the end-of-phase reaping the rollback path exists for).
@@ -145,7 +162,7 @@ func (r *opsRig) runPhase(ops [][4]byte, dt time.Duration, interval time.Duratio
 					r.mod.RegisterInstant(p, pid, reg)
 				}
 			case 3, 4, 5:
-				r.mod.OnEPTFault(p, pid, r.page(ri, int(op[3])))
+				r.fault(p, pid, r.page(ri, int(op[3])))
 			case 6:
 				r.mod.Release(pid)
 			case 7:
@@ -293,6 +310,52 @@ var opsScripts = map[string][]byte{
 		0x10, 3, 3, 0, // pid 4 registers it at 50us
 		0x26, 0, 0, 0, // pid 1 released at 100us
 		0x0f, 0, 0, 0,
+	},
+	// Contended membw (four streams): four fault-path zeroings hold every
+	// unit when the scrubber wakes at 100us, so it waits in its fallback
+	// Acquire, where CrashDaemon kills it: nothing to release, the claim
+	// rolls back.
+	"kill-scrubber-in-acquire": {0,
+		0x00, 0, 5, 0, // register pid 1, region 5
+		0x03, 0, 5, 0, // four faults zero pages 0-3 from 0 to ~195us
+		0x03, 0, 5, 1,
+		0x03, 0, 5, 2,
+		0x03, 0, 5, 3,
+		0x37, 0, 0, 0, // daemon crash at 150us
+		0x0d, 0, 0, 0,
+	},
+	// The scrubber gets its unit at ~195us and holds it; four faults at
+	// 200us take the other three and queue; CrashDaemon at 300us kills the
+	// scrubber mid-hold: its release hands the unit to the queued fault
+	// before the claim rolls back.
+	"kill-scrubber-holding": {0,
+		0x00, 0, 5, 0,
+		0x03, 0, 5, 0,
+		0x03, 0, 5, 1,
+		0x03, 0, 5, 2,
+		0x03, 0, 5, 3,
+		0x40, 1, 4, 0, // register pid 2, region 4 at 200us
+		0x43, 1, 4, 0, // four faults at 200us
+		0x43, 1, 4, 1,
+		0x43, 1, 4, 2,
+		0x43, 1, 4, 3,
+		0x67, 0, 0, 0, // daemon crash at 300us
+		0x0d, 0, 0, 0,
+	},
+	// Three pages per pass: the scrubber zeroes one page from 100us, then
+	// faults at 250us leave membw full when it moves to the next, so it
+	// waits in Acquire mid-pass when CrashDaemon strikes at 350us.
+	"crash-scrubber-mid-pass": {8,
+		0x00, 0, 5, 0,
+		0x03, 0, 5, 0, // two faults from 0 to ~195us
+		0x03, 0, 5, 1,
+		0x50, 1, 4, 0, // register pid 2, region 4 at 250us
+		0x53, 1, 4, 0, // four faults at 250us
+		0x53, 1, 4, 1,
+		0x53, 1, 4, 2,
+		0x53, 1, 4, 3,
+		0x77, 0, 0, 0, // daemon crash at 350us
+		0x0e, 0, 0, 0,
 	},
 }
 

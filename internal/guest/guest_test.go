@@ -41,7 +41,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 	var mod *fastiovd.Module
 	if lazy {
 		mod = fastiovd.New(k, mem)
-		kv.Hook = mod.OnEPTFault
+		kv.Hook = mod
 	}
 	env := hypervisor.NewEnv(k, mem, kv, drv, mod, sim.NewResource("cpu", 8))
 	vf := card.VFs()[0]

@@ -340,11 +340,28 @@ func (a *Allocator) Free(p *sim.Proc, region *Region) {
 // ZeroPage clears one page if it is still dirty, charging bandwidth time.
 // Already-clean pages are skipped at zero cost (the HawkEye observation).
 func (a *Allocator) ZeroPage(p *sim.Proc, page int64) {
-	if a.state[page] != Dirty {
+	d, dirty := a.ZeroCost(page)
+	if !dirty {
 		return
 	}
-	d := a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.cfg.ZeroBytesPerSec))
 	a.membw.Use(p, 1, d)
+	a.MarkZeroed(page)
+}
+
+// ZeroCost is the first half of ZeroPage: if page is dirty it draws the
+// mem-bw fault inflation and returns how long clearing the page holds one
+// Bandwidth unit; dirty is false (and nothing is drawn) otherwise. A
+// caller that zeroes the page itself holds the unit for d, releases it,
+// then calls MarkZeroed.
+func (a *Allocator) ZeroCost(page int64) (d time.Duration, dirty bool) {
+	if a.state[page] != Dirty {
+		return 0, false
+	}
+	return a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.cfg.ZeroBytesPerSec)), true
+}
+
+// MarkZeroed is the last half of ZeroPage: it records page as cleared.
+func (a *Allocator) MarkZeroed(page int64) {
 	a.markState(page, Zeroed)
 	a.ZeroedBytes += a.cfg.PageSize
 }

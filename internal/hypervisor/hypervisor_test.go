@@ -46,7 +46,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 	var mod *fastiovd.Module
 	if lazy {
 		mod = fastiovd.New(k, mem)
-		kv.Hook = mod.OnEPTFault
+		kv.Hook = mod
 	}
 	cpu := sim.NewResource("cpu", 8)
 	env := NewEnv(k, mem, kv, drv, mod, cpu)

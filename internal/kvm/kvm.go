@@ -18,10 +18,17 @@ import (
 )
 
 // FaultHook is invoked on every EPT violation with the resolving HPA page,
-// before the EPT entry is installed. fastiovd registers its lazy-zeroing
-// callback here (§5 "we modify the KVM module to trigger lazy zeroing
-// before it inserts the EPT entry").
-type FaultHook func(p *sim.Proc, pid int, hpaPage int64)
+// before the EPT entry is installed. fastiovd's Module is the hook: its
+// lazy zeroing runs here (§5 "we modify the KVM module to trigger lazy
+// zeroing before it inserts the EPT entry").
+type FaultHook interface {
+	// OnEPTFault runs during the violation of pid's access to hpaPage.
+	OnEPTFault(p *sim.Proc, pid int, hpaPage int64)
+	// FaultPending reports whether OnEPTFault has work for the page. It
+	// must be exact: when it reports false, OnEPTFault would return
+	// without any effect, and TouchRange skips the call.
+	FaultPending(pid int, hpaPage int64) bool
+}
 
 // KVM is the hypervisor kernel module.
 type KVM struct {
@@ -85,6 +92,10 @@ type VM struct {
 	// Faults ≪ Hits for any real workload.
 	Faults int
 	Hits   int
+
+	// touch is TouchRange's stepper, kept here so a range allocates
+	// nothing.
+	touch touchStepper
 }
 
 // CreateVM registers a new microVM and returns its handle. The PID is the
@@ -218,33 +229,112 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 			slot.demand.Set(idx, hpa)
 		}
 		if vm.kvm.Hook != nil {
-			vm.kvm.Hook(p, vm.PID, hpa)
+			vm.kvm.Hook.OnEPTFault(p, vm.PID, hpa)
 		}
-		vm.ept.Set(gpaPage, hpa)
-		vm.Faults++
-		vm.kvm.TotalFaults++
+		vm.install(gpaPage, hpa)
 		p.Sleep(vm.kvm.EPTFaultCost)
 	} else {
 		vm.Hits++
 	}
+	vm.access(hpa, write)
+	return nil
+}
+
+// install enters a resolved violation into the EPT and the fault counters.
+func (vm *VM) install(gpaPage, hpa int64) {
+	vm.ept.Set(gpaPage, hpa)
+	vm.Faults++
+	vm.kvm.TotalFaults++
+}
+
+// access is the guest's access to hpa once it is mapped.
+func (vm *VM) access(hpa int64, write bool) {
 	if write {
 		vm.mem.WriteData(hpa)
 	} else {
 		vm.mem.GuestRead(hpa)
 	}
-	return nil
 }
 
-// TouchRange touches every page in [gpa, gpa+bytes).
+// TouchRange touches every page in [gpa, gpa+bytes) exactly as Touch on
+// each page in turn would. The pages run as a step chain (sim.Proc.Steps),
+// so the fault sleeps of a range cost no coroutine switches; a page whose
+// fault may block still goes through Touch. An empty range touches
+// nothing.
 func (vm *VM) TouchRange(p *sim.Proc, gpa, bytes int64, write bool) error {
-	ps := vm.mem.PageSize()
-	start := gpa / ps * ps
-	for a := start; a < gpa+bytes; a += ps {
-		if err := vm.Touch(p, a, write); err != nil {
-			return err
-		}
+	if bytes <= 0 {
+		return nil
 	}
-	return nil
+	ps := vm.mem.PageSize()
+	s := &vm.touch
+	if s.owner != nil && !s.owner.Finished() {
+		s = new(touchStepper) // another proc is mid-range on this VM
+	}
+	*s = touchStepper{vm: vm, owner: p, write: write, addr: gpa / ps * ps, end: gpa + bytes}
+	for {
+		p.Steps(s)
+		if s.err != nil || s.addr >= s.end {
+			break
+		}
+		if s.err = vm.Touch(p, s.addr, write); s.err != nil {
+			break
+		}
+		s.addr += ps
+	}
+	s.owner = nil
+	return s.err
+}
+
+// touchStepper runs TouchRange's pages as a sim.Stepper. An EPT hit, and a
+// fault on a backed page that the hook has no work for, never block, so a
+// step takes them inline and sleeps the fault cost between steps. A page
+// whose fault may block — on a demand-paged slot, or one the hook has work
+// for — ends the chain, and TouchRange takes it through Touch.
+type touchStepper struct {
+	vm    *VM
+	owner *sim.Proc // the proc running the range; nil when free
+	// addr is the next page to touch and end the end of the range; hpa is
+	// the page whose access follows the fault sleep when faulted is set.
+	addr, end int64
+	hpa       int64
+	err       error
+	write     bool
+	faulted   bool
+}
+
+// Step implements sim.Stepper.
+func (s *touchStepper) Step() (time.Duration, bool) {
+	vm := s.vm
+	ps := vm.mem.PageSize()
+	if s.faulted {
+		s.faulted = false
+		vm.access(s.hpa, s.write)
+		s.addr += ps
+	}
+	for ; s.addr < s.end; s.addr += ps {
+		gpaPage := s.addr / ps
+		if hpa, ok := vm.ept.Get(gpaPage); ok {
+			vm.Hits++
+			vm.access(hpa, s.write)
+			continue
+		}
+		slot, err := vm.slotFor(s.addr)
+		if err != nil {
+			s.err = err
+			return 0, false
+		}
+		if slot.Backing == nil {
+			return 0, false
+		}
+		hpa := slot.hpaAt((s.addr - slot.GPABase) / ps)
+		if h := vm.kvm.Hook; h != nil && h.FaultPending(vm.PID, hpa) {
+			return 0, false
+		}
+		vm.install(gpaPage, hpa)
+		s.hpa, s.faulted = hpa, true
+		return vm.kvm.EPTFaultCost, true
+	}
+	return 0, false
 }
 
 // HostWrite models the hypervisor writing into guest memory before or
@@ -254,6 +344,9 @@ func (vm *VM) TouchRange(p *sim.Proc, gpa, bytes int64, write bool) error {
 // as holding live data; if fastiovd later zeroes one, that is the crash the
 // instant-zeroing list exists to prevent.
 func (vm *VM) HostWrite(p *sim.Proc, gpa, bytes int64) error {
+	if bytes <= 0 {
+		return nil
+	}
 	ps := vm.mem.PageSize()
 	start := gpa / ps * ps
 	for a := start; a < gpa+bytes; a += ps {

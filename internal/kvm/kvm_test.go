@@ -104,10 +104,17 @@ func TestGuestReadOfUnzeroedBackedPageIsViolation(t *testing.T) {
 	}
 }
 
+// recordHook is a FaultHook that records every page it runs for and has
+// work for every page.
+type recordHook struct{ pages []int64 }
+
+func (h *recordHook) OnEPTFault(_ *sim.Proc, _ int, hpa int64) { h.pages = append(h.pages, hpa) }
+func (h *recordHook) FaultPending(int, int64) bool             { return true }
+
 func TestFaultHookRuns(t *testing.T) {
 	k, mem, h := newHost(1 << 30)
-	var hooked []int64
-	h.Hook = func(p *sim.Proc, pid int, hpa int64) { hooked = append(hooked, hpa) }
+	hook := &recordHook{}
+	h.Hook = hook
 	k.Go("t", func(p *sim.Proc) {
 		region, _ := mem.Allocate(p, 8*mb)
 		mem.ZeroRegion(p, region)
@@ -117,8 +124,8 @@ func TestFaultHookRuns(t *testing.T) {
 		vm.TouchRange(p, 0, 8*mb, false) // second pass: hits, no hook
 	})
 	k.Run()
-	if len(hooked) != 4 {
-		t.Errorf("hook ran %d times, want 4", len(hooked))
+	if len(hook.pages) != 4 {
+		t.Errorf("hook ran %d times, want 4", len(hook.pages))
 	}
 }
 

@@ -1,9 +1,11 @@
 package sim
 
-// Microbenchmarks for the kernel's two hot paths: the spawn/join cycle
-// (one coroutine per simulated thread) and the flat event queue. Both are
-// gated in CI: BenchmarkEventQueue must report 0 allocs/op in steady
-// state — any regression back to a boxing or per-push-allocating queue
+// Microbenchmarks for the kernel's hot paths: the spawn/join cycle (one
+// coroutine per simulated thread), the flat event queue, and a queued
+// sleep as a coroutine switch pair (Sleep) or as a kernel-side step
+// (Steps). They are gated in CI: BenchmarkEventQueue and the two queued
+// benchmarks must report 0 allocs/op in steady state — any regression back
+// to a boxing or per-push-allocating queue, or to a per-wake allocation,
 // fails the bench smoke job. Seed numbers live in BENCH_kernel.json.
 
 import (
@@ -78,4 +80,42 @@ func BenchmarkKernelSleepFastPath(b *testing.B) {
 		}
 	})
 	k.Run()
+}
+
+// BenchmarkKernelSleepQueued measures one queued sleep: procs procs sleep
+// 1us round-robin, so every wake goes through the event queue and costs a
+// coroutine switch into the proc and one back. One op is one sleep.
+func BenchmarkKernelSleepQueued(b *testing.B) { benchmarkQueued(b, false) }
+
+// BenchmarkKernelStepsQueued is BenchmarkKernelSleepQueued with the loop
+// written as a Stepper: every wake runs the next step on the kernel's
+// stack, with no coroutine switch.
+func BenchmarkKernelStepsQueued(b *testing.B) { benchmarkQueued(b, true) }
+
+func benchmarkQueued(b *testing.B, steps bool) {
+	for _, procs := range []int{2, 1000} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			k := NewKernel(1)
+			left := b.N
+			for i := 0; i < procs; i++ {
+				k.Go("rr", func(p *Proc) {
+					c := &countdown{left: &left}
+					// A coroutine's first resume allocates: start every
+					// proc before the timer does.
+					p.Yield()
+					if steps {
+						p.Steps(c)
+						return
+					}
+					for left > 0 {
+						left--
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+			k.Go("timer", func(*Proc) { b.ResetTimer() })
+			b.ReportAllocs()
+			k.Run()
+		})
+	}
 }

@@ -23,7 +23,18 @@
 //     direct coroutine switch (runtime.coroswitch via iter.Pull), roughly
 //     4× cheaper than the channel handoff it replaced, and a Proc that
 //     sleeps while no other work is due continues inline without any
-//     switch at all (see Proc.Sleep).
+//     switch at all (Proc.sleepInline, shared by Sleep and Steps).
+//   - A queued wakeup still costs two switches: into the proc, and back
+//     out at its next park. Proc.Steps removes both for work that is a
+//     chain of non-blocking steps separated by sleeps: when the sleep
+//     after a step has to queue, the kernel makes the next Step call
+//     itself at the wakeup, on its own stack, and resumes the coroutine
+//     only when a step ends the chain. A Step must never block (park
+//     panics if one tries); blocking work goes between Steps calls, on
+//     the coroutine. This is SystemC's split between SC_THREAD processes
+//     (threads that may wait anywhere) and run-to-completion SC_METHOD
+//     processes, with one Proc moving between the two. The fastiovd
+//     scrubber and kvm's TouchRange run their per-page loops this way.
 //   - Proc records themselves are NOT pooled: user code retains *Proc
 //     handles past exit (Join, Done, Finished on an already-finished
 //     proc), so recycling records would alias live references. The
@@ -58,8 +69,11 @@ type Kernel struct {
 	rng      *Rand
 	aborted  bool
 	panicked any // panic value captured from a Proc body, re-raised in Run
-	// deadline is the active RunFor cutoff (-1 when none); Proc.Sleep
-	// consults it so the inline fast path never runs past the cutoff.
+	// stepPanic carries a panic raised by a Step to the stepping proc's
+	// coroutine, which re-raises it from Proc.Steps.
+	stepPanic any
+	// deadline is the active RunFor cutoff (-1 when none); the inline
+	// sleep fast path (Proc.sleepInline) never runs past it.
 	deadline Duration
 
 	// running is the Proc currently holding the execution baton (nil
@@ -225,7 +239,11 @@ func (k *Kernel) run(deadline Duration) Duration {
 			continue // stale wakeup for an aborted/finished proc
 		}
 		k.running = p
-		p.next()
+		if p.stepper != nil {
+			k.step(p)
+		} else {
+			p.next()
+		}
 		k.running = nil
 		if k.panicked != nil {
 			// A Proc body panicked. Unwind the remaining coroutines, then
@@ -243,6 +261,19 @@ func (k *Kernel) run(deadline Duration) Duration {
 	}
 	k.abort()
 	return k.now
+}
+
+// step wakes p from a sleep queued by its step chain (Proc.Steps) and
+// continues the chain on the kernel's stack. The coroutine is resumed only
+// when a step ends the chain (or panics); a sleep that must queue again
+// leaves p parked in it.
+func (k *Kernel) step(p *Proc) {
+	p.unblock(WaitSleep, "")
+	if p.runSteps() {
+		p.next()
+		return
+	}
+	p.block(WaitSleep, "")
 }
 
 // abort unwinds every remaining coroutine so tests do not leak them. Every

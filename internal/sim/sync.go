@@ -290,18 +290,27 @@ func (r *Resource) BusyAt(at Duration) Duration {
 
 // Acquire blocks p until n units are available.
 func (r *Resource) Acquire(p *Proc, n int64) {
-	if n > r.cap {
-		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %s", n, r.cap, r.name))
-	}
-	if len(r.waitq) == 0 && r.inUse+n <= r.cap {
-		r.adjust(p.k, n)
-		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitResource, r.name, p, nil, n)
-		}
+	if r.TryAcquire(p, n) {
 		return
 	}
 	r.waitq = append(r.waitq, resWaiter{p, n})
 	p.park(WaitResource, r.name)
+}
+
+// TryAcquire takes n units if Acquire would take them without blocking and
+// reports whether it did. It never blocks, so a Step may call it.
+func (r *Resource) TryAcquire(p *Proc, n int64) bool {
+	if n > r.cap {
+		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %s", n, r.cap, r.name))
+	}
+	if len(r.waitq) > 0 || r.inUse+n > r.cap {
+		return false
+	}
+	r.adjust(p.k, n)
+	if p.k.probing() {
+		p.k.emit(ProbeAcquire, WaitResource, r.name, p, nil, n)
+	}
+	return true
 }
 
 // Release returns n units and admits queued waiters in FIFO order.
