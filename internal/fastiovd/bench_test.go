@@ -29,11 +29,13 @@ func BenchmarkFastiovdRegisterScrub(b *testing.B) {
 				return
 			}
 			mod.Register(p, pid, region)
-			region.Pages(func(pg int64) {
-				if (pg-region.Runs[0].Start)%10 == 0 {
-					mod.OnEPTFault(p, pid, pg)
+			for _, run := range region.Runs {
+				for pg := run.Start; pg < run.Start+run.Count; pg++ {
+					if (pg-region.Runs[0].Start)%10 == 0 {
+						mod.OnEPTFault(p, pid, pg)
+					}
 				}
-			})
+			}
 			for mod.Tracked(pid) > 0 || len(mod.inflight) > 0 {
 				p.Sleep(time.Millisecond)
 			}

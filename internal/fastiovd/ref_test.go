@@ -112,11 +112,13 @@ func (m *refModule) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 	}
 	now := p.Now()
 	var n int64
-	region.Pages(func(pg int64) {
-		t[pg] = refPageInfo{registered: now}
-		m.scrubQueue = append(m.scrubQueue, refScrubEntry{pid: pid, page: pg})
-		n++
-	})
+	for _, run := range region.Runs {
+		for pg := run.Start; pg < run.Start+run.Count; pg++ {
+			t[pg] = refPageInfo{registered: now}
+			m.scrubQueue = append(m.scrubQueue, refScrubEntry{pid: pid, page: pg})
+			n++
+		}
+	}
 	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}

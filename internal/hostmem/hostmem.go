@@ -3,6 +3,11 @@
 // engine whose cost is bounded by shared memory bandwidth, page pinning, and
 // a HawkEye-style pre-zeroing daemon.
 //
+// Costs are charged per page, as the paper's DMA-map pipeline is (Fig. 6),
+// but only content state is stored per page: the free list is a sorted list
+// of free extents and pin refcounts are run-length segments, so allocating,
+// pinning, freeing and cloning cost O(runs), not O(pages).
+//
 // Content state is the heart of the paper's correctness argument (§4.3.2):
 // a page freed by one tenant holds residual data and MUST be zeroed before
 // another tenant can observe it. The allocator tracks this per page, so
@@ -104,15 +109,6 @@ type Region struct {
 	Bytes int64
 }
 
-// Pages iterates all page indices in the region.
-func (r *Region) Pages(fn func(page int64)) {
-	for _, run := range r.Runs {
-		for i := int64(0); i < run.Count; i++ {
-			fn(run.Start + i)
-		}
-	}
-}
-
 // PageCount returns the number of pages in the region.
 func (r *Region) PageCount() int64 {
 	var n int64
@@ -137,11 +133,12 @@ type Allocator struct {
 	cfg   Config
 	pages int64
 
-	state     []ContentState
-	allocated []bool
-	pinned    []int32 // pin refcount per page
+	state []ContentState
+	free  []extent // free pages: sorted, disjoint, coalesced
+	pins  []pinSeg // pinned pages: sorted, disjoint, equal neighbours coalesced
+	spare []pinSeg // scratch for addPins
 
-	freeHead  int64 // scan cursor: lowest possibly-free page
+	freeHead  int64 // next-fit cursor: where the next allocation starts looking
 	freeCnt   int64
 	dirtyCnt  int64 // pages currently in state Dirty (O(1) gauge)
 	pinnedCnt int64 // pages with a live pin refcount (O(1) gauge)
@@ -184,34 +181,33 @@ func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
 	}
 	pages := cfg.TotalBytes / cfg.PageSize
 	return &Allocator{
-		k:         k,
-		cfg:       cfg,
-		pages:     pages,
-		state:     make([]ContentState, pages),
-		allocated: make([]bool, pages),
-		pinned:    make([]int32, pages),
-		freeCnt:   pages,
-		dirtyCnt:  pages,
-		zoneLock:  sim.NewMutex(scope + ZoneLockName),
-		membw:     sim.NewResource(scope+MemBWName, cfg.ZeroStreams),
+		k:        k,
+		cfg:      cfg,
+		pages:    pages,
+		state:    make([]ContentState, pages),
+		free:     []extent{{0, pages}},
+		freeCnt:  pages,
+		dirtyCnt: pages,
+		zoneLock: sim.NewMutex(scope + ZoneLockName),
+		membw:    sim.NewResource(scope+MemBWName, cfg.ZeroStreams),
 	}
 }
 
 // Clone returns a deep copy of the allocator bound to kernel k: page
-// content/allocation/pin state, the free-list cursor, and the cumulative
-// counters are copied; the zone lock and bandwidth resource are recreated
-// fresh under their original names. The allocator must be quiescent — no
-// Proc holding or waiting on its primitives — which boot-prefix snapshots
-// guarantee (no simulated work has run yet). Faults is NOT carried over;
-// the caller wires the clone's injector.
+// content state, the free extents, the pin segments, the free-list cursor
+// and the cumulative counters are copied; the zone lock and bandwidth
+// resource are recreated fresh under their original names. The allocator
+// must be quiescent — no Proc holding or waiting on its primitives — which
+// boot-prefix snapshots guarantee (no simulated work has run yet). Faults
+// is NOT carried over; the caller wires the clone's injector.
 func (a *Allocator) Clone(k *sim.Kernel) *Allocator {
 	return &Allocator{
 		k:           k,
 		cfg:         a.cfg,
 		pages:       a.pages,
 		state:       append([]ContentState(nil), a.state...),
-		allocated:   append([]bool(nil), a.allocated...),
-		pinned:      append([]int32(nil), a.pinned...),
+		free:        append([]extent(nil), a.free...),
+		pins:        append([]pinSeg(nil), a.pins...),
 		freeHead:    a.freeHead,
 		freeCnt:     a.freeCnt,
 		dirtyCnt:    a.dirtyCnt,
@@ -271,8 +267,16 @@ func (a *Allocator) pagesFor(bytes int64) int64 {
 // cost model (Fig. 6 "retrieving"). The returned pages are NOT zeroed —
 // zeroing is an explicit separate step, because decoupling it is exactly
 // the FastIOV optimization under study. Returns an error if memory is
-// exhausted.
+// exhausted or bytes is negative.
+//
+// The search is next-fit: it starts at the free-list cursor, wraps at the
+// end of memory, and cuts runs at MaxRunPages (the cut pieces stay
+// separate runs even when adjacent). The cursor ends on the page after the
+// last run, or 0 when that is the end of memory.
 func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
+	if bytes < 0 {
+		return nil, fmt.Errorf("hostmem: negative allocation size %d", bytes)
+	}
 	need := a.pagesFor(bytes)
 	a.zoneLock.Lock(p)
 	defer a.zoneLock.Unlock(p)
@@ -283,29 +287,23 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 	var cost time.Duration
 	remaining := need
 	i := a.freeHead
+	x := a.freeAt(i)
 	for remaining > 0 {
-		// find next free page
-		for a.allocated[i] {
-			i++
-			if i >= a.pages {
-				i = 0
-			}
+		if x == len(a.free) {
+			x, i = 0, 0
 		}
-		// extend the run
-		run := Run{Start: i, Count: 0}
-		for i < a.pages && !a.allocated[i] && remaining > 0 {
-			if a.cfg.MaxRunPages > 0 && run.Count >= a.cfg.MaxRunPages {
-				break
-			}
-			a.allocated[i] = true
-			run.Count++
-			remaining--
-			i++
+		e := a.free[x]
+		i = max(i, e.start)
+		n := min(e.end-i, remaining)
+		if a.cfg.MaxRunPages > 0 {
+			n = min(n, a.cfg.MaxRunPages)
 		}
-		region.Runs = append(region.Runs, run)
-		cost += a.cfg.RetrieveCostPerRun + time.Duration(run.Count)*a.cfg.RetrieveCostPerPage
-		if i >= a.pages {
-			i = 0
+		region.Runs = append(region.Runs, Run{Start: i, Count: n})
+		cost += a.cfg.RetrieveCostPerRun + time.Duration(n)*a.cfg.RetrieveCostPerPage
+		x = a.takeFree(x, i, i+n)
+		remaining -= n
+		if i += n; i >= a.pages {
+			x, i = 0, 0
 		}
 	}
 	a.freeCnt -= need
@@ -317,24 +315,49 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 }
 
 // Free returns a region's pages to the free list. Pages become dirty: they
-// hold the departing tenant's data. Pinned pages may not be freed.
+// hold the departing tenant's data. Pinned pages may not be freed; the
+// panic names the lowest free or pinned page of the first run holding one.
 func (a *Allocator) Free(p *sim.Proc, region *Region) {
 	a.zoneLock.Lock(p)
 	defer a.zoneLock.Unlock(p)
-	region.Pages(func(pg int64) {
-		if !a.allocated[pg] {
-			panic(fmt.Sprintf("hostmem: double free of page %d", pg))
+	for _, run := range region.Runs {
+		start, end := run.Start, run.Start+run.Count
+		if start >= end {
+			continue
 		}
-		if a.pinned[pg] > 0 {
-			panic(fmt.Sprintf("hostmem: freeing pinned page %d", pg))
+		freePg, pinPg := end, end
+		if x := a.freeAt(start); x < len(a.free) && a.free[x].start < end {
+			freePg = max(start, a.free[x].start)
 		}
-		a.allocated[pg] = false
-		a.markState(pg, Dirty)
-		a.freeCnt++
-		if pg < a.freeHead {
-			a.freeHead = pg
+		if x := a.pinAt(start); x < len(a.pins) && a.pins[x].start < end {
+			pinPg = max(start, a.pins[x].start)
 		}
-	})
+		if freePg < end && freePg <= pinPg {
+			panic(fmt.Sprintf("hostmem: double free of page %d", freePg))
+		}
+		if pinPg < end {
+			panic(fmt.Sprintf("hostmem: freeing pinned page %d", pinPg))
+		}
+		a.putFree(start, end)
+		a.markRange(start, end, Dirty)
+		a.freeCnt += end - start
+		a.freeHead = min(a.freeHead, start)
+	}
+}
+
+// WriteRegion marks every page of region as holding live data, as
+// WriteData does for one page.
+func (a *Allocator) WriteRegion(region *Region) {
+	for _, run := range region.Runs {
+		a.markRange(run.Start, run.Start+run.Count, Written)
+	}
+}
+
+// markRange sets pages [start, end) to content state s.
+func (a *Allocator) markRange(start, end int64, s ContentState) {
+	for pg := start; pg < end; pg++ {
+		a.markState(pg, s)
+	}
 }
 
 // ZeroPage clears one page if it is still dirty, charging bandwidth time.
@@ -397,33 +420,31 @@ func (a *Allocator) ZeroRegion(p *sim.Proc, region *Region) {
 // Pin increments every page's pin refcount, charging the per-page pinning
 // cost (Fig. 6 "pinning"). Pinned pages cannot be freed or migrated.
 func (a *Allocator) Pin(p *sim.Proc, region *Region) {
-	n := region.PageCount()
-	region.Pages(func(pg int64) {
-		if a.pinned[pg] == 0 {
-			a.pinnedCnt++
-		}
-		a.pinned[pg]++
-	})
-	if d := time.Duration(n) * a.cfg.PinCostPerPage; d > 0 {
+	for _, run := range region.Runs {
+		a.addPins(run.Start, run.Start+run.Count, 1)
+	}
+	if d := time.Duration(region.PageCount()) * a.cfg.PinCostPerPage; d > 0 {
 		p.Sleep(d)
 	}
 }
 
-// Unpin decrements pin refcounts.
+// Unpin decrements pin refcounts. It panics on the lowest unpinned page of
+// the first run holding one.
 func (a *Allocator) Unpin(p *sim.Proc, region *Region) {
-	region.Pages(func(pg int64) {
-		if a.pinned[pg] <= 0 {
+	for _, run := range region.Runs {
+		start, end := run.Start, run.Start+run.Count
+		if pg := a.unpinnedIn(start, end); pg < end {
 			panic(fmt.Sprintf("hostmem: unpin of unpinned page %d", pg))
 		}
-		a.pinned[pg]--
-		if a.pinned[pg] == 0 {
-			a.pinnedCnt--
-		}
-	})
+		a.addPins(start, end, -1)
+	}
 }
 
 // Pinned reports whether a page is pinned.
-func (a *Allocator) Pinned(page int64) bool { return a.pinned[page] > 0 }
+func (a *Allocator) Pinned(page int64) bool {
+	x := a.pinAt(page)
+	return x < len(a.pins) && a.pins[x].start <= page
+}
 
 // PinnedPages returns the number of pages with a live pin refcount — a
 // conservation input for host-wide leak audits and an O(1) gauge for the
@@ -463,10 +484,12 @@ func (a *Allocator) PreZero(fraction float64) {
 		fraction = 1
 	}
 	target := int64(float64(a.freeCnt) * fraction)
-	for i := int64(0); i < a.pages && target > 0; i++ {
-		if !a.allocated[i] && a.state[i] == Dirty {
-			a.markState(i, Zeroed)
-			target--
+	for _, e := range a.free {
+		for i := e.start; i < e.end && target > 0; i++ {
+			if a.state[i] == Dirty {
+				a.markState(i, Zeroed)
+				target--
+			}
 		}
 	}
 }
@@ -483,7 +506,7 @@ func (a *Allocator) StartScrubDaemon(pagesPerWake int, wakeEvery time.Duration) 
 			for scanned := int64(0); scanned < a.pages && cleared < pagesPerWake; scanned++ {
 				i := cursor
 				cursor = (cursor + 1) % a.pages
-				if !a.allocated[i] && a.state[i] == Dirty {
+				if a.isFree(i) && a.state[i] == Dirty {
 					a.ZeroPage(p, i)
 					cleared++
 				}

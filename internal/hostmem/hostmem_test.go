@@ -1,6 +1,7 @@
 package hostmem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,17 +83,21 @@ func TestFreedPagesAreDirty(t *testing.T) {
 	run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
 		r, _ := a.Allocate(p, 4<<20)
 		a.ZeroRegion(p, r)
-		r.Pages(func(pg int64) {
-			if a.State(pg) != Zeroed {
-				t.Errorf("page %d not zeroed", pg)
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				if a.State(pg) != Zeroed {
+					t.Errorf("page %d not zeroed", pg)
+				}
 			}
-		})
+		}
 		a.Free(p, r)
-		r.Pages(func(pg int64) {
-			if a.State(pg) != Dirty {
-				t.Errorf("freed page %d should be dirty", pg)
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				if a.State(pg) != Dirty {
+					t.Errorf("freed page %d should be dirty", pg)
+				}
 			}
-		})
+		}
 	})
 }
 
@@ -174,11 +179,13 @@ func TestPinUnpinRefcount(t *testing.T) {
 		a.Pin(p, r)
 		a.Pin(p, r)
 		a.Unpin(p, r)
-		r.Pages(func(pg int64) {
-			if !a.Pinned(pg) {
-				t.Error("page should still be pinned once")
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				if !a.Pinned(pg) {
+					t.Error("page should still be pinned once")
+				}
 			}
-		})
+		}
 		a.Unpin(p, r)
 		a.Free(p, r) // must not panic now
 	})
@@ -199,7 +206,11 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 func TestGuestReadOfDirtyPageIsViolation(t *testing.T) {
 	a := run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
 		r, _ := a.Allocate(p, 2<<20)
-		r.Pages(func(pg int64) { a.GuestRead(pg) })
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				a.GuestRead(pg)
+			}
+		}
 	})
 	if a.Violations != 1 {
 		t.Errorf("violations = %d, want 1", a.Violations)
@@ -210,7 +221,11 @@ func TestGuestReadOfZeroedPageIsClean(t *testing.T) {
 	a := run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
 		r, _ := a.Allocate(p, 2<<20)
 		a.ZeroRegion(p, r)
-		r.Pages(func(pg int64) { a.GuestRead(pg) })
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				a.GuestRead(pg)
+			}
+		}
 	})
 	if a.Violations != 0 {
 		t.Errorf("violations = %d, want 0", a.Violations)
@@ -220,10 +235,12 @@ func TestGuestReadOfZeroedPageIsClean(t *testing.T) {
 func TestWriteDataThenRead(t *testing.T) {
 	a := run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
 		r, _ := a.Allocate(p, 2<<20)
-		r.Pages(func(pg int64) {
-			a.WriteData(pg)
-			a.GuestRead(pg)
-		})
+		for _, run := range r.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				a.WriteData(pg)
+				a.GuestRead(pg)
+			}
+		}
 	})
 	if a.Violations != 0 {
 		t.Errorf("violations = %d, want 0", a.Violations)
@@ -357,12 +374,14 @@ func TestConcurrentAllocatorsNoOverlap(t *testing.T) {
 				t.Errorf("alloc %d: %v", i, err)
 				return
 			}
-			r.Pages(func(pg int64) {
-				if prev, ok := owners[pg]; ok {
-					t.Errorf("page %d allocated to both %d and %d", pg, prev, i)
+			for _, run := range r.Runs {
+				for pg := run.Start; pg < run.Start+run.Count; pg++ {
+					if prev, ok := owners[pg]; ok {
+						t.Errorf("page %d allocated to both %d and %d", pg, prev, i)
+					}
+					owners[pg] = i
 				}
-				owners[pg] = i
-			})
+			}
 		})
 	}
 	k.Run()
@@ -397,5 +416,37 @@ func TestAllocFreeBalanceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestAllocateRejectsNegativeSize(t *testing.T) {
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name    string
+		bytes   int64
+		wantErr bool
+	}{
+		{"-1 page", -cfg.PageSize, true},
+		{"-3 pages", -3 * cfg.PageSize, true},
+		{"0 bytes", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, cfg, func(p *sim.Proc, a *Allocator) {
+				before := a.Clone(nil)
+				start := p.Now()
+				r, err := a.Allocate(p, tc.bytes)
+				if (err != nil) != tc.wantErr {
+					t.Fatalf("Allocate(%d) error = %v, want error %v", tc.bytes, err, tc.wantErr)
+				}
+				if err == nil && r.PageCount() != 0 {
+					t.Errorf("Allocate(%d) returned %d pages", tc.bytes, r.PageCount())
+				}
+				if p.Now() != start || a.FreePages() != before.FreePages() || a.freeHead != before.freeHead ||
+					!reflect.DeepEqual(a.free, before.free) {
+					t.Errorf("Allocate(%d) changed the allocator: free %d -> %d, cursor %d -> %d, %v later",
+						tc.bytes, before.FreePages(), a.FreePages(), before.freeHead, a.freeHead, p.Now()-start)
+				}
+			})
+		})
 	}
 }

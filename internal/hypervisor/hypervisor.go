@@ -263,7 +263,7 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 			rate = 8 << 30
 		}
 		env.Mem.Bandwidth().Use(p, 1, time.Duration(l.ImageBytes*int64(time.Second)/rate))
-		img.Pages(func(pg int64) { env.Mem.WriteData(pg) })
+		env.Mem.WriteRegion(img)
 		m.span(telemetry.StageDMAImage, start, p.Now())
 	}
 	return nil

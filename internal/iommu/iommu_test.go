@@ -1,6 +1,7 @@
 package iommu
 
 import (
+	"reflect"
 	"testing"
 
 	"fastiov/internal/hostmem"
@@ -62,6 +63,39 @@ func TestDoubleMapRejected(t *testing.T) {
 		}
 		if err := dom.Map(p, 0, r2); err == nil {
 			t.Error("overlapping IOVA map accepted")
+		}
+	})
+	k.Run()
+}
+
+// A map that overlaps an existing extent must leave the domain exactly as
+// it was: no translation for the pages before the conflict, no byte count
+// change, no time charged.
+func TestFailedMapLeavesDomainUnchanged(t *testing.T) {
+	k, mem, u := setup()
+	dom := u.CreateDomain()
+	k.Go("t", func(p *sim.Proc) {
+		r1, _ := mem.Allocate(p, 4*mb) // 2 pages
+		r2, _ := mem.Allocate(p, 8*mb) // 4 pages
+		if err := dom.Map(p, 4*mb, r1); err != nil {
+			t.Fatal(err)
+		}
+		ext := append([]extent(nil), dom.ext...)
+		pages, bytes, now := dom.MappedPages(), dom.MappedBytes, p.Now()
+		if err := dom.Map(p, 0, r2); err == nil {
+			t.Fatal("map over IOVA pages 2-3 accepted")
+		}
+		for pg := int64(0); pg < 2; pg++ {
+			if _, ok := dom.TranslatePage(pg); ok {
+				t.Errorf("IOVA page %d translated after a failed map", pg)
+			}
+		}
+		if !reflect.DeepEqual(dom.ext, ext) || dom.MappedPages() != pages || dom.MappedBytes != bytes || u.TotalMappedPages() != pages {
+			t.Errorf("failed map changed the domain: %d pages, %d bytes, extents %v; before %d, %d, %v",
+				dom.MappedPages(), dom.MappedBytes, dom.ext, pages, bytes, ext)
+		}
+		if p.Now() != now {
+			t.Errorf("failed map charged %v", p.Now()-now)
 		}
 	})
 	k.Run()
@@ -131,11 +165,19 @@ func TestMapChargesPerPageCost(t *testing.T) {
 }
 
 func TestDestroyDomain(t *testing.T) {
-	_, _, u := setup()
+	k, mem, u := setup()
 	dom := u.CreateDomain()
+	k.Go("t", func(p *sim.Proc) {
+		r, _ := mem.Allocate(p, 4*mb)
+		if err := dom.Map(p, 0, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k.Run()
 	u.DestroyDomain(dom)
-	if dom.pt != nil {
-		t.Error("page table not released")
+	if dom.ext != nil || dom.MappedPages() != 0 || u.TotalMappedPages() != 0 || u.Domains() != 0 {
+		t.Errorf("translations not released: %d extents, %d pages, %d total, %d domains",
+			len(dom.ext), dom.MappedPages(), u.TotalMappedPages(), u.Domains())
 	}
 }
 

@@ -9,6 +9,7 @@ package kvm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,14 +71,18 @@ type MemSlot struct {
 	Bytes   int64
 	Backing *hostmem.Region
 
-	// contig/base give O(1) page lookup for single-run backing regions
-	// (the common case: the allocator's contiguous-run scan); pages is the
-	// flattened fallback for fragmented regions.
-	contig bool
-	base   int64
-	pages  []int64
+	// runs maps slot pages to the backing region's runs, in slot order;
+	// last caches the run of the previous lookup, so sequential touches
+	// skip the search. A single-run backing uses the inline one, so the
+	// common contiguous slot allocates nothing extra.
+	runs   []slotRun
+	one    [1]slotRun
+	last   int
 	demand *pagetab.Table // slot page index -> demand-allocated HPA page (nil for backed slots)
 }
+
+// slotRun backs slot pages [off, end) with host pages from hpa on.
+type slotRun struct{ off, end, hpa int64 }
 
 // VM is one microVM as KVM sees it.
 type VM struct {
@@ -112,8 +117,9 @@ func (h *KVM) CreateVM() *VM {
 	return vm
 }
 
-// DestroyVM removes the VM. Demand-allocated pages are freed; backed
-// regions are owned (and freed) by the VFIO/hypervisor layer.
+// DestroyVM removes the VM. Demand-allocated pages are freed, coalesced
+// into runs; backed regions are owned (and freed) by the VFIO/hypervisor
+// layer.
 func (h *KVM) DestroyVM(p *sim.Proc, vm *VM) {
 	for _, s := range vm.slots {
 		if s.demand.Len() == 0 {
@@ -121,10 +127,14 @@ func (h *KVM) DestroyVM(p *sim.Proc, vm *VM) {
 		}
 		pages := make([]int64, 0, s.demand.Len())
 		s.demand.Range(func(_, hpa int64) { pages = append(pages, hpa) })
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		slices.Sort(pages)
 		r := &hostmem.Region{Bytes: int64(len(pages)) * h.mem.PageSize()}
 		for _, hpa := range pages {
-			r.Runs = append(r.Runs, hostmem.Run{Start: hpa, Count: 1})
+			if k := len(r.Runs) - 1; k >= 0 && r.Runs[k].Start+r.Runs[k].Count == hpa {
+				r.Runs[k].Count++
+			} else {
+				r.Runs = append(r.Runs, hostmem.Run{Start: hpa, Count: 1})
+			}
 		}
 		h.mem.Free(p, r)
 		s.demand = nil
@@ -165,11 +175,14 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 		if backing.PageCount()*ps < bytes {
 			return nil, fmt.Errorf("kvm: backing region too small for slot %q", name)
 		}
-		if len(backing.Runs) == 1 {
-			slot.contig, slot.base = true, backing.Runs[0].Start
-		} else {
-			slot.pages = make([]int64, 0, backing.PageCount())
-			backing.Pages(func(pg int64) { slot.pages = append(slot.pages, pg) })
+		slot.runs = slot.one[:0]
+		if len(backing.Runs) > 1 {
+			slot.runs = make([]slotRun, 0, len(backing.Runs))
+		}
+		var off int64
+		for _, r := range backing.Runs {
+			slot.runs = append(slot.runs, slotRun{off: off, end: off + r.Count, hpa: r.Start})
+			off += r.Count
 		}
 	} else {
 		slot.demand = pagetab.New()
@@ -180,10 +193,12 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 
 // hpaAt returns the HPA page backing slot-relative page index idx.
 func (s *MemSlot) hpaAt(idx int64) int64 {
-	if s.contig {
-		return s.base + idx
+	r := &s.runs[s.last]
+	if idx < r.off || idx >= r.end {
+		s.last = sort.Search(len(s.runs), func(i int) bool { return s.runs[i].end > idx })
+		r = &s.runs[s.last]
 	}
-	return s.pages[idx]
+	return r.hpa + idx - r.off
 }
 
 // Slots returns the VM's memory slots.

@@ -47,6 +47,28 @@ func TestBackedSlotTranslation(t *testing.T) {
 	k.Run()
 }
 
+// A slot backed by a fragmented region must resolve every page, in any
+// order, to the page the flattened region holds at that index.
+func TestFragmentedSlotLookup(t *testing.T) {
+	runs := []hostmem.Run{{Start: 40, Count: 3}, {Start: 7, Count: 1}, {Start: 100, Count: 5}, {Start: 12, Count: 2}}
+	var flat []int64
+	for _, r := range runs {
+		for pg := r.Start; pg < r.Start+r.Count; pg++ {
+			flat = append(flat, pg)
+		}
+	}
+	vm := &VM{mem: hostmem.New(sim.NewKernel(1), hostmem.DefaultConfig())}
+	slot, err := vm.AddSlot("ram", 0, int64(len(flat))*hostmem.PageSize2M, &hostmem.Region{Runs: runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{0, 1, 2, 3, 4, 8, 9, 10, 5, 3, 0, 10, 7, 6, 2, 9} {
+		if got := slot.hpaAt(int64(idx)); got != flat[idx] {
+			t.Errorf("hpaAt(%d) = %d, want %d", idx, got, flat[idx])
+		}
+	}
+}
+
 func TestFaultChargesCostOnceOnly(t *testing.T) {
 	k, mem, h := newHost(1 << 30)
 	k.Go("t", func(p *sim.Proc) {

@@ -1,20 +1,21 @@
 // Package pagetab provides a chunked sparse page table: an int64→int64
-// mapping specialized for the page-number keys used by the simulated IOMMU
-// I/O page tables, KVM EPTs, and demand-paging slots.
+// mapping specialized for the page-number keys used by the simulated KVM
+// EPTs and demand-paging slots. (IOMMU domains keep run extents instead:
+// a DMA map installs whole host runs at once.)
 //
-// Those tables are written one entry per mapped page on the DMA-map and
-// EPT-violation hot paths; with a plain Go map the per-page rehash and
+// Those tables are written one entry per faulted page on the
+// EPT-violation hot path; with a plain Go map the per-page rehash and
 // hashing work dominates both the CPU and allocation profile of a
-// 200-container startup run. Page numbers are dense in practice (a region
-// maps consecutive pages), so the table stores values in fixed 128-entry
+// 200-container startup run. Page numbers are dense in practice (a guest
+// touches consecutive pages), so the table stores values in fixed 128-entry
 // chunks addressed by key>>chunkBits and caches the last chunk touched: a
 // sequential fill costs one map lookup per 128 pages and one array store
 // per page, and memory stays proportional to the number of distinct chunks
-// touched even under sparse or large keys (the 4K-page ablation maps 512×
+// touched even under sparse or large keys (the 4K-page ablation faults 512×
 // more pages per guest than the default geometry).
 //
 // The zero Table is NOT ready for use; call New. A nil *Table behaves like
-// a nil map: reads miss, Delete is a no-op, Set panics.
+// a nil map: reads miss, Set panics.
 package pagetab
 
 import "sort"
@@ -27,7 +28,7 @@ const (
 
 // Table maps int64 keys to non-negative int64 values (page numbers and
 // host physical addresses). Entries store value+1 internally so the zero
-// slot means "absent"; callers never see the bias, and Set/Insert panic on
+// slot means "absent"; callers never see the bias, and Set panics on
 // negative values, which the bias cannot represent (-1 would collide with
 // the absent sentinel and silently corrupt the entry count).
 type Table struct {
@@ -90,37 +91,6 @@ func (t *Table) Set(key, value int64) {
 		t.n++
 	}
 	c[key&chunkMask] = value + 1
-}
-
-// Insert stores value at key only if the key is absent, reporting whether
-// it inserted. value must be non-negative.
-func (t *Table) Insert(key, value int64) bool {
-	if value < 0 {
-		panic("pagetab: negative value")
-	}
-	c := t.chunkFor(key, true)
-	if c[key&chunkMask] != 0 {
-		return false
-	}
-	c[key&chunkMask] = value + 1
-	t.n++
-	return true
-}
-
-// Delete removes key, reporting whether it was present. Emptied chunks are
-// retained (the table's lifetime is the domain's lifetime; memory is
-// returned when the whole table is dropped).
-func (t *Table) Delete(key int64) bool {
-	if t == nil {
-		return false
-	}
-	c := t.chunkFor(key, false)
-	if c == nil || c[key&chunkMask] == 0 {
-		return false
-	}
-	c[key&chunkMask] = 0
-	t.n--
-	return true
 }
 
 // Len returns the number of live entries.

@@ -3,8 +3,8 @@ package pagetab
 // Differential coverage against the reference the table replaced: a plain
 // Go map[int64]int64 restricted to the table's non-negative value domain.
 // Every operation sequence — including value 0 (the internal +1 bias must
-// stay invisible), overwrites, re-inserts after delete, and keys spanning
-// many chunks — must behave identically. The negative-value rejection is
+// stay invisible), overwrites, and keys spanning many chunks — must behave
+// identically. The negative-value rejection is
 // pinned separately: -1 would collide with the bias's absent sentinel, a
 // corruption this differential test originally caught.
 
@@ -26,27 +26,12 @@ func drive(t *testing.T, ops []byte) {
 		if k < 0 {
 			k = -k
 		}
-		switch ops[i] % 4 {
+		switch ops[i] % 2 {
 		case 0: // Set, including value 0
 			v := int64(ops[i+1])
 			tab.Set(k, v)
 			ref[k] = v
-		case 1: // Insert
-			v := int64(i)
-			_, present := ref[k]
-			if got := tab.Insert(k, v); got == present {
-				t.Fatalf("op %d: Insert(%d) returned %v, key present=%v", i, k, got, present)
-			}
-			if !present {
-				ref[k] = v
-			}
-		case 2: // Delete
-			_, present := ref[k]
-			if got := tab.Delete(k); got != present {
-				t.Fatalf("op %d: Delete(%d) returned %v, want %v", i, k, got, present)
-			}
-			delete(ref, k)
-		case 3: // Get
+		case 1: // Get
 			v, ok := tab.Get(k)
 			rv, rok := ref[k]
 			if ok != rok || v != rv {
@@ -100,9 +85,6 @@ func TestNilTableBehavesLikeNilMap(t *testing.T) {
 	var tab *Table
 	if v, ok := tab.Get(5); ok || v != 0 {
 		t.Fatalf("nil Get = (%d,%v), want (0,false)", v, ok)
-	}
-	if tab.Delete(5) {
-		t.Fatal("nil Delete returned true")
 	}
 	if tab.Len() != 0 {
 		t.Fatalf("nil Len = %d", tab.Len())

@@ -205,11 +205,13 @@ func TestContainerMappingsZeroedByDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		region.Pages(func(pg int64) {
-			if r.mem.State(pg) != hostmem.Zeroed {
-				t.Fatalf("page %d state %v", pg, r.mem.State(pg))
+		for _, run := range region.Runs {
+			for pg := run.Start; pg < run.Start+run.Count; pg++ {
+				if r.mem.State(pg) != hostmem.Zeroed {
+					t.Fatalf("page %d state %v", pg, r.mem.State(pg))
+				}
 			}
-		})
+		}
 	})
 	r.k.Run()
 }
