@@ -63,7 +63,7 @@ func BenchmarkTab01_StageProportions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := runBaselineB(b, cluster.BaselineVanilla, benchN)
 		var vfShare float64
-		for _, id := range res.Recorder.Containers() {
+		for _, id := range res.Recorder.Traces() {
 			vfShare += float64(res.Recorder.VFRelatedTime(id))
 		}
 		total := float64(res.Totals.Sum())

@@ -98,7 +98,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		metricsCSV = fs.String("metrics-csv", "", "write the sampled per-metric time series of one metered startup run as CSV to this file and exit")
 		dashboard  = fs.Bool("dashboard", false, "print an ASCII host dashboard of one metered startup run and exit")
 		metricBase = fs.String("metrics-baseline", "vanilla", "baseline for -metrics/-metrics-csv/-dashboard")
-		snapshots  = fs.Bool("snapshots", true, "cache boot-prefix snapshots so scenarios sharing a boot clone it instead of re-simulating (results identical either way)")
 		journeys   = fs.Bool("journeys", false, "record per-request journey traces on every serving run (pure observation; reports render identically)")
 		jtracePath = fs.String("journey-trace", "", "write a Chrome trace-event JSON of one journey-traced serving run to this file and exit (load in ui.perfetto.dev)")
 		jlogPath   = fs.String("journey-log", "", "write the canonical JSONL span log of one journey-traced serving run to this file and exit")
@@ -279,7 +278,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Fleet:             fastiov.FleetConfig{Hosts: *hosts, Policy: *policy},
 		Serve:             fastiov.ServeConfig{Hosts: *hosts, Policy: servePolicy, Tenants: *tenants, Rate: *rate},
 		Availability:      fastiov.AvailabilityConfig{MTBF: *mtbf},
-		DisableSnapshots:  !*snapshots,
 	})
 	entries := suite.Experiments()
 	if *list {

@@ -42,8 +42,10 @@ func main() {
 
 	fmt.Println("\nper-stage breakdown:")
 	rec := host.Rec
-	for _, sp := range rec.Spans() {
-		fmt.Printf("  %-12s %8v -> %8v (%v)\n", sp.Stage,
+	root, _ := rec.RootOf(0)
+	for _, id := range rec.Children(root) {
+		sp := rec.Span(id)
+		fmt.Printf("  %-12s %8v -> %8v (%v)\n", sp.Name,
 			sp.Start.Round(time.Microsecond), sp.End.Round(time.Microsecond),
 			sp.Dur().Round(time.Microsecond))
 	}

@@ -180,11 +180,6 @@ type RunConfig struct {
 	// Availability shapes the availability experiment (serving under host
 	// crash/recovery): zero values sweep the default MTBF/MTTR ladder.
 	Availability AvailabilityConfig
-	// DisableSnapshots turns off boot-prefix snapshot caching, forcing
-	// every scenario to re-simulate its host boot from scratch. Results
-	// are byte-identical either way (restores are verified transparent);
-	// the switch exists to re-measure the uncached reference.
-	DisableSnapshots bool
 }
 
 // FleetConfig parameterizes the fleet experiment.
@@ -271,7 +266,6 @@ func NewSuite(cfg RunConfig) *Suite {
 	x.SetFleet(cfg.Fleet.Hosts, cfg.Fleet.Policy)
 	x.SetServe(cfg.Serve.Hosts, cfg.Serve.Policy, cfg.Serve.Tenants, cfg.Serve.Rate)
 	x.SetAvailability(cfg.Availability.MTBF)
-	x.SetSnapshots(!cfg.DisableSnapshots)
 	s := &Suite{cfg: cfg, x: x}
 	if cfg.FaultSpec != "" {
 		pl, err := fault.ParsePlan(cfg.FaultSpec)
@@ -327,13 +321,13 @@ func (s *Suite) VerifyDeterminism(id string, n int) error {
 	if err != nil {
 		return err
 	}
-	// The serial reference deliberately flips the snapshot setting: when
-	// the pooled run used cached boot snapshots, the serial re-run boots
-	// every host from scratch (and vice versa), so the byte comparison
-	// also pins snapshot transparency end-to-end.
+	// The serial reference boots every host from scratch while the pooled
+	// run clones cached boot snapshots, so the byte comparison also pins
+	// snapshot transparency end-to-end.
 	cfg := s.cfg
-	cfg.Workers, cfg.VerifyDeterminism, cfg.DisableSnapshots = 1, false, !s.cfg.DisableSnapshots
+	cfg.Workers, cfg.VerifyDeterminism = 1, false
 	serial := NewSuite(cfg)
+	serial.x.SetSnapshots(false)
 	rep2, err := serial.Run(id, n)
 	if err != nil {
 		return fmt.Errorf("%s: serial re-run: %w", id, err)

@@ -635,21 +635,6 @@ func (h *Host) StartOne(p *sim.Proc, id int) (*cri.Sandbox, error) {
 	return sb, nil
 }
 
-// StartupSpans returns the host recorder's telemetry stage spans for one
-// container, in recording order. The journey recorder copies these into a
-// request's trace eagerly at dispatch-completion time: a later host crash
-// replaces the host (and its recorder) with a fresh generation, so a
-// post-hoc read would lose pre-crash stages.
-func (h *Host) StartupSpans(id int) []telemetry.Span {
-	var out []telemetry.Span
-	for _, sp := range h.Rec.Spans() {
-		if sp.Container == id {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // startupWave starts n containers with globally unique ids base..base+n-1
 // (churn runs several waves on one host; ids must not collide across waves
 // for telemetry and trace binding).
@@ -689,13 +674,7 @@ func (h *Host) startupWave(n, base int) *Result {
 	res.Sandboxes = sandboxes
 	res.Trace = h.Tracer
 	res.Totals = h.Rec.Totals()
-	res.VFRelated = stats.NewSample()
-	for _, id := range h.Rec.Containers() {
-		if h.Rec.Total(id) == 0 {
-			continue // failed under injected faults; excluded like Totals
-		}
-		res.VFRelated.Add(h.Rec.VFRelatedTime(id))
-	}
+	res.VFRelated = h.Rec.VFRelated()
 	res.FaultStats = h.Faults.Snapshot()
 	return res
 }
@@ -734,10 +713,10 @@ type ChurnResult struct {
 	Failed  int
 	// Reclaim samples per-sandbox StopPodSandbox latency across all waves.
 	Reclaim *stats.Sample
-	// Rollback samples per-container compensating-rollback time (failed
-	// containers only); Rollbacks counts them.
-	Rollback  *stats.Sample
-	Rollbacks int
+	// Rollbacks counts compensating rollbacks (failed containers only)
+	// and RollbackTime sums their durations.
+	Rollbacks    int
+	RollbackTime time.Duration
 	// Leaks audits the host after the final wave against the boot
 	// baseline. A recycling host must end identically clean.
 	Leaks      *audit.Report
@@ -761,7 +740,7 @@ func (r *ChurnResult) SuccessRate() float64 {
 func (h *Host) ChurnExperiment(waves, n int) *ChurnResult {
 	out := &ChurnResult{
 		Name: h.Opts.Name, Waves: waves, PerWave: n,
-		Reclaim: stats.NewSample(), Rollback: stats.NewSample(),
+		Reclaim: stats.NewSample(),
 	}
 	for w := 0; w < waves; w++ {
 		rec := telemetry.NewRecorder()
@@ -773,12 +752,9 @@ func (h *Host) ChurnExperiment(waves, n int) *ChurnResult {
 		if res.Err != nil {
 			out.Err = errors.Join(out.Err, res.Err)
 		}
-		for _, sp := range rec.Spans() {
-			if sp.Stage == telemetry.StageRollback {
-				out.Rollback.Add(sp.Dur())
-				out.Rollbacks++
-			}
-		}
+		n, took := rec.StageTotal(telemetry.StageRollback)
+		out.Rollbacks += n
+		out.RollbackTime += took
 		if err := h.stopAll(res.Live(), func(_ int, took time.Duration) {
 			out.Reclaim.Add(took)
 		}); err != nil {

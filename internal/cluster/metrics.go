@@ -138,12 +138,7 @@ func (h *Host) attachMetrics() {
 		func() float64 { return float64(h.wave.failed) })
 	m.CounterFunc("cluster_rollbacks_total", "compensating rollbacks recorded by telemetry", nil,
 		func() float64 {
-			n := 0
-			for _, sp := range h.Rec.Spans() {
-				if sp.Stage == telemetry.StageRollback {
-					n++
-				}
-			}
+			n, _ := h.Rec.StageTotal(telemetry.StageRollback)
 			return float64(n)
 		})
 	h.startupHist = m.NewHistogram("cluster_startup_seconds", "end-to-end container startup latency", nil,

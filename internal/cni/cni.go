@@ -15,9 +15,6 @@ import (
 	"fastiov/internal/vfio"
 )
 
-// SpanFn records a stage interval (same shape as hypervisor.SpanFn).
-type SpanFn func(stage telemetry.Stage, start, end time.Duration)
-
 // Result is what a plugin hands back to the container runtime.
 type Result struct {
 	// VF is the allocated virtual function (nil for software CNIs).
@@ -34,7 +31,7 @@ type Result struct {
 // before the runtime starts the microVM; Del tears it down.
 type Plugin interface {
 	Name() string
-	Add(p *sim.Proc, sandboxID int, rec SpanFn) (*Result, error)
+	Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error)
 	Del(p *sim.Proc, sandboxID int, res *Result) error
 }
 
@@ -107,7 +104,7 @@ func NewSRIOV(name string, card *nic.NIC, drv *vfio.Driver, rtnl *sim.Mutex, cos
 func (s *SRIOV) Name() string { return s.name }
 
 // Add allocates a VF and prepares its sandbox-visible interface.
-func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec SpanFn) (*Result, error) {
+func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
 	if err := s.Faults.Fail(fault.SiteCNIAdd); err != nil {
 		// The add blocks on device readiness until its own deadline fires,
 		// then fails — before any VF is allocated, so the runtime's retry
@@ -179,7 +176,7 @@ func NewIPvtap(rtnl, cgroupLock *sim.Mutex, costs Costs) *IPvtap {
 func (t *IPvtap) Name() string { return "ipvtap" }
 
 // Add creates and configures the ipvtap device.
-func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec SpanFn) (*Result, error) {
+func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
 	if err := t.Faults.Fail(fault.SiteCNIAdd); err != nil {
 		p.Sleep(t.costs.AddTimeout)
 		return nil, fmt.Errorf("cni ipvtap: add sandbox %d: %w", sandboxID, err)
@@ -219,7 +216,7 @@ type NoNetwork struct{}
 func (NoNetwork) Name() string { return "no-network" }
 
 // Add does nothing.
-func (NoNetwork) Add(p *sim.Proc, sandboxID int, rec SpanFn) (*Result, error) {
+func (NoNetwork) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
 	return &Result{}, nil
 }
 

@@ -190,7 +190,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 	// starts clean; genuine errors abort immediately.
 	var res *cni.Result
 	err := fault.Do(p, e.opts.Retry, e.opts.Faults, "cni-add", func() error {
-		r, aerr := e.plugin.Add(p, id, cni.SpanFn(spanFn))
+		r, aerr := e.plugin.Add(p, id, spanFn)
 		if aerr == nil {
 			res = r
 		}
@@ -233,7 +233,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 
 	// Kata runtime: start virtiofsd first (QEMU connects to it), then the
 	// microVM.
-	mvm := hypervisor.New(e.env, id, e.opts.Layout, hypervisor.SpanFn(spanFn))
+	mvm := hypervisor.New(e.env, id, e.opts.Layout, spanFn)
 	mvm.Start(p)
 	sb.MVM = mvm
 	u.push("vm-destroy", func(q *sim.Proc) error { mvm.Destroy(q); return nil })

@@ -315,8 +315,8 @@ func TestCrashRollbackLeaksNothing(t *testing.T) {
 					t.Errorf("crash@%s leaked: before %+v, after %+v", stage, before, after)
 				}
 				rollbacks := 0
-				for _, sp := range r.rec.Spans() {
-					if sp.Stage == telemetry.StageRollback {
+				for id := 0; id < r.rec.Len(); id++ {
+					if r.rec.Span(id).Name == string(telemetry.StageRollback) {
 						rollbacks++
 					}
 				}

@@ -52,7 +52,6 @@ func (s recoverySpec) run(_ *Exec, seed uint64) (*cluster.ChurnResult, error) {
 		return nil, fmt.Errorf("%s: dirty leak audit after churn:\n%s", s.Baseline, res.Leaks)
 	}
 	res.Reclaim.Sort()
-	res.Rollback.Sort()
 	return res, nil
 }
 
@@ -64,9 +63,7 @@ func (recoverySpec) fingerprint(res *cluster.ChurnResult) []byte {
 	for _, d := range res.Reclaim.Values() {
 		b = fmt.Appendf(b, "reclaim %d\n", d)
 	}
-	for _, d := range res.Rollback.Values() {
-		b = fmt.Appendf(b, "rollback %d\n", d)
-	}
+	b = fmt.Appendf(b, "rollback time %d\n", res.RollbackTime)
 	for _, st := range res.FaultStats {
 		b = fmt.Appendf(b, "fault %s occ=%d inj=%d\n", st.Site, st.Occurrences, st.Injected)
 	}
@@ -142,7 +139,12 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 		t.AddRow(r.label, pctString(rates),
 			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(50) }),
 			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(99) }),
-			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Rollback.Mean() }),
+			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration {
+				if cr.Rollbacks == 0 {
+					return 0
+				}
+				return cr.RollbackTime / time.Duration(cr.Rollbacks)
+			}),
 			fmt.Sprintf("%.1f", rbMean), leaks)
 	}
 	rep.Table = t

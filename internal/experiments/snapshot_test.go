@@ -115,8 +115,8 @@ func TestSnapshotCacheTransparency(t *testing.T) {
 	}
 }
 
-// TestSnapshotToggleRoundTrip pins the setter semantics used by the CLI's
-// -snapshots flag.
+// TestSnapshotToggleRoundTrip pins the setter semantics used by the
+// determinism check's from-scratch serial reference.
 func TestSnapshotToggleRoundTrip(t *testing.T) {
 	x := NewExec(1, nil)
 	if !x.Snapshots() {

@@ -221,13 +221,6 @@ func (pl *Plan) Rule(site Site) (Rule, bool) {
 	return r, ok
 }
 
-// AddHostClause appends a host-scoped crash clause.
-func (pl *Plan) AddHostClause(c HostClause) { pl.hosts = append(pl.hosts, c) }
-
-// SetRecoverAfter installs the MTTR: crashed hosts begin recovery d after
-// the crash (0 restores the default of never recovering).
-func (pl *Plan) SetRecoverAfter(d time.Duration) { pl.recoverAfter = d }
-
 // HostClauses returns the host-scoped crash clauses in canonical order
 // (sorted by At, then Host, then daemon-ness, then MTBF), nil-safe. The
 // returned slice is a copy.

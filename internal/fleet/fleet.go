@@ -500,18 +500,6 @@ func (r *Result) MaxRecovery() time.Duration {
 	return max
 }
 
-// MeanRecovery averages the recovery readiness delays (0 with none).
-func (r *Result) MeanRecovery() time.Duration {
-	if len(r.Recoveries) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, rec := range r.Recoveries {
-		sum += rec.Took
-	}
-	return sum / time.Duration(len(r.Recoveries))
-}
-
 // CleanPerHost reports whether every per-host audit came back clean (false
 // when unaudited).
 func (r *Result) CleanPerHost() bool {

@@ -120,10 +120,6 @@ func (l Layout) ImageBase() int64    { return l.RAMBytes }
 func (l Layout) FirmwareBase() int64 { return l.RAMBytes + l.ImageBytes }
 func (l Layout) Total() int64        { return l.RAMBytes + l.ImageBytes + l.FirmwareBytes }
 
-// SpanFn records a stage interval for the telemetry breakdown. Nil disables
-// recording.
-type SpanFn func(stage telemetry.Stage, start, end time.Duration)
-
 // MicroVM is one guest instance.
 type MicroVM struct {
 	Env    *Env
@@ -146,12 +142,12 @@ type MicroVM struct {
 	// the Env's host-wide counter).
 	vhostRegs int
 
-	rec SpanFn
+	rec telemetry.SpanFn
 }
 
 // New forks the hypervisor process for container id (charging CPU) and
 // creates the KVM VM.
-func New(env *Env, id int, layout Layout, rec SpanFn) *MicroVM {
+func New(env *Env, id int, layout Layout, rec telemetry.SpanFn) *MicroVM {
 	return &MicroVM{Env: env, ID: id, Layout: layout, rec: rec}
 }
 

@@ -4,256 +4,68 @@
 // reroute/backoff after host crashes, the startup telemetry stages, pod
 // lifetime, and teardown.
 //
-// The recorder is an observer in the same sense as telemetry.Recorder and
-// the metrics registry: it is only ever touched from simulation procs (the
+// The spans live in the telemetry span store, the same one that records
+// container startups. The recorder is an observer in the same sense as the
+// metrics registry: it is only ever touched from simulation procs (the
 // kernel's single-runnable-baton guarantee makes a mutex unnecessary), it
 // consumes zero simulated time and zero PRNG draws, and a run with a
 // recorder attached renders byte-identically to one without. The canonical
 // encoding is a JSONL span log sorted by (trace, start, id) with an FNV-1a
 // fingerprint folded into the determinism check.
+//
+// Perfetto export: journeys render through the same Chrome trace-event
+// writer as the kernel trace, as a second process group ("request
+// journeys", pid 2) with one thread per request. Timestamps share the
+// kernel trace's clock (simulated microseconds since t=0), so loading a
+// journey export alongside a kernel trace export lines the two up.
 package journey
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
-	"sort"
-	"strconv"
-	"time"
+
+	"fastiov/internal/telemetry"
+	"fastiov/internal/trace"
 )
 
-// Attr is one key/value span attribute. Values are pre-rendered strings so
-// the canonical encoding never depends on float formatting at export time.
-type Attr struct {
-	Key, Val string
-}
-
-// A returns a string attribute.
-func A(key, val string) Attr { return Attr{key, val} }
-
-// Int returns an integer attribute.
-func Int(key string, v int) Attr { return Attr{key, strconv.Itoa(v)} }
-
-// Dur returns a duration attribute (Go duration syntax, e.g. "8ms").
-func Dur(key string, v time.Duration) Attr { return Attr{key, v.String()} }
-
-// F returns a float attribute with full round-trip precision.
-func F(key string, v float64) Attr {
-	return Attr{key, strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
-// Span is one timed region of a request's journey. ID is the recorder-wide
-// span index (assigned in Begin order, so it is itself deterministic);
-// Parent is the enclosing span's ID or -1 for a root span. Trace is the
-// request's trace ID — by convention the arrival-ordered request ID, which
-// is also the container ID of the request's first dispatch attempt.
-type Span struct {
-	Trace  int
-	ID     int
-	Parent int
-	Name   string
-	Start  time.Duration
-	End    time.Duration
-	Attrs  []Attr
-
-	ended bool
-}
-
-// Dur returns the span's duration.
-func (s Span) Dur() time.Duration { return s.End - s.Start }
-
-// Attr returns the value of the named attribute, or "" when absent.
-func (s Span) Attr(key string) string {
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Val
-		}
-	}
-	return ""
-}
-
-// Recorder accumulates spans for one serving run.
-//
-// No mutex: the deterministic kernel runs exactly one proc at a time, and
-// the recorder is only called from procs (never from host threads).
+// Recorder is one serving run's span store.
 type Recorder struct {
-	spans  []Span
-	roots  map[int]int // trace -> root span id
-	sealed bool
+	telemetry.Recorder
 }
 
 // NewRecorder returns an empty journey recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{roots: make(map[int]int)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Begin opens a span and returns its ID. Parent is the enclosing span's ID
-// or -1 for a root; a root registers itself as the trace's root span
-// (exactly one root per trace — a second root for the same trace panics,
-// which is what the conservation property tests lean on).
-func (r *Recorder) Begin(trace, parent int, name string, at time.Duration, attrs ...Attr) int {
-	if r.sealed {
-		panic("journey: Begin after Seal")
-	}
-	id := len(r.spans)
-	if parent < 0 {
-		if _, dup := r.roots[trace]; dup {
-			panic(fmt.Sprintf("journey: second root span for trace %d", trace))
-		}
-		r.roots[trace] = id
-		parent = -1
-	}
-	r.spans = append(r.spans, Span{
-		Trace:  trace,
-		ID:     id,
-		Parent: parent,
-		Name:   name,
-		Start:  at,
-		End:    at,
-		Attrs:  attrs,
-	})
-	return id
-}
+// ChromePID is the journey track group's process id (the kernel trace
+// owns pid 1).
+const ChromePID = 2
 
-// End closes a span at the given instant, optionally appending attributes.
-// Ending an already-ended span or ending before the span started panics.
-func (r *Recorder) End(id int, at time.Duration, attrs ...Attr) {
-	sp := &r.spans[id]
-	if sp.ended {
-		panic(fmt.Sprintf("journey: span %d (%s) ended twice", id, sp.Name))
-	}
-	if at < sp.Start {
-		panic(fmt.Sprintf("journey: span %d (%s) ends %v before start %v", id, sp.Name, at, sp.Start))
-	}
-	sp.End = at
-	sp.ended = true
-	sp.Attrs = append(sp.Attrs, attrs...)
-}
-
-// Event records a zero-duration span (an instant annotation, e.g. the
-// admission verdict or a placement decision) and returns its ID.
-func (r *Recorder) Event(trace, parent int, name string, at time.Duration, attrs ...Attr) int {
-	id := r.Begin(trace, parent, name, at, attrs...)
-	r.End(id, at)
-	return id
-}
-
-// Annotate appends attributes to an open or closed span.
-func (r *Recorder) Annotate(id int, attrs ...Attr) {
-	sp := &r.spans[id]
-	sp.Attrs = append(sp.Attrs, attrs...)
-}
-
-// RootOf returns the root span ID for a trace.
-func (r *Recorder) RootOf(trace int) (int, bool) {
-	id, ok := r.roots[trace]
-	return id, ok
-}
-
-// Seal closes every still-open span at the given instant (requests whose
-// pod-retirement proc was killed by a host crash, for example) with an
-// unfinished=true attribute, and freezes the recorder.
-func (r *Recorder) Seal(end time.Duration) {
-	if r.sealed {
-		return
-	}
-	for i := range r.spans {
-		if !r.spans[i].ended {
-			r.End(i, end, A("unfinished", "true"))
+// ChromeEvents renders the recorded spans as Chrome trace events: process
+// and per-request thread metadata first, then one complete ("X") event per
+// span in canonical (trace, start, id) order, attributes as event args.
+func (r *Recorder) ChromeEvents() []trace.ChromeEvent {
+	events := []trace.ChromeEvent{{
+		Name: "process_name", Ph: "M", PID: ChromePID, TID: 0,
+		Args: map[string]string{"name": "request journeys"},
+	}}
+	order := r.CanonicalOrder()
+	lastTrace := -1
+	for _, i := range order {
+		if tr := int(r.Span(i).Trace); tr != lastTrace {
+			events = append(events, trace.ChromeEvent{
+				Name: "thread_name", Ph: "M", PID: ChromePID, TID: tr,
+				Args: map[string]string{"name": fmt.Sprintf("req-%d", tr)},
+			})
+			lastTrace = tr
 		}
 	}
-	r.sealed = true
+	return trace.SpanEvents(events, &r.Recorder, order, "journey", ChromePID,
+		func(sp telemetry.Span) (int, bool) { return int(sp.Trace), true })
 }
 
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int { return len(r.spans) }
-
-// Roots returns the number of root spans (distinct traces).
-func (r *Recorder) Roots() int { return len(r.roots) }
-
-// Traces returns every trace ID with a root span, ascending.
-func (r *Recorder) Traces() []int {
-	out := make([]int, 0, len(r.roots))
-	for tr := range r.roots {
-		out = append(out, tr)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Span returns a copy of the span with the given ID.
-func (r *Recorder) Span(id int) Span { return r.spans[id] }
-
-// Spans returns the recorded spans in Begin order. The slice is not a
-// copy; callers must not mutate it.
-func (r *Recorder) Spans() []Span { return r.spans }
-
-// Children returns the IDs of a span's direct children, in Begin order.
-func (r *Recorder) Children(id int) []int {
-	var out []int
-	for _, sp := range r.spans {
-		if sp.Parent == id {
-			out = append(out, sp.ID)
-		}
-	}
-	return out
-}
-
-// canonicalOrder returns span indices sorted by (Trace, Start, ID): all of
-// one request's spans group together, in time order, with the Begin-order
-// ID as a deterministic tiebreak for equal timestamps.
-func (r *Recorder) canonicalOrder() []int {
-	idx := make([]int, len(r.spans))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		x, y := &r.spans[idx[a]], &r.spans[idx[b]]
-		if x.Trace != y.Trace {
-			return x.Trace < y.Trace
-		}
-		if x.Start != y.Start {
-			return x.Start < y.Start
-		}
-		return x.ID < y.ID
-	})
-	return idx
-}
-
-// AppendCanonical appends the canonical JSONL span log: one JSON object
-// per span, sorted by (trace, start, id), with attributes in recording
-// order. The encoding is hand-rendered so the bytes are stable regardless
-// of encoder version.
-func (r *Recorder) AppendCanonical(b []byte) []byte {
-	for _, i := range r.canonicalOrder() {
-		sp := &r.spans[i]
-		b = fmt.Appendf(b, `{"trace":%d,"span":%d,"parent":%d,"name":%q,"start":%d,"end":%d`,
-			sp.Trace, sp.ID, sp.Parent, sp.Name, int64(sp.Start), int64(sp.End))
-		if len(sp.Attrs) > 0 {
-			b = append(b, `,"attrs":{`...)
-			for j, a := range sp.Attrs {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = fmt.Appendf(b, "%q:%q", a.Key, a.Val)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, '}', '\n')
-	}
-	return b
-}
-
-// WriteLog writes the canonical JSONL span log.
-func (r *Recorder) WriteLog(w io.Writer) error {
-	_, err := w.Write(r.AppendCanonical(nil))
-	return err
-}
-
-// Fingerprint returns an FNV-1a hash over the canonical JSONL encoding,
-// suitable for folding into the determinism check.
-func (r *Recorder) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write(r.AppendCanonical(nil))
-	return h.Sum64()
+// WriteChrome writes the journey track group as Chrome trace-event JSON,
+// loadable in Perfetto (ui.perfetto.dev) on its own or alongside a kernel
+// trace export.
+func (r *Recorder) WriteChrome(w io.Writer) error {
+	return trace.WriteChromeEvents(w, r.ChromeEvents())
 }

@@ -5,18 +5,20 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fastiov/internal/telemetry"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
-	root := r.Begin(7, -1, "request", ms(10), A("tenant", "api"))
+	root := r.Begin(7, -1, "request", ms(10), telemetry.A("tenant", "api"))
 	child := r.Begin(7, root, "queue-wait", ms(10))
 	r.End(child, ms(30))
-	r.Event(7, root, "admission", ms(10), A("verdict", "admit"))
-	r.Annotate(root, Dur("sojourn", ms(40)))
-	r.End(root, ms(50), A("outcome", "completed"))
+	r.Event(7, root, "admission", ms(10), telemetry.A("verdict", "admit"))
+	r.Annotate(root, telemetry.Dur("sojourn", ms(40)))
+	r.End(root, ms(50), telemetry.A("outcome", "completed"))
 
 	if r.Len() != 3 || r.Roots() != 1 {
 		t.Fatalf("len=%d roots=%d, want 3/1", r.Len(), r.Roots())
@@ -111,7 +113,7 @@ func TestCanonicalOrderingAndFingerprint(t *testing.T) {
 		// Two traces begun in the given order; canonical form must not care.
 		for _, tr := range order {
 			id := r.Begin(tr, -1, "request", ms(tr))
-			r.End(id, ms(tr+10), Int("trace", tr))
+			r.End(id, ms(tr+10), telemetry.Int("trace", tr))
 		}
 		return r
 	}
@@ -143,7 +145,7 @@ func TestCanonicalOrderingAndFingerprint(t *testing.T) {
 func TestChromeEvents(t *testing.T) {
 	r := NewRecorder()
 	root := r.Begin(3, -1, "request", ms(1))
-	r.End(root, ms(9), A("outcome", "completed"))
+	r.End(root, ms(9), telemetry.A("outcome", "completed"))
 	evs := r.ChromeEvents()
 	// One process_name metadata, one thread_name per trace, one X per span.
 	var meta, x int

@@ -201,9 +201,6 @@ func (s *MemSlot) hpaAt(idx int64) int64 {
 	return r.hpa + idx - r.off
 }
 
-// Slots returns the VM's memory slots.
-func (vm *VM) Slots() []*MemSlot { return vm.slots }
-
 // slotFor finds the slot containing gpa.
 func (vm *VM) slotFor(gpa int64) (*MemSlot, error) {
 	for _, s := range vm.slots {

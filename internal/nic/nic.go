@@ -231,6 +231,3 @@ func (n *NIC) Transfer(p *sim.Proc, bytes int64) {
 	d := time.Duration(bytes * 8 * int64(time.Second) / n.laneBps)
 	n.link.Use(p, 1, d)
 }
-
-// LinkLanes exposes the lane resource for tests.
-func (n *NIC) LinkLanes() *sim.Resource { return n.link }

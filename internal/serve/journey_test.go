@@ -14,7 +14,6 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
-	"fastiov/internal/journey"
 	"fastiov/internal/telemetry"
 )
 
@@ -37,12 +36,12 @@ func runJourney(t *testing.T, cfg Config) (*Server, *Result) {
 	return s, res
 }
 
-func mustDur(t *testing.T, sp journey.Span, key string) time.Duration {
+func mustDur(t *testing.T, sp telemetry.Span, key string) time.Duration {
 	t.Helper()
 	v := sp.Attr(key)
 	d, err := time.ParseDuration(v)
 	if err != nil {
-		t.Fatalf("span %d (%s): attr %s=%q: %v", sp.ID, sp.Name, key, v, err)
+		t.Fatalf("span %s (trace %d): attr %s=%q: %v", sp.Name, sp.Trace, key, v, err)
 	}
 	return d
 }
@@ -54,20 +53,20 @@ func checkJourney(t *testing.T, s *Server, res *Result) {
 	if jr.Roots() != res.Arrived {
 		t.Errorf("%d arrivals minted %d root spans", res.Arrived, jr.Roots())
 	}
-	spans := jr.Spans()
 	// Children nest within their parents on the same trace.
-	for _, sp := range spans {
+	for id := 0; id < jr.Len(); id++ {
+		sp := jr.Span(id)
 		if sp.Parent < 0 {
 			continue
 		}
-		par := jr.Span(sp.Parent)
+		par := jr.Span(int(sp.Parent))
 		if par.Trace != sp.Trace {
 			t.Fatalf("span %d (%s) trace %d has parent %d (%s) on trace %d",
-				sp.ID, sp.Name, sp.Trace, par.ID, par.Name, par.Trace)
+				id, sp.Name, sp.Trace, sp.Parent, par.Name, par.Trace)
 		}
 		if sp.Start < par.Start || sp.End > par.End {
 			t.Errorf("span %d (%s) [%s,%s] escapes parent %d (%s) [%s,%s]",
-				sp.ID, sp.Name, sp.Start, sp.End, par.ID, par.Name, par.Start, par.End)
+				id, sp.Name, sp.Start, sp.End, sp.Parent, par.Name, par.Start, par.End)
 		}
 	}
 	// Per completed request: queue-wait + dispatch tile the sojourn exactly.
@@ -85,7 +84,7 @@ func checkJourney(t *testing.T, s *Server, res *Result) {
 		journeySojourns = append(journeySojourns, sojourn)
 		var qw, disp time.Duration
 		seen := 0
-		for _, cid := range jr.Children(root.ID) {
+		for _, cid := range jr.Children(rid) {
 			c := jr.Span(cid)
 			switch c.Name {
 			case "queue-wait":
@@ -121,7 +120,8 @@ func checkJourney(t *testing.T, s *Server, res *Result) {
 	// ran the start is still live — callers pass crash-free configs here).
 	if res.Fleet.HostCrashes == 0 {
 		okAttempts := 0
-		for _, sp := range spans {
+		for id := 0; id < jr.Len(); id++ {
+			sp := jr.Span(id)
 			if sp.Name != "attempt" || sp.Attr("outcome") != "ok" {
 				continue
 			}
@@ -130,7 +130,7 @@ func checkJourney(t *testing.T, s *Server, res *Result) {
 			ctr := atoiAttr(t, sp, "ctr")
 			rec := s.F.Hosts[host].Rec
 			byStage := map[string]time.Duration{}
-			for _, cid := range jr.Children(sp.ID) {
+			for _, cid := range jr.Children(id) {
 				c := jr.Span(cid)
 				if c.Name == "placement" || c.Name == "reroute-wait" {
 					continue
@@ -138,7 +138,7 @@ func checkJourney(t *testing.T, s *Server, res *Result) {
 				byStage[c.Name] += c.Dur()
 			}
 			if len(byStage) == 0 {
-				t.Errorf("ok attempt %d (ctr %d) carries no stage spans", sp.ID, ctr)
+				t.Errorf("ok attempt %d (ctr %d) carries no stage spans", id, ctr)
 			}
 			for name, d := range byStage {
 				if want := rec.StageTime(ctr, telemetry.Stage(name)); want != d {
@@ -160,16 +160,16 @@ func sortDurs(ds []time.Duration) {
 	}
 }
 
-func atoiAttr(t *testing.T, sp journey.Span, key string) int {
+func atoiAttr(t *testing.T, sp telemetry.Span, key string) int {
 	t.Helper()
 	n := 0
 	v := sp.Attr(key)
 	if v == "" {
-		t.Fatalf("span %d (%s): missing attr %s", sp.ID, sp.Name, key)
+		t.Fatalf("span %s (trace %d): missing attr %s", sp.Name, sp.Trace, key)
 	}
 	for _, ch := range v {
 		if ch < '0' || ch > '9' {
-			t.Fatalf("span %d: attr %s=%q not an int", sp.ID, key, v)
+			t.Fatalf("span %s (trace %d): attr %s=%q not an int", sp.Name, sp.Trace, key, v)
 		}
 		n = n*10 + int(ch-'0')
 	}
@@ -249,7 +249,7 @@ func TestSojournExemplarResolves(t *testing.T) {
 		}
 		sojourn := mustDur(t, root, "sojourn")
 		var sum time.Duration
-		for _, cid := range jr.Children(root.ID) {
+		for _, cid := range jr.Children(rid) {
 			c := jr.Span(cid)
 			if c.Name == "queue-wait" || c.Name == "dispatch" {
 				sum += c.Dur()

@@ -13,6 +13,7 @@ import (
 	"fastiov/internal/metrics"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
+	"fastiov/internal/telemetry"
 )
 
 // Serving defaults.
@@ -343,14 +344,14 @@ func New(cfg Config) (*Server, error) {
 			if jq == nil {
 				return
 			}
-			attrs := []journey.Attr{
-				journey.Int("host", st.Index),
-				journey.Int("free-vfs", st.FreeVFs),
-				journey.Int("inflight", st.Inflight),
-				journey.A("health", st.Health.String()),
+			attrs := []telemetry.Attr{
+				telemetry.Int("host", st.Index),
+				telemetry.Int("free-vfs", st.FreeVFs),
+				telemetry.Int("inflight", st.Inflight),
+				telemetry.A("health", st.Health.String()),
 			}
 			if scored {
-				attrs = append(attrs, journey.F("score", score))
+				attrs = append(attrs, telemetry.F("score", score))
 			}
 			s.jr.Event(jq.trace, jq.attempt, "placement", at, attrs...)
 		}
@@ -434,18 +435,18 @@ func tenantShedReader(ts *TenantStat, reason string) func() float64 {
 // admissionAttrs renders the policy's decision state for the admission
 // span: the verdict plus policy-specific inputs (token fill for
 // token-bucket, predicted wait vs budget for slo-aware). Pure reads.
-func (s *Server) admissionAttrs(r *Request, v View) []journey.Attr {
-	attrs := []journey.Attr{journey.A("policy", s.pol.Name())}
+func (s *Server) admissionAttrs(r *Request, v View) []telemetry.Attr {
+	attrs := []telemetry.Attr{telemetry.A("policy", s.pol.Name())}
 	switch p := s.pol.(type) {
 	case *tokenBucket:
 		if tokens, ok := p.Peek(r.Tenant, v.Now); ok {
-			attrs = append(attrs, journey.F("tokens", tokens))
+			attrs = append(attrs, telemetry.F("tokens", tokens))
 		}
 	case *sloAware:
 		est, budget := p.Explain(r, v)
-		attrs = append(attrs, journey.Dur("est-sojourn", est), journey.Dur("budget", budget))
+		attrs = append(attrs, telemetry.Dur("est-sojourn", est), telemetry.Dur("budget", budget))
 	}
-	attrs = append(attrs, journey.Int("queue-depth", v.QueueDepth), journey.Int("headroom", v.FreeVFHeadroom))
+	attrs = append(attrs, telemetry.Int("queue-depth", v.QueueDepth), telemetry.Int("headroom", v.FreeVFHeadroom))
 	return attrs
 }
 
@@ -508,7 +509,7 @@ func (s *Server) arrive(p *sim.Proc, r *Request) {
 	root := -1
 	if s.jr != nil {
 		root = s.jr.Begin(r.ID, -1, "request", now,
-			journey.A("tenant", r.Tenant), journey.A("prio", r.Priority.String()))
+			telemetry.A("tenant", r.Tenant), telemetry.A("prio", r.Priority.String()))
 	}
 	v := s.view(now)
 	if s.Cfg.QueueCap > 0 && s.inQueue >= s.Cfg.QueueCap {
@@ -520,7 +521,7 @@ func (s *Server) arrive(p *sim.Proc, r *Request) {
 		return
 	}
 	// Token/budget state must be read before Admit drains a token.
-	admitAttrs := []journey.Attr(nil)
+	admitAttrs := []telemetry.Attr(nil)
 	if s.jr != nil {
 		admitAttrs = s.admissionAttrs(r, v)
 	}
@@ -531,13 +532,13 @@ func (s *Server) arrive(p *sim.Proc, r *Request) {
 		ts.ShedPolicy++
 		if s.jr != nil {
 			s.jr.Event(r.ID, root, "admission", now, append(admitAttrs,
-				journey.A("verdict", "shed"), journey.A("reason", "policy"))...)
-			s.jr.End(root, now, journey.A("outcome", "shed"), journey.A("reason", "policy"))
+				telemetry.A("verdict", "shed"), telemetry.A("reason", "policy"))...)
+			s.jr.End(root, now, telemetry.A("outcome", "shed"), telemetry.A("reason", "policy"))
 		}
 		return
 	}
 	if s.jr != nil {
-		s.jr.Event(r.ID, root, "admission", now, append(admitAttrs, journey.A("verdict", "admit"))...)
+		s.jr.Event(r.ID, root, "admission", now, append(admitAttrs, telemetry.A("verdict", "admit"))...)
 		qw := s.jr.Begin(r.ID, root, "queue-wait", now)
 		s.jreq[r.ID] = &jreq{trace: r.ID, root: root, queueWait: qw}
 	}
@@ -551,8 +552,8 @@ func (s *Server) jShed(r *Request, root int, v View, reason string, now time.Dur
 		return
 	}
 	s.jr.Event(r.ID, root, "admission", now, append(s.admissionAttrs(r, v),
-		journey.A("verdict", "shed"), journey.A("reason", reason))...)
-	s.jr.End(root, now, journey.A("outcome", "shed"), journey.A("reason", reason))
+		telemetry.A("verdict", "shed"), telemetry.A("reason", reason))...)
+	s.jr.End(root, now, telemetry.A("outcome", "shed"), telemetry.A("reason", reason))
 }
 
 // dispatcher is one serving worker: pop, revalidate, drive the start to
@@ -576,10 +577,10 @@ func (s *Server) dispatcher(p *sim.Proc) {
 			ts.ShedStale++
 			if jq != nil {
 				s.jr.Event(jq.trace, jq.root, "revalidate", now,
-					journey.A("policy", s.pol.Name()), journey.A("verdict", "shed"),
-					journey.A("reason", "stale-revalidation"))
-				s.jr.End(jq.root, now, journey.A("outcome", "shed"),
-					journey.A("reason", "stale-revalidation"))
+					telemetry.A("policy", s.pol.Name()), telemetry.A("verdict", "shed"),
+					telemetry.A("reason", "stale-revalidation"))
+				s.jr.End(jq.root, now, telemetry.A("outcome", "shed"),
+					telemetry.A("reason", "stale-revalidation"))
 				delete(s.jreq, r.ID)
 			}
 			continue
@@ -609,7 +610,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 		}
 		if jq != nil {
 			jq.attempt = s.jr.Begin(jq.trace, jq.dispatch, "attempt", p.Now(),
-				journey.Int("attempt", attempt), journey.Int("ctr", id))
+				telemetry.Int("attempt", attempt), telemetry.Int("ctr", id))
 			s.jctr[id] = jq // resolves the fleet's OnPlace observer
 		}
 		var host int
@@ -643,7 +644,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			// inside the heartbeat detection window.
 			s.crashLost++
 			if jq != nil {
-				s.jr.End(jq.attempt, p.Now(), journey.A("outcome", "crash-lost"))
+				s.jr.End(jq.attempt, p.Now(), telemetry.A("outcome", "crash-lost"))
 			}
 			if !s.rerouteAttempt(p, r, ts, jq, attempt) {
 				return
@@ -654,7 +655,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			// Every host is out of service: back off toward recovery
 			// instead of hot-polling a dark fleet.
 			if jq != nil {
-				s.jr.End(jq.attempt, p.Now(), journey.A("outcome", "all-hosts-down"))
+				s.jr.End(jq.attempt, p.Now(), telemetry.A("outcome", "all-hosts-down"))
 			}
 			if !s.rerouteAttempt(p, r, ts, jq, attempt) {
 				return
@@ -672,9 +673,9 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 					outcome = "fault"
 				}
 				now := p.Now()
-				s.jr.End(jq.attempt, now, journey.A("outcome", outcome))
+				s.jr.End(jq.attempt, now, telemetry.A("outcome", outcome))
 				s.jr.End(jq.dispatch, now)
-				s.jr.End(jq.root, now, journey.A("outcome", "failed"), journey.A("reason", outcome))
+				s.jr.End(jq.root, now, telemetry.A("outcome", "failed"), telemetry.A("reason", outcome))
 				delete(s.jreq, r.ID)
 			}
 			return
@@ -686,16 +687,13 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			// Copy the startup telemetry stage spans into the attempt
 			// eagerly: a later crash of this host boots a fresh generation
 			// with a fresh recorder, so these spans must be taken now.
-			for _, sp := range s.F.Hosts[host].StartupSpans(id) {
-				sid := s.jr.Begin(jq.trace, jq.attempt, string(sp.Stage), sp.Start)
-				s.jr.End(sid, sp.End)
-			}
-			s.jr.End(jq.attempt, now, journey.A("outcome", "ok"),
-				journey.Int("host", host), journey.Dur("took", took))
+			s.jr.CopyStages(s.F.Hosts[host].Rec, id, jq.trace, jq.attempt)
+			s.jr.End(jq.attempt, now, telemetry.A("outcome", "ok"),
+				telemetry.Int("host", host), telemetry.Dur("took", took))
 			s.jr.End(jq.dispatch, now)
-			s.jr.Annotate(jq.root, journey.A("outcome", "completed"), journey.Dur("sojourn", sojourn))
+			s.jr.Annotate(jq.root, telemetry.A("outcome", "completed"), telemetry.Dur("sojourn", sojourn))
 			if s.Cfg.Lifetime >= 0 {
-				podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, journey.Int("host", host))
+				podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, telemetry.Int("host", host))
 			}
 		}
 		if s.Cfg.Lifetime >= 0 {
@@ -748,7 +746,7 @@ func (s *Server) rerouteAttempt(p *sim.Proc, r *Request, ts *TenantStat, jq *jre
 	began := p.Now()
 	ok := s.rerouteWait(p, r, attempt)
 	if jq != nil {
-		w := s.jr.Begin(jq.trace, jq.dispatch, "reroute-wait", began, journey.Int("attempt", attempt))
+		w := s.jr.Begin(jq.trace, jq.dispatch, "reroute-wait", began, telemetry.Int("attempt", attempt))
 		s.jr.End(w, p.Now())
 	}
 	if !ok {
@@ -756,7 +754,7 @@ func (s *Server) rerouteAttempt(p *sim.Proc, r *Request, ts *TenantStat, jq *jre
 		if jq != nil {
 			now := p.Now()
 			s.jr.End(jq.dispatch, now)
-			s.jr.End(jq.root, now, journey.A("outcome", "failed"), journey.A("reason", "reroute-give-up"))
+			s.jr.End(jq.root, now, telemetry.A("outcome", "failed"), telemetry.A("reason", "reroute-give-up"))
 			delete(s.jreq, r.ID)
 		}
 		return false

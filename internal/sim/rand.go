@@ -60,21 +60,6 @@ func (r *Rand) Duration(d Duration) Duration {
 	return Duration(r.Int63n(int64(d)))
 }
 
-// Uint64s fills dst with the next len(dst) values of the stream. The draws
-// are identical to len(dst) sequential Uint64 calls; batching only removes
-// per-call overhead on hot paths (the xorshift state walks forward exactly
-// len(dst) steps).
-func (r *Rand) Uint64s(dst []uint64) {
-	x := r.state
-	for i := range dst {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		dst[i] = x * 0x2545F4914F6CDD1D
-	}
-	r.state = x
-}
-
 // Durations fills dst with independent uniform durations in [0, d), drawing
 // exactly as len(dst) sequential Duration calls would: for d <= 0 every
 // entry is 0 and no draws are consumed, so batched and unbatched callers

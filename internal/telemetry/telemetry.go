@@ -1,7 +1,10 @@
 // Package telemetry is the reproduction of the paper's fine-grained logging
-// tool (§3.1): it records per-container, per-stage spans during concurrent
-// startup runs and renders them as the breakdown table (Tab. 1), the
-// timeline figure (Fig. 5), and CDFs (Fig. 12).
+// tool (§3.1) and the simulator's one span store. A container startup is a
+// root span whose trace id is the container id, and each timed stage is a
+// child span of it; the store renders them as the breakdown table (Tab. 1),
+// the timeline figure (Fig. 5), and CDFs (Fig. 12). Request journeys
+// (package journey) record into the same store with their own root and
+// child spans, parent links and attributes.
 //
 // Recording is free of real synchronization because the simulation kernel
 // guarantees only one simulated thread executes at a time; the paper's tool
@@ -11,7 +14,10 @@ package telemetry
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,7 +37,7 @@ const (
 	StageDMAImage Stage = "3-dma-image"
 	StageVFIODev  Stage = "4-vfio-dev"
 	StageVFDriver Stage = "5-vf-driver"
-	StageAddCNI   Stage = "6-add-cni" // software-CNI device creation (Fig. 14)
+	StageAddCNI   Stage = "6-add-cni"  // software-CNI device creation (Fig. 14)
 	StageRetry    Stage = "7-retry"    // backoff waits spent retrying injected faults
 	StageRollback Stage = "8-rollback" // compensating rollback after a failed startup
 	StageOther    Stage = "other"
@@ -47,85 +53,335 @@ func (s Stage) VFRelated() bool {
 	return false
 }
 
-// Span is one recorded interval of a stage within one container's startup.
-type Span struct {
-	Container int
-	Stage     Stage
-	Start     time.Duration
-	End       time.Duration
+// SpanFn records a stage interval of one container's startup. Nil
+// disables recording.
+type SpanFn func(stage Stage, start, end time.Duration)
+
+// Attr is one key/value span attribute. Values are pre-rendered strings so
+// the canonical encoding never depends on float formatting at export time.
+type Attr struct {
+	Key, Val string
 }
 
-// Dur returns the span length.
+// A returns a string attribute.
+func A(key, val string) Attr { return Attr{key, val} }
+
+// Int returns an integer attribute.
+func Int(key string, v int) Attr { return Attr{key, strconv.Itoa(v)} }
+
+// Dur returns a duration attribute (Go duration syntax, e.g. "8ms").
+func Dur(key string, v time.Duration) Attr { return Attr{key, v.String()} }
+
+// F returns a float attribute with full round-trip precision.
+func F(key string, v float64) Attr {
+	return Attr{key, strconv.FormatFloat(v, 'g', -1, 64)}
+}
+
+// Span is one timed region of a trace. Its id is its index in the store
+// (Begin order, so it is itself deterministic). Parent is the enclosing
+// span's id or -1 for the trace's root. End is -1 while the span is open.
+type Span struct {
+	Trace  int32
+	Parent int32
+	Name   string
+	Start  time.Duration
+	End    time.Duration
+	Attrs  []Attr
+}
+
+// open marks a span that has not ended.
+const open = -1
+
+// Dur returns the span's duration.
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
-// Recorder accumulates spans and per-container start/finish marks.
-type Recorder struct {
-	spans  []Span
-	starts map[int]time.Duration
-	ends   map[int]time.Duration
+// Attr returns the value of the named attribute, or "" when absent.
+func (s Span) Attr(key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
 }
 
+// Recorder is the span store. The zero value is ready to use.
+//
+// No mutex: the deterministic kernel runs exactly one proc at a time, and
+// the recorder is only called from procs (never from host threads).
+type Recorder struct {
+	chunks [][]Span // spans in Begin order, chunkLen per chunk
+	n      int
+	roots  map[int]int32 // trace -> root span id
+	stages []stageTally  // per recorded stage, in first-recorded order
+	sealed bool
+}
+
+// stageTally counts one stage's recorded spans and sums their durations.
+type stageTally struct {
+	stage Stage
+	n     int
+	sum   time.Duration
+}
+
+// chunkLen is the number of spans per storage chunk: the store grows a
+// chunk at a time and never copies recorded spans.
+const chunkLen = 128
+
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		starts: make(map[int]time.Duration),
-		ends:   make(map[int]time.Duration),
+func NewRecorder() *Recorder { return &Recorder{} }
+
+func (r *Recorder) at(id int) *Span { return &r.chunks[id/chunkLen][id%chunkLen] }
+
+func (r *Recorder) add(sp Span) int {
+	if r.sealed {
+		panic(fmt.Sprintf("telemetry: span %q added after Seal", sp.Name))
+	}
+	if r.n%chunkLen == 0 {
+		r.chunks = append(r.chunks, make([]Span, chunkLen))
+	}
+	*r.at(r.n) = sp
+	r.n++
+	return r.n - 1
+}
+
+// Begin opens a span and returns its id. Parent is the enclosing span's id
+// or -1 for a root; a root registers itself as the trace's root span
+// (exactly one root per trace — a second root for the same trace panics).
+func (r *Recorder) Begin(trace, parent int, name string, at time.Duration, attrs ...Attr) int {
+	if parent < 0 {
+		if _, dup := r.roots[trace]; dup {
+			panic(fmt.Sprintf("telemetry: second root span for trace %d", trace))
+		}
+		if r.roots == nil {
+			r.roots = make(map[int]int32)
+		}
+		r.roots[trace] = int32(r.n)
+		parent = -1
+	}
+	return r.add(Span{Trace: int32(trace), Parent: int32(parent), Name: name,
+		Start: at, End: open, Attrs: attrs})
+}
+
+// End closes a span at the given instant, optionally appending attributes.
+// Ending an already-ended span or ending before the span started panics.
+func (r *Recorder) End(id int, at time.Duration, attrs ...Attr) {
+	sp := r.at(id)
+	if sp.End != open {
+		panic(fmt.Sprintf("telemetry: span %d (%s) ended twice", id, sp.Name))
+	}
+	if at < sp.Start {
+		panic(fmt.Sprintf("telemetry: span %d (%s) ends %v before start %v", id, sp.Name, at, sp.Start))
+	}
+	sp.End = at
+	sp.Attrs = append(sp.Attrs, attrs...)
+}
+
+// Event records a zero-duration span (an instant annotation, e.g. an
+// admission verdict or a placement decision) and returns its id.
+func (r *Recorder) Event(trace, parent int, name string, at time.Duration, attrs ...Attr) int {
+	id := r.Begin(trace, parent, name, at, attrs...)
+	r.End(id, at)
+	return id
+}
+
+// Annotate appends attributes to an open or closed span.
+func (r *Recorder) Annotate(id int, attrs ...Attr) {
+	sp := r.at(id)
+	sp.Attrs = append(sp.Attrs, attrs...)
+}
+
+// Seal closes every still-open span at the given instant (requests whose
+// pod-retirement proc was killed by a host crash, for example) with an
+// unfinished=true attribute, and freezes the recorder.
+func (r *Recorder) Seal(end time.Duration) {
+	if r.sealed {
+		return
+	}
+	for i := 0; i < r.n; i++ {
+		if r.at(i).End == open {
+			r.End(i, end, A("unfinished", "true"))
+		}
+	}
+	r.sealed = true
+}
+
+// Len returns the number of recorded spans.
+func (r *Recorder) Len() int { return r.n }
+
+// Roots returns the number of root spans (distinct traces).
+func (r *Recorder) Roots() int { return len(r.roots) }
+
+// Traces returns every trace id with a root span, ascending. For startup
+// recording these are the started containers.
+func (r *Recorder) Traces() []int {
+	out := make([]int, 0, len(r.roots))
+	for tr := range r.roots {
+		out = append(out, tr)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// RootOf returns the root span id for a trace.
+func (r *Recorder) RootOf(trace int) (int, bool) {
+	id, ok := r.roots[trace]
+	return int(id), ok
+}
+
+// Span returns a copy of the span with the given id.
+func (r *Recorder) Span(id int) Span { return *r.at(id) }
+
+// Children returns the ids of a span's direct children, in Begin order.
+// A child is always begun after its parent, so the scan starts there.
+func (r *Recorder) Children(id int) []int {
+	var out []int
+	for i := id + 1; i < r.n; i++ {
+		if int(r.at(i).Parent) == id {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// CopyStages copies the stage spans of container's startup in src into r
+// as closed children of parent in trace, in recording order.
+func (r *Recorder) CopyStages(src *Recorder, container, trace, parent int) {
+	root, ok := src.RootOf(container)
+	if !ok {
+		return
+	}
+	for i := root + 1; i < src.n; i++ {
+		if sp := src.at(i); int(sp.Parent) == root {
+			r.End(r.Begin(trace, parent, sp.Name, sp.Start), sp.End)
+		}
 	}
 }
 
-// Record adds a completed span.
+// CanonicalOrder returns span ids sorted by (Trace, Start, id): all of one
+// trace's spans group together, in time order, with the Begin-order id as
+// a deterministic tiebreak for equal timestamps.
+func (r *Recorder) CanonicalOrder() []int {
+	idx := make([]int, r.n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		x, y := r.at(idx[a]), r.at(idx[b])
+		if x.Trace != y.Trace {
+			return x.Trace < y.Trace
+		}
+		if x.Start != y.Start {
+			return x.Start < y.Start
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// AppendCanonical appends the canonical JSONL span log: one JSON object
+// per span, sorted by (trace, start, id), with attributes in recording
+// order. The encoding is hand-rendered so the bytes are stable regardless
+// of encoder version, and it is a pure function of the recorder's
+// contents, so two runs of the same seeded simulation produce identical
+// bytes — the property the determinism verification checks.
+func (r *Recorder) AppendCanonical(b []byte) []byte {
+	for _, i := range r.CanonicalOrder() {
+		sp := r.at(i)
+		b = fmt.Appendf(b, `{"trace":%d,"span":%d,"parent":%d,"name":%q,"start":%d,"end":%d`,
+			sp.Trace, i, sp.Parent, sp.Name, int64(sp.Start), int64(sp.End))
+		if len(sp.Attrs) > 0 {
+			b = append(b, `,"attrs":{`...)
+			for j, a := range sp.Attrs {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = fmt.Appendf(b, "%q:%q", a.Key, a.Val)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, '}', '\n')
+	}
+	return b
+}
+
+// WriteLog writes the canonical JSONL span log.
+func (r *Recorder) WriteLog(w io.Writer) error {
+	_, err := w.Write(r.AppendCanonical(nil))
+	return err
+}
+
+// Fingerprint returns an FNV-1a hash over the canonical JSONL encoding,
+// suitable for folding into the determinism check.
+func (r *Recorder) Fingerprint() uint64 {
+	h := fnv.New64a()
+	h.Write(r.AppendCanonical(nil))
+	return h.Sum64()
+}
+
+// MarkStart begins container's startup root span at the issuance time of
+// its startup command. Starting a container id again (a wave re-run on
+// one host) begins a new root that replaces the old one; the stage spans
+// of both runs stay attributed to the id.
+func (r *Recorder) MarkStart(container int, at time.Duration) {
+	delete(r.roots, container)
+	r.Begin(container, -1, "startup", at)
+}
+
+// MarkEnd ends container's startup root span at its completion time.
+func (r *Recorder) MarkEnd(container int, at time.Duration) {
+	root, ok := r.RootOf(container)
+	if !ok {
+		panic(fmt.Sprintf("telemetry: container %d ends without a start", container))
+	}
+	r.End(root, at)
+}
+
+// Record adds a completed stage span as a child of container's startup
+// root, which MarkStart must have begun.
 func (r *Recorder) Record(container int, stage Stage, start, end time.Duration) {
 	if end < start {
 		panic(fmt.Sprintf("telemetry: span ends before it starts: %v < %v", end, start))
 	}
-	r.spans = append(r.spans, Span{Container: container, Stage: stage, Start: start, End: end})
-}
-
-// MarkStart records the issuance time of a container's startup command.
-func (r *Recorder) MarkStart(container int, at time.Duration) { r.starts[container] = at }
-
-// MarkEnd records a container's startup completion time.
-func (r *Recorder) MarkEnd(container int, at time.Duration) { r.ends[container] = at }
-
-// Spans returns all recorded spans (not a copy).
-func (r *Recorder) Spans() []Span { return r.spans }
-
-// Containers returns the sorted ids of containers with a recorded start.
-func (r *Recorder) Containers() []int {
-	ids := make([]int, 0, len(r.starts))
-	for id := range r.starts {
-		ids = append(ids, id)
+	root, ok := r.roots[container]
+	if !ok {
+		panic(fmt.Sprintf("telemetry: container %d records %s before its start", container, stage))
 	}
-	sort.Ints(ids)
-	return ids
+	r.add(Span{Trace: int32(container), Parent: root, Name: string(stage), Start: start, End: end})
+	for i := range r.stages {
+		if t := &r.stages[i]; t.stage == stage {
+			t.n++
+			t.sum += end - start
+			return
+		}
+	}
+	r.stages = append(r.stages, stageTally{stage, 1, end - start})
 }
 
-// Start returns container id's recorded start mark.
-func (r *Recorder) Start(container int) (time.Duration, bool) {
-	s, ok := r.starts[container]
-	return s, ok
+// StageTotal returns the number of stage's recorded spans and their summed
+// duration, kept as they are recorded.
+func (r *Recorder) StageTotal(stage Stage) (n int, sum time.Duration) {
+	for _, t := range r.stages {
+		if t.stage == stage {
+			return t.n, t.sum
+		}
+	}
+	return 0, 0
 }
 
-// End returns container id's recorded completion mark.
-func (r *Recorder) End(container int) (time.Duration, bool) {
-	e, ok := r.ends[container]
-	return e, ok
-}
-
-// Total returns container id's end-to-end startup time, or 0 if incomplete.
+// Total returns container's end-to-end startup time, or 0 if incomplete.
 func (r *Recorder) Total(container int) time.Duration {
-	s, okS := r.starts[container]
-	e, okE := r.ends[container]
-	if !okS || !okE {
+	root, ok := r.roots[container]
+	if !ok || r.at(int(root)).End == open {
 		return 0
 	}
-	return e - s
+	return r.at(int(root)).Dur()
 }
 
 // Totals returns the sample of end-to-end startup times across containers.
 func (r *Recorder) Totals() *stats.Sample {
 	s := stats.NewSample()
-	for _, id := range r.Containers() {
+	for _, id := range r.Traces() {
 		if t := r.Total(id); t > 0 {
 			s.Add(t)
 		}
@@ -133,32 +389,11 @@ func (r *Recorder) Totals() *stats.Sample {
 	return s
 }
 
-// AppendCanonical appends a canonical byte encoding of every recorded mark
-// and span to b and returns the extended slice. The encoding is a pure
-// function of the recorder's contents (marks ordered by container id, spans
-// in recording order), so two runs of the same seeded simulation must
-// produce identical bytes — the property the harness's determinism
-// verification checks. Recorders are per-run: each simulated host owns its
-// own, and fingerprinting one run never observes another's spans.
-func (r *Recorder) AppendCanonical(b []byte) []byte {
-	for _, id := range r.Containers() {
-		b = fmt.Appendf(b, "ctr %d start=%d", id, r.starts[id])
-		if e, ok := r.ends[id]; ok {
-			b = fmt.Appendf(b, " end=%d", e)
-		}
-		b = append(b, '\n')
-	}
-	for _, sp := range r.spans {
-		b = fmt.Appendf(b, "span %d %s %d %d\n", sp.Container, sp.Stage, sp.Start, sp.End)
-	}
-	return b
-}
-
-// StageTime returns the summed span time of stage within container id.
+// StageTime returns the summed span time of stage within container.
 func (r *Recorder) StageTime(container int, stage Stage) time.Duration {
 	var total time.Duration
-	for _, sp := range r.spans {
-		if sp.Container == container && sp.Stage == stage {
+	for k := 0; k < r.n; k++ {
+		if sp := r.at(k); sp.Parent >= 0 && int(sp.Trace) == container && sp.Name == string(stage) {
 			total += sp.Dur()
 		}
 	}
@@ -167,35 +402,58 @@ func (r *Recorder) StageTime(container int, stage Stage) time.Duration {
 
 // ByStage returns, for each stage, the sample of per-container stage times.
 func (r *Recorder) ByStage() map[Stage]*stats.Sample {
-	perCtr := make(map[Stage]map[int]time.Duration)
-	for _, sp := range r.spans {
-		m := perCtr[sp.Stage]
-		if m == nil {
-			m = make(map[int]time.Duration)
-			perCtr[sp.Stage] = m
+	perCtr := make(map[Stage]map[int32]time.Duration, len(r.stages))
+	for k := 0; k < r.n; k++ {
+		sp := r.at(k)
+		if sp.Parent < 0 {
+			continue
 		}
-		m[sp.Container] += sp.Dur()
+		m := perCtr[Stage(sp.Name)]
+		if m == nil {
+			m = make(map[int32]time.Duration)
+			perCtr[Stage(sp.Name)] = m
+		}
+		m[sp.Trace] += sp.Dur()
 	}
+	ids := r.Traces()
 	out := make(map[Stage]*stats.Sample, len(perCtr))
 	for st, m := range perCtr {
 		s := stats.NewSample()
-		for _, id := range r.Containers() {
-			s.Add(m[id]) // containers without the stage contribute 0
+		for _, id := range ids {
+			s.Add(m[int32(id)]) // containers without the stage contribute 0
 		}
 		out[st] = s
 	}
 	return out
 }
 
-// VFRelatedTime returns the summed VF-related stage time for container id.
+// VFRelatedTime returns the summed VF-related stage time for container.
 func (r *Recorder) VFRelatedTime(container int) time.Duration {
 	var total time.Duration
-	for _, sp := range r.spans {
-		if sp.Container == container && sp.Stage.VFRelated() {
+	for k := 0; k < r.n; k++ {
+		if sp := r.at(k); sp.Parent >= 0 && int(sp.Trace) == container && Stage(sp.Name).VFRelated() {
 			total += sp.Dur()
 		}
 	}
 	return total
+}
+
+// VFRelated returns the sample of per-container VF-related stage time over
+// the containers Totals covers, in the same order, from one pass.
+func (r *Recorder) VFRelated() *stats.Sample {
+	per := make([]time.Duration, r.n) // by the container's root span id
+	for k := 0; k < r.n; k++ {
+		if sp := r.at(k); sp.Parent >= 0 && Stage(sp.Name).VFRelated() {
+			per[r.roots[int(sp.Trace)]] += sp.Dur()
+		}
+	}
+	s := stats.NewSample()
+	for _, id := range r.Traces() {
+		if r.Total(id) > 0 {
+			s.Add(per[r.roots[id]])
+		}
+	}
+	return s
 }
 
 // StageRow is one row of the Tab. 1 reproduction.
@@ -214,38 +472,45 @@ func (r *Recorder) Breakdown(stages []Stage) []StageRow {
 	totals := r.Totals()
 	meanTotal := totals.Mean()
 	p99 := totals.Percentile(99)
+	n := time.Duration(totals.N())
+	var tail time.Duration
+	for _, t := range totals.Values() {
+		if t >= p99 {
+			tail++
+		}
+	}
 
-	var tailIDs []int
-	for _, id := range r.Containers() {
-		if r.Total(id) >= p99 && r.Total(id) > 0 {
-			tailIDs = append(tailIDs, id)
+	// One pass sums each stage over completed containers and over the tail.
+	sums := make(map[Stage]*[2]time.Duration, len(stages))
+	for _, st := range stages {
+		sums[st] = new([2]time.Duration)
+	}
+	for k := 0; k < r.n; k++ {
+		sp := r.at(k)
+		sum := sums[Stage(sp.Name)]
+		if sum == nil || sp.Parent < 0 {
+			continue
+		}
+		if t := r.Total(int(sp.Trace)); t > 0 {
+			sum[0] += sp.Dur()
+			if t >= p99 {
+				sum[1] += sp.Dur()
+			}
 		}
 	}
 
 	rows := make([]StageRow, 0, len(stages))
 	for _, st := range stages {
-		var sumAll, sumTail time.Duration
-		n := 0
-		for _, id := range r.Containers() {
-			if r.Total(id) == 0 {
-				continue
-			}
-			sumAll += r.StageTime(id, st)
-			n++
-		}
-		for _, id := range tailIDs {
-			sumTail += r.StageTime(id, st)
-		}
+		sumAll, sumTail := sums[st][0], sums[st][1]
 		row := StageRow{Stage: st}
 		if n > 0 {
-			row.MeanTime = sumAll / time.Duration(n)
+			row.MeanTime = sumAll / n
 		}
 		if meanTotal > 0 && n > 0 {
-			row.PropAvg = 100 * float64(sumAll/time.Duration(n)) / float64(meanTotal)
+			row.PropAvg = 100 * float64(sumAll/n) / float64(meanTotal)
 		}
-		if p99 > 0 && len(tailIDs) > 0 {
-			meanTail := sumTail / time.Duration(len(tailIDs))
-			row.PropP99 = 100 * float64(meanTail) / float64(p99)
+		if p99 > 0 && tail > 0 {
+			row.PropP99 = 100 * float64(sumTail/tail) / float64(p99)
 		}
 		rows = append(rows, row)
 	}
@@ -285,13 +550,13 @@ var timelineGlyphs = map[Stage]byte{
 // (sampled down to maxRows), columns spanning [0, makespan], each stage
 // drawn with its digit. Useful for eyeballing where serialization happens.
 func (r *Recorder) Timeline(width, maxRows int) string {
-	ids := r.Containers()
+	ids := r.Traces()
 	if len(ids) == 0 {
 		return "(no containers recorded)\n"
 	}
 	var makespan time.Duration
 	for _, id := range ids {
-		if e, ok := r.ends[id]; ok && e > makespan {
+		if e := r.at(int(r.roots[id])).End; e > makespan {
 			makespan = e
 		}
 	}
@@ -325,20 +590,20 @@ func (r *Recorder) Timeline(width, maxRows int) string {
 		for j := range row {
 			row[j] = ' '
 		}
-		if s, ok := r.starts[id]; ok {
-			e, okE := r.ends[id]
-			if !okE {
-				e = makespan
-			}
-			for j := col(s); j <= col(e) && j < width; j++ {
-				row[j] = '-'
-			}
+		root := r.at(int(r.roots[id]))
+		e := root.End
+		if e == open {
+			e = makespan
 		}
-		for _, sp := range r.spans {
-			if sp.Container != id {
+		for j := col(root.Start); j <= col(e) && j < width; j++ {
+			row[j] = '-'
+		}
+		for k := 0; k < r.n; k++ {
+			sp := r.at(k)
+			if int(sp.Trace) != id || sp.Parent < 0 {
 				continue
 			}
-			g, ok := timelineGlyphs[sp.Stage]
+			g, ok := timelineGlyphs[Stage(sp.Name)]
 			if !ok {
 				g = '?'
 			}

@@ -38,6 +38,7 @@ func TestIncompleteContainerExcluded(t *testing.T) {
 
 func TestStageTimeSumsSpans(t *testing.T) {
 	r := NewRecorder()
+	r.MarkStart(0, 0)
 	r.Record(0, StageVFIODev, sec(0), sec(1))
 	r.Record(0, StageVFIODev, sec(2), sec(2.5))
 	r.Record(0, StageDMARAM, sec(1), sec(2))
@@ -55,7 +56,9 @@ func TestNegativeSpanPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	NewRecorder().Record(0, StageCgroup, sec(2), sec(1))
+	r := NewRecorder()
+	r.MarkStart(0, 0)
+	r.Record(0, StageCgroup, sec(2), sec(1))
 }
 
 func TestVFRelatedClassification(t *testing.T) {
@@ -75,6 +78,7 @@ func TestVFRelatedClassification(t *testing.T) {
 
 func TestVFRelatedTime(t *testing.T) {
 	r := NewRecorder()
+	r.MarkStart(0, 0)
 	r.Record(0, StageVFIODev, 0, sec(1))
 	r.Record(0, StageDMARAM, sec(1), sec(2))
 	r.Record(0, StageCgroup, sec(2), sec(3))

@@ -35,8 +35,41 @@ func DurP(d sim.Duration) *float64 {
 	return &v
 }
 
-func us(d sim.Duration) float64    { return US(d) }
-func durp(d sim.Duration) *float64 { return DurP(d) }
+// SpanEvents appends one complete ("X") event per span of rec to events,
+// visiting span ids in order (every span in Begin order when order is
+// nil). tid places a span on a thread; spans it rejects are left out.
+// Span attributes become event args.
+func SpanEvents(events []ChromeEvent, rec *telemetry.Recorder, order []int, cat string, pid int,
+	tid func(sp telemetry.Span) (int, bool)) []ChromeEvent {
+	n := len(order)
+	if order == nil {
+		n = rec.Len()
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		sp := rec.Span(i)
+		thread, ok := tid(sp)
+		if !ok {
+			continue
+		}
+		ev := ChromeEvent{
+			Name: sp.Name, Cat: cat, Ph: "X",
+			TS: US(sp.Start), Dur: DurP(sp.Dur()),
+			PID: pid, TID: thread,
+		}
+		if len(sp.Attrs) > 0 {
+			ev.Args = make(map[string]string, len(sp.Attrs))
+			for _, a := range sp.Attrs {
+				ev.Args[a.Key] = a.Val
+			}
+		}
+		events = append(events, ev)
+	}
+	return events
+}
 
 // WriteChromeEvents writes a pre-built event list as Chrome trace-event
 // JSON, one object per line (keeps diffs and golden files reviewable).
@@ -90,19 +123,15 @@ func (a *Analysis) chromeEvents(rec *telemetry.Recorder, procOf map[int]int32) [
 	}
 
 	// Stage spans from the telemetry recorder, drawn on the thread of the
-	// container's driving proc.
+	// container's driving proc; startup roots are left out.
 	if rec != nil {
-		for _, sp := range rec.Spans() {
-			s, ok := procOf[sp.Container]
-			if !ok {
-				continue
+		events = SpanEvents(events, rec, nil, "stage", chromePID, func(sp telemetry.Span) (int, bool) {
+			s, ok := procOf[int(sp.Trace)]
+			if !ok || sp.Parent < 0 {
+				return 0, false
 			}
-			events = append(events, ChromeEvent{
-				Name: string(sp.Stage), Cat: "stage", Ph: "X",
-				TS: us(sp.Start), Dur: durp(sp.End - sp.Start),
-				PID: chromePID, TID: t.procID(s),
-			})
-		}
+			return t.procID(s), true
+		})
 	}
 
 	// Blocking intervals: sleeps are the proc doing simulated work, the
@@ -114,7 +143,7 @@ func (a *Analysis) chromeEvents(rec *telemetry.Recorder, procOf map[int]int32) [
 		id := t.procID(int32(s))
 		for _, iv := range a.perProc[s] {
 			ev := ChromeEvent{
-				Ph: "X", TS: us(iv.start), Dur: durp(iv.end - iv.start),
+				Ph: "X", TS: US(iv.start), Dur: DurP(iv.end - iv.start),
 				PID: chromePID, TID: id,
 			}
 			if iv.class == sim.WaitSleep {

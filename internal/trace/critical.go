@@ -96,7 +96,7 @@ func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomp
 		return nil, err
 	}
 	var out []Decomposition
-	for _, ctr := range rec.Containers() {
+	for _, ctr := range rec.Traces() {
 		total := rec.Total(ctr)
 		if total == 0 {
 			continue // incomplete (failed under injected faults)
@@ -105,8 +105,9 @@ func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomp
 		if !ok {
 			return nil, fmt.Errorf("trace: container %d completed but no proc binds to it", ctr)
 		}
-		start, _ := rec.Start(ctr)
-		end, _ := rec.End(ctr)
+		root, _ := rec.RootOf(ctr)
+		win := rec.Span(root)
+		start, end := win.Start, win.End
 		d := Decomposition{Container: ctr, Proc: a.t.procID(slot), Total: total,
 			Blocked: make(map[string]time.Duration)}
 		for _, iv := range a.perProc[slot] {
