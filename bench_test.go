@@ -365,14 +365,23 @@ func BenchmarkStartupC200(b *testing.B) {
 // BenchmarkFleet100x20 is the scale headline: 100 heterogeneous hosts on
 // one shared kernel, 2000 container starts placed by the least-loaded
 // policy, leak-audited per host and fleet-wide.
-func BenchmarkFleet100x20(b *testing.B) {
+func BenchmarkFleet100x20(b *testing.B) { benchFleet(b, 100) }
+
+// BenchmarkFleet1000x20 is the same run at ten times the hosts: 1000
+// hosts, 20000 starts. It is the starting point for sharding the fleet
+// kernel; CI runs it once as an ungated smoke run.
+func BenchmarkFleet1000x20(b *testing.B) { benchFleet(b, 1000) }
+
+// benchFleet runs a fastiov fleet of the given number of heterogeneous
+// hosts with 20 least-loaded starts per host, leak-audited.
+func benchFleet(b *testing.B, hosts int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := fleet.Run(fleet.Config{
 			Baseline:  cluster.BaselineFastIOV,
 			Policy:    fleet.PolicyLeastLoaded,
-			HostSpecs: fleet.HeterogeneousSpecs(100),
-			Requests:  100 * 20,
+			HostSpecs: fleet.HeterogeneousSpecs(hosts),
+			Requests:  hosts * 20,
 			Seed:      1,
 			Audit:     true,
 		})

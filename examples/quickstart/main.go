@@ -34,7 +34,7 @@ func main() {
 		}
 		fmt.Printf("sandbox %d started at virtual time %v\n", sb.ID, p.Now())
 		fmt.Printf("  VF: %s (fd %d, devset %d, lock mode %s)\n",
-			sb.CNIRes.VF.Dev.Name, sb.MVM.VFDevice().FD(),
+			sb.CNIRes.VF.Name(), sb.MVM.VFDevice().FD(),
 			sb.MVM.VFDevice().Set.ID, host.VFIO.Mode())
 		fmt.Printf("  image region DMA-mapped: %v (FastIOV-S skips it)\n", !sb.MVM.ImageSkipped())
 	})

@@ -385,9 +385,9 @@ func NewHost(spec HostSpec, opts Options) (*Host, error) {
 // byte-identical to the historical single-host path.
 func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host, error) {
 	if opts.Scope != "" {
-		// Scope the NIC too: its link resource (and the PCI device names
-		// derived from the card name) must be host-unique under a shared
-		// kernel for the same reason the locks are.
+		// Scope the NIC too: its link resource (and the VF names derived
+		// from the card name) must be host-unique under a shared kernel
+		// for the same reason the locks are.
 		spec.NIC.Name = opts.Scope + spec.NIC.Name
 	}
 	h := &Host{
@@ -449,9 +449,10 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	// once at host boot; the flawed CNI leaves VFs unbound and rebinds on
 	// every container start.
 	if opts.Network == NetSRIOV && !opts.RebindFlaw {
-		for _, vf := range h.NIC.VFs() {
-			vf.Dev.BindBoot("vfio-pci")
-			if _, err := h.VFIO.Register(vf.Dev); err != nil {
+		vfs := h.NIC.VFs()
+		for i := range vfs {
+			vfs[i].Dev.BindBoot("vfio-pci")
+			if _, err := h.VFIO.Register(vfs[i].Dev); err != nil {
 				return nil, err
 			}
 		}

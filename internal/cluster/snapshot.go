@@ -83,11 +83,10 @@ func CaptureSnapshot(h *Host) (*Snapshot, error) {
 		baseline: h.Baseline,
 	}
 	s.mem = h.Mem.Clone(h.K)
-	topo, remap := h.Topo.Clone()
-	s.topo = topo
-	s.nic = h.NIC.Clone(h.K, remap)
+	s.topo = h.Topo.Clone()
+	s.nic = h.NIC.Clone(h.K, s.topo)
 	var err error
-	s.vfio, err = h.VFIO.Clone(h.K, topo, s.mem, h.MMU, remap)
+	s.vfio, err = h.VFIO.Clone(h.K, s.topo, s.mem, h.MMU)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +116,7 @@ func RestoreSnapshot(snap *Snapshot) (*Host, error) {
 		CgroupLock: sim.NewMutex(opts.Scope + "cgroup"),
 		IrqLock:    sim.NewMutex(opts.Scope + "irq-routing"),
 	}
-	topo, remap := snap.topo.Clone()
-	h.Topo = topo
+	h.Topo = snap.topo.Clone()
 	// From here the order mirrors NewHostOn exactly: tracer before any
 	// daemon spawn, scrubber before metrics, so clock/seq/probe streams
 	// reproduce.
@@ -134,9 +132,9 @@ func RestoreSnapshot(snap *Snapshot) (*Host, error) {
 
 	h.MMU = iommu.New(k, h.Mem.PageSize())
 	h.MMU.Faults = h.Faults
-	h.NIC = snap.nic.Clone(k, remap)
+	h.NIC = snap.nic.Clone(k, h.Topo)
 	var err error
-	h.VFIO, err = snap.vfio.Clone(k, topo, h.Mem, h.MMU, remap)
+	h.VFIO, err = snap.vfio.Clone(k, h.Topo, h.Mem, h.MMU)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +150,7 @@ func RestoreSnapshot(snap *Snapshot) (*Host, error) {
 		}
 	}
 	// No PreZero and no VF binding here: both effects live in the cloned
-	// page arrays and PCI/VFIO graphs.
+	// page arrays and PCI/VFIO tables.
 	if err := h.wireStack(pol); err != nil {
 		return nil, err
 	}
@@ -175,7 +173,9 @@ func (s *Snapshot) AppendCanonical(b []byte) []byte {
 	b = fmt.Appendf(b, "mem pages=%d free=%d dirty=%d statehash=%016x\n",
 		s.mem.TotalPages(), s.mem.FreePages(), s.mem.DirtyPages(), s.mem.StateDigest())
 	b = fmt.Appendf(b, "nic vfs=%d free=%d\n", len(s.nic.VFs()), s.nic.FreeVFs())
+	b = s.nic.AppendCanonical(b)
 	b = fmt.Appendf(b, "vfio registered=%d opens=%d\n", s.vfio.RegisteredCount(), s.vfio.TotalOpens())
+	b = s.vfio.AppendCanonical(b)
 	b = fmt.Appendf(b, "audit %+v\n", s.baseline)
 	return b
 }

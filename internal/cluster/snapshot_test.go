@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"fastiov/internal/harness"
 )
 
 // experimentBytes canonically encodes everything an experiment observes:
@@ -86,32 +88,53 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 
 // TestSnapshotSharedByConcurrentRestores restores the same snapshot twice
 // and runs both: one immutable master must stamp out independent,
-// identical hosts.
+// identical hosts. The restored hosts copy the master's VF, PCI device and
+// VFIO tables by value, so the master's canonical encoding must also be
+// unchanged after both have run: a clone aliasing the master would show
+// up there.
 func TestSnapshotSharedByConcurrentRestores(t *testing.T) {
-	spec, opts := bootFor(t, BaselineFastIOV, true)
-	src, err := NewHost(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := CaptureSnapshot(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := a.StartupExperiment(30)
-	rb := b.StartupExperiment(30)
-	if ra.Err != nil || rb.Err != nil {
-		t.Fatalf("experiment errors: %v / %v", ra.Err, rb.Err)
-	}
-	if !bytes.Equal(experimentBytes(ra), experimentBytes(rb)) {
-		t.Fatal("two restores of one snapshot produced diverging experiments")
+	for _, tc := range []struct {
+		name      string
+		slotReset bool
+	}{
+		{BaselineVanilla, false},
+		{BaselineFastIOV, false},
+		{BaselinePre50, false},
+		{BaselineVanilla, true},
+	} {
+		t.Run(fmt.Sprintf("%s/slot-reset=%v", tc.name, tc.slotReset), func(t *testing.T) {
+			spec, opts := bootFor(t, tc.name, true)
+			spec.NIC.SlotReset = tc.slotReset
+			src, err := NewHost(spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := CaptureSnapshot(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := snap.AppendCanonical(nil)
+			a, err := RestoreSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RestoreSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra := a.StartupExperiment(30)
+			rb := b.StartupExperiment(30)
+			if ra.Err != nil || rb.Err != nil {
+				t.Fatalf("experiment errors: %v / %v", ra.Err, rb.Err)
+			}
+			if !bytes.Equal(experimentBytes(ra), experimentBytes(rb)) {
+				t.Fatal("two restores of one snapshot produced diverging experiments")
+			}
+			if after := snap.AppendCanonical(nil); !bytes.Equal(before, after) {
+				off, detail := harness.FirstDivergence(before, after)
+				t.Fatalf("restored hosts' runs changed the snapshot at byte %d: %s", off, detail)
+			}
+		})
 	}
 }
 

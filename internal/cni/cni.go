@@ -6,6 +6,7 @@ package cni
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"fastiov/internal/fault"
@@ -22,9 +23,38 @@ type Result struct {
 	// VFIODev is the VF's VFIO registration if it is already bound to
 	// vfio-pci (the fixed CNIs); nil means the runtime must rebind.
 	VFIODev *vfio.Device
-	// Ifname is the Linux interface the runtime detects in the sandbox
-	// network namespace (a real VF netdev, a dummy, or an ipvtap device).
-	Ifname string
+
+	// iface and ifname give Ifname: a VF netdev's name is kept as bound,
+	// dummy and ipvtap names are formatted when read.
+	iface  ifaceKind
+	ifname string
+	// sandbox is the sandbox id an ipvtap device is named after.
+	sandbox int
+}
+
+// ifaceKind is the kind of interface a Result carries.
+type ifaceKind uint8
+
+const (
+	ifaceNone ifaceKind = iota
+	ifaceNetdev
+	ifaceDummy
+	ifaceIPvtap
+)
+
+// Ifname returns the Linux interface the runtime detects in the sandbox
+// network namespace (a real VF netdev, a dummy, or an ipvtap device; ""
+// without networking).
+func (r *Result) Ifname() string {
+	switch r.iface {
+	case ifaceNetdev:
+		return r.ifname
+	case ifaceDummy:
+		return "dummy-vf" + strconv.Itoa(r.VF.Index)
+	case ifaceIPvtap:
+		return "ipvtap" + strconv.Itoa(r.sandbox)
+	}
+	return ""
 }
 
 // Plugin is the CNI contract: Add configures networking for a sandbox
@@ -122,7 +152,7 @@ func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, 
 		// Flawed path: bind the host network driver to get a real netdev.
 		vf.Dev.Bind(p, "iavf", s.vfio.BindCost())
 		vf.HostIfname = fmt.Sprintf("eth-vf%d", vf.Index)
-		res.Ifname = vf.HostIfname
+		res.iface, res.ifname = ifaceNetdev, vf.HostIfname
 	} else {
 		// Fixed path: the VF stays on vfio-pci (pre-bound at host boot);
 		// a dummy interface carries the CNI configuration.
@@ -135,7 +165,7 @@ func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, 
 		p.Sleep(s.Faults.Inflate(fault.SiteCNIAdd, s.costs.RTNLHoldDummy))
 		s.rtnl.Unlock(p)
 		res.VFIODev = vd
-		res.Ifname = fmt.Sprintf("dummy-vf%d", vf.Index)
+		res.iface = ifaceDummy
 	}
 	p.Sleep(s.costs.IPConfig)
 	p.Sleep(s.costs.MoveToNNS)
@@ -198,7 +228,7 @@ func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result,
 	if rec != nil {
 		rec(telemetry.StageCgroup, start, p.Now())
 	}
-	return &Result{Ifname: fmt.Sprintf("ipvtap%d", sandboxID)}, nil
+	return &Result{iface: ifaceIPvtap, sandbox: sandboxID}, nil
 }
 
 // Del removes the device.

@@ -60,7 +60,7 @@ func TestFixedSRIOVReturnsVFIODevice(t *testing.T) {
 		if res.VF.Dev.Driver() != "vfio-pci" {
 			t.Errorf("VF driver = %q, want vfio-pci (never rebound)", res.VF.Dev.Driver())
 		}
-		if res.Ifname == "" {
+		if res.Ifname() == "" {
 			t.Error("no sandbox interface name")
 		}
 		if err := plugin.Del(p, 0, res); err != nil {
@@ -159,8 +159,8 @@ func TestIPvtapRecordsStages(t *testing.T) {
 		if res.VF != nil {
 			t.Error("software CNI returned a VF")
 		}
-		if res.Ifname != "ipvtap3" {
-			t.Errorf("ifname = %q", res.Ifname)
+		if res.Ifname() != "ipvtap3" {
+			t.Errorf("ifname = %q", res.Ifname())
 		}
 		if err := plugin.Del(p, 3, res); err != nil {
 			t.Fatal(err)

@@ -440,7 +440,7 @@ func TestConcurrentSandboxesDistinctVFs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			name := sb.CNIRes.VF.Dev.Name
+			name := sb.CNIRes.VF.Dev.Addr.String()
 			if seen[name] {
 				t.Errorf("VF %s assigned twice", name)
 			}

@@ -35,7 +35,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), vfio.LockParentChild, vfio.DefaultCosts())
-	vf := card.VFs()[0]
+	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
 	if err != nil {

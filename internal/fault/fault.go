@@ -98,9 +98,24 @@ func CrashStages() []CrashStage {
 // crashPrefix introduces a crash site in the plan grammar.
 const crashPrefix = "crash@"
 
+// crashSites holds every crash point's site, so evaluating a crash point
+// formats nothing.
+var crashSites = func() map[CrashStage]Site {
+	m := make(map[CrashStage]Site)
+	for _, c := range CrashStages() {
+		m[c] = Site(crashPrefix + string(c))
+	}
+	return m
+}()
+
 // CrashSite returns the injection site for a crash stage, named
 // "crash@<stage>" in the plan grammar.
-func CrashSite(stage CrashStage) Site { return Site(crashPrefix + string(stage)) }
+func CrashSite(stage CrashStage) Site {
+	if s, ok := crashSites[stage]; ok {
+		return s
+	}
+	return Site(crashPrefix + string(stage))
+}
 
 // IsCrashSite reports whether the site is a crash@<stage> site.
 func IsCrashSite(s Site) bool {

@@ -329,6 +329,20 @@ func TestCrashSites(t *testing.T) {
 	}
 }
 
+// TestCrashPointAllocFree pins that a crash point on a fault-free run (a
+// nil injector) allocates nothing: the runtime evaluates eight per start.
+func TestCrashPointAllocFree(t *testing.T) {
+	var inj *Injector
+	for _, st := range CrashStages() {
+		if got := CrashSite(st); got != Site("crash@"+string(st)) {
+			t.Errorf("CrashSite(%s) = %s", st, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = inj.Fail(CrashSite(st)) }); n != 0 {
+			t.Errorf("crash point %s: %v allocs, want 0", st, n)
+		}
+	}
+}
+
 func TestParsePlanCrashClauses(t *testing.T) {
 	pl, err := ParsePlan("crash@dma:p=0.2;crash@boot:every=7,limit=3")
 	if err != nil {

@@ -44,7 +44,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 		kv.Hook = mod
 	}
 	env := hypervisor.NewEnv(k, mem, kv, drv, mod, sim.NewResource("cpu", 8))
-	vf := card.VFs()[0]
+	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			g := New(mvm, r.card.VFs()[i], r.irqLock, costs)
+			g := New(mvm, &r.card.VFs()[i], r.irqLock, costs)
 			if err := g.Boot(p); err != nil {
 				t.Error(err)
 				return

@@ -17,6 +17,7 @@ var allocScripts = [][]byte{
 	{0x03, 0, 100, 0, 80, 1, 1, 0, 50, 4, 0, 5, 100, 6, 7, 7, 9, 8, 0, 10},
 	{0x07, 0, 200, 9, 0, 30, 2, 1, 1, 0, 8, 0, 120, 5, 255},
 	{0xfd, 0, 0xf0, 0, 0xfe, 0, 16, 4, 0, 1, 0, 0, 32, 9, 0, 3, 2, 0, 1, 0, 1, 1},
+	{0x05, 10, 10, 0, 20, 10, 1, 1, 10, 8, 10, 2, 0, 10, 0, 100, 10, 10, 10},
 }
 
 func FuzzAllocatorMatchesDense(f *testing.F) {
@@ -42,7 +43,8 @@ func TestAllocatorMatchesDenseSeeds(t *testing.T) {
 // runScript drives an Allocator and the dense reference through the same
 // operations and returns the first difference. Ops: 0 allocate, 1 free,
 // 2 pin, 3 unpin, 4 zero, 5 pre-zero, 6 write a page, 7 guest-read a page,
-// 8 clone, 9 split a region in two. Regions are picked by index, so a
+// 8 clone, 9 split a region in two, 10 allocate one page (AllocatePage
+// against the reference's Allocate of one page). Regions are picked by index, so a
 // script can free twice, unpin what it never pinned, or free a pinned
 // region; both sides must then panic with the same message, which ends the
 // script.
@@ -77,7 +79,7 @@ func runScript(script []byte) error {
 			return regions[int(next())%len(regions)]
 		}
 		for op := 0; pos < len(script) && err == nil; op++ {
-			code := next() % 10
+			code := next() % 11
 			var what string
 			var got, want string // panic messages
 			switch code {
@@ -98,6 +100,25 @@ func runScript(script []byte) error {
 					break
 				}
 				if len(regions) < 16 {
+					regions = append(regions, r)
+				}
+			case 10:
+				what = "allocate page"
+				pg, gerr := a.AllocatePage(p)
+				wr, werr := d.allocate(cfg.PageSize)
+				if (gerr == nil) != (werr == nil) {
+					err = fmt.Errorf("op %d %s: error %v, reference %v", op, what, gerr, werr)
+					break
+				}
+				if gerr != nil {
+					if gerr.Error() != werr.Error() {
+						err = fmt.Errorf("op %d %s: error %q, reference %q", op, what, gerr, werr)
+					}
+					break
+				}
+				if r := (&Region{Runs: []Run{{pg, 1}}, Bytes: cfg.PageSize}); !reflect.DeepEqual(r, wr) {
+					err = fmt.Errorf("op %d %s: page %d, reference %v", op, what, pg, wr.Runs)
+				} else if len(regions) < 16 {
 					regions = append(regions, r)
 				}
 			case 1, 2, 3, 4:

@@ -289,22 +289,11 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 	i := a.freeHead
 	x := a.freeAt(i)
 	for remaining > 0 {
-		if x == len(a.free) {
-			x, i = 0, 0
-		}
-		e := a.free[x]
-		i = max(i, e.start)
-		n := min(e.end-i, remaining)
-		if a.cfg.MaxRunPages > 0 {
-			n = min(n, a.cfg.MaxRunPages)
-		}
-		region.Runs = append(region.Runs, Run{Start: i, Count: n})
-		cost += a.cfg.RetrieveCostPerRun + time.Duration(n)*a.cfg.RetrieveCostPerPage
-		x = a.takeFree(x, i, i+n)
-		remaining -= n
-		if i += n; i >= a.pages {
-			x, i = 0, 0
-		}
+		var run Run
+		run, x, i = a.cutRun(x, i, remaining)
+		region.Runs = append(region.Runs, run)
+		cost += a.cfg.RetrieveCostPerRun + time.Duration(run.Count)*a.cfg.RetrieveCostPerPage
+		remaining -= run.Count
 	}
 	a.freeCnt -= need
 	a.freeHead = i
@@ -312,6 +301,46 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 		p.Sleep(cost)
 	}
 	return region, nil
+}
+
+// AllocatePage is Allocate(p, PageSize()) returning the page instead of a
+// one-run Region: the same next-fit cursor, zone-lock hold and retrieval
+// cost, with nothing allocated on the heap. Demand faults take this path.
+func (a *Allocator) AllocatePage(p *sim.Proc) (int64, error) {
+	a.zoneLock.Lock(p)
+	defer a.zoneLock.Unlock(p)
+	if a.freeCnt < 1 {
+		return 0, fmt.Errorf("hostmem: out of memory: need 1 pages, %d free", a.freeCnt)
+	}
+	run, _, i := a.cutRun(a.freeAt(a.freeHead), a.freeHead, 1)
+	a.freeCnt--
+	a.freeHead = i
+	if cost := a.cfg.RetrieveCostPerRun + a.cfg.RetrieveCostPerPage; cost > 0 {
+		p.Sleep(cost)
+	}
+	return run.Start, nil
+}
+
+// cutRun takes the next run of at most want pages from the free list,
+// searching next-fit from page i in free extent x (wrapping at the end of
+// memory) and cutting at MaxRunPages. It returns the run and the extent
+// and page to continue from; the page wraps to 0 at the end of memory.
+func (a *Allocator) cutRun(x int, i, want int64) (Run, int, int64) {
+	if x == len(a.free) {
+		x, i = 0, 0
+	}
+	e := a.free[x]
+	i = max(i, e.start)
+	n := min(e.end-i, want)
+	if a.cfg.MaxRunPages > 0 {
+		n = min(n, a.cfg.MaxRunPages)
+	}
+	x = a.takeFree(x, i, i+n)
+	run := Run{Start: i, Count: n}
+	if i += n; i >= a.pages {
+		x, i = 0, 0
+	}
+	return run, x, i
 }
 
 // Free returns a region's pages to the free list. Pages become dirty: they

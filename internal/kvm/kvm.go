@@ -232,11 +232,9 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 			// Demand paging: the host fault handler allocates and zeroes
 			// the page before mapping it (standard lazy zeroing, available
 			// only without passthrough DMA).
-			r, err := vm.mem.Allocate(p, ps)
-			if err != nil {
+			if hpa, err = vm.mem.AllocatePage(p); err != nil {
 				return err
 			}
-			hpa = r.Runs[0].Start
 			vm.mem.ZeroPage(p, hpa)
 			slot.demand.Set(idx, hpa)
 		}

@@ -7,6 +7,8 @@ package nic
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"fastiov/internal/hostmem"
@@ -40,7 +42,6 @@ func DefaultConfig() Config {
 type VF struct {
 	Index int
 	Dev   *pci.Device
-	MAC   string
 
 	// HostIfname is the Linux network interface name when the VF is bound
 	// to the host network driver ("" otherwise).
@@ -58,13 +59,22 @@ type VF struct {
 // Card returns the NIC this VF belongs to.
 func (vf *VF) Card() *NIC { return vf.nic }
 
+// Name returns the VF's device name, "<card>-vf<index>".
+func (vf *VF) Name() string { return vf.nic.cfg.Name + "-vf" + strconv.Itoa(vf.Index) }
+
+// MAC returns the VF's locally administered MAC address, derived from its
+// index.
+func (vf *VF) MAC() string {
+	return fmt.Sprintf("02:00:00:00:%02x:%02x", vf.Index/256, vf.Index%256)
+}
+
 // NIC is the SR-IOV card.
 type NIC struct {
 	k    *sim.Kernel
 	cfg  Config
 	pf   *pci.Device
-	vfs  []*VF
-	free []*VF
+	vfs  []VF  // by VF number
+	free []*VF // into vfs, in lease order
 
 	// link models the shared 25 GbE pipe: capacity is expressed in "lanes"
 	// of linkBps/lanes each so concurrent downloads share fairly.
@@ -83,7 +93,6 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 	}
 	pf := topo.AddDevice(&pci.Device{
 		Addr:   pci.BDF{Bus: cfg.Bus, Dev: 0, Fn: 0},
-		Name:   cfg.Name + "-pf",
 		Vendor: 0x8086,
 		DevID:  0x1593,
 		Reset:  pci.ResetSlot, // PFs support FLR
@@ -105,42 +114,36 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 func (n *NIC) PF() *pci.Device { return n.pf }
 
 // Clone returns a deep copy of the card bound to kernel k, re-pointing the
-// PF and every VF at the cloned PCI devices in remap (from
-// pci.Topology.Clone). VF pool order is preserved exactly — AllocVF hands
-// out VFs in free-list order, so the clone leases the same VFs in the same
+// PF and every VF at the devices of topo, a pci.Topology.Clone of the
+// card's topology. VF pool order is preserved exactly — AllocVF hands out
+// VFs in free-list order, so the clone leases the same VFs in the same
 // sequence as the original would. The link resource is recreated fresh
 // under its original name; the card must be quiescent (no in-flight
 // transfers), which boot-prefix snapshots guarantee.
-func (n *NIC) Clone(k *sim.Kernel, remap map[*pci.Device]*pci.Device) *NIC {
+func (n *NIC) Clone(k *sim.Kernel, topo *pci.Topology) *NIC {
 	c := &NIC{
 		k:         k,
 		cfg:       n.cfg,
-		pf:        remap[n.pf],
+		pf:        topo.Device(n.pf.Index()),
+		vfs:       slices.Clone(n.vfs),
+		free:      make([]*VF, len(n.free)),
 		link:      sim.NewResource(n.link.Name(), n.linkLanes),
 		laneBps:   n.laneBps,
 		linkLanes: n.linkLanes,
 	}
-	c.vfs = make([]*VF, len(n.vfs))
-	for i, vf := range n.vfs {
-		c.vfs[i] = &VF{
-			Index:      vf.Index,
-			Dev:        remap[vf.Dev],
-			MAC:        vf.MAC,
-			HostIfname: vf.HostIfname,
-			Assigned:   vf.Assigned,
-			LinkUp:     vf.LinkUp,
-			nic:        c,
-		}
+	for i := range c.vfs {
+		vf := &c.vfs[i]
+		vf.Dev = topo.Device(vf.Dev.Index())
+		vf.nic = c
 	}
-	c.free = make([]*VF, len(n.free))
 	for i, vf := range n.free {
-		c.free[i] = c.vfs[vf.Index]
+		c.free[i] = &c.vfs[vf.Index]
 	}
 	return c
 }
 
 // CreateVFs performs the one-time VF pre-creation the Kubelet triggers after
-// host boot (§2.3): NIC hardware configuration per VF, placing each VF on
+// host boot (§2.3): NIC hardware configuration per VF, placing the VFs on
 // the PF's bus. Time for this step is charged but, as in the paper, it is
 // outside the measured startup window.
 func (n *NIC) CreateVFs(p *sim.Proc, count int, topo *pci.Topology) error {
@@ -154,34 +157,21 @@ func (n *NIC) CreateVFs(p *sim.Proc, count int, topo *pci.Topology) error {
 	if n.cfg.SlotReset {
 		reset = pci.ResetSlot
 	}
-	for i := 0; i < count; i++ {
+	devs := topo.AddVFs(n.pf, count, pci.Device{Vendor: 0x8086, DevID: 0x1889, Reset: reset})
+	n.vfs = make([]VF, count)
+	n.free = make([]*VF, count)
+	for i := range n.vfs {
 		if p != nil {
 			p.Sleep(n.cfg.VFCreation)
 		}
-		dev := topo.AddDevice(&pci.Device{
-			// VFs pack 8 functions per device number, offset past the PF.
-			Addr:   pci.BDF{Bus: n.cfg.Bus, Dev: 1 + i/8, Fn: i % 8},
-			Name:   fmt.Sprintf("%s-vf%d", n.cfg.Name, i),
-			Vendor: 0x8086,
-			DevID:  0x1889,
-			Reset:  reset,
-			IsVF:   true,
-			Parent: n.pf,
-		})
-		vf := &VF{
-			Index: i,
-			Dev:   dev,
-			MAC:   fmt.Sprintf("02:00:00:00:%02x:%02x", i/256, i%256),
-			nic:   n,
-		}
-		n.vfs = append(n.vfs, vf)
-		n.free = append(n.free, vf)
+		n.vfs[i] = VF{Index: i, Dev: &devs[i], nic: n}
+		n.free[i] = &n.vfs[i]
 	}
 	return nil
 }
 
-// VFs returns all created VFs.
-func (n *NIC) VFs() []*VF { return n.vfs }
+// VFs returns all created VFs, indexed by VF number (not a copy).
+func (n *NIC) VFs() []VF { return n.vfs }
 
 // AllocVF leases a free VF from the pool.
 func (n *NIC) AllocVF() (*VF, error) {
@@ -197,12 +187,27 @@ func (n *NIC) AllocVF() (*VF, error) {
 // ReleaseVF returns a VF to the pool (container terminated).
 func (n *NIC) ReleaseVF(vf *VF) {
 	if !vf.Assigned {
-		panic("nic: releasing unassigned VF " + vf.Dev.Name)
+		panic("nic: releasing unassigned VF " + vf.Name())
 	}
 	vf.Assigned = false
 	vf.LinkUp = false
 	vf.HostIfname = ""
 	n.free = append(n.free, vf)
+}
+
+// AppendCanonical appends the VF pool: each VF's binding and lease state
+// in VF order, then the free list in lease order.
+func (n *NIC) AppendCanonical(b []byte) []byte {
+	for i := range n.vfs {
+		vf := &n.vfs[i]
+		b = fmt.Appendf(b, "vf %d %s driver=%q assigned=%t link=%t if=%q\n",
+			vf.Index, vf.Dev.Addr, vf.Dev.Driver(), vf.Assigned, vf.LinkUp, vf.HostIfname)
+	}
+	b = append(b, "free"...)
+	for _, vf := range n.free {
+		b = strconv.AppendInt(append(b, ' '), int64(vf.Index), 10)
+	}
+	return append(b, '\n')
 }
 
 // FreeVFs returns the number of unassigned VFs.

@@ -111,7 +111,7 @@ func TestReleaseUnassignedPanics(t *testing.T) {
 		}
 	}()
 	_, _, n := newCard(t, 1)
-	n.ReleaseVF(n.VFs()[0])
+	n.ReleaseVF(&n.VFs()[0])
 }
 
 func TestReleaseResetsState(t *testing.T) {
@@ -129,10 +129,10 @@ func TestMACsUnique(t *testing.T) {
 	_, _, n := newCard(t, 64)
 	seen := map[string]bool{}
 	for _, vf := range n.VFs() {
-		if seen[vf.MAC] {
-			t.Fatalf("duplicate MAC %s", vf.MAC)
+		if seen[vf.MAC()] {
+			t.Fatalf("duplicate MAC %s", vf.MAC())
 		}
-		seen[vf.MAC] = true
+		seen[vf.MAC()] = true
 	}
 }
 

@@ -7,7 +7,7 @@ package pci
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"fastiov/internal/sim"
@@ -43,7 +43,6 @@ func (a BDF) String() string { return fmt.Sprintf("%02x:%02x.%d", a.Bus, a.Dev, 
 // Device is one PCI function.
 type Device struct {
 	Addr   BDF
-	Name   string
 	Vendor uint16
 	DevID  uint16
 	Reset  ResetScope
@@ -54,6 +53,7 @@ type Device struct {
 
 	driver string
 	bus    *Bus
+	index  int
 }
 
 // Driver returns the name of the currently bound driver ("" if unbound).
@@ -95,6 +95,10 @@ func (d *Device) Unbind(p *sim.Proc, cost time.Duration) {
 	d.driver = ""
 }
 
+// Index returns the device's position in its topology: devices are
+// numbered in the order they were added, from 0.
+func (d *Device) Index() int { return d.index }
+
 // Bus is one PCI bus segment.
 type Bus struct {
 	Number  int
@@ -106,90 +110,122 @@ func (b *Bus) Devices() []*Device { return b.devices }
 
 // Topology is the host's set of PCI buses.
 type Topology struct {
-	buses map[int]*Bus
-	byBDF map[BDF]*Device
+	buses []*Bus    // in creation order
+	devs  []*Device // by Index
 }
 
 // NewTopology returns an empty topology.
-func NewTopology() *Topology {
-	return &Topology{buses: make(map[int]*Bus), byBDF: make(map[BDF]*Device)}
-}
+func NewTopology() *Topology { return &Topology{} }
 
 // AddBus creates (or returns) bus number n.
 func (t *Topology) AddBus(n int) *Bus {
-	if b, ok := t.buses[n]; ok {
-		return b
+	for _, b := range t.buses {
+		if b.Number == n {
+			return b
+		}
 	}
 	b := &Bus{Number: n}
-	t.buses[n] = b
+	t.buses = append(t.buses, b)
 	return b
 }
 
 // AddDevice places a device on a bus. The device's Addr.Bus must match.
 func (t *Topology) AddDevice(d *Device) *Device {
 	b := t.AddBus(d.Addr.Bus)
-	if _, dup := t.byBDF[d.Addr]; dup {
-		panic("pci: duplicate BDF " + d.Addr.String())
+	for _, o := range b.devices {
+		if o.Addr == d.Addr {
+			panic("pci: duplicate BDF " + d.Addr.String())
+		}
 	}
-	d.bus = b
-	b.devices = append(b.devices, d)
-	t.byBDF[d.Addr] = d
+	t.place(b, d)
 	return d
 }
 
+// AddVFs places n virtual functions of pf on pf's bus in one block, each a
+// copy of vf with its address, IsVF and Parent filled in. VFs pack 8
+// functions per device number, offset past the PF: VF i sits at device
+// 1+i/8, function i%8. The block is returned and indexed by VF number.
+func (t *Topology) AddVFs(pf *Device, n int, vf Device) []Device {
+	b := pf.bus
+	// The block covers device.function slots [8, 8+n) of the bus.
+	for _, o := range b.devices {
+		if slot := o.Addr.Dev*8 + o.Addr.Fn; o.Addr.Fn < 8 && slot >= 8 && slot < 8+n {
+			panic("pci: duplicate BDF " + o.Addr.String())
+		}
+	}
+	block := make([]Device, n)
+	t.devs = slices.Grow(t.devs, n)
+	b.devices = slices.Grow(b.devices, n)
+	for i := range block {
+		d := &block[i]
+		*d = vf
+		d.Addr = BDF{Bus: b.Number, Dev: 1 + i/8, Fn: i % 8}
+		d.IsVF, d.Parent = true, pf
+		t.place(b, d)
+	}
+	return block
+}
+
+// place appends d to bus b and to the topology's device order.
+func (t *Topology) place(b *Bus, d *Device) {
+	d.bus = b
+	d.index = len(t.devs)
+	b.devices = append(b.devices, d)
+	t.devs = append(t.devs, d)
+}
+
+// Len returns the number of devices.
+func (t *Topology) Len() int { return len(t.devs) }
+
+// Device returns the device with index i.
+func (t *Topology) Device(i int) *Device { return t.devs[i] }
+
 // Lookup finds a device by address.
 func (t *Topology) Lookup(addr BDF) (*Device, bool) {
-	d, ok := t.byBDF[addr]
-	return d, ok
-}
-
-// Buses returns all buses.
-func (t *Topology) Buses() []*Bus {
-	out := make([]*Bus, 0, len(t.buses))
 	for _, b := range t.buses {
-		out = append(out, b)
+		if b.Number != addr.Bus {
+			continue
+		}
+		for _, d := range b.devices {
+			if d.Addr == addr {
+				return d, true
+			}
+		}
 	}
-	return out
+	return nil, false
 }
 
-// Clone deep-copies the topology: every bus and device is duplicated,
-// preserving per-bus device order (which higher layers iterate) and driver
-// bindings. The returned map translates original device pointers to their
-// clones so sibling structures (NIC VF pools, VFIO registrations) can be
-// re-pointed consistently.
-func (t *Topology) Clone() (*Topology, map[*Device]*Device) {
-	nt := NewTopology()
-	remap := make(map[*Device]*Device, len(t.byBDF))
-	nums := make([]int, 0, len(t.buses))
-	for n := range t.buses {
-		nums = append(nums, n)
+// Buses returns all buses in creation order (not a copy).
+func (t *Topology) Buses() []*Bus { return t.buses }
+
+// Clone deep-copies the topology into one block of devices, preserving
+// device indexes, per-bus device order (which higher layers iterate),
+// parents and driver bindings. Sibling structures (NIC VF pools, VFIO
+// registrations) re-point at the clone by index: clone.Device(d.Index()).
+func (t *Topology) Clone() *Topology {
+	devs := make([]Device, len(t.devs))
+	buses := make([]Bus, len(t.buses))
+	nt := &Topology{buses: make([]*Bus, len(t.buses)), devs: make([]*Device, len(t.devs))}
+	for i, d := range t.devs {
+		devs[i] = *d
+		nt.devs[i] = &devs[i]
 	}
-	sort.Ints(nums)
-	for _, n := range nums {
-		b := t.buses[n]
-		nb := nt.AddBus(n)
-		for _, d := range b.devices {
-			nd := &Device{
-				Addr:   d.Addr,
-				Name:   d.Name,
-				Vendor: d.Vendor,
-				DevID:  d.DevID,
-				Reset:  d.Reset,
-				IsVF:   d.IsVF,
-				driver: d.driver,
-				bus:    nb,
-			}
-			nb.devices = append(nb.devices, nd)
-			nt.byBDF[nd.Addr] = nd
-			remap[d] = nd
+	for i, b := range t.buses {
+		nb := &buses[i]
+		nb.Number = b.Number
+		nb.devices = make([]*Device, len(b.devices))
+		for j, d := range b.devices {
+			nd := nt.devs[d.index]
+			nd.bus = nb
+			nb.devices[j] = nd
+		}
+		nt.buses[i] = nb
+	}
+	// A parent may sit anywhere in the device order.
+	for _, nd := range nt.devs {
+		if nd.Parent != nil {
+			nd.Parent = nt.devs[nd.Parent.index]
 		}
 	}
-	// Parent pointers resolve in a second pass: a VF's PF may sit anywhere
-	// in the walk order.
-	for d, nd := range remap {
-		if d.Parent != nil {
-			nd.Parent = remap[d.Parent]
-		}
-	}
-	return nt, remap
+	return nt
 }

@@ -10,14 +10,21 @@ import "fmt"
 // (optimistic spinning is irrelevant in a DES — there is no true
 // parallelism to spin against).
 type Mutex struct {
-	name    string
+	name    Name
 	owner   *Proc
 	waiters []*Proc
 	count   *WaitCount // nil unless CountWaiters attached one
 }
 
 // NewMutex returns a named mutex. The name appears in deadlock reports.
-func NewMutex(name string) *Mutex { return &Mutex{name: name} }
+func NewMutex(name string) *Mutex { return &Mutex{name: Name{s: name}} }
+
+// Init names a mutex held by value, unlocked with no waiters and no
+// WaitCount, and returns it.
+func (m *Mutex) Init(name Name) *Mutex {
+	*m = Mutex{name: name}
+	return m
+}
 
 // CountWaiters makes m tally its parked waiters into c and returns m.
 func (m *Mutex) CountWaiters(c *WaitCount) *Mutex {
@@ -26,23 +33,23 @@ func (m *Mutex) CountWaiters(c *WaitCount) *Mutex {
 }
 
 // Name returns the mutex's name.
-func (m *Mutex) Name() string { return m.name }
+func (m *Mutex) Name() string { return m.name.String() }
 
 // Lock acquires m, blocking p until the mutex is available.
 func (m *Mutex) Lock(p *Proc) {
 	if m.owner == nil {
 		m.owner = p
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitMutex, m.name, p, nil, 0)
+			p.k.emit(ProbeAcquire, WaitMutex, m.Name(), p, nil, 0)
 		}
 		return
 	}
 	if m.owner == p {
-		panic("sim: recursive Lock of " + m.name + " by " + p.name)
+		panic("sim: recursive Lock of " + m.Name() + " by " + p.name)
 	}
 	m.waiters = append(m.waiters, p)
 	m.count.add(p.k, 1)
-	p.park(WaitMutex, m.name)
+	p.park(WaitMutex, m.Name())
 }
 
 // TryLock acquires m if it is free and reports whether it succeeded.
@@ -52,7 +59,7 @@ func (m *Mutex) TryLock(p *Proc) bool {
 	}
 	m.owner = p
 	if p.k.probing() {
-		p.k.emit(ProbeAcquire, WaitMutex, m.name, p, nil, 0)
+		p.k.emit(ProbeAcquire, WaitMutex, m.Name(), p, nil, 0)
 	}
 	return true
 }
@@ -60,10 +67,10 @@ func (m *Mutex) TryLock(p *Proc) bool {
 // Unlock releases m, handing it to the longest-waiting Proc if any.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
-		panic(fmt.Sprintf("sim: Unlock of %s by non-owner %s", m.name, p.name))
+		panic(fmt.Sprintf("sim: Unlock of %s by non-owner %s", m.Name(), p.name))
 	}
 	if p.k.probing() {
-		p.k.emit(ProbeRelease, WaitMutex, m.name, p, nil, 0)
+		p.k.emit(ProbeRelease, WaitMutex, m.Name(), p, nil, 0)
 	}
 	// FIFO handoff: ownership transfers at the release instant, and the
 	// releaser is the causal source of the waiter's wake-up. Waiters that
@@ -78,7 +85,7 @@ func (m *Mutex) Unlock(p *Proc) {
 		m.owner = next
 		m.count.add(p.k, -1)
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitMutex, m.name, next, p, 0)
+			p.k.emit(ProbeAcquire, WaitMutex, m.Name(), next, p, 0)
 		}
 		p.k.schedule(p.k.now, next)
 		return
@@ -125,7 +132,7 @@ type rwWaiter struct {
 // together. Writers therefore cannot be starved by a reader stream, matching
 // the fairness of Linux's rw_semaphore under contention.
 type RWMutex struct {
-	name    string
+	name    Name
 	readers int
 	writer  *Proc
 	waiters []rwWaiter
@@ -133,7 +140,14 @@ type RWMutex struct {
 }
 
 // NewRWMutex returns a named reader/writer lock.
-func NewRWMutex(name string) *RWMutex { return &RWMutex{name: name} }
+func NewRWMutex(name string) *RWMutex { return &RWMutex{name: Name{s: name}} }
+
+// Init names a lock held by value, free with no waiters and no WaitCount,
+// and returns it.
+func (rw *RWMutex) Init(name Name) *RWMutex {
+	*rw = RWMutex{name: name}
+	return rw
+}
 
 // CountWaiters makes rw tally its parked waiters into c and returns rw.
 func (rw *RWMutex) CountWaiters(c *WaitCount) *RWMutex {
@@ -142,30 +156,30 @@ func (rw *RWMutex) CountWaiters(c *WaitCount) *RWMutex {
 }
 
 // Name returns the lock's name.
-func (rw *RWMutex) Name() string { return rw.name }
+func (rw *RWMutex) Name() string { return rw.name.String() }
 
 // RLock acquires a read (shared) hold.
 func (rw *RWMutex) RLock(p *Proc) {
 	if rw.writer == nil && len(rw.waiters) == 0 {
 		rw.readers++
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitRWRead, rw.name, p, nil, 0)
+			p.k.emit(ProbeAcquire, WaitRWRead, rw.Name(), p, nil, 0)
 		}
 		return
 	}
 	rw.waiters = append(rw.waiters, rwWaiter{p, false})
 	rw.count.add(p.k, 1)
-	p.park(WaitRWRead, rw.name)
+	p.park(WaitRWRead, rw.Name())
 }
 
 // RUnlock releases a read hold.
 func (rw *RWMutex) RUnlock(p *Proc) {
 	if rw.readers <= 0 {
-		panic("sim: RUnlock of " + rw.name + " with no readers")
+		panic("sim: RUnlock of " + rw.Name() + " with no readers")
 	}
 	rw.readers--
 	if p.k.probing() {
-		p.k.emit(ProbeRelease, WaitRWRead, rw.name, p, nil, 0)
+		p.k.emit(ProbeRelease, WaitRWRead, rw.Name(), p, nil, 0)
 	}
 	if rw.readers == 0 {
 		rw.dispatch(p)
@@ -177,23 +191,23 @@ func (rw *RWMutex) Lock(p *Proc) {
 	if rw.writer == nil && rw.readers == 0 && len(rw.waiters) == 0 {
 		rw.writer = p
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitRWWrite, rw.name, p, nil, 0)
+			p.k.emit(ProbeAcquire, WaitRWWrite, rw.Name(), p, nil, 0)
 		}
 		return
 	}
 	rw.waiters = append(rw.waiters, rwWaiter{p, true})
 	rw.count.add(p.k, 1)
-	p.park(WaitRWWrite, rw.name)
+	p.park(WaitRWWrite, rw.Name())
 }
 
 // Unlock releases the write hold.
 func (rw *RWMutex) Unlock(p *Proc) {
 	if rw.writer != p {
-		panic("sim: Unlock of " + rw.name + " by non-writer")
+		panic("sim: Unlock of " + rw.Name() + " by non-writer")
 	}
 	rw.writer = nil
 	if p.k.probing() {
-		p.k.emit(ProbeRelease, WaitRWWrite, rw.name, p, nil, 0)
+		p.k.emit(ProbeRelease, WaitRWWrite, rw.Name(), p, nil, 0)
 	}
 	rw.dispatch(p)
 }
@@ -215,7 +229,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 		rw.writer = next
 		rw.count.add(p.k, -1)
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitRWWrite, rw.name, next, p, 0)
+			p.k.emit(ProbeAcquire, WaitRWWrite, rw.Name(), next, p, 0)
 		}
 		p.k.schedule(p.k.now, next)
 		return
@@ -229,7 +243,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 		rw.readers++
 		rw.count.add(p.k, -1)
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitRWRead, rw.name, next, p, 0)
+			p.k.emit(ProbeAcquire, WaitRWRead, rw.Name(), next, p, 0)
 		}
 		p.k.schedule(p.k.now, next)
 	}

@@ -418,3 +418,38 @@ func TestRandFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexedNameFormatsOnFirstRead pins that a lock named by IndexedName
+// formats nothing until the name is read (here by a park), and then once.
+func TestIndexedNameFormatsOnFirstRead(t *testing.T) {
+	calls := 0
+	format := func(b []byte, i int) []byte {
+		calls++
+		return append(b, byte('0'+i))
+	}
+	var m Mutex
+	m.Init(IndexedName("dev-", 7, format))
+	k := NewKernel(1)
+	k.Go("a", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(1)
+		m.Unlock(p)
+	})
+	k.Run()
+	if calls != 0 {
+		t.Fatalf("uncontended lock formatted its name %d times", calls)
+	}
+	k.Go("a", func(p *Proc) {
+		m.Lock(p)
+		p.Sleep(1)
+		m.Unlock(p)
+	})
+	k.Go("b", func(p *Proc) {
+		m.Lock(p)
+		m.Unlock(p)
+	})
+	k.Run()
+	if got := m.Name(); got != "dev-7" || calls != 1 {
+		t.Fatalf("name %q after %d formats, want dev-7 after 1", got, calls)
+	}
+}

@@ -27,10 +27,10 @@ import (
 
 // Group is one IOMMU group.
 type Group struct {
-	ID      int
-	driver  *Driver
-	devices []*Device
-	cont    *Container
+	ID     int
+	driver *Driver
+	dev    *Device // the group's only member
+	cont   *Container
 }
 
 // Container is one I/O address space (a /dev/vfio/vfio fd).
@@ -44,7 +44,7 @@ type Container struct {
 }
 
 // Group returns the device's IOMMU group (created at Register).
-func (vd *Device) Group() *Group { return vd.group }
+func (vd *Device) Group() *Group { return &vd.group }
 
 // OpenContainer creates a fresh container.
 func (d *Driver) OpenContainer() *Container {
@@ -64,15 +64,11 @@ func (c *Container) AttachGroup(p *sim.Proc, g *Group) error {
 		return fmt.Errorf("vfio: group %d already attached to container %d", g.ID, g.cont.ID)
 	}
 	dom := c.driver.mmu.CreateDomain()
-	for _, vd := range g.devices {
-		if vd.domain != nil {
-			c.driver.mmu.DestroyDomain(dom)
-			return fmt.Errorf("vfio: device %s already has a domain", vd.PDev.Addr)
-		}
+	if g.dev.domain != nil {
+		c.driver.mmu.DestroyDomain(dom)
+		return fmt.Errorf("vfio: device %s already has a domain", g.dev.PDev.Addr)
 	}
-	for _, vd := range g.devices {
-		vd.domain = dom
-	}
+	g.dev.domain = dom
 	g.cont = c
 	c.groups = append(c.groups, g)
 	return nil
@@ -88,14 +84,7 @@ func (g *Group) GetDeviceFD(p *sim.Proc, vd *Device) (int, time.Duration, error)
 	if g.cont == nil {
 		return 0, 0, fmt.Errorf("vfio: group %d not attached to a container", g.ID)
 	}
-	found := false
-	for _, m := range g.devices {
-		if m == vd {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if g.dev != vd {
 		return 0, 0, fmt.Errorf("vfio: device %s not in group %d", vd.PDev.Addr, g.ID)
 	}
 	return g.driver.OpenErr(p, vd)
@@ -115,7 +104,7 @@ func (c *Container) MapDMA(p *sim.Proc, iovaBase, bytes int64, hook ZeroHook) (*
 	}
 	// Delegate to the first attached device's mapping path (all devices in
 	// the container share one domain).
-	vd := c.groups[0].devices[0]
+	vd := c.groups[0].dev
 	region, err := c.driver.MapDMA(p, vd, iovaBase, bytes, hook)
 	if err != nil {
 		return nil, err
@@ -129,7 +118,7 @@ func (c *Container) UnmapDMA(p *sim.Proc, iovaBase int64) error {
 	if _, ok := c.mappings[iovaBase]; !ok {
 		return fmt.Errorf("vfio: container %d: no mapping at %#x", c.ID, iovaBase)
 	}
-	vd := c.groups[0].devices[0]
+	vd := c.groups[0].dev
 	if err := c.driver.UnmapDMA(p, vd, iovaBase); err != nil {
 		return err
 	}
@@ -144,10 +133,8 @@ func (c *Container) Close(p *sim.Proc) error {
 		return nil
 	}
 	for _, g := range c.groups {
-		for _, vd := range g.devices {
-			if vd.openCount > 0 {
-				return fmt.Errorf("vfio: device %s still open", vd.PDev.Addr)
-			}
+		if g.dev.openCount > 0 {
+			return fmt.Errorf("vfio: device %s still open", g.dev.PDev.Addr)
 		}
 	}
 	for _, iova := range c.orderedMappings() {
@@ -157,22 +144,14 @@ func (c *Container) Close(p *sim.Proc) error {
 	}
 	for _, g := range c.groups {
 		// All devices in the container share one domain; release it once.
-		for _, vd := range g.devices {
-			if vd.domain != nil {
-				if len(vd.dmaRegions) > 0 {
-					return fmt.Errorf("vfio: %d stray mappings on %s", len(vd.dmaRegions), vd.PDev.Addr)
-				}
-			}
+		if vd := g.dev; vd.domain != nil && len(vd.dmaRegions) > 0 {
+			return fmt.Errorf("vfio: %d stray mappings on %s", len(vd.dmaRegions), vd.PDev.Addr)
 		}
 	}
 	if len(c.groups) > 0 {
-		first := c.groups[0].devices[0]
-		if first.domain != nil {
-			dom := first.domain
+		if dom := c.groups[0].dev.domain; dom != nil {
 			for _, g := range c.groups {
-				for _, vd := range g.devices {
-					vd.domain = nil
-				}
+				g.dev.domain = nil
 			}
 			c.driver.mmu.DestroyDomain(dom)
 		}

@@ -15,8 +15,8 @@ func TestVFsAreSingletonGroups(t *testing.T) {
 		if g == nil {
 			t.Fatal("device has no group")
 		}
-		if len(g.devices) != 1 {
-			t.Errorf("VF group has %d devices", len(g.devices))
+		if g.dev != vd {
+			t.Errorf("VF group %d's member is not its device", g.ID)
 		}
 		if seen[g.ID] {
 			t.Errorf("group %d reused", g.ID)

@@ -15,6 +15,9 @@ package vfio
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 	"time"
 
 	"fastiov/internal/fault"
@@ -115,8 +118,20 @@ type Driver struct {
 	// keeps the historical names.
 	Scope string
 
-	busSets   map[int]*DevSet // bus number -> shared devset
-	devices   map[*pci.Device]*Device
+	busSets map[int]*DevSet // bus number -> shared devset
+	// devices maps a PCI device's topology index to its registration (nil
+	// when unregistered). Registrations and singleton devsets are carved
+	// from blocks (devPool, setPool) sized to the devices that may still
+	// register, so a host's 256 VFs cost a few allocations, not 256.
+	devices    []*Device
+	registered int
+	devPool    []Device
+	setPool    []DevSet
+	// devPrefix and setPrefix are Scope plus the lock-name prefixes, fixed
+	// at the first Register; lock names are formatted from them on first
+	// read.
+	devPrefix, setPrefix string
+
 	nextFD    int
 	nextSet   int
 	nextGroup int
@@ -137,7 +152,6 @@ func New(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.I
 		mode:    mode,
 		costs:   costs,
 		busSets: make(map[int]*DevSet),
-		devices: make(map[*pci.Device]*Device),
 	}
 }
 
@@ -153,14 +167,15 @@ func (d *Driver) DevsetWaits() *sim.WaitCount { return &d.devsetWaits }
 type DevSet struct {
 	ID      int
 	devices []*Device
+	solo    [1]*Device // backs devices for a singleton devset
 	// totalOpen is the devset's global state: the sum of member open
 	// counts. Under LockGlobal it is guarded by the global mutex; under
 	// LockParentChild it is maintained under the per-child mutex and read
 	// exactly under the write lock (an intra-parent operation).
 	totalOpen int
 
-	global *sim.Mutex   // vanilla discipline
-	rw     *sim.RWMutex // hierarchical discipline (parent lock)
+	global sim.Mutex   // vanilla discipline
+	rw     sim.RWMutex // hierarchical discipline (parent lock)
 }
 
 // Devices returns the member devices.
@@ -175,14 +190,15 @@ type Device struct {
 	Set  *DevSet
 
 	openCount int
-	mu        *sim.Mutex // child lock (hierarchical discipline)
+	mu        sim.Mutex // child lock (hierarchical discipline)
 	fd        int
 
 	domain *iommu.Domain
-	// dmaRegions tracks live DMA mappings: iovaBase -> backing region.
+	// dmaRegions tracks live DMA mappings: iovaBase -> backing region. It
+	// stays nil until the first MapDMA.
 	dmaRegions map[int64]*hostmem.Region
 	// group is the device's IOMMU group (singleton for ACS-isolated VFs).
-	group *Group
+	group Group
 }
 
 // OpenCount returns the device's local open count.
@@ -202,31 +218,64 @@ func (d *Driver) Register(pdev *pci.Device) (*Device, error) {
 	if pdev.Driver() != "vfio-pci" {
 		return nil, fmt.Errorf("vfio: %s bound to %q, not vfio-pci", pdev.Addr, pdev.Driver())
 	}
-	if _, dup := d.devices[pdev]; dup {
+	id := pdev.Index()
+	if id >= d.topo.Len() || d.topo.Device(id) != pdev {
+		return nil, fmt.Errorf("vfio: %s not in the driver's topology", pdev.Addr)
+	}
+	if _, dup := d.Lookup(pdev); dup {
 		return nil, fmt.Errorf("vfio: %s already registered", pdev.Addr)
 	}
+	if d.devPrefix == "" {
+		d.devPrefix, d.setPrefix = d.Scope+DevLockPrefix, d.Scope+DevsetLockPrefix
+	}
+	if id >= len(d.devices) {
+		d.devices = append(d.devices, make([]*Device, d.topo.Len()-len(d.devices))...)
+	}
+	rest := d.topo.Len() - d.registered // devices that may still register
 	var set *DevSet
 	if pdev.Reset == pci.ResetSlot {
-		set = d.newSet()
-	} else {
-		set = d.busSets[pdev.Addr.Bus]
-		if set == nil {
-			set = d.newSet()
-			d.busSets[pdev.Addr.Bus] = set
-		}
+		d.nextSet++
+		set = d.newSet(take(&d.setPool, rest), d.nextSet)
+		set.devices = set.solo[:0]
+	} else if set = d.busSets[pdev.Addr.Bus]; set == nil {
+		d.nextSet++
+		set = d.newSet(new(DevSet), d.nextSet)
+		set.devices = make([]*Device, 0, rest)
+		d.busSets[pdev.Addr.Bus] = set
 	}
-	vd := &Device{
-		PDev:       pdev,
-		Set:        set,
-		mu:         sim.NewMutex(fmt.Sprintf("%s%s%s", d.Scope, DevLockPrefix, pdev.Addr)),
-		dmaRegions: make(map[int64]*hostmem.Region),
-	}
-	set.devices = append(set.devices, vd)
-	d.devices[pdev] = vd
-	// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
+	vd := take(&d.devPool, rest)
 	d.nextGroup++
-	vd.group = &Group{ID: d.nextGroup, driver: d, devices: []*Device{vd}}
+	d.initDevice(vd, pdev, set, Group{ID: d.nextGroup})
+	set.devices = append(set.devices, vd)
+	d.devices[id] = vd
+	d.registered++
 	return vd, nil
+}
+
+// take returns the first element of *pool, refilling the pool with a block
+// of n zero elements when it is empty.
+func take[T any](pool *[]T, n int) *T {
+	if len(*pool) == 0 {
+		*pool = make([]T, max(n, 1))
+	}
+	x := &(*pool)[0]
+	*pool = (*pool)[1:]
+	return x
+}
+
+// initDevice sets vd up as pdev's registration in set, in IOMMU group g.
+// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
+func (d *Driver) initDevice(vd *Device, pdev *pci.Device, set *DevSet, g Group) {
+	*vd = Device{PDev: pdev, Set: set, group: g}
+	a := pdev.Addr
+	vd.mu.Init(sim.IndexedName(d.devPrefix, a.Bus<<16|a.Dev<<8|a.Fn, appendBDF))
+	vd.group.driver, vd.group.dev = d, vd
+}
+
+// appendBDF renders a BDF packed as bus<<16 | dev<<8 | fn, as BDF.String
+// does.
+func appendBDF(b []byte, packed int) []byte {
+	return append(b, pci.BDF{Bus: packed >> 16, Dev: packed >> 8 & 0xff, Fn: packed & 0xff}.String()...)
 }
 
 // DevsetLockPrefix prefixes the sim-lock name of every devset-wide
@@ -237,94 +286,79 @@ const DevsetLockPrefix = "vfio-devset-"
 // DevLockPrefix prefixes per-device lock names ("vfio-dev-<addr>").
 const DevLockPrefix = "vfio-dev-"
 
-func (d *Driver) newSet() *DevSet {
-	d.nextSet++
-	name := fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)
-	return &DevSet{
-		ID:     d.nextSet,
-		global: sim.NewMutex(name).CountWaiters(&d.devsetWaits),
-		rw:     sim.NewRWMutex(name).CountWaiters(&d.devsetWaits),
-	}
+// newSet initializes s as devset id with its two locks.
+func (d *Driver) newSet(s *DevSet, id int) *DevSet {
+	s.ID = id
+	name := sim.IndexedName(d.setPrefix, id, appendDecimal)
+	s.global.Init(name).CountWaiters(&d.devsetWaits)
+	s.rw.Init(name).CountWaiters(&d.devsetWaits)
+	return s
 }
 
+func appendDecimal(b []byte, i int) []byte { return strconv.AppendInt(b, int64(i), 10) }
+
 // Clone returns a deep copy of the driver bound to kernel k, with every
-// registered device re-pointed at its clone in remap (from
-// pci.Topology.Clone) and wired to the given topology, allocator, and
-// IOMMU. Devset/device locks are recreated fresh under their original
-// names, and id counters (fd, devset, group, container) carry over so
-// post-clone allocations continue the original numbering.
+// registered device re-pointed at its counterpart in topo (a
+// pci.Topology.Clone of the driver's topology) and wired to the given
+// allocator and IOMMU. Registrations are copied into one block, and so are
+// singleton devsets; devset and device locks are recreated fresh under
+// their original names, and id counters (fd, devset, group, container)
+// carry over so post-clone allocations continue the original numbering.
 //
 // Clone is restricted to quiescent drivers — no open devices, no live DMA
 // mappings or domains, no container attachments — which is exactly the
 // state a boot-prefix snapshot captures; it errors otherwise rather than
 // silently dropping state. Faults is NOT carried over; the caller wires
 // the clone's injector.
-func (d *Driver) Clone(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.IOMMU, remap map[*pci.Device]*pci.Device) (*Driver, error) {
+func (d *Driver) Clone(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.IOMMU) (*Driver, error) {
 	c := &Driver{
-		k:         k,
-		topo:      topo,
-		mem:       mem,
-		mmu:       mmu,
-		mode:      d.mode,
-		costs:     d.costs,
-		Retry:     d.Retry,
-		Stats:     d.Stats,
-		Scope:     d.Scope,
-		busSets:   make(map[int]*DevSet, len(d.busSets)),
-		devices:   make(map[*pci.Device]*Device, len(d.devices)),
-		nextFD:    d.nextFD,
-		nextSet:   d.nextSet,
-		nextGroup: d.nextGroup,
-		nextCont:  d.nextCont,
+		k:          k,
+		topo:       topo,
+		mem:        mem,
+		mmu:        mmu,
+		mode:       d.mode,
+		costs:      d.costs,
+		Retry:      d.Retry,
+		Stats:      d.Stats,
+		Scope:      d.Scope,
+		busSets:    make(map[int]*DevSet, len(d.busSets)),
+		devices:    make([]*Device, len(d.devices)),
+		registered: d.registered,
+		devPrefix:  d.devPrefix,
+		setPrefix:  d.setPrefix,
+		nextFD:     d.nextFD,
+		nextSet:    d.nextSet,
+		nextGroup:  d.nextGroup,
+		nextCont:   d.nextCont,
 	}
-	var cloneErr error
-	setMap := make(map[*DevSet]*DevSet)
-	cloneSet := func(s *DevSet) *DevSet {
-		if cs, ok := setMap[s]; ok {
-			return cs
+	for id, vd := range d.devices {
+		if vd == nil {
+			continue
 		}
-		cs := &DevSet{
-			ID:        s.ID,
-			totalOpen: s.totalOpen,
-			global:    sim.NewMutex(s.global.Name()).CountWaiters(&c.devsetWaits),
-			rw:        sim.NewRWMutex(s.rw.Name()).CountWaiters(&c.devsetWaits),
+		if vd.openCount > 0 || vd.domain != nil || len(vd.dmaRegions) > 0 || vd.group.cont != nil {
+			return nil, fmt.Errorf("vfio: clone of %s with live state (opens=%d, domain=%v, mappings=%d)",
+				vd.PDev.Addr, vd.openCount, vd.domain != nil, len(vd.dmaRegions))
 		}
-		setMap[s] = cs
-		// Member order is preserved: ResetSet iterates it, so a reordered
-		// clone would simulate differently.
-		for _, vd := range s.devices {
-			if vd.openCount > 0 || vd.domain != nil || len(vd.dmaRegions) > 0 || vd.group.cont != nil {
-				cloneErr = fmt.Errorf("vfio: clone of %s with live state (opens=%d, domain=%v, mappings=%d)",
-					vd.PDev.Addr, vd.openCount, vd.domain != nil, len(vd.dmaRegions))
-				return cs
-			}
-			npdev := remap[vd.PDev]
-			if npdev == nil {
-				cloneErr = fmt.Errorf("vfio: clone: %s missing from device remap", vd.PDev.Addr)
-				return cs
-			}
-			nv := &Device{
-				PDev:       npdev,
-				Set:        cs,
-				openCount:  vd.openCount,
-				mu:         sim.NewMutex(vd.mu.Name()),
-				fd:         vd.fd,
-				dmaRegions: make(map[int64]*hostmem.Region),
-			}
-			nv.group = &Group{ID: vd.group.ID, driver: c, devices: []*Device{nv}}
-			cs.devices = append(cs.devices, nv)
-			c.devices[nv.PDev] = nv
+		nv := take(&c.devPool, d.registered)
+		c.initDevice(nv, topo.Device(id), nil, Group{ID: vd.group.ID})
+		nv.fd = vd.fd
+		c.devices[id] = nv
+		if vd.Set.solo[0] == vd { // a slot-reset device's singleton devset
+			nv.Set = c.newSet(take(&c.setPool, d.registered), vd.Set.ID)
+			nv.Set.devices = append(nv.Set.solo[:0], nv)
 		}
-		return cs
 	}
+	// Member order is preserved: ResetSet iterates it, so a reordered
+	// clone would simulate differently. Quiescent members have no opens,
+	// so neither has the devset.
 	for bus, s := range d.busSets {
-		c.busSets[bus] = cloneSet(s)
-	}
-	for _, vd := range d.devices {
-		cloneSet(vd.Set) // singleton (slot-reset) devsets not in busSets
-	}
-	if cloneErr != nil {
-		return nil, cloneErr
+		cs := c.newSet(new(DevSet), s.ID)
+		cs.devices = make([]*Device, len(s.devices), cap(s.devices))
+		for i, vd := range s.devices {
+			cs.devices[i] = c.devices[vd.PDev.Index()]
+			cs.devices[i].Set = cs
+		}
+		c.busSets[bus] = cs
 	}
 	return c, nil
 }
@@ -334,7 +368,8 @@ func (d *Driver) Unregister(vd *Device) error {
 	if vd.openCount > 0 {
 		return fmt.Errorf("vfio: %s still open", vd.PDev.Addr)
 	}
-	delete(d.devices, vd.PDev)
+	d.devices[vd.PDev.Index()] = nil
+	d.registered--
 	for i, m := range vd.Set.devices {
 		if m == vd {
 			vd.Set.devices = append(vd.Set.devices[:i], vd.Set.devices[i+1:]...)
@@ -346,19 +381,45 @@ func (d *Driver) Unregister(vd *Device) error {
 
 // Lookup returns the VFIO device for a PCI device.
 func (d *Driver) Lookup(pdev *pci.Device) (*Device, bool) {
-	vd, ok := d.devices[pdev]
-	return vd, ok
+	if id := pdev.Index(); id < len(d.devices) {
+		if vd := d.devices[id]; vd != nil && vd.PDev == pdev {
+			return vd, true
+		}
+	}
+	return nil, false
 }
 
 // RegisteredCount returns the number of devices currently registered — a
 // conservation input for host-wide leak audits.
-func (d *Driver) RegisteredCount() int { return len(d.devices) }
+func (d *Driver) RegisteredCount() int { return d.registered }
+
+// AppendCanonical appends every registration in device order (devset, fd,
+// open count, group), then each bus devset's members in order.
+func (d *Driver) AppendCanonical(b []byte) []byte {
+	for _, vd := range d.devices {
+		if vd != nil {
+			b = fmt.Appendf(b, "vfio %s set=%d fd=%d opens=%d group=%d\n",
+				vd.PDev.Addr, vd.Set.ID, vd.fd, vd.openCount, vd.group.ID)
+		}
+	}
+	for _, bus := range slices.Sorted(maps.Keys(d.busSets)) {
+		s := d.busSets[bus]
+		b = fmt.Appendf(b, "devset %d bus=%02x open=%d members", s.ID, bus, s.totalOpen)
+		for _, vd := range s.devices {
+			b = strconv.AppendInt(append(b, ' '), int64(vd.PDev.Index()), 10)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
 
 // TotalOpens returns the host-wide sum of device fd open counts.
 func (d *Driver) TotalOpens() int {
 	total := 0
 	for _, vd := range d.devices {
-		total += vd.openCount
+		if vd != nil {
+			total += vd.openCount
+		}
 	}
 	return total
 }
@@ -535,6 +596,9 @@ func (d *Driver) MapDMA(p *sim.Proc, vd *Device, iovaBase, bytes int64, hook Zer
 	}
 	if vd.domain == nil {
 		vd.domain = d.mmu.CreateDomain()
+	}
+	if vd.dmaRegions == nil {
+		vd.dmaRegions = make(map[int64]*hostmem.Region)
 	}
 	region, err := d.mem.Allocate(p, bytes) // retrieve
 	if err != nil {

@@ -405,7 +405,7 @@ func TestDMAWriteThroughMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := New(k, topo, mem, mmu, LockParentChild, DefaultCosts())
-	vf := card.VFs()[0]
+	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, _ := drv.Register(vf.Dev)
 	k.Go("t", func(p *sim.Proc) {
