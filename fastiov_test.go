@@ -40,6 +40,17 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 	}
 }
 
+// TestNegativeConcurrencyRejected pins that a negative container count is
+// an error from the one-call entry points, not a panic.
+func TestNegativeConcurrencyRejected(t *testing.T) {
+	if _, err := RunBaseline(BaselineVanilla, -1); err == nil {
+		t.Error("RunBaseline accepted n = -1")
+	}
+	if _, err := StartupMetrics(BaselineVanilla, -3, 1); err == nil {
+		t.Error("StartupMetrics accepted n = -3")
+	}
+}
+
 func TestExperimentSuiteComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig5", "tab1", "fig11", "fig12",

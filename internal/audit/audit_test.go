@@ -14,10 +14,10 @@ func TestCaptureNilSystemIsZero(t *testing.T) {
 func TestDiffReportsEveryChangedCounter(t *testing.T) {
 	before := Snapshot{FreeVFs: 256, FreePages: 1000, VFIORegistered: 256}
 	after := before
-	after.FreeVFs = 255       // one VF leaked
-	after.FreePages = 900     // pages leaked
-	after.PinnedPages = 100   // still pinned
-	after.DevsetOpens = 1     // fd left open
+	after.FreeVFs = 255     // one VF leaked
+	after.FreePages = 900   // pages leaked
+	after.PinnedPages = 100 // still pinned
+	after.DevsetOpens = 1   // fd left open
 	leaks := Diff(before, after)
 	if len(leaks) != 4 {
 		t.Fatalf("Diff = %d leaks %v, want 4", len(leaks), leaks)

@@ -6,10 +6,10 @@ import (
 	"fastiov/internal/sim"
 )
 
-// TestBootCostIndependentOfVFCount pins that booting a host and restoring
-// a boot snapshot cost O(1) heap allocations in the VF count: the VF pool,
-// PCI devices and VFIO registrations live in per-host tables, and lock
-// names are formatted on first read. Each case boots at 64 and at 256 VFs;
+// TestBootCostIndependentOfVFCount pins that booting a host, directly or
+// from a snapshot recipe, costs O(1) heap allocations in the VF count: the
+// VF pool, PCI devices and VFIO registrations live in per-host tables, and
+// lock names are formatted on first read. Each case boots at 64 and at 256 VFs;
 // the allocation counts may differ by a small constant only.
 func TestBootCostIndependentOfVFCount(t *testing.T) {
 	const slack = 8

@@ -63,6 +63,23 @@ func DefaultHostSpec() HostSpec {
 	}
 }
 
+// validate rejects specs the substrates cannot be built from.
+func (s HostSpec) validate() error {
+	switch {
+	case s.Cores <= 0:
+		return fmt.Errorf("cluster: host needs a positive core count, got %d", s.Cores)
+	case s.NumVFs < 0:
+		return fmt.Errorf("cluster: negative VF count %d", s.NumVFs)
+	case s.NIC.MaxVFs <= 0:
+		return fmt.Errorf("cluster: NIC %q needs a positive VF limit, got %d", s.NIC.Name, s.NIC.MaxVFs)
+	case s.Memory.PageSize <= 0 || s.Memory.TotalBytes < s.Memory.PageSize:
+		return fmt.Errorf("cluster: invalid memory geometry: %d bytes in %d-byte pages", s.Memory.TotalBytes, s.Memory.PageSize)
+	case s.Memory.ZeroStreams <= 0:
+		return fmt.Errorf("cluster: memory needs a positive zeroing stream count, got %d", s.Memory.ZeroStreams)
+	}
+	return nil
+}
+
 // Options selects the networking mode, the four FastIOV optimization
 // switches (§4), and baseline behaviours.
 type Options struct {
@@ -384,6 +401,9 @@ func NewHost(spec HostSpec, opts Options) (*Host, error) {
 // When rng is the kernel's own stream and Scope is empty the boot is
 // byte-identical to the historical single-host path.
 func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	if opts.Scope != "" {
 		// Scope the NIC too: its link resource (and the VF names derived
 		// from the card name) must be host-unique under a shared kernel
@@ -458,22 +478,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		}
 	}
 
-	if err := h.wireStack(pol); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// wireStack builds the software stack above the hardware substrates —
-// hypervisor environment, CNI plugin, container engine, metrics — and
-// takes the boot-baseline audit snapshot. It is shared by NewHostOn
-// (hardware built fresh) and RestoreSnapshot (hardware cloned from a
-// boot-prefix snapshot); the only kernel-visible action it performs is the
-// metrics sampler daemon spawn, so both callers produce identical kernel
-// clock/seq state and probe streams.
-func (h *Host) wireStack(pol fault.Policy) error {
-	opts := h.Opts
-	h.Env = hypervisor.NewEnv(h.K, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
+	h.Env = hypervisor.NewEnv(k, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
 	h.Env.Faults = h.Faults
 	h.Env.Retry = pol
 
@@ -496,7 +501,7 @@ func (h *Host) wireStack(pol fault.Policy) error {
 		ipvtap.Faults = h.Faults
 		plugin = ipvtap
 	default:
-		return fmt.Errorf("cluster: unknown network mode %d", opts.Network)
+		return nil, fmt.Errorf("cluster: unknown network mode %d", opts.Network)
 	}
 
 	gcosts := guest.DefaultCosts()
@@ -523,12 +528,12 @@ func (h *Host) wireStack(pol fault.Policy) error {
 	if opts.Metrics {
 		h.Metrics = metrics.New(opts.MetricsCadence)
 		h.attachMetrics()
-		h.Metrics.Start(h.K)
+		h.Metrics.Start(k)
 	}
 	// The baseline is taken after boot-time VF binding and pre-zeroing so
 	// it reflects the steady idle state every experiment must return to.
 	h.Baseline = h.AuditSnapshot()
-	return nil
+	return h, nil
 }
 
 // Result carries one experiment's outcome.
@@ -640,6 +645,13 @@ func (h *Host) StartOne(p *sim.Proc, id int) (*cri.Sandbox, error) {
 // (churn runs several waves on one host; ids must not collide across waves
 // for telemetry and trace binding).
 func (h *Host) startupWave(n, base int) *Result {
+	if n < 0 {
+		return &Result{
+			Name: h.Opts.Name, N: n, Recorder: h.Rec,
+			Totals: h.Rec.Totals(), VFRelated: h.Rec.VFRelated(),
+			Err: fmt.Errorf("cluster: cannot start %d containers", n),
+		}
+	}
 	res := &Result{Name: h.Opts.Name, N: n, Recorder: h.Rec, Started: n}
 	sandboxes := make([]*cri.Sandbox, n)
 	var errs []error

@@ -210,6 +210,38 @@ func TestUnknownBaselineRejected(t *testing.T) {
 	}
 }
 
+// TestInvalidHostSpecRejected pins that a spec the substrates cannot be
+// built from is an error from both boot entry points, not a panic.
+func TestInvalidHostSpecRejected(t *testing.T) {
+	opts, err := OptionsFor(BaselineFastIOV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*HostSpec)
+	}{
+		{"negative VFs", func(s *HostSpec) { s.NumVFs = -1 }},
+		{"VFs over card limit", func(s *HostSpec) { s.NumVFs = s.NIC.MaxVFs + 1 }},
+		{"zero cores", func(s *HostSpec) { s.Cores = 0 }},
+		{"zero page size", func(s *HostSpec) { s.Memory.PageSize = 0 }},
+		{"memory below one page", func(s *HostSpec) { s.Memory.TotalBytes = s.Memory.PageSize - 1 }},
+		{"zero zeroing streams", func(s *HostSpec) { s.Memory.ZeroStreams = 0 }},
+		{"zero card VF limit", func(s *HostSpec) { s.NIC.MaxVFs = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := DefaultHostSpec()
+			tc.edit(&spec)
+			if _, err := NewHost(spec, opts); err == nil {
+				t.Error("NewHost accepted the spec")
+			}
+			if _, err := RestoreSnapshot(&Snapshot{Spec: spec, Opts: opts}); err == nil {
+				t.Error("RestoreSnapshot accepted the spec")
+			}
+		})
+	}
+}
+
 func TestVFExhaustion(t *testing.T) {
 	opts, _ := OptionsFor(BaselineVanilla)
 	spec := DefaultHostSpec()

@@ -1,17 +1,15 @@
 package cluster
 
-// Regression coverage for boot-prefix snapshot transparency: a host
-// restored from a snapshot must be indistinguishable — down to the byte —
-// from a host booted from scratch with the same inputs. Any divergence in
-// the kernel clock, probe stream, PRNG position, or hardware state shows
-// up as differing experiment results here.
+// Regression coverage for boot recipes: a host restored from a snapshot
+// must be indistinguishable — down to the byte — from a host booted from
+// scratch with the same inputs. Any divergence in the kernel clock, probe
+// stream, PRNG position, or hardware state shows up as differing
+// experiment results here.
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"fastiov/internal/harness"
 )
 
 // experimentBytes canonically encodes everything an experiment observes:
@@ -44,19 +42,27 @@ func bootFor(t *testing.T, name string, traced bool) (HostSpec, Options) {
 
 // TestSnapshotRestoreByteIdentical runs the same startup experiment on a
 // from-scratch host and on a snapshot-restored host and requires
-// byte-identical results, traced and untraced, across baselines.
+// byte-identical results, traced and untraced, across baselines. The
+// scoped row checks that the restore scopes the NIC name exactly once.
 func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		traced bool
+		scope  string
 	}{
-		{BaselineVanilla, false},
-		{BaselineVanilla, true},
-		{BaselineFastIOV, true},
-		{BaselinePre50, false},
+		{BaselineVanilla, false, ""},
+		{BaselineVanilla, true, ""},
+		{BaselineFastIOV, true, ""},
+		{BaselinePre50, false, ""},
+		{BaselineFastIOV, true, "h003-"},
 	} {
-		t.Run(fmt.Sprintf("%s/trace=%v", tc.name, tc.traced), func(t *testing.T) {
+		name := fmt.Sprintf("%s/trace=%v", tc.name, tc.traced)
+		if tc.scope != "" {
+			name += "/scope=" + tc.scope
+		}
+		t.Run(name, func(t *testing.T) {
 			spec, opts := bootFor(t, tc.name, tc.traced)
+			opts.Scope = tc.scope
 			fresh, err := NewHost(spec, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -73,6 +79,9 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got, want := restored.Spec.NIC.Name, src.Spec.NIC.Name; got != want {
+				t.Fatalf("restored NIC name %q, want %q", got, want)
+			}
 			want := fresh.StartupExperiment(50)
 			got := restored.StartupExperiment(50)
 			if want.Err != nil || got.Err != nil {
@@ -87,11 +96,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 }
 
 // TestSnapshotSharedByConcurrentRestores restores the same snapshot twice
-// and runs both: one immutable master must stamp out independent,
-// identical hosts. The restored hosts copy the master's VF, PCI device and
-// VFIO tables by value, so the master's canonical encoding must also be
-// unchanged after both have run: a clone aliasing the master would show
-// up there.
+// and runs both: one snapshot must stamp out independent, identical hosts.
 func TestSnapshotSharedByConcurrentRestores(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -113,7 +118,6 @@ func TestSnapshotSharedByConcurrentRestores(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := snap.AppendCanonical(nil)
 			a, err := RestoreSnapshot(snap)
 			if err != nil {
 				t.Fatal(err)
@@ -130,33 +134,30 @@ func TestSnapshotSharedByConcurrentRestores(t *testing.T) {
 			if !bytes.Equal(experimentBytes(ra), experimentBytes(rb)) {
 				t.Fatal("two restores of one snapshot produced diverging experiments")
 			}
-			if after := snap.AppendCanonical(nil); !bytes.Equal(before, after) {
-				off, detail := harness.FirstDivergence(before, after)
-				t.Fatalf("restored hosts' runs changed the snapshot at byte %d: %s", off, detail)
-			}
 		})
 	}
 }
 
 // TestSnapshotCanonicalDeterministic captures two independent boots of the
-// same inputs and requires byte-identical canonical encodings (the check
-// -verify-determinism performs on the boot cache).
+// same inputs and requires both recipes to be exactly those inputs, scoped
+// and unscoped.
 func TestSnapshotCanonicalDeterministic(t *testing.T) {
-	spec, opts := bootFor(t, BaselineVanilla, false)
-	var caps [2][]byte
-	for i := range caps {
-		h, err := NewHost(spec, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, scope := range []string{"", "h003-"} {
+		spec, opts := bootFor(t, BaselineVanilla, false)
+		opts.Scope = scope
+		for range 2 {
+			h, err := NewHost(spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := CaptureSnapshot(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (Snapshot{Spec: spec, Opts: opts}); *snap != want {
+				t.Fatalf("scope %q: captured recipe %+v, want the boot inputs %+v", scope, *snap, want)
+			}
 		}
-		snap, err := CaptureSnapshot(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps[i] = snap.AppendCanonical(nil)
-	}
-	if !bytes.Equal(caps[0], caps[1]) {
-		t.Fatalf("double-boot canonical encodings diverge:\n%s\nvs\n%s", caps[0], caps[1])
 	}
 }
 

@@ -52,14 +52,6 @@ type Exec struct {
 	// ladder cell (<= 0 sweeps the default MTBF/MTTR ladder). The
 	// experiment also honours serveHosts, servePolicy, and serveRate.
 	availMTBF time.Duration
-	// snapshots enables boot-prefix snapshot caching: the first scenario
-	// needing a given (boot inputs, seed) boots a host and captures a
-	// cluster.Snapshot into the singleflight cache under Scope "boot";
-	// every scenario sharing that boot then clones the snapshot instead of
-	// re-simulating the boot prefix. Restores are verified byte-transparent
-	// (kernel clock and audit baseline must match the captured boot), so
-	// results are identical with snapshots on or off.
-	snapshots bool
 }
 
 // NewExec returns an executor with the given worker count (<= 0 selects
@@ -69,7 +61,7 @@ func NewExec(workers int, seeds []uint64) *Exec {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
-	return &Exec{pool: harness.New(workers), seeds: append([]uint64(nil), seeds...), snapshots: true}
+	return &Exec{pool: harness.New(workers), seeds: append([]uint64(nil), seeds...)}
 }
 
 // SeedList returns 1..k, the conventional seed sweep.
@@ -88,15 +80,6 @@ func SeedList(k int) []uint64 {
 // executes twice and any byte-level divergence of its canonical result
 // encoding fails the experiment.
 func (x *Exec) SetVerify(v bool) { x.pool.SetVerify(v) }
-
-// SetSnapshots toggles boot-prefix snapshot caching (on by default).
-// Results are byte-identical either way; turning it off forces every
-// scenario to re-simulate host boot, which the transparency regression
-// tests use as the reference.
-func (x *Exec) SetSnapshots(v bool) { x.snapshots = v }
-
-// Snapshots reports whether boot-prefix snapshot caching is enabled.
-func (x *Exec) Snapshots() bool { return x.snapshots }
 
 // SetFaults installs an executor-wide fault plan inherited by every
 // scenario that does not pin its own. The plan participates in cache keys,
@@ -274,12 +257,11 @@ func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
 }
 
 // ----------------------------------------------------------------------
-// Boot-prefix snapshot cache.
+// Host boot inputs.
 
 // bootSpec is everything that shapes a host boot. Scenarios agreeing on it
-// — and on the seed — boot byte-identical hosts and therefore share one
-// cached snapshot. Its key is both the snapshot key and the prefix of every
-// single-host scenario key.
+// — and on the seed — boot byte-identical hosts. Its key is the prefix of
+// every single-host scenario key.
 type bootSpec struct {
 	Baseline string
 	// Layout overrides the per-container guest memory geometry.
@@ -332,47 +314,14 @@ func (b bootSpec) options(seed uint64) (cluster.Options, error) {
 	return opts, nil
 }
 
-// boot obtains a booted host for a scenario. With snapshots enabled, the
-// singleflight cache is consulted under Scope "boot": the first scenario
-// needing this boot simulates it and captures a snapshot; everyone else
-// (including the same scenario's verification rerun) clones the snapshot,
-// skipping the boot prefix. opts must already be fully resolved; the
-// restored host adopts it verbatim, so wave-shaping fields (Arrival,
-// StartJitter, Audit) that are deliberately outside the boot key still
-// take effect.
-func (x *Exec) boot(b bootSpec, opts cluster.Options) (*cluster.Host, error) {
+// boot boots the scenario's host with opts, which must already be fully
+// resolved.
+func (b bootSpec) boot(opts cluster.Options) (*cluster.Host, error) {
 	spec := cluster.DefaultHostSpec()
 	if b.Spec != nil {
 		spec = *b.Spec
 	}
-	if !x.snapshots {
-		return cluster.NewHost(spec, opts)
-	}
-	v, err := x.pool.One(harness.Job{
-		Key: harness.Key{Scope: "boot", Params: b.key(), Seed: opts.Seed},
-		Fn: func() (any, error) {
-			h, err := cluster.NewHost(spec, opts)
-			if err != nil {
-				return nil, err
-			}
-			return cluster.CaptureSnapshot(h)
-		},
-		Fingerprint: func(v any) ([]byte, error) {
-			return v.(*cluster.Snapshot).AppendCanonical(nil), nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	h, err := cluster.RestoreSnapshot(v.(*cluster.Snapshot))
-	if err != nil {
-		return nil, err
-	}
-	// The snapshot may have been captured by a scenario differing only in
-	// wave-shaping options; those never influence boot, so adopting this
-	// scenario's full options keeps the measured wave faithful.
-	h.Opts = opts
-	return h, nil
+	return cluster.NewHost(spec, opts)
 }
 
 // ----------------------------------------------------------------------
@@ -396,9 +345,8 @@ func (s startupSpec) params() string {
 	return p
 }
 
-// run executes the spec at one seed on a private simulated host (booted
-// from the executor's snapshot cache when enabled). The returned result is
-// sealed (samples pre-sorted).
+// run executes the spec at one seed on a private simulated host. The
+// returned result is sealed (samples pre-sorted).
 func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	opts, err := s.options(seed)
 	if err != nil {
@@ -407,7 +355,7 @@ func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	if s.Arrival != nil {
 		opts.Arrival = *s.Arrival
 	}
-	h, err := x.boot(s.bootSpec, opts)
+	h, err := s.boot(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +469,7 @@ func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := x.boot(s.bootSpec, opts)
+	h, err := s.boot(opts)
 	if err != nil {
 		return nil, err
 	}

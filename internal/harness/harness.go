@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -157,9 +156,6 @@ func (p *Pool) Do(jobs []Job) ([]any, error) {
 	return results, joinDistinct(errs)
 }
 
-// One runs a single job through the pool's cache (no fan-out).
-func (p *Pool) One(job Job) (any, error) { return p.resolve(job) }
-
 // resolve returns the job's result, computing it at most once per key.
 func (p *Pool) resolve(job Job) (any, error) {
 	p.mu.Lock()
@@ -231,26 +227,6 @@ func joinDistinct(errs []error) error {
 		distinct = append(distinct, err)
 	}
 	return errors.Join(distinct...)
-}
-
-// Keys returns every cached key, sorted, for diagnostics.
-func (p *Pool) Keys() []Key {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]Key, 0, len(p.cache))
-	for k := range p.cache {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Scope != keys[j].Scope {
-			return keys[i].Scope < keys[j].Scope
-		}
-		if keys[i].Params != keys[j].Params {
-			return keys[i].Params < keys[j].Params
-		}
-		return keys[i].Seed < keys[j].Seed
-	})
-	return keys
 }
 
 // FirstDivergence locates the first differing byte of a and b and renders

@@ -140,7 +140,7 @@ func TestVerifyModeCatchesNondeterminism(t *testing.T) {
 		},
 		Fingerprint: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 	}
-	_, err := p.One(bad)
+	_, err := p.Do([]Job{bad})
 	var div *DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("want DivergenceError, got %v", err)
@@ -154,7 +154,7 @@ func TestVerifyModeCatchesNondeterminism(t *testing.T) {
 		Fn:          func() (any, error) { return "same", nil },
 		Fingerprint: func(v any) ([]byte, error) { return []byte(v.(string)), nil },
 	}
-	if _, err := p.One(good); err != nil {
+	if _, err := p.Do([]Job{good}); err != nil {
 		t.Fatalf("deterministic job failed verification: %v", err)
 	}
 	if st := p.Stats(); st.Verified != 2 {

@@ -40,14 +40,6 @@ func newDense(cfg Config) *denseAlloc {
 	}
 }
 
-func (d *denseAlloc) clone() *denseAlloc {
-	c := *d
-	c.state = append([]ContentState(nil), d.state...)
-	c.allocated = append([]bool(nil), d.allocated...)
-	c.pinned = append([]int32(nil), d.pinned...)
-	return &c
-}
-
 func (d *denseAlloc) markState(page int64, s ContentState) {
 	old := d.state[page]
 	if old == s {

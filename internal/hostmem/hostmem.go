@@ -193,34 +193,8 @@ func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
 	}
 }
 
-// Clone returns a deep copy of the allocator bound to kernel k: page
-// content state, the free extents, the pin segments, the free-list cursor
-// and the cumulative counters are copied; the zone lock and bandwidth
-// resource are recreated fresh under their original names. The allocator
-// must be quiescent — no Proc holding or waiting on its primitives — which
-// boot-prefix snapshots guarantee (no simulated work has run yet). Faults
-// is NOT carried over; the caller wires the clone's injector.
-func (a *Allocator) Clone(k *sim.Kernel) *Allocator {
-	return &Allocator{
-		k:           k,
-		cfg:         a.cfg,
-		pages:       a.pages,
-		state:       append([]ContentState(nil), a.state...),
-		free:        append([]extent(nil), a.free...),
-		pins:        append([]pinSeg(nil), a.pins...),
-		freeHead:    a.freeHead,
-		freeCnt:     a.freeCnt,
-		dirtyCnt:    a.dirtyCnt,
-		pinnedCnt:   a.pinnedCnt,
-		zoneLock:    sim.NewMutex(a.zoneLock.Name()),
-		membw:       sim.NewResource(a.membw.Name(), a.cfg.ZeroStreams),
-		Violations:  a.Violations,
-		ZeroedBytes: a.ZeroedBytes,
-	}
-}
-
 // StateDigest folds the per-page content states into an FNV-1a hash — a
-// cheap fingerprint for snapshot determinism checks.
+// cheap fingerprint for determinism checks.
 func (a *Allocator) StateDigest() uint64 {
 	h := uint64(14695981039346656037)
 	for _, s := range a.state {

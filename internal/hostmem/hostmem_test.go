@@ -1,7 +1,7 @@
 package hostmem
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -432,7 +432,7 @@ func TestAllocateRejectsNegativeSize(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, cfg, func(p *sim.Proc, a *Allocator) {
-				before := a.Clone(nil)
+				freeCnt, freeHead, free := a.FreePages(), a.freeHead, slices.Clone(a.free)
 				start := p.Now()
 				r, err := a.Allocate(p, tc.bytes)
 				if (err != nil) != tc.wantErr {
@@ -441,10 +441,9 @@ func TestAllocateRejectsNegativeSize(t *testing.T) {
 				if err == nil && r.PageCount() != 0 {
 					t.Errorf("Allocate(%d) returned %d pages", tc.bytes, r.PageCount())
 				}
-				if p.Now() != start || a.FreePages() != before.FreePages() || a.freeHead != before.freeHead ||
-					!reflect.DeepEqual(a.free, before.free) {
+				if p.Now() != start || a.FreePages() != freeCnt || a.freeHead != freeHead || !slices.Equal(a.free, free) {
 					t.Errorf("Allocate(%d) changed the allocator: free %d -> %d, cursor %d -> %d, %v later",
-						tc.bytes, before.FreePages(), a.FreePages(), before.freeHead, a.freeHead, p.Now()-start)
+						tc.bytes, freeCnt, a.FreePages(), freeHead, a.freeHead, p.Now()-start)
 				}
 			})
 		})

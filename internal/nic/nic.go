@@ -7,7 +7,6 @@ package nic
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -78,9 +77,8 @@ type NIC struct {
 
 	// link models the shared 25 GbE pipe: capacity is expressed in "lanes"
 	// of linkBps/lanes each so concurrent downloads share fairly.
-	link      *sim.Resource
-	laneBps   int64
-	linkLanes int64
+	link    *sim.Resource
+	laneBps int64
 }
 
 // New creates the card and places its PF on the topology.
@@ -99,12 +97,11 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 	})
 	lanes := int64(16)
 	n := &NIC{
-		k:         k,
-		cfg:       cfg,
-		pf:        pf,
-		link:      sim.NewResource(cfg.Name+"-link", lanes),
-		laneBps:   cfg.LinkBps / lanes,
-		linkLanes: lanes,
+		k:       k,
+		cfg:     cfg,
+		pf:      pf,
+		link:    sim.NewResource(cfg.Name+"-link", lanes),
+		laneBps: cfg.LinkBps / lanes,
 	}
 	pf.BindBoot("ice") // PF driver attaches during host boot
 	return n
@@ -112,35 +109,6 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 
 // PF returns the physical function device.
 func (n *NIC) PF() *pci.Device { return n.pf }
-
-// Clone returns a deep copy of the card bound to kernel k, re-pointing the
-// PF and every VF at the devices of topo, a pci.Topology.Clone of the
-// card's topology. VF pool order is preserved exactly — AllocVF hands out
-// VFs in free-list order, so the clone leases the same VFs in the same
-// sequence as the original would. The link resource is recreated fresh
-// under its original name; the card must be quiescent (no in-flight
-// transfers), which boot-prefix snapshots guarantee.
-func (n *NIC) Clone(k *sim.Kernel, topo *pci.Topology) *NIC {
-	c := &NIC{
-		k:         k,
-		cfg:       n.cfg,
-		pf:        topo.Device(n.pf.Index()),
-		vfs:       slices.Clone(n.vfs),
-		free:      make([]*VF, len(n.free)),
-		link:      sim.NewResource(n.link.Name(), n.linkLanes),
-		laneBps:   n.laneBps,
-		linkLanes: n.linkLanes,
-	}
-	for i := range c.vfs {
-		vf := &c.vfs[i]
-		vf.Dev = topo.Device(vf.Dev.Index())
-		vf.nic = c
-	}
-	for i, vf := range n.free {
-		c.free[i] = &c.vfs[vf.Index]
-	}
-	return c
-}
 
 // CreateVFs performs the one-time VF pre-creation the Kubelet triggers after
 // host boot (§2.3): NIC hardware configuration per VF, placing the VFs on
@@ -193,21 +161,6 @@ func (n *NIC) ReleaseVF(vf *VF) {
 	vf.LinkUp = false
 	vf.HostIfname = ""
 	n.free = append(n.free, vf)
-}
-
-// AppendCanonical appends the VF pool: each VF's binding and lease state
-// in VF order, then the free list in lease order.
-func (n *NIC) AppendCanonical(b []byte) []byte {
-	for i := range n.vfs {
-		vf := &n.vfs[i]
-		b = fmt.Appendf(b, "vf %d %s driver=%q assigned=%t link=%t if=%q\n",
-			vf.Index, vf.Dev.Addr, vf.Dev.Driver(), vf.Assigned, vf.LinkUp, vf.HostIfname)
-	}
-	b = append(b, "free"...)
-	for _, vf := range n.free {
-		b = strconv.AppendInt(append(b, ' '), int64(vf.Index), 10)
-	}
-	return append(b, '\n')
 }
 
 // FreeVFs returns the number of unassigned VFs.

@@ -197,35 +197,3 @@ func (t *Topology) Lookup(addr BDF) (*Device, bool) {
 
 // Buses returns all buses in creation order (not a copy).
 func (t *Topology) Buses() []*Bus { return t.buses }
-
-// Clone deep-copies the topology into one block of devices, preserving
-// device indexes, per-bus device order (which higher layers iterate),
-// parents and driver bindings. Sibling structures (NIC VF pools, VFIO
-// registrations) re-point at the clone by index: clone.Device(d.Index()).
-func (t *Topology) Clone() *Topology {
-	devs := make([]Device, len(t.devs))
-	buses := make([]Bus, len(t.buses))
-	nt := &Topology{buses: make([]*Bus, len(t.buses)), devs: make([]*Device, len(t.devs))}
-	for i, d := range t.devs {
-		devs[i] = *d
-		nt.devs[i] = &devs[i]
-	}
-	for i, b := range t.buses {
-		nb := &buses[i]
-		nb.Number = b.Number
-		nb.devices = make([]*Device, len(b.devices))
-		for j, d := range b.devices {
-			nd := nt.devs[d.index]
-			nd.bus = nb
-			nb.devices[j] = nd
-		}
-		nt.buses[i] = nb
-	}
-	// A parent may sit anywhere in the device order.
-	for _, nd := range nt.devs {
-		if nd.Parent != nil {
-			nd.Parent = nt.devs[nd.Parent.index]
-		}
-	}
-	return nt
-}

@@ -105,9 +105,9 @@ func (k *Kernel) Now() Duration { return k.now }
 // Rand returns the kernel's deterministic PRNG.
 func (k *Kernel) Rand() *Rand { return k.rng }
 
-// Clock returns the internal scheduling cursor (virtual time and event
-// sequence counter). Snapshot/restore machinery uses it to verify that a
-// restored host reproduces the boot-time kernel state exactly.
+// Clock returns the internal scheduling cursor (virtual time, event
+// sequence counter and proc counter), so two runs can be checked to leave
+// the kernel in exactly the same state.
 func (k *Kernel) Clock() (now Duration, seq uint64, procSeq int) {
 	return k.now, k.seq, k.procSeq
 }

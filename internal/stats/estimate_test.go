@@ -108,10 +108,10 @@ func TestSuccessRate(t *testing.T) {
 		ok, total int
 		want      float64
 	}{
-		{0, 0, 0},    // nothing ran
-		{0, 10, 0},   // all failed
-		{-3, 10, 0},  // defensive: negative ok
-		{5, 0, 0},    // defensive: ok without population
+		{0, 0, 0},   // nothing ran
+		{0, 10, 0},  // all failed
+		{-3, 10, 0}, // defensive: negative ok
+		{5, 0, 0},   // defensive: ok without population
 		{5, 10, 0.5},
 		{10, 10, 1},
 		{12, 10, 1}, // defensive: clamp ok > total

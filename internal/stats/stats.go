@@ -115,8 +115,8 @@ func (s *Sample) Percentile(p float64) time.Duration {
 
 // P50, P99 are the quantiles the paper reports; P999 is the tail quantile
 // the serving experiments add.
-func (s *Sample) P50() time.Duration { return s.Percentile(50) }
-func (s *Sample) P99() time.Duration { return s.Percentile(99) }
+func (s *Sample) P50() time.Duration  { return s.Percentile(50) }
+func (s *Sample) P99() time.Duration  { return s.Percentile(99) }
 func (s *Sample) P999() time.Duration { return s.Percentile(99.9) }
 
 // Stddev returns the population standard deviation.

@@ -15,8 +15,6 @@ package vfio
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"strconv"
 	"time"
 
@@ -243,9 +241,13 @@ func (d *Driver) Register(pdev *pci.Device) (*Device, error) {
 		set.devices = make([]*Device, 0, rest)
 		d.busSets[pdev.Addr.Bus] = set
 	}
-	vd := take(&d.devPool, rest)
+	// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
 	d.nextGroup++
-	d.initDevice(vd, pdev, set, Group{ID: d.nextGroup})
+	vd := take(&d.devPool, rest)
+	*vd = Device{PDev: pdev, Set: set, group: Group{ID: d.nextGroup}}
+	a := pdev.Addr
+	vd.mu.Init(sim.IndexedName(d.devPrefix, a.Bus<<16|a.Dev<<8|a.Fn, appendBDF))
+	vd.group.driver, vd.group.dev = d, vd
 	set.devices = append(set.devices, vd)
 	d.devices[id] = vd
 	d.registered++
@@ -261,15 +263,6 @@ func take[T any](pool *[]T, n int) *T {
 	x := &(*pool)[0]
 	*pool = (*pool)[1:]
 	return x
-}
-
-// initDevice sets vd up as pdev's registration in set, in IOMMU group g.
-// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
-func (d *Driver) initDevice(vd *Device, pdev *pci.Device, set *DevSet, g Group) {
-	*vd = Device{PDev: pdev, Set: set, group: g}
-	a := pdev.Addr
-	vd.mu.Init(sim.IndexedName(d.devPrefix, a.Bus<<16|a.Dev<<8|a.Fn, appendBDF))
-	vd.group.driver, vd.group.dev = d, vd
 }
 
 // appendBDF renders a BDF packed as bus<<16 | dev<<8 | fn, as BDF.String
@@ -296,72 +289,6 @@ func (d *Driver) newSet(s *DevSet, id int) *DevSet {
 }
 
 func appendDecimal(b []byte, i int) []byte { return strconv.AppendInt(b, int64(i), 10) }
-
-// Clone returns a deep copy of the driver bound to kernel k, with every
-// registered device re-pointed at its counterpart in topo (a
-// pci.Topology.Clone of the driver's topology) and wired to the given
-// allocator and IOMMU. Registrations are copied into one block, and so are
-// singleton devsets; devset and device locks are recreated fresh under
-// their original names, and id counters (fd, devset, group, container)
-// carry over so post-clone allocations continue the original numbering.
-//
-// Clone is restricted to quiescent drivers — no open devices, no live DMA
-// mappings or domains, no container attachments — which is exactly the
-// state a boot-prefix snapshot captures; it errors otherwise rather than
-// silently dropping state. Faults is NOT carried over; the caller wires
-// the clone's injector.
-func (d *Driver) Clone(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.IOMMU) (*Driver, error) {
-	c := &Driver{
-		k:          k,
-		topo:       topo,
-		mem:        mem,
-		mmu:        mmu,
-		mode:       d.mode,
-		costs:      d.costs,
-		Retry:      d.Retry,
-		Stats:      d.Stats,
-		Scope:      d.Scope,
-		busSets:    make(map[int]*DevSet, len(d.busSets)),
-		devices:    make([]*Device, len(d.devices)),
-		registered: d.registered,
-		devPrefix:  d.devPrefix,
-		setPrefix:  d.setPrefix,
-		nextFD:     d.nextFD,
-		nextSet:    d.nextSet,
-		nextGroup:  d.nextGroup,
-		nextCont:   d.nextCont,
-	}
-	for id, vd := range d.devices {
-		if vd == nil {
-			continue
-		}
-		if vd.openCount > 0 || vd.domain != nil || len(vd.dmaRegions) > 0 || vd.group.cont != nil {
-			return nil, fmt.Errorf("vfio: clone of %s with live state (opens=%d, domain=%v, mappings=%d)",
-				vd.PDev.Addr, vd.openCount, vd.domain != nil, len(vd.dmaRegions))
-		}
-		nv := take(&c.devPool, d.registered)
-		c.initDevice(nv, topo.Device(id), nil, Group{ID: vd.group.ID})
-		nv.fd = vd.fd
-		c.devices[id] = nv
-		if vd.Set.solo[0] == vd { // a slot-reset device's singleton devset
-			nv.Set = c.newSet(take(&c.setPool, d.registered), vd.Set.ID)
-			nv.Set.devices = append(nv.Set.solo[:0], nv)
-		}
-	}
-	// Member order is preserved: ResetSet iterates it, so a reordered
-	// clone would simulate differently. Quiescent members have no opens,
-	// so neither has the devset.
-	for bus, s := range d.busSets {
-		cs := c.newSet(new(DevSet), s.ID)
-		cs.devices = make([]*Device, len(s.devices), cap(s.devices))
-		for i, vd := range s.devices {
-			cs.devices[i] = c.devices[vd.PDev.Index()]
-			cs.devices[i].Set = cs
-		}
-		c.busSets[bus] = cs
-	}
-	return c, nil
-}
 
 // Unregister removes a device from VFIO management. It must be closed.
 func (d *Driver) Unregister(vd *Device) error {
@@ -392,26 +319,6 @@ func (d *Driver) Lookup(pdev *pci.Device) (*Device, bool) {
 // RegisteredCount returns the number of devices currently registered — a
 // conservation input for host-wide leak audits.
 func (d *Driver) RegisteredCount() int { return d.registered }
-
-// AppendCanonical appends every registration in device order (devset, fd,
-// open count, group), then each bus devset's members in order.
-func (d *Driver) AppendCanonical(b []byte) []byte {
-	for _, vd := range d.devices {
-		if vd != nil {
-			b = fmt.Appendf(b, "vfio %s set=%d fd=%d opens=%d group=%d\n",
-				vd.PDev.Addr, vd.Set.ID, vd.fd, vd.openCount, vd.group.ID)
-		}
-	}
-	for _, bus := range slices.Sorted(maps.Keys(d.busSets)) {
-		s := d.busSets[bus]
-		b = fmt.Appendf(b, "devset %d bus=%02x open=%d members", s.ID, bus, s.totalOpen)
-		for _, vd := range s.devices {
-			b = strconv.AppendInt(append(b, ' '), int64(vd.PDev.Index()), 10)
-		}
-		b = append(b, '\n')
-	}
-	return b
-}
 
 // TotalOpens returns the host-wide sum of device fd open counts.
 func (d *Driver) TotalOpens() int {
