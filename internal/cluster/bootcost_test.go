@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"fastiov/internal/sim"
@@ -81,4 +83,48 @@ func TestBootCostIndependentOfVFCount(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBootBytesIndependentOfMemorySize pins that booting a host allocates
+// no per-page state: content state lives in chunks allocated on a page's
+// first transition away from Dirty, so NewHost's heap bytes may differ
+// between a 16 GB, a 256 GB and a 1 TB host by less than 8 KB.
+func TestBootBytesIndependentOfMemorySize(t *testing.T) {
+	const slack = 8 << 10
+	for _, baseline := range []string{BaselineVanilla, BaselineFastIOV} {
+		t.Run(baseline, func(t *testing.T) {
+			opts, err := OptionsFor(baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bytes []float64
+			for _, gb := range []int64{16, 256, 1024} {
+				spec := DefaultHostSpec()
+				spec.Memory.TotalBytes = gb << 30
+				bytes = append(bytes, bytesPerRun(5, func() {
+					if _, err := NewHost(spec, opts); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			if slices.Max(bytes)-slices.Min(bytes) >= slack {
+				t.Errorf("NewHost bytes per boot at 16 GB, 256 GB, 1 TB: %.0f: differ by %d or more", bytes, slack)
+			}
+		})
+	}
+}
+
+// bytesPerRun returns the average heap bytes one call of f allocates,
+// measured on one P after a warm-up call, as testing.AllocsPerRun does for
+// allocation counts.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -19,12 +19,6 @@ func (a *Allocator) freeAt(page int64) int {
 	return sort.Search(len(a.free), func(x int) bool { return a.free[x].end > page })
 }
 
-// isFree reports whether page is on the free list.
-func (a *Allocator) isFree(page int64) bool {
-	x := a.freeAt(page)
-	return x < len(a.free) && a.free[x].start <= page
-}
-
 // takeFree removes [start, end), which must lie inside free extent x, from
 // the free list. It returns the index of the first extent ending after end.
 func (a *Allocator) takeFree(x int, start, end int64) int {

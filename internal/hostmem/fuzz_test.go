@@ -18,6 +18,14 @@ var allocScripts = [][]byte{
 	{0x07, 0, 200, 9, 0, 30, 2, 1, 1, 0, 8, 0, 120, 5, 255},
 	{0xfd, 0, 0xf0, 0, 0xfe, 0, 16, 4, 0, 1, 0, 0, 32, 9, 0, 3, 2, 0, 1, 0, 1, 1},
 	{0x05, 10, 10, 0, 20, 10, 1, 1, 10, 8, 10, 2, 0, 10, 0, 100, 10, 10, 10},
+	// Multi-chunk geometries: writes, zeroing, frees and pre-zeroing across
+	// the first chunk boundary (page 4096), and in a last chunk of one page.
+	{0xe8, 0, 127, 0, 20, 6, 0x0f, 0xff, 6, 0x10, 0x00, 4, 1, 7, 0x10, 0x01, 7, 0x0f, 0xfe,
+		1, 1, 5, 100, 8, 0, 30, 4, 2, 2, 2, 1, 0, 3, 2, 1, 2, 7, 0x11, 0x00},
+	{0xe4, 0, 127, 0, 1, 10, 4, 2, 7, 0x10, 0x00, 6, 0x10, 0x00, 1, 2, 5, 200, 7, 0x10, 0x00,
+		10, 4, 3, 1, 1, 1, 0, 5, 200},
+	{0xf3, 5, 100, 0, 127, 0, 127, 0, 2, 10, 4, 1, 4, 3, 9, 1, 40, 1, 1, 1, 4, 5, 200,
+		2, 0, 1, 0, 3, 0, 1, 0, 1, 2, 1, 3},
 }
 
 func FuzzAllocatorMatchesDense(f *testing.F) {
@@ -66,6 +74,16 @@ func runScript(script []byte) error {
 	cfg.PageSize = PageSize4K
 	cfg.TotalBytes = (8 + int64(g>>2)%57) * cfg.PageSize
 	cfg.MaxRunPages = []int64{0, 1, 3, 16}[g&3]
+	// Geometries 57 to 62, which would repeat 8 to 13 pages, instead span
+	// one or two content-state chunks plus a partial last chunk. Their
+	// allocation sizes and split points scale up, and a page number takes
+	// two bytes, so a script can cross the chunk boundaries.
+	scale, page := int64(1), func() int64 { return int64(next()) }
+	if m := int64(g>>2) - 57; m >= 0 && m < 6 {
+		cfg.TotalBytes = ((1+m/3)*chunkPages + []int64{1, 1000, chunkPages / 2}[m%3]) * cfg.PageSize
+		scale = chunkPages / 32
+		page = func() int64 { return int64(next())<<8 | int64(next()) }
+	}
 
 	k := sim.NewKernel(1)
 	a := New(k, cfg)
@@ -85,7 +103,7 @@ func runScript(script []byte) error {
 			var got, want string // panic messages
 			switch code {
 			case 0:
-				bytes := int64(int8(next())) * cfg.PageSize / 4
+				bytes := int64(int8(next())) * cfg.PageSize / 4 * scale
 				what = fmt.Sprintf("allocate %d", bytes)
 				r, gerr := a.Allocate(p, bytes)
 				wr, werr := d.allocate(bytes)
@@ -158,7 +176,7 @@ func runScript(script []byte) error {
 				a.PreZero(f)
 				d.preZero(f)
 			case 6, 7:
-				pg := int64(next()) % d.pages
+				pg := page() % d.pages
 				what = fmt.Sprintf("access page %d", pg)
 				if code == 6 {
 					a.WriteData(pg)
@@ -176,7 +194,7 @@ func runScript(script []byte) error {
 				}
 				x %= len(regions)
 				r := regions[x]
-				at := int64(next())%max(r.PageCount(), 1) + 1
+				at := int64(next())*scale%max(r.PageCount(), 1) + 1
 				what = fmt.Sprintf("split %v at %d", r.Runs, at)
 				head, tail := splitRegion(r, at)
 				regions[x] = head
@@ -248,15 +266,21 @@ func compare(a *Allocator, d *denseAlloc, p *sim.Proc) string {
 		return fmt.Sprintf("counters %+v, reference %+v", got, want)
 	}
 	for pg := int64(0); pg < d.pages; pg++ {
-		if a.Pinned(pg) != (d.pinned[pg] > 0) || a.State(pg) != d.state[pg] || a.isFree(pg) != !d.allocated[pg] {
+		if a.Pinned(pg) != (d.pinned[pg] > 0) || a.State(pg) != d.state[pg] || isFree(a, pg) != !d.allocated[pg] {
 			return fmt.Sprintf("page %d: pinned %v state %v free %v, reference %v %v %v",
-				pg, a.Pinned(pg), a.State(pg), a.isFree(pg), d.pinned[pg] > 0, d.state[pg], !d.allocated[pg])
+				pg, a.Pinned(pg), a.State(pg), isFree(a, pg), d.pinned[pg] > 0, d.state[pg], !d.allocated[pg])
 		}
 	}
 	if a.StateDigest() != d.stateDigest() {
 		return "state digest differs"
 	}
 	return checkInvariants(a, d)
+}
+
+// isFree reports whether page is on a's free list.
+func isFree(a *Allocator, page int64) bool {
+	x := a.freeAt(page)
+	return x < len(a.free) && a.free[x].start <= page
 }
 
 // checkInvariants checks that the run lists are canonical: sorted,

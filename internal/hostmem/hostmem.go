@@ -1,12 +1,15 @@
 // Package hostmem models the host physical memory subsystem: a page
 // allocator with free-list fragmentation, per-page content state, a zeroing
 // engine whose cost is bounded by shared memory bandwidth, page pinning, and
-// a HawkEye-style pre-zeroing daemon.
+// HawkEye-style pre-zeroing.
 //
 // Costs are charged per page, as the paper's DMA-map pipeline is (Fig. 6),
-// but only content state is stored per page: the free list is a sorted list
-// of free extents and pin refcounts are run-length segments, so allocating,
-// pinning, freeing and cloning cost O(runs), not O(pages).
+// but nothing is stored per page of host memory: the free list is a sorted
+// list of free extents, pin refcounts are run-length segments, and content
+// state lives in fixed-size chunks that are allocated only when one of
+// their pages first leaves the Dirty state. Allocating, pinning, freeing
+// and cloning cost O(runs), and content state costs memory in proportion
+// to the pages a run touches, not to the host's size.
 //
 // Content state is the heart of the paper's correctness argument (§4.3.2):
 // a page freed by one tenant holds residual data and MUST be zeroed before
@@ -133,10 +136,10 @@ type Allocator struct {
 	cfg   Config
 	pages int64
 
-	state []ContentState
-	free  []extent // free pages: sorted, disjoint, coalesced
-	pins  []pinSeg // pinned pages: sorted, disjoint, equal neighbours coalesced
-	spare []pinSeg // scratch for addPins
+	state []*stateChunk // content state by chunk; a nil chunk is all Dirty
+	free  []extent      // free pages: sorted, disjoint, coalesced
+	pins  []pinSeg      // pinned pages: sorted, disjoint, equal neighbours coalesced
+	spare []pinSeg      // scratch for addPins
 
 	freeHead  int64 // next-fit cursor: where the next allocation starts looking
 	freeCnt   int64
@@ -184,7 +187,7 @@ func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
 		k:        k,
 		cfg:      cfg,
 		pages:    pages,
-		state:    make([]ContentState, pages),
+		state:    make([]*stateChunk, (pages+chunkPages-1)/chunkPages),
 		free:     []extent{{0, pages}},
 		freeCnt:  pages,
 		dirtyCnt: pages,
@@ -193,12 +196,30 @@ func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
 	}
 }
 
+// Content state is stored in chunks of chunkPages pages. Dirty is the zero
+// ContentState, so a chunk none of whose pages has left Dirty is not
+// allocated at all.
+const (
+	chunkBits  = 12
+	chunkPages = 1 << chunkBits
+	chunkMask  = chunkPages - 1
+)
+
+type stateChunk [chunkPages]ContentState
+
 // StateDigest folds the per-page content states into an FNV-1a hash — a
 // cheap fingerprint for determinism checks.
 func (a *Allocator) StateDigest() uint64 {
 	h := uint64(14695981039346656037)
-	for _, s := range a.state {
-		h = (h ^ uint64(s)) * 1099511628211
+	for ci, c := range a.state {
+		n := min(a.pages-int64(ci)*chunkPages, chunkPages)
+		for i := range n {
+			var s ContentState
+			if c != nil {
+				s = c[i]
+			}
+			h = (h ^ uint64(s)) * 1099511628211
+		}
 	}
 	return h
 }
@@ -219,7 +240,11 @@ func (a *Allocator) DirtyPages() int64 { return a.dirtyCnt }
 // markState transitions a page's content state, maintaining the dirty-page
 // backlog counter.
 func (a *Allocator) markState(page int64, s ContentState) {
-	old := a.state[page]
+	if s == Dirty && a.state[page>>chunkBits] == nil {
+		return
+	}
+	c := a.chunkFor(page)
+	old := c[page&chunkMask]
 	if old == s {
 		return
 	}
@@ -229,7 +254,18 @@ func (a *Allocator) markState(page int64, s ContentState) {
 	if s == Dirty {
 		a.dirtyCnt++
 	}
-	a.state[page] = s
+	c[page&chunkMask] = s
+}
+
+// chunkFor returns the chunk holding page, allocating it (all Dirty) if it
+// does not exist yet.
+func (a *Allocator) chunkFor(page int64) *stateChunk {
+	c := a.state[page>>chunkBits]
+	if c == nil {
+		c = new(stateChunk)
+		a.state[page>>chunkBits] = c
+	}
+	return c
 }
 
 // pagesFor rounds bytes up to whole pages.
@@ -356,11 +392,54 @@ func (a *Allocator) WriteRegion(region *Region) {
 	}
 }
 
-// markRange sets pages [start, end) to content state s.
+// markRange sets pages [start, end) to content state s, maintaining the
+// dirty-page backlog counter. It works one chunk at a time and skips the
+// unallocated chunks when s is Dirty.
 func (a *Allocator) markRange(start, end int64, s ContentState) {
-	for pg := start; pg < end; pg++ {
-		a.markState(pg, s)
+	for start < end {
+		stop := min(end, (start|chunkMask)+1)
+		if s == Dirty && a.state[start>>chunkBits] == nil {
+			start = stop
+			continue
+		}
+		lo := start & chunkMask
+		sub := a.chunkFor(start)[lo : lo+stop-start]
+		var dirty int64
+		for i, old := range sub {
+			if old == Dirty {
+				dirty++
+			}
+			sub[i] = s
+		}
+		if s == Dirty {
+			a.dirtyCnt += int64(len(sub)) - dirty
+		} else {
+			a.dirtyCnt -= dirty
+		}
+		start = stop
 	}
+}
+
+// seekDirty returns the first page in [i, end) that is Dirty when dirty is
+// set, or not Dirty otherwise; end if there is none.
+func (a *Allocator) seekDirty(i, end int64, dirty bool) int64 {
+	for i < end {
+		stop := min(end, (i|chunkMask)+1)
+		c := a.state[i>>chunkBits]
+		if c == nil {
+			if dirty {
+				return i
+			}
+			i = stop
+			continue
+		}
+		for ; i < stop; i++ {
+			if (c[i&chunkMask] == Dirty) == dirty {
+				return i
+			}
+		}
+	}
+	return end
 }
 
 // ZeroPage clears one page if it is still dirty, charging bandwidth time.
@@ -380,7 +459,7 @@ func (a *Allocator) ZeroPage(p *sim.Proc, page int64) {
 // caller that zeroes the page itself holds the unit for d, releases it,
 // then calls MarkZeroed.
 func (a *Allocator) ZeroCost(page int64) (d time.Duration, dirty bool) {
-	if a.state[page] != Dirty {
+	if a.State(page) != Dirty {
 		return 0, false
 	}
 	return a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.cfg.ZeroBytesPerSec)), true
@@ -397,25 +476,15 @@ func (a *Allocator) MarkZeroed(page int64) {
 // acquisition to model streaming stores.
 func (a *Allocator) ZeroRegion(p *sim.Proc, region *Region) {
 	for _, run := range region.Runs {
-		i := run.Start
 		end := run.Start + run.Count
-		for i < end {
-			if a.state[i] != Dirty {
-				i++
-				continue
-			}
-			j := i
-			for j < end && a.state[j] == Dirty {
-				j++
-			}
+		for i := a.seekDirty(run.Start, end, true); i < end; {
+			j := a.seekDirty(i, end, false)
 			n := j - i
 			d := a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*n*a.cfg.PageSize/a.cfg.ZeroBytesPerSec))
 			a.membw.Use(p, 1, d)
-			for k := i; k < j; k++ {
-				a.markState(k, Zeroed)
-			}
+			a.markRange(i, j, Zeroed)
 			a.ZeroedBytes += n * a.cfg.PageSize
-			i = j
+			i = a.seekDirty(j, end, true)
 		}
 	}
 }
@@ -455,7 +524,12 @@ func (a *Allocator) Pinned(page int64) bool {
 func (a *Allocator) PinnedPages() int64 { return a.pinnedCnt }
 
 // State returns a page's content state.
-func (a *Allocator) State(page int64) ContentState { return a.state[page] }
+func (a *Allocator) State(page int64) ContentState {
+	if c := a.state[page>>chunkBits]; c != nil {
+		return c[page&chunkMask]
+	}
+	return Dirty
+}
 
 // WriteData marks a page as holding live data written by its current owner
 // (hypervisor setup, virtio backend, guest store, NIC DMA). Writing to a
@@ -470,7 +544,7 @@ func (a *Allocator) WriteData(page int64) { a.markState(page, Written) }
 // Reading residual data from a previous tenant is a containment failure and
 // increments Violations.
 func (a *Allocator) GuestRead(page int64) {
-	if a.state[page] == Dirty {
+	if a.State(page) == Dirty {
 		a.Violations++
 	}
 }
@@ -488,34 +562,17 @@ func (a *Allocator) PreZero(fraction float64) {
 	}
 	target := int64(float64(a.freeCnt) * fraction)
 	for _, e := range a.free {
-		for i := e.start; i < e.end && target > 0; i++ {
-			if a.state[i] == Dirty {
-				a.markState(i, Zeroed)
-				target--
-			}
-		}
-	}
-}
-
-// StartScrubDaemon launches a background daemon that zeroes free dirty
-// pages at the given pages-per-wake rate, modeling ongoing idle-time
-// pre-zeroing during an experiment.
-func (a *Allocator) StartScrubDaemon(pagesPerWake int, wakeEvery time.Duration) {
-	a.k.GoDaemon("hostmem-scrub", func(p *sim.Proc) {
-		cursor := int64(0)
-		for {
-			p.Sleep(wakeEvery)
-			cleared := 0
-			for scanned := int64(0); scanned < a.pages && cleared < pagesPerWake; scanned++ {
-				i := cursor
-				cursor = (cursor + 1) % a.pages
-				if a.isFree(i) && a.state[i] == Dirty {
-					a.ZeroPage(p, i)
-					cleared++
+		for i := e.start; i < e.end && target > 0; {
+			c := a.chunkFor(i)
+			for stop := min(e.end, (i|chunkMask)+1); i < stop && target > 0; i++ {
+				if c[i&chunkMask] == Dirty {
+					c[i&chunkMask] = Zeroed
+					a.dirtyCnt--
+					target--
 				}
 			}
 		}
-	})
+	}
 }
 
 // Bandwidth exposes the zeroing bandwidth resource so other DMA-heavy

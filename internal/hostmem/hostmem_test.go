@@ -326,24 +326,6 @@ func TestFragmentationIncreasesRetrievalCost(t *testing.T) {
 	}
 }
 
-func TestScrubDaemonCleansFreePages(t *testing.T) {
-	cfg := testConfig()
-	k := sim.NewKernel(1)
-	a := New(k, cfg)
-	a.StartScrubDaemon(64, time.Millisecond)
-	k.Go("wait", func(p *sim.Proc) { p.Sleep(100 * time.Millisecond) })
-	k.Run()
-	clean := 0
-	for i := int64(0); i < a.TotalPages(); i++ {
-		if a.State(i) == Zeroed {
-			clean++
-		}
-	}
-	if clean == 0 {
-		t.Error("scrub daemon cleaned nothing")
-	}
-}
-
 func TestAllocationReusesFreedPages(t *testing.T) {
 	cfg := testConfig()
 	run(t, cfg, func(p *sim.Proc, a *Allocator) {

@@ -5,6 +5,9 @@
 // Address spaces follow the paper's Fig. 3: the guest uses GPAs; memory
 // slots map GPA ranges to host regions (HPAs); the EPT caches GPA→HPA after
 // the first touch of each page raises an EPT violation that KVM resolves.
+// The HPA of a slot page is already fixed by the slot (its backing runs, or
+// the page demand paging allocated for it), so the EPT is stored as one
+// present bit per slot page.
 package kvm
 
 import (
@@ -79,6 +82,7 @@ type MemSlot struct {
 	one    [1]slotRun
 	last   int
 	demand *pagetab.Table // slot page index -> demand-allocated HPA page (nil for backed slots)
+	mapped []uint64       // EPT present bit per slot page
 }
 
 // slotRun backs slot pages [off, end) with host pages from hpa on.
@@ -90,7 +94,7 @@ type VM struct {
 	kvm   *KVM
 	mem   *hostmem.Allocator
 	slots []*MemSlot
-	ept   *pagetab.Table // GPA page -> HPA page
+	ept   int // installed EPT translations
 
 	// Faults counts EPT violations taken; Hits counts translations served
 	// from the EPT without a fault. §6.5's "<1% overhead" argument rests on
@@ -111,7 +115,6 @@ func (h *KVM) CreateVM() *VM {
 		PID: h.nextPID,
 		kvm: h,
 		mem: h.mem,
-		ept: pagetab.New(),
 	}
 	h.vms[vm.PID] = vm
 	return vm
@@ -170,7 +173,8 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 			return nil, fmt.Errorf("kvm: slot %q overlaps %q", name, s.Name)
 		}
 	}
-	slot := &MemSlot{Name: name, GPABase: gpaBase, Bytes: bytes, Backing: backing}
+	pages := (bytes + ps - 1) / ps
+	slot := &MemSlot{Name: name, GPABase: gpaBase, Bytes: bytes, Backing: backing, mapped: make([]uint64, (pages+63)/64)}
 	if backing != nil {
 		if backing.PageCount()*ps < bytes {
 			return nil, fmt.Errorf("kvm: backing region too small for slot %q", name)
@@ -201,6 +205,18 @@ func (s *MemSlot) hpaAt(idx int64) int64 {
 	return r.hpa + idx - r.off
 }
 
+// lookup returns the HPA page backing slot page idx; ok is false for a
+// demand page not allocated yet.
+func (s *MemSlot) lookup(idx int64) (hpa int64, ok bool) {
+	if s.Backing != nil {
+		return s.hpaAt(idx), true
+	}
+	return s.demand.Get(idx)
+}
+
+// present reports whether slot page idx has an EPT entry.
+func (s *MemSlot) present(idx int64) bool { return s.mapped[idx>>6]&(1<<(idx&63)) != 0 }
+
 // slotFor finds the slot containing gpa.
 func (vm *VM) slotFor(gpa int64) (*MemSlot, error) {
 	for _, s := range vm.slots {
@@ -217,18 +233,14 @@ func (vm *VM) slotFor(gpa int64) (*MemSlot, error) {
 // zeroing), install the EPT entry, and charge the fault cost. Reads are
 // checked against residual-data exposure (hostmem.GuestRead).
 func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
-	ps := vm.mem.PageSize()
-	gpaPage := gpa / ps
-	hpa, ok := vm.ept.Get(gpaPage)
-	if !ok {
-		slot, err := vm.slotFor(gpa)
-		if err != nil {
-			return err
-		}
-		idx := (gpa - slot.GPABase) / ps
-		if slot.Backing != nil {
-			hpa = slot.hpaAt(idx)
-		} else if hpa, ok = slot.demand.Get(idx); !ok {
+	slot, err := vm.slotFor(gpa)
+	if err != nil {
+		return err
+	}
+	idx := (gpa - slot.GPABase) / vm.mem.PageSize()
+	hpa, ok := slot.lookup(idx)
+	if !slot.present(idx) {
+		if !ok {
 			// Demand paging: the host fault handler allocates and zeroes
 			// the page before mapping it (standard lazy zeroing, available
 			// only without passthrough DMA).
@@ -241,7 +253,7 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 		if vm.kvm.Hook != nil {
 			vm.kvm.Hook.OnEPTFault(p, vm.PID, hpa)
 		}
-		vm.install(gpaPage, hpa)
+		vm.install(slot, idx)
 		p.Sleep(vm.kvm.EPTFaultCost)
 	} else {
 		vm.Hits++
@@ -250,9 +262,13 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 	return nil
 }
 
-// install enters a resolved violation into the EPT and the fault counters.
-func (vm *VM) install(gpaPage, hpa int64) {
-	vm.ept.Set(gpaPage, hpa)
+// install enters a resolved violation of slot page idx into the EPT and
+// the fault counters.
+func (vm *VM) install(slot *MemSlot, idx int64) {
+	if !slot.present(idx) {
+		slot.mapped[idx>>6] |= 1 << (idx & 63)
+		vm.ept++
+	}
 	vm.Faults++
 	vm.kvm.TotalFaults++
 }
@@ -322,25 +338,26 @@ func (s *touchStepper) Step() (time.Duration, bool) {
 		s.addr += ps
 	}
 	for ; s.addr < s.end; s.addr += ps {
-		gpaPage := s.addr / ps
-		if hpa, ok := vm.ept.Get(gpaPage); ok {
-			vm.Hits++
-			vm.access(hpa, s.write)
-			continue
-		}
 		slot, err := vm.slotFor(s.addr)
 		if err != nil {
 			s.err = err
 			return 0, false
 		}
+		idx := (s.addr - slot.GPABase) / ps
+		if slot.present(idx) {
+			hpa, _ := slot.lookup(idx)
+			vm.Hits++
+			vm.access(hpa, s.write)
+			continue
+		}
 		if slot.Backing == nil {
 			return 0, false
 		}
-		hpa := slot.hpaAt((s.addr - slot.GPABase) / ps)
+		hpa := slot.hpaAt(idx)
 		if h := vm.kvm.Hook; h != nil && h.FaultPending(vm.PID, hpa) {
 			return 0, false
 		}
-		vm.install(gpaPage, hpa)
+		vm.install(slot, idx)
 		s.hpa, s.faulted = hpa, true
 		return vm.kvm.EPTFaultCost, true
 	}
@@ -379,10 +396,7 @@ func (vm *VM) ResolveHPA(p *sim.Proc, gpa int64) (int64, error) {
 		return 0, err
 	}
 	idx := (gpa - slot.GPABase) / ps
-	if slot.Backing != nil {
-		return slot.hpaAt(idx), nil
-	}
-	if hpa, ok := slot.demand.Get(idx); ok {
+	if hpa, ok := slot.lookup(idx); ok {
 		return hpa, nil
 	}
 	r, err := vm.mem.Allocate(p, ps)
@@ -396,4 +410,4 @@ func (vm *VM) ResolveHPA(p *sim.Proc, gpa int64) (int64, error) {
 }
 
 // EPTEntries returns the number of installed translations.
-func (vm *VM) EPTEntries() int { return vm.ept.Len() }
+func (vm *VM) EPTEntries() int { return vm.ept }

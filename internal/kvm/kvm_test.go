@@ -270,3 +270,142 @@ func TestEPTFaultCostCharged(t *testing.T) {
 	})
 	k.Run()
 }
+
+// The last page of a slot whose page count is not a multiple of 64 (the
+// default 48 MB firmware slot: 24 pages) faults once, then hits, through
+// Touch and TouchRange alike; the page after it is outside guest memory.
+func TestLastPageOfOddSlotFaultsOnceThenHits(t *testing.T) {
+	k, mem, h := newHost(1 << 30)
+	hook := &recordHook{}
+	k.Go("t", func(p *sim.Proc) {
+		ps := mem.PageSize()
+		const fwBase, fwBytes = 64 * mb, 48 * mb
+		ram, _ := mem.Allocate(p, 64*mb)
+		fw, _ := mem.Allocate(p, fwBytes)
+		mem.ZeroRegion(p, fw)
+		vm := h.CreateVM()
+		if _, err := vm.AddSlot("ram", 0, 64*mb, ram); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.AddSlot("firmware", fwBase, fwBytes, fw); err != nil {
+			t.Fatal(err)
+		}
+		last := fw.Runs[len(fw.Runs)-1]
+		lastHPA := last.Start + last.Count - 1
+		h.Hook = hook
+		if err := vm.Touch(p, fwBase+fwBytes-1, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Touch(p, fwBase+fwBytes-ps, true); err != nil {
+			t.Fatal(err)
+		}
+		if vm.Faults != 1 || vm.Hits != 1 || vm.EPTEntries() != 1 {
+			t.Errorf("faults=%d hits=%d ept=%d, want 1/1/1", vm.Faults, vm.Hits, vm.EPTEntries())
+		}
+		if len(hook.pages) != 1 || hook.pages[0] != lastHPA {
+			t.Errorf("hook ran for %v, want [%d]", hook.pages, lastHPA)
+		}
+		if mem.State(lastHPA) != hostmem.Written {
+			t.Errorf("last page state %v after the guest write", mem.State(lastHPA))
+		}
+		h.Hook = nil
+		if err := vm.TouchRange(p, fwBase, fwBytes, false); err != nil {
+			t.Fatal(err)
+		}
+		if vm.Faults != 24 || vm.Hits != 2 || vm.EPTEntries() != 24 {
+			t.Errorf("after the range: faults=%d hits=%d ept=%d, want 24/2/24", vm.Faults, vm.Hits, vm.EPTEntries())
+		}
+		if err := vm.Touch(p, fwBase+fwBytes, false); err == nil {
+			t.Error("touching the page after the firmware slot should fail")
+		}
+	})
+	k.Run()
+	if mem.Violations != 0 {
+		t.Errorf("violations = %d", mem.Violations)
+	}
+}
+
+// A demand page first allocated by a host write takes exactly one EPT
+// fault on the guest's first touch, for the page the host wrote, and is
+// neither reallocated nor zeroed again.
+func TestHostWrittenDemandPageFaultsOnce(t *testing.T) {
+	k, mem, h := newHost(1 << 30)
+	hook := &recordHook{}
+	h.Hook = hook
+	k.Go("t", func(p *sim.Proc) {
+		ps := mem.PageSize()
+		vm := h.CreateVM()
+		if _, err := vm.AddSlot("ram", 0, 32*mb, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.HostWrite(p, 2*ps, ps); err != nil {
+			t.Fatal(err)
+		}
+		hpa, err := vm.ResolveHPA(p, 2*ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vm.Faults != 0 || vm.EPTEntries() != 0 {
+			t.Errorf("host write took faults=%d ept=%d", vm.Faults, vm.EPTEntries())
+		}
+		for i := 0; i < 2; i++ {
+			if err := vm.Touch(p, 2*ps+5, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if vm.Faults != 1 || vm.Hits != 1 || vm.EPTEntries() != 1 {
+			t.Errorf("faults=%d hits=%d ept=%d, want 1/1/1", vm.Faults, vm.Hits, vm.EPTEntries())
+		}
+		if len(hook.pages) != 1 || hook.pages[0] != hpa {
+			t.Errorf("hook ran for %v, want [%d]", hook.pages, hpa)
+		}
+		if mem.State(hpa) != hostmem.Written || h.DemandPages() != 1 {
+			t.Errorf("state %v, demand pages %d; want written, 1", mem.State(hpa), h.DemandPages())
+		}
+	})
+	k.Run()
+	if mem.Violations != 0 {
+		t.Errorf("violations = %d", mem.Violations)
+	}
+}
+
+// EPTEntries counts the translations installed by Touch and by TouchRange,
+// on backed and demand slots, each page once.
+func TestEPTEntriesCountsTouchAndTouchRange(t *testing.T) {
+	k, mem, h := newHost(1 << 30)
+	k.Go("t", func(p *sim.Proc) {
+		ps := mem.PageSize()
+		region, _ := mem.Allocate(p, 8*ps)
+		mem.ZeroRegion(p, region)
+		vm := h.CreateVM()
+		if _, err := vm.AddSlot("ram", 0, 8*ps, region); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.AddSlot("image", 8*ps, 8*ps, nil); err != nil {
+			t.Fatal(err)
+		}
+		steps := []struct {
+			touch     func() error
+			wantTotal int
+		}{
+			{func() error { return vm.Touch(p, ps, false) }, 1},
+			{func() error { return vm.TouchRange(p, 0, 4*ps, true) }, 4},
+			{func() error { return vm.TouchRange(p, 7*ps, 3*ps, false) }, 7},
+			{func() error { return vm.Touch(p, 9*ps, true) }, 7},
+			{func() error { return vm.Touch(p, 15*ps, false) }, 8},
+			{func() error { return vm.TouchRange(p, 0, 16*ps, false) }, 16},
+		}
+		for i, s := range steps {
+			if err := s.touch(); err != nil {
+				t.Fatal(err)
+			}
+			if got := vm.EPTEntries(); got != s.wantTotal {
+				t.Errorf("step %d: EPTEntries = %d, want %d", i, got, s.wantTotal)
+			}
+		}
+		if vm.Faults != 16 {
+			t.Errorf("faults = %d, want 16", vm.Faults)
+		}
+	})
+	k.Run()
+}

@@ -1,18 +1,20 @@
 // Package pagetab provides a chunked sparse page table: an int64→int64
-// mapping specialized for the page-number keys used by the simulated KVM
-// EPTs and demand-paging slots. (IOMMU domains keep run extents instead:
-// a DMA map installs whole host runs at once.)
+// mapping specialized for the page-number keys of the simulated KVM's
+// demand-paging slots (slot page → demand-allocated HPA page). The EPT
+// itself keeps one present bit per slot page instead, since a slot already
+// fixes each page's HPA; IOMMU domains keep run extents, since a DMA map
+// installs whole host runs at once.
 //
-// Those tables are written one entry per faulted page on the
+// A demand slot's table is written one entry per faulted page on the
 // EPT-violation hot path; with a plain Go map the per-page rehash and
-// hashing work dominates both the CPU and allocation profile of a
-// 200-container startup run. Page numbers are dense in practice (a guest
-// touches consecutive pages), so the table stores values in fixed 128-entry
-// chunks addressed by key>>chunkBits and caches the last chunk touched: a
-// sequential fill costs one map lookup per 128 pages and one array store
-// per page, and memory stays proportional to the number of distinct chunks
-// touched even under sparse or large keys (the 4K-page ablation faults 512×
-// more pages per guest than the default geometry).
+// hashing work dominates both the CPU and allocation profile. Page numbers
+// are dense in practice (a guest touches consecutive pages), so the table
+// stores values in fixed 128-entry chunks addressed by key>>chunkBits and
+// caches the last chunk touched: a sequential fill costs one map lookup per
+// 128 pages and one array store per page, and memory stays proportional to
+// the number of distinct chunks touched even under sparse or large keys
+// (the 4K-page ablation faults 512× more pages per guest than the default
+// geometry).
 //
 // The zero Table is NOT ready for use; call New. A nil *Table behaves like
 // a nil map: reads miss, Set panics.
