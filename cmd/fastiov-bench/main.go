@@ -117,6 +117,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fastiov-bench: -tenants:", err)
 		return 2
 	}
+	if err := fastiov.ValidateServeLoad(*tenants, *rate); err != nil {
+		fmt.Fprintln(stderr, "fastiov-bench: -rate/-tenants:", err)
+		return 2
+	}
 	if *tracePath != "" {
 		// Trace export is a standalone mode, like -list: one traced run of
 		// the startup scenario at the first seed, written as Chrome JSON.

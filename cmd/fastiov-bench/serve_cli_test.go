@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,30 @@ func TestBadTenantsSpecExits2(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("experiment ran despite bad -tenants:\n%s", stdout.String())
+	}
+}
+
+// TestUnboundedServeLoadExits2 checks the arrival cap's pre-validation: a
+// -rate or -tenants load expecting more arrivals than the serving window
+// allows is a usage error diagnosed before any experiment runs.
+func TestUnboundedServeLoadExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-serve", "-rate", "1e9"},
+		{"-serve", "-rate", "NaN"},
+		{"-serve", "-tenants", "api:rate=1e9"},
+		{"-serve", "-tenants", "api:rate=10;flash@1s:x=1e9"},
+		{"-journey-log", filepath.Join(t.TempDir(), "j.jsonl"), "-rate", "1e9"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("%q: exit code = %d, want 2, stderr:\n%s", args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "cap") {
+			t.Errorf("%q: stderr missing the arrival cap:\n%s", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: experiment ran despite an unbounded load:\n%s", args, stdout.String())
+		}
 	}
 }
 

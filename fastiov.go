@@ -236,6 +236,15 @@ func ValidateWorkloadSpec(spec string) error {
 	return err
 }
 
+// ValidateServeLoad reports an error when a serving run of the tenant spec
+// (empty = the default mix, also with its flash crowd) at offered load
+// rate (<= 0 = the specs' own rates) expects more arrivals than the cap in
+// EXPERIMENTS.md ("Spec grammars"): an unbounded load would exhaust memory
+// before the first request is served.
+func ValidateServeLoad(tenants string, rate float64) error {
+	return experiments.CheckServeLoad(tenants, rate)
+}
+
 // ValidateFaultSpec parses a fault-plan expression (the fault grammar in
 // EXPERIMENTS.md, "Spec grammars": site rules, crash@<stage>, host-crash@,
 // daemon-crash@ and host-recover= clauses) and reports the first error, if

@@ -128,3 +128,35 @@ func bytesPerRun(runs int, f func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
+
+// TestHostsHoldNoGoroutines pins that a host holds no goroutine for procs
+// that have not run: a fastiov boot spawns the fastiovd scrubber, and a
+// proc gets its coroutine only when the kernel first resumes it. Hosts
+// booted and snapshotted but never run, and hosts whose run has returned,
+// leave the goroutine count where it was.
+func TestHostsHoldNoGoroutines(t *testing.T) {
+	opts, err := OptionsFor(BaselineFastIOV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for range 200 {
+		h, err := NewHost(DefaultHostSpec(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CaptureSnapshot(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		h, err := NewHost(DefaultHostSpec(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.StartupExperiment(5)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines left behind by 203 hosts", n-before)
+	}
+}

@@ -18,6 +18,28 @@ var DefaultServeRates = []float64{16, 32, 64, 128}
 // workload for the burst rows: a 6× spike two-fifths into the window.
 const servingFlashSpec = ";flash@3s:x=6,for=2s"
 
+// CheckServeLoad reports an error when a serving, availability or slowatch
+// run at offered load rate (<= 0: the specs' own rates) would expect more
+// than serve.MaxExpectedArrivals arrivals in its window. It checks the
+// tenant spec (empty: the default mix) and the default mix with the
+// flash-crowd clause, which the serving and slowatch experiments add.
+func CheckServeLoad(tenants string, rate float64) error {
+	specs := []string{serve.DefaultWorkloadSpec + servingFlashSpec}
+	if tenants != "" {
+		specs = append(specs, tenants)
+	}
+	for _, spec := range specs {
+		w, err := serve.ParseWorkload(spec)
+		if err != nil {
+			return err
+		}
+		if err := w.Scaled(rate).CheckLoad(serve.DefaultWindow); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ----------------------------------------------------------------------
 // Serving scenarios: one admission policy × baseline at one offered rate,
 // through the harness so seeds fan out, results cache, and

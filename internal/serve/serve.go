@@ -277,6 +277,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	w = w.Scaled(cfg.Rate)
+	if err := w.CheckLoad(cfg.Window); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		Cfg:      cfg,
 		workload: w,

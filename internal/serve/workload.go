@@ -236,6 +236,39 @@ func (w *Workload) TotalRate() float64 {
 	return total
 }
 
+// MaxExpectedArrivals caps the mean arrival count of one serving window.
+// Every arrival is drawn up front and becomes a proc, so an unbounded load
+// would exhaust memory before the run starts; the shipped workloads expect
+// a few thousand arrivals at most.
+const MaxExpectedArrivals = 1_000_000
+
+// expected returns the mean arrival count over [0, window): the base
+// offered rate times the window, plus Factor-1 times the base rate over
+// the part of the flash window inside it.
+func (w *Workload) expected(window time.Duration) float64 {
+	span := window.Seconds()
+	if span <= 0 {
+		return 0
+	}
+	if fl := w.Flash; fl != nil {
+		lo, hi := max(fl.At.Seconds(), 0), min((fl.At+fl.For).Seconds(), span)
+		if hi > lo {
+			span += (hi - lo) * (fl.Factor - 1)
+		}
+	}
+	return w.TotalRate() * span
+}
+
+// CheckLoad reports an error when the workload expects more than
+// MaxExpectedArrivals arrivals in window (or a non-finite number of them).
+func (w *Workload) CheckLoad(window time.Duration) error {
+	if n := w.expected(window); !(n <= MaxExpectedArrivals) {
+		return fmt.Errorf("serve: workload %q expects %.4g arrivals in %v, more than the cap of %d",
+			w, n, window, MaxExpectedArrivals)
+	}
+	return nil
+}
+
 // Scaled returns a copy whose tenant rates are scaled so the base offered
 // rate totals target requests/second (proportions preserved). target <= 0
 // or a zero-rate workload returns an unscaled copy.

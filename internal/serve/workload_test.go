@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -242,6 +243,62 @@ func TestArrivalsFlashDensity(t *testing.T) {
 	// seconds combined; even a 5-sigma fluctuation keeps inFlash ahead.
 	if inFlash <= outFlash {
 		t.Errorf("flash window not denser: %d in vs %d out", inFlash, outFlash)
+	}
+}
+
+func TestExpectedArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		window time.Duration
+		want   float64
+	}{
+		{"api:rate=20", 5 * time.Second, 100},
+		{"api:rate=20;flash@2s:x=10,for=1s", 5 * time.Second, 280},
+		// The flash window is clipped to the arrival window.
+		{"api:rate=20;flash@4s:x=10,for=3s", 5 * time.Second, 280},
+		{"api:rate=20;flash@6s:x=10,for=1s", 5 * time.Second, 100},
+		{DefaultWorkloadSpec + ";flash@3s:x=6,for=2s", DefaultWindow, 2400},
+		{"api:rate=20", 0, 0},
+	} {
+		w, err := ParseWorkload(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.expected(tc.window); got != tc.want {
+			t.Errorf("%q over %v: expected = %v, want %v", tc.spec, tc.window, got, tc.want)
+		}
+	}
+}
+
+// TestUnboundedLoadRejected: a load expecting more arrivals than
+// MaxExpectedArrivals is an error from New, returned before any arrival is
+// drawn, whether it comes from Config.Rate, a tenant rate or a flash factor.
+func TestUnboundedLoadRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		workload string
+		rate     float64
+	}{
+		{"rate", "", 1e9},
+		{"nan-rate", "", math.NaN()},
+		{"inf-rate", "", math.Inf(1)},
+		{"tenant-rate", "api:rate=1e9", 0},
+		{"flash-factor", "api:rate=10;flash@1s:x=1e9,for=1s", 0},
+		{"just-over", "api:rate=100001", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{Workload: tc.workload, Rate: tc.rate, Hosts: 1})
+			if err == nil || !strings.Contains(err.Error(), "cap") {
+				t.Fatalf("New: err = %v, want the arrival cap", err)
+			}
+		})
+	}
+	w, err := ParseWorkload("api:rate=100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CheckLoad(DefaultWindow); err != nil {
+		t.Errorf("a load at the cap is rejected: %v", err)
 	}
 }
 

@@ -1,12 +1,14 @@
 package sim
 
-// Microbenchmarks for the kernel's hot paths: the spawn/join cycle (one
-// coroutine per simulated thread), the flat event queue, and a queued
+// Microbenchmarks for the kernel's hot paths: the spawn/join cycle (a
+// proc record on a pooled coroutine), the flat event queue, and a queued
 // sleep as a coroutine switch pair (Sleep) or as a kernel-side step
 // (Steps). They are gated in CI: BenchmarkEventQueue and the two queued
 // benchmarks must report 0 allocs/op in steady state — any regression back
 // to a boxing or per-push-allocating queue, or to a per-wake allocation,
-// fails the bench smoke job. Seed numbers live in BENCH_kernel.json.
+// fails the bench smoke job — and BenchmarkKernelSpawnJoin may not
+// allocate more per op than its recorded value. Seed numbers live in
+// BENCH_kernel.json.
 
 import (
 	"fmt"
@@ -15,8 +17,11 @@ import (
 )
 
 // BenchmarkKernelSpawnJoin measures one spawn → sleep → join cycle: the
-// per-simulated-thread overhead (proc record, coroutine creation, two
-// scheduler passes, done-event fire).
+// per-simulated-thread overhead (proc record, binding the idle coroutine
+// the previous child returned to, two scheduler passes, done-event fire).
+// Only one child is alive at a time, so every cycle after the first
+// reuses one coroutine; the op allocates the proc record and the body's
+// closure, and no iter.Pull.
 func BenchmarkKernelSpawnJoin(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)

@@ -35,11 +35,20 @@
 //     (threads that may wait anywhere) and run-to-completion SC_METHOD
 //     processes, with one Proc moving between the two. The fastiovd
 //     scrubber and kvm's TouchRange run their per-page loops this way.
-//   - Proc records themselves are NOT pooled: user code retains *Proc
-//     handles past exit (Join, Done, Finished on an already-finished
-//     proc), so recycling records would alias live references. The
-//     per-proc cost is one record + one coroutine; the former resume
-//     channel is gone.
+//   - Coroutines are pooled per kernel; Proc records are not. A proc is
+//     bound to a coroutine at its first resume: the kernel takes an idle
+//     one, or creates one (iter.Pull) if none is idle. A coroutine runs
+//     proc bodies one after another and parks on the kernel's idle list
+//     between them, so iter.Pull runs once per peak-concurrent proc, not
+//     once per spawn, and a stack grown by one body stays grown for the
+//     next. A coroutine stopped by Kill or abort ends and is never
+//     reused, and every idle one is stopped when a Run or RunFor phase
+//     returns, so none outlives a phase; a proc that never starts never
+//     gets one. Proc records themselves are NOT pooled: user code retains
+//     *Proc handles past exit (Join, Done, Finished on an
+//     already-finished proc), so recycling records would alias live
+//     references. The per-proc cost is one record; the per-coroutine
+//     cost is one iter.Pull, paid at a new concurrency peak.
 package sim
 
 import (
@@ -75,6 +84,12 @@ type Kernel struct {
 	// deadline is the active RunFor cutoff (-1 when none); the inline
 	// sleep fast path (Proc.sleepInline) never runs past it.
 	deadline Duration
+
+	// idle is the stack of coroutines parked between proc bodies, linked
+	// through coro.nextIdle (see bind and drain); coros is the unused
+	// tail of the block their records are carved from.
+	idle  *coro
+	coros []coro
 
 	// running is the Proc currently holding the execution baton (nil
 	// between events and outside Run). It attributes spawns and wakeups to
@@ -165,6 +180,7 @@ func (k *Kernel) newProc(name string, fn func(p *Proc), daemon bool) *Proc {
 		id:     k.procSeq,
 		name:   name,
 		daemon: daemon,
+		fn:     fn,
 	}
 	p.doneEv.k = k
 	if !daemon {
@@ -174,23 +190,94 @@ func (k *Kernel) newProc(name string, fn func(p *Proc), daemon bool) *Proc {
 	if k.probing() {
 		k.emit(ProbeSpawn, WaitNone, "", p, k.running, 0)
 	}
-	// The Proc body runs inside a pulled coroutine: resume is a direct
-	// coroutine switch from the scheduler, park is the matching yield. The
-	// body only ever executes while holding the baton.
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.started = true
-		p.yield = yield
-		if !k.aborted {
-			runBody(fn, p)
-		}
-		p.exit()
-	})
 	return p
+}
+
+// coro is a pooled coroutine. Resuming a proc is a direct coroutine switch
+// from the scheduler (next), parking it is the matching yield, and stop
+// cancels it. Between bodies a coroutine parks idle with p == nil.
+type coro struct {
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	p        *Proc // the proc whose body it is running; nil while idle
+	nextIdle *coro
+}
+
+// resume switches into p's coroutine until p parks or exits, binding a
+// coroutine to p on its first resume. A coroutine whose body returned is
+// parked idle, ready for the next proc.
+func (k *Kernel) resume(p *Proc) {
+	c := p.co
+	if c == nil {
+		c = k.bind(p)
+	}
+	c.next()
+	if c.p == nil {
+		c.nextIdle = k.idle
+		k.idle = c
+	}
+}
+
+// bind gives p the most recently parked idle coroutine (its stack is the
+// warmest), or a new one if none is idle.
+func (k *Kernel) bind(p *Proc) *coro {
+	c := k.idle
+	if c != nil {
+		k.idle, c.nextIdle = c.nextIdle, nil
+	} else {
+		c = k.newCoro()
+	}
+	c.p, p.co = p, c
+	return c
+}
+
+// newCoro creates a coroutine that runs its bound proc's body, exits the
+// proc and parks idle, until it is stopped. The body only ever executes
+// while holding the baton.
+func (k *Kernel) newCoro() *coro {
+	if len(k.coros) == 0 {
+		// One record for every unfinished proc: a phase whose procs are
+		// spawned up front allocates its records at once, and a block is
+		// never larger than the proc records already live.
+		k.coros = make([]coro, len(k.procs))
+	}
+	c := &k.coros[0]
+	k.coros = k.coros[1:]
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			fn := p.fn
+			p.fn = nil
+			runBody(fn, p)
+			p.exit()
+			c.p, p.co = nil, nil
+			// A coroutine stopped under its body (Kill, abort) returns
+			// here and is never reused.
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// drain stops every idle coroutine, ending the goroutines behind them.
+func (k *Kernel) drain() {
+	for c := k.idle; c != nil; {
+		next := c.nextIdle
+		c.nextIdle = nil
+		c.stop()
+		c = next
+	}
+	k.idle = nil
 }
 
 // exit performs end-of-life bookkeeping for a Proc: it runs inside the
 // coroutine for procs whose body started (normal return, panic, or abort
-// unwind) and is called directly by abort for procs that never started.
+// unwind) and is called directly by abort and Kill for procs that never
+// started.
 func (p *Proc) exit() {
 	k := p.k
 	p.finished = true
@@ -242,7 +329,7 @@ func (k *Kernel) run(deadline Duration) Duration {
 		if p.stepper != nil {
 			k.step(p)
 		} else {
-			p.next()
+			k.resume(p)
 		}
 		k.running = nil
 		if k.panicked != nil {
@@ -270,18 +357,19 @@ func (k *Kernel) run(deadline Duration) Duration {
 func (k *Kernel) step(p *Proc) {
 	p.unblock(WaitSleep, "")
 	if p.runSteps() {
-		p.next()
+		k.resume(p)
 		return
 	}
 	p.block(WaitSleep, "")
 }
 
-// abort unwinds every remaining coroutine so tests do not leak them. Every
-// Proc still registered is parked inside a primitive or never started.
-// Stopping a parked coroutine makes its park observe the cancelled yield and
+// abort ends the phase: it unwinds every remaining proc, then stops every
+// idle coroutine, so no goroutine outlives the phase. Every Proc still
+// registered is parked inside a primitive or never started. Stopping a
+// parked proc's coroutine makes its park observe the cancelled yield and
 // panic with abortSentinel, which runBody converts into a clean exit;
-// never-started Procs get their exit bookkeeping applied directly (their
-// bodies never run).
+// never-started Procs have no coroutine and get their exit bookkeeping
+// applied directly (their bodies never run).
 //
 // The drain is in ascending proc-id order: unwind order is deterministic, so
 // any observable side effect of deferred cleanup (counter updates, PRNG
@@ -299,25 +387,25 @@ func (k *Kernel) abort() {
 			if !ok {
 				continue // already unwound by an earlier stop this sweep
 			}
-			if !p.started {
-				// stop on a never-started coroutine does not run its body,
-				// so the exit bookkeeping must happen here.
-				p.stop()
+			if p.co == nil {
 				p.exit()
 				continue
 			}
-			p.stop()
+			p.co.stop()
 		}
 	}
+	k.drain()
 }
 
 // Kill unwinds a single Proc without aborting the simulation: its coroutine
-// observes the cancelled yield at the park it is blocked in (or at its next
-// park, for a proc that has not yet started) and panics with abortSentinel,
-// which runBody converts into a clean exit — deferred cleanup runs, explicit
-// rollback closures do not. This models a crash: whatever the proc released
-// via defer is returned, everything else is stranded and must be accounted
-// for by the caller (see the fleet's LostToCrash ledger).
+// observes the cancelled yield at the park it is blocked in and panics with
+// abortSentinel, which runBody converts into a clean exit — deferred
+// cleanup runs, explicit rollback closures do not — and the stopped
+// coroutine ends rather than returning to the idle list. A proc that has
+// not started has no coroutine: it just exits, and its body never runs.
+// This models a crash: whatever the proc released via defer is returned,
+// everything else is stranded and must be accounted for by the caller (see
+// the fleet's LostToCrash ledger).
 //
 // Kill must be called from a running Proc (the baton holder) on a DIFFERENT
 // proc; killing the running proc would stop the coroutine currently
@@ -330,14 +418,11 @@ func (k *Kernel) Kill(p *Proc) {
 	if p == k.running {
 		panic("sim: Kill of the running proc " + p.name)
 	}
-	if !p.started {
-		// The coroutine never ran; stop will not execute the body, so the
-		// exit bookkeeping must happen here (mirrors abort).
-		p.stop()
+	if p.co == nil {
 		p.exit()
 		return
 	}
-	p.stop()
+	p.co.stop()
 }
 
 // runBody executes a Proc body. The abort sentinel unwinds silently; any

@@ -12,7 +12,6 @@ type Proc struct {
 	id        int
 	name      string
 	daemon    bool
-	started   bool // body has begun executing (first resume happened)
 	finished  bool
 	parked    bool
 	stepping  bool // a Step is executing (it must not block)
@@ -26,11 +25,10 @@ type Proc struct {
 	// kernel continues the chain itself at each wakeup (see Steps).
 	stepper Stepper
 
-	// next resumes the coroutine (kernel side); yield parks it (proc
-	// side); stop cancels it during abort.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	// fn is the body, until a coroutine takes it at the first resume;
+	// co is that coroutine while the body runs (nil before and after).
+	fn func(*Proc)
+	co *coro
 }
 
 // Name returns the Proc's human-readable name.
@@ -61,7 +59,7 @@ func (p *Proc) park(class WaitClass, obj string) {
 		panic("sim: a Step of " + p.name + " blocked on " + class.String())
 	}
 	p.block(class, obj)
-	if !p.yield(struct{}{}) || k.aborted {
+	if !p.co.yield(struct{}{}) || k.aborted {
 		// yield returning false means the kernel stopped the coroutine
 		// (abort); unwind without running further user code.
 		p.parked = false

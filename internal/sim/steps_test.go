@@ -255,6 +255,16 @@ var stepScripts = map[string][]byte{
 		opSleep, 2, opSpawn, 1, opSpawn, 2,
 		opRelease, 1, opAwait, 2, opFire, 2,
 		opAcquire, 1, opRelease, 0, opAcquire, 1},
+	// prog0 exits at 1us; prog1 then spawns children, which run on the
+	// coroutine prog0's body returned from.
+	"spawn-after-exit": {1, 0,
+		opSleep, 1, opSleep, 3, opSleep, 0, opSpawn, 1,
+		opSleep, 0, opSpawn, 3, opSleep, 0, opSleep, 2},
+	// prog1 kills prog0 mid-chain, then spawns children: the killed
+	// coroutine ends and the children need fresh ones.
+	"spawn-after-kill": {1, 0,
+		opSleep, 3, opSleep, 1, opSleep, 3, opKill, 0,
+		opSleep, 3, opSpawn, 1, opSleep, 0, opSpawn, 2, opSleep, 1, opSpawn, 3},
 }
 
 // FuzzStepsMatchSleep runs each script's programs once as Sleep loops and
