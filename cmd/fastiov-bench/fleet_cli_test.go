@@ -27,15 +27,21 @@ func TestGoldenFleetPolicyText(t *testing.T) {
 	golden(t, "fleet_h8_n4_vfaware.txt", []string{"-fleet", "-hosts", "8", "-n", "4", "-policy", "vf-aware"})
 }
 
-// TestBadFleetPolicyExits1 checks -policy validation: an unknown policy
-// fails the fleet experiment with a diagnosis naming the bad value.
-func TestBadFleetPolicyExits1(t *testing.T) {
+// TestBadFleetPolicyExits2 checks -policy validation: an unknown policy
+// is a usage error diagnosed before the fleet experiment runs, naming the
+// bad value and the placement set.
+func TestBadFleetPolicyExits2(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fleet", "-hosts", "4", "-n", "2", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1, stderr:\n%s", code, stderr.String())
+	if code := run([]string{"-fleet", "-hosts", "4", "-n", "2", "-policy", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2, stderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), `unknown policy "bogus"`) {
-		t.Errorf("stderr missing policy diagnosis:\n%s", stderr.String())
+	for _, want := range []string{`unknown policy "bogus"`, "placement: random|rr|least-loaded|vf-aware"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiment ran despite the bad policy:\n%s", stdout.String())
 	}
 }
 

@@ -45,11 +45,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"fastiov"
 )
+
+// firstSeed is the seed the standalone export modes (-trace, -metrics,
+// -journey-*) run at: the first seed of every -seeds sweep.
+const firstSeed = 1
 
 // sanitize maps an experiment id to a safe file stem.
 func sanitize(id string) string {
@@ -78,7 +83,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		csv        = fs.Bool("csv", false, "emit tables as CSV")
 		outDir     = fs.String("out", "", "also write each experiment's table as CSV into this directory")
 		list       = fs.Bool("list", false, "list experiment ids and exit")
-		seeds      = fs.Int("seeds", 1, "seeds per scenario (sweep over seeds 1..K; scalar metrics become mean ±95% CI)")
+		seeds      = fs.Int("seeds", 1, fmt.Sprintf("seeds per scenario (sweep over seeds 1..K, K at most %d; scalar metrics become mean ±95%% CI)", fastiov.MaxSeeds))
 		workers    = fs.Int("workers", 1, "concurrent simulation runs (0 = GOMAXPROCS)")
 		verify     = fs.Bool("verify-determinism", false, "run each simulation twice and each experiment parallel+serial, failing on divergence")
 		faults     = fs.String("faults", "", "fault plan injected into every experiment, e.g. 'vfio-reset:p=0.1;dma-map:every=5'")
@@ -89,8 +94,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		serveRun   = fs.Bool("serve", false, "shorthand for -experiment serving")
 		availRun   = fs.Bool("availability", false, "shorthand for -experiment availability")
 		mtbf       = fs.Duration("mtbf", 0, "availability experiment host MTBF, e.g. 2s (<=0 = the default MTBF/MTTR ladder)")
-		hosts      = fs.Int("hosts", 0, "fleet/serving experiment host count (<=0 = paper-scale default)")
-		policy     = fs.String("policy", "", "restrict the fleet experiment to one placement policy (random|rr|least-loaded|vf-aware), or with -serve one admission policy (fifo|token-bucket|slo-aware); empty sweeps all")
+		hosts      = fs.Int("hosts", 0, fmt.Sprintf("fleet/serving experiment host count (<=0 = paper-scale default, at most %d)", fastiov.MaxHosts))
+		policy     = fs.String("policy", "", "restrict the fleet experiment to one placement policy (random|rr|least-loaded|vf-aware), or the serving, availability and slowatch experiments and journey exports to one admission policy (fifo|token-bucket|slo-aware); empty sweeps all")
 		rate       = fs.Float64("rate", 0, "serving experiment offered load in req/s (<=0 = the default overload ladder)")
 		tenants    = fs.String("tenants", "", "serving experiment workload spec, e.g. 'api:rate=40;batch:rate=20,prio=low' (empty = default tenant mix)")
 		jsonPath   = fs.String("json", "", "also write machine-readable results (fastiov-bench/v1 schema, see BENCH_SCHEMA.md) to this file")
@@ -107,6 +112,29 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		slowatch   = fs.Bool("slowatch", false, "shorthand for -experiment slowatch")
 	)
 	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	if *seeds > fastiov.MaxSeeds {
+		fmt.Fprintf(stderr, "fastiov-bench: -seeds %d exceeds the limit of %d\n", *seeds, fastiov.MaxSeeds)
+		return 2
+	}
+	if *hosts > fastiov.MaxHosts {
+		fmt.Fprintf(stderr, "fastiov-bench: -hosts %d exceeds the limit of %d\n", *hosts, fastiov.MaxHosts)
+		return 2
+	}
+	// -policy names a placement policy (fleet experiment) or an admission
+	// policy (serving, availability, slowatch, journey exports). The two
+	// name sets are disjoint, so the value alone picks the layer.
+	var fleetPolicy, servePolicy string
+	switch {
+	case *policy == "":
+	case slices.Contains(fastiov.FleetPolicies(), *policy):
+		fleetPolicy = *policy
+	case slices.Contains(fastiov.ServePolicies(), *policy):
+		servePolicy = *policy
+	default:
+		fmt.Fprintf(stderr, "fastiov-bench: -policy: unknown policy %q (placement: %s; admission: %s)\n", *policy,
+			strings.Join(fastiov.FleetPolicies(), "|"), strings.Join(fastiov.ServePolicies(), "|"))
 		return 2
 	}
 	if err := fastiov.ValidateFaultSpec(*faults); err != nil {
@@ -133,7 +161,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fastiov-bench: -trace:", err)
 			return 1
 		}
-		err = fastiov.WriteStartupTrace(f, *traceBase, tn, fastiov.SeedList(*seeds)[0])
+		err = fastiov.WriteStartupTrace(f, *traceBase, tn, firstSeed)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -154,7 +182,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if mn <= 0 {
 			mn = 50
 		}
-		reg, err := fastiov.StartupMetrics(*metricBase, mn, fastiov.SeedList(*seeds)[0])
+		reg, err := fastiov.StartupMetrics(*metricBase, mn, firstSeed)
 		if err != nil {
 			fmt.Fprintln(stderr, "fastiov-bench: -metrics:", err)
 			return 1
@@ -201,12 +229,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		cfg := fastiov.JourneyExportConfig{
 			Baseline:   *jbase,
-			Policy:     *policy,
+			Policy:     servePolicy,
 			Hosts:      *hosts,
 			Rate:       *rate,
 			FaultSpec:  *faults,
 			AlertRules: rules,
-			Seed:       fastiov.SeedList(*seeds)[0],
+			Seed:       firstSeed,
 		}
 		files := make(map[string]*os.File, 3)
 		writers := make([]io.Writer, 3)
@@ -249,10 +277,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *fleetRun {
 		*experiment = "fleet"
 	}
-	// -serve routes the shared -policy and -hosts flags to the admission
-	// control plane rather than the fleet placement layer; an explicit
-	// -experiment serving routes them the same way.
-	servePolicy := ""
 	if *serveRun {
 		*experiment = "serving"
 	}
@@ -261,10 +285,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *slowatch {
 		*experiment = "slowatch"
-	}
-	if *experiment == "serving" || *experiment == "availability" || *experiment == "slowatch" {
-		servePolicy = *policy
-		*policy = ""
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -279,7 +299,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		VerifyDeterminism: *verify,
 		FaultSpec:         *faults,
 		Journeys:          *journeys,
-		Fleet:             fastiov.FleetConfig{Hosts: *hosts, Policy: *policy},
+		Fleet:             fastiov.FleetConfig{Hosts: *hosts, Policy: fleetPolicy},
 		Serve:             fastiov.ServeConfig{Hosts: *hosts, Policy: servePolicy, Tenants: *tenants, Rate: *rate},
 		Availability:      fastiov.AvailabilityConfig{MTBF: *mtbf},
 	})

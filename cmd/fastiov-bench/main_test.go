@@ -314,3 +314,38 @@ func TestWorkersMatchSerial(t *testing.T) {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s1, s2)
 	}
 }
+
+// TestOversizedSeedsHostsExit2 checks the -seeds and -hosts bounds: a value
+// above fastiov.MaxSeeds or fastiov.MaxHosts is a usage error diagnosed
+// before anything is allocated or run, in the suite and the standalone
+// export modes alike, and the bounds themselves are accepted.
+func TestOversizedSeedsHostsExit2(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		argv []string
+		code int
+		want string
+	}{
+		{[]string{"-list", "-seeds", "1001"}, 2, "-seeds 1001 exceeds the limit of 1000"},
+		{[]string{"-list", "-hosts", "10001"}, 2, "-hosts 10001 exceeds the limit of 10000"},
+		{[]string{"-trace", filepath.Join(dir, "t.json"), "-seeds", "1001"}, 2, "-seeds 1001 exceeds"},
+		{[]string{"-metrics", filepath.Join(dir, "m.om"), "-seeds", "1001"}, 2, "-seeds 1001 exceeds"},
+		{[]string{"-journey-log", filepath.Join(dir, "j.jsonl"), "-hosts", "10001"}, 2, "-hosts 10001 exceeds"},
+		{[]string{"-list", "-seeds", "1000"}, 0, ""},
+		{[]string{"-list", "-hosts", "10000"}, 0, ""},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.argv, &stdout, &stderr); code != tc.code {
+			t.Fatalf("%q: exit code = %d, want %d, stderr:\n%s", tc.argv, code, tc.code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr missing %q:\n%s", tc.argv, tc.want, stderr.String())
+		}
+		if tc.code == 2 && stdout.Len() != 0 {
+			t.Errorf("%q: ran despite the oversized value:\n%s", tc.argv, stdout.String())
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("an export mode wrote %d files despite the oversized value", len(entries))
+	}
+}

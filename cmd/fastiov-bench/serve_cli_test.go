@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,16 +29,21 @@ func TestGoldenServePolicyText(t *testing.T) {
 	golden(t, "serve_h2_r24_slo.txt", []string{"-serve", "-hosts", "2", "-rate", "24", "-policy", "slo-aware"})
 }
 
-// TestBadServePolicyExits1 checks -policy validation under -serve: an
-// unknown admission policy fails the experiment with a diagnosis naming
-// the bad value and the valid set.
-func TestBadServePolicyExits1(t *testing.T) {
+// TestBadServePolicyExits2 checks -policy validation under -serve: an
+// unknown policy is a usage error diagnosed before the experiment runs,
+// naming the bad value and the admission set.
+func TestBadServePolicyExits2(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "16", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1, stderr:\n%s", code, stderr.String())
+	if code := run([]string{"-serve", "-hosts", "2", "-rate", "16", "-policy", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2, stderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), `unknown admission policy "bogus"`) {
-		t.Errorf("stderr missing policy diagnosis:\n%s", stderr.String())
+	for _, want := range []string{`unknown policy "bogus"`, "admission: fifo|token-bucket|slo-aware"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiment ran despite the bad policy:\n%s", stdout.String())
 	}
 }
 
@@ -126,5 +132,44 @@ func TestServeTenantsFlagChangesOutput(t *testing.T) {
 	}
 	if strings.Contains(custom.String(), "+flash") {
 		t.Errorf("flash rows rendered under a custom -tenants spec:\n%s", custom.String())
+	}
+}
+
+// TestPolicyRoutedByValue checks that -policy reaches the layer its value
+// names when -experiment lists several experiments: an admission policy
+// restricts the serving sweep (rendering exactly the -serve golden) while
+// the fleet experiment still sweeps every placement policy, and a
+// placement policy restricts the fleet sweep while serving sweeps every
+// admission policy.
+func TestPolicyRoutedByValue(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "serve_h2_r24_slo.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy        string
+		present, gone []string
+	}{
+		{"slo-aware", []string{strings.TrimSpace(string(want)), "vanilla   random", "vanilla   least-loaded"}, []string{"fifo", "token-bucket"}},
+		{"vf-aware", []string{"fifo", "token-bucket", "slo-aware", "vanilla   vf-aware"}, []string{"random", "least-loaded"}},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			argv := []string{"-experiment", "serving,fleet", "-hosts", "2", "-n", "4", "-rate", "24", "-policy", tc.policy}
+			if code := run(argv, &stdout, &stderr); code != 0 {
+				t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
+			}
+			got := stripTimes(stdout.String())
+			for _, s := range tc.present {
+				if !strings.Contains(got, s) {
+					t.Errorf("output missing %q:\n%s", s, got)
+				}
+			}
+			for _, s := range tc.gone {
+				if strings.Contains(got, s) {
+					t.Errorf("output has %q:\n%s", s, got)
+				}
+			}
+		})
 	}
 }

@@ -116,7 +116,8 @@ func TestFaultsReachTheSimulation(t *testing.T) {
 }
 
 // TestBadFaultSpecSurfaces checks that a malformed RunConfig.FaultSpec is
-// reported from Run (NewSuite keeps its error-free signature).
+// reported from Run and from every Experiments entry (NewSuite keeps its
+// error-free signature).
 func TestBadFaultSpecSurfaces(t *testing.T) {
 	if err := fastiov.ValidateFaultSpec("vfio-reset:p=2"); err == nil {
 		t.Error("ValidateFaultSpec accepted p=2")
@@ -124,6 +125,14 @@ func TestBadFaultSpecSurfaces(t *testing.T) {
 	s := fastiov.NewSuite(fastiov.RunConfig{Workers: 1, FaultSpec: "bogus-site:p=0.1"})
 	if _, err := s.Run("tab1", testConcurrency); err == nil {
 		t.Error("suite with malformed fault spec ran anyway")
+	}
+	for _, e := range s.Experiments() {
+		if e.ID != "tab1" {
+			continue
+		}
+		if _, err := e.Run(testConcurrency); err == nil {
+			t.Error("Experiments entry of a suite with malformed fault spec ran anyway")
+		}
 	}
 }
 

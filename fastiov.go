@@ -21,7 +21,6 @@ package fastiov
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"fastiov/internal/audit"
 	"fastiov/internal/cluster"
@@ -137,8 +136,8 @@ type RunConfig struct {
 	// Workers bounds how many independent simulation runs execute
 	// concurrently; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Seeds lists the PRNG seeds each scenario sweeps; empty selects the
-	// historical default of the single seed 1.
+	// Seeds lists the PRNG seeds each scenario sweeps (at most MaxSeeds);
+	// empty selects the historical default of the single seed 1.
 	Seeds []uint64
 	// VerifyDeterminism makes the suite execute every simulation run twice
 	// and fail on any byte-level divergence of the canonical result
@@ -172,56 +171,42 @@ type RunConfig struct {
 	// WriteJourneyExports.
 	Journeys bool
 	// Fleet sizes the fleet experiment (the cluster-level placement sweep):
-	// zero values keep the paper-scale defaults.
+	// zero values keep the paper-scale defaults; Hosts is at most MaxHosts.
 	Fleet FleetConfig
 	// Serve shapes the serving experiment (the admission-control study):
-	// zero values keep the serving defaults.
+	// zero values keep the serving defaults; Hosts is at most MaxHosts.
 	Serve ServeConfig
 	// Availability shapes the availability experiment (serving under host
 	// crash/recovery): zero values sweep the default MTBF/MTTR ladder.
 	Availability AvailabilityConfig
 }
 
-// FleetConfig parameterizes the fleet experiment.
-type FleetConfig struct {
-	// Hosts overrides the fleet's host count; <= 0 keeps the paper-scale
-	// default (100 heterogeneous hosts).
-	Hosts int
-	// Policy restricts the sweep to one placement policy (see
-	// FleetPolicies); empty sweeps all of them.
-	Policy string
-}
+// Experiment parameterizations, and the bounds RunConfig must respect.
+type (
+	// FleetConfig sizes the fleet experiment (the cluster-level placement
+	// sweep); its Policy names one of FleetPolicies.
+	FleetConfig = experiments.FleetConfig
+	// ServeConfig shapes the serving experiment (the admission-control
+	// study); its Policy names one of ServePolicies and its Tenants spec
+	// passes ValidateWorkloadSpec.
+	ServeConfig = experiments.ServeConfig
+	// AvailabilityConfig shapes the availability experiment (serving under
+	// host crash/recovery).
+	AvailabilityConfig = experiments.AvailabilityConfig
+)
+
+const (
+	// MaxSeeds bounds len(RunConfig.Seeds).
+	MaxSeeds = experiments.MaxSeeds
+	// MaxHosts bounds the fleet and serving host counts.
+	MaxHosts = fleet.MaxHosts
+)
 
 // FleetPolicies lists the placement policies the fleet experiment sweeps.
 func FleetPolicies() []string { return fleet.Policies() }
 
-// ServeConfig parameterizes the serving experiment.
-type ServeConfig struct {
-	// Hosts sizes the serving fleet; <= 0 keeps the serving default.
-	Hosts int
-	// Policy restricts the sweep to one admission policy (see
-	// ServePolicies); empty sweeps all of them.
-	Policy string
-	// Tenants overrides the workload spec (see ValidateWorkloadSpec); empty
-	// keeps the default three-tenant mix.
-	Tenants string
-	// Rate pins a single offered load in requests per second; <= 0 sweeps
-	// the offered-load ladder.
-	Rate float64
-}
-
 // ServePolicies lists the admission policies the serving experiment sweeps.
 func ServePolicies() []string { return serve.Policies() }
-
-// AvailabilityConfig parameterizes the availability experiment (serving
-// over a fleet whose full-profile host crashes on an MTBF clock and reboots
-// after the host-recover delay). It also honours ServeConfig's Hosts,
-// Policy, and Rate.
-type AvailabilityConfig struct {
-	// MTBF pins the host mean-time-between-failures to a single ladder
-	// cell; <= 0 sweeps the default MTBF/MTTR ladder.
-	MTBF time.Duration
-}
 
 // ValidateWorkloadSpec parses a serving workload expression (the tenant
 // grammar in EXPERIMENTS.md, "Spec grammars") and reports the first error,
@@ -262,29 +247,35 @@ func ValidateFaultSpec(spec string) error {
 type Suite struct {
 	cfg RunConfig
 	x   *experiments.Exec
-	// faultErr records a malformed RunConfig.FaultSpec; it is surfaced from
-	// Run so NewSuite keeps its historical error-free signature.
-	faultErr error
+	// err records a malformed RunConfig (a bad FaultSpec, more than
+	// MaxSeeds seeds or MaxHosts hosts); it is surfaced from every run so
+	// NewSuite keeps its historical error-free signature.
+	err error
 }
 
 // NewSuite builds a suite from cfg.
 func NewSuite(cfg RunConfig) *Suite {
-	x := experiments.NewExec(cfg.Workers, cfg.Seeds)
-	x.SetVerify(cfg.VerifyDeterminism)
-	x.SetObserve(experiments.Observers(cfg.Trace, cfg.Metrics, cfg.Journeys))
-	x.SetFleet(cfg.Fleet.Hosts, cfg.Fleet.Policy)
-	x.SetServe(cfg.Serve.Hosts, cfg.Serve.Policy, cfg.Serve.Tenants, cfg.Serve.Rate)
-	x.SetAvailability(cfg.Availability.MTBF)
-	s := &Suite{cfg: cfg, x: x}
+	var faults *fault.Plan
+	var err error
 	if cfg.FaultSpec != "" {
-		pl, err := fault.ParsePlan(cfg.FaultSpec)
-		if err != nil {
-			s.faultErr = fmt.Errorf("fastiov: fault spec: %w", err)
-		} else {
-			x.SetFaults(pl)
+		if faults, err = fault.ParsePlan(cfg.FaultSpec); err != nil {
+			err = fmt.Errorf("fastiov: fault spec: %w", err)
 		}
 	}
-	return s
+	xcfg := experiments.Config{
+		Workers:      cfg.Workers,
+		Seeds:        cfg.Seeds,
+		Verify:       cfg.VerifyDeterminism,
+		Faults:       faults,
+		Observe:      experiments.Observers(cfg.Trace, cfg.Metrics, cfg.Journeys),
+		Fleet:        cfg.Fleet,
+		Serve:        cfg.Serve,
+		Availability: cfg.Availability,
+	}
+	if err == nil {
+		err = xcfg.Check()
+	}
+	return &Suite{cfg: cfg, x: experiments.NewExec(xcfg), err: err}
 }
 
 // SeedList returns the conventional seed sweep 1..k for RunConfig.Seeds.
@@ -297,7 +288,7 @@ func (s *Suite) Experiments() []Experiment {
 	for i, e := range entries {
 		e := e
 		out[i] = Experiment{ID: e.ID, Title: e.Title, Run: func(n int) (*Report, error) {
-			return e.Run(s.x, n)
+			return s.run(e, n)
 		}}
 	}
 	return out
@@ -306,12 +297,17 @@ func (s *Suite) Experiments() []Experiment {
 // Run executes the suite entry with the given id. n <= 0 selects the
 // paper-default parameters.
 func (s *Suite) Run(id string, n int) (*Report, error) {
-	if s.faultErr != nil {
-		return nil, s.faultErr
-	}
 	e, err := experiments.Lookup(id)
 	if err != nil {
 		return nil, fmt.Errorf("fastiov: unknown experiment %q", id)
+	}
+	return s.run(e, n)
+}
+
+// run executes one registry entry, failing first on a malformed config.
+func (s *Suite) run(e experiments.Entry, n int) (*Report, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
 	return e.Run(s.x, n)
 }
@@ -490,7 +486,7 @@ func WriteJourneyExports(cfg JourneyExportConfig, chrome, spanLog, alerts io.Wri
 	if alerts != nil {
 		eng := res.Alerts
 		if eng == nil {
-			eng = journey.NewEngine(nil, nil, 0)
+			eng = journey.NewEngine(nil, nil)
 		}
 		if err := eng.WriteTimeline(alerts); err != nil {
 			return err

@@ -168,3 +168,46 @@ func TestFullConfigMatrixSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedConfigRejected: a seed sweep above MaxSeeds or a fleet above
+// MaxHosts is an error before anything is simulated, from every suite entry
+// point and from the journey export; the bounds themselves are accepted.
+func TestOversizedConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+		want string
+	}{
+		{"seeds", RunConfig{Seeds: SeedList(MaxSeeds + 1)}, "1001 seeds exceeds the limit of 1000"},
+		{"fleet-hosts", RunConfig{Fleet: FleetConfig{Hosts: MaxHosts + 1}}, "10001 hosts exceeds the limit of 10000"},
+		{"serve-hosts", RunConfig{Serve: ServeConfig{Hosts: MaxHosts + 1}}, "10001 hosts exceeds the limit of 10000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSuite(tc.cfg)
+			if _, err := s.Run("fig5", 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run: err = %v, want %q", err, tc.want)
+			}
+			if _, err := s.Experiments()[0].Run(2); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Experiments()[0].Run: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"seeds", RunConfig{Seeds: SeedList(MaxSeeds)}},
+		{"fleet-hosts", RunConfig{Fleet: FleetConfig{Hosts: MaxHosts}}},
+		{"serve-hosts", RunConfig{Serve: ServeConfig{Hosts: MaxHosts}}},
+	} {
+		t.Run(tc.name+"-at-bound", func(t *testing.T) {
+			if err := NewSuite(tc.cfg).err; err != nil {
+				t.Errorf("config at the bound rejected: %v", err)
+			}
+		})
+	}
+	err := WriteJourneyExports(JourneyExportConfig{Hosts: MaxHosts + 1}, nil, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "10001 hosts exceeds the limit of 10000") {
+		t.Errorf("WriteJourneyExports: err = %v, want the host limit", err)
+	}
+}

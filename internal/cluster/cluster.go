@@ -123,11 +123,8 @@ type Options struct {
 
 	// Seed drives start-time jitter.
 	Seed uint64
-	// StartJitter is the max random offset between container invocations
-	// ("over 200 container invocation requests can arrive nearly
-	// simultaneously", §1). Used by the default burst arrival process.
-	StartJitter time.Duration
-	// Arrival selects the invocation arrival process (default: burst).
+	// Arrival selects the invocation arrival process (default: a burst
+	// within StartJitter).
 	Arrival Arrival
 
 	// Trace attaches an event-sourced tracer to the simulation kernel,
@@ -138,22 +135,16 @@ type Options struct {
 
 	// Metrics attaches the simulated-time metrics registry: every substrate
 	// is instrumented and a sampler proc snapshots all instruments each
-	// MetricsCadence of simulated time (internal/metrics). Like tracing,
-	// metrics never perturb the simulation: virtual timings and rendered
-	// results are byte-identical with it on or off.
+	// metrics.DefaultCadence of simulated time (internal/metrics). Like
+	// tracing, metrics never perturb the simulation: virtual timings and
+	// rendered results are byte-identical with it on or off.
 	Metrics bool
-	// MetricsCadence overrides the sampling interval (<= 0 selects
-	// metrics.DefaultCadence). It shapes only the sampled series, never the
-	// simulation itself.
-	MetricsCadence time.Duration
 
 	// Faults attaches a deterministic fault-injection plan to every
 	// substrate of the host. A nil or all-zero plan builds no injector and
-	// leaves every code path byte-identical to a fault-free run.
+	// leaves every code path byte-identical to a fault-free run. The
+	// startup path retries injected faults under fault.DefaultPolicy.
 	Faults *fault.Plan
-	// Retry is the startup path's retry/backoff/timeout policy; the zero
-	// value selects fault.DefaultPolicy. Only exercised when faults fire.
-	Retry fault.Policy
 
 	// Audit makes StartupExperiment stop every surviving sandbox after
 	// measurement and diff the host's conservation counters against the
@@ -164,6 +155,11 @@ type Options struct {
 	// completions, explicit StopPodSandbox tests) must not double-free.
 	Audit bool
 }
+
+// StartJitter is the max random offset between container invocations in
+// the paper's burst ("over 200 container invocation requests can arrive
+// nearly simultaneously", §1).
+const StartJitter = 50 * time.Millisecond
 
 // ArrivalKind names an invocation arrival process.
 type ArrivalKind uint8
@@ -185,10 +181,9 @@ type Arrival struct {
 	Window     time.Duration // uniform spread
 }
 
-// Times generates n arrival offsets under the configured process, drawing
-// from the given PRNG stream (exported for the fleet layer, which drives
-// its own arrival process over a shared kernel).
-func (a Arrival) Times(rng *sim.Rand, n int, jitter time.Duration) []time.Duration {
+// times generates n arrival offsets under the configured process, drawing
+// from the given PRNG stream.
+func (a Arrival) times(rng *sim.Rand, n int) []time.Duration {
 	out := make([]time.Duration, n)
 	switch a.Kind {
 	case ArrivalPoisson:
@@ -219,7 +214,7 @@ func (a Arrival) Times(rng *sim.Rand, n int, jitter time.Duration) []time.Durati
 	default: // burst
 		// Batched draws: identical stream positions to n sequential
 		// rng.Duration calls, without per-call overhead.
-		rng.Durations(out, jitter)
+		rng.Durations(out, StartJitter)
 	}
 	return out
 }
@@ -256,11 +251,10 @@ func Baselines() []string {
 // OptionsFor returns the Options for a named baseline.
 func OptionsFor(name string) (Options, error) {
 	o := Options{
-		Name:        name,
-		Network:     NetSRIOV,
-		Layout:      hypervisor.DefaultLayout(),
-		Seed:        1,
-		StartJitter: 50 * time.Millisecond,
+		Name:    name,
+		Network: NetSRIOV,
+		Layout:  hypervisor.DefaultLayout(),
+		Seed:    1,
 	}
 	all := func() {
 		o.LockDecomposition = true
@@ -432,10 +426,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	// threaded into every substrate before any simulated work runs. Empty
 	// plans yield a nil injector, which every consumer treats as free.
 	h.Faults = fault.NewInjector(opts.Seed, opts.Faults)
-	pol := opts.Retry
-	if pol.MaxAttempts == 0 {
-		pol = fault.DefaultPolicy()
-	}
+	pol := fault.DefaultPolicy()
 	h.Mem.Faults = h.Faults
 
 	h.MMU = iommu.New(k, h.Mem.PageSize())
@@ -526,7 +517,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	// None of this consumes simulated time or PRNG draws — a metrics-on
 	// run stays byte-identical to a metrics-off run.
 	if opts.Metrics {
-		h.Metrics = metrics.New(opts.MetricsCadence)
+		h.Metrics = metrics.New(metrics.DefaultCadence)
 		h.attachMetrics()
 		h.Metrics.Start(k)
 	}
@@ -655,7 +646,7 @@ func (h *Host) startupWave(n, base int) *Result {
 	res := &Result{Name: h.Opts.Name, N: n, Recorder: h.Rec, Started: n}
 	sandboxes := make([]*cri.Sandbox, n)
 	var errs []error
-	arrivals := h.Opts.Arrival.Times(h.rng, n, h.Opts.StartJitter)
+	arrivals := h.Opts.Arrival.times(h.rng, n)
 	for i := 0; i < n; i++ {
 		i := i
 		id := base + i

@@ -388,13 +388,13 @@ func TestHostConservationUnderCrashChurn(t *testing.T) {
 
 func TestArrivalProcesses(t *testing.T) {
 	rng := sim.NewRand(3)
-	burst := Arrival{Kind: ArrivalBurst}.Times(rng, 100, 50*time.Millisecond)
+	burst := Arrival{Kind: ArrivalBurst}.times(rng, 100)
 	for _, at := range burst {
 		if at < 0 || at >= 50*time.Millisecond {
 			t.Fatalf("burst arrival %v outside jitter window", at)
 		}
 	}
-	pois := Arrival{Kind: ArrivalPoisson, RatePerSec: 100}.Times(rng, 100, 0)
+	pois := Arrival{Kind: ArrivalPoisson, RatePerSec: 100}.times(rng, 100)
 	for i := 1; i < len(pois); i++ {
 		if pois[i] < pois[i-1] {
 			t.Fatal("poisson arrivals not monotone")
@@ -405,7 +405,7 @@ func TestArrivalProcesses(t *testing.T) {
 	if mean < 3*time.Millisecond || mean > 30*time.Millisecond {
 		t.Errorf("poisson mean gap %v, want ~10ms", mean)
 	}
-	uni := Arrival{Kind: ArrivalUniform, Window: 9 * time.Second}.Times(rng, 10, 0)
+	uni := Arrival{Kind: ArrivalUniform, Window: 9 * time.Second}.times(rng, 10)
 	if uni[0] != 0 || uni[9] != 9*time.Second {
 		t.Errorf("uniform endpoints: %v .. %v", uni[0], uni[9])
 	}

@@ -62,14 +62,14 @@ func (x *Exec) Availability(n int) (*Report, error) {
 		return nil, err
 	}
 	rate := DefaultAvailRate
-	if x.serveRate > 0 {
-		rate = x.serveRate
+	if x.cfg.Serve.Rate > 0 {
+		rate = x.cfg.Serve.Rate
 	}
 	ladder := append([]availCell(nil), DefaultAvailLadder...)
 	switch {
-	case x.availMTBF > 0:
+	case x.cfg.Availability.MTBF > 0:
 		// An explicit -mtbf pins a single ladder cell at the default MTTR.
-		ladder = []availCell{{MTBF: x.availMTBF, MTTR: 300 * time.Millisecond}}
+		ladder = []availCell{{MTBF: x.cfg.Availability.MTBF, MTTR: 300 * time.Millisecond}}
 	case n > 0:
 		// A concurrency override marks a below-paper-scale run (the defConc
 		// convention): just the ladder's middle cell.

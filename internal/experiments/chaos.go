@@ -77,7 +77,7 @@ func (x *Exec) Chaos(n int) (*Report, error) {
 	for _, st := range worst.FaultStats {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"p=%.2f seed %d: site %s fired %d/%d occurrences",
-			chaosProbs[len(chaosProbs)-1], x.seeds[0], st.Site, st.Injected, st.Occurrences))
+			chaosProbs[len(chaosProbs)-1], x.cfg.Seeds[0], st.Site, st.Injected, st.Occurrences))
 	}
 	rep.Notes = append(rep.Notes,
 		"success % counts containers whose startup survived retry/backoff/degradation; latency columns cover survivors only")

@@ -7,6 +7,7 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
+	"fastiov/internal/fleet"
 	"fastiov/internal/harness"
 	"fastiov/internal/hypervisor"
 	"fastiov/internal/serverless"
@@ -15,53 +16,104 @@ import (
 	"fastiov/internal/trace"
 )
 
+// MaxSeeds bounds the executor's seed sweep.
+const MaxSeeds = 1000
+
+// Config is everything an executor is built from.
+type Config struct {
+	// Workers bounds concurrent simulation runs (<= 0 selects GOMAXPROCS).
+	Workers int
+	// Seeds is the seed list each scenario sweeps (empty selects the
+	// historical default seed 1, keeping single-seed output identical to
+	// pre-sweep runs; at most MaxSeeds).
+	Seeds []uint64
+	// Verify makes every sim run execute twice; any byte-level divergence
+	// of its canonical result encoding fails the experiment.
+	Verify bool
+	// Faults is the executor-wide default fault plan (nil = fault-free):
+	// every scenario that does not pin its own plan inherits it. The plan
+	// participates in cache keys, so faulted and fault-free runs of the
+	// same scenario never share results.
+	Faults *fault.Plan
+	// Observe is attached to every scenario on top of the observers it
+	// forces on itself (the contention, saturation, and slowatch
+	// experiments force theirs). Observers participate in cache keys;
+	// observed runs carry the recordings on their results but render
+	// identically to unobserved runs.
+	Observe      Observe
+	Fleet        FleetConfig
+	Serve        ServeConfig
+	Availability AvailabilityConfig
+}
+
+// FleetConfig parameterizes the fleet experiment.
+type FleetConfig struct {
+	// Hosts overrides the fleet's host count; <= 0 keeps the paper-scale
+	// default (100 heterogeneous hosts).
+	Hosts int
+	// Policy restricts the sweep to one placement policy (see
+	// fleet.Policies); empty sweeps all of them.
+	Policy string
+}
+
+// ServeConfig parameterizes the serving experiment.
+type ServeConfig struct {
+	// Hosts sizes the serving fleet; <= 0 keeps the serving default.
+	Hosts int
+	// Policy restricts the sweep to one admission policy (see
+	// serve.Policies); empty sweeps all of them.
+	Policy string
+	// Tenants overrides the workload spec; empty keeps the default
+	// three-tenant mix.
+	Tenants string
+	// Rate pins a single offered load in requests per second; <= 0 sweeps
+	// the offered-load ladder.
+	Rate float64
+}
+
+// AvailabilityConfig parameterizes the availability experiment (serving
+// over a fleet whose full-profile host crashes on an MTBF clock and reboots
+// after the host-recover delay). It also honours ServeConfig's Hosts,
+// Policy, and Rate.
+type AvailabilityConfig struct {
+	// MTBF pins the host mean-time-between-failures to a single ladder
+	// cell; <= 0 sweeps the default MTBF/MTTR ladder.
+	MTBF time.Duration
+}
+
+// Check reports an error when the seed list or a fleet size exceeds its
+// bound (MaxSeeds, fleet.MaxHosts).
+func (c Config) Check() error {
+	if len(c.Seeds) > MaxSeeds {
+		return fmt.Errorf("experiments: %d seeds exceeds the limit of %d", len(c.Seeds), MaxSeeds)
+	}
+	for _, h := range []int{c.Fleet.Hosts, c.Serve.Hosts} {
+		if h > fleet.MaxHosts {
+			return fmt.Errorf("experiments: %d hosts exceeds the limit of %d", h, fleet.MaxHosts)
+		}
+	}
+	return nil
+}
+
 // Exec is a configured experiment executor: a worker pool that fans
 // independent simulation runs (scenario × seed) across GOMAXPROCS-style
-// parallelism, plus the seed list each scenario sweeps. One Exec shared
+// parallelism, plus the config every experiment reads. One Exec shared
 // across experiments also shares one result cache, so scenarios that
 // several figures need (vanilla at c=200 appears in six of them) simulate
 // exactly once.
 type Exec struct {
-	pool  *harness.Pool
-	seeds []uint64
-	// faults is the executor-wide default fault plan (nil = fault-free):
-	// every scenario that does not pin its own plan inherits it. The chaos
-	// experiment pins per-row plans and is therefore unaffected.
-	faults *fault.Plan
-	// observe is the executor-wide observer set, attached to every scenario
-	// on top of the observers it forces on itself (the contention,
-	// saturation, and slowatch experiments force theirs). Observed runs carry
-	// the recordings on their results but render identically to unobserved
-	// runs.
-	observe Observe
-	// fleetHosts overrides the fleet experiment's host count (<= 0 selects
-	// the paper-scale default); fleetPolicy restricts it to one placement
-	// policy ("" sweeps all of them).
-	fleetHosts  int
-	fleetPolicy string
-	// serveHosts, servePolicy, serveTenants, and serveRate shape the serving
-	// experiment: fleet size (<= 0 selects the serve default), admission
-	// policy ("" sweeps all of them), canonical workload spec ("" selects
-	// the default tenant mix), and a pinned offered rate (<= 0 sweeps the
-	// offered-load ladder).
-	serveHosts   int
-	servePolicy  string
-	serveTenants string
-	serveRate    float64
-	// availMTBF pins the availability experiment to a single host-MTBF
-	// ladder cell (<= 0 sweeps the default MTBF/MTTR ladder). The
-	// experiment also honours serveHosts, servePolicy, and serveRate.
-	availMTBF time.Duration
+	pool *harness.Pool
+	cfg  Config
 }
 
-// NewExec returns an executor with the given worker count (<= 0 selects
-// GOMAXPROCS) and seed list (empty selects the historical default seed 1,
-// keeping single-seed output identical to pre-sweep runs).
-func NewExec(workers int, seeds []uint64) *Exec {
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
+// NewExec returns an executor for cfg. Callers run nothing on it unless cfg
+// passes Check.
+func NewExec(cfg Config) *Exec {
+	if len(cfg.Seeds) == 0 {
+		cfg.Seeds = []uint64{1}
 	}
-	return &Exec{pool: harness.New(workers), seeds: append([]uint64(nil), seeds...)}
+	cfg.Seeds = append([]uint64(nil), cfg.Seeds...)
+	return &Exec{pool: harness.New(cfg.Workers, cfg.Verify), cfg: cfg}
 }
 
 // SeedList returns 1..k, the conventional seed sweep.
@@ -75,45 +127,6 @@ func SeedList(k int) []uint64 {
 	}
 	return seeds
 }
-
-// SetVerify toggles scenario-level determinism verification: every sim run
-// executes twice and any byte-level divergence of its canonical result
-// encoding fails the experiment.
-func (x *Exec) SetVerify(v bool) { x.pool.SetVerify(v) }
-
-// SetFaults installs an executor-wide fault plan inherited by every
-// scenario that does not pin its own. The plan participates in cache keys,
-// so faulted and fault-free runs of the same scenario never share results.
-func (x *Exec) SetFaults(pl *fault.Plan) { x.faults = pl }
-
-// SetObserve attaches the observer set to every scenario. Observers
-// participate in cache keys, so observed and unobserved runs of the same
-// scenario never share results.
-func (x *Exec) SetObserve(o Observe) { x.observe = o }
-
-// SetFleet sizes the fleet experiment: hosts overrides the host count
-// (<= 0 keeps the paper-scale default) and policy restricts the sweep to
-// one placement policy ("" sweeps all of them).
-func (x *Exec) SetFleet(hosts int, policy string) {
-	x.fleetHosts = hosts
-	x.fleetPolicy = policy
-}
-
-// SetServe shapes the serving experiment: hosts sizes the fleet (<= 0 keeps
-// the serve default), policy restricts the sweep to one admission policy
-// ("" sweeps all of them), tenants overrides the workload spec ("" keeps
-// the default mix), and rate pins a single offered load (<= 0 sweeps the
-// ladder).
-func (x *Exec) SetServe(hosts int, policy, tenants string, rate float64) {
-	x.serveHosts = hosts
-	x.servePolicy = policy
-	x.serveTenants = tenants
-	x.serveRate = rate
-}
-
-// SetAvailability pins the availability experiment's host MTBF (<= 0 keeps
-// the default MTBF/MTTR ladder sweep).
-func (x *Exec) SetAvailability(mtbf time.Duration) { x.availMTBF = mtbf }
 
 // CacheStats aliases the pool's traffic counters so callers above the
 // experiments layer need not import the harness directly.
@@ -172,9 +185,9 @@ type env struct {
 // inherit applies the executor's defaults to the scenario.
 func (e *env) inherit(x *Exec) {
 	if e.Faults == nil {
-		e.Faults = x.faults
+		e.Faults = x.cfg.Faults
 	}
-	e.Observe |= x.observe
+	e.Observe |= x.cfg.Observe
 }
 
 // key encodes the resolved env as cache-key tokens.
@@ -227,13 +240,13 @@ func (m *Multi[T]) Metric(f func(T) time.Duration) stats.Estimate {
 // executor's defaults before they are keyed. Results are cached and shared
 // across experiments, so callers must treat them as immutable.
 func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
+	jobs := make([]harness.Job, 0, len(specs)*len(x.cfg.Seeds))
 	for _, sp := range specs {
 		if in, ok := any(&sp).(interface{ inherit(*Exec) }); ok {
 			in.inherit(x)
 		}
 		scope, params := sp.scope(), sp.params()
-		for _, seed := range x.seeds {
+		for _, seed := range x.cfg.Seeds {
 			jobs = append(jobs, harness.Job{
 				Key:         harness.Key{Scope: scope, Params: params, Seed: seed},
 				Fn:          func() (any, error) { return sp.run(x, seed) },
@@ -247,9 +260,9 @@ func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
 	}
 	out := make([]*Multi[T], len(specs))
 	for i := range out {
-		m := &Multi[T]{perSeed: make([]T, len(x.seeds))}
+		m := &Multi[T]{perSeed: make([]T, len(x.cfg.Seeds))}
 		for j := range m.perSeed {
-			m.perSeed[j] = vals[i*len(x.seeds)+j].(T)
+			m.perSeed[j] = vals[i*len(x.cfg.Seeds)+j].(T)
 		}
 		out[i] = m
 	}

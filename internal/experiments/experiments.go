@@ -106,10 +106,10 @@ func pctString(perSeed []float64) string {
 
 // seedNote appends a rendering-provenance note when sweeping several seeds.
 func seedNote(rep *Report, x *Exec, what string) {
-	if len(x.seeds) > 1 {
+	if len(x.cfg.Seeds) > 1 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"%s rendered from seed %d; scalar columns aggregate %d seeds (mean ±95%% CI)",
-			what, x.seeds[0], len(x.seeds)))
+			what, x.cfg.Seeds[0], len(x.cfg.Seeds)))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 const testN = 50
 
 // defaultExec is the executor most tests run on: serial, single seed.
-func defaultExec() *Exec { return NewExec(1, nil) }
+func defaultExec() *Exec { return NewExec(Config{Workers: 1}) }
 
 func TestFig1ShapeHolds(t *testing.T) {
 	rep, err := defaultExec().Fig1([]int{10, 50})

@@ -90,7 +90,7 @@ func auditFleet(res *fleet.Result) error {
 // placement concentrates — while FastIOV flattens the queue everywhere and
 // makes policy choice nearly irrelevant.
 func (x *Exec) Fleet(n int) (*Report, error) {
-	hosts := x.fleetHosts
+	hosts := x.cfg.Fleet.Hosts
 	if hosts <= 0 {
 		hosts = DefaultFleetHosts
 		if n > 0 {
@@ -102,11 +102,11 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 	}
 	perHost := pick(n, DefaultFleetPerHost)
 	policies := fleet.Policies()
-	if x.fleetPolicy != "" {
-		if _, err := fleet.NewScheduler(x.fleetPolicy, nil); err != nil {
+	if x.cfg.Fleet.Policy != "" {
+		if _, err := fleet.NewScheduler(x.cfg.Fleet.Policy, nil); err != nil {
 			return nil, err
 		}
-		policies = []string{x.fleetPolicy}
+		policies = []string{x.cfg.Fleet.Policy}
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
@@ -121,8 +121,8 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 		}
 	}
 	ladder := []string{fleet.PolicyRandom, fleet.PolicyVFAware}
-	if x.fleetPolicy != "" {
-		ladder = []string{x.fleetPolicy}
+	if x.cfg.Fleet.Policy != "" {
+		ladder = []string{x.cfg.Fleet.Policy}
 	}
 	for _, h := range []int{hosts / 4, hosts / 2} {
 		if h < 1 || h == hosts {

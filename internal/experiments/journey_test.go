@@ -20,15 +20,14 @@ import (
 // kernel-side ones as a reduced sweep.
 const journeyTransparencyN = 8
 
-// registryTraffic is the full registry's cache traffic on NewExec(2,
-// {1,2}) at journeyTransparencyN, journeys on or off: the CLI's
+// registryTraffic is the full registry's cache traffic on two workers
+// and seeds {1,2} at journeyTransparencyN, journeys on or off: the CLI's
 // "-experiment all -n 8 -workers 2 -seeds 2" summary line.
 var registryTraffic = CacheStats{Runs: 374, Hits: 54}
 
 func runRegistryReports(t *testing.T, journeys bool) map[string]string {
 	t.Helper()
-	x := NewExec(2, []uint64{1, 2})
-	x.SetObserve(Observers(false, false, journeys))
+	x := NewExec(Config{Workers: 2, Seeds: []uint64{1, 2}, Observe: Observers(false, false, journeys)})
 	out := make(map[string]string)
 	for _, e := range Registry() {
 		rep, err := e.Run(x, journeyTransparencyN)
@@ -59,7 +58,7 @@ func TestJourneyReportTransparency(t *testing.T) {
 }
 
 func TestSlowatchSmoke(t *testing.T) {
-	x := NewExec(2, []uint64{1, 2})
+	x := NewExec(Config{Workers: 2, Seeds: []uint64{1, 2}})
 	rep, err := x.Slowatch(8) // n > 0: crash scenario only
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func serverlessCompletions(h *cluster.Host, opts cluster.Options, n int, app ser
 	rng := h.K.Rand()
 	for i := 0; i < n; i++ {
 		i := i
-		at := rng.Duration(opts.StartJitter)
+		at := rng.Duration(cluster.StartJitter)
 		h.K.GoAt(at, fmt.Sprintf("task-%d", i), func(p *sim.Proc) {
 			issued := p.Now()
 			sb, err := h.Eng.RunPodSandbox(p, i)

@@ -122,17 +122,17 @@ func (serveSpec) fingerprint(res *serve.Result) []byte { return res.Fingerprint(
 // the serving, availability, and slowatch experiments, rejecting an unknown
 // pinned policy.
 func (x *Exec) serveSweep() (hosts int, policies []string, err error) {
-	hosts = x.serveHosts
+	hosts = x.cfg.Serve.Hosts
 	if hosts <= 0 {
 		hosts = serve.DefaultHosts
 	}
-	if x.servePolicy == "" {
+	if x.cfg.Serve.Policy == "" {
 		return hosts, serve.Policies(), nil
 	}
-	if _, err := serve.NewPolicy(x.servePolicy, serve.PolicyConfig{}); err != nil {
+	if _, err := serve.NewPolicy(x.cfg.Serve.Policy, serve.PolicyConfig{}); err != nil {
 		return 0, nil, err
 	}
-	return hosts, []string{x.servePolicy}, nil
+	return hosts, []string{x.cfg.Serve.Policy}, nil
 }
 
 // Serving sweeps admission policy × baseline across an offered-load ladder:
@@ -149,7 +149,7 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	workload := x.serveTenants
+	workload := x.cfg.Serve.Tenants
 	if workload != "" {
 		if _, err := serve.ParseWorkload(workload); err != nil {
 			return nil, err
@@ -157,9 +157,9 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	}
 	rates := append([]float64(nil), DefaultServeRates...)
 	switch {
-	case x.serveRate > 0:
+	case x.cfg.Serve.Rate > 0:
 		// An explicit -rate pins a single offered load.
-		rates = []float64{x.serveRate}
+		rates = []float64{x.cfg.Serve.Rate}
 	case n > 0:
 		// A concurrency override marks a below-paper-scale run (the defConc
 		// convention): a short ladder ending at the override.
@@ -183,8 +183,8 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	// the workload is the default — a custom tenant spec keeps its grammar.
 	flashAt := rates[len(rates)/2]
 	flashPolicies := []string{serve.PolicyFIFO, serve.PolicySLOAware}
-	if x.servePolicy != "" {
-		flashPolicies = []string{x.servePolicy}
+	if x.cfg.Serve.Policy != "" {
+		flashPolicies = []string{x.cfg.Serve.Policy}
 	}
 	flashStart := len(specs)
 	if workload == "" {

@@ -91,8 +91,8 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 		return nil, err
 	}
 	rate := DefaultSlowatchRate
-	if x.serveRate > 0 {
-		rate = x.serveRate
+	if x.cfg.Serve.Rate > 0 {
+		rate = x.cfg.Serve.Rate
 	}
 	scenarios := slowatchScenarios()
 	if n > 0 {

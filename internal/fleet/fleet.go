@@ -28,11 +28,16 @@ import (
 	"fastiov/internal/trace"
 )
 
-// DefaultJitter spreads fleet arrivals over this window when the config
-// does not choose one. Unlike the single-host burst (50ms), a fleet burst
-// is spread wide enough that queue-depth signals have formed by the time
-// later requests are placed — the regime where policy choice matters.
+// DefaultJitter spreads fleet arrivals over this window. Unlike the
+// single-host burst (cluster.StartJitter), a fleet burst is spread wide
+// enough that queue-depth signals have formed by the time later requests
+// are placed — the regime where policy choice matters.
 const DefaultJitter = 2 * time.Second
+
+// MaxHosts bounds a fleet's host count: every layer above (serving, the
+// experiment executor, the CLI) rejects a larger fleet before allocating
+// per-host specs.
+const MaxHosts = 10000
 
 // schedStream is the PRNG stream index reserved for the scheduler (the
 // random policy). Host i draws stream i; hosts are far below 2^32, so the
@@ -86,13 +91,10 @@ type Config struct {
 	HostSpecs []cluster.HostSpec
 	// Requests is the total number of container starts to place.
 	Requests int
-	// Seed drives the whole run: arrival jitter, the random policy's draws,
-	// and each host's derived fault-injection stream.
+	// Seed drives the whole run: arrival jitter (a burst over
+	// DefaultJitter), the random policy's draws, and each host's derived
+	// fault-injection stream.
 	Seed uint64
-	// Arrival selects the fleet-wide arrival process (default burst over
-	// StartJitter); StartJitter defaults to DefaultJitter.
-	Arrival     cluster.Arrival
-	StartJitter time.Duration
 	// Faults attaches this plan to every host (each with its own derived
 	// injector stream, so fault points fire independently per host).
 	Faults *fault.Plan
@@ -101,9 +103,9 @@ type Config struct {
 	// telemetry. Never perturbs the run.
 	Trace bool
 	// Metrics attaches a fleet-level sampled registry (fleet gauges over
-	// the per-host signals). Never perturbs the run.
-	Metrics        bool
-	MetricsCadence time.Duration
+	// the per-host signals), sampled every metrics.DefaultCadence. Never
+	// perturbs the run.
+	Metrics bool
 	// Audit stops every surviving sandbox after measurement and checks
 	// conservation per host and fleet-wide (audit.Sum). Runs after all
 	// measurement, consumes no randomness.
@@ -125,14 +127,6 @@ type Config struct {
 	// instant, which a post-hoc query could not reproduce once later
 	// placements have moved the state.
 	OnPlace func(at time.Duration, id int, st HostState, score float64, scored bool)
-}
-
-// withDefaults normalizes optional fields.
-func (c Config) withDefaults() Config {
-	if c.StartJitter <= 0 {
-		c.StartJitter = DefaultJitter
-	}
-	return c
 }
 
 // Fleet is N booted hosts sharing one kernel, plus the scheduler and the
@@ -199,7 +193,6 @@ type Fleet struct {
 // PRNG stream, and finally the optional sampled metrics registry and the
 // scheduler.
 func New(cfg Config) (*Fleet, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.HostSpecs) == 0 {
 		return nil, errors.New("fleet: no host specs")
 	}
@@ -251,7 +244,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 
 	if cfg.Metrics {
-		f.Metrics = metrics.New(cfg.MetricsCadence)
+		f.Metrics = metrics.New(metrics.DefaultCadence)
 		f.attachMetrics()
 		if cfg.RegisterMetrics != nil {
 			cfg.RegisterMetrics(f.Metrics)
@@ -681,7 +674,8 @@ func (f *Fleet) Release(p *sim.Proc, host int, sb *cri.Sandbox) {
 // no host is in capacity), then Finish seals observers and audits.
 func (f *Fleet) Run() *Result {
 	cfg := f.Cfg
-	arrivals := cfg.Arrival.Times(f.K.Rand(), cfg.Requests, cfg.StartJitter)
+	arrivals := make([]time.Duration, cfg.Requests)
+	f.K.Rand().Durations(arrivals, DefaultJitter)
 	for i := 0; i < cfg.Requests; i++ {
 		id := i
 		at := f.K.Now() + arrivals[i]

@@ -183,12 +183,11 @@ func TestFleetCapacityRejection(t *testing.T) {
 	for _, policy := range Policies() {
 		t.Run(policy, func(t *testing.T) {
 			res, err := Run(Config{
-				Baseline:    cluster.BaselineVanilla,
-				Policy:      policy,
-				HostSpecs:   specs,
-				Requests:    40,
-				Seed:        1,
-				StartJitter: time.Millisecond, // near-simultaneous burst
+				Baseline:  cluster.BaselineVanilla,
+				Policy:    policy,
+				HostSpecs: specs,
+				Requests:  40,
+				Seed:      1,
 			})
 			if err != nil {
 				t.Fatal(err)

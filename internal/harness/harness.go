@@ -99,21 +99,18 @@ type Pool struct {
 }
 
 // New returns a pool running at most workers jobs concurrently. workers <= 0
-// selects GOMAXPROCS.
-func New(workers int) *Pool {
+// selects GOMAXPROCS. With verify set, every cache miss executes its job
+// twice and fails with a *DivergenceError if the two runs' fingerprints
+// differ.
+func New(workers int, verify bool) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, cache: make(map[Key]*entry)}
+	return &Pool{workers: workers, verify: verify, cache: make(map[Key]*entry)}
 }
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// SetVerify toggles determinism verification: every subsequent cache miss
-// executes its job twice and fails with a *DivergenceError if the two runs'
-// fingerprints differ.
-func (p *Pool) SetVerify(v bool) { p.verify = v }
 
 // Stats returns a snapshot of cache and verification counters.
 func (p *Pool) Stats() Stats {

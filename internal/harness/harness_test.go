@@ -14,7 +14,7 @@ func job(scope, params string, seed uint64, fn func() (any, error)) Job {
 }
 
 func TestDoPreservesInputOrder(t *testing.T) {
-	p := New(4)
+	p := New(4, false)
 	var jobs []Job
 	for i := 0; i < 50; i++ {
 		i := i
@@ -34,7 +34,7 @@ func TestDoPreservesInputOrder(t *testing.T) {
 }
 
 func TestCacheComputesEachKeyOnce(t *testing.T) {
-	p := New(8)
+	p := New(8, false)
 	var runs atomic.Int64
 	mk := func(params string) Job {
 		return job("t", params, 1, func() (any, error) {
@@ -65,7 +65,7 @@ func TestCacheComputesEachKeyOnce(t *testing.T) {
 }
 
 func TestSeedIsPartOfTheKey(t *testing.T) {
-	p := New(2)
+	p := New(2, false)
 	var runs atomic.Int64
 	mk := func(seed uint64) Job {
 		return job("t", "same", seed, func() (any, error) {
@@ -86,7 +86,7 @@ func TestSeedIsPartOfTheKey(t *testing.T) {
 }
 
 func TestDoAggregatesAllErrors(t *testing.T) {
-	p := New(3)
+	p := New(3, false)
 	boom := func(msg string) Job {
 		return job("t", msg, 1, func() (any, error) { return nil, errors.New(msg) })
 	}
@@ -109,7 +109,7 @@ func TestDoAggregatesAllErrors(t *testing.T) {
 }
 
 func TestErrorsAreCachedAndDeduplicated(t *testing.T) {
-	p := New(2)
+	p := New(2, false)
 	var runs atomic.Int64
 	mk := func() Job {
 		return job("t", "bad", 1, func() (any, error) {
@@ -130,8 +130,7 @@ func TestErrorsAreCachedAndDeduplicated(t *testing.T) {
 }
 
 func TestVerifyModeCatchesNondeterminism(t *testing.T) {
-	p := New(1)
-	p.SetVerify(true)
+	p := New(1, true)
 	var calls atomic.Int64
 	bad := Job{
 		Key: Key{Scope: "t", Params: "flaky", Seed: 1},
@@ -165,7 +164,7 @@ func TestVerifyModeCatchesNondeterminism(t *testing.T) {
 func TestWorkersActuallyRunConcurrently(t *testing.T) {
 	// With 4 workers, 4 jobs that each wait for every other job to have
 	// started can only finish if they truly overlap.
-	p := New(4)
+	p := New(4, false)
 	var started atomic.Int64
 	var jobs []Job
 	for i := 0; i < 4; i++ {

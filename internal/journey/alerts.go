@@ -269,19 +269,15 @@ type brSample struct {
 // Engine evaluates a rule set against a metric source on a simulated-time
 // tick. Create with NewEngine, attach with Start before kernel.Run.
 type Engine struct {
-	rules    []ruleEval
-	src      MetricSource
-	interval time.Duration
-	events   []AlertEvent
+	rules  []ruleEval
+	src    MetricSource
+	events []AlertEvent
 }
 
-// NewEngine returns an alert engine over src. interval <= 0 selects
+// NewEngine returns an alert engine over src, evaluated every
 // DefaultEvalInterval.
-func NewEngine(rules []Rule, src MetricSource, interval time.Duration) *Engine {
-	if interval <= 0 {
-		interval = DefaultEvalInterval
-	}
-	e := &Engine{src: src, interval: interval}
+func NewEngine(rules []Rule, src MetricSource) *Engine {
+	e := &Engine{src: src}
 	for _, r := range rules {
 		e.rules = append(e.rules, ruleEval{rule: r, aboveSince: -1})
 	}
@@ -294,7 +290,7 @@ func (e *Engine) Start(k *sim.Kernel) {
 	k.GoDaemon("slo-alert-engine", func(p *sim.Proc) {
 		for {
 			e.eval(p.Now())
-			p.Sleep(e.interval)
+			p.Sleep(DefaultEvalInterval)
 		}
 	})
 }
@@ -414,7 +410,7 @@ func (e *Engine) FirstResolve(rule string, after time.Duration) (time.Duration, 
 // AppendCanonical appends the canonical alert timeline: a header per rule,
 // then one line per transition.
 func (e *Engine) AppendCanonical(b []byte) []byte {
-	b = fmt.Appendf(b, "alerts rules=%d eval=%s events=%d\n", len(e.rules), e.interval, len(e.events))
+	b = fmt.Appendf(b, "alerts rules=%d eval=%s events=%d\n", len(e.rules), DefaultEvalInterval, len(e.events))
 	for i := range e.rules {
 		b = fmt.Appendf(b, "rule %s\n", e.rules[i].rule)
 	}
@@ -428,7 +424,7 @@ func (e *Engine) AppendCanonical(b []byte) []byte {
 // WriteTimeline writes a human-oriented alert timeline.
 func (e *Engine) WriteTimeline(w io.Writer) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "alert timeline: %d rules, eval every %s\n", len(e.rules), e.interval)
+	fmt.Fprintf(&b, "alert timeline: %d rules, eval every %s\n", len(e.rules), DefaultEvalInterval)
 	for i := range e.rules {
 		fmt.Fprintf(&b, "  %s\n", e.rules[i].rule)
 	}

@@ -95,7 +95,7 @@ func TestBurnRateFiresAndResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{histOK: true}
-	eng := NewEngine(rules, src, 25*time.Millisecond)
+	eng := NewEngine(rules, src)
 	k := sim.NewKernel(1)
 	eng.Start(k)
 	// Healthy for 500ms, burning (every observation bad) for 500ms, then
@@ -139,7 +139,7 @@ func TestBurnRateLongWindowFiltersBlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{histOK: true}
-	eng := NewEngine(rules, src, 25*time.Millisecond)
+	eng := NewEngine(rules, src)
 	k := sim.NewKernel(1)
 	eng.Start(k)
 	// A 100ms blip of pure errors inside a 2s healthy run: the short
@@ -166,7 +166,7 @@ func TestValueRuleSustain(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{valOK: true}
-	eng := NewEngine(rules, src, 25*time.Millisecond)
+	eng := NewEngine(rules, src)
 	k := sim.NewKernel(1)
 	eng.Start(k)
 	k.Go("driver", func(p *sim.Proc) {
@@ -205,10 +205,7 @@ func TestEngineUnknownFamilyIsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &fakeSource{} // both ok=false
-	eng := NewEngine(rules, src, 0)
-	if eng.interval != DefaultEvalInterval {
-		t.Fatalf("interval = %s, want default", eng.interval)
-	}
+	eng := NewEngine(rules, src)
 	k := sim.NewKernel(1)
 	eng.Start(k)
 	k.Go("work", func(p *sim.Proc) { p.Sleep(time.Second) })
@@ -224,7 +221,7 @@ func TestEngineUnknownFamilyIsSilent(t *testing.T) {
 func TestAlertCanonicalAndTimeline(t *testing.T) {
 	rules, _ := ParseRules("alert seen: value(x) > 0")
 	src := &fakeSource{valOK: true, val: 1}
-	eng := NewEngine(rules, src, 25*time.Millisecond)
+	eng := NewEngine(rules, src)
 	k := sim.NewKernel(1)
 	eng.Start(k)
 	k.Go("work", func(p *sim.Proc) { p.Sleep(100 * time.Millisecond) })
@@ -248,7 +245,7 @@ func TestAlertCanonicalAndTimeline(t *testing.T) {
 	}
 	// Empty engine renders the no-transitions marker.
 	var empty strings.Builder
-	e2 := NewEngine(nil, src, 0)
+	e2 := NewEngine(nil, src)
 	if err := e2.WriteTimeline(&empty); err != nil {
 		t.Fatal(err)
 	}

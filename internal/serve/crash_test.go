@@ -117,7 +117,6 @@ func TestServeAdmissionSeesShrunkenFleet(t *testing.T) {
 	// No recovery: host 0 (the full 256-VF profile) stays dark for the
 	// rest of the window.
 	cfg := crashConfig(PolicySLOAware, cluster.BaselineVanilla, 9, "host-crash@500ms:host=0")
-	cfg.MetricsCadence = 50 * time.Millisecond
 	res := mustServe(t, cfg)
 	if res.Fleet.HostCrashes != 1 {
 		t.Fatalf("%d crashes, want 1", res.Fleet.HostCrashes)

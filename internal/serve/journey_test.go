@@ -260,3 +260,63 @@ func TestSojournExemplarResolves(t *testing.T) {
 		}
 	}
 }
+
+// TestPodRetirement pins the churn regime: in a crash-free fastiov run
+// every completed request gets one pod span, opened at its ready instant.
+// The pod serves DefaultLifetime, then its sandbox is torn down and the
+// span closes, so every span lasts DefaultLifetime plus the teardown — on
+// an uncontended fastiov host one fixed cost for every pod. The request's
+// root span ends with its pod span.
+func TestPodRetirement(t *testing.T) {
+	for _, policy := range Policies() {
+		t.Run(policy, func(t *testing.T) {
+			_, res := runJourney(t, testConfig(policy, cluster.BaselineFastIOV, 7))
+			if res.Fleet.HostCrashes != 0 {
+				t.Fatal("crash-free config crashed a host")
+			}
+			jr := res.Journey
+			pods, completed := 0, 0
+			var podDur time.Duration
+			for _, trace := range jr.Traces() {
+				rid, _ := jr.RootOf(trace)
+				root := jr.Span(rid)
+				var podIDs []int
+				for _, cid := range jr.Children(rid) {
+					if jr.Span(cid).Name == "pod" {
+						podIDs = append(podIDs, cid)
+					}
+				}
+				pods += len(podIDs)
+				if root.Attr("outcome") != "completed" {
+					if len(podIDs) != 0 {
+						t.Errorf("trace %d: %q request has a pod span", trace, root.Attr("outcome"))
+					}
+					continue
+				}
+				completed++
+				if len(podIDs) != 1 {
+					t.Fatalf("trace %d: completed request has %d pod spans, want 1", trace, len(podIDs))
+				}
+				pod := jr.Span(podIDs[0])
+				if ready := root.Start + mustDur(t, root, "sojourn"); pod.Start != ready {
+					t.Errorf("trace %d: pod span opens at %s, request ready at %s", trace, pod.Start, ready)
+				}
+				if podDur == 0 {
+					podDur = pod.Dur()
+				}
+				if pod.Dur() != podDur {
+					t.Errorf("trace %d: pod span lasts %s, earlier pods %s", trace, pod.Dur(), podDur)
+				}
+				if root.End != pod.End {
+					t.Errorf("trace %d: root ends at %s, pod span at %s", trace, root.End, pod.End)
+				}
+			}
+			if completed == 0 || completed != res.Completed || pods != completed {
+				t.Errorf("%d completed roots, %d pod spans, serve completed %d", completed, pods, res.Completed)
+			}
+			if teardown := podDur - DefaultLifetime; teardown <= 0 || teardown >= 50*time.Millisecond {
+				t.Errorf("pod spans last %s: want DefaultLifetime %s plus a teardown under 50ms", podDur, DefaultLifetime)
+			}
+		})
+	}
+}

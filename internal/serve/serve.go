@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"fastiov/internal/cluster"
 	"fastiov/internal/cri"
 	"fastiov/internal/fault"
 	"fastiov/internal/fleet"
@@ -97,47 +96,36 @@ var ShedReasons = []string{"queue-full", "policy", "stale-revalidation", "rerout
 // sojournBuckets mirrors the fleet startup histogram's bucket ladder.
 var sojournBuckets = []float64{0.25, 0.5, 1, 2, 4, 8, 16, 32}
 
-// Config selects one serving run.
+// Config selects one serving run. Everything else a run needs is fixed at
+// the serving defaults above: vf-aware placement over
+// fleet.HeterogeneousSpecs(Hosts), DefaultSLO, DefaultDispatchers per host,
+// DefaultLifetime churn, the token-bucket contract, and the default metrics
+// and alert-evaluation cadences.
 type Config struct {
 	// Baseline names the cluster baseline every host boots with.
 	Baseline string
-	// Policy names the admission policy (see Policies); PlacePolicy the
-	// fleet placement policy (default vf-aware).
-	Policy      string
-	PlacePolicy string
-	// Hosts sizes the fleet (heterogeneous specs unless HostSpecs is set).
-	Hosts     int
-	HostSpecs []cluster.HostSpec
+	// Policy names the admission policy (see Policies).
+	Policy string
+	// Hosts sizes the heterogeneous fleet (at most fleet.MaxHosts).
+	Hosts int
 	// Workload is the canonical tenant spec (default DefaultWorkloadSpec);
 	// Rate, when positive, rescales it to this total offered rate in
 	// requests per second.
 	Workload string
 	Rate     float64
-	// Window is the open-loop arrival window; SLO the sojourn target.
+	// Window is the open-loop arrival window.
 	Window time.Duration
-	SLO    time.Duration
 	// QueueCap bounds the admission queue (0 = unbounded); arrivals beyond
 	// it shed regardless of policy.
 	QueueCap int
-	// Dispatchers is the per-host dispatcher count.
-	Dispatchers int
-	// Lifetime is each pod's serving duration after ready, after which the
-	// control plane retires it and its VF returns to the host; negative
-	// pins pods forever (no churn — the fleet eventually exhausts VFs under
-	// sustained load).
-	Lifetime time.Duration
-	// ContractPerHost and Burst parameterize the token-bucket policy.
-	ContractPerHost float64
-	Burst           float64
 	// Seed drives the whole run; tenant arrival streams split from it.
 	Seed uint64
-	// Faults, Trace, Metrics, MetricsCadence, and Audit pass through to the
-	// fleet (see fleet.Config).
-	Faults         *fault.Plan
-	Trace          bool
-	Metrics        bool
-	MetricsCadence time.Duration
-	Audit          bool
+	// Faults, Trace, Metrics, and Audit pass through to the fleet (see
+	// fleet.Config).
+	Faults  *fault.Plan
+	Trace   bool
+	Metrics bool
+	Audit   bool
 	// Journeys attaches the per-request journey recorder: every arrival
 	// mints a root span threaded through admission, queue wait, dispatch,
 	// placement, reroutes, the startup telemetry stages, and pod lifetime.
@@ -148,16 +136,10 @@ type Config struct {
 	// simulated-time daemon against the run's metrics registry (requires
 	// Metrics). Empty disables alerting.
 	AlertSpec string
-	// AlertInterval overrides the engine's evaluation tick (<= 0 selects
-	// journey.DefaultEvalInterval).
-	AlertInterval time.Duration
 }
 
 // withDefaults normalizes optional fields.
 func (c Config) withDefaults() Config {
-	if c.PlacePolicy == "" {
-		c.PlacePolicy = fleet.PolicyVFAware
-	}
 	if c.Hosts <= 0 {
 		c.Hosts = DefaultHosts
 	}
@@ -166,21 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.SLO <= 0 {
-		c.SLO = DefaultSLO
-	}
-	if c.Dispatchers <= 0 {
-		c.Dispatchers = DefaultDispatchers
-	}
-	if c.Lifetime == 0 {
-		c.Lifetime = DefaultLifetime
-	}
-	if c.ContractPerHost <= 0 {
-		c.ContractPerHost = DefaultContractPerHost
-	}
-	if c.Burst <= 0 {
-		c.Burst = DefaultBurst
 	}
 	return c
 }
@@ -272,6 +239,9 @@ type jreq struct {
 // wires the admission policy. The run itself happens in Run.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Hosts > fleet.MaxHosts {
+		return nil, fmt.Errorf("serve: %d hosts exceeds the limit of %d", cfg.Hosts, fleet.MaxHosts)
+	}
 	w, err := ParseWorkload(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -311,29 +281,24 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.pol, err = NewPolicy(cfg.Policy, PolicyConfig{
-		SLO:          cfg.SLO,
-		ContractRate: cfg.ContractPerHost * float64(cfg.Hosts),
-		Burst:        cfg.Burst,
+		SLO:          DefaultSLO,
+		ContractRate: DefaultContractPerHost * float64(cfg.Hosts),
+		Burst:        DefaultBurst,
 		Tenants:      w.Tenants,
 	})
 	if err != nil {
 		return nil, err
 	}
-	specs := cfg.HostSpecs
-	if len(specs) == 0 {
-		specs = fleet.HeterogeneousSpecs(cfg.Hosts)
-	}
 	fcfg := fleet.Config{
-		Baseline:       cfg.Baseline,
-		Policy:         cfg.PlacePolicy,
-		HostSpecs:      specs,
-		Requests:       len(s.arrivals),
-		Seed:           cfg.Seed,
-		Faults:         cfg.Faults,
-		Trace:          cfg.Trace,
-		Metrics:        cfg.Metrics,
-		MetricsCadence: cfg.MetricsCadence,
-		Audit:          cfg.Audit,
+		Baseline:  cfg.Baseline,
+		Policy:    fleet.PolicyVFAware,
+		HostSpecs: fleet.HeterogeneousSpecs(cfg.Hosts),
+		Requests:  len(s.arrivals),
+		Seed:      cfg.Seed,
+		Faults:    cfg.Faults,
+		Trace:     cfg.Trace,
+		Metrics:   cfg.Metrics,
+		Audit:     cfg.Audit,
 		// Register the serving instruments before the fleet sampler starts,
 		// so their series share the fleet's tick grid.
 		RegisterMetrics: func(m *metrics.Registry) { s.reg = m; s.registerMetrics(m) },
@@ -465,7 +430,7 @@ func (s *Server) view(now time.Duration) View {
 		MembwBusy:      s.F.MembwBusyTotal(),
 		Completed:      s.completed,
 		StartupEWMA:    time.Duration(s.ewmaSec * float64(time.Second)),
-		SLO:            s.Cfg.SLO,
+		SLO:            DefaultSLO,
 	}
 }
 
@@ -477,12 +442,12 @@ func (s *Server) Run() *Result {
 	s.t0 = k.Now()
 
 	if s.alertRules != nil && s.reg != nil {
-		s.alerts = journey.NewEngine(s.alertRules, s.reg, s.Cfg.AlertInterval)
+		s.alerts = journey.NewEngine(s.alertRules, s.reg)
 		s.alerts.Start(k)
 	}
 
 	// Dispatchers park on the queue before the first arrival fires.
-	for d := 0; d < s.Cfg.Hosts*s.Cfg.Dispatchers; d++ {
+	for d := 0; d < s.Cfg.Hosts*DefaultDispatchers; d++ {
 		k.Go(fmt.Sprintf("disp-%d", d), s.dispatcher)
 	}
 
@@ -695,27 +660,19 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 				telemetry.Int("host", host), telemetry.Dur("took", took))
 			s.jr.End(jq.dispatch, now)
 			s.jr.Annotate(jq.root, telemetry.A("outcome", "completed"), telemetry.Dur("sojourn", sojourn))
-			if s.Cfg.Lifetime >= 0 {
-				podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, telemetry.Int("host", host))
+			podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, telemetry.Int("host", host))
+		}
+		// Retire the pod after its lifetime: the VF detaches on a live host
+		// while new starts attach — the churn regime.
+		s.F.K.Go(fmt.Sprintf("pod-%d", id), func(pp *sim.Proc) {
+			pp.Sleep(DefaultLifetime)
+			s.F.Release(pp, host, sb)
+			if jq != nil {
+				end := pp.Now()
+				s.jr.End(podSpan, end)
+				s.jr.End(jq.root, end)
 			}
-		}
-		if s.Cfg.Lifetime >= 0 {
-			// Retire the pod after its lifetime: the VF detaches on a live
-			// host while new starts attach — the churn regime.
-			host, sb, id := host, sb, id
-			jq, podSpan := jq, podSpan
-			s.F.K.Go(fmt.Sprintf("pod-%d", id), func(pp *sim.Proc) {
-				pp.Sleep(s.Cfg.Lifetime)
-				s.F.Release(pp, host, sb)
-				if jq != nil {
-					end := pp.Now()
-					s.jr.End(podSpan, end)
-					s.jr.End(jq.root, end)
-				}
-			})
-		} else if jq != nil {
-			s.jr.End(jq.root, now)
-		}
+		})
 		if jq != nil {
 			delete(s.jreq, r.ID)
 		}
@@ -730,7 +687,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 				s.sojournHist.Observe(sojourn.Seconds())
 			}
 		}
-		if sojourn <= s.Cfg.SLO {
+		if sojourn <= DefaultSLO {
 			s.good++
 		}
 		const alpha = 0.2
@@ -777,7 +734,7 @@ func (s *Server) rerouteWait(p *sim.Proc, r *Request, attempt int) bool {
 	if attempt+1 >= ReroutePolicy.MaxAttempts {
 		return false
 	}
-	deadline := s.t0 + r.At + s.Cfg.SLO
+	deadline := s.t0 + r.At + DefaultSLO
 	remaining := deadline - p.Now()
 	if remaining <= 0 {
 		return false
@@ -816,10 +773,9 @@ func (s *Server) finish() *Result {
 	return &Result{
 		Baseline:      s.Cfg.Baseline,
 		Policy:        s.pol.Name(),
-		PlacePolicy:   s.Cfg.PlacePolicy,
 		Hosts:         s.Cfg.Hosts,
 		Window:        s.Cfg.Window,
-		SLO:           s.Cfg.SLO,
+		SLO:           DefaultSLO,
 		OfferedRate:   s.workload.TotalRate(),
 		Arrived:       s.arrived,
 		Admitted:      s.admitted,
@@ -845,12 +801,11 @@ func (s *Server) finish() *Result {
 
 // Result carries one serving run's outcome.
 type Result struct {
-	Baseline    string
-	Policy      string
-	PlacePolicy string
-	Hosts       int
-	Window      time.Duration
-	SLO         time.Duration
+	Baseline string
+	Policy   string
+	Hosts    int
+	Window   time.Duration
+	SLO      time.Duration
 	// OfferedRate is the workload's total base arrival rate (req/s).
 	OfferedRate float64
 
@@ -942,7 +897,7 @@ func (r *Result) Fairness() float64 {
 // tallies, and every sojourn.
 func (r *Result) header() []byte {
 	b := fmt.Appendf(nil, "serve b=%s policy=%s place=%s hosts=%d rate=%s window=%s slo=%s\n",
-		r.Baseline, r.Policy, r.PlacePolicy, r.Hosts, fmtRate(r.OfferedRate), r.Window, r.SLO)
+		r.Baseline, r.Policy, fleet.PolicyVFAware, r.Hosts, fmtRate(r.OfferedRate), r.Window, r.SLO)
 	b = fmt.Appendf(b, "arrived %d admitted %d shed-adm %d shed-queue %d completed %d failed %d good %d\n",
 		r.Arrived, r.Admitted, r.ShedAdmission, r.ShedQueue, r.Completed, r.Failed, r.Good)
 	b = fmt.Appendf(b, "shed-reasons queue-full=%d policy=%d stale=%d giveup=%d\n",

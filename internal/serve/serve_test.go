@@ -80,7 +80,6 @@ func TestServeObserverTransparency(t *testing.T) {
 // mid-queue.
 func TestServeConservation(t *testing.T) {
 	cfg := testConfig(PolicySLOAware, cluster.BaselineVanilla, 3)
-	cfg.MetricsCadence = 20 * time.Millisecond
 	res := mustServe(t, cfg)
 
 	// The run must actually exercise both shed paths, or the invariant test
