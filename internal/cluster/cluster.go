@@ -651,7 +651,7 @@ func (h *Host) startupWave(n, base int) *Result {
 		i := i
 		id := base + i
 		at := h.K.Now() + arrivals[i]
-		h.K.GoAt(at, fmt.Sprintf("ctr-%d", id), func(p *sim.Proc) {
+		h.K.GoAtName(at, sim.DecimalName("ctr-", id), func(p *sim.Proc) {
 			sb, err := h.StartOne(p, id)
 			if err != nil {
 				if fault.IsFault(err) {
@@ -694,7 +694,7 @@ func (h *Host) stopAll(sbs []*cri.Sandbox, each func(id int, took time.Duration)
 	var errs []error
 	for _, sb := range sbs {
 		sb := sb
-		h.K.Go(fmt.Sprintf("stop-%d", sb.ID), func(p *sim.Proc) {
+		h.K.GoAtName(h.K.Now(), sim.DecimalName("stop-", sb.ID), func(p *sim.Proc) {
 			start := p.Now()
 			if err := h.Eng.StopPodSandbox(p, sb); err != nil {
 				errs = append(errs, err)

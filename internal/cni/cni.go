@@ -58,10 +58,11 @@ func (r *Result) Ifname() string {
 }
 
 // Plugin is the CNI contract: Add configures networking for a sandbox
-// before the runtime starts the microVM; Del tears it down.
+// before the runtime starts the microVM; Del tears it down. Add returns
+// its Result by value, so the runtime keeps it inside the sandbox record.
 type Plugin interface {
 	Name() string
-	Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error)
+	Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (Result, error)
 	Del(p *sim.Proc, sandboxID int, res *Result) error
 }
 
@@ -134,20 +135,20 @@ func NewSRIOV(name string, card *nic.NIC, drv *vfio.Driver, rtnl *sim.Mutex, cos
 func (s *SRIOV) Name() string { return s.name }
 
 // Add allocates a VF and prepares its sandbox-visible interface.
-func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
+func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (Result, error) {
 	if err := s.Faults.Fail(fault.SiteCNIAdd); err != nil {
 		// The add blocks on device readiness until its own deadline fires,
 		// then fails — before any VF is allocated, so the runtime's retry
 		// does not leak one.
 		p.Sleep(s.costs.AddTimeout)
-		return nil, fmt.Errorf("cni %s: add sandbox %d: %w", s.name, sandboxID, err)
+		return Result{}, fmt.Errorf("cni %s: add sandbox %d: %w", s.name, sandboxID, err)
 	}
 	vf, err := s.card.AllocVF()
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	p.Sleep(s.costs.VFParamSetup)
-	res := &Result{VF: vf}
+	res := Result{VF: vf}
 	if s.Rebind {
 		// Flawed path: bind the host network driver to get a real netdev.
 		vf.Dev.Bind(p, "iavf", s.vfio.BindCost())
@@ -159,7 +160,7 @@ func (s *SRIOV) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, 
 		vd, ok := s.vfio.Lookup(vf.Dev)
 		if !ok {
 			s.card.ReleaseVF(vf)
-			return nil, fmt.Errorf("cni %s: VF %s not registered with VFIO", s.name, vf.Dev.Addr)
+			return Result{}, fmt.Errorf("cni %s: VF %s not registered with VFIO", s.name, vf.Dev.Addr)
 		}
 		s.rtnl.Lock(p)
 		p.Sleep(s.Faults.Inflate(fault.SiteCNIAdd, s.costs.RTNLHoldDummy))
@@ -206,10 +207,10 @@ func NewIPvtap(rtnl, cgroupLock *sim.Mutex, costs Costs) *IPvtap {
 func (t *IPvtap) Name() string { return "ipvtap" }
 
 // Add creates and configures the ipvtap device.
-func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
+func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (Result, error) {
 	if err := t.Faults.Fail(fault.SiteCNIAdd); err != nil {
 		p.Sleep(t.costs.AddTimeout)
-		return nil, fmt.Errorf("cni ipvtap: add sandbox %d: %w", sandboxID, err)
+		return Result{}, fmt.Errorf("cni ipvtap: add sandbox %d: %w", sandboxID, err)
 	}
 	start := p.Now()
 	t.rtnl.Lock(p)
@@ -228,7 +229,7 @@ func (t *IPvtap) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result,
 	if rec != nil {
 		rec(telemetry.StageCgroup, start, p.Now())
 	}
-	return &Result{iface: ifaceIPvtap, sandbox: sandboxID}, nil
+	return Result{iface: ifaceIPvtap, sandbox: sandboxID}, nil
 }
 
 // Del removes the device.
@@ -246,8 +247,8 @@ type NoNetwork struct{}
 func (NoNetwork) Name() string { return "no-network" }
 
 // Add does nothing.
-func (NoNetwork) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (*Result, error) {
-	return &Result{}, nil
+func (NoNetwork) Add(p *sim.Proc, sandboxID int, rec telemetry.SpanFn) (Result, error) {
+	return Result{}, nil
 }
 
 // Del does nothing.

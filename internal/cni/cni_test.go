@@ -63,7 +63,7 @@ func TestFixedSRIOVReturnsVFIODevice(t *testing.T) {
 		if res.Ifname() == "" {
 			t.Error("no sandbox interface name")
 		}
-		if err := plugin.Del(p, 0, res); err != nil {
+		if err := plugin.Del(p, 0, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -87,7 +87,7 @@ func TestRebindSRIOVBindsHostDriver(t *testing.T) {
 		if res.VF.Dev.Driver() != "iavf" {
 			t.Errorf("VF driver = %q, want iavf", res.VF.Dev.Driver())
 		}
-		if err := plugin.Del(p, 0, res); err != nil {
+		if err := plugin.Del(p, 0, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.VF.Dev.Driver() != "" {
@@ -162,7 +162,7 @@ func TestIPvtapRecordsStages(t *testing.T) {
 		if res.Ifname() != "ipvtap3" {
 			t.Errorf("ifname = %q", res.Ifname())
 		}
-		if err := plugin.Del(p, 3, res); err != nil {
+		if err := plugin.Del(p, 3, &res); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -205,7 +205,7 @@ func TestNoNetworkPlugin(t *testing.T) {
 		if err != nil || res.VF != nil {
 			t.Errorf("res=%+v err=%v", res, err)
 		}
-		if err := plugin.Del(p, 0, res); err != nil {
+		if err := plugin.Del(p, 0, &res); err != nil {
 			t.Error(err)
 		}
 	})

@@ -113,7 +113,9 @@ func (e *Engine) SetTrack(fn func(*sim.Proc)) { e.opts.Track = fn }
 // Env returns the hypervisor environment.
 func (e *Engine) Env() *hypervisor.Env { return e.env }
 
-// Sandbox is one running secure container.
+// Sandbox is one running secure container. Its microVM, guest and CNI
+// result live inside it, so a start allocates one sandbox record rather
+// than one per component; MVM, Guest and CNIRes point at them.
 type Sandbox struct {
 	ID     int
 	MVM    *hypervisor.MicroVM
@@ -123,41 +125,87 @@ type Sandbox struct {
 	// vfioRegisteredHere marks VFs the runtime itself rebound to vfio-pci
 	// (the flawed-CNI path), which must be unwound at teardown.
 	vfioRegisteredHere bool
+
+	mvm    hypervisor.MicroVM
+	guest  guest.Guest
+	cniRes cni.Result
 }
+
+// step is one compensation: the release of one startup acquisition.
+type step uint8
+
+const (
+	stepCNIDel step = iota
+	stepVMDestroy
+	stepVFIOUnregister
+	stepDMAUnmap
+	stepVhostUnregister
+	stepDevClose
+	numSteps
+)
+
+var stepNames = [numSteps]string{"cni-del", "vm-destroy", "vfio-unregister", "dma-unmap", "vhost-unregister", "dev-close"}
+
+func (s step) String() string { return stepNames[s] }
 
 // unwind is the compensation stack that makes startup transactional: every
-// acquisition pushes its release, and a failure pops them in reverse
-// (LIFO) order so each compensation runs against exactly the state its
-// acquisition left behind. Pushing closures costs no simulated time, so
-// the machinery is invisible on the success path.
+// acquisition pushes the step that releases it, and a failure runs them in
+// reverse (LIFO) order so each compensation runs against exactly the state
+// its acquisition left behind. A start pushes each step at most once, so
+// the stack is a fixed array: pushing costs no simulated time and no
+// allocation, and the machinery is invisible on the success path.
 type unwind struct {
-	entries []unwindEntry
+	steps [numSteps]step
+	n     int
 }
 
-type unwindEntry struct {
-	what string
-	fn   func(*sim.Proc) error
+func (u *unwind) push(s step) {
+	u.steps[u.n] = s
+	u.n++
 }
 
-func (u *unwind) push(what string, fn func(*sim.Proc) error) {
-	u.entries = append(u.entries, unwindEntry{what: what, fn: fn})
-}
+func (u *unwind) depth() int { return u.n }
 
-func (u *unwind) depth() int { return len(u.entries) }
-
-// rollback runs the compensations newest-first. It is best-effort: a
-// failed compensation is recorded and the remainder still run, so one bad
-// release cannot strand every resource beneath it.
-func (u *unwind) rollback(p *sim.Proc) error {
+// rollback runs the compensations newest-first against sb. It is
+// best-effort: a failed compensation is recorded and the remainder still
+// run, so one bad release cannot strand every resource beneath it.
+func (u *unwind) rollback(p *sim.Proc, e *Engine, sb *Sandbox) error {
 	var errs []error
-	for i := len(u.entries) - 1; i >= 0; i-- {
-		ent := u.entries[i]
-		if err := ent.fn(p); err != nil {
-			errs = append(errs, fmt.Errorf("rollback %s: %w", ent.what, err))
+	for i := u.n - 1; i >= 0; i-- {
+		if err := e.compensate(p, sb, u.steps[i]); err != nil {
+			errs = append(errs, fmt.Errorf("rollback %s: %w", u.steps[i], err))
 		}
 	}
-	u.entries = nil
+	u.n = 0
 	return errors.Join(errs...)
+}
+
+// compensate runs one step's release of sb's acquisition.
+func (e *Engine) compensate(p *sim.Proc, sb *Sandbox, s step) error {
+	switch s {
+	case stepCNIDel:
+		return e.plugin.Del(p, sb.ID, sb.CNIRes)
+	case stepVMDestroy:
+		sb.MVM.Destroy(p)
+	case stepVFIOUnregister:
+		dev := sb.CNIRes.VF.Dev
+		vd, ok := e.env.VFIO.Lookup(dev)
+		if !ok {
+			return fmt.Errorf("lost vfio registration for %s", dev.Addr)
+		}
+		if err := e.env.VFIO.Unregister(vd); err != nil {
+			return err
+		}
+		dev.Unbind(p, e.env.VFIO.UnbindCost())
+		sb.vfioRegisteredHere = false
+	case stepDMAUnmap:
+		return sb.MVM.UnmapGuestMemory(p)
+	case stepVhostUnregister:
+		sb.MVM.UnregisterVhost()
+	case stepDevClose:
+		sb.MVM.CloseDevice(p)
+	}
+	return nil
 }
 
 // RunPodSandbox executes the end-to-end network startup procedure of
@@ -166,7 +214,7 @@ func (u *unwind) rollback(p *sim.Proc) error {
 //
 // Startup is transactional: each acquisition (CNI result, microVM,
 // flawed-path vfio registration, DMA maps, vhost registrations, device fd)
-// pushes a compensation, and any error — genuine, injected, or a
+// pushes its compensation step, and any error — genuine, injected, or a
 // crash@<stage> plan clause — rolls the stack back in reverse order
 // through the teardown primitives before returning, so a failed sandbox
 // leaks nothing. Rollback time is recorded as the 8-rollback stage.
@@ -188,7 +236,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 	// CNI plugin: t_config. A timed-out add (injected fault) is retried
 	// whole — the plugin fails before allocating a VF, so each attempt
 	// starts clean; genuine errors abort immediately.
-	var res *cni.Result
+	var res cni.Result
 	err := fault.Do(p, e.opts.Retry, e.opts.Faults, "cni-add", func() error {
 		r, aerr := e.plugin.Add(p, id, spanFn)
 		if aerr == nil {
@@ -200,7 +248,8 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		// Nothing was acquired: the plugin fails before allocating a VF.
 		return nil, fmt.Errorf("sandbox %d: cni add: %w", id, err)
 	}
-	sb := &Sandbox{ID: id, CNIRes: res}
+	sb := &Sandbox{ID: id, cniRes: res}
+	sb.CNIRes = &sb.cniRes
 
 	var u unwind
 	// fail rolls back every acquisition (newest first) and returns the
@@ -209,7 +258,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 	fail := func(err error) (*Sandbox, error) {
 		if u.depth() > 0 {
 			start := p.Now()
-			if rerr := u.rollback(p); rerr != nil {
+			if rerr := u.rollback(p, e, sb); rerr != nil {
 				err = errors.Join(err, rerr)
 			}
 			e.rec.Record(id, telemetry.StageRollback, start, p.Now())
@@ -226,47 +275,37 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		return nil
 	}
 
-	u.push("cni-del", func(q *sim.Proc) error { return e.plugin.Del(q, id, res) })
+	u.push(stepCNIDel)
 	if err := crash(fault.CrashCNI); err != nil {
 		return fail(err)
 	}
 
 	// Kata runtime: start virtiofsd first (QEMU connects to it), then the
 	// microVM.
-	mvm := hypervisor.New(e.env, id, e.opts.Layout, spanFn)
+	mvm := sb.mvm.Init(e.env, id, e.opts.Layout, spanFn)
 	mvm.Start(p)
 	sb.MVM = mvm
-	u.push("vm-destroy", func(q *sim.Proc) error { mvm.Destroy(q); return nil })
+	u.push(stepVMDestroy)
 	mvm.StartVirtioFSDaemon(p)
 	if err := crash(fault.CrashMicroVM); err != nil {
 		return fail(err)
 	}
 
-	if res.VF != nil {
+	vf := res.VF
+	if vf != nil {
 		vd := res.VFIODev
 		if vd == nil {
 			// Flawed-CNI path: the VF arrives bound to the host network
 			// driver; unbind it and rebind vfio-pci (the dashed boxes of
 			// Fig. 4 that §5 removes).
-			res.VF.Dev.Unbind(p, e.env.VFIO.UnbindCost())
-			res.VF.Dev.Bind(p, "vfio-pci", e.env.VFIO.BindCost())
-			vd, err = e.env.VFIO.Register(res.VF.Dev)
+			vf.Dev.Unbind(p, e.env.VFIO.UnbindCost())
+			vf.Dev.Bind(p, "vfio-pci", e.env.VFIO.BindCost())
+			vd, err = e.env.VFIO.Register(vf.Dev)
 			if err != nil {
 				return fail(fmt.Errorf("sandbox %d: vfio register: %w", id, err))
 			}
 			sb.vfioRegisteredHere = true
-			u.push("vfio-unregister", func(q *sim.Proc) error {
-				rvd, ok := e.env.VFIO.Lookup(res.VF.Dev)
-				if !ok {
-					return fmt.Errorf("lost vfio registration for %s", res.VF.Dev.Addr)
-				}
-				if uerr := e.env.VFIO.Unregister(rvd); uerr != nil {
-					return uerr
-				}
-				res.VF.Dev.Unbind(q, e.env.VFIO.UnbindCost())
-				sb.vfioRegisteredHere = false
-				return nil
-			})
+			u.push(stepVFIOUnregister)
 		}
 		if err := crash(fault.CrashVFIOReg); err != nil {
 			return fail(err)
@@ -276,7 +315,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		// order of Fig. 5. The compensation is pushed before the attempt
 		// because a map can fail partway: UnmapGuestMemory unwinds whatever
 		// subset exists and is a no-op if nothing was mapped.
-		u.push("dma-unmap", func(q *sim.Proc) error { return mvm.UnmapGuestMemory(q) })
+		u.push(stepDMAUnmap)
 		if err := mvm.MapGuestMemory(p, vd, e.opts.SkipImageMap); err != nil {
 			return fail(fmt.Errorf("sandbox %d: map: %w", id, err))
 		}
@@ -284,9 +323,9 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 			return fail(err)
 		}
 		mvm.RegisterVhost(p)
-		// One entry covers every vhost registration this VM accumulates
+		// One step covers every vhost registration this VM accumulates
 		// (the vdpa path adds a second): UnregisterVhost drops them all.
-		u.push("vhost-unregister", func(*sim.Proc) error { mvm.UnregisterVhost(); return nil })
+		u.push(stepVhostUnregister)
 		if err := crash(fault.CrashVhost); err != nil {
 			return fail(err)
 		}
@@ -301,7 +340,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 			if err := mvm.OpenDevice(p); err != nil {
 				return fail(fmt.Errorf("sandbox %d: open: %w", id, err))
 			}
-			u.push("dev-close", func(q *sim.Proc) error { mvm.CloseDevice(q); return nil })
+			u.push(stepDevClose)
 		}
 		if err := crash(fault.CrashDev); err != nil {
 			return fail(err)
@@ -311,7 +350,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 			return fail(fmt.Errorf("sandbox %d: memory: %w", id, err))
 		}
 		mvm.RegisterVhost(p)
-		u.push("vhost-unregister", func(*sim.Proc) error { mvm.UnregisterVhost(); return nil })
+		u.push(stepVhostUnregister)
 		if err := crash(fault.CrashVhost); err != nil {
 			return fail(err)
 		}
@@ -324,7 +363,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		return fail(err)
 	}
 
-	g := guest.New(mvm, res.VF, e.irqLock, e.opts.GuestCosts)
+	g := sb.guest.Init(mvm, vf, e.irqLock, e.opts.GuestCosts)
 	sb.Guest = g
 	if err := g.Boot(p); err != nil {
 		return fail(fmt.Errorf("sandbox %d: boot: %w", id, err))
@@ -336,12 +375,10 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		return fail(err)
 	}
 
-	if res.VF != nil && e.opts.AsyncVFInit {
+	if vf != nil && e.opts.AsyncVFInit {
 		// FastIOV: initialize the interface in the background; the agent
 		// will gate application execution on readiness.
-		vp := e.env.K.Go(fmt.Sprintf("vf-init-%d", id), func(q *sim.Proc) {
-			g.InitVFDriver(q)
-		})
+		vp := e.env.K.GoAtName(p.Now(), sim.DecimalName("vf-init-", id), g.InitVFDriver)
 		if e.opts.Track != nil {
 			e.opts.Track(vp)
 		}
@@ -352,7 +389,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		start := p.Now()
 		g.InitVFDriver(p)
 		g.WaitIfaceReady(p)
-		if res.VF != nil {
+		if vf != nil {
 			e.rec.Record(id, telemetry.StageVFDriver, start, p.Now())
 		}
 	}

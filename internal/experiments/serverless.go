@@ -71,7 +71,7 @@ func serverlessCompletions(h *cluster.Host, opts cluster.Options, n int, app ser
 				continue
 			}
 			sb := sb
-			h.K.Go(fmt.Sprintf("stop-%d", sb.ID), func(p *sim.Proc) {
+			h.K.GoAtName(h.K.Now(), sim.DecimalName("stop-", sb.ID), func(p *sim.Proc) {
 				if err := h.Eng.StopPodSandbox(p, sb); err != nil {
 					errs = append(errs, err)
 				}

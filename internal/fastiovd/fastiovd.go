@@ -129,11 +129,22 @@ func New(k *sim.Kernel, mem *hostmem.Allocator) *Module {
 // passed to vfio.MapDMA.
 func (m *Module) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 	m.setReleased(pid, false)
+	// Size pid's page set for every run up front.
 	var n int64
+	var runs, words int
+	for _, run := range region.Runs {
+		if run.Count > 0 {
+			runs++
+			words += int((run.Count + 63) / 64)
+			n += run.Count
+		}
+	}
+	if n > 0 {
+		m.table(pid).reserve(runs, words)
+	}
 	for _, run := range region.Runs {
 		if run.Count > 0 {
 			m.track(pid, run.Start, run.Count)
-			n += run.Count
 		}
 	}
 	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
@@ -144,13 +155,18 @@ func (m *Module) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 // track adds count pages of pid from start on to its table and queues them
 // for the scrubber.
 func (m *Module) track(pid int, start, count int64) {
+	m.tracked += m.table(pid).add(start, count)
+	m.enqueue(pid, start, count)
+}
+
+// table returns pid's page set, creating an empty one if it has none.
+func (m *Module) table(pid int) *pageSet {
 	s := m.tables[pid]
 	if s == nil {
 		s = new(pageSet)
 		m.tables[pid] = s
 	}
-	m.tracked += s.add(start, count)
-	m.enqueue(pid, start, count)
+	return s
 }
 
 // enqueue appends a run to the scrub queue, first sliding the unread

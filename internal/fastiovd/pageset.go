@@ -59,6 +59,13 @@ func (s *pageSet) remove(pg int64) {
 	s.n--
 }
 
+// reserve grows the set's capacity for runs more runs holding words more
+// presence words, so adding them allocates nothing more.
+func (s *pageSet) reserve(runs, words int) {
+	s.runs = slices.Grow(s.runs, runs)
+	s.bits = slices.Grow(s.bits, words)
+}
+
 // add inserts pages [start, start+count) and returns how many were absent.
 // Pages inside known runs set their bits; the gaps between them become new
 // runs with fresh bits.

@@ -679,7 +679,7 @@ func (f *Fleet) Run() *Result {
 	for i := 0; i < cfg.Requests; i++ {
 		id := i
 		at := f.K.Now() + arrivals[i]
-		f.K.GoAt(at, fmt.Sprintf("ctr-%d", id), func(p *sim.Proc) {
+		f.K.GoAtName(at, sim.DecimalName("ctr-", id), func(p *sim.Proc) {
 			if host, _, _, _ := f.Dispatch(p, id); host < 0 {
 				f.rejected++
 			}
@@ -757,7 +757,7 @@ func (f *Fleet) Finish() *Result {
 			h := f.Hosts[hi]
 			for _, sb := range sbs {
 				sb := sb
-				f.K.Go(fmt.Sprintf("stop-%d", sb.ID), func(p *sim.Proc) {
+				f.K.GoAtName(f.K.Now(), sim.DecimalName("stop-", sb.ID), func(p *sim.Proc) {
 					if err := h.Eng.StopPodSandbox(p, sb); err != nil {
 						errs = append(errs, err)
 					}

@@ -69,21 +69,17 @@ type Guest struct {
 	// guest on the host.
 	irqLock *sim.Mutex
 
-	booted     *sim.Event
-	ifaceReady *sim.Event
+	booted     sim.Event
+	ifaceReady sim.Event
 }
 
-// New creates the guest state. irqLock is host-global and shared.
-func New(mvm *hypervisor.MicroVM, vf *nic.VF, irqLock *sim.Mutex, costs Costs) *Guest {
-	k := mvm.Env.K
-	return &Guest{
-		MVM:        mvm,
-		VF:         vf,
-		Costs:      costs,
-		irqLock:    irqLock,
-		booted:     sim.NewEvent(k, "guest-booted"),
-		ifaceReady: sim.NewEvent(k, "iface-ready"),
-	}
+// Init makes g the guest state and returns it. irqLock is host-global and
+// shared. A sandbox holds its guest by value.
+func (g *Guest) Init(mvm *hypervisor.MicroVM, vf *nic.VF, irqLock *sim.Mutex, costs Costs) *Guest {
+	*g = Guest{MVM: mvm, VF: vf, Costs: costs, irqLock: irqLock}
+	g.booted.Init(mvm.Env.K, "guest-booted")
+	g.ifaceReady.Init(mvm.Env.K, "iface-ready")
+	return g
 }
 
 // Boot runs the guest kernel from firmware entry to agent readiness:
@@ -114,7 +110,7 @@ func (g *Guest) Boot(p *sim.Proc) error {
 }
 
 // Booted returns the boot-completion event.
-func (g *Guest) Booted() *sim.Event { return g.booted }
+func (g *Guest) Booted() *sim.Event { return &g.booted }
 
 // InitVFDriver performs the two-step interface initialization (§3.2.4):
 // (1) the VF driver enumerates the PCI device, registers the netdev (MSI-X
@@ -140,7 +136,7 @@ func (g *Guest) InitVFDriver(p *sim.Proc) {
 }
 
 // IfaceReady returns the network-readiness event the agent polls.
-func (g *Guest) IfaceReady() *sim.Event { return g.ifaceReady }
+func (g *Guest) IfaceReady() *sim.Event { return &g.ifaceReady }
 
 // WaitIfaceReady blocks until the interface is available, plus the
 // detection delay of the periodic readiness polling loop (§4.2.2: the

@@ -60,7 +60,7 @@ func layout() hypervisor.Layout {
 // startVM builds and attaches a microVM ready for guest work.
 func (r *rig) startVM(t *testing.T, p *sim.Proc) *hypervisor.MicroVM {
 	t.Helper()
-	mvm := hypervisor.New(r.env, 0, layout(), nil)
+	mvm := new(hypervisor.MicroVM).Init(r.env, 0, layout(), nil)
 	mvm.Start(p)
 	if err := mvm.AttachVF(p, r.vd, true); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestBootFiresEventAndTouchesMemory(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := New(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
 		if g.Booted().Fired() {
 			t.Error("booted before Boot")
 		}
@@ -101,7 +101,7 @@ func TestDriverInitRaisesLinkAndFiresReady(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := New(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
 		g.Boot(p)
 		g.InitVFDriver(p)
 		if !vf.LinkUp {
@@ -120,7 +120,7 @@ func TestDriverInitWaitsForBoot(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := New(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
 		r.k.Go("init", func(q *sim.Proc) {
 			g.InitVFDriver(q)
 			initDone = q.Now()
@@ -138,12 +138,12 @@ func TestDriverInitWaitsForBoot(t *testing.T) {
 func TestNoVFFiresReadyImmediately(t *testing.T) {
 	r := newRig(t, false)
 	r.k.Go("t", func(p *sim.Proc) {
-		mvm := hypervisor.New(r.env, 0, layout(), nil)
+		mvm := new(hypervisor.MicroVM).Init(r.env, 0, layout(), nil)
 		mvm.Start(p)
 		if err := mvm.SetupMemoryDemand(p); err != nil {
 			t.Fatal(err)
 		}
-		g := New(mvm, nil, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, nil, r.irqLock, DefaultCosts())
 		start := p.Now()
 		g.InitVFDriver(p)
 		if p.Now() != start {
@@ -167,7 +167,7 @@ func TestWaitIfaceReadyAddsPollDelay(t *testing.T) {
 		vf, _ := r.card.AllocVF()
 		costs := DefaultCosts()
 		costs.AgentPollInterval = 100 * time.Millisecond
-		g := New(mvm, vf, r.irqLock, costs)
+		g := new(Guest).Init(mvm, vf, r.irqLock, costs)
 		g.Boot(p)
 		g.InitVFDriver(p)
 		before := p.Now()
@@ -191,13 +191,13 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		r.k.Go("vm", func(p *sim.Proc) {
-			mvm := hypervisor.New(r.env, i, layout(), nil)
+			mvm := new(hypervisor.MicroVM).Init(r.env, i, layout(), nil)
 			mvm.Start(p)
 			if err := mvm.SetupMemoryDemand(p); err != nil {
 				t.Error(err)
 				return
 			}
-			g := New(mvm, &r.card.VFs()[i], r.irqLock, costs)
+			g := new(Guest).Init(mvm, &r.card.VFs()[i], r.irqLock, costs)
 			if err := g.Boot(p); err != nil {
 				t.Error(err)
 				return
@@ -224,7 +224,7 @@ func TestLaunchAppTransfersImage(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := New(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
 		g.Boot(p)
 		if err := g.LaunchApp(p, 32<<20, true); err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestLaunchAppZeroImageBytes(t *testing.T) {
 	r := newRig(t, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
-		g := New(mvm, nil, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, nil, r.irqLock, DefaultCosts())
 		g.Boot(p)
 		if err := g.LaunchApp(p, 0, false); err != nil {
 			t.Fatal(err)

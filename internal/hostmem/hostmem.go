@@ -106,10 +106,20 @@ type Run struct {
 	Count int64
 }
 
-// Region is an allocation: a set of page runs plus its byte size.
+// GuestRegions is the number of regions one guest maps: its RAM, its image
+// and its firmware (hypervisor.Layout). The tables that hold a guest's
+// memory slots, DMA mappings and IOMMU extents keep this many entries
+// inline, so a start allocates none of them separately.
+const GuestRegions = 3
+
+// Region is an allocation: a set of page runs plus its byte size. An
+// allocated region's first run is stored in the region itself, so a
+// contiguous allocation is one heap object. Regions are handled by
+// pointer: a copy of one would share that run with the original.
 type Region struct {
 	Runs  []Run
 	Bytes int64
+	one   [1]Run
 }
 
 // PageCount returns the number of pages in the region.
@@ -294,6 +304,9 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 		return nil, fmt.Errorf("hostmem: out of memory: need %d pages, %d free", need, a.freeCnt)
 	}
 	region := &Region{Bytes: bytes}
+	if need > 0 {
+		region.Runs = region.one[:0]
+	}
 	var cost time.Duration
 	remaining := need
 	i := a.freeHead

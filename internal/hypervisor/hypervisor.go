@@ -97,7 +97,9 @@ func NewEnv(k *sim.Kernel, mem *hostmem.Allocator, kv *kvm.KVM, vf *vfio.Driver,
 // Layout is the guest-physical memory map. The image region holds the
 // microVM system image (rootfs + agent, read-only, invisible to DMA — the
 // region FastIOV-S skips); the firmware region holds BIOS + kernel (the
-// instant-zeroing-list region).
+// instant-zeroing-list region). Its three regions are
+// hostmem.GuestRegions, the count the kvm, vfio and iommu tables hold
+// inline.
 type Layout struct {
 	RAMBytes      int64
 	ImageBytes    int64
@@ -145,10 +147,12 @@ type MicroVM struct {
 	rec telemetry.SpanFn
 }
 
-// New forks the hypervisor process for container id (charging CPU) and
-// creates the KVM VM.
-func New(env *Env, id int, layout Layout, rec telemetry.SpanFn) *MicroVM {
-	return &MicroVM{Env: env, ID: id, Layout: layout, rec: rec}
+// Init makes m the hypervisor instance for container id and returns it;
+// Start forks its process and creates the KVM VM. A sandbox holds its
+// microVM by value.
+func (m *MicroVM) Init(env *Env, id int, layout Layout, rec telemetry.SpanFn) *MicroVM {
+	*m = MicroVM{Env: env, ID: id, Layout: layout, rec: rec}
+	return m
 }
 
 // Start initializes the hypervisor process and the empty VM.
@@ -210,7 +214,7 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 
 	// Guest RAM: always DMA-mapped (the NIC writes packets here).
 	start := p.Now()
-	ram, err := m.mapDMA(p, "ram", l.RAMBase(), l.RAMBytes, ramHook)
+	ram, err := m.mapDMA(p, dmaMapRAM, l.RAMBase(), l.RAMBytes, ramHook)
 	if err != nil {
 		return err
 	}
@@ -220,7 +224,7 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 	}
 	// Firmware: DMA-mapped alongside RAM; under lazy zeroing it is
 	// instant-zeroed because the hypervisor writes it before boot.
-	fw, err := m.mapDMA(p, "firmware", l.FirmwareBase(), l.FirmwareBytes, fwHook)
+	fw, err := m.mapDMA(p, dmaMapFirmware, l.FirmwareBase(), l.FirmwareBytes, fwHook)
 	if err != nil {
 		return err
 	}
@@ -245,7 +249,7 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 		m.imageSkipped = true
 	} else {
 		noZero := func(*sim.Proc, *hostmem.Region) {} // content replaces zeroing
-		img, err := m.mapDMA(p, "image", l.ImageBase(), l.ImageBytes, noZero)
+		img, err := m.mapDMA(p, dmaMapImage, l.ImageBase(), l.ImageBytes, noZero)
 		if err != nil {
 			return err
 		}
@@ -265,15 +269,24 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 	return nil
 }
 
+// The fault-policy stage of each guest region's DMA map: "dma-map-" and
+// the region's name.
+const (
+	dmaMapPrefix   = "dma-map-"
+	dmaMapRAM      = dmaMapPrefix + "ram"
+	dmaMapImage    = dmaMapPrefix + "image"
+	dmaMapFirmware = dmaMapPrefix + "firmware"
+)
+
 // mapDMA installs one guest region's DMA mapping, retrying transient
 // (injected) map errors under the Env's policy. The VFIO layer fully
 // unwinds a failed attempt (unpin + free), so each retry re-runs the whole
 // retrieve → zero → pin → map pipeline on fresh pages. Backoff waits are
 // recorded as retry spans; genuine errors propagate without retry.
-func (m *MicroVM) mapDMA(p *sim.Proc, what string, iovaBase, bytes int64, hook vfio.ZeroHook) (*hostmem.Region, error) {
+func (m *MicroVM) mapDMA(p *sim.Proc, stage string, iovaBase, bytes int64, hook vfio.ZeroHook) (*hostmem.Region, error) {
 	env := m.Env
 	var region *hostmem.Region
-	err := fault.Do(p, env.Retry, env.Faults, "dma-map-"+what, func() error {
+	err := fault.Do(p, env.Retry, env.Faults, stage, func() error {
 		r, err := m.container.MapDMA(p, iovaBase, bytes, hook)
 		if err == nil {
 			region = r
@@ -281,7 +294,7 @@ func (m *MicroVM) mapDMA(p *sim.Proc, what string, iovaBase, bytes int64, hook v
 		return err
 	}, func(ws, we time.Duration) { m.span(telemetry.StageRetry, ws, we) })
 	if err != nil {
-		return nil, fmt.Errorf("vm %d: dma-map %s: %w", m.ID, what, err)
+		return nil, fmt.Errorf("vm %d: dma-map %s: %w", m.ID, stage[len(dmaMapPrefix):], err)
 	}
 	return region, nil
 }

@@ -64,7 +64,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 
 func TestAttachMapsAllRegions(t *testing.T) {
 	r := newRig(t, false)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		if err := mvm.AttachVF(p, r.vds[0], false); err != nil {
@@ -84,7 +84,7 @@ func TestAttachMapsAllRegions(t *testing.T) {
 
 func TestSkipImageLeavesItUnmapped(t *testing.T) {
 	r := newRig(t, false)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		if err := mvm.AttachVF(p, r.vds[0], true); err != nil {
@@ -107,7 +107,7 @@ func TestSkipImageLeavesItUnmapped(t *testing.T) {
 
 func TestEagerAttachZeroesRAM(t *testing.T) {
 	r := newRig(t, false)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -124,7 +124,7 @@ func TestEagerAttachZeroesRAM(t *testing.T) {
 
 func TestLazyAttachDefersZeroing(t *testing.T) {
 	r := newRig(t, true)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -147,7 +147,7 @@ func TestFirmwareProtocolUnderLazyZeroing(t *testing.T) {
 	// Firmware must go on the instant-zeroing list; the hypervisor write
 	// plus guest boot read must not corrupt.
 	r := newRig(t, true)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -169,7 +169,7 @@ func TestFirmwareProtocolUnderLazyZeroing(t *testing.T) {
 
 func TestVirtioFSReadProactiveIsSafe(t *testing.T) {
 	r := newRig(t, true)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -186,7 +186,7 @@ func TestVirtioFSReadProactiveIsSafe(t *testing.T) {
 func TestVirtioFSReadWithoutProactiveCorrupts(t *testing.T) {
 	// The negative control for §4.3.2's second exception.
 	r := newRig(t, true)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -202,7 +202,7 @@ func TestVirtioFSReadWithoutProactiveCorrupts(t *testing.T) {
 
 func TestVirtioFSCursorWraps(t *testing.T) {
 	r := newRig(t, false)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -218,7 +218,7 @@ func TestSpansRecorded(t *testing.T) {
 	r := newRig(t, false)
 	var stages []telemetry.Stage
 	rec := func(st telemetry.Stage, s, e time.Duration) { stages = append(stages, st) }
-	mvm := New(r.env, 0, smallLayout(), rec)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), rec)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.MapGuestMemory(p, r.vds[0], false)
@@ -241,7 +241,7 @@ func TestTeardownReleasesEverything(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		r := newRig(t, lazy)
 		freePages := r.mem.FreePages()
-		mvm := New(r.env, 0, smallLayout(), nil)
+		mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 		r.k.Go("t", func(p *sim.Proc) {
 			mvm.Start(p)
 			mvm.AttachVF(p, r.vds[0], false)
@@ -266,7 +266,7 @@ func TestTeardownReleasesEverything(t *testing.T) {
 func TestTeardownWithSkipImage(t *testing.T) {
 	r := newRig(t, true)
 	freePages := r.mem.FreePages()
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.AttachVF(p, r.vds[0], true)
@@ -284,7 +284,7 @@ func TestTeardownWithSkipImage(t *testing.T) {
 
 func TestSetupMemoryDemandNoUpfrontCost(t *testing.T) {
 	r := newRig(t, false)
-	mvm := New(r.env, 0, smallLayout(), nil)
+	mvm := new(MicroVM).Init(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		before := r.mem.FreePages()

@@ -55,6 +55,9 @@ type Domain struct {
 
 	// MappedBytes tracks the total mapped size for reporting.
 	MappedBytes int64
+
+	// first backs ext up to one contiguous mapping per guest region.
+	first [hostmem.GuestRegions]extent
 }
 
 // extent translates IOVA pages [iova, iova+n) to HPA pages [hpa, hpa+n).
@@ -64,6 +67,7 @@ type extent struct{ iova, hpa, n int64 }
 func (u *IOMMU) CreateDomain() *Domain {
 	u.nextID++
 	d := &Domain{ID: u.nextID, unit: u}
+	d.ext = d.first[:0]
 	u.domains[d.ID] = d
 	return d
 }

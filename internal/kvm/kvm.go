@@ -11,6 +11,7 @@
 package kvm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -74,15 +75,17 @@ type MemSlot struct {
 	Bytes   int64
 	Backing *hostmem.Region
 
-	// runs maps slot pages to the backing region's runs, in slot order;
-	// last caches the run of the previous lookup, so sequential touches
-	// skip the search. A single-run backing uses the inline one, so the
-	// common contiguous slot allocates nothing extra.
+	// runs maps slot pages to a multi-run backing region's runs, in slot
+	// order; last caches the run of the previous lookup, so sequential
+	// touches skip the search. A single-run backing (the common contiguous
+	// slot) needs no map: runs stays nil and lookups read the run itself.
 	runs   []slotRun
-	one    [1]slotRun
 	last   int
-	demand *pagetab.Table // slot page index -> demand-allocated HPA page (nil for backed slots)
-	mapped []uint64       // EPT present bit per slot page
+	demand pagetab.Table // slot page index -> demand-allocated HPA page (empty for backed slots)
+	// mapped is the EPT present bit per slot page. A slot of at most 256
+	// pages (every default-geometry slot) keeps its bits in bits.
+	mapped []uint64
+	bits   [4]uint64
 }
 
 // slotRun backs slot pages [off, end) with host pages from hpa on.
@@ -95,6 +98,11 @@ type VM struct {
 	mem   *hostmem.Allocator
 	slots []*MemSlot
 	ept   int // installed EPT translations
+
+	// first holds the first slots, one per guest region, and ptrs backs
+	// slots, so a VM and its slots are one allocation.
+	first [hostmem.GuestRegions]MemSlot
+	ptrs  [hostmem.GuestRegions]*MemSlot
 
 	// Faults counts EPT violations taken; Hits counts translations served
 	// from the EPT without a fault. §6.5's "<1% overhead" argument rests on
@@ -116,6 +124,7 @@ func (h *KVM) CreateVM() *VM {
 		kvm: h,
 		mem: h.mem,
 	}
+	vm.slots = vm.ptrs[:0]
 	h.vms[vm.PID] = vm
 	return vm
 }
@@ -128,19 +137,21 @@ func (h *KVM) DestroyVM(p *sim.Proc, vm *VM) {
 		if s.demand.Len() == 0 {
 			continue
 		}
-		pages := make([]int64, 0, s.demand.Len())
-		s.demand.Range(func(_, hpa int64) { pages = append(pages, hpa) })
-		slices.Sort(pages)
-		r := &hostmem.Region{Bytes: int64(len(pages)) * h.mem.PageSize()}
-		for _, hpa := range pages {
-			if k := len(r.Runs) - 1; k >= 0 && r.Runs[k].Start+r.Runs[k].Count == hpa {
-				r.Runs[k].Count++
+		// One run per page, sorted by page and then merged in place.
+		runs := make([]hostmem.Run, 0, s.demand.Len())
+		s.demand.Range(func(_, hpa int64) { runs = append(runs, hostmem.Run{Start: hpa, Count: 1}) })
+		slices.SortFunc(runs, func(a, b hostmem.Run) int { return cmp.Compare(a.Start, b.Start) })
+		n := 0
+		for _, r := range runs {
+			if n > 0 && runs[n-1].Start+runs[n-1].Count == r.Start {
+				runs[n-1].Count++
 			} else {
-				r.Runs = append(r.Runs, hostmem.Run{Start: hpa, Count: 1})
+				runs[n] = r
+				n++
 			}
 		}
-		h.mem.Free(p, r)
-		s.demand = nil
+		h.mem.Free(p, &hostmem.Region{Runs: runs[:n], Bytes: int64(len(runs)) * h.mem.PageSize()})
+		s.demand = pagetab.Table{}
 	}
 	delete(h.vms, vm.PID)
 }
@@ -174,22 +185,32 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 		}
 	}
 	pages := (bytes + ps - 1) / ps
-	slot := &MemSlot{Name: name, GPABase: gpaBase, Bytes: bytes, Backing: backing, mapped: make([]uint64, (pages+63)/64)}
+	var slot *MemSlot
+	if n := len(vm.slots); n < len(vm.first) {
+		slot = &vm.first[n]
+	} else {
+		slot = new(MemSlot)
+	}
+	*slot = MemSlot{Name: name, GPABase: gpaBase, Bytes: bytes, Backing: backing}
+	if words := (pages + 63) / 64; words <= int64(len(slot.bits)) {
+		slot.mapped = slot.bits[:words]
+	} else {
+		slot.mapped = make([]uint64, words)
+	}
 	if backing != nil {
 		if backing.PageCount()*ps < bytes {
 			return nil, fmt.Errorf("kvm: backing region too small for slot %q", name)
 		}
-		slot.runs = slot.one[:0]
 		if len(backing.Runs) > 1 {
 			slot.runs = make([]slotRun, 0, len(backing.Runs))
-		}
-		var off int64
-		for _, r := range backing.Runs {
-			slot.runs = append(slot.runs, slotRun{off: off, end: off + r.Count, hpa: r.Start})
-			off += r.Count
+			var off int64
+			for _, r := range backing.Runs {
+				slot.runs = append(slot.runs, slotRun{off: off, end: off + r.Count, hpa: r.Start})
+				off += r.Count
+			}
 		}
 	} else {
-		slot.demand = pagetab.New()
+		slot.demand = pagetab.Sized(pages)
 	}
 	vm.slots = append(vm.slots, slot)
 	return slot, nil
@@ -197,6 +218,9 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 
 // hpaAt returns the HPA page backing slot-relative page index idx.
 func (s *MemSlot) hpaAt(idx int64) int64 {
+	if s.runs == nil {
+		return s.Backing.Runs[0].Start + idx
+	}
 	r := &s.runs[s.last]
 	if idx < r.off || idx >= r.end {
 		s.last = sort.Search(len(s.runs), func(i int) bool { return s.runs[i].end > idx })

@@ -6,21 +6,22 @@
 // installs whole host runs at once.
 //
 // A demand slot's table is written one entry per faulted page on the
-// EPT-violation hot path; with a plain Go map the per-page rehash and
-// hashing work dominates both the CPU and allocation profile. Page numbers
-// are dense in practice (a guest touches consecutive pages), so the table
-// stores values in fixed 128-entry chunks addressed by key>>chunkBits and
-// caches the last chunk touched: a sequential fill costs one map lookup per
-// 128 pages and one array store per page, and memory stays proportional to
-// the number of distinct chunks touched even under sparse or large keys
-// (the 4K-page ablation faults 512× more pages per guest than the default
-// geometry).
+// EPT-violation hot path, so it must not hash. Page numbers are dense (a
+// slot's pages are [0, pages)), so the table stores values in fixed
+// 128-entry chunks found through a dense chunk directory indexed by
+// key>>chunkBits, as hostmem keeps its content state: a lookup is two
+// array loads and a chunk is allocated when one of its keys is first set,
+// so chunk memory stays proportional to the chunks touched (the 4K-page
+// ablation faults 512× more pages per guest than the default geometry).
+// The directory itself is allocated at the first Set, sized for the key
+// range the table was made for, and a larger key grows it: it holds one
+// pointer per 128 keys up to the largest key set. Keys must therefore be
+// dense, within the sized range or small; one large sparse key (say 1<<40)
+// would allocate a directory for every key below it.
 //
-// The zero Table is NOT ready for use; call New. A nil *Table behaves like
-// a nil map: reads miss, Set panics.
+// The zero Table is empty and ready for use. A nil *Table behaves like a
+// nil map: reads miss, Set panics.
 package pagetab
-
-import "sort"
 
 const (
 	chunkBits = 7
@@ -28,67 +29,53 @@ const (
 	chunkMask = chunkSize - 1
 )
 
-// Table maps int64 keys to non-negative int64 values (page numbers and
-// host physical addresses). Entries store value+1 internally so the zero
-// slot means "absent"; callers never see the bias, and Set panics on
-// negative values, which the bias cannot represent (-1 would collide with
-// the absent sentinel and silently corrupt the entry count).
+// Table maps non-negative int64 keys to non-negative int64 values (page
+// numbers and host physical addresses). Entries store value+1 internally so
+// the zero slot means "absent"; callers never see the bias, and Set panics
+// on negative values, which the bias cannot represent (-1 would collide
+// with the absent sentinel and silently corrupt the entry count).
 type Table struct {
-	chunks map[int64][]int64
-	n      int
-
-	// One-entry chunk cache: page-table writes are overwhelmingly
-	// sequential, so the common case skips the chunk map entirely.
-	lastKey int64
-	last    []int64
+	dir  []*chunk // dir[key>>chunkBits]; nil where no key was set
+	keys int64    // the key range [0, keys) the directory is sized for
+	n    int
 }
 
-// New returns an empty table.
-func New() *Table {
-	return &Table{chunks: make(map[int64][]int64), lastKey: -1}
-}
+type chunk [chunkSize]int64
 
-// chunkFor returns the chunk holding key, creating it when create is set.
-func (t *Table) chunkFor(key int64, create bool) []int64 {
-	ck := key >> chunkBits
-	if t.last != nil && ck == t.lastKey {
-		return t.last
-	}
-	c := t.chunks[ck]
-	if c == nil {
-		if !create {
-			return nil
-		}
-		c = make([]int64, chunkSize)
-		t.chunks[ck] = c
-	}
-	t.lastKey, t.last = ck, c
-	return c
-}
+// Sized returns an empty table for keys in [0, keys).
+func Sized(keys int64) Table { return Table{keys: keys} }
 
 // Get returns the value stored at key.
 func (t *Table) Get(key int64) (int64, bool) {
-	if t == nil {
+	if t == nil || key < 0 || key>>chunkBits >= int64(len(t.dir)) {
 		return 0, false
 	}
-	c := t.chunkFor(key, false)
-	if c == nil {
+	c := t.dir[key>>chunkBits]
+	if c == nil || c[key&chunkMask] == 0 {
 		return 0, false
 	}
-	v := c[key&chunkMask]
-	if v == 0 {
-		return 0, false
-	}
-	return v - 1, true
+	return c[key&chunkMask] - 1, true
 }
 
-// Set stores value at key, inserting or overwriting. value must be
+// Set stores value at key, inserting or overwriting. key and value must be
 // non-negative.
 func (t *Table) Set(key, value int64) {
 	if value < 0 {
 		panic("pagetab: negative value")
 	}
-	c := t.chunkFor(key, true)
+	if key < 0 {
+		panic("pagetab: negative key")
+	}
+	ck := key >> chunkBits
+	if ck >= int64(len(t.dir)) {
+		n := max(ck+1, (t.keys+chunkMask)>>chunkBits)
+		t.dir = append(t.dir, make([]*chunk, n-int64(len(t.dir)))...)
+	}
+	c := t.dir[ck]
+	if c == nil {
+		c = new(chunk)
+		t.dir[ck] = c
+	}
 	if c[key&chunkMask] == 0 {
 		t.n++
 	}
@@ -109,14 +96,11 @@ func (t *Table) Range(fn func(key, value int64)) {
 	if t == nil {
 		return
 	}
-	keys := make([]int64, 0, len(t.chunks))
-	for ck := range t.chunks {
-		keys = append(keys, ck)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, ck := range keys {
-		c := t.chunks[ck]
-		base := ck << chunkBits
+	for ck, c := range t.dir {
+		if c == nil {
+			continue
+		}
+		base := int64(ck) << chunkBits
 		for i, v := range c {
 			if v != 0 {
 				fn(base+int64(i), v-1)

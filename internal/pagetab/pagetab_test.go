@@ -9,6 +9,7 @@ package pagetab
 // corruption this differential test originally caught.
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -18,7 +19,7 @@ import (
 // chunk boundaries both get exercised.
 func drive(t *testing.T, ops []byte) {
 	t.Helper()
-	tab := New()
+	tab := new(Table)
 	ref := map[int64]int64{}
 	key := func(b byte) int64 { return int64(b)*37 - 500 } // spans negative-adjacent chunks? keys stay >= -500
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -99,7 +100,7 @@ func TestNilTableBehavesLikeNilMap(t *testing.T) {
 }
 
 func TestSequentialFillSpansChunks(t *testing.T) {
-	tab := New()
+	tab := new(Table)
 	const n = 10 * chunkSize // many chunk transitions through the cache
 	for i := int64(0); i < n; i++ {
 		tab.Set(i, i*3)
@@ -128,7 +129,7 @@ func TestNegativeValueRejected(t *testing.T) {
 	// -1 is the dangerous case: biased it equals the absent sentinel, so
 	// accepting it would store an entry that reads as missing while still
 	// counting in Len.
-	tab := New()
+	tab := new(Table)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Set(k, -1) did not panic")
@@ -143,4 +144,31 @@ func FuzzTableOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		drive(t, ops)
 	})
+}
+
+func TestSizedTableGrowsPastItsRange(t *testing.T) {
+	tab := Sized(chunkSize + 1) // a directory of two chunks
+	if _, ok := tab.Get(0); ok {
+		t.Fatal("Get on an empty sized table hit")
+	}
+	keys := []int64{5, chunkSize, 7 * chunkSize, 3}
+	for i, k := range keys {
+		tab.Set(k, int64(i))
+	}
+	if tab.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", tab.Len(), len(keys))
+	}
+	for i, k := range keys {
+		if v, ok := tab.Get(k); !ok || v != int64(i) {
+			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, i)
+		}
+	}
+	if _, ok := tab.Get(8 * chunkSize); ok {
+		t.Fatal("Get past the directory hit")
+	}
+	var got []int64
+	tab.Range(func(k, _ int64) { got = append(got, k) })
+	if fmt.Sprint(got) != fmt.Sprint([]int64{3, 5, chunkSize, 7 * chunkSize}) {
+		t.Fatalf("Range keys %v, want ascending", got)
+	}
 }

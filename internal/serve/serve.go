@@ -586,7 +586,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 		var took time.Duration
 		var err error
 		done := false
-		child := s.F.K.Go(fmt.Sprintf("ctr-%d", id), func(cp *sim.Proc) {
+		child := s.F.K.GoAtName(s.F.K.Now(), sim.DecimalName("ctr-", id), func(cp *sim.Proc) {
 			for {
 				host, sb, took, err = s.F.Dispatch(cp, id)
 				if host >= 0 || errors.Is(err, fleet.ErrAllHostsDown) {

@@ -147,7 +147,7 @@ func (k *Kernel) schedule(at Duration, p *Proc) {
 // virtual time. The returned Proc can be joined or inspected. fn runs to
 // completion unless the simulation is aborted.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, fn, false)
+	return k.spawn(Name{s: name}, fn, false)
 }
 
 // GoDaemon spawns a background thread that does not keep the simulation
@@ -155,25 +155,32 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // daemons still have pending events. Daemons are reaped when Run returns
 // (their coroutines unwind); a subsequent Run phase starts without them.
 func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, fn, true)
+	return k.spawn(Name{s: name}, fn, true)
 }
 
 // GoAt spawns a thread that begins execution at absolute virtual time at
 // (which must not be in the past). It is the primitive beneath workload
 // arrival processes.
 func (k *Kernel) GoAt(at Duration, name string, fn func(p *Proc)) *Proc {
+	return k.GoAtName(at, Name{s: name}, fn)
+}
+
+// GoAtName is GoAt with a Name, formatted the first time it is read. A
+// proc spawned per pod start takes one, so an unread name costs nothing;
+// GoAtName(k.Now(), ...) spawns it as Go would.
+func (k *Kernel) GoAtName(at Duration, name Name, fn func(p *Proc)) *Proc {
 	p := k.newProc(name, fn, false)
 	k.schedule(at, p)
 	return p
 }
 
-func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+func (k *Kernel) spawn(name Name, fn func(p *Proc), daemon bool) *Proc {
 	p := k.newProc(name, fn, daemon)
 	k.schedule(k.now, p)
 	return p
 }
 
-func (k *Kernel) newProc(name string, fn func(p *Proc), daemon bool) *Proc {
+func (k *Kernel) newProc(name Name, fn func(p *Proc), daemon bool) *Proc {
 	k.procSeq++
 	p := &Proc{
 		k:      k,
@@ -416,7 +423,7 @@ func (k *Kernel) Kill(p *Proc) {
 		return
 	}
 	if p == k.running {
-		panic("sim: Kill of the running proc " + p.name)
+		panic("sim: Kill of the running proc " + p.Name())
 	}
 	if p.co == nil {
 		p.exit()
@@ -447,7 +454,7 @@ func (k *Kernel) deadlockReport() string {
 		if p.daemon {
 			continue
 		}
-		lines = append(lines, fmt.Sprintf("%s (waiting on %s)", p.name, p.blockedOnString()))
+		lines = append(lines, fmt.Sprintf("%s (waiting on %s)", p.Name(), p.blockedOnString()))
 	}
 	sort.Strings(lines)
 	s := ""

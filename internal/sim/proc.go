@@ -10,7 +10,7 @@ type abortSentinel struct{}
 type Proc struct {
 	k         *Kernel
 	id        int
-	name      string
+	name      Name
 	daemon    bool
 	finished  bool
 	parked    bool
@@ -32,7 +32,7 @@ type Proc struct {
 }
 
 // Name returns the Proc's human-readable name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return p.name.String() }
 
 // ID returns the Proc's unique id (assigned in spawn order).
 func (p *Proc) ID() int { return p.id }
@@ -56,7 +56,7 @@ func (p *Proc) park(class WaitClass, obj string) {
 		panic(abortSentinel{})
 	}
 	if p.stepping {
-		panic("sim: a Step of " + p.name + " blocked on " + class.String())
+		panic("sim: a Step of " + p.Name() + " blocked on " + class.String())
 	}
 	p.block(class, obj)
 	if !p.co.yield(struct{}{}) || k.aborted {

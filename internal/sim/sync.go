@@ -45,7 +45,7 @@ func (m *Mutex) Lock(p *Proc) {
 		return
 	}
 	if m.owner == p {
-		panic("sim: recursive Lock of " + m.Name() + " by " + p.name)
+		panic("sim: recursive Lock of " + m.Name() + " by " + p.Name())
 	}
 	m.waiters = append(m.waiters, p)
 	m.count.add(p.k, 1)
@@ -67,7 +67,7 @@ func (m *Mutex) TryLock(p *Proc) bool {
 // Unlock releases m, handing it to the longest-waiting Proc if any.
 func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
-		panic(fmt.Sprintf("sim: Unlock of %s by non-owner %s", m.Name(), p.name))
+		panic(fmt.Sprintf("sim: Unlock of %s by non-owner %s", m.Name(), p.Name()))
 	}
 	if p.k.probing() {
 		p.k.emit(ProbeRelease, WaitMutex, m.Name(), p, nil, 0)
@@ -429,9 +429,12 @@ type Event struct {
 }
 
 // NewEvent returns an unfired event.
-func NewEvent(k *Kernel, name string) *Event {
-	e := newEvent(k)
-	e.name = name
+func NewEvent(k *Kernel, name string) *Event { return new(Event).Init(k, name) }
+
+// Init makes e, an event held by value, an unfired event on k and returns
+// it.
+func (e *Event) Init(k *Kernel, name string) *Event {
+	*e = Event{k: k, name: name}
 	return e
 }
 

@@ -453,3 +453,26 @@ func TestIndexedNameFormatsOnFirstRead(t *testing.T) {
 		t.Fatalf("name %q after %d formats, want dev-7 after 1", got, calls)
 	}
 }
+
+// TestProcNameFormatsOnFirstRead pins that a proc spawned under a Name
+// formats it only when read, and reads as the eager name would.
+func TestProcNameFormatsOnFirstRead(t *testing.T) {
+	calls := 0
+	format := func(b []byte, i int) []byte {
+		calls++
+		return appendDecimal(b, i)
+	}
+	k := NewKernel(1)
+	p := k.GoAtName(0, IndexedName("ctr-", 173, format), func(p *Proc) { p.Sleep(1) })
+	q := k.GoAtName(5, DecimalName("stop-", 42), func(*Proc) {})
+	k.Run()
+	if calls != 0 {
+		t.Fatalf("an unread proc name was formatted %d times", calls)
+	}
+	if p.Name() != "ctr-173" || p.Name() != "ctr-173" || calls != 1 {
+		t.Fatalf("name %q after %d formats, want ctr-173 after 1", p.Name(), calls)
+	}
+	if q.Name() != "stop-42" {
+		t.Fatalf("name %q, want stop-42", q.Name())
+	}
+}

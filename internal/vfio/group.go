@@ -33,14 +33,16 @@ type Group struct {
 	cont   *Container
 }
 
-// Container is one I/O address space (a /dev/vfio/vfio fd).
+// Container is one I/O address space (a /dev/vfio/vfio fd). Its DMA
+// mappings are those of its first group's device: every device in a
+// container shares one domain, and the device keeps the one table of
+// mappings.
 type Container struct {
 	ID     int
 	driver *Driver
 	groups []*Group
-	// mappings tracks container-level DMA mappings: iovaBase -> region.
-	mappings map[int64]*hostmem.Region
-	closed   bool
+	one    [1]*Group // backs groups for the usual single group
+	closed bool
 }
 
 // Group returns the device's IOMMU group (created at Register).
@@ -49,7 +51,9 @@ func (vd *Device) Group() *Group { return &vd.group }
 // OpenContainer creates a fresh container.
 func (d *Driver) OpenContainer() *Container {
 	d.nextCont++
-	return &Container{ID: d.nextCont, driver: d, mappings: make(map[int64]*hostmem.Region)}
+	c := &Container{ID: d.nextCont, driver: d}
+	c.groups = c.one[:0]
+	return c
 }
 
 // AttachGroup implements VFIO_GROUP_SET_CONTAINER: binds the group's
@@ -99,31 +103,25 @@ func (c *Container) MapDMA(p *sim.Proc, iovaBase, bytes int64, hook ZeroHook) (*
 	if len(c.groups) == 0 {
 		return nil, fmt.Errorf("vfio: container %d has no attached groups", c.ID)
 	}
-	if _, dup := c.mappings[iovaBase]; dup {
-		return nil, fmt.Errorf("vfio: container %d IOVA %#x already mapped", c.ID, iovaBase)
-	}
 	// Delegate to the first attached device's mapping path (all devices in
 	// the container share one domain).
 	vd := c.groups[0].dev
-	region, err := c.driver.MapDMA(p, vd, iovaBase, bytes, hook)
-	if err != nil {
-		return nil, err
+	if _, dup := vd.mapping(iovaBase); dup {
+		return nil, fmt.Errorf("vfio: container %d IOVA %#x already mapped", c.ID, iovaBase)
 	}
-	c.mappings[iovaBase] = region
-	return region, nil
+	return c.driver.MapDMA(p, vd, iovaBase, bytes, hook)
 }
 
 // UnmapDMA implements VFIO_IOMMU_UNMAP_DMA.
 func (c *Container) UnmapDMA(p *sim.Proc, iovaBase int64) error {
-	if _, ok := c.mappings[iovaBase]; !ok {
+	if len(c.groups) == 0 {
 		return fmt.Errorf("vfio: container %d: no mapping at %#x", c.ID, iovaBase)
 	}
 	vd := c.groups[0].dev
-	if err := c.driver.UnmapDMA(p, vd, iovaBase); err != nil {
-		return err
+	if _, ok := vd.mapping(iovaBase); !ok {
+		return fmt.Errorf("vfio: container %d: no mapping at %#x", c.ID, iovaBase)
 	}
-	delete(c.mappings, iovaBase)
-	return nil
+	return c.driver.UnmapDMA(p, vd, iovaBase)
 }
 
 // Close tears the container down: every mapping is unmapped, the domain is
@@ -137,19 +135,16 @@ func (c *Container) Close(p *sim.Proc) error {
 			return fmt.Errorf("vfio: device %s still open", g.dev.PDev.Addr)
 		}
 	}
-	for _, iova := range c.orderedMappings() {
-		if err := c.UnmapDMA(p, iova); err != nil {
-			return err
-		}
-	}
-	for _, g := range c.groups {
-		// All devices in the container share one domain; release it once.
-		if vd := g.dev; vd.domain != nil && len(vd.dmaRegions) > 0 {
-			return fmt.Errorf("vfio: %d stray mappings on %s", len(vd.dmaRegions), vd.PDev.Addr)
-		}
-	}
 	if len(c.groups) > 0 {
-		if dom := c.groups[0].dev.domain; dom != nil {
+		// Unmap in ascending IOVA order, so teardown is deterministic.
+		vd := c.groups[0].dev
+		for m := vd.mappings(); len(m) > 0; m = vd.mappings() {
+			if err := c.driver.UnmapDMA(p, vd, m[0].iova); err != nil {
+				return err
+			}
+		}
+		// All devices in the container share one domain; release it once.
+		if dom := vd.domain; dom != nil {
 			for _, g := range c.groups {
 				g.dev.domain = nil
 			}
@@ -162,19 +157,4 @@ func (c *Container) Close(p *sim.Proc) error {
 	c.groups = nil
 	c.closed = true
 	return nil
-}
-
-// orderedMappings returns mapping bases in ascending order so teardown is
-// deterministic.
-func (c *Container) orderedMappings() []int64 {
-	out := make([]int64, 0, len(c.mappings))
-	for iova := range c.mappings {
-		out = append(out, iova)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -14,8 +14,9 @@
 package vfio
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"fastiov/internal/fault"
@@ -192,11 +193,39 @@ type Device struct {
 	fd        int
 
 	domain *iommu.Domain
-	// dmaRegions tracks live DMA mappings: iovaBase -> backing region. It
-	// stays nil until the first MapDMA.
-	dmaRegions map[int64]*hostmem.Region
+	// dma is the device's DMA mapping table, nil until the first MapDMA.
+	dma *dmaTable
 	// group is the device's IOMMU group (singleton for ACS-isolated VFs).
 	group Group
+}
+
+// dmaTable holds a device's live DMA mappings in ascending IOVA order: the
+// one table of them, which the device's container reads too. It is
+// allocated at the device's first map, so an unused device costs a
+// pointer.
+type dmaTable struct {
+	maps  []dmaMapping
+	first [hostmem.GuestRegions]dmaMapping // backs maps, one per guest region
+}
+
+// dmaMapping is one live DMA mapping: the region mapped at IOVA iova.
+type dmaMapping struct {
+	iova   int64
+	region *hostmem.Region
+}
+
+// mappings returns the device's live DMA mappings in ascending IOVA order.
+func (vd *Device) mappings() []dmaMapping {
+	if vd.dma == nil {
+		return nil
+	}
+	return vd.dma.maps
+}
+
+// mapping returns the index of the mapping at iova and true, or the index
+// at which one would be inserted and false.
+func (vd *Device) mapping(iova int64) (int, bool) {
+	return slices.BinarySearchFunc(vd.mappings(), iova, func(m dmaMapping, iova int64) int { return cmp.Compare(m.iova, iova) })
 }
 
 // OpenCount returns the device's local open count.
@@ -282,13 +311,11 @@ const DevLockPrefix = "vfio-dev-"
 // newSet initializes s as devset id with its two locks.
 func (d *Driver) newSet(s *DevSet, id int) *DevSet {
 	s.ID = id
-	name := sim.IndexedName(d.setPrefix, id, appendDecimal)
+	name := sim.DecimalName(d.setPrefix, id)
 	s.global.Init(name).CountWaiters(&d.devsetWaits)
 	s.rw.Init(name).CountWaiters(&d.devsetWaits)
 	return s
 }
-
-func appendDecimal(b []byte, i int) []byte { return strconv.AppendInt(b, int64(i), 10) }
 
 // Unregister removes a device from VFIO management. It must be closed.
 func (d *Driver) Unregister(vd *Device) error {
@@ -498,14 +525,11 @@ func (d *Driver) ResetSet(p *sim.Proc, s *DevSet) error {
 // device fd, so MapDMA is legal on a registered-but-unopened device. This
 // matches the paper's Fig. 5, where 1-dma-ram precedes 4-vfio-dev.
 func (d *Driver) MapDMA(p *sim.Proc, vd *Device, iovaBase, bytes int64, hook ZeroHook) (*hostmem.Region, error) {
-	if _, dup := vd.dmaRegions[iovaBase]; dup {
+	if _, dup := vd.mapping(iovaBase); dup {
 		return nil, fmt.Errorf("vfio: IOVA %#x already mapped for %s", iovaBase, vd.PDev.Addr)
 	}
 	if vd.domain == nil {
 		vd.domain = d.mmu.CreateDomain()
-	}
-	if vd.dmaRegions == nil {
-		vd.dmaRegions = make(map[int64]*hostmem.Region)
 	}
 	region, err := d.mem.Allocate(p, bytes) // retrieve
 	if err != nil {
@@ -522,17 +546,24 @@ func (d *Driver) MapDMA(p *sim.Proc, vd *Device, iovaBase, bytes int64, hook Zer
 		d.mem.Free(p, region)
 		return nil, err
 	}
-	vd.dmaRegions[iovaBase] = region
+	if vd.dma == nil {
+		vd.dma = new(dmaTable)
+		vd.dma.maps = vd.dma.first[:0]
+	}
+	// Search again: the map slept, and the table may have changed.
+	i, _ := vd.mapping(iovaBase)
+	vd.dma.maps = slices.Insert(vd.dma.maps, i, dmaMapping{iova: iovaBase, region: region})
 	return region, nil
 }
 
 // UnmapDMA tears down a mapping, unpinning and freeing the host pages.
 func (d *Driver) UnmapDMA(p *sim.Proc, vd *Device, iovaBase int64) error {
-	region, ok := vd.dmaRegions[iovaBase]
+	i, ok := vd.mapping(iovaBase)
 	if !ok {
 		return fmt.Errorf("vfio: no mapping at IOVA %#x for %s", iovaBase, vd.PDev.Addr)
 	}
-	delete(vd.dmaRegions, iovaBase)
+	region := vd.dma.maps[i].region
+	vd.dma.maps = slices.Delete(vd.dma.maps, i, i+1)
 	vd.domain.Unmap(p, iovaBase, region.Bytes)
 	d.mem.Unpin(p, region)
 	d.mem.Free(p, region)
@@ -542,8 +573,8 @@ func (d *Driver) UnmapDMA(p *sim.Proc, vd *Device, iovaBase int64) error {
 // ReleaseDomain destroys the device's IOMMU domain after all mappings are
 // gone (container teardown).
 func (d *Driver) ReleaseDomain(vd *Device) error {
-	if len(vd.dmaRegions) > 0 {
-		return fmt.Errorf("vfio: %d live mappings on %s", len(vd.dmaRegions), vd.PDev.Addr)
+	if n := len(vd.mappings()); n > 0 {
+		return fmt.Errorf("vfio: %d live mappings on %s", n, vd.PDev.Addr)
 	}
 	if vd.domain != nil {
 		d.mmu.DestroyDomain(vd.domain)
