@@ -458,7 +458,6 @@ func WriteJourneyExports(cfg JourneyExportConfig, chrome, spanLog, alerts io.Wri
 		Rate:      cfg.Rate,
 		Seed:      cfg.Seed,
 		Journeys:  true,
-		Metrics:   cfg.AlertRules != "",
 		AlertSpec: cfg.AlertRules,
 		Audit:     true,
 	}

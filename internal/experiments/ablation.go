@@ -23,10 +23,11 @@ func (x *Exec) AblationBusScan(concurrency int, vfCounts []int) (*Report, error)
 	if len(vfCounts) == 0 {
 		vfCounts = []int{64, 128, 256}
 	}
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, vfs := range vfCounts {
-		spec := clusterSpecWithVFs(vfs)
-		specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Spec: &spec}, N: concurrency})
+		r := onHost(cluster.BaselineVanilla)
+		r.host.Spec.NumVFs = vfs
+		specs = append(specs, startup(r, concurrency))
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -61,13 +62,13 @@ func (x *Exec) AblationPageSize(concurrency int) (*Report, error) {
 		{"4K", hostmem.PageSize4K, 0, "contiguous"},
 		{"2M", hostmem.PageSize2M, 0, "contiguous"},
 	}
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, c := range cfgs {
-		spec := cluster.DefaultHostSpec()
-		spec.Memory.TotalBytes = 16 << 30
-		spec.Memory.PageSize = c.pageSize
-		spec.Memory.MaxRunPages = c.maxRun
-		specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Spec: &spec}, N: concurrency})
+		r := onHost(cluster.BaselineVanilla)
+		r.host.Spec.Memory.TotalBytes = 16 << 30
+		r.host.Spec.Memory.PageSize = c.pageSize
+		r.host.Spec.Memory.MaxRunPages = c.maxRun
+		specs = append(specs, startup(r, concurrency))
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -92,11 +93,13 @@ func (x *Exec) AblationScrubber(concurrency int) (*Report, error) {
 		concurrency = 50
 	}
 	settings := []bool{false, true} // scrubber disabled?
-	var sspecs []startupSpec
-	var cspecs []serverlessSpec
+	var sspecs []scenario[*cluster.Result]
+	var cspecs []scenario[*stats.Sample]
 	for _, off := range settings {
-		sspecs = append(sspecs, startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, DisableScrubber: off}, N: concurrency})
-		cspecs = append(cspecs, serverlessSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, DisableScrubber: off}, N: concurrency, App: serverless.Image})
+		r := onHost(cluster.BaselineFastIOV)
+		r.host.Opts.DisableScrubber = off
+		sspecs = append(sspecs, startup(r, concurrency))
+		cspecs = append(cspecs, completions(r, concurrency, serverless.Image))
 	}
 	startups, err := runAll(x, sspecs)
 	if err != nil {
@@ -130,11 +133,11 @@ func (x *Exec) AblationSlotReset(concurrency int) (*Report, error) {
 		concurrency = 100
 	}
 	settings := []bool{false, true} // slot reset?
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, slot := range settings {
-		spec := cluster.DefaultHostSpec()
-		spec.NIC.SlotReset = slot
-		specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Spec: &spec}, N: concurrency})
+		r := onHost(cluster.BaselineVanilla)
+		r.host.Spec.NIC.SlotReset = slot
+		specs = append(specs, startup(r, concurrency))
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -165,11 +168,7 @@ func (x *Exec) FutureVDPA(n int) (*Report, error) {
 		n = DefaultConcurrency
 	}
 	names := []string{cluster.BaselineVanilla, cluster.BaselineVDPA, cluster.BaselineFastIOV}
-	var specs []startupSpec
-	for _, name := range names {
-		specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: name}, N: n})
-	}
-	rs, err := runAll(x, specs)
+	rs, err := runAll(x, startups(n, names...))
 	if err != nil {
 		return nil, err
 	}
@@ -182,45 +181,10 @@ func (x *Exec) FutureVDPA(n int) (*Report, error) {
 		for k, r := range rs[i].PerSeed() {
 			perSeed[k] = 100 * stats.ReductionRatio(vanilla.PerSeed()[k].Totals.Mean(), r.Totals.Mean())
 		}
-		t.AddRow(name, meanTotal(rs[i]), meanVFRelated(rs[i]), pctString(perSeed))
+		t.AddRow(name, meanTotal(rs[i]), meanVFRelated(rs[i]), estString(perSeed, 1))
 	}
 	rep.Notes = append(rep.Notes,
 		"vDPA removes the devset-lock serialization but keeps eager DMA-mapping zeroing; FastIOV's decoupled zeroing remains necessary for the full gain")
 	seedNote(rep, x, "totals and reductions")
 	return rep, nil
-}
-
-// run is runWithSpec on the default host spec.
-func run(name string, n int, mutate func(*cluster.Options)) (*cluster.Result, error) {
-	return runWithSpec(name, n, cluster.DefaultHostSpec(), mutate)
-}
-
-// runWithSpec runs one startup scenario with a HostSpec override directly
-// (no pool, no cache), returning the raw result — retained for tests that
-// need per-stage access rather than a rendered report.
-func runWithSpec(name string, n int, spec cluster.HostSpec, mutate func(*cluster.Options)) (*cluster.Result, error) {
-	opts, err := cluster.OptionsFor(name)
-	if err != nil {
-		return nil, err
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	h, err := cluster.NewHost(spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := h.StartupExperiment(n)
-	if res.Err != nil {
-		return nil, fmt.Errorf("%s: %w", name, res.Err)
-	}
-	return res, nil
-}
-
-// clusterSpecWithVFs returns the default spec with an overridden VF count
-// (test helper shared by the ablation tests).
-func clusterSpecWithVFs(vfs int) cluster.HostSpec {
-	spec := cluster.DefaultHostSpec()
-	spec.NumVFs = vfs
-	return spec
 }

@@ -25,12 +25,11 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 		{"poisson 50/s", cluster.Arrival{Kind: cluster.ArrivalPoisson, RatePerSec: 50}},
 		{"uniform 20s", cluster.Arrival{Kind: cluster.ArrivalUniform, Window: 20 * time.Second}},
 	}
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, pat := range patterns {
-		arr := pat.arrival
-		specs = append(specs,
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n, Arrival: &arr},
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: n, Arrival: &arr})
+		van, fio := onHost(cluster.BaselineVanilla), onHost(cluster.BaselineFastIOV)
+		van.host.Opts.Arrival, fio.host.Opts.Arrival = pat.arrival, pat.arrival
+		specs = append(specs, startup(van, n), startup(fio, n))
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -45,7 +44,7 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 			perSeed[k] = 100 * stats.ReductionRatio(
 				van.PerSeed()[k].Totals.Mean(), fio.PerSeed()[k].Totals.Mean())
 		}
-		t.AddRow(pat.label, meanTotal(van), meanTotal(fio), pctString(perSeed))
+		t.AddRow(pat.label, meanTotal(van), meanTotal(fio), estString(perSeed, 1))
 	}
 	rep.Notes = append(rep.Notes,
 		"the devset queue saturates under burst and moderate Poisson load, where FastIOV's gain is largest; once arrivals spread widely the queue drains between requests and the gain shrinks")

@@ -77,7 +77,7 @@ func (x *Exec) Availability(n int) (*Report, error) {
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
-	var specs []serveSpec
+	var specs []scenario[*serve.Result]
 	for _, p := range policies {
 		for _, b := range baselines {
 			for _, c := range ladder {
@@ -85,7 +85,9 @@ func (x *Exec) Availability(n int) (*Report, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: availability plan: %w", err)
 				}
-				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: rate, env: env{Faults: pl}})
+				r := onServe(b, p, hosts, rate, "")
+				r.serve.Faults = pl
+				specs = append(specs, serving(r))
 			}
 		}
 	}
@@ -106,26 +108,20 @@ func (x *Exec) Availability(n int) (*Report, error) {
 	}
 	recs := map[key]time.Duration{}
 	goods := map[key]float64{}
-	i := 0
-	for _, p := range policies {
-		for _, b := range baselines {
-			for ci, c := range ladder {
-				m := rs[i]
-				pri := m.Primary()
-				rec := m.Metric(func(r *serve.Result) time.Duration { return r.Fleet.MaxRecovery() })
-				t.AddRow(b, p, c.MTBF, c.MTTR,
-					pri.Fleet.HostCrashes,
-					rec,
-					pri.CrashLost, pri.Rerouted, pri.CrashGiveups,
-					pri.Goodput(),
-					m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
-					m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }))
-				k := key{b, p, ci}
-				recs[k] = rec.Mean
-				goods[k] = pri.Goodput()
-				i++
-			}
-		}
+	for i, sc := range specs {
+		ci, m := i%len(ladder), rs[i]
+		pri := m.Primary()
+		rec := m.Metric(func(r *serve.Result) time.Duration { return r.Fleet.MaxRecovery() })
+		t.AddRow(sc.serve.Baseline, sc.serve.Policy, ladder[ci].MTBF, ladder[ci].MTTR,
+			pri.Fleet.HostCrashes,
+			rec,
+			pri.CrashLost, pri.Rerouted, pri.CrashGiveups,
+			pri.Goodput(),
+			m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
+			m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }))
+		k := key{sc.serve.Baseline, sc.serve.Policy, ci}
+		recs[k] = rec.Mean
+		goods[k] = pri.Goodput()
 	}
 	rep.Table = t
 

@@ -49,9 +49,11 @@ func injectedPerRun(r *cluster.Result) int {
 // the run — exactly the degraded-but-alive regime the robustness policies
 // target.
 func (x *Exec) Chaos(n int) (*Report, error) {
-	specs := make([]startupSpec, len(chaosProbs))
+	specs := make([]scenario[*cluster.Result], len(chaosProbs))
 	for i, p := range chaosProbs {
-		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, env: env{Faults: chaosPlan(p)}}, N: n}
+		r := onHost(cluster.BaselineFastIOV)
+		r.host.Opts.Faults = chaosPlan(p)
+		specs[i] = startup(r, n)
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -68,7 +70,7 @@ func (x *Exec) Chaos(n int) (*Report, error) {
 			injected = append(injected, float64(injectedPerRun(r)))
 		}
 		injMean, _, _ := stats.FloatEstimateOf(injected)
-		t.AddRow(fmt.Sprintf("%.2f", p), pctString(rates),
+		t.AddRow(fmt.Sprintf("%.2f", p), estString(rates, 1),
 			meanTotal(res), totalPercentile(res, 50), totalPercentile(res, 99),
 			fmt.Sprintf("%.1f", injMean), stageMean(res, telemetry.StageRetry))
 	}

@@ -26,9 +26,9 @@ func devsetLock(name string) bool { return strings.Contains(name, vfio.DevsetLoc
 // blocker; FastIOV's decomposed locking is shown for contrast.
 func (x *Exec) Contention(n int) (*Report, error) {
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
-	specs := make([]startupSpec, len(baselines))
-	for i, b := range baselines {
-		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: b, env: env{Observe: ObserveTrace}}, N: n}
+	specs := startups(n, baselines...)
+	for _, sc := range specs {
+		sc.host.Opts.Trace = true
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {

@@ -17,86 +17,56 @@ type dpOutcome struct {
 	Virt dataplane.Result
 }
 
-// dpSpec boots one FastIOV secure container and streams Packets packets of
-// Size bytes through both receive paths. Each (size, seed) point is an
-// independent job so the sweep parallelizes; unlike the original serial
-// loop, every point gets a fresh host, which keeps points independent of
-// sweep order.
-type dpSpec struct {
-	Packets int
-	Size    int64
-}
-
-func (dpSpec) scope() string { return "dataplane" }
-
-func (s dpSpec) params() string { return fmt.Sprintf("packets=%d size=%d", s.Packets, s.Size) }
-
-func (s dpSpec) run(_ *Exec, seed uint64) (*dpOutcome, error) {
-	opts, err := cluster.OptionsFor(cluster.BaselineFastIOV)
-	if err != nil {
-		return nil, err
-	}
-	opts.Seed = seed
-	h, err := cluster.NewHost(cluster.DefaultHostSpec(), opts)
-	if err != nil {
-		return nil, err
-	}
-	var out dpOutcome
-	var runErr error
-	h.K.Go("dataplane", func(p *sim.Proc) {
-		sb, err := h.Eng.RunPodSandbox(p, 0)
-		if err != nil {
-			runErr = err
-			return
-		}
-		sb.Guest.WaitIfaceReady(p)
-		mvm := sb.MVM
-		window := int64(16 << 20)
-		// Warm the RX window (driver zeroes its ring on allocation).
-		if err := mvm.VM.TouchRange(p, 0, window, true); err != nil {
-			runErr = err
-			return
-		}
-		pt := &dataplane.Passthrough{
-			NIC:    h.NIC,
-			Domain: mvm.VFDevice().Domain(),
-			Mem:    h.Mem,
-			VM:     mvm.VM,
-			Costs:  dataplane.DefaultCosts(),
-		}
-		out.Pass, err = pt.Stream(p, s.Packets, s.Size, 0, window)
-		if err != nil {
-			runErr = err
-			return
-		}
-		vr := &dataplane.Virtio{Mem: h.Mem, VM: mvm.VM, Costs: dataplane.DefaultCosts()}
-		out.Virt, err = vr.Stream(p, s.Packets, s.Size, 0, window)
-		if err != nil {
-			runErr = err
-			return
-		}
-	})
-	h.K.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if h.Mem.Violations != 0 {
-		return nil, fmt.Errorf("dataplane: %d violations", h.Mem.Violations)
-	}
-	return &out, nil
-}
-
-func (dpSpec) fingerprint(out *dpOutcome) []byte {
-	return fmt.Appendf(nil, "pass %+v\nvirt %+v\n", out.Pass, out.Virt)
-}
-
-// gbpsString renders per-seed throughputs as "9.87" or "9.87 ±0.12" Gbps.
-func gbpsString(perSeed []float64) string {
-	mean, half, n := stats.FloatEstimateOf(perSeed)
-	if n < 2 {
-		return fmt.Sprintf("%.2f", mean)
-	}
-	return fmt.Sprintf("%.2f ±%.2f", mean, half)
+// stream starts one container on the recipe's host and streams packets
+// packets of size bytes through both receive paths into it, then stops
+// the container.
+func stream(r recipe, packets int, size int64) scenario[*dpOutcome] {
+	return scenario[*dpOutcome]{recipe: r, work: "dataplane", args: struct {
+		Packets int
+		Size    int64
+	}{packets, size},
+		fingerprint: func(out *dpOutcome) []byte {
+			return fmt.Appendf(nil, "pass %+v\nvirt %+v\n", out.Pass, out.Virt)
+		},
+		run: func(sys system) (*dpOutcome, error) {
+			h := sys.host
+			var out dpOutcome
+			var runErr error
+			h.K.Go("dataplane", func(p *sim.Proc) {
+				sb, err := h.Eng.RunPodSandbox(p, 0)
+				if err != nil {
+					runErr = err
+					return
+				}
+				sb.Guest.WaitIfaceReady(p)
+				mvm := sb.MVM
+				window := int64(16 << 20)
+				// Warm the RX window (driver zeroes its ring on allocation).
+				if runErr = mvm.VM.TouchRange(p, 0, window, true); runErr != nil {
+					return
+				}
+				pt := &dataplane.Passthrough{
+					NIC:    h.NIC,
+					Domain: mvm.VFDevice().Domain(),
+					Mem:    h.Mem,
+					VM:     mvm.VM,
+					Costs:  dataplane.DefaultCosts(),
+				}
+				if out.Pass, runErr = pt.Stream(p, packets, size, 0, window); runErr != nil {
+					return
+				}
+				vr := &dataplane.Virtio{Mem: h.Mem, VM: mvm.VM, Costs: dataplane.DefaultCosts()}
+				if out.Virt, runErr = vr.Stream(p, packets, size, 0, window); runErr != nil {
+					return
+				}
+				runErr = h.Eng.StopPodSandbox(p, sb)
+			})
+			h.K.Run()
+			if runErr == nil && h.Mem.Violations != 0 {
+				runErr = fmt.Errorf("dataplane: %d violations", h.Mem.Violations)
+			}
+			return &out, runErr
+		}}
 }
 
 // DataPlane quantifies the premise of §1: SR-IOV passthrough's data-plane
@@ -110,9 +80,14 @@ func (x *Exec) DataPlane(packets int, sizes []int64) (*Report, error) {
 	if len(sizes) == 0 {
 		sizes = []int64{64, 1500, 9000}
 	}
-	specs := make([]dpSpec, len(sizes))
+	// One fresh FastIOV host per point keeps points independent of sweep
+	// order. The recipes are pinned: the streams measure the data path
+	// alone, so the executor's fault plan and observers do not apply.
+	specs := make([]scenario[*dpOutcome], len(sizes))
 	for i, size := range sizes {
-		specs[i] = dpSpec{Packets: packets, Size: size}
+		r := onHost(cluster.BaselineFastIOV)
+		r.pinned = true
+		specs[i] = stream(r, packets, size)
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -129,10 +104,10 @@ func (x *Exec) DataPlane(packets int, sizes []int64) (*Report, error) {
 			passGbps[j] = o.Pass.Throughput
 			virtGbps[j] = o.Virt.Throughput
 		}
-		t.AddRow("sriov-passthrough", size, gbpsString(passGbps),
+		t.AddRow("sriov-passthrough", size, estString(passGbps, 2),
 			m.Metric(func(o *dpOutcome) time.Duration { return o.Pass.LatP50 }),
 			m.Metric(func(o *dpOutcome) time.Duration { return o.Pass.LatP99 }))
-		t.AddRow("software-virtio", size, gbpsString(virtGbps),
+		t.AddRow("software-virtio", size, estString(virtGbps, 2),
 			m.Metric(func(o *dpOutcome) time.Duration { return o.Virt.LatP50 }),
 			m.Metric(func(o *dpOutcome) time.Duration { return o.Virt.LatP99 }))
 	}

@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
+	"fastiov/internal/audit"
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
 	"fastiov/internal/fleet"
 	"fastiov/internal/harness"
-	"fastiov/internal/hypervisor"
-	"fastiov/internal/serverless"
+	"fastiov/internal/serve"
 	"fastiov/internal/stats"
 	"fastiov/internal/telemetry"
 	"fastiov/internal/trace"
@@ -37,7 +36,9 @@ type Config struct {
 	Faults *fault.Plan
 	// Observe is attached to every scenario on top of the observers it
 	// forces on itself (the contention, saturation, and slowatch
-	// experiments force theirs). Observers participate in cache keys;
+	// experiments force theirs). Neither it nor Faults reaches a pinned
+	// recipe (§6.5, bg-dataplane, recovery). Observers participate in
+	// cache keys;
 	// observed runs carry the recordings on their results but render
 	// identically to unobserved runs.
 	Observe      Observe
@@ -159,9 +160,6 @@ const (
 	ObserveJourneys
 )
 
-// observeNames spells each Observe bit, in bit order, for cache keys.
-var observeNames = []string{"trace", "metrics", "journeys"}
-
 // Observers builds the observer set from one switch per observer.
 func Observers(trace, metrics, journeys bool) Observe {
 	var o Observe
@@ -173,47 +171,175 @@ func Observers(trace, metrics, journeys bool) Observe {
 	return o
 }
 
-// env is what a scenario shares with its executor: a nil Faults inherits
-// the executor-wide plan (a non-nil empty plan pins "fault-free", which
-// keys like an unfaulted scenario), and Observe lists the observers the
-// scenario forces on regardless of the executor-wide set.
-type env struct {
-	Faults  *fault.Plan
-	Observe Observe
+// recipe is what a scenario boots at every seed: exactly one of a host, a
+// fleet, or a serving window. Unless pinned, it takes the executor's
+// defaults: the executor-wide fault plan fills a nil Faults (a non-nil
+// empty plan pins "fault-free"), and the executor's observers join the
+// ones the recipe turns on itself. A pinned recipe runs exactly as
+// written.
+type recipe struct {
+	host   *cluster.Snapshot
+	fleet  *fleet.Config
+	serve  *serve.Config
+	pinned bool
+	// err fails the boot (a host recipe for an unknown baseline).
+	err error
 }
 
-// inherit applies the executor's defaults to the scenario.
-func (e *env) inherit(x *Exec) {
-	if e.Faults == nil {
-		e.Faults = x.cfg.Faults
-	}
-	e.Observe |= x.cfg.Observe
+// onHost is the recipe of a default host booted as baseline; callers edit
+// its Spec and Opts for overrides.
+func onHost(baseline string) recipe {
+	opts, err := cluster.OptionsFor(baseline)
+	return recipe{host: &cluster.Snapshot{Spec: cluster.DefaultHostSpec(), Opts: opts}, err: err}
 }
 
-// key encodes the resolved env as cache-key tokens.
-func (e env) key() string {
-	var b strings.Builder
-	if !e.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", e.Faults)
+// knobs points into a recipe's config: the whole config, and the fields
+// every kind shares (journeys is nil where the recipe records none).
+type knobs struct {
+	cfg                             any
+	seed                            *uint64
+	faults                          **fault.Plan
+	trace, metrics, journeys, audit *bool
+}
+
+// own gives r a private copy of its config and returns the copy's knobs.
+func (r *recipe) own() knobs {
+	switch {
+	case r.host != nil:
+		c := *r.host
+		r.host = &c
+		o := &c.Opts
+		return knobs{r.host, &o.Seed, &o.Faults, &o.Trace, &o.Metrics, nil, &o.Audit}
+	case r.fleet != nil:
+		c := *r.fleet
+		r.fleet = &c
+		return knobs{r.fleet, &c.Seed, &c.Faults, &c.Trace, &c.Metrics, nil, &c.Audit}
 	}
-	for i, name := range observeNames {
-		if e.Observe&(1<<i) != 0 {
-			b.WriteString(" " + name)
+	c := *r.serve
+	r.serve = &c
+	return knobs{r.serve, &c.Seed, &c.Faults, &c.Trace, &c.Metrics, &c.Journeys, &c.Audit}
+}
+
+// resolve applies the executor's defaults to r. Every run is audited:
+// after measurement the surviving sandboxes are stopped, after all
+// telemetry marks and without consuming randomness, so rendered results
+// are unchanged — but a leak anywhere in the registry fails loudly.
+func (x *Exec) resolve(r recipe) recipe {
+	k := r.own()
+	*k.audit = true
+	if r.pinned {
+		return r
+	}
+	if *k.faults == nil {
+		*k.faults = x.cfg.Faults
+	}
+	for i, on := range []*bool{k.trace, k.metrics, k.journeys} {
+		if on != nil && x.cfg.Observe&(1<<i) != 0 {
+			*on = true
 		}
 	}
-	return b.String()
+	return r
 }
 
-// scenario is one independently schedulable simulation kind. scope and
-// params form the cache key: params canonically encodes every input that
-// shapes a run, so equal keys at equal seeds are one simulation. run
-// executes the scenario at one seed, and fingerprint canonically
-// serializes its result for determinism verification.
-type scenario[T any] interface {
-	scope() string
-	params() string
-	run(x *Exec, seed uint64) (T, error)
-	fingerprint(T) []byte
+// key canonically encodes everything but the seed that shapes a run of a
+// workload with parameters args on the resolved recipe r: the whole
+// config, with the fault plan spelled by its canonical text rather than
+// its pointer. Equal keys at equal seeds are one simulation.
+func (r recipe) key(args any) string {
+	k := r.own()
+	plan := *k.faults
+	*k.faults, *k.seed = nil, 0
+	key := fmt.Sprintf("%+v %+v", args, k.cfg)
+	if !plan.Empty() {
+		key += " faults=" + plan.String()
+	}
+	return key
+}
+
+// system is what a recipe boots: exactly one of a host, a fleet, or a
+// serving window's server.
+type system struct {
+	host   *cluster.Host
+	fleet  *fleet.Fleet
+	server *serve.Server
+}
+
+// boot boots r at seed.
+func (r recipe) boot(seed uint64) (system, error) {
+	if r.err != nil {
+		return system{}, r.err
+	}
+	*r.own().seed = seed
+	switch {
+	case r.host != nil:
+		h, err := cluster.NewHost(r.host.Spec, r.host.Opts)
+		return system{host: h}, err
+	case r.fleet != nil:
+		f, err := fleet.New(*r.fleet)
+		return system{fleet: f}, err
+	}
+	s, err := serve.New(*r.serve)
+	return system{server: s}, err
+}
+
+// check holds a finished run to the standing invariants, whatever its
+// workload. Every run, rollbacks and sheds included, must return each VF,
+// page, IOMMU mapping and registration it took: a host's conservation
+// counters are diffed against its boot baseline, and a fleet's teardown
+// (which Finish audits per host and fleet-wide) must be clean. On a traced
+// host run the per-container critical paths must sum exactly to the
+// recorder's end-to-end totals (a traced fleet verifies its own in Finish).
+func (sys system) check(result any) error {
+	if h := sys.host; h != nil {
+		if rep := audit.NewReport(h.Baseline, h.AuditSnapshot()); !rep.Clean() {
+			return fmt.Errorf("dirty leak audit:\n%s", rep)
+		}
+		if h.Tracer == nil {
+			return nil
+		}
+		return trace.VerifyCriticalPaths(h.Tracer, h.Rec, trace.DefaultBinder)
+	}
+	res, _ := result.(*fleet.Result)
+	if sr, ok := result.(*serve.Result); ok {
+		res = sr.Fleet
+	}
+	for i, rep := range res.PerHost {
+		if !rep.Clean() {
+			return fmt.Errorf("host %d dirty leak audit:\n%s", i, rep)
+		}
+	}
+	if !res.Leaks.Clean() {
+		return fmt.Errorf("fleet-wide dirty leak audit:\n%s", res.Leaks)
+	}
+	return nil
+}
+
+// scenario is one independently schedulable simulation: a recipe, and a
+// workload run on what the recipe boots. work names the workload and args
+// holds its parameters (nil when it has none); with the resolved recipe
+// they form the cache key. fingerprint canonically serializes a result
+// for determinism verification.
+type scenario[T any] struct {
+	recipe
+	work        string
+	args        any
+	run         func(system) (T, error)
+	fingerprint func(T) []byte
+}
+
+// runAt boots the scenario at seed, runs its workload, and checks the
+// finished run.
+func (sc scenario[T]) runAt(seed uint64) (T, error) {
+	sys, err := sc.boot(seed)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := sc.run(sys)
+	if err == nil {
+		err = sys.check(v)
+	}
+	return v, err
 }
 
 // Multi is one scenario's outcome across the executor's seeds. Scalar
@@ -236,21 +362,19 @@ func (m *Multi[T]) Metric(f func(T) time.Duration) stats.Estimate {
 }
 
 // runAll fans the scenarios across the pool at every seed and returns one
-// Multi per scenario, in input order. Scenarios carrying an env inherit the
-// executor's defaults before they are keyed. Results are cached and shared
-// across experiments, so callers must treat them as immutable.
-func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.cfg.Seeds))
-	for _, sp := range specs {
-		if in, ok := any(&sp).(interface{ inherit(*Exec) }); ok {
-			in.inherit(x)
-		}
-		scope, params := sp.scope(), sp.params()
+// Multi per scenario, in input order. Each recipe takes the executor's
+// defaults before it is keyed. Results are cached and shared across
+// experiments, so callers must treat them as immutable.
+func runAll[T any](x *Exec, scs []scenario[T]) ([]*Multi[T], error) {
+	jobs := make([]harness.Job, 0, len(scs)*len(x.cfg.Seeds))
+	for _, sc := range scs {
+		sc.recipe = x.resolve(sc.recipe)
+		key := sc.key(sc.args)
 		for _, seed := range x.cfg.Seeds {
 			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: scope, Params: params, Seed: seed},
-				Fn:          func() (any, error) { return sp.run(x, seed) },
-				Fingerprint: func(v any) ([]byte, error) { return sp.fingerprint(v.(T)), nil },
+				Key:         harness.Key{Scope: sc.work, Params: key, Seed: seed},
+				Fn:          func() (any, error) { return sc.runAt(seed) },
+				Fingerprint: func(v any) ([]byte, error) { return sc.fingerprint(v.(T)), nil },
 			})
 		}
 	}
@@ -258,7 +382,7 @@ func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Multi[T], len(specs))
+	out := make([]*Multi[T], len(scs))
 	for i := range out {
 		m := &Multi[T]{perSeed: make([]T, len(x.cfg.Seeds))}
 		for j := range m.perSeed {
@@ -270,142 +394,40 @@ func runAll[S scenario[T], T any](x *Exec, specs []S) ([]*Multi[T], error) {
 }
 
 // ----------------------------------------------------------------------
-// Host boot inputs.
+// Startup scenarios: one host recipe starting a wave of containers.
 
-// bootSpec is everything that shapes a host boot. Scenarios agreeing on it
-// — and on the seed — boot byte-identical hosts. Its key is the prefix of
-// every single-host scenario key.
-type bootSpec struct {
-	Baseline string
-	// Layout overrides the per-container guest memory geometry.
-	Layout *hypervisor.Layout
-	// Spec overrides the whole host (VF population, memory geometry, NIC).
-	Spec *cluster.HostSpec
-	// DisableScrubber turns off fastiovd's background zeroing thread.
-	DisableScrubber bool
-	env
+// startup starts n containers on the recipe's host at once (crictl-style,
+// no application inside, §3.1). The result is sealed: samples sorted, and
+// the sandboxes dropped — the audit tore every one down, nothing reads
+// them after it, and each reaches its host's KVM, memory, VFIO and
+// fastiovd state, so a cached result holding them would keep the whole
+// host alive.
+func startup(r recipe, n int) scenario[*cluster.Result] {
+	return scenario[*cluster.Result]{recipe: r, work: "startup", args: n, fingerprint: startupFingerprint,
+		run: func(sys system) (*cluster.Result, error) {
+			res := sys.host.StartupExperiment(n)
+			if res.Err != nil {
+				return nil, res.Err
+			}
+			res.Sandboxes = nil
+			res.Totals.Sort()
+			res.VFRelated.Sort()
+			return res, nil
+		}}
 }
 
-// key canonically encodes the boot inputs.
-func (b bootSpec) key() string {
-	var s strings.Builder
-	fmt.Fprintf(&s, "b=%s", b.Baseline)
-	if b.Layout != nil {
-		fmt.Fprintf(&s, " layout=%+v", *b.Layout)
+// startups is a default-host startup of n containers for each baseline.
+func startups(n int, baselines ...string) []scenario[*cluster.Result] {
+	specs := make([]scenario[*cluster.Result], len(baselines))
+	for i, b := range baselines {
+		specs[i] = startup(onHost(b), n)
 	}
-	if b.Spec != nil {
-		fmt.Fprintf(&s, " spec=%+v", *b.Spec)
-	}
-	if b.DisableScrubber {
-		s.WriteString(" noscrub")
-	}
-	return s.String() + b.env.key()
+	return specs
 }
 
-// options resolves the host options at one seed. Every harness run is
-// audited: after measurement the surviving sandboxes are stopped and the
-// host's conservation counters diffed against the boot baseline. The
-// teardown phase runs after all telemetry marks and consumes no
-// randomness, so the rendered results are unchanged — but a leak anywhere
-// in the registry fails loudly.
-func (b bootSpec) options(seed uint64) (cluster.Options, error) {
-	opts, err := cluster.OptionsFor(b.Baseline)
-	if err != nil {
-		return opts, err
-	}
-	opts.Seed = seed
-	if b.Layout != nil {
-		opts.Layout = *b.Layout
-	}
-	if b.DisableScrubber {
-		opts.DisableScrubber = true
-	}
-	opts.Faults = b.Faults
-	opts.Trace = b.Observe&ObserveTrace != 0
-	opts.Metrics = b.Observe&ObserveMetrics != 0
-	opts.Audit = true
-	return opts, nil
-}
-
-// boot boots the scenario's host with opts, which must already be fully
-// resolved.
-func (b bootSpec) boot(opts cluster.Options) (*cluster.Host, error) {
-	spec := cluster.DefaultHostSpec()
-	if b.Spec != nil {
-		spec = *b.Spec
-	}
-	return cluster.NewHost(spec, opts)
-}
-
-// ----------------------------------------------------------------------
-// Startup scenarios: one baseline at one concurrency, optional overrides.
-
-// startupSpec identifies one independently schedulable startup run.
-type startupSpec struct {
-	bootSpec
-	N int
-	// Arrival overrides the invocation arrival process.
-	Arrival *cluster.Arrival
-}
-
-func (startupSpec) scope() string { return "startup" }
-
-func (s startupSpec) params() string {
-	p := s.key() + fmt.Sprintf(" n=%d", s.N)
-	if s.Arrival != nil {
-		p += fmt.Sprintf(" arrival=%+v", *s.Arrival)
-	}
-	return p
-}
-
-// run executes the spec at one seed on a private simulated host. The
-// returned result is sealed (samples pre-sorted).
-func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
-	opts, err := s.options(seed)
-	if err != nil {
-		return nil, err
-	}
-	if s.Arrival != nil {
-		opts.Arrival = *s.Arrival
-	}
-	h, err := s.boot(opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.measure(h)
-}
-
-// measure runs the spec's startup wave on the booted host h, audits it and
-// seals the result.
-func (s startupSpec) measure(h *cluster.Host) (*cluster.Result, error) {
-	res := h.StartupExperiment(s.N)
-	if res.Err != nil {
-		return nil, fmt.Errorf("%s: %w", s.Baseline, res.Err)
-	}
-	if !res.Leaks.Clean() {
-		// Standing invariant: every run — rollbacks included — must return
-		// each VF, page, IOMMU mapping, and registration it took.
-		return nil, fmt.Errorf("%s: dirty leak audit:\n%s", s.Baseline, res.Leaks)
-	}
-	if res.Trace != nil {
-		// Standing invariant on every traced run: per-container critical
-		// paths must sum exactly to the recorder's end-to-end totals.
-		if err := trace.VerifyCriticalPaths(res.Trace, res.Recorder, trace.DefaultBinder); err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Baseline, err)
-		}
-	}
-	// The audit tore every sandbox down, and nothing reads them after it.
-	// Each one reaches its host's KVM, memory, VFIO and fastiovd state, so
-	// a cached result holding them would keep the whole host alive.
-	res.Sandboxes = nil
-	res.Totals.Sort()
-	res.VFRelated.Sort()
-	return res, nil
-}
-
-// fingerprint canonically serializes a startup run: every per-container
-// total plus the full telemetry record.
-func (startupSpec) fingerprint(res *cluster.Result) []byte {
+// startupFingerprint canonically serializes a startup run: every
+// per-container total plus the full telemetry record.
+func startupFingerprint(res *cluster.Result) []byte {
 	var b []byte
 	for _, d := range res.Totals.Values() {
 		b = fmt.Appendf(b, "total %d\n", d)
@@ -470,52 +492,3 @@ func stageMean(m *Multi[*cluster.Result], st telemetry.Stage) stats.Estimate {
 		return 0
 	})
 }
-
-// ----------------------------------------------------------------------
-// Serverless scenarios: a baseline running one SeBS app to completion.
-
-// serverlessSpec identifies one schedulable serverless completion run.
-type serverlessSpec struct {
-	bootSpec
-	N   int
-	App serverless.App
-}
-
-func (serverlessSpec) scope() string { return "serverless" }
-
-func (s serverlessSpec) params() string {
-	return s.key() + fmt.Sprintf(" n=%d app=%s", s.N, s.App.Name)
-}
-
-func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
-	opts, err := s.options(seed)
-	if err != nil {
-		return nil, err
-	}
-	h, err := s.boot(opts)
-	if err != nil {
-		return nil, err
-	}
-	sample, err := serverlessCompletions(h, opts, s.N, s.App)
-	if err != nil {
-		return nil, err
-	}
-	if h.Tracer != nil {
-		if err := trace.VerifyCriticalPaths(h.Tracer, h.Rec, trace.DefaultBinder); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", s.Baseline, s.App.Name, err)
-		}
-	}
-	sample.Sort()
-	return sample, nil
-}
-
-func (serverlessSpec) fingerprint(sample *stats.Sample) []byte {
-	var b []byte
-	for _, d := range sample.Values() {
-		b = fmt.Appendf(b, "%d\n", d)
-	}
-	return b
-}
-
-// meanCompletion is the cross-seed estimate of mean completion time.
-func meanCompletion(m *Multi[*stats.Sample]) stats.Estimate { return m.Metric((*stats.Sample).Mean) }

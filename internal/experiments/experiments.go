@@ -22,6 +22,7 @@ import (
 	"fastiov/internal/cluster"
 	"fastiov/internal/cri"
 	"fastiov/internal/hypervisor"
+	"fastiov/internal/serverless"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
 	"fastiov/internal/telemetry"
@@ -95,13 +96,14 @@ func pairedMetric(lo, hi *Multi[*cluster.Result], f func(*cluster.Result) time.D
 	return stats.EstimateOf(vals)
 }
 
-// pctString renders a per-seed percentage series as "12.3" or "12.3 ±0.4".
-func pctString(perSeed []float64) string {
+// estString renders a per-seed series with prec decimals as "12.3", or as
+// "12.3 ±0.4" (mean ±95% CI) over several seeds.
+func estString(perSeed []float64, prec int) string {
 	mean, half, n := stats.FloatEstimateOf(perSeed)
 	if n < 2 {
-		return fmt.Sprintf("%.1f", mean)
+		return fmt.Sprintf("%.*f", prec, mean)
 	}
-	return fmt.Sprintf("%.1f ±%.1f", mean, half)
+	return fmt.Sprintf("%.*f ±%.*f", prec, mean, prec, half)
 }
 
 // seedNote appends a rendering-provenance note when sweeping several seeds.
@@ -119,11 +121,9 @@ func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 150, 200}
 	}
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, c := range concurrencies {
-		specs = append(specs,
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineNoNet}, N: c},
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: c})
+		specs = append(specs, startups(c, cluster.BaselineNoNet, cluster.BaselineVanilla)...)
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -149,7 +149,7 @@ func (x *Exec) Fig1(concurrencies []int) (*Report, error) {
 // Fig5 reproduces Figure 5: the per-container timeline breakdown of a
 // 200-container vanilla startup, rendered as an ASCII Gantt chart.
 func (x *Exec) Fig5(n int) (*Report, error) {
-	rs, err := runAll(x, []startupSpec{{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n}})
+	rs, err := runAll(x, startups(n, cluster.BaselineVanilla))
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (x *Exec) Fig5(n int) (*Report, error) {
 // Table1 reproduces Table 1: per-stage proportions of the average and the
 // 99th-percentile startup time under vanilla SR-IOV.
 func (x *Exec) Table1(n int) (*Report, error) {
-	rs, err := runAll(x, []startupSpec{{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: n}})
+	rs, err := runAll(x, startups(n, cluster.BaselineVanilla))
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (x *Exec) Table1(n int) (*Report, error) {
 		vfShares = append(vfShares, vfAvg)
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"VF-related steps account for %s%% of average startup; paper: 70.1%%", pctString(vfShares)))
+		"VF-related steps account for %s%% of average startup; paper: 70.1%%", estString(vfShares, 1)))
 	seedNote(rep, x, "breakdown table")
 	return rep, nil
 }
@@ -195,11 +195,7 @@ func (x *Exec) Table1(n int) (*Report, error) {
 // c=200, split into VF-related and other time.
 func (x *Exec) Fig11(n int) (*Report, error) {
 	names := cluster.Baselines()
-	specs := make([]startupSpec, len(names))
-	for i, name := range names {
-		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: name}, N: n}
-	}
-	rs, err := runAll(x, specs)
+	rs, err := runAll(x, startups(n, names...))
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +233,7 @@ func (x *Exec) Fig11(n int) (*Report, error) {
 // FastIOV, Pre100, and Vanilla.
 func (x *Exec) Fig12(n int) (*Report, error) {
 	names := []string{cluster.BaselineNoNet, cluster.BaselineFastIOV, cluster.BaselinePre100, cluster.BaselineVanilla}
-	specs := make([]startupSpec, len(names))
-	for i, name := range names {
-		specs[i] = startupSpec{bootSpec: bootSpec{Baseline: name}, N: n}
-	}
-	rs, err := runAll(x, specs)
+	rs, err := runAll(x, startups(n, names...))
 	if err != nil {
 		return nil, err
 	}
@@ -273,38 +265,91 @@ func (x *Exec) Fig12(n int) (*Report, error) {
 	return rep, nil
 }
 
+// point is one setting of the paper's vanilla-vs-FastIOV grid: n concurrent
+// containers with per-container guest geometry layout, each running app
+// on the serverless grids.
+type point struct {
+	n      int
+	layout hypervisor.Layout
+	app    serverless.App
+}
+
+// atConcurrencies is the grid over concurrency at the default geometry.
+func atConcurrencies(cs []int) []point {
+	points := make([]point, len(cs))
+	for i, c := range cs {
+		points[i] = point{n: c, layout: hypervisor.DefaultLayout()}
+	}
+	return points
+}
+
+// atMemories is the grid over guest RAM size at concurrency n.
+func atMemories(rams []int64, n int) []point {
+	points := make([]point, len(rams))
+	for i, ram := range rams {
+		points[i] = point{n: n, layout: hypervisor.DefaultLayout()}
+		points[i].layout.RAMBytes = ram
+	}
+	return points
+}
+
+// fullyLoaded is the grid over concurrency on a fully loaded server: 80%
+// of host memory divided evenly among the containers, rounded down to
+// 512 MB units (the Fig. 13c / Fig. 16i-l geometry).
+func fullyLoaded(cs []int) []point {
+	points := atConcurrencies(cs)
+	unit := int64(512 << 20)
+	for i := range points {
+		l := &points[i].layout
+		perCtr := cluster.DefaultHostSpec().Memory.TotalBytes * 8 / 10 / int64(points[i].n)
+		l.RAMBytes = max((perCtr-l.ImageBytes-l.FirmwareBytes)/unit*unit, unit)
+	}
+	return points
+}
+
+// pairs runs w on a default host booted as vanilla and as FastIOV at every
+// point and returns each point's (vanilla, FastIOV) results.
+func pairs[T any](x *Exec, points []point, w func(recipe, point) scenario[T]) ([][2]*Multi[T], error) {
+	var specs []scenario[T]
+	for _, c := range points {
+		for _, b := range []string{cluster.BaselineVanilla, cluster.BaselineFastIOV} {
+			r := onHost(b)
+			r.host.Opts.Layout = c.layout
+			specs = append(specs, w(r, c))
+		}
+	}
+	rs, err := runAll(x, specs)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([][2]*Multi[T], len(points))
+	for i := range ps {
+		ps[i] = [2]*Multi[T]{rs[2*i], rs[2*i+1]}
+	}
+	return ps, nil
+}
+
+func startupAt(r recipe, c point) scenario[*cluster.Result] { return startup(r, c.n) }
+
 // Fig13a reproduces Figure 13a: vanilla vs FastIOV startup distribution as
 // concurrency grows, 512 MB per container.
 func (x *Exec) Fig13a(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
 	}
-	var specs []startupSpec
-	for _, c := range concurrencies {
-		specs = append(specs,
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla}, N: c},
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: c})
-	}
-	rs, err := runAll(x, specs)
+	ps, err := pairs(x, atConcurrencies(concurrencies), startupAt)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("concurrency", "vanilla avg", "vanilla p99", "fastiov avg", "fastiov p99", "reduction %")
 	rep := &Report{ID: "fig13a", Title: "Impact of concurrency (512 MB per container)", Table: t}
 	for i, c := range concurrencies {
-		van, fio := rs[2*i], rs[2*i+1]
+		van, fio := ps[i][0], ps[i][1]
 		t.AddRow(c, meanTotal(van), totalPercentile(van, 99), meanTotal(fio), totalPercentile(fio, 99),
 			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
 	}
 	rep.Notes = append(rep.Notes, "paper: reductions range 46.7%-65.6%, growing with concurrency")
 	return rep, nil
-}
-
-// layoutWithRAM scales the default layout to the given guest RAM size.
-func layoutWithRAM(ram int64) hypervisor.Layout {
-	l := hypervisor.DefaultLayout()
-	l.RAMBytes = ram
-	return l
 }
 
 // Fig13b reproduces Figure 13b: vanilla vs FastIOV as per-container memory
@@ -316,51 +361,24 @@ func (x *Exec) Fig13b(memories []int64, concurrency int) (*Report, error) {
 	if concurrency <= 0 {
 		concurrency = 50
 	}
-	var specs []startupSpec
-	for _, ram := range memories {
-		l := layoutWithRAM(ram)
-		specs = append(specs,
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &l}, N: concurrency},
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &l}, N: concurrency})
-	}
-	rs, err := runAll(x, specs)
+	ps, err := pairs(x, atMemories(memories, concurrency), startupAt)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("memory/ctr", "vanilla avg", "fastiov avg", "reduction %")
 	rep := &Report{ID: "fig13b", Title: fmt.Sprintf("Impact of memory allocation (concurrency=%d)", concurrency), Table: t}
-	var first, last [2]time.Duration
 	for i, ram := range memories {
-		van, fio := rs[2*i], rs[2*i+1]
+		van, fio := ps[i][0], ps[i][1]
 		t.AddRow(fmt.Sprintf("%dMB", ram>>20), meanTotal(van), meanTotal(fio),
 			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
-		if i == 0 {
-			first = [2]time.Duration{meanTotal(van).Mean, meanTotal(fio).Mean}
-		}
-		if i == len(memories)-1 {
-			last = [2]time.Duration{meanTotal(van).Mean, meanTotal(fio).Mean}
-		}
 	}
+	first, last := ps[0], ps[len(ps)-1]
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"512MB->%dMB growth: vanilla +%.1f%%, fastiov +%.1f%% (paper: +60.5%% vs +21.5%%)",
 		memories[len(memories)-1]>>20,
-		100*stats.OverheadRatio(first[0], last[0]),
-		100*stats.OverheadRatio(first[1], last[1])))
+		100*stats.OverheadRatio(meanTotal(first[0]).Mean, meanTotal(last[0]).Mean),
+		100*stats.OverheadRatio(meanTotal(first[1]).Mean, meanTotal(last[1]).Mean)))
 	return rep, nil
-}
-
-// fullyLoadedLayout divides 80% of host memory evenly among c containers,
-// rounded down to 512 MB units (the Fig. 13c / Fig. 16i-l geometry).
-func fullyLoadedLayout(spec cluster.HostSpec, c int) hypervisor.Layout {
-	perCtr := spec.Memory.TotalBytes * 8 / 10 / int64(c)
-	l := hypervisor.DefaultLayout()
-	unit := int64(512 << 20)
-	ram := (perCtr - l.ImageBytes - l.FirmwareBytes) / unit * unit
-	if ram < unit {
-		ram = unit
-	}
-	l.RAMBytes = ram
-	return l
 }
 
 // Fig13c reproduces Figure 13c: the fully-loaded server — host memory is
@@ -369,24 +387,16 @@ func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
 	}
-	spec := cluster.DefaultHostSpec()
-	var specs []startupSpec
-	layouts := make([]hypervisor.Layout, len(concurrencies))
-	for i, c := range concurrencies {
-		layouts[i] = fullyLoadedLayout(spec, c)
-		specs = append(specs,
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineVanilla, Layout: &layouts[i]}, N: c},
-			startupSpec{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV, Layout: &layouts[i]}, N: c})
-	}
-	rs, err := runAll(x, specs)
+	points := fullyLoaded(concurrencies)
+	ps, err := pairs(x, points, startupAt)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("concurrency", "memory/ctr", "vanilla avg", "fastiov avg", "reduction %")
 	rep := &Report{ID: "fig13c", Title: "Fully loaded server (resources evenly divided)", Table: t}
-	for i, c := range concurrencies {
-		van, fio := rs[2*i], rs[2*i+1]
-		t.AddRow(c, fmt.Sprintf("%dMB", layouts[i].RAMBytes>>20), meanTotal(van), meanTotal(fio),
+	for i, c := range points {
+		van, fio := ps[i][0], ps[i][1]
+		t.AddRow(c.n, ramLabel(c), meanTotal(van), meanTotal(fio),
 			100*stats.ReductionRatio(meanTotal(van).Mean, meanTotal(fio).Mean))
 	}
 	rep.Notes = append(rep.Notes, "paper: reduction grows from 65.7% at c=200 to 79.5% at c=10")
@@ -396,10 +406,7 @@ func (x *Exec) Fig13c(concurrencies []int) (*Report, error) {
 // Fig14 reproduces Figure 14: FastIOV vs the IPvtap software CNI, with the
 // software CNI's bottleneck stages broken out.
 func (x *Exec) Fig14(n int) (*Report, error) {
-	rs, err := runAll(x, []startupSpec{
-		{bootSpec: bootSpec{Baseline: cluster.BaselineIPvtap}, N: n},
-		{bootSpec: bootSpec{Baseline: cluster.BaselineFastIOV}, N: n},
-	})
+	rs, err := runAll(x, startups(n, cluster.BaselineIPvtap, cluster.BaselineFastIOV))
 	if err != nil {
 		return nil, err
 	}
@@ -423,72 +430,64 @@ type memPerfOutcome struct {
 	Elapsed time.Duration
 }
 
-// memPerfSpec boots the named baseline, starts one container, and runs the
-// in-guest memory workload.
-type memPerfSpec struct {
-	Baseline string
-}
-
-func (memPerfSpec) scope() string { return "memperf" }
-
-func (s memPerfSpec) params() string { return "b=" + s.Baseline }
-
-func (s memPerfSpec) run(_ *Exec, seed uint64) (*memPerfOutcome, error) {
-	opts, err := cluster.OptionsFor(s.Baseline)
-	if err != nil {
-		return nil, err
-	}
-	opts.Seed = seed
-	h, err := cluster.NewHost(cluster.DefaultHostSpec(), opts)
-	if err != nil {
-		return nil, err
-	}
-	out := &memPerfOutcome{}
-	var runErr error
-	h.K.Go("bench", func(p *sim.Proc) {
-		var sb *cri.Sandbox
-		sb, runErr = h.Eng.RunPodSandbox(p, 0)
-		if runErr != nil {
-			return
-		}
-		vm := sb.MVM.VM
-		start := p.Now()
-		// memcpy pass over a 256 MB working set, then 9 re-passes that
-		// hit the EPT. Each pass touches every page (reads+writes).
-		ws := int64(256 << 20)
-		for pass := 0; pass < 10; pass++ {
-			if terr := vm.TouchRange(p, 0, ws, pass%2 == 1); terr != nil {
-				runErr = terr
-				return
-			}
-		}
-		out.Elapsed = p.Now() - start
-		out.Faults = vm.Faults
-	})
-	h.K.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return out, nil
-}
-
-func (memPerfSpec) fingerprint(o *memPerfOutcome) []byte {
-	return fmt.Appendf(nil, "faults=%d elapsed=%d", o.Faults, o.Elapsed)
+// memLoop starts one container on the recipe's host, runs the in-guest
+// memory workload, then stops the container.
+func memLoop(r recipe) scenario[*memPerfOutcome] {
+	return scenario[*memPerfOutcome]{recipe: r, work: "memperf",
+		fingerprint: func(o *memPerfOutcome) []byte {
+			return fmt.Appendf(nil, "faults=%d elapsed=%d", o.Faults, o.Elapsed)
+		},
+		run: func(sys system) (*memPerfOutcome, error) {
+			h := sys.host
+			out := &memPerfOutcome{}
+			var runErr error
+			h.K.Go("bench", func(p *sim.Proc) {
+				var sb *cri.Sandbox
+				sb, runErr = h.Eng.RunPodSandbox(p, 0)
+				if runErr != nil {
+					return
+				}
+				vm := sb.MVM.VM
+				start := p.Now()
+				// memcpy pass over a 256 MB working set, then 9 re-passes
+				// that hit the EPT. Each pass touches every page
+				// (reads+writes).
+				ws := int64(256 << 20)
+				for pass := 0; pass < 10; pass++ {
+					if runErr = vm.TouchRange(p, 0, ws, pass%2 == 1); runErr != nil {
+						return
+					}
+				}
+				out.Elapsed = p.Now() - start
+				out.Faults = vm.Faults
+				runErr = h.Eng.StopPodSandbox(p, sb)
+			})
+			h.K.Run()
+			return out, runErr
+		}}
 }
 
 // MemPerf reproduces §6.5: the impact of FastIOV's EPT-fault interception
 // on in-guest memory performance, tinymembench-style.
 func (x *Exec) MemPerf() (*Report, error) {
-	specs := []memPerfSpec{{cluster.BaselineVanilla}, {cluster.BaselineFastIOV}}
+	// The recipes are pinned: the loop measures the memory path alone, so
+	// the executor's fault plan and observers do not apply.
+	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
+	specs := make([]scenario[*memPerfOutcome], len(baselines))
+	for i, b := range baselines {
+		r := onHost(b)
+		r.pinned = true
+		specs[i] = memLoop(r)
+	}
 	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := func(o *memPerfOutcome) time.Duration { return o.Elapsed }
 	t := stats.NewTable("config", "EPT faults", "10-pass time", "per-pass")
-	for i, sp := range specs {
+	for i, b := range baselines {
 		perPass := rs[i].Metric(func(o *memPerfOutcome) time.Duration { return o.Elapsed / 10 })
-		t.AddRow(sp.Baseline, rs[i].Primary().Faults, rs[i].Metric(elapsed), perPass)
+		t.AddRow(b, rs[i].Primary().Faults, rs[i].Metric(elapsed), perPass)
 	}
 	rep := &Report{ID: "sec6.5", Title: "Impact on memory access performance (tinymembench-style)", Table: t}
 	van, fio := rs[0].Metric(elapsed), rs[1].Metric(elapsed)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fastiov/internal/cluster"
 	"fastiov/internal/serverless"
 )
 
@@ -14,6 +15,17 @@ const testN = 50
 
 // defaultExec is the executor most tests run on: serial, single seed.
 func defaultExec() *Exec { return NewExec(Config{Workers: 1}) }
+
+// runOne runs one scenario on x, through the path every experiment takes,
+// and returns its first seed's result.
+func runOne[T any](t *testing.T, x *Exec, sc scenario[T]) T {
+	t.Helper()
+	rs, err := runAll(x, []scenario[T]{sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0].Primary()
+}
 
 func TestFig1ShapeHolds(t *testing.T) {
 	rep, err := defaultExec().Fig1([]int{10, 50})
@@ -183,11 +195,9 @@ func TestFig15ReductionShrinksWithExecTime(t *testing.T) {
 }
 
 func TestServerlessTaskRunsAllApps(t *testing.T) {
+	x := defaultExec()
 	for _, app := range serverless.Apps() {
-		s, err := runServerless("fastiov", 5, app, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
-		}
+		s := runOne(t, x, completions(onHost(cluster.BaselineFastIOV), 5, app))
 		if s.N() != 5 {
 			t.Errorf("%s: %d completions", app.Name, s.N())
 		}
@@ -198,14 +208,9 @@ func TestServerlessTaskRunsAllApps(t *testing.T) {
 }
 
 func TestServerlessFastIOVBeatsVanilla(t *testing.T) {
-	van, err := runServerless("vanilla", 20, serverless.Image, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fio, err := runServerless("fastiov", 20, serverless.Image, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := defaultExec()
+	van := runOne(t, x, completions(onHost(cluster.BaselineVanilla), 20, serverless.Image))
+	fio := runOne(t, x, completions(onHost(cluster.BaselineFastIOV), 20, serverless.Image))
 	if fio.Mean() >= van.Mean() {
 		t.Errorf("fastiov completion (%v) should beat vanilla (%v)", fio.Mean(), van.Mean())
 	}

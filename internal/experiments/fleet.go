@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fastiov/internal/cluster"
@@ -17,68 +19,25 @@ const (
 	DefaultFleetPerHost = 20
 )
 
-// ----------------------------------------------------------------------
-// Fleet scenarios: one baseline × policy at one fleet size, through the
-// harness so seeds fan out, results cache, and -verify-determinism
-// double-runs every placement decision.
-
-// fleetSpec identifies one independently schedulable fleet run.
-type fleetSpec struct {
-	Baseline string
-	Policy   string
-	Hosts    int
-	PerHost  int
-	env
+// onFleet is the recipe of a heterogeneous fleet of hosts booted as
+// baseline, placing perHost starts per host under policy.
+func onFleet(baseline, policy string, hosts, perHost int) recipe {
+	return recipe{fleet: &fleet.Config{
+		Baseline:  baseline,
+		Policy:    policy,
+		HostSpecs: fleet.HeterogeneousSpecs(hosts),
+		Requests:  hosts * perHost,
+	}}
 }
 
-func (fleetSpec) scope() string { return "fleet" }
-
-func (s fleetSpec) params() string {
-	return fmt.Sprintf("b=%s policy=%s hosts=%d c=%d", s.Baseline, s.Policy, s.Hosts, s.PerHost) + s.env.key()
-}
-
-// run executes the spec at one seed: a heterogeneous fleet sharing one
-// kernel, audited per host and fleet-wide.
-func (s fleetSpec) run(_ *Exec, seed uint64) (*fleet.Result, error) {
-	res, err := fleet.Run(fleet.Config{
-		Baseline:  s.Baseline,
-		Policy:    s.Policy,
-		HostSpecs: fleet.HeterogeneousSpecs(s.Hosts),
-		Requests:  s.Hosts * s.PerHost,
-		Seed:      seed,
-		Faults:    s.Faults,
-		Trace:     s.Observe&ObserveTrace != 0,
-		Metrics:   s.Observe&ObserveMetrics != 0,
-		// Standing invariant, as for single-host harness runs: audit every
-		// fleet and fail loudly on any leak, per host or fleet-wide.
-		Audit: true,
-	})
-	if err == nil {
-		err = auditFleet(res)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", s.Baseline, s.Policy, err)
-	}
-	return res, nil
-}
-
-// fingerprint canonically serializes a fleet run: placements, queue peaks,
-// busy integrals, every per-start total, audit outcome, and the observers'
-// digests when attached.
-func (fleetSpec) fingerprint(res *fleet.Result) []byte { return res.Fingerprint() }
-
-// auditFleet reports the first dirty leak audit of a fleet run, per host
-// and then fleet-wide.
-func auditFleet(res *fleet.Result) error {
-	for i, rep := range res.PerHost {
-		if !rep.Clean() {
-			return fmt.Errorf("host %d dirty leak audit:\n%s", i, rep)
-		}
-	}
-	if !res.Leaks.Clean() {
-		return fmt.Errorf("fleet-wide dirty leak audit:\n%s", res.Leaks)
-	}
-	return nil
+// fleetRun places the recipe's starts across its fleet, sharing one
+// kernel, and tears every survivor down.
+func fleetRun(r recipe) scenario[*fleet.Result] {
+	return scenario[*fleet.Result]{recipe: r, work: "fleet", fingerprint: (*fleet.Result).Fingerprint,
+		run: func(sys system) (*fleet.Result, error) {
+			res := sys.fleet.Run()
+			return res, res.Err
+		}}
 }
 
 // Fleet sweeps placement policy × baseline across a heterogeneous fleet
@@ -114,10 +73,10 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 	// ladder (quarter, half) and a light-load point (half per-host
 	// concurrency) for the extreme policies — the blind one and the
 	// signal-driven one.
-	var specs []fleetSpec
+	var specs []scenario[*fleet.Result]
 	for _, p := range policies {
 		for _, b := range baselines {
-			specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: perHost})
+			specs = append(specs, fleetRun(onFleet(b, p, hosts, perHost)))
 		}
 	}
 	ladder := []string{fleet.PolicyRandom, fleet.PolicyVFAware}
@@ -130,14 +89,14 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 		}
 		for _, p := range ladder {
 			for _, b := range baselines {
-				specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: h, PerHost: perHost})
+				specs = append(specs, fleetRun(onFleet(b, p, h, perHost)))
 			}
 		}
 	}
 	if half := perHost / 2; half >= 1 && half != perHost {
 		for _, p := range ladder {
 			for _, b := range baselines {
-				specs = append(specs, fleetSpec{Baseline: b, Policy: p, Hosts: hosts, PerHost: half})
+				specs = append(specs, fleetRun(onFleet(b, p, hosts, half)))
 			}
 		}
 	}
@@ -153,15 +112,18 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 	// p99 by (baseline, policy) at full scale, for the notes.
 	p99 := map[string]map[string]time.Duration{}
 	qpeak := map[string]map[string]int{}
-	for i, sp := range specs {
+	for i, sc := range specs {
+		sp := sc.fleet
+		spHosts := len(sp.HostSpecs)
+		spPerHost := sp.Requests / spHosts
 		m := rs[i]
 		pri := m.Primary()
-		t.AddRow(sp.Baseline, sp.Policy, sp.Hosts, sp.PerHost,
+		t.AddRow(sp.Baseline, sp.Policy, spHosts, spPerHost,
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.P50() }),
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.P99() }),
 			m.Metric(func(fr *fleet.Result) time.Duration { return fr.Totals.Max() }),
 			pri.MaxQueuePeak(), pri.PlacementSpread(), pri.Rejected)
-		if sp.Hosts == hosts && sp.PerHost == perHost {
+		if spHosts == hosts && spPerHost == perHost {
 			if p99[sp.Baseline] == nil {
 				p99[sp.Baseline] = map[string]time.Duration{}
 				qpeak[sp.Baseline] = map[string]int{}
@@ -189,43 +151,21 @@ func (x *Exec) Fleet(n int) (*Report, error) {
 		}
 	}
 	if len(fast) == len(fleet.Policies()) && len(van) == len(fleet.Policies()) {
-		// Compare across the load-spreading policies; rr deliberately
-		// bin-packs onto one host at a time and is the collapse
-		// illustration, not a placement candidate.
-		spreading := func(m map[string]time.Duration) map[string]time.Duration {
-			out := map[string]time.Duration{}
-			for p, v := range m {
-				if p != fleet.PolicyRoundRobin {
-					out[p] = v
-				}
-			}
-			return out
-		}
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"fastiov makes policy choice nearly irrelevant: p99 spread across the spreading policies %v vs vanilla's %v; even deliberate bin-packing (rr) costs fastiov %v where vanilla collapses to %v",
-			p99Spread(spreading(fast)).Round(time.Millisecond), p99Spread(spreading(van)).Round(time.Millisecond),
+			p99Spread(fast).Round(time.Millisecond), p99Spread(van).Round(time.Millisecond),
 			fast[fleet.PolicyRoundRobin].Round(time.Millisecond), van[fleet.PolicyRoundRobin].Round(time.Millisecond)))
 	}
 	seedNote(rep, x, "fleet table")
 	return rep, nil
 }
 
-// p99Spread is max minus min across a policy→p99 map.
+// p99Spread is max minus min across a policy→p99 map's load-spreading
+// policies; rr deliberately bin-packs onto one host at a time and is the
+// collapse illustration, not a placement candidate.
 func p99Spread(m map[string]time.Duration) time.Duration {
-	var lo, hi time.Duration
-	first := true
-	for _, v := range m {
-		if first {
-			lo, hi = v, v
-			first = false
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
+	m = maps.Clone(m)
+	delete(m, fleet.PolicyRoundRobin)
+	p99s := slices.Collect(maps.Values(m))
+	return slices.Max(p99s) - slices.Min(p99s)
 }

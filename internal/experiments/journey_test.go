@@ -23,7 +23,7 @@ const journeyTransparencyN = 8
 // registryTraffic is the full registry's cache traffic on two workers
 // and seeds {1,2} at journeyTransparencyN, journeys on or off: the CLI's
 // "-experiment all -n 8 -workers 2 -seeds 2" summary line.
-var registryTraffic = CacheStats{Runs: 374, Hits: 54}
+var registryTraffic = CacheStats{Runs: 348, Hits: 80}
 
 func runRegistryReports(t *testing.T, journeys bool) map[string]string {
 	t.Helper()

@@ -9,54 +9,23 @@ import (
 	"fastiov/internal/stats"
 )
 
-// recoverySpec identifies one schedulable churn-under-crashes run: Waves
-// waves of N concurrent starts with every survivor torn down between
-// waves, under a crash- and fault-heavy plan, audited against the host's
-// boot baseline after the final wave.
-type recoverySpec struct {
-	Baseline string
-	N        int
-	Waves    int
-	Faults   *fault.Plan
+// churn runs waves waves of n concurrent starts on the recipe's host,
+// tearing every survivor down between waves.
+func churn(r recipe, waves, n int) scenario[*cluster.ChurnResult] {
+	return scenario[*cluster.ChurnResult]{recipe: r, work: "recovery", args: struct{ Waves, N int }{waves, n},
+		fingerprint: churnFingerprint,
+		run: func(sys system) (*cluster.ChurnResult, error) {
+			res := sys.host.ChurnExperiment(waves, n)
+			if res.Err != nil {
+				return nil, res.Err
+			}
+			res.Reclaim.Sort()
+			return res, nil
+		}}
 }
 
-func (recoverySpec) scope() string { return "recovery" }
-
-func (s recoverySpec) params() string {
-	p := fmt.Sprintf("b=%s n=%d waves=%d", s.Baseline, s.N, s.Waves)
-	if !s.Faults.Empty() {
-		p += " faults=" + s.Faults.String()
-	}
-	return p
-}
-
-// run executes the spec at one seed. A genuine error or a dirty leak audit
-// fails the run: leak-free recycling is the experiment's contract, not a
-// statistic.
-func (s recoverySpec) run(_ *Exec, seed uint64) (*cluster.ChurnResult, error) {
-	opts, err := cluster.OptionsFor(s.Baseline)
-	if err != nil {
-		return nil, err
-	}
-	opts.Seed = seed
-	opts.Faults = s.Faults
-	h, err := cluster.NewHost(cluster.DefaultHostSpec(), opts)
-	if err != nil {
-		return nil, err
-	}
-	res := h.ChurnExperiment(s.Waves, s.N)
-	if res.Err != nil {
-		return nil, fmt.Errorf("%s: %w", s.Baseline, res.Err)
-	}
-	if !res.Leaks.Clean() {
-		return nil, fmt.Errorf("%s: dirty leak audit after churn:\n%s", s.Baseline, res.Leaks)
-	}
-	res.Reclaim.Sort()
-	return res, nil
-}
-
-// fingerprint canonically serializes a churn run.
-func (recoverySpec) fingerprint(res *cluster.ChurnResult) []byte {
+// churnFingerprint canonically serializes a churn run.
+func churnFingerprint(res *cluster.ChurnResult) []byte {
 	var b []byte
 	b = fmt.Appendf(b, "started %d failed %d rollbacks %d leaks %d\n",
 		res.Started, res.Failed, res.Rollbacks, res.Leaks.Count())
@@ -94,29 +63,22 @@ const recoveryWaves = 3
 // identically zero: a dirty audit fails the experiment rather than rendering
 // a number.
 func (x *Exec) Recovery(n int) (*Report, error) {
-	type row struct {
-		label string
-		spec  recoverySpec
+	// Each recipe is pinned to its own plan: the executor's fault plan and
+	// observers do not apply.
+	var labels []string
+	var specs []scenario[*cluster.ChurnResult]
+	add := func(label, baseline string, pl *fault.Plan) {
+		r := onHost(baseline)
+		r.host.Opts.Faults = pl
+		r.pinned = true
+		labels, specs = append(labels, label), append(specs, churn(r, recoveryWaves, n))
 	}
-	mk := func(baseline string, pl *fault.Plan) recoverySpec {
-		return recoverySpec{Baseline: baseline, N: n, Waves: recoveryWaves, Faults: pl}
-	}
-	rows := []row{{"fault-free", mk(cluster.BaselineFastIOV, fault.NewPlan())}}
+	add("fault-free", cluster.BaselineFastIOV, fault.NewPlan())
 	for _, st := range fault.CrashStages() {
-		rows = append(rows, row{
-			string(fault.CrashSite(st)),
-			mk(cluster.BaselineFastIOV, recoveryPlan([]fault.CrashStage{st}, 0.15, 0.05)),
-		})
+		add(string(fault.CrashSite(st)), cluster.BaselineFastIOV, recoveryPlan([]fault.CrashStage{st}, 0.15, 0.05))
 	}
-	rows = append(rows,
-		row{"crash@all", mk(cluster.BaselineFastIOV, recoveryPlan(fault.CrashStages(), 0.05, 0.10))},
-		row{"rebind+crash@all", mk(cluster.BaselineRebind, recoveryPlan(fault.CrashStages(), 0.05, 0.10))},
-	)
-
-	specs := make([]recoverySpec, len(rows))
-	for i, r := range rows {
-		specs[i] = r.spec
-	}
+	add("crash@all", cluster.BaselineFastIOV, recoveryPlan(fault.CrashStages(), 0.05, 0.10))
+	add("rebind+crash@all", cluster.BaselineRebind, recoveryPlan(fault.CrashStages(), 0.05, 0.10))
 	rs, err := runAll(x, specs)
 	if err != nil {
 		return nil, err
@@ -125,7 +87,7 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 	t := stats.NewTable("plan", "success %", "reclaim p50", "reclaim p99", "rollback mean", "rollbacks/run", "leaks")
 	rep := &Report{ID: "recovery", Title: fmt.Sprintf(
 		"Recovery: churn under crash injection (%d waves x %d containers)", recoveryWaves, n)}
-	for i, r := range rows {
+	for i, label := range labels {
 		perSeed := rs[i].PerSeed()
 		rates := make([]float64, 0, len(perSeed))
 		rollbacks := make([]float64, 0, len(perSeed))
@@ -136,7 +98,7 @@ func (x *Exec) Recovery(n int) (*Report, error) {
 			leaks += cr.Leaks.Count()
 		}
 		rbMean, _, _ := stats.FloatEstimateOf(rollbacks)
-		t.AddRow(r.label, pctString(rates),
+		t.AddRow(label, estString(rates, 1),
 			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(50) }),
 			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration { return cr.Reclaim.Percentile(99) }),
 			rs[i].Metric(func(cr *cluster.ChurnResult) time.Duration {

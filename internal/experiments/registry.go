@@ -110,18 +110,10 @@ func Registry() []Entry {
 		{"saturation", "Host saturation time series: devset queue and membw", func(x *Exec, n int) (*Report, error) {
 			return x.Saturation(pick(n, DefaultConcurrency))
 		}},
-		{"fleet", "Fleet placement: policy × baseline on a shared kernel", func(x *Exec, n int) (*Report, error) {
-			return x.Fleet(n)
-		}},
-		{"serving", "Admission-controlled serving under sustained overload", func(x *Exec, n int) (*Report, error) {
-			return x.Serving(n)
-		}},
-		{"availability", "Fleet availability under host crash/recovery", func(x *Exec, n int) (*Report, error) {
-			return x.Availability(n)
-		}},
-		{"slowatch", "SLO watch: alert detection latency per incident", func(x *Exec, n int) (*Report, error) {
-			return x.Slowatch(n)
-		}},
+		{"fleet", "Fleet placement: policy × baseline on a shared kernel", (*Exec).Fleet},
+		{"serving", "Admission-controlled serving under sustained overload", (*Exec).Serving},
+		{"availability", "Fleet availability under host crash/recovery", (*Exec).Availability},
+		{"slowatch", "SLO watch: alert detection latency per incident", (*Exec).Slowatch},
 	}
 }
 

@@ -37,11 +37,12 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	}
 	concs := saturationSweep(n)
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
-	var specs []startupSpec
+	var specs []scenario[*cluster.Result]
 	for _, c := range concs {
-		for _, b := range baselines {
-			specs = append(specs, startupSpec{bootSpec: bootSpec{Baseline: b, env: env{Observe: ObserveMetrics}}, N: c})
-		}
+		specs = append(specs, startups(c, baselines...)...)
+	}
+	for _, sc := range specs {
+		sc.host.Opts.Metrics = true
 	}
 	rs, err := runAll(x, specs)
 	if err != nil {
@@ -53,20 +54,16 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	// peaks[baseline] collects the exact devset queue peak at each swept
 	// concurrency, for the growth note.
 	peaks := map[string][]int{}
-	idx := 0
-	for _, c := range concs {
-		for _, b := range baselines {
-			reg := rs[idx].Primary().Metrics
-			idx++
-			q := reg.Summary(cluster.MetricDevsetQueueDepth)
-			u := reg.Summary(cluster.MetricMembwUtil)
-			peak := int(reg.Final(cluster.MetricDevsetQueuePeak))
-			peaks[b] = append(peaks[b], peak)
-			t.AddRow(b, c, peak, q.Mean, u.Max, u.Mean,
-				membwBusy(reg),
-				reg.Final(cluster.MetricZeroedBytes)/float64(1<<30),
-				reg.Samples())
-		}
+	for i, sc := range specs {
+		b, reg := sc.host.Opts.Name, rs[i].Primary().Metrics
+		q := reg.Summary(cluster.MetricDevsetQueueDepth)
+		u := reg.Summary(cluster.MetricMembwUtil)
+		peak := int(reg.Final(cluster.MetricDevsetQueuePeak))
+		peaks[b] = append(peaks[b], peak)
+		t.AddRow(b, concs[i/len(baselines)], peak, q.Mean, u.Max, u.Mean,
+			membwBusy(reg),
+			reg.Final(cluster.MetricZeroedBytes)/float64(1<<30),
+			reg.Samples())
 	}
 	rep.Table = t
 

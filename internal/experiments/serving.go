@@ -40,83 +40,26 @@ func CheckServeLoad(tenants string, rate float64) error {
 	return nil
 }
 
-// ----------------------------------------------------------------------
-// Serving scenarios: one admission policy × baseline at one offered rate,
-// through the harness so seeds fan out, results cache, and
-// -verify-determinism double-runs every admission decision.
-
-// serveSpec identifies one independently schedulable serving run.
-type serveSpec struct {
-	Baseline string
-	Policy   string
-	Hosts    int
-	Rate     float64
-	// Workload is the canonical tenant spec ("" = serve default).
-	Workload string
-	// Alerts is an optional alert-rule spec evaluated by the simulated-time
-	// engine during the run (requires metrics); "" runs no engine.
-	Alerts string
-	env
+// onServe is the recipe of a serving window over a fleet of hosts booted
+// as baseline, admitting the tenant spec workload ("" = serve default)
+// rescaled to rate under policy.
+func onServe(baseline, policy string, hosts int, rate float64, workload string) recipe {
+	return recipe{serve: &serve.Config{Baseline: baseline, Policy: policy, Hosts: hosts, Rate: rate, Workload: workload}}
 }
 
-// inherit applies the executor's defaults. Alert engines read the metrics
-// registry, so a spec that carries rules always carries metrics too.
-func (s *serveSpec) inherit(x *Exec) {
-	s.env.inherit(x)
-	if s.Alerts != "" {
-		s.Observe |= ObserveMetrics
-	}
+// serving runs the recipe's serving window. Requests must be conserved at
+// drain, however much the policy shed.
+func serving(r recipe) scenario[*serve.Result] {
+	return scenario[*serve.Result]{recipe: r, work: "serve", fingerprint: (*serve.Result).Fingerprint,
+		run: func(sys system) (*serve.Result, error) {
+			res := sys.server.Run()
+			if res.Err == nil && res.Arrived != res.Admitted+res.Shed() {
+				return nil, fmt.Errorf("conservation broken: arrived %d != admitted %d + shed %d",
+					res.Arrived, res.Admitted, res.Shed())
+			}
+			return res, res.Err
+		}}
 }
-
-func (serveSpec) scope() string { return "serve" }
-
-func (s serveSpec) params() string {
-	p := fmt.Sprintf("b=%s policy=%s hosts=%d rate=%g", s.Baseline, s.Policy, s.Hosts, s.Rate)
-	if s.Workload != "" {
-		p += " w=" + s.Workload
-	}
-	if s.Alerts != "" {
-		p += " alerts=" + s.Alerts
-	}
-	return p + s.env.key()
-}
-
-// run executes the spec at one seed: a full serving window over an audited
-// fleet, failing loudly on any leak — shed requests included.
-func (s serveSpec) run(_ *Exec, seed uint64) (*serve.Result, error) {
-	res, err := serve.Run(serve.Config{
-		Baseline:  s.Baseline,
-		Policy:    s.Policy,
-		Hosts:     s.Hosts,
-		Workload:  s.Workload,
-		Rate:      s.Rate,
-		Seed:      seed,
-		Faults:    s.Faults,
-		Trace:     s.Observe&ObserveTrace != 0,
-		Metrics:   s.Observe&ObserveMetrics != 0,
-		Journeys:  s.Observe&ObserveJourneys != 0,
-		AlertSpec: s.Alerts,
-		Audit:     true,
-	})
-	// Standing invariant: request conservation at drain and clean leak
-	// audits, per host and fleet-wide, however much the policy shed.
-	if err == nil && res.Arrived != res.Admitted+res.Shed() {
-		err = fmt.Errorf("conservation broken: arrived %d != admitted %d + shed %d",
-			res.Arrived, res.Admitted, res.Shed())
-	}
-	if err == nil {
-		err = auditFleet(res.Fleet)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s rate=%g: %w", s.Baseline, s.Policy, s.Rate, err)
-	}
-	return res, nil
-}
-
-// fingerprint canonically serializes a serving run: the admission
-// accounting, per-tenant tallies, every sojourn, and the fleet fingerprint
-// beneath (placements, audits, observer digests).
-func (serveSpec) fingerprint(res *serve.Result) []byte { return res.Fingerprint() }
 
 // serveSweep resolves the fleet size and admission-policy sweep shared by
 // the serving, availability, and slowatch experiments, rejecting an unknown
@@ -170,11 +113,11 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
-	var specs []serveSpec
+	var specs []scenario[*serve.Result]
 	for _, p := range policies {
 		for _, b := range baselines {
 			for _, r := range rates {
-				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: r, Workload: workload})
+				specs = append(specs, serving(onServe(b, p, hosts, r, workload)))
 			}
 		}
 	}
@@ -189,10 +132,8 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	flashStart := len(specs)
 	if workload == "" {
 		for _, p := range flashPolicies {
-			specs = append(specs, serveSpec{
-				Baseline: cluster.BaselineVanilla, Policy: p, Hosts: hosts, Rate: flashAt,
-				Workload: serve.DefaultWorkloadSpec + servingFlashSpec,
-			})
+			specs = append(specs, serving(onServe(cluster.BaselineVanilla, p, hosts, flashAt,
+				serve.DefaultWorkloadSpec+servingFlashSpec)))
 		}
 	}
 
@@ -213,7 +154,8 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	p99s := map[key]time.Duration{}
 	sheds := map[key]float64{}
 	goods := map[key]float64{}
-	for i, sp := range specs {
+	for i, sc := range specs {
+		sp := sc.serve
 		m := rs[i]
 		pri := m.Primary()
 		rateLabel := fmt.Sprintf("%g", sp.Rate)

@@ -102,28 +102,23 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
-	var specs []serveSpec
+	var specs []scenario[*serve.Result]
 	for _, sc := range scenarios {
+		// A scenario without a plan pins the fault-free one, so an
+		// executor-wide -faults override cannot blur its single incident.
+		plan := fault.NewPlan()
+		if sc.Faults != "" {
+			if plan, err = fault.ParsePlan(sc.Faults); err != nil {
+				return nil, fmt.Errorf("experiments: slowatch plan: %w", err)
+			}
+		}
 		for _, p := range policies {
 			for _, b := range baselines {
-				sp := serveSpec{
-					Baseline: b, Policy: p, Hosts: hosts, Rate: rate,
-					Workload: sc.Workload,
-					Alerts:   DefaultSlowatchRules,
-					env:      env{Observe: ObserveMetrics | ObserveJourneys},
-				}
-				if sc.Faults != "" {
-					pl, err := fault.ParsePlan(sc.Faults)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: slowatch plan: %w", err)
-					}
-					sp.Faults = pl
-				} else {
-					// Pin the fault-free plan so an executor-wide -faults
-					// override cannot blur the scenario's single incident.
-					sp.Faults = &fault.Plan{}
-				}
-				specs = append(specs, sp)
+				r := onServe(b, p, hosts, rate, sc.Workload)
+				r.serve.AlertSpec = DefaultSlowatchRules
+				r.serve.Journeys = true
+				r.serve.Faults = plan
+				specs = append(specs, serving(r))
 			}
 		}
 	}

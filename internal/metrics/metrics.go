@@ -79,8 +79,8 @@ type instrument struct {
 	labels []Label
 	kind   Kind
 
-	// fn reads the live value (gauges and counters). Histograms read their
-	// cumulative observation count instead.
+	// fn reads the live value (gauges and counters) until Seal drops it.
+	// Histograms read their cumulative observation count instead.
 	fn   func() float64
 	hist *Histogram
 
@@ -111,10 +111,14 @@ func instrumentID(name string, labels []Label) string {
 	return b.String()
 }
 
-// value reads the instrument's current value.
+// value reads the instrument's current value; a sealed gauge or counter
+// reads its final value.
 func (in *instrument) value() float64 {
-	if in.kind == KindHistogram {
+	switch {
+	case in.kind == KindHistogram:
 		return float64(in.hist.total)
+	case in.fn == nil:
+		return in.final
 	}
 	return in.fn()
 }
@@ -309,7 +313,9 @@ func (r *Registry) sample(at sim.Duration) {
 // Seal freezes the registry at the end of the measured phase: every
 // instrument's final value is snapshotted and all further samples are
 // ignored. The registry reads as sealed at end while the finals are taken,
-// so an instrument over a time integral can extend it to End.
+// so an instrument over a time integral can extend it to End. The read
+// functions are dropped once their finals are taken: they close over the
+// instrumented substrate, which a sealed registry must not keep reachable.
 // Idempotent — only the first call takes effect.
 func (r *Registry) Seal(end sim.Duration) {
 	if r.sealed {
@@ -319,6 +325,7 @@ func (r *Registry) Seal(end sim.Duration) {
 	r.sealed = true
 	for _, in := range r.insts {
 		in.final = in.value()
+		in.fn = nil
 	}
 }
 

@@ -133,8 +133,8 @@ type Config struct {
 	// an untraced one.
 	Journeys bool
 	// AlertSpec is a journey.ParseRules rule set evaluated by a
-	// simulated-time daemon against the run's metrics registry (requires
-	// Metrics). Empty disables alerting.
+	// simulated-time daemon against the run's metrics registry (it turns
+	// Metrics on). Empty disables alerting.
 	AlertSpec string
 }
 
@@ -148,6 +148,10 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
+	}
+	if c.AlertSpec != "" {
+		// The alert engine reads the sampled registry.
+		c.Metrics = true
 	}
 	return c
 }
@@ -272,9 +276,6 @@ func New(cfg Config) (*Server, error) {
 		s.jctr = make(map[int]*jreq)
 	}
 	if cfg.AlertSpec != "" {
-		if !cfg.Metrics {
-			return nil, fmt.Errorf("serve: alert rules require Metrics (the engine reads the sampled registry)")
-		}
 		s.alertRules, err = journey.ParseRules(cfg.AlertSpec)
 		if err != nil {
 			return nil, err
