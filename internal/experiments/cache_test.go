@@ -53,6 +53,21 @@ func TestStartupResultDoesNotPinHost(t *testing.T) {
 	}
 }
 
+// TestFleetKeyIsBounded pins that a fleet scenario's cache key does not
+// grow with its host list: a 100-host fleet keys in under 256 bytes, and
+// the key still names the fleet for error messages.
+func TestFleetKeyIsBounded(t *testing.T) {
+	key := keyOf(NewExec(Config{}), fleetRun(onFleet(cluster.BaselineVanilla, "vf-aware", 100, 20)))
+	if len(key) >= 256 {
+		t.Errorf("100-host fleet key is %d bytes: %s", len(key), key)
+	}
+	for _, want := range []string{"fleet ", "baseline=vanilla", "policy=vf-aware", "hosts=100", "sha256="} {
+		if !strings.Contains(key, want) {
+			t.Errorf("key %q does not name %q", key, want)
+		}
+	}
+}
+
 // keyOf is the cache key runAll gives sc on x.
 func keyOf[T any](x *Exec, sc scenario[T]) string {
 	return sc.work + " " + x.resolve(sc.recipe).key(sc.args)

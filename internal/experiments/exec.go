@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -242,18 +243,32 @@ func (x *Exec) resolve(r recipe) recipe {
 }
 
 // key canonically encodes everything but the seed that shapes a run of a
-// workload with parameters args on the resolved recipe r: the whole
-// config, with the fault plan spelled by its canonical text rather than
-// its pointer. Equal keys at equal seeds are one simulation.
+// workload with parameters args on the resolved recipe r: the SHA-256 of
+// the whole config, with the fault plan spelled by its canonical text
+// rather than its pointer, after a short readable label for error
+// messages. Equal keys at equal seeds are one simulation. Hashing keeps a
+// fleet's key short: its config lists every host's spec.
 func (r recipe) key(args any) string {
 	k := r.own()
 	plan := *k.faults
 	*k.faults, *k.seed = nil, 0
-	key := fmt.Sprintf("%+v %+v", args, k.cfg)
+	text := fmt.Sprintf("%+v %+v", args, k.cfg)
 	if !plan.Empty() {
-		key += " faults=" + plan.String()
+		text += " faults=" + plan.String()
 	}
-	return key
+	return fmt.Sprintf("%s sha256=%x", r.label(args), sha256.Sum256([]byte(text)))
+}
+
+// label names a scenario for people: its workload arguments, baseline,
+// admission or placement policy, and host count.
+func (r recipe) label(args any) string {
+	switch {
+	case r.host != nil:
+		return fmt.Sprintf("args=%v baseline=%s hosts=1", args, r.host.Opts.Name)
+	case r.fleet != nil:
+		return fmt.Sprintf("args=%v baseline=%s policy=%s hosts=%d", args, r.fleet.Baseline, r.fleet.Policy, len(r.fleet.HostSpecs))
+	}
+	return fmt.Sprintf("args=%v baseline=%s policy=%s hosts=%d", args, r.serve.Baseline, r.serve.Policy, r.serve.Hosts)
 }
 
 // system is what a recipe boots: exactly one of a host, a fleet, or a

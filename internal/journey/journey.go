@@ -21,7 +21,6 @@
 package journey
 
 import (
-	"fmt"
 	"io"
 
 	"fastiov/internal/telemetry"
@@ -40,32 +39,25 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // owns pid 1).
 const ChromePID = 2
 
-// ChromeEvents renders the recorded spans as Chrome trace events: process
-// and per-request thread metadata first, then one complete ("X") event per
-// span in canonical (trace, start, id) order, attributes as event args.
-func (r *Recorder) ChromeEvents() []trace.ChromeEvent {
-	events := []trace.ChromeEvent{{
-		Name: "process_name", Ph: "M", PID: ChromePID, TID: 0,
-		Args: map[string]string{"name": "request journeys"},
-	}}
+// WriteChrome writes the journey track group as Chrome trace-event JSON,
+// loadable in Perfetto (ui.perfetto.dev) on its own or alongside a kernel
+// trace export: process and per-request thread metadata first, then one
+// complete ("X") event per span in canonical (trace, start, id) order,
+// attributes as event args.
+func (r *Recorder) WriteChrome(w io.Writer) error {
+	c := trace.NewChromeWriter(w)
+	c.ProcessName(ChromePID, "request journeys")
 	order := r.CanonicalOrder()
 	lastTrace := -1
 	for _, i := range order {
 		if tr := int(r.Span(i).Trace); tr != lastTrace {
-			events = append(events, trace.ChromeEvent{
-				Name: "thread_name", Ph: "M", PID: ChromePID, TID: tr,
-				Args: map[string]string{"name": fmt.Sprintf("req-%d", tr)},
-			})
+			c.NumberedThreadName(ChromePID, tr, "req-")
 			lastTrace = tr
 		}
 	}
-	return trace.SpanEvents(events, &r.Recorder, order, "journey", ChromePID,
-		func(sp telemetry.Span) (int, bool) { return int(sp.Trace), true })
-}
-
-// WriteChrome writes the journey track group as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) on its own or alongside a kernel
-// trace export.
-func (r *Recorder) WriteChrome(w io.Writer) error {
-	return trace.WriteChromeEvents(w, r.ChromeEvents())
+	for _, i := range order {
+		sp := r.Span(i)
+		c.Span(sp, "journey", ChromePID, int(sp.Trace))
+	}
+	return c.Close()
 }

@@ -2,6 +2,8 @@ package journey
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -146,29 +148,83 @@ func TestChromeEvents(t *testing.T) {
 	r := NewRecorder()
 	root := r.Begin(3, -1, "request", ms(1))
 	r.End(root, ms(9), telemetry.A("outcome", "completed"))
-	evs := r.ChromeEvents()
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			TS   float64           `json:"ts"`
+			Dur  float64           `json:"dur"`
+			PID  int               `json:"pid"`
+			TID  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("chrome export is not valid JSON: %v\n%s", err, buf.Bytes())
+	}
 	// One process_name metadata, one thread_name per trace, one X per span.
 	var meta, x int
-	for _, ev := range evs {
+	for _, ev := range file.TraceEvents {
 		switch ev.Ph {
 		case "M":
 			meta++
+			if ev.Name == "process_name" && ev.Args["name"] != "request journeys" {
+				t.Errorf("process name %q", ev.Args["name"])
+			}
+			if ev.Name == "thread_name" && (ev.TID != 3 || ev.Args["name"] != "req-3") {
+				t.Errorf("thread tid=%d name %q, want 3 req-3", ev.TID, ev.Args["name"])
+			}
 		case "X":
 			x++
 			if ev.PID != ChromePID || ev.TID != 3 {
 				t.Errorf("span event on pid=%d tid=%d, want pid=%d tid=3", ev.PID, ev.TID, ChromePID)
+			}
+			if ev.TS != 1000 || ev.Dur != 8000 || ev.Args["outcome"] != "completed" {
+				t.Errorf("span event ts=%g dur=%g args=%v", ev.TS, ev.Dur, ev.Args)
 			}
 		}
 	}
 	if meta != 2 || x != 1 {
 		t.Fatalf("meta=%d x=%d, want 2/1", meta, x)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// TestExportAllocsIndependentOfSpans pins that both journey exports stream
+// through a bounded buffer with no per-span allocation: exporting 10k
+// spans allocates no more than exporting 1k.
+func TestExportAllocsIndependentOfSpans(t *testing.T) {
+	allocs := func(spans int) float64 {
+		r := NewRecorder()
+		for tr := range spans / 4 {
+			at := ms(tr)
+			root := r.Begin(tr, -1, "request", at, telemetry.A("tenant", "api"))
+			r.Event(tr, root, "admit", at, telemetry.A("verdict", "admitted"), telemetry.Int("queue", tr%5))
+			pod := r.Begin(tr, root, "pod", at, telemetry.Int("host", tr%4), telemetry.A("verdict", "placed"))
+			r.End(pod, at+ms(3), telemetry.Dur("sojourn", time.Duration(tr)*time.Microsecond))
+			r.Event(tr, root, "teardown <&>", at+ms(4))
+			r.End(root, at+ms(5), telemetry.A("outcome", "completed"))
+		}
+		if r.Len() != spans {
+			t.Fatalf("recorded %d spans, want %d", r.Len(), spans)
+		}
+		// Twenty runs average a stray runtime allocation (a GC cycle's)
+		// away; one allocation per span would add thousands.
+		return testing.AllocsPerRun(20, func() {
+			if err := r.WriteChrome(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.WriteLog(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	s := buf.String()
-	if !strings.Contains(s, `"traceEvents"`) || !strings.Contains(s, "request journeys") {
-		t.Fatalf("chrome export missing structure:\n%s", s)
+	small, large := allocs(1000), allocs(10000)
+	if large > small {
+		t.Errorf("exports allocate %v times for 1k spans but %v for 10k", small, large)
 	}
+	t.Logf("allocs per export pair: %v at 1k spans, %v at 10k", small, large)
 }

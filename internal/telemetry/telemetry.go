@@ -13,9 +13,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,15 +268,15 @@ func (r *Recorder) CanonicalOrder() []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		x, y := r.at(idx[a]), r.at(idx[b])
-		if x.Trace != y.Trace {
-			return x.Trace < y.Trace
+	slices.SortFunc(idx, func(a, b int) int {
+		x, y := r.at(a), r.at(b)
+		if c := cmp.Compare(x.Trace, y.Trace); c != 0 {
+			return c
 		}
-		if x.Start != y.Start {
-			return x.Start < y.Start
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	return idx
 }
@@ -282,41 +284,110 @@ func (r *Recorder) CanonicalOrder() []int {
 // AppendCanonical appends the canonical JSONL span log: one JSON object
 // per span, sorted by (trace, start, id), with attributes in recording
 // order. The encoding is hand-rendered so the bytes are stable regardless
-// of encoder version, and it is a pure function of the recorder's
-// contents, so two runs of the same seeded simulation produce identical
-// bytes — the property the determinism verification checks.
+// of encoder version (integers as strconv.AppendInt, strings as
+// strconv.AppendQuote: the bytes fmt's %d and %q give), and it is a pure
+// function of the recorder's contents, so two runs of the same seeded
+// simulation produce identical bytes — the property the determinism
+// verification checks.
 func (r *Recorder) AppendCanonical(b []byte) []byte {
 	for _, i := range r.CanonicalOrder() {
-		sp := r.at(i)
-		b = fmt.Appendf(b, `{"trace":%d,"span":%d,"parent":%d,"name":%q,"start":%d,"end":%d`,
-			sp.Trace, i, sp.Parent, sp.Name, int64(sp.Start), int64(sp.End))
-		if len(sp.Attrs) > 0 {
-			b = append(b, `,"attrs":{`...)
-			for j, a := range sp.Attrs {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = fmt.Appendf(b, "%q:%q", a.Key, a.Val)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, '}', '\n')
+		b = r.appendSpan(b, i)
 	}
 	return b
 }
 
-// WriteLog writes the canonical JSONL span log.
+// appendSpan appends span i's line of the canonical log.
+func (r *Recorder) appendSpan(b []byte, i int) []byte {
+	sp := r.at(i)
+	b = append(b, `{"trace":`...)
+	b = strconv.AppendInt(b, int64(sp.Trace), 10)
+	b = append(b, `,"span":`...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, `,"parent":`...)
+	b = strconv.AppendInt(b, int64(sp.Parent), 10)
+	b = append(b, `,"name":`...)
+	b = strconv.AppendQuote(b, sp.Name)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, int64(sp.Start), 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, int64(sp.End), 10)
+	if len(sp.Attrs) > 0 {
+		b = append(b, `,"attrs":{`...)
+		for j, a := range sp.Attrs {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendQuote(b, a.Key)
+			b = append(b, ':')
+			b = strconv.AppendQuote(b, a.Val)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}', '\n')
+}
+
+// WriteLog writes the canonical JSONL span log, streamed through one
+// bounded export buffer.
 func (r *Recorder) WriteLog(w io.Writer) error {
-	_, err := w.Write(r.AppendCanonical(nil))
-	return err
+	s := NewStream(w)
+	for _, i := range r.CanonicalOrder() {
+		s.B = r.appendSpan(s.B, i)
+		s.Record()
+	}
+	return s.Close()
 }
 
 // Fingerprint returns an FNV-1a hash over the canonical JSONL encoding,
-// suitable for folding into the determinism check.
+// suitable for folding into the determinism check. The log is hashed a
+// buffer at a time, never built whole.
 func (r *Recorder) Fingerprint() uint64 {
 	h := fnv.New64a()
-	h.Write(r.AppendCanonical(nil))
+	_ = r.WriteLog(h) // a hash.Hash write never fails
 	return h.Sum64()
+}
+
+// exportBuf is the size of the bounded buffer an export streams through:
+// the span log here and the Chrome trace-event writer of package trace.
+// An export's memory therefore stays flat however many spans it writes.
+const exportBuf = 64 << 10
+
+// exportSlack is the headroom left for the record after a flush check; a
+// longer record grows the buffer instead.
+const exportSlack = 4 << 10
+
+// Stream is a bounded export buffer over a writer. An exporter appends
+// one whole record to B and then calls Record, which flushes B once it
+// is nearly full; Close flushes the rest. The first write error stops
+// the stream and is what Close returns.
+type Stream struct {
+	B   []byte
+	w   io.Writer
+	err error
+}
+
+// NewStream returns an empty stream over w.
+func NewStream(w io.Writer) Stream {
+	return Stream{B: make([]byte, 0, exportBuf), w: w}
+}
+
+// Record ends a record, flushing the buffer when it is nearly full.
+func (s *Stream) Record() {
+	if len(s.B) >= exportBuf-exportSlack {
+		s.flush()
+	}
+}
+
+func (s *Stream) flush() {
+	if s.err == nil && len(s.B) > 0 {
+		_, s.err = s.w.Write(s.B)
+	}
+	s.B = s.B[:0]
+}
+
+// Close flushes what is buffered and returns the first write error.
+func (s *Stream) Close() error {
+	s.flush()
+	return s.err
 }
 
 // MarkStart begins container's startup root span at the issuance time of

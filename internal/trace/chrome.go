@@ -1,27 +1,247 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"fastiov/internal/sim"
 	"fastiov/internal/telemetry"
 )
 
-// ChromeEvent is one Chrome trace-event object. Timestamps and durations
-// are microseconds (float, so sub-µs simulation costs survive). It is
-// exported so other observers (the request-journey recorder) can emit
-// track groups through the same writer, sharing the same clock.
-type ChromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"`
-	Dur  *float64          `json:"dur,omitempty"`
-	PID  int               `json:"pid"`
-	TID  int               `json:"tid"`
-	Args map[string]string `json:"args,omitempty"`
+// ChromeWriter streams Chrome trace-event JSON, one event object per line
+// (keeps diffs and golden files reviewable), loadable in Perfetto
+// (ui.perfetto.dev) and chrome://tracing. Both Chrome exports write
+// through it: the kernel trace (WriteChrome) and the request journeys
+// (package journey), which share its clock. Events are appended straight
+// from the span store or the analysis into one bounded buffer
+// (telemetry.Stream), with no per-event allocation.
+//
+// encoding/json is the writer's reference: each event is byte for byte
+// what json.Marshal gives the struct
+//
+//	{name, cat (omitempty), ph, ts, dur (omitempty), pid, tid, args (omitempty map)}
+//
+// with timestamps and durations in microseconds (float, so sub-µs
+// simulation costs survive). Strings escape as encoding/json escapes
+// them, floats format as it formats them, and args come out sorted by
+// key with a repeated key keeping its last value, as a map would.
+type ChromeWriter struct {
+	s    telemetry.Stream
+	n    int              // events written
+	args []telemetry.Attr // scratch: one event's args, sorted by key
+}
+
+// NewChromeWriter starts a trace-event file on w. Close ends it.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	c := &ChromeWriter{s: telemetry.NewStream(w)}
+	c.s.B = append(c.s.B, "{\"traceEvents\":[\n"...)
+	return c
+}
+
+// Close ends the event list, flushes the buffer, and returns the first
+// write error.
+func (c *ChromeWriter) Close() error {
+	if c.n > 0 {
+		c.s.B = append(c.s.B, '\n')
+	}
+	c.s.B = append(c.s.B, "],\"displayTimeUnit\":\"ms\"}\n"...)
+	return c.s.Close()
+}
+
+// ProcessName appends the metadata event naming process pid.
+func (c *ChromeWriter) ProcessName(pid int, name string) {
+	c.meta("process_name", pid, 0, name, false)
+}
+
+// ThreadName appends the metadata event naming thread tid of pid.
+func (c *ChromeWriter) ThreadName(pid, tid int, name string) {
+	c.meta("thread_name", pid, tid, name, false)
+}
+
+// NumberedThreadName appends the metadata event naming thread tid of pid
+// prefix followed by the tid in decimal ("req-7").
+func (c *ChromeWriter) NumberedThreadName(pid, tid int, prefix string) {
+	c.meta("thread_name", pid, tid, prefix, true)
+}
+
+// Span appends one complete ("X") event for sp on thread tid of pid, its
+// attributes as event args.
+func (c *ChromeWriter) Span(sp telemetry.Span, cat string, pid, tid int) {
+	c.complete(sp.Name, "", cat, US(sp.Start), US(sp.Dur()), pid, tid, sp.Attrs)
+}
+
+// meta appends a metadata ("M") event whose one arg, name, is label,
+// followed by the tid when numbered.
+func (c *ChromeWriter) meta(event string, pid, tid int, label string, numbered bool) {
+	b := c.head('M', event, "", "", 0, 0, pid, tid)
+	b = append(b, `,"args":{"name":"`...)
+	b = appendJSONText(b, label)
+	if numbered {
+		b = strconv.AppendInt(b, int64(tid), 10)
+	}
+	c.end(append(b, `"}`...))
+}
+
+// complete appends a complete ("X") event named prefix followed by name;
+// prefix must be ASCII, so the two escape as their concatenation would.
+func (c *ChromeWriter) complete(prefix, name, cat string, ts, dur float64, pid, tid int, attrs []telemetry.Attr) {
+	b := c.head('X', prefix, name, cat, ts, dur, pid, tid)
+	if len(attrs) > 0 {
+		b = c.appendArgs(b, attrs)
+	}
+	c.end(b)
+}
+
+// head appends an event's separator and every field before its args; only
+// a complete event has a duration.
+func (c *ChromeWriter) head(ph byte, prefix, name, cat string, ts, dur float64, pid, tid int) []byte {
+	b := c.s.B
+	if c.n > 0 {
+		b = append(b, ",\n"...)
+	}
+	c.n++
+	b = append(b, `{"name":"`...)
+	b = appendJSONText(b, prefix)
+	b = appendJSONText(b, name)
+	b = append(b, '"')
+	if cat != "" {
+		b = append(b, `,"cat":"`...)
+		b = appendJSONText(b, cat)
+		b = append(b, '"')
+	}
+	b = append(b, `,"ph":"`...)
+	b = append(b, ph, '"')
+	b = append(b, `,"ts":`...)
+	b = appendJSONFloat(b, ts)
+	if ph == 'X' {
+		b = append(b, `,"dur":`...)
+		b = appendJSONFloat(b, dur)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// end closes the event and hands it to the stream.
+func (c *ChromeWriter) end(b []byte) {
+	c.s.B = append(b, '}')
+	c.s.Record()
+}
+
+// appendArgs appends attrs as the args object, sorted by key; a repeated
+// key keeps its last value.
+func (c *ChromeWriter) appendArgs(b []byte, attrs []telemetry.Attr) []byte {
+	c.args = append(c.args[:0], attrs...)
+	slices.SortStableFunc(c.args, func(x, y telemetry.Attr) int { return strings.Compare(x.Key, y.Key) })
+	b = append(b, `,"args":{`...)
+	sep := false
+	for i, a := range c.args {
+		if i+1 < len(c.args) && c.args[i+1].Key == a.Key {
+			continue // a later value overrides this one
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		b = append(b, '"')
+		b = appendJSONText(b, a.Key)
+		b = append(b, `":"`...)
+		b = appendJSONText(b, a.Val)
+		b = append(b, '"')
+	}
+	return append(b, '}')
+}
+
+// jsonSafe marks the ASCII bytes encoding/json writes unescaped: all
+// ASCII from the space up (DEL included) but the quote, the backslash and
+// the HTML-sensitive '<', '>' and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = !strings.ContainsRune(`"\<>&`, b)
+	}
+	return safe
+}()
+
+// appendJSONText appends s as the body of a JSON string, without quotes,
+// escaped exactly as encoding/json escapes it: plain ASCII is copied
+// whole; control bytes, quotes, backslashes and '<', '>', '&' are
+// escaped; invalid UTF-8 becomes \ufffd; U+2028 and U+2029 are escaped.
+func appendJSONText(b []byte, s string) []byte {
+	i := 0
+	for i < len(s) && s[i] < utf8.RuneSelf && jsonSafe[s[i]] {
+		i++
+	}
+	if i == len(s) {
+		return append(b, s...)
+	}
+	const hex = "0123456789abcdef"
+	start := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(b, s[start:]...)
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: the
+// shortest decimal ('f') inside [1e-6, 1e21), exponent form ('e') outside
+// it with a one-digit negative exponent's leading zero trimmed (1e-7, not
+// 1e-07). f is never NaN or infinite here: every value is a simulated
+// duration in microseconds.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 const chromePID = 1 // the simulated host's kernel-trace process group
@@ -29,111 +249,54 @@ const chromePID = 1 // the simulated host's kernel-trace process group
 // US converts a simulated duration to trace-event microseconds.
 func US(d sim.Duration) float64 { return float64(d) / 1e3 }
 
-// DurP returns a duration operand for a complete ("X") event.
-func DurP(d sim.Duration) *float64 {
-	v := US(d)
-	return &v
+// waitPrefixes holds "wait <class> " per wait class: the ASCII prefix of
+// a wait event's name, which the blocking object's name completes.
+var waitPrefixes = func() (p [numClasses]string) {
+	for c := range p {
+		p[c] = "wait " + sim.WaitClass(c).String() + " "
+	}
+	return p
+}()
+
+// wait appends the complete event of one blocking interval on a named
+// primitive: "wait <class> <obj>", or "wait <class>" for an unnamed one.
+func (c *ChromeWriter) wait(iv interval, obj string, tid int) {
+	prefix := waitPrefixes[iv.class]
+	if obj == "" {
+		prefix = prefix[:len(prefix)-1]
+	}
+	c.complete(prefix, obj, "wait", US(iv.start), US(iv.end-iv.start), chromePID, tid, nil)
 }
 
-// SpanEvents appends one complete ("X") event per span of rec to events,
-// visiting span ids in order (every span in Begin order when order is
-// nil). tid places a span on a thread; spans it rejects are left out.
-// Span attributes become event args.
-func SpanEvents(events []ChromeEvent, rec *telemetry.Recorder, order []int, cat string, pid int,
-	tid func(sp telemetry.Span) (int, bool)) []ChromeEvent {
-	n := len(order)
-	if order == nil {
-		n = rec.Len()
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
-		sp := rec.Span(i)
-		thread, ok := tid(sp)
-		if !ok {
-			continue
-		}
-		ev := ChromeEvent{
-			Name: sp.Name, Cat: cat, Ph: "X",
-			TS: US(sp.Start), Dur: DurP(sp.Dur()),
-			PID: pid, TID: thread,
-		}
-		if len(sp.Attrs) > 0 {
-			ev.Args = make(map[string]string, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				ev.Args[a.Key] = a.Val
-			}
-		}
-		events = append(events, ev)
-	}
-	return events
-}
-
-// WriteChromeEvents writes a pre-built event list as Chrome trace-event
-// JSON, one object per line (keeps diffs and golden files reviewable).
-func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
+// WriteChrome exports the analyzed trace as Chrome trace-event JSON:
+// process/thread metadata first, then telemetry stage spans, then per-proc
+// service/wait intervals, in proc-id order. Procs render as threads;
+// sleeps, waits, and the stage spans render as complete ("X") events.
+// Stage spans are drawn on the thread of their container's driving proc
+// (found through bind), startup roots left out; rec may be nil to omit
+// them. The output is a pure function of its inputs, so seed-fixed reruns
+// are byte-identical. Two procs binding the same container are an error.
+func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder, bind Binder) error {
+	procOf, err := a.bindProcs(bind)
+	if err != nil {
 		return err
 	}
-	for i, ev := range events {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		sep := ",\n"
-		if i == len(events)-1 {
-			sep = "\n"
-		}
-		if _, err := fmt.Fprintf(w, "%s%s", b, sep); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "],\"displayTimeUnit\":\"ms\"}\n")
-	return err
-}
-
-// ChromeEvents builds the kernel-trace event list: process/thread metadata
-// first, then telemetry stage spans, then per-proc service/wait intervals,
-// in proc-id order. The output is a pure function of its inputs, so
-// seed-fixed reruns are byte-identical. If two procs bind the same
-// container the stage spans are left out; WriteChrome reports that as an
-// error.
-func ChromeEvents(a *Analysis, rec *telemetry.Recorder, bind Binder) []ChromeEvent {
-	procOf, _ := a.bindProcs(bind)
-	return a.chromeEvents(rec, procOf)
-}
-
-// chromeEvents builds the event list with stage spans drawn on the procs
-// procOf binds (none when procOf is nil).
-func (a *Analysis) chromeEvents(rec *telemetry.Recorder, procOf map[int]int32) []ChromeEvent {
 	t := a.t
-	events := []ChromeEvent{{
-		Name: "process_name", Ph: "M", PID: chromePID, TID: 0,
-		Args: map[string]string{"name": "fastiov-sim"},
-	}}
+	c := NewChromeWriter(w)
+	c.ProcessName(chromePID, "fastiov-sim")
 	for s, p := range t.procs {
 		if p.named {
-			events = append(events, ChromeEvent{
-				Name: "thread_name", Ph: "M", PID: chromePID, TID: t.procID(int32(s)),
-				Args: map[string]string{"name": p.name},
-			})
+			c.ThreadName(chromePID, t.procID(int32(s)), p.name)
 		}
 	}
-
-	// Stage spans from the telemetry recorder, drawn on the thread of the
-	// container's driving proc; startup roots are left out.
 	if rec != nil {
-		events = SpanEvents(events, rec, nil, "stage", chromePID, func(sp telemetry.Span) (int, bool) {
-			s, ok := procOf[int(sp.Trace)]
-			if !ok || sp.Parent < 0 {
-				return 0, false
+		for i := range rec.Len() {
+			sp := rec.Span(i)
+			if s, ok := procOf[int(sp.Trace)]; ok && sp.Parent >= 0 {
+				c.Span(sp, "stage", chromePID, t.procID(s))
 			}
-			return t.procID(s), true
-		})
+		}
 	}
-
 	// Blocking intervals: sleeps are the proc doing simulated work, the
 	// rest are waits on a named primitive.
 	for s, p := range t.procs {
@@ -142,31 +305,12 @@ func (a *Analysis) chromeEvents(rec *telemetry.Recorder, procOf map[int]int32) [
 		}
 		id := t.procID(int32(s))
 		for _, iv := range a.perProc[s] {
-			ev := ChromeEvent{
-				Ph: "X", TS: US(iv.start), Dur: DurP(iv.end - iv.start),
-				PID: chromePID, TID: id,
-			}
 			if iv.class == sim.WaitSleep {
-				ev.Name, ev.Cat = "service", "service"
+				c.complete("service", "", "service", US(iv.start), US(iv.end-iv.start), chromePID, id, nil)
 			} else {
-				ev.Name = "wait " + lockName(iv.class, t.objs[iv.obj])
-				ev.Cat = "wait"
+				c.wait(iv, t.objs[iv.obj], id)
 			}
-			events = append(events, ev)
 		}
 	}
-	return events
-}
-
-// WriteChrome exports the analyzed trace as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing. Procs render
-// as threads; sleeps, waits, and telemetry stage spans render as complete
-// ("X") events. rec may be nil to omit stage spans. Two procs binding the
-// same container are an error.
-func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder, bind Binder) error {
-	procOf, err := a.bindProcs(bind)
-	if err != nil {
-		return err
-	}
-	return WriteChromeEvents(w, a.chromeEvents(rec, procOf))
+	return c.Close()
 }

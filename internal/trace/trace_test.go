@@ -426,8 +426,21 @@ func TestFromEventsSparseIDs(t *testing.T) {
 	if tr.ProcName(99) != "idle" || tr.ProcName(100) != "proc-100" {
 		t.Errorf("names: %q %q", tr.ProcName(99), tr.ProcName(100))
 	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, a, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			TID  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
 	var tids []int
-	for _, ev := range ChromeEvents(a, nil, nil) {
+	for _, ev := range file.TraceEvents {
 		if ev.Name == "thread_name" {
 			tids = append(tids, ev.TID)
 		}
