@@ -40,6 +40,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +89,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		verify     = fs.Bool("verify-determinism", false, "run each simulation twice and each experiment parallel+serial, failing on divergence")
 		faults     = fs.String("faults", "", "fault plan injected into every experiment, e.g. 'vfio-reset:p=0.1;dma-map:every=5'")
 		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON of one traced startup run to this file and exit (load in ui.perfetto.dev)")
-		traceBase  = fs.String("trace-baseline", "vanilla", "baseline for -trace")
+		baseline   = fs.String("baseline", "", "baseline of the export modes: -trace and -metrics/-metrics-csv/-dashboard (empty = vanilla), -journey-trace/-journey-log/-alerts (empty = fastiov)")
 		contention = fs.Bool("contention", false, "shorthand for -experiment contention")
 		fleetRun   = fs.Bool("fleet", false, "shorthand for -experiment fleet")
 		serveRun   = fs.Bool("serve", false, "shorthand for -experiment serving")
@@ -102,13 +103,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics", "", "write an OpenMetrics snapshot of one metered startup run to this file and exit")
 		metricsCSV = fs.String("metrics-csv", "", "write the sampled per-metric time series of one metered startup run as CSV to this file and exit")
 		dashboard  = fs.Bool("dashboard", false, "print an ASCII host dashboard of one metered startup run and exit")
-		metricBase = fs.String("metrics-baseline", "vanilla", "baseline for -metrics/-metrics-csv/-dashboard")
 		journeys   = fs.Bool("journeys", false, "record per-request journey traces on every serving run (pure observation; reports render identically)")
 		jtracePath = fs.String("journey-trace", "", "write a Chrome trace-event JSON of one journey-traced serving run to this file and exit (load in ui.perfetto.dev)")
 		jlogPath   = fs.String("journey-log", "", "write the canonical JSONL span log of one journey-traced serving run to this file and exit")
 		alertsPath = fs.String("alerts", "", "write the alert engine's timeline of one journey-traced serving run to this file and exit")
-		alertRules = fs.String("alert-rules", "", "alert rule spec for -alerts and the slowatch experiment exports (empty = the default slo-burn + crash-seen rules)")
-		jbase      = fs.String("journey-baseline", "fastiov", "baseline for -journey-trace/-journey-log/-alerts")
+		alertRules = fs.String("alert-rules", "", "alert rule spec of the journey export mode (-journey-trace/-journey-log/-alerts), whose -alerts timeline it drives (empty = the default slo-burn + crash-seen rules)")
 		slowatch   = fs.Bool("slowatch", false, "shorthand for -experiment slowatch")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -152,6 +151,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *tracePath != "" {
 		// Trace export is a standalone mode, like -list: one traced run of
 		// the startup scenario at the first seed, written as Chrome JSON.
+		base := cmp.Or(*baseline, "vanilla")
 		tn := *n
 		if tn <= 0 {
 			tn = 50
@@ -161,7 +161,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fastiov-bench: -trace:", err)
 			return 1
 		}
-		err = fastiov.WriteStartupTrace(f, *traceBase, tn, firstSeed)
+		err = fastiov.WriteStartupTrace(f, base, tn, firstSeed)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -170,7 +170,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote %s (%s, %d containers); load it in ui.perfetto.dev or chrome://tracing\n",
-			*tracePath, *traceBase, tn)
+			*tracePath, base, tn)
 		return 0
 	}
 	if *metricsOut != "" || *metricsCSV != "" || *dashboard {
@@ -178,11 +178,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// of the startup scenario at the first seed, exported as an
 		// OpenMetrics snapshot, a CSV time series, a dashboard, or any
 		// combination. The bytes are a pure function of (baseline, n, seed).
+		base := cmp.Or(*baseline, "vanilla")
 		mn := *n
 		if mn <= 0 {
 			mn = 50
 		}
-		reg, err := fastiov.StartupMetrics(*metricBase, mn, firstSeed)
+		reg, err := fastiov.StartupMetrics(base, mn, firstSeed)
 		if err != nil {
 			fmt.Fprintln(stderr, "fastiov-bench: -metrics:", err)
 			return 1
@@ -200,7 +201,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				return false
 			}
 			fmt.Fprintf(stdout, "wrote %s (%s, %s, %d containers, %d instruments, %d samples @ %v)\n",
-				path, format, *metricBase, mn, len(reg.IDs()), reg.Samples(), reg.Cadence())
+				path, format, base, mn, len(reg.IDs()), reg.Samples(), reg.Cadence())
 			return true
 		}
 		if *metricsOut != "" && !writeExport(*metricsOut, "OpenMetrics", reg.WriteOpenMetrics) {
@@ -210,7 +211,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if *dashboard {
-			fmt.Fprintf(stdout, "%s, concurrency %d:\n%s", *metricBase, mn, reg.Dashboard(100))
+			fmt.Fprintf(stdout, "%s, concurrency %d:\n%s", base, mn, reg.Dashboard(100))
 		}
 		return 0
 	}
@@ -228,7 +229,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cfg := fastiov.JourneyExportConfig{
-			Baseline:   *jbase,
+			Baseline:   cmp.Or(*baseline, "fastiov"),
 			Policy:     servePolicy,
 			Hosts:      *hosts,
 			Rate:       *rate,

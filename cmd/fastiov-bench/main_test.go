@@ -148,7 +148,7 @@ func TestGoldenTraceJSON(t *testing.T) {
 		args []string
 	}{
 		{"trace_n5.json", []string{"-n", "5"}},
-		{"trace_fastiov_n5.json", []string{"-trace-baseline", "fastiov", "-n", "5"}},
+		{"trace_fastiov_n5.json", []string{"-baseline", "fastiov", "-n", "5"}},
 	} {
 		t.Run(c.file, func(t *testing.T) {
 			got := traceFile(t, c.args...)

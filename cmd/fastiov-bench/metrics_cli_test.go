@@ -84,7 +84,7 @@ func TestMetricsExportDeterminism(t *testing.T) {
 		omPath := filepath.Join(dir, "m.om")
 		csvPath := filepath.Join(dir, "m.csv")
 		var stdout, stderr bytes.Buffer
-		argv := []string{"-metrics", omPath, "-metrics-csv", csvPath, "-dashboard", "-metrics-baseline", "fastiov", "-n", "20"}
+		argv := []string{"-metrics", omPath, "-metrics-csv", csvPath, "-dashboard", "-baseline", "fastiov", "-n", "20"}
 		if code := run(argv, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
 		}
@@ -135,7 +135,7 @@ func TestSaturationWorkersMatchSerial(t *testing.T) {
 func TestBadMetricsBaselineExits1(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	path := filepath.Join(t.TempDir(), "m.om")
-	if code := run([]string{"-metrics", path, "-metrics-baseline", "bogus"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-metrics", path, "-baseline", "bogus"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), "bogus") {

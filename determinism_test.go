@@ -249,7 +249,7 @@ func TestTracedCriticalPathIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", baseline, err)
 		}
-		paths, err := a.CriticalPaths(res.Recorder, trace.DefaultBinder)
+		paths, err := a.CriticalPaths(res.Recorder)
 		if err != nil {
 			t.Fatalf("%s: %v", baseline, err)
 		}

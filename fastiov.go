@@ -27,7 +27,6 @@ import (
 	"fastiov/internal/experiments"
 	"fastiov/internal/fault"
 	"fastiov/internal/fleet"
-	"fastiov/internal/journey"
 	"fastiov/internal/locks"
 	"fastiov/internal/metrics"
 	"fastiov/internal/serve"
@@ -366,10 +365,10 @@ func WriteStartupTrace(w io.Writer, baseline string, n int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := a.CriticalPaths(res.Recorder, trace.DefaultBinder); err != nil {
+	if _, err := a.CriticalPaths(res.Recorder); err != nil {
 		return err
 	}
-	return trace.WriteChrome(w, a, res.Recorder, trace.DefaultBinder)
+	return trace.WriteChrome(w, a, res.Recorder)
 }
 
 // StartupMetrics boots the named baseline with the metrics registry
@@ -406,7 +405,7 @@ const DefaultAlertRules = experiments.DefaultSlowatchRules
 //
 //	alert slo-burn: burnrate(serve_sojourn_seconds, slo=2s, short=500ms, long=2s) > 0.25
 func ValidateAlertRules(spec string) error {
-	_, err := journey.ParseRules(spec)
+	_, err := metrics.ParseRules(spec)
 	return err
 }
 
@@ -485,7 +484,7 @@ func WriteJourneyExports(cfg JourneyExportConfig, chrome, spanLog, alerts io.Wri
 	if alerts != nil {
 		eng := res.Alerts
 		if eng == nil {
-			eng = journey.NewEngine(nil, nil)
+			eng = metrics.NewEngine(nil, nil)
 		}
 		if err := eng.WriteTimeline(alerts); err != nil {
 			return err

@@ -1,6 +1,6 @@
 // Package clause is the lexer shared by the repo's spec grammars: fault
 // plans (fault.ParsePlan), serving tenant mixes (serve.ParseWorkload) and
-// SLO alert rules (journey.ParseRules). The grammars keep their own
+// SLO alert rules (metrics.ParseRules). The grammars keep their own
 // productions; this package owns the lexical policy they all follow:
 // whitespace around separators is ignored, empty ';' clauses are skipped,
 // every list item is key=value, and a key may appear at most once.

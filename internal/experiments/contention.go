@@ -57,7 +57,7 @@ func (x *Exec) Contention(n int) (*Report, error) {
 			t.AddRow(b, s.Name(), s.Waits, s.Acquires, s.TotalWait, s.MeanWait(), s.MaxWait, s.MeanHold(), s.MaxQueue, blocker)
 		}
 
-		paths, err := a.CriticalPaths(res.Recorder, trace.DefaultBinder)
+		paths, err := a.CriticalPaths(res.Recorder)
 		if err != nil {
 			return nil, fmt.Errorf("contention: %s: %w", b, err)
 		}

@@ -312,7 +312,7 @@ func (sys system) check(result any) error {
 		if h.Tracer == nil {
 			return nil
 		}
-		return trace.VerifyCriticalPaths(h.Tracer, h.Rec, trace.DefaultBinder)
+		return trace.VerifyCriticalPaths(h.Tracer, h.Rec)
 	}
 	res, _ := result.(*fleet.Result)
 	if sr, ok := result.(*serve.Result); ok {

@@ -6,7 +6,7 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/fault"
-	"fastiov/internal/journey"
+	"fastiov/internal/metrics"
 	"fastiov/internal/serve"
 	"fastiov/internal/stats"
 )
@@ -128,7 +128,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 		return nil, err
 	}
 
-	rules, err := journey.ParseRules(DefaultSlowatchRules)
+	rules, err := metrics.ParseRules(DefaultSlowatchRules)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: slowatch rules: %w", err)
 	}

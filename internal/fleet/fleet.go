@@ -732,15 +732,15 @@ func (f *Fleet) Finish() *Result {
 
 	// Per-host critical-path verification against the shared trace: one
 	// Analyze pass over the whole stream, then each host's recorder binds
-	// its own container ids (fleet ids are globally unique, so DefaultBinder
-	// never collides across hosts).
+	// its own container ids (fleet ids are globally unique, so no two
+	// hosts' "ctr-<id>" procs bind the same container).
 	if f.Tracer != nil {
 		a, err := trace.Analyze(f.Tracer)
 		if err != nil {
 			errs = append(errs, err)
 		} else {
 			for i, h := range f.Hosts {
-				if _, err := a.CriticalPaths(h.Rec, trace.DefaultBinder); err != nil {
+				if _, err := a.CriticalPaths(h.Rec); err != nil {
 					errs = append(errs, fmt.Errorf("fleet: host %d critical paths: %w", i, err))
 				}
 			}

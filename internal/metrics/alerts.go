@@ -19,7 +19,7 @@
 // The engine samples the metric source on a fixed simulated-time tick from
 // a daemon proc; it takes no locks and draws no randomness, so attaching
 // it perturbs nothing (only the explicit alert outputs differ).
-package journey
+package metrics
 
 import (
 	"fmt"
@@ -208,8 +208,7 @@ func cutLast(s, sep string) (before, after string, found bool) {
 }
 
 // MetricSource is the live metric surface the engine evaluates against.
-// *metrics.Registry implements it; the interface lives here so the journey
-// package stays decoupled from the registry's internals.
+// *Registry implements it; the engine tests substitute a fake.
 type MetricSource interface {
 	// FamilyValue sums the live values of every instrument in the named
 	// family (labels aggregate away); ok is false when the family is

@@ -22,6 +22,10 @@
 // samples are ignored, and the three exporters (OpenMetrics text, CSV time
 // series, ASCII dashboard) render byte-deterministic output — a pure
 // function of the seeded simulation.
+//
+// The SLO alert engine (Engine, rules from ParseRules) evaluates against
+// the live registry from its own daemon proc, under the same
+// zero-perturbation rules.
 package metrics
 
 import (
@@ -371,7 +375,7 @@ func (r *Registry) Final(id string) float64 {
 // (as registered, before sanitization) equals name — labels aggregate
 // away, so `serve_requests_shed_total{reason=...}` counters sum into one
 // shed rate. ok is false when no instrument has the family name. This is
-// the alert engine's read surface (journey.MetricSource).
+// the alert engine's read surface (MetricSource).
 func (r *Registry) FamilyValue(name string) (float64, bool) {
 	var sum float64
 	found := false

@@ -8,7 +8,6 @@ import (
 	"fastiov/internal/cri"
 	"fastiov/internal/fault"
 	"fastiov/internal/fleet"
-	"fastiov/internal/journey"
 	"fastiov/internal/metrics"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
@@ -132,7 +131,7 @@ type Config struct {
 	// Pure observation — a journey-traced run renders byte-identically to
 	// an untraced one.
 	Journeys bool
-	// AlertSpec is a journey.ParseRules rule set evaluated by a
+	// AlertSpec is a metrics.ParseRules rule set evaluated by a
 	// simulated-time daemon against the run's metrics registry (it turns
 	// Metrics on). Empty disables alerting.
 	AlertSpec string
@@ -219,15 +218,15 @@ type Server struct {
 	// Journey state (nil unless Cfg.Journeys): the recorder, the open span
 	// handles per in-flight request, and the container-id index the fleet's
 	// OnPlace observer resolves attempts through.
-	jr   *journey.Recorder
+	jr   *telemetry.Recorder
 	jreq map[int]*jreq // request ID -> open spans
 	jctr map[int]*jreq // attempt container id -> its request's spans
 
 	// Alerting state (nil unless Cfg.AlertSpec is set): parsed rules, the
 	// fleet registry captured at registration, and the engine.
-	alertRules []journey.Rule
+	alertRules []metrics.Rule
 	reg        *metrics.Registry
-	alerts     *journey.Engine
+	alerts     *metrics.Engine
 
 	sojournHist *metrics.Histogram
 }
@@ -271,12 +270,12 @@ func New(cfg Config) (*Server, error) {
 		s.byName[t.Name] = ts
 	}
 	if cfg.Journeys {
-		s.jr = journey.NewRecorder()
+		s.jr = telemetry.NewRecorder()
 		s.jreq = make(map[int]*jreq)
 		s.jctr = make(map[int]*jreq)
 	}
 	if cfg.AlertSpec != "" {
-		s.alertRules, err = journey.ParseRules(cfg.AlertSpec)
+		s.alertRules, err = metrics.ParseRules(cfg.AlertSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +442,7 @@ func (s *Server) Run() *Result {
 	s.t0 = k.Now()
 
 	if s.alertRules != nil && s.reg != nil {
-		s.alerts = journey.NewEngine(s.alertRules, s.reg)
+		s.alerts = metrics.NewEngine(s.alertRules, s.reg)
 		s.alerts.Start(k)
 	}
 
@@ -840,8 +839,8 @@ type Result struct {
 	// Journey is the per-request trace recorder (nil unless Config.Journeys);
 	// Alerts the evaluated alert engine (nil unless Config.AlertSpec);
 	// SojournHist the sojourn histogram (nil unless Config.Metrics).
-	Journey     *journey.Recorder
-	Alerts      *journey.Engine
+	Journey     *telemetry.Recorder
+	Alerts      *metrics.Engine
 	SojournHist *metrics.Histogram
 
 	// Fleet is the underlying fleet result (placements, signals, audits,

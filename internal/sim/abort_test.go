@@ -5,7 +5,7 @@ package sim
 // Kernel.abort) so any side effect of deferred cleanup — counter updates,
 // PRNG draws in teardown paths — lands identically across runs. These
 // tests pin that: a 50-proc contended run cut off mid-flight must produce
-// byte-identical probe and trace streams every time, and the abort unwind
+// a byte-identical probe stream every time, and the abort unwind
 // itself must stay invisible to the probe.
 
 import (
@@ -17,9 +17,9 @@ import (
 
 // abortedRunStreams runs a 50-proc workload (sleeps, mutex contention,
 // resource queuing, mid-run spawns) cut off by RunFor at 5ms, and returns
-// the formatted probe stream, the Trace stream, and the order in which
-// deferred cleanups observed the unwind.
-func abortedRunStreams() (probe, trace []byte, cleanup []int) {
+// the formatted probe stream and the order in which deferred cleanups
+// observed the unwind.
+func abortedRunStreams() (probe []byte, cleanup []int) {
 	k := NewKernel(99)
 	k.SetProbe(func(at Duration, ev ProbeEvent) {
 		waker := 0
@@ -29,11 +29,6 @@ func abortedRunStreams() (probe, trace []byte, cleanup []int) {
 		probe = fmt.Appendf(probe, "%d %s %s %q p%d w%d n%d\n",
 			at, ev.Kind, ev.Class, ev.Obj, ev.Proc.ID(), waker, ev.N)
 	})
-	k.Trace = func(at Duration, format string, args ...any) {
-		trace = fmt.Appendf(trace, "%d ", at)
-		trace = fmt.Appendf(trace, format, args...)
-		trace = append(trace, '\n')
-	}
 	mu := NewMutex("shared")
 	res := NewResource("pool", 4)
 	rng := k.Rand()
@@ -57,20 +52,17 @@ func abortedRunStreams() (probe, trace []byte, cleanup []int) {
 		})
 	}
 	k.RunFor(5 * time.Millisecond)
-	return probe, trace, cleanup
+	return probe, cleanup
 }
 
 // TestAbortStreamsDeterministic aborts the same 50-proc run twice and
-// requires byte-identical probe and trace streams and identical cleanup
-// (unwind) order.
+// requires a byte-identical probe stream and identical cleanup (unwind)
+// order.
 func TestAbortStreamsDeterministic(t *testing.T) {
-	p1, t1, c1 := abortedRunStreams()
-	p2, t2, c2 := abortedRunStreams()
+	p1, c1 := abortedRunStreams()
+	p2, c2 := abortedRunStreams()
 	if !bytes.Equal(p1, p2) {
 		t.Errorf("probe streams diverge across identical aborted runs:\nrun1 %d bytes, run2 %d bytes", len(p1), len(p2))
-	}
-	if !bytes.Equal(t1, t2) {
-		t.Errorf("trace streams diverge across identical aborted runs:\nrun1 %d bytes, run2 %d bytes", len(t1), len(t2))
 	}
 	if len(c1) != len(c2) {
 		t.Fatalf("cleanup counts diverge: %d vs %d", len(c1), len(c2))

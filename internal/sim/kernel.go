@@ -98,10 +98,6 @@ type Kernel struct {
 	// probe, when non-nil, observes every scheduler and primitive
 	// transition (see probe.go).
 	probe func(at Duration, ev ProbeEvent)
-
-	// Trace, when non-nil, receives a line for every proc state change.
-	// Used by tests that assert on scheduling order.
-	Trace func(at Duration, format string, args ...any)
 }
 
 // NewKernel returns a kernel with the virtual clock at zero and the given
@@ -125,13 +121,6 @@ func (k *Kernel) Rand() *Rand { return k.rng }
 // the kernel in exactly the same state.
 func (k *Kernel) Clock() (now Duration, seq uint64, procSeq int) {
 	return k.now, k.seq, k.procSeq
-}
-
-// tracef emits a trace line if tracing is enabled.
-func (k *Kernel) tracef(format string, args ...any) {
-	if k.Trace != nil {
-		k.Trace(k.now, format, args...)
-	}
 }
 
 // schedule pushes an event. Events at equal times fire in scheduling order.

@@ -1,4 +1,4 @@
-package trace
+package telemetry
 
 import (
 	"bytes"
@@ -9,9 +9,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"fastiov/internal/sim"
-	"fastiov/internal/telemetry"
 )
 
 // refChromeEvent is the event struct the Chrome exports were once built
@@ -53,7 +50,7 @@ func refWriteChromeEvents(w io.Writer, events []refChromeEvent) error {
 
 // refArgs is the reference args map of attrs: nil when there are none,
 // a repeated key keeping its last value.
-func refArgs(attrs []telemetry.Attr) map[string]string {
+func refArgs(attrs []Attr) map[string]string {
 	if len(attrs) == 0 {
 		return nil
 	}
@@ -74,6 +71,10 @@ var fuzzTexts = []string{
 	"line\u2028para\u2029", "150µs", "\U0001F600",
 }
 
+// fuzzPrefixes are the ASCII name prefixes of complete events, as the
+// kernel trace's service and wait events use them.
+var fuzzPrefixes = []string{"", "service", "wait mutex ", "wait sleep"}
+
 // fuzzKeys are attribute keys; repeats among them give duplicate keys.
 var fuzzKeys = []string{"a", "b", "outcome", "a", "<k>", `k"`, "", "naïve", "b"}
 
@@ -84,7 +85,7 @@ var fuzzFloats = []float64{
 	-1, -1e-7, -1e21, math.SmallestNonzeroFloat64, math.MaxFloat64, 1.5e-300,
 }
 
-// fuzzDurations are simulated instants (ns) for span and interval events.
+// fuzzDurations are simulated instants (ns) for span events.
 var fuzzDurations = []time.Duration{0, 1, 999, 1000, 1500, time.Millisecond, -1, -time.Second, math.MaxInt64, math.MinInt64}
 
 // FuzzChromeWriter drives random event sequences through ChromeWriter and
@@ -122,18 +123,18 @@ func FuzzChromeWriter(f *testing.F) {
 		for len(ops) >= 4 {
 			op, a, b, d := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
-			var attrs []telemetry.Attr
+			var attrs []Attr
 			for range int(d>>4) % 5 {
 				if len(ops) < 2 {
 					break
 				}
-				attrs = append(attrs, telemetry.A(keys[pick(ops[0], len(keys))], texts[pick(ops[1], len(texts))]))
+				attrs = append(attrs, A(keys[pick(ops[0], len(keys))], texts[pick(ops[1], len(texts))]))
 				ops = ops[2:]
 			}
 			p, q := ids[pick(b, len(ids))], ids[pick(b>>4, len(ids))]
 			text := texts[pick(a, len(texts))]
 			cat := texts[pick(d, len(texts))]
-			switch op % 6 {
+			switch op % 5 {
 			case 0:
 				c.ProcessName(p, text)
 				ref = append(ref, refChromeEvent{Name: "process_name", Ph: "M", PID: p, Args: map[string]string{"name": text}})
@@ -145,21 +146,15 @@ func FuzzChromeWriter(f *testing.F) {
 				ref = append(ref, refChromeEvent{Name: "thread_name", Ph: "M", PID: p, TID: q,
 					Args: map[string]string{"name": text + strconv.Itoa(q)}})
 			case 3:
+				prefix := fuzzPrefixes[pick(a>>4, len(fuzzPrefixes))]
 				at, d := num(b), num(d)
-				c.complete("", text, cat, at, d, p, q, attrs)
-				ref = append(ref, refChromeEvent{Name: text, Cat: cat, Ph: "X", TS: at, Dur: &d, PID: p, TID: q, Args: refArgs(attrs)})
+				c.Complete(prefix, text, cat, at, d, p, q, attrs)
+				ref = append(ref, refChromeEvent{Name: prefix + text, Cat: cat, Ph: "X", TS: at, Dur: &d, PID: p, TID: q, Args: refArgs(attrs)})
 			case 4:
-				sp := telemetry.Span{Name: text, Start: instants[pick(b, len(instants))], End: instants[pick(d, len(instants))], Attrs: attrs}
+				sp := Span{Name: text, Start: instants[pick(b, len(instants))], End: instants[pick(d, len(instants))], Attrs: attrs}
 				c.Span(sp, cat, p, q)
 				d := US(sp.Dur())
 				ref = append(ref, refChromeEvent{Name: text, Cat: cat, Ph: "X", TS: US(sp.Start), Dur: &d, PID: p, TID: q, Args: refArgs(attrs)})
-			case 5:
-				iv := interval{start: instants[pick(b, len(instants))], end: instants[pick(d, len(instants))],
-					class: sim.WaitClass(pick(a>>4, numClasses))}
-				c.wait(iv, text, q)
-				d := US(iv.end - iv.start)
-				ref = append(ref, refChromeEvent{Name: "wait " + lockName(iv.class, text), Cat: "wait", Ph: "X",
-					TS: US(iv.start), Dur: &d, PID: chromePID, TID: q})
 			}
 		}
 		if err := c.Close(); err != nil {
@@ -181,7 +176,7 @@ func TestChromeWriterReportsWriteError(t *testing.T) {
 	w := &failWriter{}
 	c := NewChromeWriter(w)
 	for i := range 10000 {
-		c.ThreadName(chromePID, i, "ctr")
+		c.ThreadName(1, i, "ctr")
 	}
 	if err := c.Close(); err != io.ErrShortWrite {
 		t.Fatalf("Close = %v, want %v", err, io.ErrShortWrite)

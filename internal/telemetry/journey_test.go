@@ -1,4 +1,4 @@
-package journey
+package telemetry
 
 import (
 	"bytes"
@@ -7,20 +7,18 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"fastiov/internal/telemetry"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
-	root := r.Begin(7, -1, "request", ms(10), telemetry.A("tenant", "api"))
+	root := r.Begin(7, -1, "request", ms(10), A("tenant", "api"))
 	child := r.Begin(7, root, "queue-wait", ms(10))
 	r.End(child, ms(30))
-	r.Event(7, root, "admission", ms(10), telemetry.A("verdict", "admit"))
-	r.Annotate(root, telemetry.Dur("sojourn", ms(40)))
-	r.End(root, ms(50), telemetry.A("outcome", "completed"))
+	r.Event(7, root, "admission", ms(10), A("verdict", "admit"))
+	r.Annotate(root, Dur("sojourn", ms(40)))
+	r.End(root, ms(50), A("outcome", "completed"))
 
 	if r.Len() != 3 || r.Roots() != 1 {
 		t.Fatalf("len=%d roots=%d, want 3/1", r.Len(), r.Roots())
@@ -115,7 +113,7 @@ func TestCanonicalOrderingAndFingerprint(t *testing.T) {
 		// Two traces begun in the given order; canonical form must not care.
 		for _, tr := range order {
 			id := r.Begin(tr, -1, "request", ms(tr))
-			r.End(id, ms(tr+10), telemetry.Int("trace", tr))
+			r.End(id, ms(tr+10), Int("trace", tr))
 		}
 		return r
 	}
@@ -147,7 +145,7 @@ func TestCanonicalOrderingAndFingerprint(t *testing.T) {
 func TestChromeEvents(t *testing.T) {
 	r := NewRecorder()
 	root := r.Begin(3, -1, "request", ms(1))
-	r.End(root, ms(9), telemetry.A("outcome", "completed"))
+	r.End(root, ms(9), A("outcome", "completed"))
 	var buf bytes.Buffer
 	if err := r.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -180,8 +178,8 @@ func TestChromeEvents(t *testing.T) {
 			}
 		case "X":
 			x++
-			if ev.PID != ChromePID || ev.TID != 3 {
-				t.Errorf("span event on pid=%d tid=%d, want pid=%d tid=3", ev.PID, ev.TID, ChromePID)
+			if ev.PID != journeyPID || ev.TID != 3 {
+				t.Errorf("span event on pid=%d tid=%d, want pid=%d tid=3", ev.PID, ev.TID, journeyPID)
 			}
 			if ev.TS != 1000 || ev.Dur != 8000 || ev.Args["outcome"] != "completed" {
 				t.Errorf("span event ts=%g dur=%g args=%v", ev.TS, ev.Dur, ev.Args)
@@ -201,12 +199,12 @@ func TestExportAllocsIndependentOfSpans(t *testing.T) {
 		r := NewRecorder()
 		for tr := range spans / 4 {
 			at := ms(tr)
-			root := r.Begin(tr, -1, "request", at, telemetry.A("tenant", "api"))
-			r.Event(tr, root, "admit", at, telemetry.A("verdict", "admitted"), telemetry.Int("queue", tr%5))
-			pod := r.Begin(tr, root, "pod", at, telemetry.Int("host", tr%4), telemetry.A("verdict", "placed"))
-			r.End(pod, at+ms(3), telemetry.Dur("sojourn", time.Duration(tr)*time.Microsecond))
+			root := r.Begin(tr, -1, "request", at, A("tenant", "api"))
+			r.Event(tr, root, "admit", at, A("verdict", "admitted"), Int("queue", tr%5))
+			pod := r.Begin(tr, root, "pod", at, Int("host", tr%4), A("verdict", "placed"))
+			r.End(pod, at+ms(3), Dur("sojourn", time.Duration(tr)*time.Microsecond))
 			r.Event(tr, root, "teardown <&>", at+ms(4))
-			r.End(root, at+ms(5), telemetry.A("outcome", "completed"))
+			r.End(root, at+ms(5), A("outcome", "completed"))
 		}
 		if r.Len() != spans {
 			t.Fatalf("recorded %d spans, want %d", r.Len(), spans)

@@ -3,8 +3,15 @@
 // root span whose trace id is the container id, and each timed stage is a
 // child span of it; the store renders them as the breakdown table (Tab. 1),
 // the timeline figure (Fig. 5), and CDFs (Fig. 12). Request journeys
-// (package journey) record into the same store with their own root and
-// child spans, parent links and attributes.
+// (package serve) record into the same store with their own root and
+// child spans, parent links and attributes: a span context is minted when
+// a request arrives and threaded through admission, queue wait, dispatch,
+// placement, reroute/backoff after host crashes, the startup stages, pod
+// lifetime and teardown. A journey store consumes no simulated time and no
+// PRNG draws, so a run with one attached renders byte-identically to one
+// without. It exports as a canonical JSONL span log (WriteLog, with an
+// FNV-1a Fingerprint for the determinism check) and as a Chrome trace
+// (WriteChrome) on the kernel trace's clock.
 //
 // Recording is free of real synchronization because the simulation kernel
 // guarantees only one simulated thread executes at a time; the paper's tool
@@ -347,7 +354,7 @@ func (r *Recorder) Fingerprint() uint64 {
 }
 
 // exportBuf is the size of the bounded buffer an export streams through:
-// the span log here and the Chrome trace-event writer of package trace.
+// the span log and the Chrome trace-event writer.
 // An export's memory therefore stays flat however many spans it writes.
 const exportBuf = 64 << 10
 

@@ -41,16 +41,14 @@ func (d *Decomposition) BlockedTotal() time.Duration {
 	return total
 }
 
-// Binder maps a proc name to the container whose startup it drives.
-type Binder func(procName string) (container int, ok bool)
-
-// DefaultBinder binds the startup experiment's "ctr-<id>" procs and the
-// serverless experiment's "task-<id>" procs. Helper procs (VF async init,
-// scrubber daemons) deliberately do not bind: their time is not on the
-// container's synchronous startup path.
-func DefaultBinder(name string) (int, bool) {
+// containerOf binds the startup experiment's "ctr-<id>" procs and the
+// serverless experiment's "task-<id>" procs to the container whose startup
+// they drive. Helper procs (VF async init, scrubber daemons) deliberately
+// do not bind: their time is not on the container's synchronous startup
+// path.
+func containerOf(procName string) (int, bool) {
 	for _, prefix := range []string{"ctr-", "task-"} {
-		if rest, ok := strings.CutPrefix(name, prefix); ok {
+		if rest, ok := strings.CutPrefix(procName, prefix); ok {
 			id, err := strconv.Atoi(rest)
 			if err == nil {
 				return id, true
@@ -61,20 +59,17 @@ func DefaultBinder(name string) (int, bool) {
 }
 
 // bindProcs maps each container to the slot of the one named proc that
-// binds to it (nil when bind is nil). Procs are visited in ascending id
-// order; two procs binding the same container are an error, since either
-// could be its driving proc.
-func (a *Analysis) bindProcs(bind Binder) (map[int]int32, error) {
-	if bind == nil {
-		return nil, nil
-	}
+// binds to it (containerOf). Procs are visited in ascending id order; two
+// procs binding the same container are an error, since either could be its
+// driving proc.
+func (a *Analysis) bindProcs() (map[int]int32, error) {
 	t := a.t
 	procOf := make(map[int]int32)
 	for s, p := range t.procs {
 		if !p.named {
 			continue
 		}
-		ctr, ok := bind(p.name)
+		ctr, ok := containerOf(p.name)
 		if !ok {
 			continue
 		}
@@ -88,10 +83,11 @@ func (a *Analysis) bindProcs(bind Binder) (map[int]int32, error) {
 }
 
 // CriticalPaths decomposes every completed container in rec. Each
-// container's driving proc is found through bind; its blocking intervals
-// are clipped to the recorder's [start, end] window and summed by target.
-func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomposition, error) {
-	procOf, err := a.bindProcs(bind)
+// container's driving proc is the one bound to it (bindProcs); its
+// blocking intervals are clipped to the recorder's [start, end] window and
+// summed by target.
+func (a *Analysis) CriticalPaths(rec *telemetry.Recorder) ([]Decomposition, error) {
+	procOf, err := a.bindProcs()
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +137,12 @@ func (a *Analysis) CriticalPaths(rec *telemetry.Recorder, bind Binder) ([]Decomp
 // container's decomposition is exact: components sum to the recorder's
 // total with a non-negative residual. Traced experiment runs call this
 // after every simulation, making the identity a standing invariant.
-func VerifyCriticalPaths(t *Trace, rec *telemetry.Recorder, bind Binder) error {
+func VerifyCriticalPaths(t *Trace, rec *telemetry.Recorder) error {
 	a, err := Analyze(t)
 	if err != nil {
 		return err
 	}
-	_, err = a.CriticalPaths(rec, bind)
+	_, err = a.CriticalPaths(rec)
 	return err
 }
 

@@ -127,10 +127,10 @@ func FuzzTraceReplay(f *testing.F) {
 			_ = s.MeanHold()
 			_ = s.WaitHist.String()
 		}
-		if _, err := a.CriticalPaths(telemetry.NewRecorder(), DefaultBinder); err != nil {
+		if _, err := a.CriticalPaths(telemetry.NewRecorder()); err != nil {
 			t.Fatalf("critical paths over empty recorder: %v", err)
 		}
-		if err := WriteChrome(io.Discard, a, telemetry.NewRecorder(), DefaultBinder); err != nil {
+		if err := WriteChrome(io.Discard, a, telemetry.NewRecorder()); err != nil {
 			t.Fatalf("chrome export: %v", err)
 		}
 		// The canonical encoding and fingerprint are pure functions of the

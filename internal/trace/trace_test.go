@@ -124,9 +124,9 @@ func TestDefaultBinder(t *testing.T) {
 		{"ctr-x", 0, false},
 	}
 	for _, c := range cases {
-		ctr, ok := DefaultBinder(c.name)
+		ctr, ok := containerOf(c.name)
 		if ctr != c.ctr || ok != c.ok {
-			t.Errorf("DefaultBinder(%q) = (%d, %v), want (%d, %v)", c.name, ctr, ok, c.ctr, c.ok)
+			t.Errorf("containerOf(%q) = (%d, %v), want (%d, %v)", c.name, ctr, ok, c.ctr, c.ok)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func TestCriticalPathDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := a.CriticalPaths(rec, DefaultBinder)
+	paths, err := a.CriticalPaths(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +192,13 @@ func TestCriticalPathDecomposition(t *testing.T) {
 
 func TestVerifyCriticalPaths(t *testing.T) {
 	tr, rec := criticalRun(t)
-	if err := VerifyCriticalPaths(tr, rec, DefaultBinder); err != nil {
+	if err := VerifyCriticalPaths(tr, rec); err != nil {
 		t.Fatal(err)
 	}
 	// A completed container with no bound proc must be diagnosed.
 	rec.MarkStart(7, 0)
 	rec.MarkEnd(7, ms(1))
-	if err := VerifyCriticalPaths(tr, rec, DefaultBinder); err == nil {
+	if err := VerifyCriticalPaths(tr, rec); err == nil {
 		t.Error("unbound completed container passed verification")
 	}
 }
@@ -261,7 +261,7 @@ func TestWriteChromeValidAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteChrome(&buf, a, rec, DefaultBinder); err != nil {
+		if err := WriteChrome(&buf, a, rec); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -386,7 +386,7 @@ func TestBadProcIDsRejected(t *testing.T) {
 				t.Errorf("%s: %v", c.name, err)
 				continue
 			}
-			if _, err := a.CriticalPaths(telemetry.NewRecorder(), DefaultBinder); err != nil {
+			if _, err := a.CriticalPaths(telemetry.NewRecorder()); err != nil {
 				t.Errorf("%s: critical paths: %v", c.name, err)
 			}
 			if got := tr.ProcName(c.ev.Proc); got != fmt.Sprintf("proc-%d", c.ev.Proc) {
@@ -427,7 +427,7 @@ func TestFromEventsSparseIDs(t *testing.T) {
 		t.Errorf("names: %q %q", tr.ProcName(99), tr.ProcName(100))
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, a, nil, nil); err != nil {
+	if err := WriteChrome(&buf, a, nil); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -466,11 +466,47 @@ func TestDuplicateBindingRejected(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	rec.MarkStart(1, 0)
 	rec.MarkEnd(1, ms(1))
-	if err := WriteChrome(io.Discard, a, rec, DefaultBinder); err == nil {
+	if err := WriteChrome(io.Discard, a, rec); err == nil {
 		t.Error("WriteChrome accepted two procs bound to container 1")
 	}
-	if _, err := a.CriticalPaths(rec, DefaultBinder); err == nil {
+	if _, err := a.CriticalPaths(rec); err == nil {
 		t.Error("CriticalPaths accepted two procs bound to container 1")
+	}
+}
+
+// TestWaitEventNames pins the kernel trace's wait event names: "wait "
+// followed by the lock name of the interval's class and object, with no
+// trailing space for an unnamed object.
+func TestWaitEventNames(t *testing.T) {
+	for class := range sim.WaitClass(numClasses) {
+		for _, obj := range []string{"", "vfio-devset-1", `q"<&>`} {
+			var buf bytes.Buffer
+			c := telemetry.NewChromeWriter(&buf)
+			wait(c, interval{start: ms(1), end: ms(3), class: class}, obj, 7)
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var file struct {
+				TraceEvents []struct {
+					Name string  `json:"name"`
+					Cat  string  `json:"cat"`
+					TS   float64 `json:"ts"`
+					Dur  float64 `json:"dur"`
+					PID  int     `json:"pid"`
+					TID  int     `json:"tid"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+				t.Fatalf("%s %q: %v\n%s", class, obj, err, buf.Bytes())
+			}
+			ev := file.TraceEvents[0]
+			if want := "wait " + lockName(class, obj); ev.Name != want {
+				t.Errorf("event name %q, want %q", ev.Name, want)
+			}
+			if ev.Cat != "wait" || ev.TS != 1000 || ev.Dur != 2000 || ev.PID != chromePID || ev.TID != 7 {
+				t.Errorf("%s %q: event %+v", class, obj, ev)
+			}
+		}
 	}
 }
 

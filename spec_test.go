@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"fastiov/internal/fault"
-	"fastiov/internal/journey"
+	"fastiov/internal/metrics"
 	"fastiov/internal/serve"
 )
 
@@ -66,11 +66,11 @@ func TestShippedSpecsCanonical(t *testing.T) {
 			"alert slo-burn: burnrate(serve_sojourn_seconds, slo=2s, short=500ms, long=2s) > 0.25"},
 	}
 	for _, c := range alerts {
-		rules, err := journey.ParseRules(c.spec)
+		rules, err := metrics.ParseRules(c.spec)
 		if err != nil {
-			t.Errorf("journey.ParseRules(%q): %v", c.spec, err)
-		} else if got := journey.FormatRules(rules); got != c.canon {
-			t.Errorf("journey.ParseRules(%q) renders %q, want %q", c.spec, got, c.canon)
+			t.Errorf("metrics.ParseRules(%q): %v", c.spec, err)
+		} else if got := metrics.FormatRules(rules); got != c.canon {
+			t.Errorf("metrics.ParseRules(%q) renders %q, want %q", c.spec, got, c.canon)
 		}
 	}
 }
