@@ -136,6 +136,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			strings.Join(fastiov.FleetPolicies(), "|"), strings.Join(fastiov.ServePolicies(), "|"))
 		return 2
 	}
+	// -baseline only parameterises an export mode; on its own it would be
+	// ignored silently.
+	exportMode := *tracePath != "" || *metricsOut != "" || *metricsCSV != "" || *dashboard ||
+		*jtracePath != "" || *jlogPath != "" || *alertsPath != ""
+	if *baseline != "" && !exportMode {
+		fmt.Fprintln(stderr, "fastiov-bench: -baseline needs an export mode: -trace, -metrics, -metrics-csv, -dashboard, -journey-trace, -journey-log or -alerts")
+		return 2
+	}
 	if err := fastiov.ValidateFaultSpec(*faults); err != nil {
 		fmt.Fprintln(stderr, "fastiov-bench: -faults:", err)
 		return 2

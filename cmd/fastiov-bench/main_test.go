@@ -227,6 +227,24 @@ func TestBadFaultSpecExits2(t *testing.T) {
 	}
 }
 
+// TestBaselineWithoutExportExits2 checks that -baseline, which only picks
+// the baseline of an export mode, is a usage error without one instead of
+// being ignored.
+func TestBaselineWithoutExportExits2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "fig1", "-n", "10", "-baseline", "bogus"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	for _, mode := range []string{"-trace", "-metrics", "-metrics-csv", "-dashboard", "-journey-trace", "-journey-log", "-alerts"} {
+		if !strings.Contains(stderr.String(), mode) {
+			t.Errorf("stderr does not name export mode %s:\n%s", mode, stderr.String())
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiment ran despite a stray -baseline:\n%s", stdout.String())
+	}
+}
+
 // TestFaultsFlagChangesOutput checks the -faults flag reaches the
 // simulation: the same experiment renders differently under a plan.
 func TestFaultsFlagChangesOutput(t *testing.T) {

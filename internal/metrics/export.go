@@ -4,8 +4,11 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
+
+	"fastiov/internal/telemetry"
 )
 
 // csvEscape quotes a CSV cell when it contains a comma, quote, or newline.
@@ -20,25 +23,31 @@ func csvEscape(s string) string {
 // simulated tick times in nanoseconds, then one column per instrument id in
 // lexical order, one row per sample tick. Values carry full float64
 // round-trip precision, so the dump is byte-deterministic and lossless.
+// The rows stream through one bounded export buffer: the memory and the
+// allocations of an export do not grow with the number of samples.
 func (r *Registry) WriteCSV(w io.Writer) error {
 	ids := r.IDs()
-	var b strings.Builder
-	b.WriteString("t_ns")
-	for _, id := range ids {
-		b.WriteByte(',')
-		b.WriteString(csvEscape(id))
+	cols := make([][]float64, len(ids))
+	s := telemetry.NewStream(w)
+	s.B = append(s.B, "t_ns"...)
+	for i, id := range ids {
+		cols[i] = r.byID[id].series
+		s.B = append(s.B, ',')
+		s.B = append(s.B, csvEscape(id)...)
 	}
-	b.WriteByte('\n')
+	s.B = append(s.B, '\n')
+	s.Record()
 	for tick, at := range r.times {
-		fmt.Fprintf(&b, "%d", int64(at))
-		for _, id := range ids {
-			b.WriteByte(',')
-			b.WriteString(formatValue(r.byID[id].series[tick]))
+		s.B = strconv.AppendInt(s.B, int64(at), 10)
+		for _, col := range cols {
+			s.B = append(s.B, ',')
+			s.B = appendValue(s.B, col[tick])
+			s.Record()
 		}
-		b.WriteByte('\n')
+		s.B = append(s.B, '\n')
+		s.Record()
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return s.Close()
 }
 
 // sparkRunes are the 8-level block characters used by the dashboard.

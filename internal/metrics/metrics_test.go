@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -253,6 +254,33 @@ func TestWriteCSV(t *testing.T) {
 	want := "t_ns,\"a{k=\"\"x,y\"\"}\",b\n0,1,2\n10000000,1,2\n"
 	if b.String() != want {
 		t.Fatalf("csv mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
+	}
+}
+
+// TestWriteCSVAllocsFlat pins the streaming CSV export: its allocation
+// count is the same for 10 samples as for 5000, whose rows overflow the
+// export buffer several times.
+func TestWriteCSVAllocsFlat(t *testing.T) {
+	allocs := func(samples int) float64 {
+		k := sim.NewKernel(1)
+		r := New(time.Millisecond)
+		v := 0.0
+		r.GaugeFunc("g", "g", []Label{{"k", "x,y"}}, func() float64 { v += 0.1; return v })
+		r.CounterFunc("c_total", "c", nil, func() float64 { return math.Inf(1) })
+		r.Start(k)
+		k.Go("work", func(p *sim.Proc) { p.Sleep(time.Duration(samples) * time.Millisecond) })
+		r.Seal(k.Run())
+		if r.Samples() != samples {
+			t.Fatalf("samples = %d, want %d", r.Samples(), samples)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := r.WriteCSV(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(5000); many != few {
+		t.Errorf("WriteCSV allocates %v times for 10 samples and %v for 5000", few, many)
 	}
 }
 

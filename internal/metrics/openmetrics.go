@@ -93,14 +93,17 @@ func escapeHelp(s string) string {
 
 // formatValue renders a sample value with full float64 round-trip
 // precision; +Inf renders as the exposition's "+Inf".
-func formatValue(v float64) string {
-	if math.IsInf(v, +1) {
-		return "+Inf"
+func formatValue(v float64) string { return string(appendValue(nil, v)) }
+
+// appendValue appends formatValue's rendering of v to b.
+func appendValue(b []byte, v float64) []byte {
+	switch {
+	case math.IsInf(v, +1):
+		return append(b, "+Inf"...)
+	case math.IsInf(v, -1):
+		return append(b, "-Inf"...)
 	}
-	if math.IsInf(v, -1) {
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // renderLabels renders a sanitized, escaped label set (with optional extra

@@ -165,30 +165,26 @@ func lockName(class sim.WaitClass, obj string) string {
 // are rejected with an error naming the offending event, as are events
 // FromEvents could not store.
 //
-// The replay uses dense tables only: the open wait and the open holds are
-// indexed by proc slot, and the lock table has one entry per (object,
-// class) pair holding its stats and queue depth. A release closes the most
-// recent open hold of the same pair by the same proc.
+// The replay is one pass over the decoded stream through dense tables
+// only: the open wait and the open holds are indexed by proc slot, and the
+// lock table has one entry per (object, class) pair holding its stats and
+// queue depth. A release closes the most recent open hold of the same pair
+// by the same proc.
 func Analyze(t *Trace) (*Analysis, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
 	a := &Analysis{t: t, perProc: make([][]interval, t.nslots)}
 	// Size every proc's interval list up front, carved from one backing
-	// array: each unblock appends exactly one interval.
-	counts := make([]int, t.nslots)
+	// array: each unblock appends exactly one interval, and the trace
+	// counted them per slot while recording.
 	total := 0
-	for ci := range t.chunks {
-		for _, r := range t.chunk(ci) {
-			if Kind(r.kind) == Unblock {
-				counts[r.proc]++
-				total++
-			}
-		}
+	for _, p := range t.procs {
+		total += p.unblocks
 	}
 	backing := make([]interval, total)
-	for s, n := range counts {
-		a.perProc[s], backing = backing[:0:n], backing[n:]
+	for s, p := range t.procs {
+		a.perProc[s], backing = backing[:0:p.unblocks], backing[p.unblocks:]
 	}
 	waiting := make([]openWait, t.nslots)
 	holds := make([][]openHold, t.nslots)
@@ -208,86 +204,83 @@ func Analyze(t *Trace) (*Analysis, error) {
 	}
 
 	i := 0
-	for ci := range t.chunks {
-		for j := range t.chunk(ci) {
-			r := &t.chunks[ci][j]
-			if r.at < lastAt {
-				return nil, fmt.Errorf("trace: event %d: time went backwards (%v after %v)",
-					i, time.Duration(r.at), time.Duration(lastAt))
-			}
-			lastAt = r.at
-			class := sim.WaitClass(r.class)
-			switch Kind(r.kind) {
-			case Block:
-				if class == sim.WaitNone {
-					return nil, fmt.Errorf("trace: event %d: proc %d blocks with no wait class", i, t.procID(r.proc))
-				}
-				if ow := &waiting[r.proc]; ow.class != sim.WaitNone {
-					return nil, fmt.Errorf("trace: event %d: proc %d blocks on %s %q while already blocked on %s %q",
-						i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
-				}
-				waiting[r.proc] = openWait{class: class, obj: r.obj, start: r.at}
-				if class != sim.WaitSleep {
-					s := stat(lockKey(r), r)
-					s.depth++
-					if s.depth > s.MaxQueue {
-						s.MaxQueue = s.depth
-					}
-				}
-			case Unblock:
-				ow := waiting[r.proc]
-				if ow.class == sim.WaitNone {
-					return nil, fmt.Errorf("trace: event %d: proc %d unblocks without a matching block", i, t.procID(r.proc))
-				}
-				if ow.class != class || ow.obj != r.obj {
-					return nil, fmt.Errorf("trace: event %d: proc %d unblocks from %s %q but blocked on %s %q",
-						i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
-				}
-				waiting[r.proc] = openWait{}
-				a.perProc[r.proc] = append(a.perProc[r.proc],
-					interval{start: time.Duration(ow.start), end: time.Duration(r.at), class: class, obj: r.obj})
-				if class != sim.WaitSleep {
-					s := stat(lockKey(r), r)
-					s.depth--
-					d := time.Duration(r.at - ow.start)
-					s.Waits++
-					s.TotalWait += d
-					if d > s.MaxWait {
-						s.MaxWait = d
-					}
-					s.WaitHist.Add(d)
-					if ow.blocker != 0 {
-						if s.blockedBy == nil {
-							s.blockedBy = make(map[int]time.Duration)
-						}
-						s.blockedBy[t.procID(ow.blocker)] += d
-					}
-				}
-			case Acquire:
-				k := lockKey(r)
-				stat(k, r).Acquires++
-				holds[r.proc] = append(holds[r.proc], openHold{start: r.at, key: k})
-				attribute(waiting, r)
-			case Release:
-				k := lockKey(r)
-				start, ok := popHold(holds, r.proc, k)
-				if !ok {
-					return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
-						i, t.procID(r.proc), class, t.objs[r.obj])
-				}
-				s := table[k]
-				d := time.Duration(r.at - start)
-				s.Holds++
-				s.TotalHold += d
-				if d > s.MaxHold {
-					s.MaxHold = d
-				}
-				s.HoldHist.Add(d)
-			case Wake:
-				attribute(waiting, r)
-			}
-			i++
+	for r := range t.records() {
+		if r.at < lastAt {
+			return nil, fmt.Errorf("trace: event %d: time went backwards (%v after %v)",
+				i, time.Duration(r.at), time.Duration(lastAt))
 		}
+		lastAt = r.at
+		class := sim.WaitClass(r.class)
+		switch Kind(r.kind) {
+		case Block:
+			if class == sim.WaitNone {
+				return nil, fmt.Errorf("trace: event %d: proc %d blocks with no wait class", i, t.procID(r.proc))
+			}
+			if ow := &waiting[r.proc]; ow.class != sim.WaitNone {
+				return nil, fmt.Errorf("trace: event %d: proc %d blocks on %s %q while already blocked on %s %q",
+					i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
+			}
+			waiting[r.proc] = openWait{class: class, obj: r.obj, start: r.at}
+			if class != sim.WaitSleep {
+				s := stat(lockKey(r), r)
+				s.depth++
+				if s.depth > s.MaxQueue {
+					s.MaxQueue = s.depth
+				}
+			}
+		case Unblock:
+			ow := waiting[r.proc]
+			if ow.class == sim.WaitNone {
+				return nil, fmt.Errorf("trace: event %d: proc %d unblocks without a matching block", i, t.procID(r.proc))
+			}
+			if ow.class != class || ow.obj != r.obj {
+				return nil, fmt.Errorf("trace: event %d: proc %d unblocks from %s %q but blocked on %s %q",
+					i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
+			}
+			waiting[r.proc] = openWait{}
+			a.perProc[r.proc] = append(a.perProc[r.proc],
+				interval{start: time.Duration(ow.start), end: time.Duration(r.at), class: class, obj: r.obj})
+			if class != sim.WaitSleep {
+				s := stat(lockKey(r), r)
+				s.depth--
+				d := time.Duration(r.at - ow.start)
+				s.Waits++
+				s.TotalWait += d
+				if d > s.MaxWait {
+					s.MaxWait = d
+				}
+				s.WaitHist.Add(d)
+				if ow.blocker != 0 {
+					if s.blockedBy == nil {
+						s.blockedBy = make(map[int]time.Duration)
+					}
+					s.blockedBy[t.procID(ow.blocker)] += d
+				}
+			}
+		case Acquire:
+			k := lockKey(r)
+			stat(k, r).Acquires++
+			holds[r.proc] = append(holds[r.proc], openHold{start: r.at, key: k})
+			attribute(waiting, r)
+		case Release:
+			k := lockKey(r)
+			start, ok := popHold(holds, r.proc, k)
+			if !ok {
+				return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
+					i, t.procID(r.proc), class, t.objs[r.obj])
+			}
+			s := table[k]
+			d := time.Duration(r.at - start)
+			s.Holds++
+			s.TotalHold += d
+			if d > s.MaxHold {
+				s.MaxHold = d
+			}
+			s.HoldHist.Add(d)
+		case Wake:
+			attribute(waiting, r)
+		}
+		i++
 	}
 	return a, nil
 }

@@ -8,28 +8,34 @@ import (
 	"fastiov/internal/sim"
 )
 
+// probeHeavyRun records a synthetic kernel through Attach: procs procs each
+// alternate a contended Resource.Use with a Sleep rounds times.
+func probeHeavyRun(procs, rounds int) *Trace {
+	k := sim.NewKernel(1)
+	tr := Attach(k)
+	membw := sim.NewResource("membw", 8)
+	for i := range procs {
+		k.Go("ctr-"+strconv.Itoa(i), func(p *sim.Proc) {
+			for range rounds {
+				membw.Use(p, 1, time.Microsecond)
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	k.Run()
+	return tr
+}
+
 // BenchmarkTraceRecordAnalyze measures one traced run of a probe-heavy
-// synthetic kernel: 200 procs each alternate a contended Resource.Use with
-// a Sleep 50 times (about 80k probe events per op), recorded through
-// Attach, then analyzed and fingerprinted.
-// bench-smoke runs it at -cpu 1 and gates its allocs/op against the value
-// recorded in BENCH_kernel.json.
+// synthetic kernel (probeHeavyRun with 200 procs and 50 rounds, about 80k
+// probe events per op), then analyzes and fingerprints it.
+// bench-smoke runs it at -cpu 1 and gates its allocs/op and B/op against
+// the values recorded in BENCH_kernel.json.
 func BenchmarkTraceRecordAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	var events int
 	for range b.N {
-		k := sim.NewKernel(1)
-		tr := Attach(k)
-		membw := sim.NewResource("membw", 8)
-		for i := range 200 {
-			k.Go("ctr-"+strconv.Itoa(i), func(p *sim.Proc) {
-				for range 50 {
-					membw.Use(p, 1, time.Microsecond)
-					p.Sleep(time.Microsecond)
-				}
-			})
-		}
-		k.Run()
+		tr := probeHeavyRun(200, 50)
 		a, err := Analyze(tr)
 		if err != nil {
 			b.Fatal(err)

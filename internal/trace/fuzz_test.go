@@ -25,26 +25,42 @@ var fuzzClasses = []sim.WaitClass{
 // %q does: quotes, backslashes, non-ASCII, control bytes, invalid UTF-8.
 var fuzzObjs = []string{"", "a", "b", "vfio-devset-1", `q"uote`, `back\slash`, "naïve-設備", "ctl\x00\t\x7f\xff"}
 
+// fuzzN maps a 4-bit selector onto an event's N: small counts, and then
+// the values a varint encoding must carry across many bytes or sign flips.
+var fuzzN = [16]int64{
+	0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+	1 << 40, -1, -(1 << 35) - 7, math.MaxInt64, math.MinInt64,
+}
+
 // decodeEvents turns arbitrary fuzz bytes into an event stream, five bytes
 // per event. Time advances by the low bits of the fifth byte but can also
 // stall or (when the high bit is set) jump backwards, so the analyzer's
-// monotonicity check gets exercised too.
+// monotonicity check gets exercised too. A step of 63µs is an edge
+// instead: time jumps to near math.MaxInt64 (forward) or math.MinInt64
+// (backward), offset by the fourth byte, so consecutive edges wrap the
+// stored time delta across the whole int64 range.
 //
 // Proc ids are 1..8 unless the third byte's top bits select an edge case:
 // 0xe0.. proc 0, 0xe8.. negative, 0xf0.. the largest int32 ids (valid),
 // 0xf8.. ids above math.MaxInt32 (rejected). Bit 0x40 of the fifth byte
-// replaces the waker with -1, math.MaxInt32 or math.MaxInt32+1.
+// replaces the waker with -1, math.MaxInt32 or math.MaxInt32+1. N is
+// fuzzN[fourth byte >> 4]: negative, multi-byte and extreme values too.
 func decodeEvents(data []byte) []Event {
 	var events []Event
 	var at time.Duration
 	for len(data) >= 5 {
 		b, rest := data[:5], data[5:]
 		data = rest
-		dt := time.Duration(b[4]&0x3f) * time.Microsecond
-		if b[4]&0x80 != 0 {
-			at -= dt
-		} else {
-			at += dt
+		back := b[4]&0x80 != 0
+		switch step := b[4] & 0x3f; {
+		case step == 0x3f && back:
+			at = math.MinInt64 + time.Duration(b[3])
+		case step == 0x3f:
+			at = math.MaxInt64 - time.Duration(b[3])
+		case back:
+			at -= time.Duration(step) * time.Microsecond
+		default:
+			at += time.Duration(step) * time.Microsecond
 		}
 		e := Event{
 			At:    at,
@@ -53,7 +69,7 @@ func decodeEvents(data []byte) []Event {
 			Obj:   fuzzObjs[int(b[1]>>4)%len(fuzzObjs)],
 			Proc:  int(b[2]%8) + 1,
 			Waker: int(b[3] % 9), // 0 = none
-			N:     int64(b[3] >> 4),
+			N:     fuzzN[b[3]>>4],
 		}
 		switch low := int64(b[2] % 8); b[2] >> 3 {
 		case 28:
@@ -108,6 +124,18 @@ func FuzzTraceReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0xe8, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0xf8, 0, 0})
 	f.Add([]byte{6, 0x77, 1, 2, 0x40})
+	// Time near math.MaxInt64, then a jump to near math.MinInt64 and a
+	// small step back up: the stored deltas wrap both ways.
+	f.Add([]byte{0, 0, 1, 3, 0x3f, 1, 0, 2, 5, 0xbf, 6, 0x22, 1, 0, 0x01})
+	// Negative, multi-byte and extreme N on acquire/release, and on kinds
+	// that never carry one, with the largest waker.
+	f.Add([]byte{
+		4, 0x05, 1, 0xc0, 0x02, // acquire resource p1, N -1
+		5, 0x05, 1, 0xd0, 0x03, // release resource p1, N -(1<<35)-7
+		0, 0x00, 2, 0xe1, 0x70, // spawn p2, N MaxInt64, waker MaxInt32
+		6, 0x07, 3, 0xf0, 0x30, // wake p3, N MinInt64
+		1, 0x00, 2, 0xb0, 0x3e, // exit p2, N 1<<40, a 62µs step
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeEvents(data)

@@ -7,14 +7,19 @@
 // (service / blocked-on-X / runnable), and what the whole run looked like
 // (Chrome trace-event export, loadable in Perfetto).
 //
-// The stream is stored compactly. Each event is a fixed-size, pointer-free
-// 32-byte record kept in fixed-size chunks, so recording never copies the
-// stream and the garbage collector never scans it. Object names are
-// interned into a per-trace table (id 0 is ""), which also holds each
-// name pre-quoted for the canonical encoding. Procs are stored as dense
-// slots: a traced kernel's proc ids are its slots, and FromEvents maps
-// arbitrary ids onto slots in ascending id order. Analyze replays the
-// chunks through dense tables indexed by slot and object id.
+// The stream is stored as bytes, at the cost of its information. Each event
+// is one header byte (its kind and which fields follow) plus varints for
+// the time delta from the previous event and only those fields that
+// changed or are non-zero: a typical event takes 3-5 bytes. The bytes live
+// in pointer-free chunks, so recording never copies the stream and the
+// garbage collector never scans it. One decoder (records) is the only
+// reader. Object names are interned into a per-trace table (id 0 is ""),
+// which also holds each name pre-quoted for the canonical encoding. Procs
+// are stored as dense slots: a traced kernel's proc ids are its slots, and
+// FromEvents maps arbitrary ids onto slots in ascending id order. Each
+// slot counts its unblocks while recording, so Analyze sizes the per-proc
+// interval lists without a counting pass and replays the stream once
+// through dense tables indexed by slot and object id.
 //
 // Tracing is strictly opt-in: with no probe installed the kernel's
 // emission sites cost one nil check each, and traced runs produce
@@ -23,8 +28,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"math"
 	"slices"
 	"strconv"
@@ -64,9 +71,8 @@ type Event struct {
 	N     int64
 }
 
-// record is the stored form of an Event: pointer-free and 32 bytes. proc
-// and waker are proc slots (slot 0 is id 0, "no proc"); obj indexes the
-// trace's intern table.
+// record is the decoded form of one stored event. proc and waker are proc
+// slots (slot 0 is id 0, "no proc"); obj indexes the trace's intern table.
 type record struct {
 	at    int64
 	n     int64
@@ -77,22 +83,55 @@ type record struct {
 	class uint8
 }
 
-// chunkLen is the number of records per storage chunk (128 KiB).
-const chunkLen = 4096
+// The stored stream is a sequence of variable-length records. Each starts
+// with a header byte: the kind in the low three bits, then one flag per
+// optional field. The fields follow in this order, as varints except the
+// one-byte class:
+//
+//	at     zigzag delta from the previous record's at   always
+//	class  the wait class                               flagClass: changed
+//	proc   the proc slot                                flagProc: changed
+//	obj    the object id                                flagObj: changed
+//	waker  the waker slot                               flagWaker: non-zero
+//	n      zigzag                                       flagN: non-zero
+//
+// "Changed" compares with the previous record (the first compares with the
+// zero record). Deltas wrap in int64, so any sequence of timestamps, time
+// running backwards included, decodes exactly.
+const (
+	kindMask  = 0x07
+	flagClass = 0x08
+	flagProc  = 0x10
+	flagObj   = 0x20
+	flagWaker = 0x40
+	flagN     = 0x80
 
-type chunk [chunkLen]record
+	// maxRecord bounds one encoded record: the header, two 64-bit varints
+	// (at, n), the class byte and three 32-bit varints.
+	maxRecord = 1 + 2*binary.MaxVarintLen64 + 1 + 3*binary.MaxVarintLen32
+)
+
+// Stream chunks grow from minChunk bytes, doubling up to maxChunk. A record
+// never straddles two chunks, so a chunk's length is exactly its records.
+const (
+	minChunk = 1 << 10
+	maxChunk = 64 << 10
+)
 
 // procEntry is one proc slot's name, captured the first time the proc is
-// the subject of an event.
+// the subject of an event, and the number of times it unblocked, which
+// sizes its interval list in Analyze.
 type procEntry struct {
-	name  string
-	named bool
+	name     string
+	named    bool
+	unblocks int
 }
 
 // Trace is a recorded event stream plus the proc and object tables.
 type Trace struct {
-	chunks []*chunk
-	tail   int // records used in the last chunk
+	chunks [][]byte // the encoded records; every chunk but the last is closed
+	count  int      // records stored
+	last   record   // the previous record, the encoder's delta base
 
 	objs    []string // object id → name; objs[0] == ""
 	quoted  []string // object id → strconv.Quote(name)
@@ -130,6 +169,9 @@ func Attach(k *sim.Kernel) *Trace {
 // under the execution baton, so appends are single-threaded and the
 // stream order is the deterministic execution order.
 func (t *Trace) observe(at sim.Duration, ev sim.ProbeEvent) {
+	if t.err != nil {
+		return // the stream stops at the first event it could not hold
+	}
 	r := record{at: int64(at), n: ev.N, kind: uint8(ev.Kind), class: uint8(ev.Class)}
 	if ev.Obj != "" {
 		r.obj = t.intern(ev.Obj)
@@ -137,7 +179,9 @@ func (t *Trace) observe(at sim.Duration, ev sim.ProbeEvent) {
 	if p := ev.Proc; p != nil {
 		id := p.ID()
 		if id >= len(t.procs) || !t.procs[id].named {
-			t.name(id, p.Name())
+			if t.name(id, p.Name()); t.err != nil {
+				return
+			}
 		}
 		r.proc = int32(id)
 	}
@@ -147,7 +191,7 @@ func (t *Trace) observe(at sim.Duration, ev sim.ProbeEvent) {
 			t.nslots = int(r.waker) + 1
 		}
 	}
-	t.push(r)
+	t.push(&r)
 }
 
 // name records the name of a traced kernel's proc the first time it is an
@@ -160,12 +204,17 @@ func (t *Trace) name(id int, name string) {
 		}
 		return
 	}
-	for len(t.procs) <= id {
-		t.procs = append(t.procs, procEntry{})
-	}
-	t.procs[id] = procEntry{name: name, named: true}
+	t.growProcs(id)
+	t.procs[id].name, t.procs[id].named = name, true
 	if id >= t.nslots {
 		t.nslots = id + 1
+	}
+}
+
+// growProcs extends the proc table to hold slot s.
+func (t *Trace) growProcs(s int) {
+	for len(t.procs) <= s {
+		t.procs = append(t.procs, procEntry{})
 	}
 }
 
@@ -185,22 +234,118 @@ func (t *Trace) intern(obj string) uint32 {
 	return id
 }
 
-// push appends one record, starting a new chunk when the last is full.
-func (t *Trace) push(r record) {
-	if len(t.chunks) == 0 || t.tail == chunkLen {
-		t.chunks = append(t.chunks, new(chunk))
-		t.tail = 0
+// push encodes one record at the end of the stream, starting a new chunk
+// when the last one might not hold it, and counts its proc's unblocks.
+func (t *Trace) push(r *record) {
+	n := len(t.chunks)
+	if n == 0 || cap(t.chunks[n-1])-len(t.chunks[n-1]) < maxRecord {
+		size := minChunk
+		if n > 0 {
+			size = min(2*cap(t.chunks[n-1]), maxChunk)
+		}
+		t.chunks = append(t.chunks, make([]byte, 0, size))
+		n++
 	}
-	t.chunks[len(t.chunks)-1][t.tail] = r
-	t.tail++
+	b := t.chunks[n-1]
+	h := len(b)
+	b = append(b, r.kind)
+	b = binary.AppendVarint(b, r.at-t.last.at)
+	if r.class != t.last.class {
+		b[h] |= flagClass
+		b = append(b, r.class)
+	}
+	if r.proc != t.last.proc {
+		b[h] |= flagProc
+		b = binary.AppendUvarint(b, uint64(uint32(r.proc)))
+	}
+	if r.obj != t.last.obj {
+		b[h] |= flagObj
+		b = binary.AppendUvarint(b, uint64(r.obj))
+	}
+	if r.waker != 0 {
+		b[h] |= flagWaker
+		b = binary.AppendUvarint(b, uint64(uint32(r.waker)))
+	}
+	if r.n != 0 {
+		b[h] |= flagN
+		b = binary.AppendVarint(b, r.n)
+	}
+	t.chunks[n-1] = b
+	t.last = *r
+	t.count++
+	if Kind(r.kind) == Unblock {
+		t.growProcs(int(r.proc))
+		t.procs[r.proc].unblocks++
+	}
 }
 
-// chunk returns the filled part of chunk ci.
-func (t *Trace) chunk(ci int) []record {
-	if ci == len(t.chunks)-1 {
-		return t.chunks[ci][:t.tail]
+// records returns the stream's only reader: it decodes the records in
+// recorded order. The yielded record is reused by the next step, so a
+// caller must copy what it keeps.
+func (t *Trace) records() iter.Seq[*record] {
+	return func(yield func(*record) bool) {
+		var r record
+		var v uint64
+		for _, c := range t.chunks {
+			for i := 0; i < len(c); {
+				h := c[i]
+				r.kind = h & kindMask
+				v, i = uvarint(c, i+1)
+				r.at += unzigzag(v)
+				if h&flagClass != 0 {
+					r.class = c[i]
+					i++
+				}
+				if h&flagProc != 0 {
+					v, i = uvarint(c, i)
+					r.proc = int32(v)
+				}
+				if h&flagObj != 0 {
+					v, i = uvarint(c, i)
+					r.obj = uint32(v)
+				}
+				r.waker = 0
+				if h&flagWaker != 0 {
+					v, i = uvarint(c, i)
+					r.waker = int32(v)
+				}
+				r.n = 0
+				if h&flagN != 0 {
+					v, i = uvarint(c, i)
+					r.n = unzigzag(v)
+				}
+				if !yield(&r) {
+					return
+				}
+			}
+		}
 	}
-	return t.chunks[ci][:]
+}
+
+// uvarint decodes the unsigned varint at b[i:] and returns it with the
+// index after it. The stream is the encoder's own, so there is no
+// overflow check, and the loop is small enough to inline.
+func uvarint(b []byte, i int) (v uint64, next int) {
+	for s := uint(0); ; s += 7 {
+		x := b[i]
+		i++
+		v |= uint64(x&0x7f) << s
+		if x < 0x80 {
+			return v, i
+		}
+	}
+}
+
+// unzigzag inverts binary.AppendVarint's zigzag mapping.
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
+
+// storedBytes returns the encoded stream's length in bytes.
+func (t *Trace) storedBytes() int {
+	n := 0
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // FromEvents builds a trace from a raw stream (tests and fuzzing). names
@@ -237,7 +382,7 @@ func FromEvents(events []Event, names map[int]string) *Trace {
 		t.procs[t.slotOf(id)] = procEntry{name: name, named: true}
 	}
 	for _, e := range events[:valid] {
-		t.push(record{
+		t.push(&record{
 			at: int64(e.At), n: e.N, kind: uint8(e.Kind), class: uint8(e.Class),
 			obj: t.intern(e.Obj), proc: int32(t.slotOf(e.Proc)), waker: int32(t.slotOf(e.Waker)),
 		})
@@ -245,7 +390,7 @@ func FromEvents(events []Event, names map[int]string) *Trace {
 	return t
 }
 
-// checkEvent rejects an event the compact record cannot hold.
+// checkEvent rejects an event a record cannot hold.
 func checkEvent(i int, e Event) error {
 	switch {
 	case e.Proc < 0 || e.Proc > math.MaxInt32:
@@ -287,12 +432,7 @@ func (t *Trace) procID(s int32) int {
 }
 
 // Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if len(t.chunks) == 0 {
-		return 0
-	}
-	return (len(t.chunks)-1)*chunkLen + t.tail
-}
+func (t *Trace) Len() int { return t.count }
 
 // ProcName returns the recorded name of proc id ("proc-<id>" if unseen).
 func (t *Trace) ProcName(id int) string {
@@ -326,10 +466,8 @@ func (t *Trace) appendLine(b []byte, r *record) []byte {
 // line per event in recorded order. Two runs of the same seeded simulation
 // must produce identical bytes.
 func (t *Trace) AppendCanonical(b []byte) []byte {
-	for ci := range t.chunks {
-		for i := range t.chunk(ci) {
-			b = t.appendLine(b, &t.chunks[ci][i])
-		}
+	for r := range t.records() {
+		b = t.appendLine(b, r)
 	}
 	return b
 }
@@ -341,13 +479,11 @@ func (t *Trace) Fingerprint() uint64 {
 	const flush = 16 << 10
 	h := fnv.New64a()
 	buf := make([]byte, 0, flush+256)
-	for ci := range t.chunks {
-		for i := range t.chunk(ci) {
-			buf = t.appendLine(buf, &t.chunks[ci][i])
-			if len(buf) >= flush {
-				h.Write(buf)
-				buf = buf[:0]
-			}
+	for r := range t.records() {
+		buf = t.appendLine(buf, r)
+		if len(buf) >= flush {
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
 	h.Write(buf)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"fastiov/internal/sim"
 	"fastiov/internal/telemetry"
@@ -307,9 +306,46 @@ func TestWriteChromeValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestRecordIsCompact(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size > 32 {
-		t.Errorf("stored record is %d bytes, want at most 32", size)
+// TestStoredBytesPerEvent pins the encoding's density on a recorded kernel
+// stream: a fixed 32-byte record per event fails it.
+func TestStoredBytesPerEvent(t *testing.T) {
+	tr := probeHeavyRun(50, 20)
+	if tr.Len() == 0 {
+		t.Fatal("no events recorded")
+	}
+	if per := float64(tr.storedBytes()) / float64(tr.Len()); per > 8 {
+		t.Errorf("%d events stored in %d bytes (%.2f B/event), want at most 8",
+			tr.Len(), tr.storedBytes(), per)
+	}
+}
+
+// TestIntervalListsSizedByUnblocks pins that the unblock counts kept while
+// recording size every proc's interval list exactly, for kernel ids and
+// for FromEvents slots.
+func TestIntervalListsSizedByUnblocks(t *testing.T) {
+	sparse := FromEvents([]Event{
+		{At: 0, Kind: Block, Class: sim.WaitSleep, Proc: math.MaxInt32},
+		{At: ms(1), Kind: Unblock, Class: sim.WaitSleep, Proc: math.MaxInt32},
+		{At: ms(1), Kind: Block, Class: sim.WaitSleep, Proc: 5},
+		{At: ms(2), Kind: Unblock, Class: sim.WaitSleep, Proc: 5},
+		{At: ms(2), Kind: Block, Class: sim.WaitSleep, Proc: math.MaxInt32},
+		{At: ms(3), Kind: Unblock, Class: sim.WaitSleep, Proc: math.MaxInt32},
+	}, nil)
+	for _, tr := range []*Trace{probeHeavyRun(20, 5), sparse} {
+		a, err := Analyze(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for s, ivs := range a.perProc {
+			if len(ivs) != cap(ivs) {
+				t.Errorf("slot %d: %d intervals in a list sized %d", s, len(ivs), cap(ivs))
+			}
+			n += len(ivs)
+		}
+		if n == 0 {
+			t.Error("no intervals")
+		}
 	}
 }
 
@@ -333,6 +369,11 @@ func TestCanonicalMatchesFmtReference(t *testing.T) {
 			Event{At: ms(i), Kind: Release, Class: sim.WaitResource, Obj: obj, Proc: math.MaxInt32, N: -3},
 			Event{At: -ms(i), Kind: Spawn, Obj: obj})
 	}
+	// Extremes the delta and varint encodings must carry exactly.
+	events = append(events,
+		Event{At: math.MaxInt64, Kind: Wake, Class: sim.WaitEvent, Proc: math.MaxInt32, Waker: math.MaxInt32, N: math.MinInt64},
+		Event{At: math.MinInt64, Kind: Exit, Proc: 1, N: math.MaxInt64},
+		Event{At: math.MaxInt64, Kind: Block, Class: sim.WaitWG, N: -1})
 	tr := FromEvents(events, nil)
 	want := refCanonical(events)
 	if got := tr.AppendCanonical(nil); !bytes.Equal(got, want) {
@@ -347,11 +388,9 @@ func TestCanonicalMatchesFmtReference(t *testing.T) {
 	// A recorded kernel stream too, which stores kernel ids as slots.
 	live := contendedRun(t)
 	var replay []Event
-	for ci := range live.chunks {
-		for _, r := range live.chunk(ci) {
-			replay = append(replay, Event{At: time.Duration(r.at), Kind: Kind(r.kind), Class: sim.WaitClass(r.class),
-				Obj: live.objs[r.obj], Proc: live.procID(r.proc), Waker: live.procID(r.waker), N: r.n})
-		}
+	for r := range live.records() {
+		replay = append(replay, Event{At: time.Duration(r.at), Kind: Kind(r.kind), Class: sim.WaitClass(r.class),
+			Obj: live.objs[r.obj], Proc: live.procID(r.proc), Waker: live.procID(r.waker), N: r.n})
 	}
 	if !bytes.Equal(live.AppendCanonical(nil), refCanonical(replay)) {
 		t.Error("recorded stream's canonical encoding differs from the fmt reference")
