@@ -648,24 +648,30 @@ func (f *Fleet) Release(p *sim.Proc, host int, sb *cri.Sandbox) {
 	for i, s := range sbs {
 		if s == sb {
 			f.live[host] = append(sbs[:i], sbs[i+1:]...)
-			if f.procs != nil {
-				// A teardown in flight joins the host's kill set: if the
-				// host crashes mid-stop, this proc must die with the lock
-				// holders it shares the devset with, or it blocks forever
-				// on a handoff the crash stranded. Whatever the teardown
-				// had not yet returned lands on the LostToCrash ledger.
-				f.trackStart(host, p)
-				defer f.untrackStart(host, p)
-			}
-			if err := f.Hosts[host].Eng.StopPodSandbox(p, sb); err != nil {
-				f.errs = append(f.errs, err)
-			}
+			f.stop(p, host, sb)
 			return
 		}
 	}
 	// Not on the live list: the pod was destroyed by a host crash (its loss
 	// is on the ledger) and the host — possibly a fresh generation by now —
 	// has nothing to release.
+}
+
+// stop tears down a released sandbox, recording a stop error. Outside
+// Release's loop, so its defer costs no allocation.
+func (f *Fleet) stop(p *sim.Proc, host int, sb *cri.Sandbox) {
+	if f.procs != nil {
+		// A teardown in flight joins the host's kill set: if the host
+		// crashes mid-stop, this proc must die with the lock holders it
+		// shares the devset with, or it blocks forever on a handoff the
+		// crash stranded. Whatever the teardown had not yet returned lands
+		// on the LostToCrash ledger.
+		f.trackStart(host, p)
+		defer f.untrackStart(host, p)
+	}
+	if err := f.Hosts[host].Eng.StopPodSandbox(p, sb); err != nil {
+		f.errs = append(f.errs, err)
+	}
 }
 
 // Run places Cfg.Requests container starts across the fleet and runs the

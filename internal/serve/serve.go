@@ -231,6 +231,18 @@ type Server struct {
 	sojournHist *metrics.Histogram
 }
 
+// startAttempt is one start attempt's outcome: the ctr- child that
+// dispatches it writes it, the dispatcher that joins the child reads it,
+// and the pod- proc that retires the started pod keeps it. One allocation
+// per attempt.
+type startAttempt struct {
+	host int
+	sb   *cri.Sandbox
+	took time.Duration
+	err  error
+	done bool
+}
+
 // jreq tracks one admitted request's open journey spans across the procs
 // that touch it (arrival proc, dispatcher, the fleet's OnPlace observer).
 type jreq struct {
@@ -312,12 +324,12 @@ func New(cfg Config) (*Server, error) {
 			if jq == nil {
 				return
 			}
-			attrs := []telemetry.Attr{
+			var buf [5]telemetry.Attr
+			attrs := append(buf[:0],
 				telemetry.Int("host", st.Index),
 				telemetry.Int("free-vfs", st.FreeVFs),
 				telemetry.Int("inflight", st.Inflight),
-				telemetry.A("health", st.Health.String()),
-			}
+				telemetry.A("health", st.Health.String()))
 			if scored {
 				attrs = append(attrs, telemetry.F("score", score))
 			}
@@ -400,11 +412,11 @@ func tenantShedReader(ts *TenantStat, reason string) func() float64 {
 	}
 }
 
-// admissionAttrs renders the policy's decision state for the admission
-// span: the verdict plus policy-specific inputs (token fill for
+// admissionAttrs appends the policy's decision state for the admission
+// span to attrs: the policy plus policy-specific inputs (token fill for
 // token-bucket, predicted wait vs budget for slo-aware). Pure reads.
-func (s *Server) admissionAttrs(r *Request, v View) []telemetry.Attr {
-	attrs := []telemetry.Attr{telemetry.A("policy", s.pol.Name())}
+func (s *Server) admissionAttrs(attrs []telemetry.Attr, r *Request, v View) []telemetry.Attr {
+	attrs = append(attrs, telemetry.A("policy", s.pol.Name()))
 	switch p := s.pol.(type) {
 	case *tokenBucket:
 		if tokens, ok := p.Peek(r.Tenant, v.Now); ok {
@@ -417,6 +429,10 @@ func (s *Server) admissionAttrs(r *Request, v View) []telemetry.Attr {
 	attrs = append(attrs, telemetry.Int("queue-depth", v.QueueDepth), telemetry.Int("headroom", v.FreeVFHeadroom))
 	return attrs
 }
+
+// admissionBuf holds an admission span's attributes on the caller's
+// stack: admissionAttrs' five at most, plus the verdict and the reason.
+type admissionBuf [7]telemetry.Attr
 
 // view snapshots the control-plane state for a policy decision.
 func (s *Server) view(now time.Duration) View {
@@ -448,13 +464,13 @@ func (s *Server) Run() *Result {
 
 	// Dispatchers park on the queue before the first arrival fires.
 	for d := 0; d < s.Cfg.Hosts*DefaultDispatchers; d++ {
-		k.Go(fmt.Sprintf("disp-%d", d), s.dispatcher)
+		k.GoAtName(k.Now(), sim.DecimalName("disp-", d), s.dispatcher)
 	}
 
 	lastAt := s.arrivals[len(s.arrivals)-1].At
 	for i := range s.arrivals {
 		r := &s.arrivals[i]
-		k.GoAt(s.t0+r.At, fmt.Sprintf("req-%d", r.ID), func(p *sim.Proc) {
+		k.GoAtName(s.t0+r.At, sim.DecimalName("req-", r.ID), func(p *sim.Proc) {
 			s.arrive(p, r)
 		})
 	}
@@ -489,9 +505,10 @@ func (s *Server) arrive(p *sim.Proc, r *Request) {
 		return
 	}
 	// Token/budget state must be read before Admit drains a token.
-	admitAttrs := []telemetry.Attr(nil)
+	var buf admissionBuf
+	admitAttrs := buf[:0]
 	if s.jr != nil {
-		admitAttrs = s.admissionAttrs(r, v)
+		admitAttrs = s.admissionAttrs(admitAttrs, r, v)
 	}
 	if !s.pol.Admit(r, v) {
 		s.shedAdmission++
@@ -519,7 +536,8 @@ func (s *Server) jShed(r *Request, root int, v View, reason string, now time.Dur
 	if s.jr == nil {
 		return
 	}
-	s.jr.Event(r.ID, root, "admission", now, append(s.admissionAttrs(r, v),
+	var buf admissionBuf
+	s.jr.Event(r.ID, root, "admission", now, append(s.admissionAttrs(buf[:0], r, v),
 		telemetry.A("verdict", "shed"), telemetry.A("reason", reason))...)
 	s.jr.End(root, now, telemetry.A("outcome", "shed"), telemetry.A("reason", reason))
 }
@@ -581,20 +599,16 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 				telemetry.Int("attempt", attempt), telemetry.Int("ctr", id))
 			s.jctr[id] = jq // resolves the fleet's OnPlace observer
 		}
-		var host int
-		var sb *cri.Sandbox
-		var took time.Duration
-		var err error
-		done := false
+		a := &startAttempt{}
 		child := s.F.K.GoAtName(s.F.K.Now(), sim.DecimalName("ctr-", id), func(cp *sim.Proc) {
 			for {
-				host, sb, took, err = s.F.Dispatch(cp, id)
-				if host >= 0 || errors.Is(err, fleet.ErrAllHostsDown) {
+				a.host, a.sb, a.took, a.err = s.F.Dispatch(cp, id)
+				if a.host >= 0 || errors.Is(a.err, fleet.ErrAllHostsDown) {
 					// Placed (or lost/failed on a host), or a fleet-wide
 					// outage the reroute loop must back off from. Capacity
 					// rejects keep the fast placeRetry poll: churn frees VFs
 					// on millisecond scales.
-					done = true
+					a.done = true
 					return
 				}
 				cp.Sleep(placeRetry)
@@ -605,7 +619,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			delete(s.jctr, id)
 		}
 
-		if !done || errors.Is(err, fleet.ErrHostDown) {
+		if !a.done || errors.Is(a.err, fleet.ErrHostDown) {
 			// The attempt died with its host: either the crash killed the
 			// child mid-start (!done — the VF state it held is on the
 			// LostToCrash ledger) or the dispatch landed on a dead host
@@ -619,7 +633,7 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			}
 			continue
 		}
-		if errors.Is(err, fleet.ErrAllHostsDown) {
+		if errors.Is(a.err, fleet.ErrAllHostsDown) {
 			// Every host is out of service: back off toward recovery
 			// instead of hot-polling a dark fleet.
 			if jq != nil {
@@ -630,14 +644,14 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			}
 			continue
 		}
-		if err != nil {
+		if a.err != nil {
 			// Fault-injected failures are accounted; genuine errors are
 			// recorded on the fleet and surface from Finish.
 			s.failed++
 			ts.Failed++
 			if jq != nil {
 				outcome := "error"
-				if fault.IsFault(err) {
+				if fault.IsFault(a.err) {
 					outcome = "fault"
 				}
 				now := p.Now()
@@ -655,18 +669,18 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 			// Copy the startup telemetry stage spans into the attempt
 			// eagerly: a later crash of this host boots a fresh generation
 			// with a fresh recorder, so these spans must be taken now.
-			s.jr.CopyStages(s.F.Hosts[host].Rec, id, jq.trace, jq.attempt)
+			s.jr.CopyStages(s.F.Hosts[a.host].Rec, id, jq.trace, jq.attempt)
 			s.jr.End(jq.attempt, now, telemetry.A("outcome", "ok"),
-				telemetry.Int("host", host), telemetry.Dur("took", took))
+				telemetry.Int("host", a.host), telemetry.Dur("took", a.took))
 			s.jr.End(jq.dispatch, now)
 			s.jr.Annotate(jq.root, telemetry.A("outcome", "completed"), telemetry.Dur("sojourn", sojourn))
-			podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, telemetry.Int("host", host))
+			podSpan = s.jr.Begin(jq.trace, jq.root, "pod", now, telemetry.Int("host", a.host))
 		}
 		// Retire the pod after its lifetime: the VF detaches on a live host
 		// while new starts attach — the churn regime.
-		s.F.K.Go(fmt.Sprintf("pod-%d", id), func(pp *sim.Proc) {
+		s.F.K.GoAtName(now, sim.DecimalName("pod-", id), func(pp *sim.Proc) {
 			pp.Sleep(DefaultLifetime)
-			s.F.Release(pp, host, sb)
+			s.F.Release(pp, a.host, a.sb)
 			if jq != nil {
 				end := pp.Now()
 				s.jr.End(podSpan, end)
@@ -692,9 +706,9 @@ func (s *Server) startOne(p *sim.Proc, r *Request, ts *TenantStat) {
 		}
 		const alpha = 0.2
 		if s.ewmaSec == 0 {
-			s.ewmaSec = took.Seconds()
+			s.ewmaSec = a.took.Seconds()
 		} else {
-			s.ewmaSec = (1-alpha)*s.ewmaSec + alpha*took.Seconds()
+			s.ewmaSec = (1-alpha)*s.ewmaSec + alpha*a.took.Seconds()
 		}
 		return
 	}

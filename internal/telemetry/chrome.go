@@ -66,10 +66,16 @@ func (c *ChromeWriter) NumberedThreadName(pid, tid int, prefix string) {
 	c.meta("thread_name", pid, tid, prefix, true)
 }
 
-// Span appends one complete ("X") event for sp on thread tid of pid, its
-// attributes as event args.
-func (c *ChromeWriter) Span(sp Span, cat string, pid, tid int) {
-	c.Complete(sp.Name, "", cat, US(sp.Start), US(sp.Dur()), pid, tid, sp.Attrs)
+// Span appends one complete ("X") event for span i of r on thread tid of
+// pid, its attributes, read from r's arena, as event args.
+func (c *ChromeWriter) Span(r *Recorder, i int, cat string, pid, tid int) {
+	sp := r.at(i)
+	c.args = r.appendAttrs(c.args[:0], sp)
+	b := c.head('X', sp.Name, "", cat, US(sp.Start), US(sp.Dur()), pid, tid)
+	if len(c.args) > 0 {
+		b = c.appendArgs(b)
+	}
+	c.end(b)
 }
 
 // meta appends a metadata ("M") event whose one arg, name, is label,
@@ -84,15 +90,11 @@ func (c *ChromeWriter) meta(event string, pid, tid int, label string, numbered b
 	c.end(append(b, `"}`...))
 }
 
-// Complete appends a complete ("X") event named prefix followed by name,
-// at ts for dur (trace-event microseconds); prefix must be ASCII, so the
-// two escape as their concatenation would.
-func (c *ChromeWriter) Complete(prefix, name, cat string, ts, dur float64, pid, tid int, attrs []Attr) {
-	b := c.head('X', prefix, name, cat, ts, dur, pid, tid)
-	if len(attrs) > 0 {
-		b = c.appendArgs(b, attrs)
-	}
-	c.end(b)
+// Complete appends a complete ("X") event without args, named prefix
+// followed by name, at ts for dur (trace-event microseconds); prefix must
+// be ASCII, so the two escape as their concatenation would.
+func (c *ChromeWriter) Complete(prefix, name, cat string, ts, dur float64, pid, tid int) {
+	c.end(c.head('X', prefix, name, cat, ts, dur, pid, tid))
 }
 
 // head appends an event's separator and every field before its args; only
@@ -132,10 +134,9 @@ func (c *ChromeWriter) end(b []byte) {
 	c.s.Record()
 }
 
-// appendArgs appends attrs as the args object, sorted by key; a repeated
+// appendArgs appends c.args as the args object, sorted by key; a repeated
 // key keeps its last value.
-func (c *ChromeWriter) appendArgs(b []byte, attrs []Attr) []byte {
-	c.args = append(c.args[:0], attrs...)
+func (c *ChromeWriter) appendArgs(b []byte) []byte {
 	slices.SortStableFunc(c.args, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
 	b = append(b, `,"args":{`...)
 	sep := false
@@ -150,7 +151,11 @@ func (c *ChromeWriter) appendArgs(b []byte, attrs []Attr) []byte {
 		b = append(b, '"')
 		b = appendJSONText(b, a.Key)
 		b = append(b, `":"`...)
-		b = appendJSONText(b, a.Val)
+		if a.kind == kindString {
+			b = appendJSONText(b, a.str)
+		} else {
+			b = appendScalar(b, a.kind, a.num)
+		}
 		b = append(b, '"')
 	}
 	return append(b, '}')
@@ -267,8 +272,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		}
 	}
 	for _, i := range order {
-		sp := r.at(i)
-		c.Span(*sp, "journey", journeyPID, int(sp.Trace))
+		c.Span(r, i, "journey", journeyPID, int(r.at(i).Trace))
 	}
 	return c.Close()
 }

@@ -56,7 +56,7 @@ func refArgs(attrs []Attr) map[string]string {
 	}
 	m := make(map[string]string, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Val
+		m[a.Key] = refVal(a)
 	}
 	return m
 }
@@ -90,9 +90,13 @@ var fuzzDurations = []time.Duration{0, 1, 999, 1000, 1500, time.Millisecond, -1,
 
 // FuzzChromeWriter drives random event sequences through ChromeWriter and
 // through the reference model (refChromeEvent marshalled by
-// encoding/json) and requires byte-identical files. Each 4-byte op picks
-// an event kind and its operands from the pools above plus the fuzzed
-// strings, floats, instants and ids; attrs take further bytes.
+// encoding/json, attribute values as refVal renders them) and requires
+// byte-identical files. Each 4-byte op picks an event kind and its
+// operands from the pools above plus the fuzzed strings, floats, instants
+// and ids; attrs of every kind (fuzzAttr) take further bytes. The span op
+// records a span with its attributes into a recorder and writes it from
+// the recorder's arena, as both Chrome exports do; a complete event has no
+// args.
 func FuzzChromeWriter(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5, 3, 4, 5, 6, 7, 8, 4, 5, 6, 7, 5, 6, 7, 8, 9, 10},
 		"name", "val", 1.5, 2.5, int64(1000), int64(5000), 2, 7)
@@ -100,9 +104,13 @@ func FuzzChromeWriter(f *testing.F) {
 		"x\u2028<&>", "\xff", 1e21, 1e-7, int64(-5), int64(math.MaxInt64), -1, math.MaxInt)
 	f.Add([]byte{5, 1, 2, 3, 5, 0, 9, 1, 4, 12, 3, 0x24, 0, 1, 2, 3, 2, 0, 0, 1},
 		"", "\x00", 0.0, -0.0, int64(0), int64(1), math.MinInt, 0)
-	// Repeated keys: "a" twice on a complete event, "b" twice on a span.
-	f.Add([]byte{3, 1, 2, 0x30, 0, 1, 3, 2, 1, 3, 4, 2, 3, 0x20, 1, 4, 8, 5},
+	// Repeated keys: "a" twice on one span, "b" twice on the next.
+	f.Add([]byte{4, 1, 2, 0x30, 0, 1, 3, 2, 1, 3, 4, 2, 3, 0x20, 1, 4, 8, 5},
 		"dup", "last", 2.0, 3.0, int64(10), int64(20), 1, 2)
+	// Attributes of every kind, on spans whose arena ranges move.
+	f.Add([]byte{4, 1, 2, 0x30, 0x41, 1, 0x82, 3, 0xc3, 9, 0x81, 2, 3, 0x40, 0x80, 0, 0xc0, 10, 0x40, 5, 0x05, 2,
+		0x81, 4, 5, 0x30, 0x42, 3, 0xc1, 2, 0x83, 7},
+		"k", "v", math.NaN(), math.Inf(-1), int64(-1500), int64(math.MinInt64), 1, 2)
 	f.Fuzz(func(t *testing.T, ops []byte, name, val string, ts, dur float64, start, end int64, pid, tid int) {
 		texts := append(fuzzTexts[:len(fuzzTexts):len(fuzzTexts)], name, val)
 		floats := append(fuzzFloats[:len(fuzzFloats):len(fuzzFloats)], ts, dur)
@@ -119,6 +127,7 @@ func FuzzChromeWriter(f *testing.F) {
 
 		var buf bytes.Buffer
 		c := NewChromeWriter(&buf)
+		rec := NewRecorder()
 		var ref []refChromeEvent
 		for len(ops) >= 4 {
 			op, a, b, d := ops[0], ops[1], ops[2], ops[3]
@@ -128,7 +137,7 @@ func FuzzChromeWriter(f *testing.F) {
 				if len(ops) < 2 {
 					break
 				}
-				attrs = append(attrs, A(keys[pick(ops[0], len(keys))], texts[pick(ops[1], len(texts))]))
+				attrs = append(attrs, fuzzAttr(ops[0], ops[1], keys, texts, start, ts))
 				ops = ops[2:]
 			}
 			p, q := ids[pick(b, len(ids))], ids[pick(b>>4, len(ids))]
@@ -148,11 +157,21 @@ func FuzzChromeWriter(f *testing.F) {
 			case 3:
 				prefix := fuzzPrefixes[pick(a>>4, len(fuzzPrefixes))]
 				at, d := num(b), num(d)
-				c.Complete(prefix, text, cat, at, d, p, q, attrs)
-				ref = append(ref, refChromeEvent{Name: prefix + text, Cat: cat, Ph: "X", TS: at, Dur: &d, PID: p, TID: q, Args: refArgs(attrs)})
+				c.Complete(prefix, text, cat, at, d, p, q)
+				ref = append(ref, refChromeEvent{Name: prefix + text, Cat: cat, Ph: "X", TS: at, Dur: &d, PID: p, TID: q})
 			case 4:
-				sp := Span{Name: text, Start: instants[pick(b, len(instants))], End: instants[pick(d, len(instants))], Attrs: attrs}
-				c.Span(sp, cat, p, q)
+				sp := span{Name: text, Start: instants[pick(b, len(instants))], End: instants[pick(d, len(instants))]}
+				// Stored in two halves with the previous span's attributes
+				// growing in between, so the second half moves this span's
+				// arena range past a slot it must not read.
+				id := rec.add(sp)
+				half := len(attrs) / 2
+				rec.addAttrs(rec.at(id), attrs[:half])
+				if id > 0 {
+					rec.addAttrs(rec.at(id-1), []Attr{A("stale", "x")})
+				}
+				rec.addAttrs(rec.at(id), attrs[half:])
+				c.Span(rec, id, cat, p, q)
 				d := US(sp.Dur())
 				ref = append(ref, refChromeEvent{Name: text, Cat: cat, Ph: "X", TS: US(sp.Start), Dur: &d, PID: p, TID: q, Args: refArgs(attrs)})
 			}

@@ -11,9 +11,11 @@ import (
 )
 
 // refAppendCanonical is the span-log encoder before it streamed: fmt's %d
-// and %q per field over a sort.Slice canonical order. It is the reference
-// model for AppendCanonical, WriteLog and Fingerprint.
-func refAppendCanonical(r *Recorder, b []byte) []byte {
+// and %q per field over a sort.Slice canonical order, with span i's
+// attributes taken from attrs[i] rather than from the recorder, each value
+// the string the constructors once rendered when recording (refVal). It
+// is the reference model for AppendCanonical, WriteLog and Fingerprint.
+func refAppendCanonical(r *Recorder, attrs [][]Attr, b []byte) []byte {
 	idx := make([]int, r.n)
 	for i := range idx {
 		idx[i] = i
@@ -29,16 +31,16 @@ func refAppendCanonical(r *Recorder, b []byte) []byte {
 		return idx[a] < idx[b]
 	})
 	for _, i := range idx {
-		sp := r.at(i)
+		sp := r.Span(i)
 		b = fmt.Appendf(b, `{"trace":%d,"span":%d,"parent":%d,"name":%q,"start":%d,"end":%d`,
 			sp.Trace, i, sp.Parent, sp.Name, int64(sp.Start), int64(sp.End))
-		if len(sp.Attrs) > 0 {
+		if len(attrs[i]) > 0 {
 			b = append(b, `,"attrs":{`...)
-			for j, a := range sp.Attrs {
+			for j, a := range attrs[i] {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = fmt.Appendf(b, "%q:%q", a.Key, a.Val)
+				b = fmt.Appendf(b, "%q:%q", a.Key, refVal(a))
 			}
 			b = append(b, '}')
 		}
@@ -59,8 +61,10 @@ var logTexts = []string{
 // events, annotations, ends, a final Seal) and requires AppendCanonical,
 // WriteLog and Fingerprint to agree with the fmt-based reference: the
 // appended and the streamed log byte for byte, the fingerprint as FNV-1a
-// over the whole log. Each 4-byte op is (kind, trace, text, clock step);
-// attrs take further bytes.
+// over the whole log. The reference reads each span's attributes from a
+// model kept beside the recorder, so the arena's range moves are checked
+// too. Each 4-byte op is (kind, trace, text, clock step); attrs of every
+// kind (fuzzAttr) take further bytes.
 func FuzzSpanLogEncoding(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 5, 0, 2, 2, 3, 2, 1, 3, 0x21, 7, 8, 1, 0, 0, 9, 3, 1, 4, 2, 1, 2, 0, 0x40},
 		"name", "val", int64(1000), 7)
@@ -69,6 +73,10 @@ func FuzzSpanLogEncoding(f *testing.F) {
 	// Non-ASCII, invalid UTF-8 and control bytes in names, keys and values.
 	f.Add([]byte{0, 0, 7, 0x20, 7, 12, 2, 1, 8, 0x40, 9, 10, 13, 11, 1, 0, 0, 0x20, 6, 3, 1},
 		"\x00\u2029", "\t", int64(0), 3)
+	// Attributes of every kind, grown by an End and an Annotate.
+	f.Add([]byte{0, 1, 1, 0x60, 0x41, 0, 0x82, 13, 0xc3, 8, 0, 1, 2, 0x40, 0x05, 3, 0x90, 1,
+		1, 0, 0, 0x60, 0x80, 2, 0xc0, 9, 0x40, 6, 3, 1, 0, 0x20, 0x81, 1},
+		"k", "v", int64(-999), 2)
 	f.Fuzz(func(t *testing.T, ops []byte, name, val string, at int64, trace int) {
 		texts := append(logTexts[:len(logTexts):len(logTexts)], name, val)
 		traces := []int{0, 1, 2, trace, math.MaxInt32, -1}
@@ -77,6 +85,7 @@ func FuzzSpanLogEncoding(f *testing.F) {
 		now := time.Duration(at)
 		maxStart := now
 		var open []int
+		var model [][]Attr // by span id: every attribute recorded for it, in order
 		for len(ops) >= 4 {
 			op, tb, xb, step := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
@@ -85,7 +94,7 @@ func FuzzSpanLogEncoding(f *testing.F) {
 				if len(ops) < 2 {
 					break
 				}
-				attrs = append(attrs, A(texts[pick(ops[0], len(texts))], texts[pick(ops[1], len(texts))]))
+				attrs = append(attrs, fuzzAttr(ops[0], ops[1], texts, texts, at, float64(at)/7))
 				ops = ops[2:]
 			}
 			now += time.Duration(int8(step<<3)) * time.Microsecond
@@ -100,26 +109,34 @@ func FuzzSpanLogEncoding(f *testing.F) {
 			switch op % 4 {
 			case 0:
 				open = append(open, r.Begin(tr, parent(), text, now, attrs...))
+				model = append(model, attrs)
 			case 1:
 				if len(open) > 0 {
 					k := pick(xb, len(open))
 					id := open[k]
 					open = append(open[:k], open[k+1:]...)
 					r.End(id, max(now, r.Span(id).Start), attrs...)
+					model[id] = append(model[id], attrs...)
 				}
 			case 2:
 				r.Event(tr, parent(), text, now, attrs...)
+				model = append(model, attrs)
 			case 3:
 				if r.Len() > 0 {
-					r.Annotate(pick(xb, r.Len()), attrs...)
+					id := pick(xb, r.Len())
+					r.Annotate(id, attrs...)
+					model[id] = append(model[id], attrs...)
 				}
 			}
 		}
 		if len(ops) > 0 && ops[0]&1 != 0 {
 			r.Seal(maxStart)
+			for _, id := range open {
+				model[id] = append(model[id], A("unfinished", "true"))
+			}
 		}
 
-		want := refAppendCanonical(r, []byte("prefix\n"))
+		want := refAppendCanonical(r, model, []byte("prefix\n"))
 		if got := r.AppendCanonical([]byte("prefix\n")); !bytes.Equal(got, want) {
 			t.Fatalf("AppendCanonical differs from the fmt reference:\n got %q\nwant %q", got, want)
 		}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -66,29 +67,108 @@ func (s Stage) VFRelated() bool {
 // disables recording.
 type SpanFn func(stage Stage, start, end time.Duration)
 
-// Attr is one key/value span attribute. Values are pre-rendered strings so
-// the canonical encoding never depends on float formatting at export time.
+// Attr is one key/value span attribute: a string, an integer, a duration
+// or a float. The constructors format nothing: formatting is exact and
+// happens only at export (Span.Attr formats on demand), so recording an
+// attribute allocates nothing beyond the recorder's arena chunks.
 type Attr struct {
-	Key, Val string
+	Key  string
+	str  string   // a string value
+	num  uint64   // an integer, duration or float64 bits
+	kind attrKind // which of str and num holds the value
 }
+
+// attrKind is an attribute value's type; the zero kind is a string.
+type attrKind uint8
+
+const (
+	kindString attrKind = iota
+	kindInt
+	kindDur
+	kindFloat
+)
 
 // A returns a string attribute.
-func A(key, val string) Attr { return Attr{key, val} }
+func A(key, val string) Attr { return Attr{Key: key, str: val} }
 
-// Int returns an integer attribute.
-func Int(key string, v int) Attr { return Attr{key, strconv.Itoa(v)} }
+// Int returns an integer attribute (decimal at export).
+func Int(key string, v int) Attr { return Attr{Key: key, num: uint64(v), kind: kindInt} }
 
-// Dur returns a duration attribute (Go duration syntax, e.g. "8ms").
-func Dur(key string, v time.Duration) Attr { return Attr{key, v.String()} }
+// Dur returns a duration attribute (Go duration syntax at export, e.g. "8ms").
+func Dur(key string, v time.Duration) Attr { return Attr{Key: key, num: uint64(v), kind: kindDur} }
 
-// F returns a float attribute with full round-trip precision.
-func F(key string, v float64) Attr {
-	return Attr{key, strconv.FormatFloat(v, 'g', -1, 64)}
+// F returns a float attribute (shortest round-trip 'g' form at export).
+func F(key string, v float64) Attr { return Attr{Key: key, num: math.Float64bits(v), kind: kindFloat} }
+
+// value returns the attribute's value as the exports render it.
+func (a Attr) value() string {
+	if a.kind == kindString {
+		return a.str
+	}
+	return string(appendScalar(nil, a.kind, a.num))
 }
 
-// Span is one timed region of a trace. Its id is its index in the store
-// (Begin order, so it is itself deterministic). Parent is the enclosing
-// span's id or -1 for the trace's root. End is -1 while the span is open.
+// appendScalar appends a non-string value as the exports render it:
+// strconv.AppendInt's decimal, time.Duration.String's syntax, or
+// strconv.AppendFloat's shortest 'g' form. None of these bytes needs
+// quoting or escaping in the span log or in JSON, so both exports write
+// them between plain quotes.
+func appendScalar(b []byte, kind attrKind, v uint64) []byte {
+	switch kind {
+	case kindInt:
+		return strconv.AppendInt(b, int64(v), 10)
+	case kindDur:
+		return appendDuration(b, time.Duration(v))
+	default:
+		return strconv.AppendFloat(b, math.Float64frombits(v), 'g', -1, 64)
+	}
+}
+
+// appendDuration appends d as time.Duration.String renders it ("1h2m3.5s",
+// "1.5µs", "0s"), without building the string.
+func appendDuration(b []byte, d time.Duration) []byte {
+	if d == 0 {
+		return append(b, "0s"...)
+	}
+	u := uint64(d)
+	if d < 0 {
+		b, u = append(b, '-'), -u // MinInt64's magnitude still fits a uint64
+	}
+	// Below a second the largest unit that fits the value; from a second
+	// up, hours and minutes (the minutes even when zero) before seconds.
+	unit, scale := "s", uint64(time.Second)
+	switch {
+	case u < uint64(time.Microsecond):
+		unit, scale = "ns", 1
+	case u < uint64(time.Millisecond):
+		unit, scale = "µs", uint64(time.Microsecond)
+	case u < uint64(time.Second):
+		unit, scale = "ms", uint64(time.Millisecond)
+	default:
+		if h := u / uint64(time.Hour); h > 0 {
+			b = append(strconv.AppendUint(b, h, 10), 'h')
+		}
+		if m := u / uint64(time.Minute); m > 0 {
+			b = append(strconv.AppendUint(b, m%60, 10), 'm')
+		}
+		u %= uint64(time.Minute)
+	}
+	b = strconv.AppendUint(b, u/scale, 10)
+	if f := u % scale; f > 0 {
+		b = append(b, '.') // the fraction's digits, trailing zeros dropped
+		for scale /= 10; f > 0; scale /= 10 {
+			b = append(b, byte('0'+f/scale))
+			f %= scale
+		}
+	}
+	return append(b, unit...)
+}
+
+// Span is one timed region of a trace, as Recorder.Span returns it. Its
+// id is its index in the store (Begin order, so it is itself
+// deterministic). Parent is the enclosing span's id or -1 for the trace's
+// root. End is -1 while the span is open. Attrs is a copy of the span's
+// attributes in recording order.
 type Span struct {
 	Trace  int32
 	Parent int32
@@ -104,14 +184,39 @@ const open = -1
 // Dur returns the span's duration.
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
-// Attr returns the value of the named attribute, or "" when absent.
+// Attr returns the value of the named attribute as the exports render
+// it, or "" when absent.
 func (s Span) Attr(key string) string {
 	for _, a := range s.Attrs {
 		if a.Key == key {
-			return a.Val
+			return a.value()
 		}
 	}
 	return ""
+}
+
+// span is a span as the recorder stores it: its attributes are a range of
+// the recorder's attribute arena.
+type span struct {
+	Trace  int32
+	Parent int32
+	Name   string
+	Start  time.Duration
+	End    time.Duration
+	attrs  attrRange
+}
+
+func (s *span) Dur() time.Duration { return s.End - s.Start }
+
+// attrRange is a span's attributes: arena slots [off, off+n).
+type attrRange struct{ off, n uint32 }
+
+// attr is an attribute as the arena stores it, 16 bytes: its key and a
+// string value are indexes into the recorder's string table.
+type attr struct {
+	key  uint32
+	kind attrKind
+	val  uint64 // Attr.num, or the string value's index
 }
 
 // Recorder is the span store. The zero value is ready to use.
@@ -119,11 +224,19 @@ func (s Span) Attr(key string) string {
 // No mutex: the deterministic kernel runs exactly one proc at a time, and
 // the recorder is only called from procs (never from host threads).
 type Recorder struct {
-	chunks [][]Span // spans in Begin order, chunkLen per chunk
+	chunks [][]span // spans in Begin order, chunkLen per chunk
 	n      int
 	roots  map[int]int32 // trace -> root span id
 	stages []stageTally  // per recorded stage, in first-recorded order
 	sealed bool
+
+	// The attribute arena: every span's attributes, attrChunk slots per
+	// chunk, grown a chunk at a time; a span's range may cross chunks.
+	arena [][]attr
+	nattr uint32
+	// The string table: attribute keys and string values, each once.
+	strs  []string
+	strID map[string]uint32
 }
 
 // stageTally counts one stage's recorded spans and sums their durations.
@@ -137,21 +250,87 @@ type stageTally struct {
 // chunk at a time and never copies recorded spans.
 const chunkLen = 128
 
+// attrChunk is the number of attribute slots per arena chunk (16 KiB).
+const attrChunk = 1024
+
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-func (r *Recorder) at(id int) *Span { return &r.chunks[id/chunkLen][id%chunkLen] }
+func (r *Recorder) at(id int) *span { return &r.chunks[id/chunkLen][id%chunkLen] }
 
-func (r *Recorder) add(sp Span) int {
+func (r *Recorder) add(sp span) int {
 	if r.sealed {
 		panic(fmt.Sprintf("telemetry: span %q added after Seal", sp.Name))
 	}
 	if r.n%chunkLen == 0 {
-		r.chunks = append(r.chunks, make([]Span, chunkLen))
+		r.chunks = append(r.chunks, make([]span, chunkLen))
 	}
 	*r.at(r.n) = sp
 	r.n++
 	return r.n - 1
+}
+
+// slot returns arena slot i.
+func (r *Recorder) slot(i uint32) *attr { return &r.arena[i/attrChunk][i%attrChunk] }
+
+// push appends a to the arena.
+func (r *Recorder) push(a attr) {
+	if r.nattr%attrChunk == 0 {
+		r.arena = append(r.arena, make([]attr, attrChunk))
+	}
+	*r.slot(r.nattr) = a
+	r.nattr++
+}
+
+// intern returns s's index in the string table, adding it on first use.
+func (r *Recorder) intern(s string) uint32 {
+	id, ok := r.strID[s]
+	if !ok {
+		if r.strID == nil {
+			r.strID = make(map[string]uint32)
+		}
+		id = uint32(len(r.strs))
+		r.strs = append(r.strs, s)
+		r.strID[s] = id
+	}
+	return id
+}
+
+// addAttrs copies attrs to the arena's tail as the last of sp's
+// attributes. A span's range is contiguous, so attributes added after
+// later spans recorded theirs first move sp's range to the tail.
+func (r *Recorder) addAttrs(sp *span, attrs []Attr) {
+	if len(attrs) == 0 {
+		return
+	}
+	if old := sp.attrs; old.n == 0 || old.off+old.n != r.nattr {
+		sp.attrs.off = r.nattr
+		for i := old.off; i < old.off+old.n; i++ {
+			r.push(*r.slot(i))
+		}
+	}
+	for _, a := range attrs {
+		v := a.num
+		if a.kind == kindString {
+			v = uint64(r.intern(a.str))
+		}
+		r.push(attr{key: r.intern(a.Key), kind: a.kind, val: v})
+	}
+	sp.attrs.n += uint32(len(attrs))
+}
+
+// appendAttrs appends sp's attributes to dst in recording order.
+func (r *Recorder) appendAttrs(dst []Attr, sp *span) []Attr {
+	dst = slices.Grow(dst, int(sp.attrs.n))
+	for i := sp.attrs.off; i < sp.attrs.off+sp.attrs.n; i++ {
+		a := r.slot(i)
+		if a.kind == kindString {
+			dst = append(dst, A(r.strs[a.key], r.strs[a.val]))
+		} else {
+			dst = append(dst, Attr{Key: r.strs[a.key], num: a.val, kind: a.kind})
+		}
+	}
+	return dst
 }
 
 // Begin opens a span and returns its id. Parent is the enclosing span's id
@@ -168,8 +347,9 @@ func (r *Recorder) Begin(trace, parent int, name string, at time.Duration, attrs
 		r.roots[trace] = int32(r.n)
 		parent = -1
 	}
-	return r.add(Span{Trace: int32(trace), Parent: int32(parent), Name: name,
-		Start: at, End: open, Attrs: attrs})
+	id := r.add(span{Trace: int32(trace), Parent: int32(parent), Name: name, Start: at, End: open})
+	r.addAttrs(r.at(id), attrs)
+	return id
 }
 
 // End closes a span at the given instant, optionally appending attributes.
@@ -183,7 +363,7 @@ func (r *Recorder) End(id int, at time.Duration, attrs ...Attr) {
 		panic(fmt.Sprintf("telemetry: span %d (%s) ends %v before start %v", id, sp.Name, at, sp.Start))
 	}
 	sp.End = at
-	sp.Attrs = append(sp.Attrs, attrs...)
+	r.addAttrs(sp, attrs)
 }
 
 // Event records a zero-duration span (an instant annotation, e.g. an
@@ -196,8 +376,7 @@ func (r *Recorder) Event(trace, parent int, name string, at time.Duration, attrs
 
 // Annotate appends attributes to an open or closed span.
 func (r *Recorder) Annotate(id int, attrs ...Attr) {
-	sp := r.at(id)
-	sp.Attrs = append(sp.Attrs, attrs...)
+	r.addAttrs(r.at(id), attrs)
 }
 
 // Seal closes every still-open span at the given instant (requests whose
@@ -239,7 +418,11 @@ func (r *Recorder) RootOf(trace int) (int, bool) {
 }
 
 // Span returns a copy of the span with the given id.
-func (r *Recorder) Span(id int) Span { return *r.at(id) }
+func (r *Recorder) Span(id int) Span {
+	sp := r.at(id)
+	return Span{Trace: sp.Trace, Parent: sp.Parent, Name: sp.Name, Start: sp.Start, End: sp.End,
+		Attrs: r.appendAttrs(nil, sp)}
+}
 
 // Children returns the ids of a span's direct children, in Begin order.
 // A child is always begun after its parent, so the scan starts there.
@@ -318,15 +501,20 @@ func (r *Recorder) appendSpan(b []byte, i int) []byte {
 	b = strconv.AppendInt(b, int64(sp.Start), 10)
 	b = append(b, `,"end":`...)
 	b = strconv.AppendInt(b, int64(sp.End), 10)
-	if len(sp.Attrs) > 0 {
+	if sp.attrs.n > 0 {
 		b = append(b, `,"attrs":{`...)
-		for j, a := range sp.Attrs {
-			if j > 0 {
+		for i := sp.attrs.off; i < sp.attrs.off+sp.attrs.n; i++ {
+			if i > sp.attrs.off {
 				b = append(b, ',')
 			}
-			b = strconv.AppendQuote(b, a.Key)
+			a := r.slot(i)
+			b = strconv.AppendQuote(b, r.strs[a.key])
 			b = append(b, ':')
-			b = strconv.AppendQuote(b, a.Val)
+			if a.kind == kindString {
+				b = strconv.AppendQuote(b, r.strs[a.val])
+			} else {
+				b = append(appendScalar(append(b, '"'), a.kind, a.val), '"')
+			}
 		}
 		b = append(b, '}')
 	}
@@ -425,7 +613,7 @@ func (r *Recorder) Record(container int, stage Stage, start, end time.Duration) 
 	if !ok {
 		panic(fmt.Sprintf("telemetry: container %d records %s before its start", container, stage))
 	}
-	r.add(Span{Trace: int32(container), Parent: root, Name: string(stage), Start: start, End: end})
+	r.add(span{Trace: int32(container), Parent: root, Name: string(stage), Start: start, End: end})
 	for i := range r.stages {
 		if t := &r.stages[i]; t.stage == stage {
 			t.n++

@@ -138,10 +138,49 @@ type openWait struct {
 	class   sim.WaitClass
 }
 
-// openHold is one hold a proc has not yet released.
+// openHold is one hold a proc has not yet released, an entry of
+// holdStacks' pool.
 type openHold struct {
 	start int64
 	key   int32 // the held (object, class) pair's lock-table index
+	next  int32 // pool index+1 of the proc's next older open hold (0: none), or of the next free entry
+}
+
+// holdStacks are every proc's open holds, most recent first, kept as
+// linked entries of one pool; a released entry goes on a free list and is
+// reused, so the pool grows only to the most holds open at once.
+type holdStacks struct {
+	top  []int32 // by proc slot: pool index+1 of its most recent open hold (0: none)
+	pool []openHold
+	free int32 // pool index+1 of the first free entry (0: none)
+}
+
+// push opens a hold of lock-table entry key by proc at start.
+func (h *holdStacks) push(proc int32, start int64, key int32) {
+	e := openHold{start: start, key: key, next: h.top[proc]}
+	if i := h.free; i != 0 {
+		h.free = h.pool[i-1].next
+		h.pool[i-1] = e
+		h.top[proc] = i
+		return
+	}
+	h.pool = append(h.pool, e)
+	h.top[proc] = int32(len(h.pool))
+}
+
+// pop removes proc's most recent open hold of lock-table entry key and
+// returns its start.
+func (h *holdStacks) pop(proc, key int32) (int64, bool) {
+	link := &h.top[proc]
+	for i := *link; i != 0; i = *link {
+		e := &h.pool[i-1]
+		if e.key == key {
+			*link, e.next, h.free = e.next, h.free, i
+			return e.start, true
+		}
+		link = &e.next
+	}
+	return 0, false
 }
 
 // Analysis is the validated, indexed view of a trace: per-proc blocking
@@ -187,7 +226,7 @@ func Analyze(t *Trace) (*Analysis, error) {
 		a.perProc[s], backing = backing[:0:p.unblocks], backing[p.unblocks:]
 	}
 	waiting := make([]openWait, t.nslots)
-	holds := make([][]openHold, t.nslots)
+	holds := holdStacks{top: make([]int32, t.nslots)}
 	table := make([]*LockStat, len(t.objs)*numClasses) // by lockKey
 	var lastAt int64
 
@@ -260,11 +299,11 @@ func Analyze(t *Trace) (*Analysis, error) {
 		case Acquire:
 			k := lockKey(r)
 			stat(k, r).Acquires++
-			holds[r.proc] = append(holds[r.proc], openHold{start: r.at, key: k})
+			holds.push(r.proc, r.at, k)
 			attribute(waiting, r)
 		case Release:
 			k := lockKey(r)
-			start, ok := popHold(holds, r.proc, k)
+			start, ok := holds.pop(r.proc, k)
 			if !ok {
 				return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
 					i, t.procID(r.proc), class, t.objs[r.obj])
@@ -295,20 +334,6 @@ func attribute(waiting []openWait, r *record) {
 		ow.obj == r.obj && r.waker != 0 {
 		ow.blocker = r.waker
 	}
-}
-
-// popHold removes proc's most recent open hold of lock-table entry key and
-// returns its start.
-func popHold(holds [][]openHold, proc, key int32) (int64, bool) {
-	stack := holds[proc]
-	for j := len(stack) - 1; j >= 0; j-- {
-		if stack[j].key == key {
-			start := stack[j].start
-			holds[proc] = append(stack[:j], stack[j+1:]...)
-			return start, true
-		}
-	}
-	return 0, false
 }
 
 // Profile returns the contention profile, worst first: descending total

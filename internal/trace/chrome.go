@@ -25,7 +25,7 @@ func wait(c *telemetry.ChromeWriter, iv interval, obj string, tid int) {
 	if obj == "" {
 		prefix = prefix[:len(prefix)-1]
 	}
-	c.Complete(prefix, obj, "wait", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, tid, nil)
+	c.Complete(prefix, obj, "wait", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, tid)
 }
 
 // WriteChrome exports the analyzed trace as Chrome trace-event JSON:
@@ -57,7 +57,7 @@ func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder) error {
 		for i := range rec.Len() {
 			sp := rec.Span(i)
 			if s, ok := procOf[int(sp.Trace)]; ok && sp.Parent >= 0 {
-				c.Span(sp, "stage", chromePID, t.procID(s))
+				c.Span(rec, i, "stage", chromePID, t.procID(s))
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder) error {
 		id := t.procID(int32(s))
 		for _, iv := range a.perProc[s] {
 			if iv.class == sim.WaitSleep {
-				c.Complete("service", "", "service", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, id, nil)
+				c.Complete("service", "", "service", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, id)
 			} else {
 				wait(c, iv, t.objs[iv.obj], id)
 			}
