@@ -95,7 +95,7 @@ func completionTimes(baseline string, app fastiov.App, n int) *stats.Sample {
 	times := make([]time.Duration, n)
 	for i := 0; i < n; i++ {
 		i := i
-		at := host.K.Rand().Duration(cluster.StartJitter)
+		at := host.Env.Rand.Duration(cluster.StartJitter)
 		host.K.GoAt(at, fmt.Sprintf("task-%d", i), func(p *sim.Proc) {
 			issued := p.Now()
 			sb, err := host.Eng.RunPodSandbox(p, i)

@@ -38,7 +38,7 @@ func TestBootCostIndependentOfVFCount(t *testing.T) {
 		{"NewHostOn", func(t *testing.T, spec HostSpec, opts Options) func() {
 			opts.Scope = "h007-"
 			return func() {
-				k := sim.NewKernel(opts.Seed)
+				k := sim.NewKernel()
 				if _, err := NewHostOn(k, sim.NewRand(sim.SplitSeed(opts.Seed, 7)), spec, opts); err != nil {
 					t.Fatal(err)
 				}

@@ -304,11 +304,6 @@ type Host struct {
 	Spec HostSpec
 	Opts Options
 
-	// rng is the host's private PRNG stream (arrival jitter). A standalone
-	// host uses its kernel's stream; fleet hosts sharing one kernel each
-	// get a derived stream (sim.SplitSeed) so their draws never collide.
-	rng *sim.Rand
-
 	Mem  *hostmem.Allocator
 	Topo *pci.Topology
 	NIC  *nic.NIC
@@ -380,20 +375,20 @@ func (h *Host) RecoveryCost(lostTracked int) time.Duration {
 // NewHost boots a machine: creates the hardware, pre-creates the VFs, and
 // binds them to the driver the configuration requires (vfio-pci once at
 // boot for the fixed CNIs; unbound for the flawed rebinding CNI). The host
-// owns a private kernel seeded from Options.Seed; to boot several hosts
-// into one shared kernel use NewHostOn.
+// owns a private kernel and a PRNG stream seeded from Options.Seed; to boot
+// several hosts into one shared kernel use NewHostOn.
 func NewHost(spec HostSpec, opts Options) (*Host, error) {
-	k := sim.NewKernel(opts.Seed)
-	return NewHostOn(k, k.Rand(), spec, opts)
+	return NewHostOn(sim.NewKernel(), sim.NewRand(opts.Seed), spec, opts)
 }
 
 // NewHostOn boots a machine onto an externally owned kernel and PRNG
-// stream. This is the re-enterable constructor beneath NewHost: a fleet
-// boots N hosts into one shared kernel, handing each a derived stream
-// (sim.SplitSeed) and a unique Options.Scope so the hosts' events
-// interleave deterministically without sharing or colliding PRNG state.
-// When rng is the kernel's own stream and Scope is empty the boot is
-// byte-identical to the historical single-host path.
+// stream rng, from which the host draws its arrival jitter and its guests'
+// readiness-poll delays (Env.Rand). This is the re-enterable constructor
+// beneath NewHost: a fleet boots N hosts into one shared kernel, each under
+// a unique Options.Scope so the hosts' events interleave deterministically.
+// A fleet hands every host the same fleet stream, so hosts do share random
+// state: all of a fleet's guests draw from one sequence. With a fresh kernel,
+// sim.NewRand(opts.Seed) and an empty Scope the boot is exactly NewHost.
 func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -408,7 +403,6 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		K:          k,
 		Spec:       spec,
 		Opts:       opts,
-		rng:        rng,
 		Mem:        hostmem.NewScoped(k, spec.Memory, opts.Scope),
 		Topo:       pci.NewTopology(),
 		CPU:        sim.NewResource(opts.Scope+"cpu", spec.Cores),
@@ -469,7 +463,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		}
 	}
 
-	h.Env = hypervisor.NewEnv(k, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
+	h.Env = hypervisor.NewEnv(k, rng, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
 	h.Env.Faults = h.Faults
 	h.Env.Retry = pol
 
@@ -646,7 +640,7 @@ func (h *Host) startupWave(n, base int) *Result {
 	res := &Result{Name: h.Opts.Name, N: n, Recorder: h.Rec, Started: n}
 	sandboxes := make([]*cri.Sandbox, n)
 	var errs []error
-	arrivals := h.Opts.Arrival.times(h.rng, n)
+	arrivals := h.Opts.Arrival.times(h.Env.Rand, n)
 	for i := 0; i < n; i++ {
 		i := i
 		id := base + i

@@ -25,7 +25,7 @@ type rig struct {
 // boot (the fixed-CNI discipline).
 func newRig(t *testing.T, nVFs int, preBind bool) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 1 << 30
@@ -195,7 +195,7 @@ func TestIPvtapContendsOnRTNL(t *testing.T) {
 }
 
 func TestNoNetworkPlugin(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	var plugin Plugin = NoNetwork{}
 	if plugin.Name() != "no-network" {
 		t.Error("name")

@@ -41,7 +41,7 @@ type rigConfig struct {
 
 func newRig(t *testing.T, cfg rigConfig) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 8 << 30
 	mem := hostmem.New(k, memCfg)
@@ -69,7 +69,7 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 			}
 		}
 	}
-	env := hypervisor.NewEnv(k, mem, kv, drv, mod, sim.NewResource("cpu", 16))
+	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 16))
 	rtnl := sim.NewMutex("rtnl")
 	cg := sim.NewMutex("cgroup")
 	irq := sim.NewMutex("irq")

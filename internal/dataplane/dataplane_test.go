@@ -25,7 +25,7 @@ type rig struct {
 // newRig builds a VM with a 32 MB DMA-mapped RX window at IOVA/GPA 0.
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 2 << 30
 	mem := hostmem.New(k, cfg)

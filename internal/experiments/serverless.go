@@ -30,7 +30,7 @@ func completions(r recipe, n int, app serverless.App) scenario[*stats.Sample] {
 			completions := make([]time.Duration, n)
 			sandboxes := make([]*cri.Sandbox, n)
 			var errs []error
-			rng := h.K.Rand()
+			rng := h.Env.Rand
 			for i := 0; i < n; i++ {
 				at := rng.Duration(cluster.StartJitter)
 				h.K.GoAt(at, fmt.Sprintf("task-%d", i), func(p *sim.Proc) {

@@ -16,7 +16,7 @@ import (
 // value recorded in BENCH_kernel.json.
 func BenchmarkFastiovdRegisterScrub(b *testing.B) {
 	const pages = 256
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	mem := hostmem.New(k, hostmem.DefaultConfig())
 	mod := New(k, mem)
 	mod.StartScrubber(2*time.Millisecond, 8)

@@ -19,7 +19,7 @@ type rig struct {
 }
 
 func newRig() *rig {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 2 << 30
 	mem := hostmem.New(k, cfg)

@@ -60,7 +60,7 @@ type opsRig struct {
 }
 
 func newOpsRig(newMod func(*sim.Kernel, *hostmem.Allocator) moduleOps) *opsRig {
-	r := &opsRig{k: sim.NewKernel(1), zeroed: make([]bool, opsPages)}
+	r := &opsRig{k: sim.NewKernel(), zeroed: make([]bool, opsPages)}
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = opsPages * hostmem.PageSize2M
 	cfg.MaxRunPages = 3

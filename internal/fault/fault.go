@@ -486,8 +486,8 @@ type siteState struct {
 	injected    int
 }
 
-// injectorSalt decorrelates the injector's PRNG stream from the kernel's
-// main stream, which is seeded with the raw run seed.
+// injectorSalt decorrelates the injector's PRNG stream from the host's
+// stream, which is seeded with the raw run seed.
 const injectorSalt = 0x9E3779B97F4A7C15
 
 // NewInjector builds an injector for the plan, deriving an independent

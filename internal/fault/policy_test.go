@@ -11,7 +11,7 @@ import (
 // runSim executes fn on a one-proc kernel.
 func runSim(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	k.Go("test", fn)
 	k.Run()
 }

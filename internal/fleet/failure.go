@@ -277,25 +277,32 @@ func (f *Fleet) crashHost(p *sim.Proc, hi int) {
 	}
 }
 
-// recoverHost re-runs host boot for a dead host: a fresh generation under
-// the same scope with a generation-salted seed, then the baseline's
-// readiness cost — the paper's recovery asymmetry, timed as first-class
-// telemetry (see cluster.Host.RecoveryCost). The scheduler sees
-// recovering until the cost is paid, then up.
+// bootHost boots generation gen of host hi onto the shared kernel: the
+// host's scope, its generation-salted seed and the fleet's stream. The
+// fleet owns observability and lifecycle: hosts must not install their own
+// tracer (trace.Attach overwrites the kernel probe) or sampler, and the
+// fleet tears sandboxes down itself when auditing.
+func (f *Fleet) bootHost(hi, gen int) (*cluster.Host, error) {
+	opts := f.baseOpts
+	opts.Scope = Scope(hi)
+	opts.Seed = sim.SplitSeed(f.Cfg.Seed, uint64(hi)+uint64(gen)*genStream)
+	opts.Faults = f.Cfg.Faults
+	opts.Trace, opts.Metrics, opts.Audit = false, false, false
+	return cluster.NewHostOn(f.K, f.rng, spec(f.Cfg, hi), opts)
+}
+
+// recoverHost re-runs host boot for a dead host: a fresh generation
+// (bootHost) under the same scope, then the baseline's readiness cost —
+// the paper's recovery asymmetry, timed as first-class telemetry (see
+// cluster.Host.RecoveryCost). The scheduler sees recovering until the
+// cost is paid, then up.
 func (f *Fleet) recoverHost(q *sim.Proc, hi int) {
 	began := q.Now()
 	f.health[hi] = HealthRecovering
 	gen := f.generation[hi] + 1
 	lost := f.lastCrash[hi].LazyTracked - f.Hosts[hi].Baseline.LazyTracked
 
-	opts := f.baseOpts
-	opts.Scope = Scope(hi)
-	opts.Seed = sim.SplitSeed(f.Cfg.Seed, uint64(hi)+uint64(gen)*genStream)
-	opts.Faults = f.Cfg.Faults
-	opts.Trace = false
-	opts.Metrics = false
-	opts.Audit = false
-	h, err := cluster.NewHostOn(f.K, sim.NewRand(opts.Seed), spec(f.Cfg, hi), opts)
+	h, err := f.bootHost(hi, gen)
 	if err != nil {
 		f.errs = append(f.errs, fmt.Errorf("fleet: host %d recovery (gen %d): %w", hi, gen, err))
 		return

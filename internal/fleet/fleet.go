@@ -1,15 +1,18 @@
 // Package fleet boots many simulated hosts into ONE shared simulation
 // kernel and schedules container starts across them — the cluster-level
 // view of the paper's startup problem. Each host gets a unique observability
-// scope (cluster.Options.Scope) and a derived PRNG stream (sim.SplitSeed),
-// so the fleet run is bit-for-bit deterministic per seed while hosts never
-// share or collide random state. Placement policies (scheduler.go) read
-// per-host signals — free VFs, in-flight starts, devset lock queue depth,
-// membw busy integral — straight from the substrate: the vfio driver's
-// devset waiter tally and the zeroing-bandwidth resource's busy integral
-// are kept by the sim primitives themselves. Reading them costs no
-// simulated time and no randomness, and installs no kernel probe:
-// observing a host to schedule on it never perturbs it.
+// scope (cluster.Options.Scope) and a derived fault-injection seed
+// (sim.SplitSeed), so the fleet run is bit-for-bit deterministic per seed.
+// The fleet owns one PRNG stream, seeded from Config.Seed, and hands it to
+// every host: the fleet's arrivals and every guest's readiness-poll delay on
+// every host draw from that one sequence, so hosts do share random state.
+// Placement policies (scheduler.go) read per-host signals — free VFs,
+// in-flight starts, devset lock queue depth, membw busy integral —
+// straight from the substrate: the vfio driver's devset waiter tally and
+// the zeroing-bandwidth resource's busy integral are kept by the sim
+// primitives themselves. Reading them costs no simulated time and no
+// randomness, and installs no kernel probe: observing a host to schedule
+// on it never perturbs it.
 package fleet
 
 import (
@@ -91,8 +94,10 @@ type Config struct {
 	HostSpecs []cluster.HostSpec
 	// Requests is the total number of container starts to place.
 	Requests int
-	// Seed drives the whole run: arrival jitter (a burst over
-	// DefaultJitter), the random policy's draws, and each host's derived
+	// Seed drives the whole run. It seeds the fleet's one stream, which
+	// every host shares: arrival jitter (a burst over DefaultJitter) and
+	// all guests' readiness-poll delays draw from it. Derived seeds
+	// (sim.SplitSeed) drive the random policy's draws and each host's
 	// fault-injection stream.
 	Seed uint64
 	// Faults attaches this plan to every host (each with its own derived
@@ -135,6 +140,9 @@ type Fleet struct {
 	Cfg   Config
 	K     *sim.Kernel
 	Hosts []*cluster.Host
+	// rng is the fleet's PRNG stream: arrivals and every host generation
+	// draw from it (see Config.Seed).
+	rng *sim.Rand
 	// Tracer is the shared-kernel event stream (nil unless Cfg.Trace).
 	Tracer *trace.Trace
 	// Metrics is the fleet-level sampled registry (nil unless Cfg.Metrics).
@@ -188,9 +196,9 @@ type Fleet struct {
 	hostCrashes, daemonCrashes, lostStarts, lostPods int
 }
 
-// New boots the fleet: one shared kernel, the optional tracer first (so its
-// stream covers host boot), then each host under its own scope and derived
-// PRNG stream, and finally the optional sampled metrics registry and the
+// New boots the fleet: one shared kernel and the fleet's stream, the
+// optional tracer first (so its stream covers host boot), then each host
+// (bootHost), and finally the optional sampled metrics registry and the
 // scheduler.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.HostSpecs) == 0 {
@@ -204,7 +212,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 
-	f := &Fleet{Cfg: cfg, K: sim.NewKernel(cfg.Seed), totals: stats.NewSample(), baseOpts: base, onPlace: cfg.OnPlace}
+	f := &Fleet{Cfg: cfg, K: sim.NewKernel(), rng: sim.NewRand(cfg.Seed), totals: stats.NewSample(), baseOpts: base, onPlace: cfg.OnPlace}
 	if cfg.Trace {
 		f.Tracer = trace.Attach(f.K)
 	}
@@ -215,18 +223,8 @@ func New(cfg Config) (*Fleet, error) {
 	f.inflight = make([]int, n)
 	f.placements = make([]int, n)
 	f.live = make([][]*cri.Sandbox, n)
-	for i, spec := range cfg.HostSpecs {
-		opts := base
-		opts.Scope = Scope(i)
-		opts.Seed = sim.SplitSeed(cfg.Seed, uint64(i))
-		opts.Faults = cfg.Faults
-		// The fleet owns observability and lifecycle: hosts must not install
-		// their own tracer (trace.Attach overwrites the kernel probe) or
-		// sampler, and the fleet tears sandboxes down itself when auditing.
-		opts.Trace = false
-		opts.Metrics = false
-		opts.Audit = false
-		h, err := cluster.NewHostOn(f.K, sim.NewRand(opts.Seed), spec, opts)
+	for i := range cfg.HostSpecs {
+		h, err := f.bootHost(i, 0)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: host %d: %w", i, err)
 		}
@@ -681,7 +679,7 @@ func (f *Fleet) stop(p *sim.Proc, host int, sb *cri.Sandbox) {
 func (f *Fleet) Run() *Result {
 	cfg := f.Cfg
 	arrivals := make([]time.Duration, cfg.Requests)
-	f.K.Rand().Durations(arrivals, DefaultJitter)
+	f.rng.Durations(arrivals, DefaultJitter)
 	for i := 0; i < cfg.Requests; i++ {
 		id := i
 		at := f.K.Now() + arrivals[i]

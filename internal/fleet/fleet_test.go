@@ -218,7 +218,7 @@ func TestFleetCapacityRejection(t *testing.T) {
 // determinism, and this pins them.
 func TestFleetInterleavingStability(t *testing.T) {
 	run := func() []byte {
-		k := sim.NewKernel(42)
+		k := sim.NewKernel()
 		hosts := make([]*cluster.Host, 2)
 		for i := range hosts {
 			opts, err := cluster.OptionsFor(cluster.BaselineVanilla)

@@ -234,7 +234,7 @@ func TestSignalsMatchReferenceHost(t *testing.T) {
 func TestSignalsMatchReferenceMultiDevset(t *testing.T) {
 	for _, mode := range []vfio.LockMode{vfio.LockGlobal, vfio.LockParentChild} {
 		t.Run(mode.String(), func(t *testing.T) {
-			k := sim.NewKernel(1)
+			k := sim.NewKernel()
 			topo := pci.NewTopology()
 			mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
 			drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), mode, vfio.DefaultCosts())

@@ -144,7 +144,7 @@ func (g *Guest) IfaceReady() *sim.Event { return &g.ifaceReady }
 func (g *Guest) WaitIfaceReady(p *sim.Proc) {
 	g.ifaceReady.Await(p)
 	if g.VF != nil && g.Costs.AgentPollInterval > 0 {
-		p.Sleep(g.MVM.Env.K.Rand().Duration(g.Costs.AgentPollInterval))
+		p.Sleep(g.MVM.Env.Rand.Duration(g.Costs.AgentPollInterval))
 	}
 }
 

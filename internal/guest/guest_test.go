@@ -27,7 +27,7 @@ type rig struct {
 
 func newRig(t *testing.T, lazy bool) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
 	mem := hostmem.New(k, memCfg)
@@ -43,7 +43,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 		mod = fastiovd.New(k, mem)
 		kv.Hook = mod
 	}
-	env := hypervisor.NewEnv(k, mem, kv, drv, mod, sim.NewResource("cpu", 8))
+	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 8))
 	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)

@@ -85,7 +85,7 @@ func runScript(script []byte) error {
 		page = func() int64 { return int64(next())<<8 | int64(next()) }
 	}
 
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	d := newDense(cfg)
 	var err error

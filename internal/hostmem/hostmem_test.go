@@ -19,7 +19,7 @@ func testConfig() Config {
 // run executes fn inside a one-proc simulation.
 func run(t *testing.T, cfg Config, fn func(p *sim.Proc, a *Allocator)) *Allocator {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	k.Go("test", func(p *sim.Proc) { fn(p, a) })
 	k.Run()
@@ -105,7 +105,7 @@ func TestZeroRegionCostMatchesBandwidth(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetrieveCostPerRun = 0
 	cfg.RetrieveCostPerPage = 0
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	var elapsed time.Duration
 	k.Go("z", func(p *sim.Proc) {
@@ -144,7 +144,7 @@ func TestZeroConcurrencyBoundedByStreams(t *testing.T) {
 	cfg.ZeroStreams = 2
 	cfg.RetrieveCostPerRun = 0
 	cfg.RetrieveCostPerPage = 0
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	// 4 procs each zero 1 GB; 1 GB at 10 GB/s = 100 ms; with 2 streams the
 	// makespan must be ~200 ms, not 100 ms.
@@ -249,7 +249,7 @@ func TestWriteDataThenRead(t *testing.T) {
 
 func TestPreZeroFraction(t *testing.T) {
 	cfg := testConfig()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	a.PreZero(0.5)
 	clean := int64(0)
@@ -268,7 +268,7 @@ func TestPreZeroFullMakesZeroingFree(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetrieveCostPerRun = 0
 	cfg.RetrieveCostPerPage = 0
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	a.PreZero(1.0)
 	k.Go("z", func(p *sim.Proc) {
@@ -307,7 +307,7 @@ func TestFragmentationIncreasesRetrievalCost(t *testing.T) {
 		cfg := testConfig()
 		cfg.MaxRunPages = maxRun
 		cfg.PinCostPerPage = 0
-		k := sim.NewKernel(1)
+		k := sim.NewKernel()
 		a := New(k, cfg)
 		var elapsed time.Duration
 		k.Go("t", func(p *sim.Proc) {
@@ -345,7 +345,7 @@ func TestAllocationReusesFreedPages(t *testing.T) {
 
 func TestConcurrentAllocatorsNoOverlap(t *testing.T) {
 	cfg := testConfig()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	a := New(k, cfg)
 	owners := make(map[int64]int)
 	for i := 0; i < 8; i++ {
@@ -374,7 +374,7 @@ func TestConcurrentAllocatorsNoOverlap(t *testing.T) {
 func TestAllocFreeBalanceProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		cfg := testConfig()
-		k := sim.NewKernel(1)
+		k := sim.NewKernel()
 		a := New(k, cfg)
 		initial := a.FreePages()
 		ok := true

@@ -58,6 +58,7 @@ func DefaultCosts() Costs {
 // every microVM on a host.
 type Env struct {
 	K    *sim.Kernel
+	Rand *sim.Rand // the host's stream: guest readiness-poll delays (§4.2.2)
 	Mem  *hostmem.Allocator
 	KVM  *kvm.KVM
 	VFIO *vfio.Driver
@@ -85,10 +86,10 @@ type Env struct {
 // host-wide (virtiofs vhost-user devices plus vdpa devices).
 func (e *Env) VhostRegistrations() int { return e.vhostRegs }
 
-// NewEnv wires an Env with the default cost model.
-func NewEnv(k *sim.Kernel, mem *hostmem.Allocator, kv *kvm.KVM, vf *vfio.Driver, lazy *fastiovd.Module, cpu *sim.Resource) *Env {
+// NewEnv wires an Env on kernel k and host stream rng, default cost model.
+func NewEnv(k *sim.Kernel, rng *sim.Rand, mem *hostmem.Allocator, kv *kvm.KVM, vf *vfio.Driver, lazy *fastiovd.Module, cpu *sim.Resource) *Env {
 	return &Env{
-		K: k, Mem: mem, KVM: kv, VFIO: vf, Lazy: lazy, CPU: cpu,
+		K: k, Rand: rng, Mem: mem, KVM: kv, VFIO: vf, Lazy: lazy, CPU: cpu,
 		VhostLock: sim.NewMutex("vhost"),
 		Costs:     DefaultCosts(),
 	}

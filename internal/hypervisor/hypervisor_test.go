@@ -31,7 +31,7 @@ func smallLayout() Layout {
 
 func newRig(t *testing.T, lazy bool) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
 	mem := hostmem.New(k, memCfg)
@@ -49,7 +49,7 @@ func newRig(t *testing.T, lazy bool) *rig {
 		kv.Hook = mod
 	}
 	cpu := sim.NewResource("cpu", 8)
-	env := NewEnv(k, mem, kv, drv, mod, cpu)
+	env := NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, cpu)
 	r := &rig{k: k, mem: mem, env: env, card: card, lazy: mod}
 	for _, vf := range card.VFs() {
 		vf.Dev.BindBoot("vfio-pci")

@@ -63,7 +63,7 @@ func runDomainScript(script []byte) error {
 		pos++
 		return int64(script[pos-1])
 	}
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	u := New(k, hostmem.PageSize4K)
 	ps := u.PageSize()
 	d := u.CreateDomain()

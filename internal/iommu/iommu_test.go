@@ -11,7 +11,7 @@ import (
 const mb = int64(1) << 20
 
 func setup() (*sim.Kernel, *hostmem.Allocator, *IOMMU) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 1 << 30
 	mem := hostmem.New(k, cfg)

@@ -11,7 +11,7 @@ import (
 const mb = int64(1) << 20
 
 func newHost(totalBytes int64) (*sim.Kernel, *hostmem.Allocator, *KVM) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = totalBytes
 	mem := hostmem.New(k, cfg)
@@ -57,7 +57,7 @@ func TestFragmentedSlotLookup(t *testing.T) {
 			flat = append(flat, pg)
 		}
 	}
-	vm := &VM{mem: hostmem.New(sim.NewKernel(1), hostmem.DefaultConfig())}
+	vm := &VM{mem: hostmem.New(sim.NewKernel(), hostmem.DefaultConfig())}
 	slot, err := vm.AddSlot("ram", 0, int64(len(flat))*hostmem.PageSize2M, &hostmem.Region{Runs: runs})
 	if err != nil {
 		t.Fatal(err)

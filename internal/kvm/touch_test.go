@@ -42,7 +42,7 @@ type touchRig struct {
 const ps = hostmem.PageSize2M
 
 func newTouchRig(maxRunPages, zeroStreams int64, hooked bool) *touchRig {
-	r := &touchRig{k: sim.NewKernel(1)}
+	r := &touchRig{k: sim.NewKernel()}
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 64 * ps
 	cfg.MaxRunPages = maxRunPages

@@ -97,7 +97,7 @@ func TestBurnRateFiresAndResolves(t *testing.T) {
 	}
 	src := &fakeSource{histOK: true}
 	eng := NewEngine(rules, src)
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	eng.Start(k)
 	// Healthy for 500ms, burning (every observation bad) for 500ms, then
 	// healthy again for 500ms.
@@ -141,7 +141,7 @@ func TestBurnRateLongWindowFiltersBlips(t *testing.T) {
 	}
 	src := &fakeSource{histOK: true}
 	eng := NewEngine(rules, src)
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	eng.Start(k)
 	// A 100ms blip of pure errors inside a 2s healthy run: the short
 	// window saturates but the long window stays under the factor.
@@ -168,7 +168,7 @@ func TestValueRuleSustain(t *testing.T) {
 	}
 	src := &fakeSource{valOK: true}
 	eng := NewEngine(rules, src)
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	eng.Start(k)
 	k.Go("driver", func(p *sim.Proc) {
 		// A 50ms breach (shorter than the sustain) at 200ms, then a real
@@ -207,7 +207,7 @@ func TestEngineUnknownFamilyIsSilent(t *testing.T) {
 	}
 	src := &fakeSource{} // both ok=false
 	eng := NewEngine(rules, src)
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	eng.Start(k)
 	k.Go("work", func(p *sim.Proc) { p.Sleep(time.Second) })
 	k.Run()
@@ -223,7 +223,7 @@ func TestAlertCanonicalAndTimeline(t *testing.T) {
 	rules, _ := ParseRules("alert seen: value(x) > 0")
 	src := &fakeSource{valOK: true, val: 1}
 	eng := NewEngine(rules, src)
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	eng.Start(k)
 	k.Go("work", func(p *sim.Proc) { p.Sleep(100 * time.Millisecond) })
 	k.Run()

@@ -51,7 +51,7 @@ func TestRegistryBasics(t *testing.T) {
 // last real proc finishes) — and the sampler daemon must not extend the
 // simulation beyond its last real proc.
 func TestSamplerCadence(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	r := New(10 * time.Millisecond)
 	now := func() float64 { return 0 }
 	r.GaugeFunc("g", "g", nil, now)
@@ -76,7 +76,7 @@ func TestSamplerCadence(t *testing.T) {
 // value at each tick, and that Seal freezes the final against later
 // mutation.
 func TestGaugeSeriesTracksValue(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	r := New(10 * time.Millisecond)
 	val := 0.0
 	r.GaugeFunc("g", "g", nil, func() float64 { return val })
@@ -240,7 +240,7 @@ func TestFormatValue(t *testing.T) {
 // TestWriteCSV locks the CSV layout: t_ns then lexical ids, quoting ids
 // that contain commas or quotes.
 func TestWriteCSV(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	r := New(10 * time.Millisecond)
 	r.GaugeFunc("b", "b", nil, func() float64 { return 2 })
 	r.GaugeFunc("a", "a", []Label{{"k", "x,y"}}, func() float64 { return 1 })
@@ -262,7 +262,7 @@ func TestWriteCSV(t *testing.T) {
 // export buffer several times.
 func TestWriteCSVAllocsFlat(t *testing.T) {
 	allocs := func(samples int) float64 {
-		k := sim.NewKernel(1)
+		k := sim.NewKernel()
 		r := New(time.Millisecond)
 		v := 0.0
 		r.GaugeFunc("g", "g", []Label{{"k", "x,y"}}, func() float64 { v += 0.1; return v })
@@ -320,7 +320,7 @@ func TestSparkline(t *testing.T) {
 
 // TestDashboardFor checks panel selection, alignment, and summary fields.
 func TestDashboardFor(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	r := New(10 * time.Millisecond)
 	v := 0.0
 	r.GaugeFunc("long_metric_name", "g", nil, func() float64 { return v })

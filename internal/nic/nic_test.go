@@ -10,7 +10,7 @@ import (
 
 func newCard(t *testing.T, vfs int) (*sim.Kernel, *pci.Topology, *NIC) {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	n := New(k, topo, DefaultConfig())
 	if err := n.CreateVFs(nil, vfs, topo); err != nil {
@@ -50,7 +50,7 @@ func TestVFsShareBusWithPF(t *testing.T) {
 }
 
 func TestSlotResetOption(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	cfg := DefaultConfig()
 	cfg.SlotReset = true
@@ -64,7 +64,7 @@ func TestSlotResetOption(t *testing.T) {
 }
 
 func TestVFLimit(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	n := New(k, topo, DefaultConfig())
 	if err := n.CreateVFs(nil, 257, topo); err == nil {

@@ -49,7 +49,7 @@ func TestBusGroupsDevices(t *testing.T) {
 }
 
 func TestBindUnbindLifecycle(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := NewTopology()
 	d := topo.AddDevice(&Device{Addr: BDF{Bus: 1}})
 	k.Go("t", func(p *sim.Proc) {
@@ -74,7 +74,7 @@ func TestDoubleBindPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := NewTopology()
 	d := topo.AddDevice(&Device{Addr: BDF{Bus: 1}})
 	k.Go("t", func(p *sim.Proc) {
@@ -90,7 +90,7 @@ func TestUnbindUnboundPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := NewTopology()
 	d := topo.AddDevice(&Device{Addr: BDF{Bus: 1}})
 	k.Go("t", func(p *sim.Proc) { d.Unbind(p, 0) })

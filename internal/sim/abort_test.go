@@ -20,7 +20,7 @@ import (
 // the formatted probe stream and the order in which deferred cleanups
 // observed the unwind.
 func abortedRunStreams() (probe []byte, cleanup []int) {
-	k := NewKernel(99)
+	k := NewKernel()
 	k.SetProbe(func(at Duration, ev ProbeEvent) {
 		waker := 0
 		if ev.Waker != nil {
@@ -31,7 +31,7 @@ func abortedRunStreams() (probe []byte, cleanup []int) {
 	})
 	mu := NewMutex("shared")
 	res := NewResource("pool", 4)
-	rng := k.Rand()
+	rng := NewRand(99)
 	for i := 0; i < 50; i++ {
 		i := i
 		jitter := rng.Duration(time.Millisecond)
@@ -80,7 +80,7 @@ func TestAbortStreamsDeterministic(t *testing.T) {
 // TestAbortUnwindOrderAscending pins the documented drain order: deferred
 // cleanups of procs alive at the cutoff run in ascending proc-id order.
 func TestAbortUnwindOrderAscending(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var order []int
 	for i := 0; i < 50; i++ {
 		k.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -103,7 +103,7 @@ func TestAbortUnwindOrderAscending(t *testing.T) {
 // no probe events: the aborted tail is not part of the observed execution,
 // so two runs differing only in post-cutoff unwind work stay identical.
 func TestAbortSuppressesProbe(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var last Duration
 	var afterCut int
 	k.SetProbe(func(at Duration, ev ProbeEvent) {

@@ -24,7 +24,7 @@ import (
 // closure, and no iter.Pull.
 func BenchmarkKernelSpawnJoin(b *testing.B) {
 	b.ReportAllocs()
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("driver", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c := k.Go("child", func(c *Proc) { c.Sleep(time.Microsecond) })
@@ -78,7 +78,7 @@ func BenchmarkEventQueue(b *testing.B) {
 // entirely.
 func BenchmarkKernelSleepFastPath(b *testing.B) {
 	b.ReportAllocs()
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Microsecond)
@@ -100,7 +100,7 @@ func BenchmarkKernelStepsQueued(b *testing.B) { benchmarkQueued(b, true) }
 func benchmarkQueued(b *testing.B, steps bool) {
 	for _, procs := range []int{2, 1000} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			k := NewKernel(1)
+			k := NewKernel()
 			left := b.N
 			for i := 0; i < procs; i++ {
 				k.Go("rr", func(p *Proc) {

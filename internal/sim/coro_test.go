@@ -27,7 +27,7 @@ func checkNoGoroutines(t *testing.T, before int) {
 func TestUnrunKernelHoldsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
-		k := NewKernel(uint64(i))
+		k := NewKernel()
 		k.Go("worker", func(p *Proc) { p.Sleep(time.Microsecond) })
 		k.GoDaemon("daemon", func(p *Proc) { p.Sleep(time.Microsecond) })
 		k.GoAt(time.Millisecond, "late", func(*Proc) {})
@@ -113,7 +113,7 @@ func TestPhaseEndsLeaveNoCoroutine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			k := NewKernel(1)
+			k := NewKernel()
 			func() {
 				defer func() {
 					if r := recover(); (r != nil) != tc.panic {
@@ -136,7 +136,7 @@ func TestPhaseEndsLeaveNoCoroutine(t *testing.T) {
 // TestSequentialProcsShareOneCoroutine: a thousand spawn/join cycles, one
 // child alive at a time, all run on the same coroutine.
 func TestSequentialProcsShareOneCoroutine(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	seen := map[*coro]bool{}
 	k.Go("driver", func(p *Proc) {
 		for i := 0; i < 1000; i++ {
@@ -156,7 +156,7 @@ func TestSequentialProcsShareOneCoroutine(t *testing.T) {
 // TestKilledCoroutineNotReused: a proc killed while parked takes its
 // coroutine with it; procs spawned afterwards never run on it.
 func TestKilledCoroutineNotReused(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var killed *coro
 	victim := k.Go("victim", func(p *Proc) {
 		killed = p.co

@@ -10,7 +10,7 @@ import (
 // unit-ms. A reader between changes sees the integral through the last
 // change; BusyAt extends it with the units still held.
 func TestResourceBusyIntegralExact(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	res := NewResource("pool", 2)
 	k.Go("a", func(p *Proc) {
 		res.Acquire(p, 1)
@@ -43,7 +43,7 @@ func TestResourceBusyIntegralExact(t *testing.T) {
 // TestResourceBusyIntegralConserved: every hold is charged in full, and
 // the integral never exceeds capacity times elapsed time.
 func TestResourceBusyIntegralConserved(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	cpu := NewResource("cpu", 4)
 	for i := 0; i < 8; i++ {
 		k.Go("p", func(p *Proc) { cpu.Use(p, 1, time.Second) })
@@ -63,7 +63,7 @@ func TestResourceBusyIntegralConserved(t *testing.T) {
 // same instant after the Unlock sees the lower depth even though the new
 // owner has not resumed yet.
 func TestWaitCountDepthAndPeak(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var c WaitCount
 	mu := NewMutex("m").CountWaiters(&c)
 	for i := 0; i < 3; i++ {
@@ -96,7 +96,7 @@ func TestWaitCountDepthAndPeak(t *testing.T) {
 // TestWaitCountSharedPeak: locks sharing one tally report the peak of the
 // summed depth, which no single lock reached.
 func TestWaitCountSharedPeak(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var c WaitCount
 	a := NewMutex("a").CountWaiters(&c)
 	b := NewRWMutex("b").CountWaiters(&c)
@@ -114,7 +114,7 @@ func TestWaitCountSharedPeak(t *testing.T) {
 // queued readers at once, so the depth drops by the batch size in one
 // instant; the writer queued behind them stays counted.
 func TestWaitCountRWReaderBatch(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var c WaitCount
 	rw := NewRWMutex("rw").CountWaiters(&c)
 	k.Go("w1", func(p *Proc) {
@@ -156,7 +156,7 @@ func TestWaitCountRWReaderBatch(t *testing.T) {
 // unit as held; a kill, by contrast, is part of the run and its deferred
 // release is charged at the kill instant.
 func TestAbortUnwindNotCounted(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	bw := NewResource("bw", 2)
 	k.GoDaemon("scrubber", func(p *Proc) { bw.Use(p, 1, time.Hour) })
 	victim := k.Go("victim", func(p *Proc) { bw.Use(p, 1, time.Hour) })
@@ -183,7 +183,7 @@ func TestAbortUnwindNotCounted(t *testing.T) {
 // handoff, so it stays counted; the handoff skips it and dequeues only the
 // live waiter behind it.
 func TestWaitCountKilledWaiter(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var c WaitCount
 	mu := NewMutex("m").CountWaiters(&c)
 	k.Go("holder", func(p *Proc) {

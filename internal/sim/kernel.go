@@ -75,7 +75,6 @@ type Kernel struct {
 	live     int // non-daemon procs not yet finished
 	procSeq  int
 	procs    map[int]*Proc // unfinished procs by id, for abort/deadlock
-	rng      *Rand
 	aborted  bool
 	panicked any // panic value captured from a Proc body, re-raised in Run
 	// stepPanic carries a panic raised by a Step to the stepping proc's
@@ -100,21 +99,18 @@ type Kernel struct {
 	probe func(at Duration, ev ProbeEvent)
 }
 
-// NewKernel returns a kernel with the virtual clock at zero and the given
-// PRNG seed. The same seed always yields the same execution.
-func NewKernel(seed uint64) *Kernel {
+// NewKernel returns a kernel with the virtual clock at zero. The kernel
+// holds no randomness: components that draw own their own Rand stream, so
+// the same spawns always yield the same execution.
+func NewKernel() *Kernel {
 	return &Kernel{
 		procs:    make(map[int]*Proc),
-		rng:      NewRand(seed),
 		deadline: -1,
 	}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Duration { return k.now }
-
-// Rand returns the kernel's deterministic PRNG.
-func (k *Kernel) Rand() *Rand { return k.rng }
 
 // Clock returns the internal scheduling cursor (virtual time, event
 // sequence counter and proc counter), so two runs can be checked to leave

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var woke Duration
 	k.Go("sleeper", func(p *Proc) {
 		p.Sleep(150 * time.Millisecond)
@@ -22,7 +22,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 }
 
 func TestSequentialSleepsAccumulate(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("p", func(p *Proc) {
 		p.Sleep(time.Second)
 		p.Sleep(2 * time.Second)
@@ -35,7 +35,7 @@ func TestSequentialSleepsAccumulate(t *testing.T) {
 }
 
 func TestConcurrentSleepersOverlap(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	for i := 0; i < 10; i++ {
 		k.Go("p", func(p *Proc) { p.Sleep(time.Second) })
 	}
@@ -46,12 +46,13 @@ func TestConcurrentSleepersOverlap(t *testing.T) {
 
 func TestEventOrderingDeterministic(t *testing.T) {
 	run := func() []int {
-		k := NewKernel(42)
+		k := NewKernel()
+		rng := NewRand(42)
 		var order []int
 		for i := 0; i < 20; i++ {
 			i := i
 			k.Go("p", func(p *Proc) {
-				p.Sleep(Duration(k.Rand().Int63n(1000)) * time.Microsecond)
+				p.Sleep(Duration(rng.Int63n(1000)) * time.Microsecond)
 				order = append(order, i)
 			})
 		}
@@ -70,7 +71,7 @@ func TestEventOrderingDeterministic(t *testing.T) {
 }
 
 func TestSameInstantFIFO(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -85,7 +86,7 @@ func TestSameInstantFIFO(t *testing.T) {
 }
 
 func TestGoAt(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var started Duration
 	k.GoAt(3*time.Second, "late", func(p *Proc) { started = p.Now() })
 	k.Run()
@@ -95,7 +96,7 @@ func TestGoAt(t *testing.T) {
 }
 
 func TestJoin(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("parent", func(p *Proc) {
 		child := k.Go("child", func(c *Proc) { c.Sleep(time.Second) })
 		p.Join(child)
@@ -110,7 +111,7 @@ func TestJoin(t *testing.T) {
 }
 
 func TestJoinAlreadyFinished(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("parent", func(p *Proc) {
 		child := k.Go("child", func(c *Proc) {})
 		p.Sleep(time.Second)
@@ -123,7 +124,7 @@ func TestJoinAlreadyFinished(t *testing.T) {
 }
 
 func TestDaemonDoesNotKeepKernelAlive(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	k.GoDaemon("scrubber", func(p *Proc) {
 		for {
 			p.Sleep(time.Millisecond)
@@ -136,7 +137,7 @@ func TestDaemonDoesNotKeepKernelAlive(t *testing.T) {
 }
 
 func TestRunForCutsOff(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	finished := false
 	k.Go("long", func(p *Proc) {
 		p.Sleep(time.Hour)
@@ -158,7 +159,7 @@ func TestDeadlockDetection(t *testing.T) {
 			t.Fatal("expected deadlock panic")
 		}
 	}()
-	k := NewKernel(1)
+	k := NewKernel()
 	a := NewMutex("a")
 	b := NewMutex("b")
 	k.Go("p1", func(p *Proc) {
@@ -176,7 +177,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestSpawnCascade(t *testing.T) {
 	// Procs spawning procs spawning procs — 3 generations of 3.
-	k := NewKernel(1)
+	k := NewKernel()
 	count := 0
 	var spawn func(depth int) func(*Proc)
 	spawn = func(depth int) func(*Proc) {
@@ -203,14 +204,14 @@ func TestSchedulingIntoPastPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("p", func(p *Proc) { p.Sleep(time.Second) })
 	k.Run()
 	k.schedule(0, nil)
 }
 
 func TestNegativeSleepIsYield(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("p", func(p *Proc) {
 		p.Sleep(-time.Second)
 		if p.Now() != 0 {
@@ -221,7 +222,7 @@ func TestNegativeSleepIsYield(t *testing.T) {
 }
 
 func TestYieldReordersSameInstant(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var order []string
 	k.Go("a", func(p *Proc) {
 		order = append(order, "a1")

@@ -10,7 +10,7 @@ import (
 // not resume, its deferred cleanup must run, and the simulation must drain
 // without a deadlock from the stale wakeup left in the event queue.
 func TestKillSleepingProc(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var resumed, cleaned bool
 	victim := k.Go("victim", func(p *Proc) {
 		defer func() { cleaned = true }()
@@ -35,7 +35,7 @@ func TestKillSleepingProc(t *testing.T) {
 
 // TestKillIsNoOpOnFinished kills an already-finished proc: must be a no-op.
 func TestKillIsNoOpOnFinished(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	done := k.Go("short", func(p *Proc) {})
 	k.Go("killer", func(p *Proc) {
 		p.Sleep(time.Millisecond)
@@ -48,7 +48,7 @@ func TestKillIsNoOpOnFinished(t *testing.T) {
 // TestKillNeverStartedProc kills a proc whose body never ran (spawned for a
 // future time): the body must not run at all and Join must still unblock.
 func TestKillNeverStartedProc(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var ran bool
 	victim := k.GoAt(time.Second, "future", func(p *Proc) { ran = true })
 	k.Go("killer", func(p *Proc) {
@@ -64,7 +64,7 @@ func TestKillNeverStartedProc(t *testing.T) {
 // TestKillMutexWaiterSkipsHandoff kills a proc parked in Mutex.Lock: Unlock
 // must hand the mutex to the next live waiter, not the corpse.
 func TestKillMutexWaiterSkipsHandoff(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	var got []string
 	k.Go("holder", func(p *Proc) {
@@ -100,7 +100,7 @@ func TestKillMutexWaiterSkipsHandoff(t *testing.T) {
 // TestKillLastMutexWaiterFreesLock kills the only waiter: Unlock must leave
 // the mutex free rather than owned by a corpse.
 func TestKillLastMutexWaiterFreesLock(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	k.Go("holder", func(p *Proc) {
 		m.Lock(p)
@@ -126,7 +126,7 @@ func TestKillLastMutexWaiterFreesLock(t *testing.T) {
 // Release must not take units on the corpse's behalf, and later live
 // acquisitions must see full capacity.
 func TestKillResourceWaiterKeepsUnits(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	r := NewResource("r", 4)
 	k.Go("holder", func(p *Proc) {
 		r.Acquire(p, 4)
@@ -156,7 +156,7 @@ func TestKillResourceWaiterKeepsUnits(t *testing.T) {
 // TestKillDuringResourceUseReturnsUnits kills a proc inside Resource.Use's
 // occupancy sleep: the deferred Release must restore the units.
 func TestKillDuringResourceUseReturnsUnits(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	r := NewResource("r", 4)
 	victim := k.Go("victim", func(p *Proc) {
 		r.Use(p, 3, 10*time.Millisecond)
@@ -177,7 +177,7 @@ func TestKillDuringResourceUseReturnsUnits(t *testing.T) {
 // TestKillQueueWaiterPassesItemOn kills a proc parked in Queue.Pop: a Push
 // must wake the next live waiter so the item is not stranded.
 func TestKillQueueWaiterPassesItemOn(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	q := NewQueue[int]("q")
 	var got []int
 	victim := k.Go("victim", func(p *Proc) {
@@ -207,7 +207,7 @@ func TestKillQueueWaiterPassesItemOn(t *testing.T) {
 // with a deferred Unlock: the defer runs during the kill unwind and hands
 // the lock to the waiter.
 func TestKillMutexOwnerThenWaiterUnlockViaDefer(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	var acquired bool
 	victim := k.Go("victim", func(p *Proc) {
@@ -238,7 +238,7 @@ func TestKillDeterminism(t *testing.T) {
 	// crash: every proc sharing the dead host's locks dies in one sweep, so
 	// primitives stranded mid-handoff are only ever observed by corpses.
 	run := func() []string {
-		k := NewKernel(42)
+		k := NewKernel()
 		var lines []string
 		mkGroup := func(tag string, r *Resource, m *Mutex) []*Proc {
 			var procs []*Proc

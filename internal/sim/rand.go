@@ -2,8 +2,9 @@ package sim
 
 // Rand is a small deterministic PRNG (xorshift64*) used for workload jitter.
 // The standard library's math/rand would also be deterministic when seeded,
-// but carrying our own generator keeps each Kernel's stream independent of
-// global state and of Go version changes to rand internals.
+// but carrying our own generator keeps each owner's stream (a host's, a
+// fleet's, a tenant's; never the kernel's) independent of global state
+// and of Go version changes to rand internals.
 type Rand struct {
 	state uint64
 }
@@ -18,10 +19,10 @@ func NewRand(seed uint64) *Rand {
 }
 
 // SplitSeed derives an independent child seed from (seed, stream) with a
-// splitmix64 finalizer. Multi-host simulations sharing one kernel use it to
-// give every host its own PRNG stream: two hosts built from the same run
-// seed but different stream indices draw uncorrelated sequences, and the
-// derivation is a pure function so runs stay reproducible.
+// splitmix64 finalizer. Simulations sharing one kernel use it to give
+// each component its own seed: two streams built from the same run seed but
+// different stream indices draw uncorrelated sequences, and the derivation
+// is a pure function so runs stay reproducible.
 func SplitSeed(seed, stream uint64) uint64 {
 	z := seed + (stream+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -13,7 +13,7 @@ func TestIndependentProcsMakespanProperty(t *testing.T) {
 		if len(raw) == 0 || len(raw) > 20 {
 			return true
 		}
-		k := NewKernel(1)
+		k := NewKernel()
 		var want Duration
 		for _, r := range raw {
 			total := Duration(int(r[0])+int(r[1])+int(r[2])) * time.Millisecond
@@ -40,7 +40,7 @@ func TestMutexCounterProperty(t *testing.T) {
 		if len(delays) == 0 || len(delays) > 30 {
 			return true
 		}
-		k := NewKernel(7)
+		k := NewKernel()
 		m := NewMutex("m")
 		counter := 0
 		for _, d := range delays {
@@ -68,7 +68,7 @@ func TestResourceCapacityProperty(t *testing.T) {
 		if len(sizes) == 0 || len(sizes) > 25 {
 			return true
 		}
-		k := NewKernel(3)
+		k := NewKernel()
 		r := NewResource("r", 7)
 		var held Duration
 		for _, s := range sizes {
@@ -88,7 +88,7 @@ func TestResourceCapacityProperty(t *testing.T) {
 
 // The kernel must support multiple Run phases: work, quiesce, more work.
 func TestMultiPhaseRun(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	phase1 := false
 	k.Go("a", func(p *Proc) {
 		p.Sleep(time.Second)
@@ -110,7 +110,7 @@ func TestMultiPhaseRun(t *testing.T) {
 // Daemons are reaped when a Run phase ends (their goroutines unwind so
 // tests do not leak); a later phase runs without them and must not wedge.
 func TestMultiPhaseWithDaemon(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	ticks := 0
 	k.GoDaemon("d", func(p *Proc) {
 		for {
@@ -140,7 +140,7 @@ func TestRWMutexInvariantProperty(t *testing.T) {
 		if len(ops) == 0 || len(ops) > 25 {
 			return true
 		}
-		k := NewKernel(11)
+		k := NewKernel()
 		rw := NewRWMutex("rw")
 		readers, writers := 0, 0
 		ok := true

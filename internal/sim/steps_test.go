@@ -141,7 +141,7 @@ func runStepScript(script []byte, steps bool) string {
 	if len(script) < 2 {
 		return ""
 	}
-	k := NewKernel(1)
+	k := NewKernel()
 	w := &stepWorld{k: k, res: NewResource("res", 2)}
 	for i := range w.evs {
 		w.evs[i] = NewEvent(k, fmt.Sprintf("ev%d", i))
@@ -281,7 +281,7 @@ func FuzzStepsMatchSleep(f *testing.F) {
 // queued, the kernel makes the next Step call itself (from Kernel.step),
 // not the proc's coroutine.
 func TestStepsRunOnKernelStack(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	left := 100
 	fromKernel := 0
 	k.Go("stepper", func(p *Proc) {
@@ -328,7 +328,7 @@ func calledFrom(fn string) bool {
 // TestStepMustNotBlock: a Step that would park panics, and the panic is
 // raised from Run.
 func TestStepMustNotBlock(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	k.Go("holder", func(p *Proc) {
 		m.Lock(p)

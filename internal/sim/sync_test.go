@@ -6,7 +6,7 @@ import (
 )
 
 func TestMutexSerializes(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var waits WaitCount
 	m := NewMutex("m").CountWaiters(&waits)
 	for i := 0; i < 10; i++ {
@@ -25,7 +25,7 @@ func TestMutexSerializes(t *testing.T) {
 }
 
 func TestMutexFIFOHandoff(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	var order []int
 	for i := 0; i < 8; i++ {
@@ -51,7 +51,7 @@ func TestMutexRecursionPanics(t *testing.T) {
 			t.Fatal("want panic on recursive lock")
 		}
 	}()
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	k.Go("p", func(p *Proc) {
 		m.Lock(p)
@@ -66,7 +66,7 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 			t.Fatal("want panic on foreign unlock")
 		}
 	}()
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	k.Go("owner", func(p *Proc) {
 		m.Lock(p)
@@ -81,7 +81,7 @@ func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 }
 
 func TestTryLock(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	m := NewMutex("m")
 	k.Go("holder", func(p *Proc) {
 		if !m.TryLock(p) {
@@ -105,7 +105,7 @@ func TestTryLock(t *testing.T) {
 }
 
 func TestRWMutexReadersOverlap(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	rw := NewRWMutex("rw")
 	for i := 0; i < 10; i++ {
 		k.Go("r", func(p *Proc) {
@@ -120,7 +120,7 @@ func TestRWMutexReadersOverlap(t *testing.T) {
 }
 
 func TestRWMutexWriterExcludesReaders(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	rw := NewRWMutex("rw")
 	var writerDone, readerStart Duration
 	k.Go("w", func(p *Proc) {
@@ -144,7 +144,7 @@ func TestRWMutexWriterExcludesReaders(t *testing.T) {
 func TestRWMutexWriterNotStarved(t *testing.T) {
 	// Writer arrives while a reader holds; later readers queue behind the
 	// writer instead of barging.
-	k := NewKernel(1)
+	k := NewKernel()
 	rw := NewRWMutex("rw")
 	var events []string
 	k.Go("r1", func(p *Proc) {
@@ -172,7 +172,7 @@ func TestRWMutexWriterNotStarved(t *testing.T) {
 
 func TestRWMutexReaderBatchAdmission(t *testing.T) {
 	// After a writer releases, all queued readers enter together.
-	k := NewKernel(1)
+	k := NewKernel()
 	rw := NewRWMutex("rw")
 	k.Go("w", func(p *Proc) {
 		rw.Lock(p)
@@ -193,7 +193,7 @@ func TestRWMutexReaderBatchAdmission(t *testing.T) {
 }
 
 func TestResourceCapacityEnforced(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	cpu := NewResource("cpu", 4)
 	for i := 0; i < 8; i++ {
 		k.Go("p", func(p *Proc) { cpu.Use(p, 1, time.Second) })
@@ -207,7 +207,7 @@ func TestResourceCapacityEnforced(t *testing.T) {
 }
 
 func TestResourceLargeRequestNotStarved(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	r := NewResource("r", 4)
 	var bigAt Duration
 	// Two initial holders of 2 units each; a request for 4 queues; a stream
@@ -239,14 +239,14 @@ func TestResourceOverCapacityPanics(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	k := NewKernel(1)
+	k := NewKernel()
 	r := NewResource("r", 2)
 	k.Go("p", func(p *Proc) { r.Acquire(p, 3) })
 	k.Run()
 }
 
 func TestWaitGroup(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var wg WaitGroup
 	var doneAt Duration
 	wg.Add(3)
@@ -268,7 +268,7 @@ func TestWaitGroup(t *testing.T) {
 }
 
 func TestWaitGroupZeroNoBlock(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	var wg WaitGroup
 	k.Go("p", func(p *Proc) {
 		wg.Wait(p)
@@ -280,7 +280,7 @@ func TestWaitGroupZeroNoBlock(t *testing.T) {
 }
 
 func TestEventBroadcast(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	e := NewEvent(k, "ready")
 	var wokeAt []Duration
 	for i := 0; i < 3; i++ {
@@ -305,7 +305,7 @@ func TestEventBroadcast(t *testing.T) {
 }
 
 func TestEventAwaitAfterFire(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	e := NewEvent(k, "done")
 	k.Go("p", func(p *Proc) {
 		e.Fire(p)
@@ -316,7 +316,7 @@ func TestEventAwaitAfterFire(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	q := NewQueue[int]("q")
 	var got []int
 	k.Go("producer", func(p *Proc) {
@@ -347,7 +347,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueMultipleConsumers(t *testing.T) {
-	k := NewKernel(1)
+	k := NewKernel()
 	q := NewQueue[int]("q")
 	total := 0
 	for i := 0; i < 3; i++ {
@@ -429,7 +429,7 @@ func TestIndexedNameFormatsOnFirstRead(t *testing.T) {
 	}
 	var m Mutex
 	m.Init(IndexedName("dev-", 7, format))
-	k := NewKernel(1)
+	k := NewKernel()
 	k.Go("a", func(p *Proc) {
 		m.Lock(p)
 		p.Sleep(1)
@@ -462,7 +462,7 @@ func TestProcNameFormatsOnFirstRead(t *testing.T) {
 		calls++
 		return appendDecimal(b, i)
 	}
-	k := NewKernel(1)
+	k := NewKernel()
 	p := k.GoAtName(0, IndexedName("ctr-", 173, format), func(p *Proc) { p.Sleep(1) })
 	q := k.GoAtName(5, DecimalName("stop-", 42), func(*Proc) {})
 	k.Run()

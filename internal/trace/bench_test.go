@@ -11,7 +11,7 @@ import (
 // probeHeavyRun records a synthetic kernel through Attach: procs procs each
 // alternate a contended Resource.Use with a Sleep rounds times.
 func probeHeavyRun(procs, rounds int) *Trace {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	tr := Attach(k)
 	membw := sim.NewResource("membw", 8)
 	for i := range procs {

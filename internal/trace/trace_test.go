@@ -22,7 +22,7 @@ func ms(d int) time.Duration { return time.Duration(d) * time.Millisecond }
 // while "b" waits, then "b" holds for 5ms.
 func contendedRun(t *testing.T) *Trace {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	tr := Attach(k)
 	m := sim.NewMutex("m")
 	body := func(hold time.Duration) func(*sim.Proc) {
@@ -71,7 +71,7 @@ func TestProfileContendedMutex(t *testing.T) {
 }
 
 func TestResourceCausality(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	tr := Attach(k)
 	r := sim.NewResource("cap", 1)
 	k.Go("first", func(p *sim.Proc) { r.Use(p, 1, ms(8)) })
@@ -134,7 +134,7 @@ func TestDefaultBinder(t *testing.T) {
 // holder that keeps the lock until t=20ms.
 func criticalRun(t *testing.T) (*Trace, *telemetry.Recorder) {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	tr := Attach(k)
 	rec := telemetry.NewRecorder()
 	m := sim.NewMutex("m")

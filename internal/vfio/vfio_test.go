@@ -24,7 +24,7 @@ type rig struct {
 
 func newRig(t *testing.T, mode LockMode, nVFs int) *rig {
 	t.Helper()
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 8 << 30
@@ -61,7 +61,7 @@ func TestBusResetDevicesShareDevset(t *testing.T) {
 }
 
 func TestSlotResetDevicesGetOwnDevset(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
 	mmu := iommu.New(k, mem.PageSize())
@@ -82,7 +82,7 @@ func TestSlotResetDevicesGetOwnDevset(t *testing.T) {
 }
 
 func TestRegisterRequiresVFIODriver(t *testing.T) {
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
 	drv := New(k, topo, mem, iommu.New(k, mem.PageSize()), LockGlobal, DefaultCosts())
@@ -394,7 +394,7 @@ func TestReleaseDomainWithLiveMappingsFails(t *testing.T) {
 func TestDMAWriteThroughMapping(t *testing.T) {
 	// End-to-end: map guest memory, have the NIC DMA-write into it, and
 	// verify translations and page states.
-	k := sim.NewKernel(1)
+	k := sim.NewKernel()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
