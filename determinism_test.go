@@ -245,14 +245,11 @@ func TestTracedCriticalPathIdentity(t *testing.T) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		a, err := trace.Analyze(res.Trace)
+		a, err := trace.Analyze(res.Trace, res.Recorder)
 		if err != nil {
 			t.Fatalf("%s: %v", baseline, err)
 		}
-		paths, err := a.CriticalPaths(res.Recorder)
-		if err != nil {
-			t.Fatalf("%s: %v", baseline, err)
-		}
+		paths := a.CriticalPaths()
 		if len(paths) != testConcurrency {
 			t.Fatalf("%s: decomposed %d containers, want %d", baseline, len(paths), testConcurrency)
 		}

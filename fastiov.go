@@ -361,14 +361,10 @@ func WriteStartupTrace(w io.Writer, baseline string, n int, seed uint64) error {
 	if res.Err != nil {
 		return res.Err
 	}
-	a, err := trace.Analyze(res.Trace)
-	if err != nil {
+	if err := trace.VerifyCriticalPaths(res.Trace, res.Recorder); err != nil {
 		return err
 	}
-	if _, err := a.CriticalPaths(res.Recorder); err != nil {
-		return err
-	}
-	return trace.WriteChrome(w, a, res.Recorder)
+	return trace.WriteChrome(w, res.Trace, res.Recorder)
 }
 
 // StartupMetrics boots the named baseline with the metrics registry

@@ -40,7 +40,7 @@ func (x *Exec) Contention(n int) (*Report, error) {
 	var text strings.Builder
 	for i, b := range baselines {
 		res := rs[i].Primary()
-		a, err := trace.Analyze(res.Trace)
+		a, err := trace.Analyze(res.Trace, res.Recorder)
 		if err != nil {
 			return nil, fmt.Errorf("contention: %s: %w", b, err)
 		}
@@ -57,11 +57,7 @@ func (x *Exec) Contention(n int) (*Report, error) {
 			t.AddRow(b, s.Name(), s.Waits, s.Acquires, s.TotalWait, s.MeanWait(), s.MaxWait, s.MeanHold(), s.MaxQueue, blocker)
 		}
 
-		paths, err := a.CriticalPaths(res.Recorder)
-		if err != nil {
-			return nil, fmt.Errorf("contention: %s: %w", b, err)
-		}
-		sum := trace.Summarize(paths)
+		sum := trace.Summarize(a.CriticalPaths())
 		pct := func(d time.Duration) float64 {
 			if sum.MeanTotal == 0 {
 				return 0

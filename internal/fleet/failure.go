@@ -312,6 +312,9 @@ func (f *Fleet) recoverHost(q *sim.Proc, hi int) {
 	f.signals[hi].live = h
 	q.Sleep(h.RecoveryCost(lost))
 
+	if f.Tracer != nil {
+		f.retired = append(f.retired, f.Hosts[hi].Rec)
+	}
 	f.Hosts[hi] = h
 	f.installTrack(hi, h)
 	f.generation[hi] = gen

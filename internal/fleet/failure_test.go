@@ -248,3 +248,50 @@ func TestHostFaultsObserverTransparency(t *testing.T) {
 			plain.Canonical(), observed.Canonical())
 	}
 }
+
+// TestCrashedGenerationsVerified pins that a traced fleet verifies the
+// critical path of every completed start, on every host generation: the
+// count Finish verified must equal the fleet's completed starts, and must
+// exceed what the live generations' recorders hold, so starts that
+// completed on a generation a crash later replaced are checked too.
+func TestCrashedGenerationsVerified(t *testing.T) {
+	plans := []string{
+		"host-crash@1500ms:host=0;host-recover=200ms",
+		"host-crash@1200ms:host=0;host-crash@1600ms:host=2;host-recover=200ms",
+	}
+	for _, ps := range plans {
+		for _, baseline := range []string{cluster.BaselineVanilla, cluster.BaselineFastIOV} {
+			t.Run(baseline+"/"+ps, func(t *testing.T) {
+				cfg := hostCrashCfg(baseline, PolicyLeastLoaded, 1, mustPlan(t, ps))
+				cfg.Trace = true
+				f, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := f.Run()
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if len(res.Recoveries) == 0 {
+					t.Fatal("no host recovered; the property is vacuous")
+				}
+				live := 0
+				for _, h := range f.Hosts {
+					for _, id := range h.Rec.Traces() {
+						if h.Rec.Total(id) != 0 {
+							live++
+						}
+					}
+				}
+				if res.VerifiedPaths != res.Totals.N() {
+					t.Errorf("verified %d critical paths, want one per completed start (%d)",
+						res.VerifiedPaths, res.Totals.N())
+				}
+				if res.VerifiedPaths <= live {
+					t.Errorf("verified %d critical paths, no more than the %d on live generations",
+						res.VerifiedPaths, live)
+				}
+			})
+		}
+	}
+}

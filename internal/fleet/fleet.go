@@ -28,6 +28,7 @@ import (
 	"fastiov/internal/metrics"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
+	"fastiov/internal/telemetry"
 	"fastiov/internal/trace"
 )
 
@@ -145,6 +146,10 @@ type Fleet struct {
 	rng *sim.Rand
 	// Tracer is the shared-kernel event stream (nil unless Cfg.Trace).
 	Tracer *trace.Trace
+	// retired holds the recorder of every host generation a crash replaced
+	// while Tracer is attached, so Finish verifies the startups that
+	// completed on it too; Finish drops them.
+	retired []*telemetry.Recorder
 	// Metrics is the fleet-level sampled registry (nil unless Cfg.Metrics).
 	Metrics *metrics.Registry
 	// Sched is the placement policy instance.
@@ -443,6 +448,10 @@ type Result struct {
 	// registry when attached.
 	Trace   *trace.Trace
 	Metrics *metrics.Registry
+	// VerifiedPaths counts the completed starts, on every host generation,
+	// whose critical-path decomposition Finish verified against Trace (0
+	// when untraced).
+	VerifiedPaths int
 	// FaultStats merges every host's injector counters by site (nil for
 	// fault-free fleets).
 	FaultStats []fault.SiteStat
@@ -734,21 +743,22 @@ func (f *Fleet) Finish() *Result {
 	}
 	res.Trace = f.Tracer
 
-	// Per-host critical-path verification against the shared trace: one
-	// Analyze pass over the whole stream, then each host's recorder binds
-	// its own container ids (fleet ids are globally unique, so no two
-	// hosts' "ctr-<id>" procs bind the same container).
+	// Critical-path verification against the shared trace: one Analyze
+	// pass over the whole stream, given the recorder of every host
+	// generation, crashed ones included. Each recorder's completed
+	// containers bind their own "ctr-<id>" procs (fleet ids are globally
+	// unique, so no two procs bind the same container).
 	if f.Tracer != nil {
-		a, err := trace.Analyze(f.Tracer)
-		if err != nil {
-			errs = append(errs, err)
-		} else {
-			for i, h := range f.Hosts {
-				if _, err := a.CriticalPaths(h.Rec); err != nil {
-					errs = append(errs, fmt.Errorf("fleet: host %d critical paths: %w", i, err))
-				}
-			}
+		recs := f.retired
+		for _, h := range f.Hosts {
+			recs = append(recs, h.Rec)
 		}
+		if a, err := trace.Analyze(f.Tracer, recs...); err != nil {
+			errs = append(errs, fmt.Errorf("fleet: critical paths: %w", err))
+		} else {
+			res.VerifiedPaths = a.Containers()
+		}
+		f.retired = nil
 	}
 
 	if cfg.Audit {

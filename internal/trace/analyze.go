@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fastiov/internal/sim"
+	"fastiov/internal/telemetry"
 )
 
 // Histogram buckets a duration distribution into decades:
@@ -122,7 +123,8 @@ func (s *LockStat) TopBlockers(t *Trace, k int) []Blocker {
 	return out
 }
 
-// interval is one closed blocking interval of a proc.
+// interval is one closed blocking interval of a proc, as replay hands it
+// on.
 type interval struct {
 	start, end time.Duration
 	obj        uint32
@@ -183,13 +185,14 @@ func (h *holdStacks) pop(proc, key int32) (int64, bool) {
 	return 0, false
 }
 
-// Analysis is the validated, indexed view of a trace: per-proc blocking
-// intervals and per-primitive contention stats. Build one with Analyze and
-// query it with Profile and CriticalPaths.
+// Analysis is the validated view of a trace: the per-primitive contention
+// profile and, for the recorders Analyze was given, the critical-path sums
+// of every completed container. Build one with Analyze and query it with
+// Profile and CriticalPaths.
 type Analysis struct {
-	t       *Trace
-	perProc [][]interval // by proc slot
-	locks   []*LockStat  // in first-use order
+	t     *Trace
+	locks []*LockStat // in first-use order
+	paths paths
 }
 
 // lockName renders a (class, object) pair as "class obj".
@@ -197,34 +200,61 @@ func lockName(class sim.WaitClass, obj string) string {
 	return (&LockStat{Class: class, Obj: obj}).Name()
 }
 
-// Analyze replays the event stream, building the per-proc interval index
-// and the per-primitive contention profile. It never panics on arbitrary
+// Analyze replays the event stream once, building the per-primitive
+// contention profile, and checks the critical path of every completed
+// container in recs (see CriticalPaths). It never panics on arbitrary
 // input: ill-nested streams — a block inside a block, an unblock or release
 // with no matching open, a class/object mismatch, time running backwards —
 // are rejected with an error naming the offending event, as are events
-// FromEvents could not store.
+// FromEvents could not store. With recorders it also rejects two procs
+// binding one container, a completed container no proc binds, and a
+// decomposition whose components exceed its total, in recorder and then
+// container order.
 //
-// The replay is one pass over the decoded stream through dense tables
-// only: the open wait and the open holds are indexed by proc slot, and the
-// lock table has one entry per (object, class) pair holding its stats and
-// queue depth. A release closes the most recent open hold of the same pair
-// by the same proc.
-func Analyze(t *Trace) (*Analysis, error) {
+// Analyze keeps no per-event result: before the pass it reads each
+// completed container's root-span window from its recorder, and during the
+// pass each closed interval of a bound proc is clipped to its windows as it
+// closes and summed. Its memory is O(procs + locks + containers), however
+// long the stream.
+func Analyze(t *Trace, recs ...*telemetry.Recorder) (*Analysis, error) {
+	a := &Analysis{t: t}
+	var bindErr error
+	if len(recs) > 0 {
+		bindErr = a.paths.bind(t, recs)
+	}
+	var closed func(int32, interval)
+	if a.paths.first != nil {
+		closed = a.paths.add // some proc is bound to a window
+	}
+	locks, err := replay(t, closed)
+	if err != nil {
+		return nil, err // a stream error outranks a binding error
+	}
+	if bindErr != nil {
+		return nil, bindErr
+	}
+	if err := a.paths.check(); err != nil {
+		return nil, err
+	}
+	a.locks = locks
+	return a, nil
+}
+
+// replay is the one pass over t's stream that every analysis shares. It
+// validates the nesting and folds every wait and hold into the contention
+// profile, which it returns in first-use order. Each closed blocking
+// interval of proc slot s goes to closed (when non-nil) as it closes;
+// replay keeps none.
+//
+// The pass uses dense tables only: the open wait and the open holds are
+// indexed by proc slot, and the lock table has one entry per (object,
+// class) pair holding its stats and queue depth. A release closes the most
+// recent open hold of the same pair by the same proc.
+func replay(t *Trace, closed func(s int32, iv interval)) ([]*LockStat, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	a := &Analysis{t: t, perProc: make([][]interval, t.nslots)}
-	// Size every proc's interval list up front, carved from one backing
-	// array: each unblock appends exactly one interval, and the trace
-	// counted them per slot while recording.
-	total := 0
-	for _, p := range t.procs {
-		total += p.unblocks
-	}
-	backing := make([]interval, total)
-	for s, p := range t.procs {
-		a.perProc[s], backing = backing[:0:p.unblocks], backing[p.unblocks:]
-	}
+	var locks []*LockStat
 	waiting := make([]openWait, t.nslots)
 	holds := holdStacks{top: make([]int32, t.nslots)}
 	table := make([]*LockStat, len(t.objs)*numClasses) // by lockKey
@@ -237,7 +267,7 @@ func Analyze(t *Trace) (*Analysis, error) {
 		if s == nil {
 			s = &LockStat{Class: sim.WaitClass(r.class), Obj: t.objs[r.obj]}
 			table[k] = s
-			a.locks = append(a.locks, s)
+			locks = append(locks, s)
 		}
 		return s
 	}
@@ -261,7 +291,7 @@ func Analyze(t *Trace) (*Analysis, error) {
 			}
 			waiting[r.proc] = openWait{class: class, obj: r.obj, start: r.at}
 			if class != sim.WaitSleep {
-				s := stat(lockKey(r), r)
+				s := stat(lockKey(r.obj, sim.WaitClass(r.class)), r)
 				s.depth++
 				if s.depth > s.MaxQueue {
 					s.MaxQueue = s.depth
@@ -277,10 +307,11 @@ func Analyze(t *Trace) (*Analysis, error) {
 					i, t.procID(r.proc), class, t.objs[r.obj], ow.class, t.objs[ow.obj])
 			}
 			waiting[r.proc] = openWait{}
-			a.perProc[r.proc] = append(a.perProc[r.proc],
-				interval{start: time.Duration(ow.start), end: time.Duration(r.at), class: class, obj: r.obj})
+			if closed != nil {
+				closed(r.proc, interval{start: time.Duration(ow.start), end: time.Duration(r.at), class: class, obj: r.obj})
+			}
 			if class != sim.WaitSleep {
-				s := stat(lockKey(r), r)
+				s := stat(lockKey(r.obj, sim.WaitClass(r.class)), r)
 				s.depth--
 				d := time.Duration(r.at - ow.start)
 				s.Waits++
@@ -297,12 +328,12 @@ func Analyze(t *Trace) (*Analysis, error) {
 				}
 			}
 		case Acquire:
-			k := lockKey(r)
+			k := lockKey(r.obj, sim.WaitClass(r.class))
 			stat(k, r).Acquires++
 			holds.push(r.proc, r.at, k)
 			attribute(waiting, r)
 		case Release:
-			k := lockKey(r)
+			k := lockKey(r.obj, sim.WaitClass(r.class))
 			start, ok := holds.pop(r.proc, k)
 			if !ok {
 				return nil, fmt.Errorf("trace: event %d: proc %d releases %s %q without holding it",
@@ -321,11 +352,13 @@ func Analyze(t *Trace) (*Analysis, error) {
 		}
 		i++
 	}
-	return a, nil
+	return locks, nil
 }
 
-// lockKey returns the lock-table index of r's (object, class) pair.
-func lockKey(r *record) int32 { return int32(r.obj)*int32(numClasses) + int32(r.class) }
+// lockKey returns the lock-table index of an (object, class) pair.
+func lockKey(obj uint32, class sim.WaitClass) int32 {
+	return int32(obj)*int32(numClasses) + int32(class)
+}
 
 // attribute records r's waker as the cause of its proc's open wait, when
 // the proc is parked on r's (class, object).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fastiov/internal/sim"
+	"fastiov/internal/telemetry"
 )
 
 // probeHeavyRun records a synthetic kernel through Attach: procs procs each
@@ -24,6 +25,18 @@ func probeHeavyRun(procs, rounds int) *Trace {
 	}
 	k.Run()
 	return tr
+}
+
+// probeWindows returns a recorder holding one completed startup window per
+// probeHeavyRun proc, container i for "ctr-<i>", each spanning the whole
+// stream.
+func probeWindows(tr *Trace, procs int) *telemetry.Recorder {
+	rec := telemetry.NewRecorder()
+	for i := range procs {
+		rec.MarkStart(i, 0)
+		rec.MarkEnd(i, time.Duration(tr.last.at))
+	}
+	return rec
 }
 
 // BenchmarkTraceRecordAnalyze measures one traced run of a probe-heavy

@@ -28,24 +28,32 @@ func wait(c *telemetry.ChromeWriter, iv interval, obj string, tid int) {
 	c.Complete(prefix, obj, "wait", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, tid)
 }
 
-// WriteChrome exports the analyzed trace as Chrome trace-event JSON:
-// process/thread metadata first, then telemetry stage spans, then per-proc
-// service/wait intervals, in proc-id order. Procs render as threads;
-// sleeps, waits, and the stage spans render as complete ("X") events.
-// Stage spans are drawn on the thread of their container's driving proc
-// (bindProcs), startup roots left out; rec may be nil to omit them, and
-// then no proc is bound. The output is a pure function of its inputs, so
-// seed-fixed reruns are byte-identical. Two procs binding the same
-// container are an error.
-func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder) error {
+// WriteChrome exports the trace as Chrome trace-event JSON: process/thread
+// metadata first, then telemetry stage spans, then per-proc service/wait
+// intervals, in proc-id order. Procs render as threads; sleeps, waits, and
+// the stage spans render as complete ("X") events. Stage spans are drawn
+// on the thread of their container's driving proc (bindProcs), startup
+// roots left out; rec may be nil to omit them, and then no proc is bound.
+// The output is a pure function of its inputs, so seed-fixed reruns are
+// byte-identical. Two procs binding the same container are an error, as is
+// a stream Analyze rejects.
+//
+// It is the one reader that needs every interval of every proc: it
+// collects them in its own replay.
+func WriteChrome(w io.Writer, t *Trace, rec *telemetry.Recorder) error {
 	var procOf map[int]int32
 	if rec != nil {
 		var err error
-		if procOf, err = a.bindProcs(); err != nil {
+		if procOf, err = t.bindProcs(); err != nil {
 			return err
 		}
 	}
-	t := a.t
+	perProc := make([][]interval, t.nslots)
+	if _, err := replay(t, func(s int32, iv interval) {
+		perProc[s] = append(perProc[s], iv)
+	}); err != nil {
+		return err
+	}
 	c := telemetry.NewChromeWriter(w)
 	c.ProcessName(chromePID, "fastiov-sim")
 	for s, p := range t.procs {
@@ -68,7 +76,7 @@ func WriteChrome(w io.Writer, a *Analysis, rec *telemetry.Recorder) error {
 			continue
 		}
 		id := t.procID(int32(s))
-		for _, iv := range a.perProc[s] {
+		for _, iv := range perProc[s] {
 			if iv.class == sim.WaitSleep {
 				c.Complete("service", "", "service", telemetry.US(iv.start), telemetry.US(iv.end-iv.start), chromePID, id)
 			} else {

@@ -62,8 +62,7 @@ func containerOf(procName string) (int, bool) {
 // binds to it (containerOf). Procs are visited in ascending id order; two
 // procs binding the same container are an error, since either could be its
 // driving proc.
-func (a *Analysis) bindProcs() (map[int]int32, error) {
-	t := a.t
+func (t *Trace) bindProcs() (map[int]int32, error) {
 	procOf := make(map[int]int32)
 	for s, p := range t.procs {
 		if !p.named {
@@ -82,67 +81,152 @@ func (a *Analysis) bindProcs() (map[int]int32, error) {
 	return procOf, nil
 }
 
-// CriticalPaths decomposes every completed container in rec. Each
-// container's driving proc is the one bound to it (bindProcs); its
-// blocking intervals are clipped to the recorder's [start, end] window and
-// summed by target.
-func (a *Analysis) CriticalPaths(rec *telemetry.Recorder) ([]Decomposition, error) {
-	procOf, err := a.bindProcs()
-	if err != nil {
-		return nil, err
-	}
-	var out []Decomposition
-	for _, ctr := range rec.Traces() {
-		total := rec.Total(ctr)
-		if total == 0 {
-			continue // incomplete (failed under injected faults)
-		}
-		slot, ok := procOf[ctr]
-		if !ok {
-			return nil, fmt.Errorf("trace: container %d completed but no proc binds to it", ctr)
-		}
-		root, _ := rec.RootOf(ctr)
-		win := rec.Span(root)
-		start, end := win.Start, win.End
-		d := Decomposition{Container: ctr, Proc: a.t.procID(slot), Total: total,
-			Blocked: make(map[string]time.Duration)}
-		for _, iv := range a.perProc[slot] {
-			lo, hi := iv.start, iv.end
-			if lo < start {
-				lo = start
-			}
-			if hi > end {
-				hi = end
-			}
-			if hi <= lo {
-				continue
-			}
-			if iv.class == sim.WaitSleep {
-				d.Service += hi - lo
-			} else {
-				d.Blocked[lockName(iv.class, a.t.objs[iv.obj])] += hi - lo
-			}
-		}
-		d.Runnable = total - d.Service - d.BlockedTotal()
-		if d.Runnable < 0 {
-			return nil, fmt.Errorf("trace: container %d: components exceed total (total=%v service=%v blocked=%v)",
-				ctr, total, d.Service, d.BlockedTotal())
-		}
-		out = append(out, d)
-	}
-	return out, nil
+// window is one completed container's root-span window, [start, end], and
+// the service time of its driving proc clipped to it.
+type window struct {
+	start, end time.Duration
+	service    time.Duration
+	ctr        int
+	slot       int32 // the driving proc's slot; -1 when no proc binds ctr
+	next       int32 // index+1 of the slot's next window (0: none)
+	blocked    int32 // index+1 of the window's first blockedSum (0: none)
 }
 
-// VerifyCriticalPaths analyzes t and checks that every completed
-// container's decomposition is exact: components sum to the recorder's
-// total with a non-negative residual. Traced experiment runs call this
-// after every simulation, making the identity a standing invariant.
-func VerifyCriticalPaths(t *Trace, rec *telemetry.Recorder) error {
-	a, err := Analyze(t)
+// blockedSum is one window's clipped wait time behind one lock-table
+// entry, an entry of the window's list in paths' pool.
+type blockedSum struct {
+	d    time.Duration
+	key  int32 // lockKey of the (object, class) pair
+	next int32 // index+1 of the window's next blockedSum (0: none)
+}
+
+// paths are the critical-path sums Analyze keeps: one window per completed
+// container, in recorder and then container order, and their wait sums
+// per lock-table entry.
+type paths struct {
+	wins  []window
+	first []int32 // by proc slot: index+1 of its first window (0: none)
+	sums  []blockedSum
+}
+
+// bind reads every completed container's root-span window from recs and
+// binds it to its driving proc (bindProcs). A container appearing in two
+// recorders gets a window in each.
+func (p *paths) bind(t *Trace, recs []*telemetry.Recorder) error {
+	procOf, err := t.bindProcs()
 	if err != nil {
 		return err
 	}
-	_, err = a.CriticalPaths(rec)
+	for _, rec := range recs {
+		for _, ctr := range rec.Traces() {
+			if rec.Total(ctr) == 0 {
+				continue // incomplete (failed under injected faults)
+			}
+			root, _ := rec.RootOf(ctr)
+			sp := rec.Span(root)
+			w := window{start: sp.Start, end: sp.End, ctr: ctr, slot: -1}
+			if s, ok := procOf[ctr]; ok {
+				if p.first == nil {
+					p.first = make([]int32, t.nslots)
+				}
+				w.slot, w.next = s, p.first[s]
+				p.first[s] = int32(len(p.wins) + 1)
+			}
+			p.wins = append(p.wins, w)
+		}
+	}
+	return nil
+}
+
+// add clips a closed interval of proc slot s to each of the slot's windows
+// and adds what is left to the window's service time or to its wait sum
+// behind the interval's (object, class).
+func (p *paths) add(s int32, iv interval) {
+	for w := p.first[s]; w != 0; w = p.wins[w-1].next {
+		win := &p.wins[w-1]
+		lo, hi := max(iv.start, win.start), min(iv.end, win.end)
+		if hi <= lo {
+			continue
+		}
+		if iv.class == sim.WaitSleep {
+			win.service += hi - lo
+			continue
+		}
+		key := lockKey(iv.obj, iv.class)
+		b := win.blocked
+		for b != 0 && p.sums[b-1].key != key {
+			b = p.sums[b-1].next
+		}
+		if b == 0 {
+			p.sums = append(p.sums, blockedSum{key: key, next: win.blocked})
+			b = int32(len(p.sums))
+			win.blocked = b
+		}
+		p.sums[b-1].d += hi - lo
+	}
+}
+
+// blockedTotal sums win's wait time over every lock-table entry.
+func (p *paths) blockedTotal(win *window) time.Duration {
+	var total time.Duration
+	for b := win.blocked; b != 0; b = p.sums[b-1].next {
+		total += p.sums[b-1].d
+	}
+	return total
+}
+
+// check requires every window to be bound and its components to leave a
+// non-negative residual, and reports the first window that fails.
+func (p *paths) check() error {
+	for i := range p.wins {
+		win := &p.wins[i]
+		if win.slot < 0 {
+			return fmt.Errorf("trace: container %d completed but no proc binds to it", win.ctr)
+		}
+		total, blocked := win.end-win.start, p.blockedTotal(win)
+		if total-win.service-blocked < 0 {
+			return fmt.Errorf("trace: container %d: components exceed total (total=%v service=%v blocked=%v)",
+				win.ctr, total, win.service, blocked)
+		}
+	}
+	return nil
+}
+
+// Containers returns the number of completed containers whose critical
+// path Analyze checked.
+func (a *Analysis) Containers() int { return len(a.paths.wins) }
+
+// CriticalPaths decomposes every completed container in the recorders
+// Analyze was given, in recorder and then container order. Each
+// container's driving proc is the one bound to it (bindProcs); its
+// blocking intervals were clipped to the recorder's [start, end] window
+// and summed by target during the pass.
+func (a *Analysis) CriticalPaths() []Decomposition {
+	p := &a.paths
+	out := make([]Decomposition, 0, len(p.wins))
+	for i := range p.wins {
+		win := &p.wins[i]
+		d := Decomposition{Container: win.ctr, Proc: a.t.procID(win.slot), Total: win.end - win.start,
+			Service: win.service, Blocked: make(map[string]time.Duration)}
+		for b := win.blocked; b != 0; b = p.sums[b-1].next {
+			sum := &p.sums[b-1]
+			obj, class := sum.key/int32(numClasses), sim.WaitClass(sum.key%int32(numClasses))
+			d.Blocked[lockName(class, a.t.objs[obj])] += sum.d
+		}
+		d.Runnable = d.Total - d.Service - d.BlockedTotal()
+		out = append(out, d)
+	}
+	return out
+}
+
+// VerifyCriticalPaths checks that every completed container's
+// decomposition in recs is exact: components sum to the recorder's total
+// with a non-negative residual. Traced host runs call this after every
+// simulation, and fleet.Finish makes the same check through Analyze once
+// over every host generation's recorder, making the identity a standing
+// invariant. It builds no Decomposition.
+func VerifyCriticalPaths(t *Trace, recs ...*telemetry.Recorder) error {
+	_, err := Analyze(t, recs...)
 	return err
 }
 

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -89,29 +92,143 @@ func decodeEvents(data []byte) []Event {
 	return events
 }
 
+// decodeWindows turns fuzz bytes into proc names and startup recorders.
+// The first two bytes name procs 1..8, two bits each (proc p at bits
+// 2(p-1)): 0 unnamed, 1 "ctr-<p>", 2 "task-<(p-1)%4+1>" (so procs p and
+// p+4 can both bind one container), 3 "vf-init-<p>" (named, binds
+// nothing). Each further three bytes record one startup window:
+//
+//	byte 0  container (low six bits mod 9; 0 binds no proc), bit 6 leaves
+//	        the window open, bit 7 records it in a second recorder
+//	byte 1  start: 1µs steps, 0xe0.. before the stream (negative), 0xf0..
+//	        near math.MaxInt64, past any stream
+//	byte 2  length: 1µs steps (0 is an empty window), 0xf0.. huge,
+//	        clamped to math.MaxInt64 at the end
+//
+// A container recorded twice in one recorder keeps its last window. An
+// inverted window cannot be recorded (Recorder.End panics), so empty is
+// the nearest the recorder admits. With fewer than two bytes there are no
+// names and no recorders.
+func decodeWindows(b []byte) (map[int]string, []*telemetry.Recorder) {
+	if len(b) < 2 {
+		return nil, nil
+	}
+	names := map[int]string{}
+	sel := uint16(b[0]) | uint16(b[1])<<8
+	for p := 1; p <= 8; p++ {
+		switch sel >> (2 * (p - 1)) & 3 {
+		case 1:
+			names[p] = "ctr-" + strconv.Itoa(p)
+		case 2:
+			names[p] = "task-" + strconv.Itoa((p-1)%4+1)
+		case 3:
+			names[p] = "vf-init-" + strconv.Itoa(p)
+		}
+	}
+	recs := []*telemetry.Recorder{telemetry.NewRecorder()}
+	for b = b[2:]; len(b) >= 3; b = b[3:] {
+		ctr := int(b[0]&0x3f) % 9
+		var start time.Duration
+		switch {
+		case b[1] >= 0xf0:
+			start = math.MaxInt64 - time.Duration(b[1]&0x0f+1)*time.Millisecond
+		case b[1] >= 0xe0:
+			start = -time.Duration(b[1]&0x0f+1) * time.Millisecond
+		default:
+			start = time.Duration(b[1]) * time.Microsecond
+		}
+		length := time.Duration(b[2]) * time.Microsecond
+		if b[2] >= 0xf0 {
+			length = 1 << 62
+		}
+		end := start + length
+		if end < start {
+			end = math.MaxInt64
+		}
+		if b[0]&0x80 != 0 && len(recs) == 1 {
+			recs = append(recs, telemetry.NewRecorder())
+		}
+		rec := recs[0]
+		if b[0]&0x80 != 0 {
+			rec = recs[1]
+		}
+		rec.MarkStart(ctr, start)
+		if b[0]&0x40 == 0 {
+			rec.MarkEnd(ctr, end)
+		}
+	}
+	return names, recs
+}
+
+// checkAgainstReference requires Analyze and VerifyCriticalPaths to agree
+// with the interval-store reference on recs: the same error, or the same
+// decompositions in the same order.
+func checkAgainstReference(t *testing.T, tr *Trace, recs []*telemetry.Recorder) {
+	t.Helper()
+	want, wantErr := refDecompose(tr, recs)
+	a, err := Analyze(tr, recs...)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("Analyze error %v, reference %v", err, wantErr)
+	}
+	if err := VerifyCriticalPaths(tr, recs...); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("VerifyCriticalPaths error %v, reference %v", err, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	got := a.CriticalPaths()
+	if a.Containers() != len(want) || len(got) != len(want) {
+		t.Fatalf("%d containers (%d decompositions), reference %d", a.Containers(), len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("decomposition %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // FuzzTraceReplay replays arbitrary interleavings of spawn/exit/block/
-// unblock/acquire/release/wake events through the analyzer. The analyzer
-// must never panic: well-nested streams analyze cleanly and flow through
-// every downstream consumer, ill-nested ones are rejected with an error.
+// unblock/acquire/release/wake events through the analyzer, with procs
+// named and startup windows recorded from a second input (decodeWindows).
+// The analyzer must never panic: well-nested streams analyze cleanly and
+// flow through every downstream consumer, ill-nested ones are rejected
+// with an error, and every critical-path decomposition and error matches
+// the interval-store reference (critical_ref_test.go).
 func FuzzTraceReplay(f *testing.F) {
 	// A well-formed contended mutex exchange: p1 acquires, p2 blocks, p1
 	// releases and hands off, p2 unblocks+acquires, p2 releases.
-	f.Add([]byte{
+	mutex := []byte{
 		4, 2, 1, 0, 1, // acquire mutex p1
 		2, 2, 2, 0, 1, // block mutex p2
 		5, 2, 1, 0, 2, // release mutex p1
 		4, 2, 2, 1, 0, // acquire mutex p2 (woken by p1)
 		3, 2, 2, 1, 0, // unblock mutex p2
 		5, 2, 2, 0, 1, // release mutex p2
-	})
+	}
+	f.Add(mutex, []byte(nil))
+	// The same exchange with p1 "ctr-2" and p2 "ctr-3" (procs 2 and 3):
+	// container 3's window clips its wait, container 2's lies past the
+	// stream, and a second recorder holds a huge window of container 3.
+	f.Add(mutex, []byte{0x14, 0, 3, 3, 0x20, 2, 0xf0, 2, 0x83, 0, 0xf5})
 	// Ill-nested: release without a hold.
-	f.Add([]byte{5, 2, 1, 0, 0})
+	f.Add([]byte{5, 2, 1, 0, 0}, []byte(nil))
 	// Ill-nested: double block.
-	f.Add([]byte{2, 2, 1, 0, 1, 2, 6, 1, 0, 1})
+	f.Add([]byte{2, 2, 1, 0, 1, 2, 6, 1, 0, 1}, []byte(nil))
 	// Time jumping backwards.
-	f.Add([]byte{2, 2, 1, 0, 10, 3, 2, 1, 0, 0x85})
+	f.Add([]byte{2, 2, 1, 0, 10, 3, 2, 1, 0, 0x85}, []byte(nil))
 	// Sleep intervals (service time) mixed with spawn/exit.
-	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 1, 0, 5, 3, 1, 1, 0, 0, 1, 0, 1, 0, 2})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 1, 1, 0, 5, 3, 1, 1, 0, 0, 1, 0, 1, 0, 2}, []byte(nil))
+	// Proc 2, "ctr-2", sleeps over [1µs, 11µs]. Container 2 has a window
+	// inside the sleep, one before the stream in a second recorder, then
+	// an open one, then an empty one.
+	sleep := []byte{0, 0, 1, 0, 0, 2, 1, 1, 0, 1, 3, 1, 1, 0, 10, 1, 0, 1, 0, 1}
+	f.Add(sleep, []byte{0x04, 0, 2, 5, 3, 0x82, 0xe3, 0x90})
+	f.Add(sleep, []byte{0x04, 0, 0x42, 0, 3})
+	f.Add(sleep, []byte{0x04, 0, 2, 4, 0})
+	// p1 "ctr-1" and p5 "task-1" both bind container 1; container 0 is
+	// bound by no proc.
+	f.Add(sleep, []byte{0x01, 0x02, 1, 0, 3})
+	f.Add(sleep, []byte{0x04, 0, 0, 0, 3})
 	// Proc 0 and the largest valid ids contending for a quoted object.
 	f.Add([]byte{
 		4, 0x41, 0xe0, 0, 1, // acquire mutex `q"uote` p0
@@ -119,14 +236,14 @@ func FuzzTraceReplay(f *testing.F) {
 		5, 0x41, 0xe0, 0, 2, // release p0
 		4, 0x41, 0xf0, 1, 0x40, // acquire p(MaxInt32), waker MaxInt32
 		3, 0x41, 0xf0, 1, 0, // unblock
-	})
+	}, []byte(nil))
 	// A negative proc, a proc above MaxInt32, and an out-of-range waker.
-	f.Add([]byte{0, 0, 0xe8, 0, 0})
-	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0xf8, 0, 0})
-	f.Add([]byte{6, 0x77, 1, 2, 0x40})
+	f.Add([]byte{0, 0, 0xe8, 0, 0}, []byte(nil))
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0xf8, 0, 0}, []byte(nil))
+	f.Add([]byte{6, 0x77, 1, 2, 0x40}, []byte(nil))
 	// Time near math.MaxInt64, then a jump to near math.MinInt64 and a
 	// small step back up: the stored deltas wrap both ways.
-	f.Add([]byte{0, 0, 1, 3, 0x3f, 1, 0, 2, 5, 0xbf, 6, 0x22, 1, 0, 0x01})
+	f.Add([]byte{0, 0, 1, 3, 0x3f, 1, 0, 2, 5, 0xbf, 6, 0x22, 1, 0, 0x01}, []byte(nil))
 	// Negative, multi-byte and extreme N on acquire/release, and on kinds
 	// that never carry one, with the largest waker.
 	f.Add([]byte{
@@ -135,14 +252,16 @@ func FuzzTraceReplay(f *testing.F) {
 		0, 0x00, 2, 0xe1, 0x70, // spawn p2, N MaxInt64, waker MaxInt32
 		6, 0x07, 3, 0xf0, 0x30, // wake p3, N MinInt64
 		1, 0x00, 2, 0xb0, 0x3e, // exit p2, N 1<<40, a 62µs step
-	})
+	}, []byte(nil))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, windows []byte) {
 		events := decodeEvents(data)
-		tr := FromEvents(events, nil)
+		names, recs := decodeWindows(windows)
+		tr := FromEvents(events, names)
 		if tr.err == nil && !bytes.Equal(tr.AppendCanonical(nil), refCanonical(events)) {
 			t.Fatal("canonical encoding differs from the fmt reference")
 		}
+		checkAgainstReference(t, tr, recs)
 		a, err := Analyze(tr)
 		if err != nil {
 			return // rejection is the correct outcome for ill-nested input
@@ -155,15 +274,18 @@ func FuzzTraceReplay(f *testing.F) {
 			_ = s.MeanHold()
 			_ = s.WaitHist.String()
 		}
-		if _, err := a.CriticalPaths(telemetry.NewRecorder()); err != nil {
-			t.Fatalf("critical paths over empty recorder: %v", err)
-		}
-		if err := WriteChrome(io.Discard, a, telemetry.NewRecorder()); err != nil {
+		if err := WriteChrome(io.Discard, tr, nil); err != nil {
 			t.Fatalf("chrome export: %v", err)
+		}
+		_, bindErr := refBindProcs(tr)
+		for _, rec := range recs {
+			if err := WriteChrome(io.Discard, tr, rec); fmt.Sprint(err) != fmt.Sprint(bindErr) {
+				t.Fatalf("chrome export with a recorder: %v, binding %v", err, bindErr)
+			}
 		}
 		// The canonical encoding and fingerprint are pure functions of the
 		// stream: re-deriving them from the same events must agree.
-		if !bytes.Equal(tr.AppendCanonical(nil), FromEvents(events, nil).AppendCanonical(nil)) {
+		if !bytes.Equal(tr.AppendCanonical(nil), FromEvents(events, names).AppendCanonical(nil)) {
 			t.Fatal("canonical encoding is not a pure function of the events")
 		}
 	})

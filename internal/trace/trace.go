@@ -16,10 +16,10 @@
 // reader. Object names are interned into a per-trace table (id 0 is ""),
 // which also holds each name pre-quoted for the canonical encoding. Procs
 // are stored as dense slots: a traced kernel's proc ids are its slots, and
-// FromEvents maps arbitrary ids onto slots in ascending id order. Each
-// slot counts its unblocks while recording, so Analyze sizes the per-proc
-// interval lists without a counting pass and replays the stream once
-// through dense tables indexed by slot and object id.
+// FromEvents maps arbitrary ids onto slots in ascending id order. Recording
+// keeps no per-proc state beyond the name: Analyze replays the stream once
+// through dense tables indexed by slot and object id, and keeps no
+// per-event result (see replay).
 //
 // Tracing is strictly opt-in: with no probe installed the kernel's
 // emission sites cost one nil check each, and traced runs produce
@@ -119,12 +119,10 @@ const (
 )
 
 // procEntry is one proc slot's name, captured the first time the proc is
-// the subject of an event, and the number of times it unblocked, which
-// sizes its interval list in Analyze.
+// the subject of an event.
 type procEntry struct {
-	name     string
-	named    bool
-	unblocks int
+	name  string
+	named bool
 }
 
 // Trace is a recorded event stream plus the proc and object tables.
@@ -204,17 +202,12 @@ func (t *Trace) name(id int, name string) {
 		}
 		return
 	}
-	t.growProcs(id)
+	for len(t.procs) <= id {
+		t.procs = append(t.procs, procEntry{})
+	}
 	t.procs[id].name, t.procs[id].named = name, true
 	if id >= t.nslots {
 		t.nslots = id + 1
-	}
-}
-
-// growProcs extends the proc table to hold slot s.
-func (t *Trace) growProcs(s int) {
-	for len(t.procs) <= s {
-		t.procs = append(t.procs, procEntry{})
 	}
 }
 
@@ -235,7 +228,7 @@ func (t *Trace) intern(obj string) uint32 {
 }
 
 // push encodes one record at the end of the stream, starting a new chunk
-// when the last one might not hold it, and counts its proc's unblocks.
+// when the last one might not hold it.
 func (t *Trace) push(r *record) {
 	n := len(t.chunks)
 	if n == 0 || cap(t.chunks[n-1])-len(t.chunks[n-1]) < maxRecord {
@@ -273,10 +266,6 @@ func (t *Trace) push(r *record) {
 	t.chunks[n-1] = b
 	t.last = *r
 	t.count++
-	if Kind(r.kind) == Unblock {
-		t.growProcs(int(r.proc))
-		t.procs[r.proc].unblocks++
-	}
 }
 
 // records returns the stream's only reader: it decodes the records in

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -156,14 +157,11 @@ func criticalRun(t *testing.T) (*Trace, *telemetry.Recorder) {
 
 func TestCriticalPathDecomposition(t *testing.T) {
 	tr, rec := criticalRun(t)
-	a, err := Analyze(tr)
+	a, err := Analyze(tr, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := a.CriticalPaths(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	paths := a.CriticalPaths()
 	if len(paths) != 1 {
 		t.Fatalf("got %d decompositions, want 1", len(paths))
 	}
@@ -255,12 +253,8 @@ func TestCanonicalAndFingerprintDeterministic(t *testing.T) {
 func TestWriteChromeValidAndDeterministic(t *testing.T) {
 	render := func() []byte {
 		tr, rec := criticalRun(t)
-		a, err := Analyze(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := WriteChrome(&buf, a, rec); err != nil {
+		if err := WriteChrome(&buf, tr, rec); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -319,33 +313,36 @@ func TestStoredBytesPerEvent(t *testing.T) {
 	}
 }
 
-// TestIntervalListsSizedByUnblocks pins that the unblock counts kept while
-// recording size every proc's interval list exactly, for kernel ids and
-// for FromEvents slots.
-func TestIntervalListsSizedByUnblocks(t *testing.T) {
-	sparse := FromEvents([]Event{
-		{At: 0, Kind: Block, Class: sim.WaitSleep, Proc: math.MaxInt32},
-		{At: ms(1), Kind: Unblock, Class: sim.WaitSleep, Proc: math.MaxInt32},
-		{At: ms(1), Kind: Block, Class: sim.WaitSleep, Proc: 5},
-		{At: ms(2), Kind: Unblock, Class: sim.WaitSleep, Proc: 5},
-		{At: ms(2), Kind: Block, Class: sim.WaitSleep, Proc: math.MaxInt32},
-		{At: ms(3), Kind: Unblock, Class: sim.WaitSleep, Proc: math.MaxInt32},
-	}, nil)
-	for _, tr := range []*Trace{probeHeavyRun(20, 5), sparse} {
-		a, err := Analyze(tr)
+// TestAnalyzeBytesIndependentOfEvents pins that analysis memory is
+// O(procs + locks + containers): doubling every proc's rounds doubles the
+// stream but must move the bytes Analyze and VerifyCriticalPaths allocate
+// by less than 10%. A per-interval index (24 bytes per unblock, 960 KB at
+// 100 rounds) fails it.
+func TestAnalyzeBytesIndependentOfEvents(t *testing.T) {
+	const procs = 200
+	analyzed := func(rounds int) uint64 {
+		tr := probeHeavyRun(procs, rounds)
+		rec := probeWindows(tr, procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := Analyze(tr, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for s, ivs := range a.perProc {
-			if len(ivs) != cap(ivs) {
-				t.Errorf("slot %d: %d intervals in a list sized %d", s, len(ivs), cap(ivs))
-			}
-			n += len(ivs)
+		if err := VerifyCriticalPaths(tr, rec); err != nil {
+			t.Fatal(err)
 		}
-		if n == 0 {
-			t.Error("no intervals")
+		runtime.ReadMemStats(&after)
+		if a.Containers() != procs {
+			t.Fatalf("%d containers checked, want %d", a.Containers(), procs)
 		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := analyzed(50), analyzed(100)
+	t.Logf("Analyze+VerifyCriticalPaths: %d B at 50 rounds, %d B at 100", short, long)
+	if ratio := float64(long) / float64(short); ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("Analyze+VerifyCriticalPaths allocated %d B at 50 rounds and %d B at 100 (ratio %.2f), want within 10%%",
+			short, long, ratio)
 	}
 }
 
@@ -419,14 +416,11 @@ func TestBadProcIDsRejected(t *testing.T) {
 	}
 	for _, c := range cases {
 		tr := FromEvents([]Event{ok, c.ev}, nil)
-		a, err := Analyze(tr)
+		_, err := Analyze(tr, telemetry.NewRecorder())
 		if !c.bad {
 			if err != nil {
 				t.Errorf("%s: %v", c.name, err)
 				continue
-			}
-			if _, err := a.CriticalPaths(telemetry.NewRecorder()); err != nil {
-				t.Errorf("%s: critical paths: %v", c.name, err)
 			}
 			if got := tr.ProcName(c.ev.Proc); got != fmt.Sprintf("proc-%d", c.ev.Proc) {
 				t.Errorf("%s: ProcName = %q", c.name, got)
@@ -466,7 +460,7 @@ func TestFromEventsSparseIDs(t *testing.T) {
 		t.Errorf("names: %q %q", tr.ProcName(99), tr.ProcName(100))
 	}
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, a, nil); err != nil {
+	if err := WriteChrome(&buf, tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -491,25 +485,24 @@ func TestFromEventsSparseIDs(t *testing.T) {
 
 // TestDuplicateBindingRejected pins that two procs binding one container
 // fail both the critical-path decomposition and the Chrome export, instead
-// of one of them winning by map order.
+// of one of them winning by map order; without a recorder no proc binds.
 func TestDuplicateBindingRejected(t *testing.T) {
 	events := []Event{
 		{Kind: Spawn, Proc: 1},
 		{Kind: Spawn, Proc: 2},
 	}
 	tr := FromEvents(events, map[int]string{1: "ctr-1", 2: "ctr-1"})
-	a, err := Analyze(tr)
-	if err != nil {
+	if _, err := Analyze(tr); err != nil {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder()
 	rec.MarkStart(1, 0)
 	rec.MarkEnd(1, ms(1))
-	if err := WriteChrome(io.Discard, a, rec); err == nil {
+	if err := WriteChrome(io.Discard, tr, rec); err == nil {
 		t.Error("WriteChrome accepted two procs bound to container 1")
 	}
-	if _, err := a.CriticalPaths(rec); err == nil {
-		t.Error("CriticalPaths accepted two procs bound to container 1")
+	if _, err := Analyze(tr, rec); err == nil {
+		t.Error("Analyze accepted two procs bound to container 1")
 	}
 }
 
