@@ -60,6 +60,12 @@ type Snapshot struct {
 	VhostRegistrations int
 	// LazyTracked counts regions still tracked by fastiovd.
 	LazyTracked int
+	// ResidualReads counts guest reads of another tenant's residual data
+	// (hostmem.Allocator.Violations). It is not a level that must return
+	// to baseline but a count that must be zero at every capture: Diff
+	// reports it whenever either side is non-zero, and Sum and Sub both
+	// add it, so no delta can cancel a read.
+	ResidualReads int
 }
 
 // Capture reads the counters. Pure observation: no simulated time, no
@@ -72,6 +78,7 @@ func Capture(s System) Snapshot {
 	if s.Mem != nil {
 		snap.FreePages = s.Mem.FreePages()
 		snap.PinnedPages = s.Mem.PinnedPages()
+		snap.ResidualReads = s.Mem.Violations
 	}
 	if s.MMU != nil {
 		snap.IOMMUDomains = s.MMU.Domains()
@@ -114,6 +121,7 @@ func Sum(snaps ...Snapshot) Snapshot {
 		out.KVMDemandPages += s.KVMDemandPages
 		out.VhostRegistrations += s.VhostRegistrations
 		out.LazyTracked += s.LazyTracked
+		out.ResidualReads += s.ResidualReads
 	}
 	return out
 }
@@ -121,7 +129,8 @@ func Sum(snaps ...Snapshot) Snapshot {
 // Sub subtracts snapshots counter by counter (a - b). Counters may go
 // negative: the result is a delta, not an observation. The LostToCrash
 // ledger uses it to express "what the crashed generation still held" as
-// baseline-minus-crash-instant.
+// baseline-minus-crash-instant. ResidualReads is added, not subtracted:
+// a read seen at either capture stays seen.
 func Sub(a, b Snapshot) Snapshot {
 	return Snapshot{
 		FreeVFs:            a.FreeVFs - b.FreeVFs,
@@ -135,7 +144,23 @@ func Sub(a, b Snapshot) Snapshot {
 		KVMDemandPages:     a.KVMDemandPages - b.KVMDemandPages,
 		VhostRegistrations: a.VhostRegistrations - b.VhostRegistrations,
 		LazyTracked:        a.LazyTracked - b.LazyTracked,
+		ResidualReads:      a.ResidualReads + b.ResidualReads,
 	}
+}
+
+// AppendFingerprint appends s as fmt's %+v renders the counters other
+// than ResidualReads, which joins the braces only when non-zero: a clean
+// snapshot renders as it did before that counter existed, and a run that
+// read residual data fails its audit anyway.
+func (s Snapshot) AppendFingerprint(b []byte) []byte {
+	b = fmt.Appendf(b, "{FreeVFs:%d FreePages:%d PinnedPages:%d IOMMUDomains:%d IOMMUMappedPages:%d "+
+		"VFIORegistered:%d DevsetOpens:%d KVMLiveVMs:%d KVMDemandPages:%d VhostRegistrations:%d LazyTracked:%d",
+		s.FreeVFs, s.FreePages, s.PinnedPages, s.IOMMUDomains, s.IOMMUMappedPages,
+		s.VFIORegistered, s.DevsetOpens, s.KVMLiveVMs, s.KVMDemandPages, s.VhostRegistrations, s.LazyTracked)
+	if s.ResidualReads != 0 {
+		b = fmt.Appendf(b, " ResidualReads:%d", s.ResidualReads)
+	}
+	return append(b, '}')
 }
 
 // LedgerEntry records one host generation destroyed by a crash: the
@@ -235,7 +260,8 @@ func (l Leak) String() string {
 }
 
 // Diff compares two snapshots counter by counter and returns one Leak per
-// differing counter, in declaration order (deterministic).
+// differing counter, in declaration order (deterministic), and a
+// residual-reads Leak when either snapshot saw a residual-data read.
 func Diff(before, after Snapshot) []Leak {
 	counters := []struct {
 		name string
@@ -258,6 +284,10 @@ func Diff(before, after Snapshot) []Leak {
 		if c.b != c.a {
 			leaks = append(leaks, Leak{Resource: c.name, Before: c.b, After: c.a})
 		}
+	}
+	if before.ResidualReads != 0 || after.ResidualReads != 0 {
+		leaks = append(leaks, Leak{Resource: "residual-reads",
+			Before: int64(before.ResidualReads), After: int64(after.ResidualReads)})
 	}
 	return leaks
 }

@@ -582,6 +582,8 @@ func (r *Result) SuccessRate() float64 {
 // Result.Leaks; the teardown phase runs after all telemetry marks, so the
 // measured results are unaffected.
 func (h *Host) StartupExperiment(n int) *Result {
+	// The teardown phase runs its stop procs on the wave's coroutines.
+	defer h.K.Hold()()
 	res := h.startupWave(n, 0)
 	if h.Opts.Audit {
 		// Detach the tracer before teardown: the recorded trace stream
@@ -740,6 +742,7 @@ func (h *Host) ChurnExperiment(waves, n int) *ChurnResult {
 		Name: h.Opts.Name, Waves: waves, PerWave: n,
 		Reclaim: stats.NewSample(),
 	}
+	defer h.K.Hold()()
 	for w := 0; w < waves; w++ {
 		rec := telemetry.NewRecorder()
 		h.Rec = rec

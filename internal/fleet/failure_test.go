@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,6 +79,38 @@ func TestHostCrashConservation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCrashResultDoesNotPinFleet: a host-crash run's Result carries the
+// LostToCrash ledger by value, so holding the Result does not keep the
+// Fleet (its kernel, hosts, event queue and coroutine records) alive.
+func TestCrashResultDoesNotPinFleet(t *testing.T) {
+	collected := make(chan struct{})
+	res := func() *Result {
+		f, err := New(hostCrashCfg(cluster.BaselineFastIOV, PolicyLeastLoaded, 1,
+			mustPlan(t, "host-crash@400ms:host=1")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A finalizer never runs on an object in a reference cycle, and the
+		// fleet is in several (procs and their kernel), so the sentinel is
+		// a leaf only the fleet holds: its placement-count array.
+		runtime.SetFinalizer(&f.placements[0], func(*int) { close(collected) })
+		return f.Run()
+	}()
+	if res.Err != nil || res.Ledger.Len() == 0 {
+		t.Fatalf("want a crash run with a ledger: err %v, %d entries", res.Err, res.Ledger.Len())
+	}
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(res)
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("the fleet is still reachable while its result is held")
 }
 
 // TestHostCrashDeterminism double-runs a crashing, recovering, re-arming

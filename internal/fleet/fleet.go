@@ -563,7 +563,8 @@ func (r *Result) Fingerprint() []byte {
 	}
 	if r.Ledger.Len() > 0 {
 		for _, e := range r.Ledger.Entries {
-			b = fmt.Appendf(b, "lost host=%d gen=%d at=%d %+v\n", e.Host, e.Generation, e.At, e.Lost())
+			b = fmt.Appendf(b, "lost host=%d gen=%d at=%d ", e.Host, e.Generation, e.At)
+			b = append(e.Lost().AppendFingerprint(b), '\n')
 		}
 	}
 	if r.Trace != nil {
@@ -686,6 +687,8 @@ func (f *Fleet) stop(p *sim.Proc, host int, sb *cri.Sandbox) {
 // instant it dispatches through the scheduler (or counts a rejection when
 // no host is in capacity), then Finish seals observers and audits.
 func (f *Fleet) Run() *Result {
+	// Finish's audit teardown runs on the run's idle coroutines.
+	defer f.K.Hold()()
 	cfg := f.Cfg
 	arrivals := make([]time.Duration, cfg.Requests)
 	f.rng.Durations(arrivals, DefaultJitter)
@@ -732,9 +735,6 @@ func (f *Fleet) Finish() *Result {
 	res.LostStarts = f.lostStarts
 	res.LostPods = f.lostPods
 	res.Recoveries = append([]Recovery(nil), f.recoveries...)
-	if f.ledger.Len() > 0 {
-		res.Ledger = &f.ledger
-	}
 	res.Placements = append([]int(nil), f.placements...)
 	res.QueuePeaks = make([]int, len(f.Hosts))
 	res.MembwBusy = make([]time.Duration, len(f.Hosts))
@@ -808,6 +808,12 @@ func (f *Fleet) Finish() *Result {
 		res.Leaks = audit.NewReport(base, fin)
 	}
 
+	if f.ledger.Len() > 0 {
+		// A copy: a pointer into f would keep the whole fleet (its kernel,
+		// hosts and event queue) alive as long as the result.
+		ledger := f.ledger
+		res.Ledger = &ledger
+	}
 	res.FaultStats = mergeFaultStats(f.Hosts)
 	res.Err = errors.Join(errs...)
 	totals.Sort()

@@ -455,6 +455,9 @@ func (s *Server) view(now time.Duration) View {
 // the last arrival; dispatchers drain the queue), then seals the fleet.
 func (s *Server) Run() *Result {
 	k := s.F.K
+	// The fleet's audit teardown in finish runs on the window's idle
+	// coroutines.
+	defer k.Hold()()
 	s.t0 = k.Now()
 
 	if s.alertRules != nil && s.reg != nil {

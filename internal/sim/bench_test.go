@@ -1,14 +1,15 @@
 package sim
 
 // Microbenchmarks for the kernel's hot paths: the spawn/join cycle (a
-// proc record on a pooled coroutine), the flat event queue, and a queued
-// sleep as a coroutine switch pair (Sleep) or as a kernel-side step
-// (Steps). They are gated in CI: BenchmarkEventQueue and the two queued
-// benchmarks must report 0 allocs/op in steady state — any regression back
-// to a boxing or per-push-allocating queue, or to a per-wake allocation,
-// fails the bench smoke job — and BenchmarkKernelSpawnJoin may not
-// allocate more per op than its recorded value. Seed numbers live in
-// BENCH_kernel.json.
+// proc record on a pooled coroutine), the flat event queue, a queued sleep
+// as a coroutine switch pair (Sleep) or as a kernel-side step (Steps), and
+// a contended park and handoff on each primitive. They are gated in CI:
+// BenchmarkEventQueue, the two queued benchmarks and
+// BenchmarkKernelContended must report 0 allocs/op in steady state — any
+// regression back to a boxing or per-push-allocating queue, or to a
+// per-wake or per-park allocation, fails the bench smoke job — and
+// BenchmarkKernelSpawnJoin may not allocate more per op than its recorded
+// value. Seed numbers live in BENCH_kernel.json.
 
 import (
 	"fmt"
@@ -119,6 +120,123 @@ func benchmarkQueued(b *testing.B, steps bool) {
 				})
 			}
 			k.Go("timer", func(*Proc) { b.ResetTimer() })
+			b.ReportAllocs()
+			k.Run()
+		})
+	}
+}
+
+// BenchmarkKernelContended measures one contended park and handoff on each
+// primitive: every Lock, Acquire, Pop, Await and Wait parks its proc on
+// the primitive's wait list, and an Unlock, Release, Push, Fire or Done
+// unlinks and wakes it. One op is one handoff (one broadcast round for
+// event-waitgroup). Wait lists are linked through the procs, so the steady
+// state allocates nothing.
+func BenchmarkKernelContended(b *testing.B) {
+	const us = time.Microsecond
+	cases := []struct {
+		name string
+		// spawn starts the contending procs; each takes an op from left
+		// while it is positive.
+		spawn func(k *Kernel, left *int)
+	}{
+		{"mutex", func(k *Kernel, left *int) {
+			m := NewMutex("m")
+			for range 4 {
+				k.Go("locker", func(p *Proc) {
+					for ; *left > 0; *left-- {
+						m.Lock(p)
+						p.Sleep(us)
+						m.Unlock(p)
+					}
+				})
+			}
+		}},
+		{"rwmutex", func(k *Kernel, left *int) {
+			rw := NewRWMutex("rw")
+			for i := range 4 {
+				k.Go("rw", func(p *Proc) {
+					for ; *left > 0; *left-- {
+						if i%2 == 0 {
+							rw.Lock(p)
+							p.Sleep(us)
+							rw.Unlock(p)
+						} else {
+							rw.RLock(p)
+							p.Sleep(us)
+							rw.RUnlock(p)
+						}
+					}
+				})
+			}
+		}},
+		{"resource", func(k *Kernel, left *int) {
+			r := NewResource("r", 2)
+			for i := range 4 {
+				k.Go("user", func(p *Proc) {
+					for ; *left > 0; *left-- {
+						r.Use(p, int64(1+i%2), us)
+					}
+				})
+			}
+		}},
+		{"queue", func(k *Kernel, left *int) {
+			q := NewQueue[int]("q")
+			for range 2 {
+				k.Go("consumer", func(p *Proc) {
+					for {
+						if _, ok := q.Pop(p); !ok {
+							return
+						}
+					}
+				})
+			}
+			k.Go("producer", func(p *Proc) {
+				for ; *left > 0; *left-- {
+					q.Push(p, *left)
+					p.Sleep(us)
+				}
+				q.Close(p)
+			})
+		}},
+		{"event-waitgroup", func(k *Kernel, left *int) {
+			const waiters = 3
+			var ev Event
+			var wg WaitGroup
+			ev.Init(k, "ev")
+			for range waiters {
+				k.GoDaemon("waiter", func(p *Proc) {
+					for {
+						ev.Await(p)
+						wg.Done(p)
+						p.Sleep(2 * us)
+					}
+				})
+			}
+			k.Go("driver", func(p *Proc) {
+				for ; *left > 0; *left-- {
+					wg.Add(waiters)
+					p.Sleep(3 * us)
+					ev.Fire(p)
+					wg.Wait(p)
+					ev.Init(k, "ev")
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			k := NewKernel()
+			// A few rounds first: coroutines are created at their first
+			// resume and the event heap grows to its peak.
+			left := b.N + 8
+			c.spawn(k, &left)
+			k.Go("timer", func(p *Proc) {
+				for left > b.N {
+					p.Sleep(us)
+				}
+				b.ResetTimer()
+			})
 			b.ReportAllocs()
 			k.Run()
 		})

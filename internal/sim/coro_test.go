@@ -189,3 +189,101 @@ func TestKilledCoroutineNotReused(t *testing.T) {
 		t.Fatal("victim never ran")
 	}
 }
+
+// TestHoldCarriesCoroutinesAcrossPhases: under Hold, a second phase runs
+// its procs on the coroutines the first phase left idle, and no coroutine
+// outlives the release however the last phase ends: normal return, a
+// RunFor deadline, a body panic or a deadlock panic.
+func TestHoldCarriesCoroutinesAcrossPhases(t *testing.T) {
+	sleeper := func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	}
+	cases := []struct {
+		name  string
+		panic bool // the last phase is expected to panic
+		last  func(k *Kernel)
+	}{
+		{"run", false, func(k *Kernel) { k.Run() }},
+		{"runfor-cut", false, func(k *Kernel) {
+			k.Go("looper", sleeper)
+			k.RunFor(k.Now() + 10*time.Microsecond)
+		}},
+		{"body-panic", true, func(k *Kernel) {
+			k.Go("bystander", sleeper)
+			k.Go("bad", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				panic("boom")
+			})
+			k.Run()
+		}},
+		{"deadlock", true, func(k *Kernel) {
+			ev := NewEvent(k, "never")
+			k.Go("stuck", func(p *Proc) { ev.Await(p) })
+			k.Run()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := NewKernel()
+			first := map[*coro]bool{}
+			reused := 0
+			spawn := func(seen func(*coro)) {
+				for i := 0; i < 10; i++ {
+					k.Go("w", func(p *Proc) {
+						seen(p.co)
+						p.Sleep(Duration(i+1) * time.Microsecond)
+					})
+				}
+			}
+			func() {
+				defer func() {
+					if r := recover(); (r != nil) != tc.panic {
+						t.Fatalf("last phase panicked with %v, want panic %v", r, tc.panic)
+					}
+				}()
+				defer k.Hold()()
+				spawn(func(c *coro) { first[c] = true })
+				k.Run()
+				if k.idle == nil {
+					t.Fatal("a held phase drained its idle coroutines")
+				}
+				spawn(func(c *coro) {
+					if first[c] {
+						reused++
+					}
+				})
+				tc.last(k)
+			}()
+			if reused != 10 {
+				t.Errorf("%d of 10 second-phase procs ran on a first-phase coroutine", reused)
+			}
+			if k.idle != nil || len(k.procs) != 0 {
+				t.Error("idle coroutines or procs left after the release")
+			}
+			checkNoGoroutines(t, before)
+		})
+	}
+}
+
+// TestNestedHoldsDrainAtLastRelease: an inner owner's release leaves the
+// outer owner's coroutines idle; the outer release drains them.
+func TestNestedHoldsDrainAtLastRelease(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	outer := k.Hold()
+	inner := k.Hold()
+	k.Go("w", func(p *Proc) { p.Sleep(time.Microsecond) })
+	k.Run()
+	inner()
+	if k.idle == nil {
+		t.Fatal("an inner release drained the outer owner's coroutines")
+	}
+	outer()
+	if k.idle != nil {
+		t.Fatal("the last release left idle coroutines")
+	}
+	checkNoGoroutines(t, before)
+}

@@ -42,13 +42,26 @@
 //     between them, so iter.Pull runs once per peak-concurrent proc, not
 //     once per spawn, and a stack grown by one body stays grown for the
 //     next. A coroutine stopped by Kill or abort ends and is never
-//     reused, and every idle one is stopped when a Run or RunFor phase
-//     returns, so none outlives a phase; a proc that never starts never
-//     gets one. Proc records themselves are NOT pooled: user code retains
-//     *Proc handles past exit (Join, Done, Finished on an
-//     already-finished proc), so recycling records would alias live
-//     references. The per-proc cost is one record; the per-coroutine
-//     cost is one iter.Pull, paid at a new concurrency peak.
+//     reused, and a proc that never starts never gets one. When a Run or
+//     RunFor phase returns, every idle coroutine is stopped, so none
+//     outlives the phase, unless an owner holds them (Kernel.Hold): an
+//     owner that runs consecutive phases on one kernel (a startup wave and
+//     its audit teardown, a fleet run and its Finish, a serving window)
+//     keeps them for its next phase and drains them when it returns. The
+//     pool then pays iter.Pull once per peak-concurrent proc of the
+//     owner's whole run, not of each phase, as SystemC keeps a thread
+//     process for the whole simulation. Proc records themselves are NOT
+//     pooled: user code retains *Proc handles past exit (Join, Done,
+//     Finished on an already-finished proc), so recycling records would
+//     alias live references. The per-proc cost is one record; the
+//     per-coroutine cost is one iter.Pull, paid at a new concurrency peak.
+//   - Parking allocates nothing. A proc parks on at most one primitive at
+//     a time, so every wait queue (Mutex, RWMutex, Resource, Queue, Event,
+//     WaitGroup) is an intrusive FIFO list linked through the parked procs
+//     themselves (waitList), with the units a proc asked for kept on the
+//     proc; a handoff unlinks the head. A proc's park records the
+//     primitive's Name by pointer, and nothing formats it unless a probe,
+//     a deadlock report or a panic reads it.
 package sim
 
 import (
@@ -89,6 +102,9 @@ type Kernel struct {
 	// tail of the block their records are carved from.
 	idle  *coro
 	coros []coro
+	// holds counts the owners keeping idle coroutines across phases
+	// (Hold); while it is positive, a phase's end does not drain them.
+	holds int
 
 	// running is the Proc currently holding the execution baton (nil
 	// between events and outside Run). It attributes spawns and wakeups to
@@ -255,6 +271,27 @@ func (k *Kernel) newCoro() *coro {
 	return c
 }
 
+// Hold keeps the kernel's idle coroutines from one Run or RunFor phase to
+// the next, until the returned release is called: an owner that runs
+// several phases on one kernel (a startup wave, then its teardown) binds
+// the second phase's procs to the first phase's coroutines instead of
+// creating new ones. Release drains them once the last hold is released,
+// so a caller writes
+//
+//	defer k.Hold()()
+//
+// and no coroutine outlives its last phase, however that phase ends (a
+// panic from Run included). Procs still parked when a phase ends are
+// unwound as always; only idle coroutines are kept.
+func (k *Kernel) Hold() (release func()) {
+	k.holds++
+	return func() {
+		if k.holds--; k.holds == 0 {
+			k.drain()
+		}
+	}
+}
+
 // drain stops every idle coroutine, ending the goroutines behind them.
 func (k *Kernel) drain() {
 	for c := k.idle; c != nil; {
@@ -347,16 +384,17 @@ func (k *Kernel) run(deadline Duration) Duration {
 // when a step ends the chain (or panics); a sleep that must queue again
 // leaves p parked in it.
 func (k *Kernel) step(p *Proc) {
-	p.unblock(WaitSleep, "")
+	p.unblock(WaitSleep, nil)
 	if p.runSteps() {
 		k.resume(p)
 		return
 	}
-	p.block(WaitSleep, "")
+	p.block(WaitSleep, nil)
 }
 
-// abort ends the phase: it unwinds every remaining proc, then stops every
-// idle coroutine, so no goroutine outlives the phase. Every Proc still
+// abort ends the phase: it unwinds every remaining proc, then, unless an
+// owner holds them (Hold), stops every idle coroutine, so no goroutine
+// outlives the phase. Every Proc still
 // registered is parked inside a primitive or never started. Stopping a
 // parked proc's coroutine makes its park observe the cancelled yield and
 // panic with abortSentinel, which runBody converts into a clean exit;
@@ -386,7 +424,9 @@ func (k *Kernel) abort() {
 			p.co.stop()
 		}
 	}
-	k.drain()
+	if k.holds == 0 {
+		k.drain()
+	}
 }
 
 // Kill unwinds a single Proc without aborting the simulation: its coroutine

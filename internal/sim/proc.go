@@ -15,8 +15,15 @@ type Proc struct {
 	finished  bool
 	parked    bool
 	stepping  bool // a Step is executing (it must not block)
+	queued    bool // linked on a primitive's wait list (see waitList)
 	waitClass WaitClass
-	waitObj   string
+	waitObj   *Name // the primitive's name; nil for a sleep
+	// next links p into the wait list of the primitive it is parked on,
+	// and want is what it asked for there: units of a Resource, or 1 for
+	// a writer on an RWMutex. A proc parks on at most one primitive, so
+	// parking allocates nothing.
+	next *Proc
+	want int64
 	// doneEv is fired on exit; embedded by value so spawning a Proc does
 	// not allocate a separate Event record.
 	doneEv Event
@@ -34,6 +41,10 @@ type Proc struct {
 // Name returns the Proc's human-readable name.
 func (p *Proc) Name() string { return p.name.String() }
 
+// LazyName returns the Proc's Name as spawned, unformatted if nothing has
+// read it yet, so an observer can keep it and format it only when needed.
+func (p *Proc) LazyName() Name { return p.name }
+
 // ID returns the Proc's unique id (assigned in spawn order).
 func (p *Proc) ID() int { return p.id }
 
@@ -47,8 +58,9 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Duration { return p.k.now }
 
 // park hands the baton to the kernel and blocks until resumed. The wait
-// class and object are surfaced in deadlock reports and probe events.
-func (p *Proc) park(class WaitClass, obj string) {
+// class and object are surfaced in deadlock reports and probe events; the
+// object's name is formatted only when one of those reads it.
+func (p *Proc) park(class WaitClass, obj *Name) {
 	k := p.k
 	if k.aborted {
 		// Reached from deferred cleanup while this Proc unwinds: do not
@@ -72,29 +84,29 @@ func (p *Proc) park(class WaitClass, obj string) {
 }
 
 // block marks p parked on class/obj and emits the Block probe.
-func (p *Proc) block(class WaitClass, obj string) {
+func (p *Proc) block(class WaitClass, obj *Name) {
 	p.waitClass, p.waitObj = class, obj
 	p.parked = true
 	if p.k.probing() {
-		p.k.emit(ProbeBlock, class, obj, p, nil, 0)
+		p.k.emit(ProbeBlock, class, obj.text(), p, nil, 0)
 	}
 }
 
 // unblock marks p running again and emits the matching Unblock probe.
-func (p *Proc) unblock(class WaitClass, obj string) {
+func (p *Proc) unblock(class WaitClass, obj *Name) {
 	p.parked = false
-	p.waitClass, p.waitObj = WaitNone, ""
+	p.waitClass, p.waitObj = WaitNone, nil
 	if p.k.probing() {
-		p.k.emit(ProbeUnblock, class, obj, p, nil, 0)
+		p.k.emit(ProbeUnblock, class, obj.text(), p, nil, 0)
 	}
 }
 
 // blockedOnString renders the wait target for deadlock reports.
 func (p *Proc) blockedOnString() string {
-	if p.waitObj == "" {
-		return p.waitClass.String()
+	if obj := p.waitObj.text(); obj != "" {
+		return p.waitClass.String() + " " + obj
 	}
-	return p.waitClass.String() + " " + p.waitObj
+	return p.waitClass.String()
 }
 
 // Sleep advances this Proc's virtual time by d. d <= 0 yields the processor
@@ -106,7 +118,7 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	p.k.schedule(at, p)
-	p.park(WaitSleep, "")
+	p.park(WaitSleep, nil)
 }
 
 // wakeAt returns the wakeup time of a sleep of d starting now.
@@ -135,9 +147,9 @@ func (p *Proc) sleepInline(at Duration) bool {
 	}
 	k.seq++
 	if k.probing() {
-		p.block(WaitSleep, "")
+		p.block(WaitSleep, nil)
 		k.now = at
-		p.unblock(WaitSleep, "")
+		p.unblock(WaitSleep, nil)
 		return true
 	}
 	k.now = at
@@ -173,7 +185,7 @@ type Stepper interface {
 func (p *Proc) Steps(s Stepper) {
 	p.stepper = s
 	if !p.runSteps() {
-		p.park(WaitSleep, "")
+		p.park(WaitSleep, nil)
 	}
 	if v := p.k.stepPanic; v != nil {
 		p.k.stepPanic = nil

@@ -2,6 +2,44 @@ package sim
 
 import "fmt"
 
+// waitList is a FIFO of procs parked on one primitive, linked through
+// Proc.next: parking appends the proc itself and a handoff unlinks the
+// head, so neither allocates. A proc parks on at most one primitive at a
+// time. The one exception is a dying proc: Kill or abort stopped it while
+// it was linked here, and its deferred cleanup parks again, which panics
+// at once. It joins the second list as a finished copy of itself, which
+// every handoff skips as it skips any proc that died while parked.
+type waitList struct{ head, tail *Proc }
+
+func (l *waitList) empty() bool { return l.head == nil }
+
+// push links p at the tail, asking for want.
+func (l *waitList) push(p *Proc, want int64) {
+	if p.queued {
+		dead := *p
+		dead.finished, dead.next = true, nil
+		p = &dead
+	}
+	p.queued, p.want = true, want
+	if l.tail == nil {
+		l.head = p
+	} else {
+		l.tail.next = p
+	}
+	l.tail = p
+}
+
+// pop unlinks and returns the head; the list must not be empty.
+func (l *waitList) pop() *Proc {
+	p := l.head
+	l.head = p.next
+	if l.head == nil {
+		l.tail = nil
+	}
+	p.next, p.queued = nil, false
+	return p
+}
+
 // Mutex is a simulated kernel mutex with FIFO handoff semantics: Unlock
 // transfers ownership directly to the longest-waiting Proc, so starvation is
 // impossible and lock acquisition order is deterministic.
@@ -12,7 +50,7 @@ import "fmt"
 type Mutex struct {
 	name    Name
 	owner   *Proc
-	waiters []*Proc
+	waiters waitList
 	count   *WaitCount // nil unless CountWaiters attached one
 }
 
@@ -47,9 +85,9 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic("sim: recursive Lock of " + m.Name() + " by " + p.Name())
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p, 0)
 	m.count.add(p.k, 1)
-	p.park(WaitMutex, m.Name())
+	p.park(WaitMutex, &m.name)
 }
 
 // TryLock acquires m if it is free and reports whether it succeeded.
@@ -76,9 +114,8 @@ func (m *Mutex) Unlock(p *Proc) {
 	// releaser is the causal source of the waiter's wake-up. Waiters that
 	// finished while parked (killed by a host crash) are skipped — handing
 	// ownership to a dead proc would strand the mutex forever.
-	for len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	for !m.waiters.empty() {
+		next := m.waiters.pop()
 		if next.finished {
 			continue
 		}
@@ -121,12 +158,6 @@ func (c *WaitCount) add(k *Kernel, delta int) {
 	c.peak = max(c.peak, c.depth)
 }
 
-// rwWaiter is an entry in an RWMutex wait queue.
-type rwWaiter struct {
-	p     *Proc
-	write bool
-}
-
 // RWMutex is a simulated fair reader/writer lock. Waiters queue in FIFO
 // order; a batch of consecutive readers at the head of the queue is admitted
 // together. Writers therefore cannot be starved by a reader stream, matching
@@ -135,7 +166,7 @@ type RWMutex struct {
 	name    Name
 	readers int
 	writer  *Proc
-	waiters []rwWaiter
+	waiters waitList   // a writer waits with want 1, a reader with 0
 	count   *WaitCount // nil unless CountWaiters attached one
 }
 
@@ -160,16 +191,16 @@ func (rw *RWMutex) Name() string { return rw.name.String() }
 
 // RLock acquires a read (shared) hold.
 func (rw *RWMutex) RLock(p *Proc) {
-	if rw.writer == nil && len(rw.waiters) == 0 {
+	if rw.writer == nil && rw.waiters.empty() {
 		rw.readers++
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWRead, rw.Name(), p, nil, 0)
 		}
 		return
 	}
-	rw.waiters = append(rw.waiters, rwWaiter{p, false})
+	rw.waiters.push(p, 0)
 	rw.count.add(p.k, 1)
-	p.park(WaitRWRead, rw.Name())
+	p.park(WaitRWRead, &rw.name)
 }
 
 // RUnlock releases a read hold.
@@ -188,16 +219,16 @@ func (rw *RWMutex) RUnlock(p *Proc) {
 
 // Lock acquires the write (exclusive) hold.
 func (rw *RWMutex) Lock(p *Proc) {
-	if rw.writer == nil && rw.readers == 0 && len(rw.waiters) == 0 {
+	if rw.writer == nil && rw.readers == 0 && rw.waiters.empty() {
 		rw.writer = p
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWWrite, rw.Name(), p, nil, 0)
 		}
 		return
 	}
-	rw.waiters = append(rw.waiters, rwWaiter{p, true})
+	rw.waiters.push(p, 1)
 	rw.count.add(p.k, 1)
-	p.park(WaitRWWrite, rw.Name())
+	p.park(WaitRWWrite, &rw.name)
 }
 
 // Unlock releases the write hold.
@@ -217,15 +248,14 @@ func (rw *RWMutex) Unlock(p *Proc) {
 func (rw *RWMutex) dispatch(p *Proc) {
 	// Waiters that finished while parked (killed by a host crash) are
 	// dropped without being granted the lock.
-	for len(rw.waiters) > 0 && rw.waiters[0].p.finished {
-		rw.waiters = rw.waiters[1:]
+	for !rw.waiters.empty() && rw.waiters.head.finished {
+		rw.waiters.pop()
 	}
-	if len(rw.waiters) == 0 {
+	if rw.waiters.empty() {
 		return
 	}
-	if rw.waiters[0].write {
-		next := rw.waiters[0].p
-		rw.waiters = rw.waiters[1:]
+	if rw.waiters.head.want != 0 {
+		next := rw.waiters.pop()
 		rw.writer = next
 		rw.count.add(p.k, -1)
 		if p.k.probing() {
@@ -234,9 +264,8 @@ func (rw *RWMutex) dispatch(p *Proc) {
 		p.k.schedule(p.k.now, next)
 		return
 	}
-	for len(rw.waiters) > 0 && !rw.waiters[0].write {
-		next := rw.waiters[0].p
-		rw.waiters = rw.waiters[1:]
+	for !rw.waiters.empty() && rw.waiters.head.want == 0 {
+		next := rw.waiters.pop()
 		if next.finished {
 			continue
 		}
@@ -249,22 +278,16 @@ func (rw *RWMutex) dispatch(p *Proc) {
 	}
 }
 
-// resWaiter is an entry in a Resource wait queue.
-type resWaiter struct {
-	p *Proc
-	n int64
-}
-
 // Resource is a counting semaphore with FIFO admission, used to model finite
 // hardware capacity: CPU cores, memory-bandwidth streams, PCIe credits, NIC
 // queue slots. Acquire(n) blocks until n units are available AND every
 // earlier waiter has been admitted (no barging, so large requests are not
 // starved by a stream of small ones).
 type Resource struct {
-	name  string
+	name  Name
 	cap   int64
 	inUse int64
-	waitq []resWaiter
+	waitq waitList // each waiter wants the units it asked for
 
 	// busy is the time-weighted busy integral in unit-nanoseconds through
 	// the last charged change at last, and level the in-use count it
@@ -280,11 +303,11 @@ func NewResource(name string, capacity int64) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive: " + name)
 	}
-	return &Resource{name: name, cap: capacity}
+	return &Resource{name: Name{s: name}, cap: capacity}
 }
 
 // Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
+func (r *Resource) Name() string { return r.name.String() }
 
 // Cap returns the configured capacity.
 func (r *Resource) Cap() int64 { return r.cap }
@@ -307,22 +330,22 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if r.TryAcquire(p, n) {
 		return
 	}
-	r.waitq = append(r.waitq, resWaiter{p, n})
-	p.park(WaitResource, r.name)
+	r.waitq.push(p, n)
+	p.park(WaitResource, &r.name)
 }
 
 // TryAcquire takes n units if Acquire would take them without blocking and
 // reports whether it did. It never blocks, so a Step may call it.
 func (r *Resource) TryAcquire(p *Proc, n int64) bool {
 	if n > r.cap {
-		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %s", n, r.cap, r.name))
+		panic(fmt.Sprintf("sim: acquire %d > capacity %d of %s", n, r.cap, r.Name()))
 	}
-	if len(r.waitq) > 0 || r.inUse+n > r.cap {
+	if !r.waitq.empty() || r.inUse+n > r.cap {
 		return false
 	}
 	r.adjust(p.k, n)
 	if p.k.probing() {
-		p.k.emit(ProbeAcquire, WaitResource, r.name, p, nil, n)
+		p.k.emit(ProbeAcquire, WaitResource, r.Name(), p, nil, n)
 	}
 	return true
 }
@@ -330,29 +353,28 @@ func (r *Resource) TryAcquire(p *Proc, n int64) bool {
 // Release returns n units and admits queued waiters in FIFO order.
 func (r *Resource) Release(p *Proc, n int64) {
 	if r.inUse < n {
-		panic("sim: over-release of " + r.name)
+		panic("sim: over-release of " + r.Name())
 	}
 	r.adjust(p.k, -n)
 	if p.k.probing() {
-		p.k.emit(ProbeRelease, WaitResource, r.name, p, nil, n)
+		p.k.emit(ProbeRelease, WaitResource, r.Name(), p, nil, n)
 	}
-	for len(r.waitq) > 0 {
+	for !r.waitq.empty() {
 		// Waiters that finished while parked (killed by a host crash) are
 		// dropped without taking units — admitting them would leak capacity.
-		if r.waitq[0].p.finished {
-			r.waitq = r.waitq[1:]
+		if r.waitq.head.finished {
+			r.waitq.pop()
 			continue
 		}
-		if r.inUse+r.waitq[0].n > r.cap {
+		if r.inUse+r.waitq.head.want > r.cap {
 			break
 		}
-		w := r.waitq[0]
-		r.waitq = r.waitq[1:]
-		r.adjust(p.k, w.n)
+		w := r.waitq.pop()
+		r.adjust(p.k, w.want)
 		if p.k.probing() {
-			p.k.emit(ProbeAcquire, WaitResource, r.name, w.p, p, w.n)
+			p.k.emit(ProbeAcquire, WaitResource, r.Name(), w, p, w.want)
 		}
-		p.k.schedule(p.k.now, w.p)
+		p.k.schedule(p.k.now, w)
 	}
 }
 
@@ -381,7 +403,7 @@ func (r *Resource) adjust(k *Kernel, delta int64) {
 // WaitGroup mirrors sync.WaitGroup for simulated threads.
 type WaitGroup struct {
 	count   int
-	waiters []*Proc
+	waiters waitList
 }
 
 // Add adds delta to the counter.
@@ -400,13 +422,13 @@ func (wg *WaitGroup) Done(p *Proc) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if wg.count == 0 {
-		for _, w := range wg.waiters {
+		for !wg.waiters.empty() {
+			w := wg.waiters.pop()
 			if p.k.probing() {
 				p.k.emit(ProbeWake, WaitWG, "", w, p, 0)
 			}
 			p.k.schedule(p.k.now, w)
 		}
-		wg.waiters = nil
 	}
 }
 
@@ -415,17 +437,17 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	if wg.count == 0 {
 		return
 	}
-	wg.waiters = append(wg.waiters, p)
-	p.park(WaitWG, "")
+	wg.waiters.push(p, 0)
+	p.park(WaitWG, nil)
 }
 
 // Event is a one-shot broadcast: once fired, all current and future Await
 // calls return immediately.
 type Event struct {
 	k       *Kernel
-	name    string
+	name    Name
 	fired   bool
-	waiters []*Proc
+	waiters waitList
 }
 
 // NewEvent returns an unfired event.
@@ -434,7 +456,7 @@ func NewEvent(k *Kernel, name string) *Event { return new(Event).Init(k, name) }
 // Init makes e, an event held by value, an unfired event on k and returns
 // it.
 func (e *Event) Init(k *Kernel, name string) *Event {
-	*e = Event{k: k, name: name}
+	*e = Event{k: k, name: Name{s: name}}
 	return e
 }
 
@@ -453,13 +475,13 @@ func (e *Event) fireBy(waker *Proc) {
 		return
 	}
 	e.fired = true
-	for _, w := range e.waiters {
+	for !e.waiters.empty() {
+		w := e.waiters.pop()
 		if e.k.probing() {
-			e.k.emit(ProbeWake, WaitEvent, e.name, w, waker, 0)
+			e.k.emit(ProbeWake, WaitEvent, e.name.String(), w, waker, 0)
 		}
 		e.k.schedule(e.k.now, w)
 	}
-	e.waiters = nil
 }
 
 // Await blocks p until the event fires.
@@ -467,37 +489,45 @@ func (e *Event) Await(p *Proc) {
 	if e.fired {
 		return
 	}
-	e.waiters = append(e.waiters, p)
-	p.park(WaitEvent, e.name)
+	e.waiters.push(p, 0)
+	p.park(WaitEvent, &e.name)
 }
 
 // Queue is an unbounded FIFO channel between simulated threads.
 type Queue[T any] struct {
-	name    string
+	name Name
+	// items[head:] are the queued items. Pop advances head and rewinds
+	// to the front when the queue drains, and Push compacts before it
+	// would grow, so a queue that drains between pushes never allocates.
 	items   []T
-	waiters []*Proc
+	head    int
+	waiters waitList
 	closed  bool
 }
 
 // NewQueue returns an empty queue.
-func NewQueue[T any](name string) *Queue[T] { return &Queue[T]{name: name} }
+func NewQueue[T any](name string) *Queue[T] { return &Queue[T]{name: Name{s: name}} }
 
 // Push appends an item, waking one blocked Pop if present.
 func (q *Queue[T]) Push(p *Proc, v T) {
 	if q.closed {
-		panic("sim: push to closed queue " + q.name)
+		panic("sim: push to closed queue " + q.name.String())
+	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
 	// Skip waiters that finished while parked (killed by a host crash):
 	// waking a dead proc would silently lose the wakeup and strand the item.
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for !q.waiters.empty() {
+		w := q.waiters.pop()
 		if w.finished {
 			continue
 		}
 		if p.k.probing() {
-			p.k.emit(ProbeWake, WaitQueue, q.name, w, p, 0)
+			p.k.emit(ProbeWake, WaitQueue, q.name.String(), w, p, 0)
 		}
 		p.k.schedule(p.k.now, w)
 		break
@@ -508,30 +538,33 @@ func (q *Queue[T]) Push(p *Proc, v T) {
 // drained.
 func (q *Queue[T]) Close(p *Proc) {
 	q.closed = true
-	for _, w := range q.waiters {
+	for !q.waiters.empty() {
+		w := q.waiters.pop()
 		if p.k.probing() {
-			p.k.emit(ProbeWake, WaitQueue, q.name, w, p, 0)
+			p.k.emit(ProbeWake, WaitQueue, q.name.String(), w, p, 0)
 		}
 		p.k.schedule(p.k.now, w)
 	}
-	q.waiters = nil
 }
 
 // Pop removes the oldest item, blocking while the queue is empty and open.
 // ok is false if the queue is closed and drained.
 func (q *Queue[T]) Pop(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 {
+	for q.Len() == 0 {
 		if q.closed {
 			var zero T
 			return zero, false
 		}
-		q.waiters = append(q.waiters, p)
-		p.park(WaitQueue, q.name)
+		q.waiters.push(p, 0)
+		p.park(WaitQueue, &q.name)
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
+	var zero T
+	v, q.items[q.head] = q.items[q.head], zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }

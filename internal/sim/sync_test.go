@@ -420,7 +420,8 @@ func TestRandFloat64Range(t *testing.T) {
 }
 
 // TestIndexedNameFormatsOnFirstRead pins that a lock named by IndexedName
-// formats nothing until the name is read (here by a park), and then once.
+// formats nothing until the name is read, and then once. A park does not
+// read it.
 func TestIndexedNameFormatsOnFirstRead(t *testing.T) {
 	calls := 0
 	format := func(b []byte, i int) []byte {
@@ -449,6 +450,9 @@ func TestIndexedNameFormatsOnFirstRead(t *testing.T) {
 		m.Unlock(p)
 	})
 	k.Run()
+	if calls != 0 {
+		t.Fatalf("a contended lock formatted its name %d times with no probe", calls)
+	}
 	if got := m.Name(); got != "dev-7" || calls != 1 {
 		t.Fatalf("name %q after %d formats, want dev-7 after 1", got, calls)
 	}

@@ -56,9 +56,9 @@ func WriteChrome(w io.Writer, t *Trace, rec *telemetry.Recorder) error {
 	}
 	c := telemetry.NewChromeWriter(w)
 	c.ProcessName(chromePID, "fastiov-sim")
-	for s, p := range t.procs {
-		if p.named {
-			c.ThreadName(chromePID, t.procID(int32(s)), p.name)
+	for s := range t.procs {
+		if p := &t.procs[s]; p.named {
+			c.ThreadName(chromePID, t.procID(int32(s)), p.String())
 		}
 	}
 	if rec != nil {

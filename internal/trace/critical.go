@@ -41,13 +41,33 @@ func (d *Decomposition) BlockedTotal() time.Duration {
 	return total
 }
 
+// containerPrefixes name the procs that drive a container's startup: the
+// startup experiment's "ctr-<id>" and the serverless experiment's
+// "task-<id>".
+var containerPrefixes = [...]string{"ctr-", "task-"}
+
+// bindName is containerOf for a recorded proc name. A decimal name binds
+// when its prefix is a container prefix, without formatting it; any other
+// name is parsed.
+func bindName(e *procEntry) (int, bool) {
+	if !e.decimal {
+		return containerOf(e.name)
+	}
+	for _, c := range containerPrefixes {
+		if e.name == c {
+			return int(e.idx), true
+		}
+	}
+	return 0, false
+}
+
 // containerOf binds the startup experiment's "ctr-<id>" procs and the
 // serverless experiment's "task-<id>" procs to the container whose startup
 // they drive. Helper procs (VF async init, scrubber daemons) deliberately
 // do not bind: their time is not on the container's synchronous startup
 // path.
 func containerOf(procName string) (int, bool) {
-	for _, prefix := range []string{"ctr-", "task-"} {
+	for _, prefix := range containerPrefixes {
 		if rest, ok := strings.CutPrefix(procName, prefix); ok {
 			id, err := strconv.Atoi(rest)
 			if err == nil {
@@ -64,11 +84,12 @@ func containerOf(procName string) (int, bool) {
 // driving proc.
 func (t *Trace) bindProcs() (map[int]int32, error) {
 	procOf := make(map[int]int32)
-	for s, p := range t.procs {
+	for s := range t.procs {
+		p := &t.procs[s]
 		if !p.named {
 			continue
 		}
-		ctr, ok := containerOf(p.name)
+		ctr, ok := bindName(p)
 		if !ok {
 			continue
 		}

@@ -43,7 +43,7 @@ func refBindProcs(t *Trace) (map[int]int32, error) {
 		if !p.named {
 			continue
 		}
-		ctr, ok := containerOf(p.name)
+		ctr, ok := containerOf(p.String())
 		if !ok {
 			continue
 		}

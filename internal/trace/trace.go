@@ -17,9 +17,11 @@
 // which also holds each name pre-quoted for the canonical encoding. Procs
 // are stored as dense slots: a traced kernel's proc ids are its slots, and
 // FromEvents maps arbitrary ids onto slots in ascending id order. Recording
-// keeps no per-proc state beyond the name: Analyze replays the stream once
-// through dense tables indexed by slot and object id, and keeps no
-// per-event result (see replay).
+// keeps no per-proc state beyond the name, held unformatted (a
+// sim.DecimalName's prefix and index) until something prints it; binding
+// container procs reads the prefix and index without formatting them.
+// Analyze replays the stream once through dense tables indexed by slot and
+// object id, and keeps no per-event result (see replay).
 //
 // Tracing is strictly opt-in: with no probe installed the kernel's
 // emission sites cost one nil check each, and traced runs produce
@@ -119,10 +121,22 @@ const (
 )
 
 // procEntry is one proc slot's name, captured the first time the proc is
-// the subject of an event.
+// the subject of an event. A sim.DecimalName is kept as its prefix and
+// index and formatted only when read (ProcName, the Chrome export), so the
+// names of the many procs nothing prints cost no string.
 type procEntry struct {
-	name  string
-	named bool
+	name    string // the name, or a decimal name's prefix
+	idx     int32  // a decimal name's index
+	named   bool
+	decimal bool
+}
+
+// String returns the entry's name.
+func (e *procEntry) String() string {
+	if !e.decimal {
+		return e.name
+	}
+	return e.name + strconv.Itoa(int(e.idx))
 }
 
 // Trace is a recorded event stream plus the proc and object tables.
@@ -177,7 +191,7 @@ func (t *Trace) observe(at sim.Duration, ev sim.ProbeEvent) {
 	if p := ev.Proc; p != nil {
 		id := p.ID()
 		if id >= len(t.procs) || !t.procs[id].named {
-			if t.name(id, p.Name()); t.err != nil {
+			if t.name(id, p.LazyName()); t.err != nil {
 				return
 			}
 		}
@@ -195,7 +209,7 @@ func (t *Trace) observe(at sim.Duration, ev sim.ProbeEvent) {
 // name records the name of a traced kernel's proc the first time it is an
 // event's subject. Kernel ids are positive and dense, so they serve as
 // slots directly.
-func (t *Trace) name(id int, name string) {
+func (t *Trace) name(id int, name sim.Name) {
 	if id < 0 || id > math.MaxInt32 {
 		if t.err == nil {
 			t.err = fmt.Errorf("trace: event %d: proc id %d out of range", t.Len(), id)
@@ -205,7 +219,13 @@ func (t *Trace) name(id int, name string) {
 	for len(t.procs) <= id {
 		t.procs = append(t.procs, procEntry{})
 	}
-	t.procs[id].name, t.procs[id].named = name, true
+	e := procEntry{named: true}
+	if prefix, idx, ok := name.Decimal(); ok {
+		e.name, e.idx, e.decimal = prefix, int32(idx), true
+	} else {
+		e.name = name.String()
+	}
+	t.procs[id] = e
 	if id >= t.nslots {
 		t.nslots = id + 1
 	}
@@ -426,7 +446,7 @@ func (t *Trace) Len() int { return t.count }
 // ProcName returns the recorded name of proc id ("proc-<id>" if unseen).
 func (t *Trace) ProcName(id int) string {
 	if s := t.slotOf(id); s >= 0 && s < len(t.procs) && t.procs[s].named {
-		return t.procs[s].name
+		return t.procs[s].String()
 	}
 	return "proc-" + strconv.Itoa(id)
 }

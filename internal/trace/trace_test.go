@@ -591,3 +591,30 @@ func TestWaitAttributedOnlyToMatchingTarget(t *testing.T) {
 		t.Errorf("top blockers = %+v, want only proc 2 for 2ms", top)
 	}
 }
+
+// TestDecimalProcNamesStayUnformatted: the trace keeps a DecimalName
+// proc's prefix and index, binds "ctr-" procs from them, and formats the
+// name only when it is read.
+func TestDecimalProcNamesStayUnformatted(t *testing.T) {
+	k := sim.NewKernel()
+	tr := Attach(k)
+	ctr := k.GoAtName(0, sim.DecimalName("ctr-", 7), func(p *sim.Proc) { p.Sleep(1) })
+	stop := k.GoAtName(0, sim.DecimalName("stop-", 7), func(p *sim.Proc) { p.Sleep(1) })
+	plain := k.Go("ctr-9", func(p *sim.Proc) { p.Sleep(1) })
+	k.Run()
+	for _, p := range []*sim.Proc{ctr, stop} {
+		if e := tr.procs[p.ID()]; !e.named || !e.decimal || e.name != strings.TrimSuffix(p.Name(), "7") {
+			t.Errorf("proc %d: entry %+v, want the unformatted decimal name", p.ID(), e)
+		}
+	}
+	procOf, err := tr.bindProcs()
+	if err != nil || len(procOf) != 2 || tr.procID(procOf[7]) != ctr.ID() || tr.procID(procOf[9]) != plain.ID() {
+		t.Fatalf("bindProcs = %v, %v; want container 7 on proc %d and 9 on proc %d",
+			procOf, err, ctr.ID(), plain.ID())
+	}
+	for _, p := range []*sim.Proc{ctr, stop, plain} {
+		if got := tr.ProcName(p.ID()); got != p.Name() {
+			t.Errorf("ProcName(%d) = %q, want %q", p.ID(), got, p.Name())
+		}
+	}
+}
