@@ -795,7 +795,7 @@ func SeedSweep(name string, n int, seeds []uint64) (*stats.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := stats.NewSample()
+	out := stats.NewSampleCap(len(seeds))
 	for _, seed := range seeds {
 		opts.Seed = seed
 		h, err := NewHost(DefaultHostSpec(), opts)

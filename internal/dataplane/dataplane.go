@@ -97,7 +97,7 @@ func (pt *Passthrough) Stream(p *sim.Proc, n int, size int64, iovaBase, window i
 	if window < size {
 		return Result{}, fmt.Errorf("dataplane: window %d smaller than packet %d", window, size)
 	}
-	lat := stats.NewSample()
+	lat := stats.NewSampleCap(n)
 	start := p.Now()
 	cursor := int64(0)
 	for i := 0; i < n; i++ {
@@ -139,7 +139,7 @@ func (v *Virtio) Stream(p *sim.Proc, n int, size int64, gpaBase, window int64) (
 	if window < size {
 		return Result{}, fmt.Errorf("dataplane: window %d smaller than packet %d", window, size)
 	}
-	lat := stats.NewSample()
+	lat := stats.NewSampleCap(n)
 	start := p.Now()
 	cursor := int64(0)
 	for i := 0; i < n; i++ {

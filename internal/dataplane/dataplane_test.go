@@ -183,3 +183,34 @@ func TestCoalescingImprovesThroughput(t *testing.T) {
 			coalesced.Throughput, perPacket.Throughput)
 	}
 }
+
+// A stream's latency sample is sized for its n packets up front: once the
+// window is faulted in, a stream allocates the sample and nothing per
+// packet, on both paths.
+func TestStreamAllocsIndependentOfPackets(t *testing.T) {
+	r := newRig(t)
+	r.k.Go("rx", func(p *sim.Proc) {
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		for _, s := range []struct {
+			name   string
+			stream func(n int) (Result, error)
+		}{
+			{"passthrough", func(n int) (Result, error) { return pt.Stream(p, n, 1500, 0, 32*mb) }},
+			{"virtio", func(n int) (Result, error) { return vr.Stream(p, n, 1500, 0, 32*mb) }},
+		} {
+			if _, err := s.stream(30000); err != nil { // fault in the window
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := s.stream(20000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("%s: %v allocs per 20000-packet stream, want at most 2 (the sample)", s.name, allocs)
+			}
+		}
+	})
+	r.k.Run()
+}

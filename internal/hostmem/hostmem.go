@@ -304,8 +304,10 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 		return nil, fmt.Errorf("hostmem: out of memory: need %d pages, %d free", need, a.freeCnt)
 	}
 	region := &Region{Bytes: bytes}
-	if need > 0 {
+	if pieces := a.pieces(need); pieces == 1 {
 		region.Runs = region.one[:0]
+	} else if pieces > 1 {
+		region.Runs = make([]Run, 0, pieces)
 	}
 	var cost time.Duration
 	remaining := need
@@ -342,6 +344,31 @@ func (a *Allocator) AllocatePage(p *sim.Proc) (int64, error) {
 		p.Sleep(cost)
 	}
 	return run.Start, nil
+}
+
+// pieces returns the number of runs Allocate cuts need pages into: the
+// walk cutRun makes from the cursor, taking nothing. Back at the first
+// extent after wrapping, what is left of need lies before the cursor,
+// since need is at most the free pages.
+func (a *Allocator) pieces(need int64) (n int) {
+	x0, head := a.freeAt(a.freeHead), a.freeHead
+	if x0 == len(a.free) {
+		x0, head = 0, 0
+	}
+	cut := a.cfg.MaxRunPages
+	if cut <= 0 {
+		cut = need
+	}
+	for k := 0; need > 0; k++ {
+		e := a.free[(x0+k)%len(a.free)]
+		if k == 0 {
+			e.start = max(e.start, head)
+		}
+		take := min(e.end-e.start, need)
+		need -= take
+		n += int((take + cut - 1) / cut)
+	}
+	return n
 }
 
 // cutRun takes the next run of at most want pages from the free list,

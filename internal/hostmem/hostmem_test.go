@@ -431,3 +431,40 @@ func TestAllocateRejectsNegativeSize(t *testing.T) {
 		})
 	}
 }
+
+// Allocate sizes a region's run list for its pieces before it cuts them:
+// the list never regrows, whatever the fragmentation, the cut size, or
+// where the next-fit cursor sits in (or wraps around) the free list.
+func TestAllocateSizesRunsExactly(t *testing.T) {
+	for _, maxRun := range []int64{0, 1, 3, 16} {
+		cfg := testConfig() // 512 pages
+		cfg.MaxRunPages = maxRun
+		run(t, cfg, func(p *sim.Proc, a *Allocator) {
+			var live []*Region
+			state := uint64(0x9E3779B97F4A7C15)
+			for op := 0; op < 400; op++ {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				if state%3 == 0 && len(live) > 0 {
+					i := int(state>>8) % len(live)
+					a.Free(p, live[i])
+					live = slices.Delete(live, i, i+1)
+					continue
+				}
+				need := int64(state>>16)%40 + 1
+				if need > a.FreePages() {
+					continue
+				}
+				r, err := a.Allocate(p, need*a.PageSize())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(r.Runs) != cap(r.Runs) {
+					t.Fatalf("MaxRunPages %d, op %d: %d runs in room for %d", maxRun, op, len(r.Runs), cap(r.Runs))
+				}
+				live = append(live, r)
+			}
+		})
+	}
+}

@@ -160,10 +160,8 @@ func (r *refDomain) compare(d *Domain, p *sim.Proc, window int64) string {
 			return fmt.Sprintf("IOVA page %d -> %d, %v; reference %d, %v", pg, got, gok, want, wok)
 		}
 	}
-	for x, e := range d.ext {
-		if e.n <= 0 || (x > 0 && d.ext[x-1].iova+d.ext[x-1].n > e.iova) {
-			return fmt.Sprintf("extents not sorted and disjoint: %v", d.ext)
-		}
+	if err := d.pt.Check(); err != nil {
+		return fmt.Sprintf("%v: %v", err, d.Runs())
 	}
 	return ""
 }

@@ -3,20 +3,21 @@
 // addresses (HPAs), populated by the VFIO driver's DMA-mapping path (Fig. 6
 // "mapping") and consulted by device DMA engines on every transfer.
 //
-// A domain stores its translations as IOVA-sorted extents, one per mapped
-// host run, so mapping, unmapping and lookup cost O(log runs) regardless
-// of the page size. Pinning is not done here: the VFIO driver pins the
-// region in hostmem before it maps it.
+// A domain stores its translations in a run-length pagetab.Table (IOVA
+// page -> HPA page), whose runs merge where IOVA and HPA both continue, so
+// mapping, unmapping and lookup cost O(log runs) regardless of the page
+// size, and a region cut into many HPA-contiguous pieces (the fragmented
+// 4 KiB ablation) is one run. Pinning is not done here: the VFIO driver
+// pins the region in hostmem before it maps it.
 package iommu
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
+	"fastiov/internal/pagetab"
 	"fastiov/internal/sim"
 )
 
@@ -48,26 +49,22 @@ func New(k *sim.Kernel, pageSize int64) *IOMMU {
 
 // Domain is one guest's I/O address space (one I/O page table).
 type Domain struct {
-	ID    int
-	unit  *IOMMU
-	ext   []extent // IOVA-sorted, disjoint translations
-	pages int64    // live translations: the sum of the extents' n
+	ID   int
+	unit *IOMMU
+	pt   pagetab.Table // IOVA page -> HPA page
 
 	// MappedBytes tracks the total mapped size for reporting.
 	MappedBytes int64
 
-	// first backs ext up to one contiguous mapping per guest region.
-	first [hostmem.GuestRegions]extent
+	// first backs pt up to one run per guest region.
+	first [hostmem.GuestRegions]pagetab.Run
 }
-
-// extent translates IOVA pages [iova, iova+n) to HPA pages [hpa, hpa+n).
-type extent struct{ iova, hpa, n int64 }
 
 // CreateDomain allocates a fresh, empty domain.
 func (u *IOMMU) CreateDomain() *Domain {
 	u.nextID++
 	d := &Domain{ID: u.nextID, unit: u}
-	d.ext = d.first[:0]
+	d.pt = pagetab.With(d.first[:])
 	u.domains[d.ID] = d
 	return d
 }
@@ -75,7 +72,7 @@ func (u *IOMMU) CreateDomain() *Domain {
 // DestroyDomain removes a domain and its translations.
 func (u *IOMMU) DestroyDomain(d *Domain) {
 	delete(u.domains, d.ID)
-	d.ext, d.pages = nil, 0
+	d.pt = pagetab.Table{}
 }
 
 // PageSize returns the translation granule.
@@ -90,7 +87,7 @@ func (u *IOMMU) Domains() int { return len(u.domains) }
 func (u *IOMMU) TotalMappedPages() int {
 	total := 0
 	for _, d := range u.domains {
-		total += int(d.pages)
+		total += int(d.pt.Len())
 	}
 	return total
 }
@@ -104,6 +101,9 @@ func (d *Domain) Map(p *sim.Proc, iovaBase int64, region *hostmem.Region) error 
 	if iovaBase%d.unit.pageSize != 0 {
 		return fmt.Errorf("iommu: unaligned IOVA base %#x", iovaBase)
 	}
+	if iovaBase < 0 {
+		return fmt.Errorf("iommu: negative IOVA base %#x", iovaBase)
+	}
 	// Injected failure fires before any PTE is installed, so a failed Map
 	// leaves the domain untouched and the VFIO caller's cleanup path
 	// (unpin + free) fully unwinds the attempt.
@@ -112,28 +112,14 @@ func (d *Domain) Map(p *sim.Proc, iovaBase int64, region *hostmem.Region) error 
 	}
 	start := iovaBase / d.unit.pageSize
 	count := region.PageCount()
-	x := d.at(start)
-	if count > 0 && x < len(d.ext) && d.ext[x].iova < start+count {
-		return fmt.Errorf("iommu: IOVA page %#x already mapped in domain %d", max(start, d.ext[x].iova), d.ID)
+	if r, ok := d.pt.Next(start); ok && count > 0 && r.Key < start+count {
+		return fmt.Errorf("iommu: IOVA page %#x already mapped in domain %d", max(start, r.Key), d.ID)
 	}
-	runs := 0
-	for _, r := range region.Runs {
-		if r.Count > 0 {
-			runs++
-		}
-	}
-	n := len(d.ext)
-	d.ext = slices.Grow(d.ext, runs)[:n+runs]
-	copy(d.ext[x+runs:], d.ext[x:n])
 	iova := start
 	for _, r := range region.Runs {
-		if r.Count > 0 {
-			d.ext[x] = extent{iova: iova, hpa: r.Start, n: r.Count}
-			x++
-			iova += r.Count
-		}
+		d.pt.Insert(iova, r.Start, r.Count)
+		iova += r.Count
 	}
-	d.pages += count
 	d.MappedBytes += count * d.unit.pageSize
 	if cost := d.unit.Faults.Inflate(fault.SiteDMAMap, time.Duration(count)*d.unit.MapCostPerPage); cost > 0 {
 		p.Sleep(cost)
@@ -148,46 +134,7 @@ func (d *Domain) Unmap(p *sim.Proc, iovaBase, bytes int64) {
 	if start >= end {
 		return
 	}
-	// Extents [x, y) end inside the range; the head of x and the tail of y
-	// may survive.
-	x, y := d.at(start), d.at(end)
-	var removed int64
-	if x < len(d.ext) && d.ext[x].iova < start {
-		e := d.ext[x]
-		d.ext[x].n = start - e.iova
-		if e.iova+e.n > end { // the range splits e
-			d.ext = slices.Insert(d.ext, x+1, e.from(end))
-			d.drop(end - start)
-			return
-		}
-		removed += e.iova + e.n - start
-		x++
-	}
-	if y < len(d.ext) && d.ext[y].iova < end {
-		removed += end - d.ext[y].iova
-		d.ext[y] = d.ext[y].from(end)
-	}
-	for _, e := range d.ext[x:y] {
-		removed += e.n
-	}
-	d.ext = slices.Delete(d.ext, x, y)
-	d.drop(removed)
-}
-
-// from returns the part of e from IOVA page iova on.
-func (e extent) from(iova int64) extent {
-	return extent{iova: iova, hpa: e.hpa + iova - e.iova, n: e.iova + e.n - iova}
-}
-
-// drop accounts for n unmapped pages.
-func (d *Domain) drop(n int64) {
-	d.pages -= n
-	d.MappedBytes -= n * d.unit.pageSize
-}
-
-// at returns the index of the first extent ending after IOVA page iova.
-func (d *Domain) at(iova int64) int {
-	return sort.Search(len(d.ext), func(x int) bool { return d.ext[x].iova+d.ext[x].n > iova })
+	d.MappedBytes -= d.pt.Delete(start, end-start) * d.unit.pageSize
 }
 
 // Translate resolves an IOVA to an HPA (both in bytes). DMA to an unmapped
@@ -205,12 +152,12 @@ func (d *Domain) Translate(iova int64) (int64, error) {
 
 // TranslatePage resolves an IOVA page number to an HPA page number.
 func (d *Domain) TranslatePage(iovaPage int64) (int64, bool) {
-	x := d.at(iovaPage)
-	if x == len(d.ext) || d.ext[x].iova > iovaPage {
-		return 0, false
-	}
-	return d.ext[x].hpa + iovaPage - d.ext[x].iova, true
+	return d.pt.Get(iovaPage)
 }
 
+// Runs returns the translations as IOVA-sorted runs (IOVA page -> HPA
+// page). The slice is the domain's own and must not be modified.
+func (d *Domain) Runs() []pagetab.Run { return d.pt.Runs() }
+
 // MappedPages returns the number of live translations.
-func (d *Domain) MappedPages() int { return int(d.pages) }
+func (d *Domain) MappedPages() int { return int(d.pt.Len()) }

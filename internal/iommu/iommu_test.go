@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fastiov/internal/hostmem"
+	"fastiov/internal/pagetab"
 	"fastiov/internal/sim"
 )
 
@@ -80,7 +81,7 @@ func TestFailedMapLeavesDomainUnchanged(t *testing.T) {
 		if err := dom.Map(p, 4*mb, r1); err != nil {
 			t.Fatal(err)
 		}
-		ext := append([]extent(nil), dom.ext...)
+		runs := append([]pagetab.Run(nil), dom.Runs()...)
 		pages, bytes, now := dom.MappedPages(), dom.MappedBytes, p.Now()
 		if err := dom.Map(p, 0, r2); err == nil {
 			t.Fatal("map over IOVA pages 2-3 accepted")
@@ -90,9 +91,12 @@ func TestFailedMapLeavesDomainUnchanged(t *testing.T) {
 				t.Errorf("IOVA page %d translated after a failed map", pg)
 			}
 		}
-		if !reflect.DeepEqual(dom.ext, ext) || dom.MappedPages() != pages || dom.MappedBytes != bytes || u.TotalMappedPages() != pages {
-			t.Errorf("failed map changed the domain: %d pages, %d bytes, extents %v; before %d, %d, %v",
-				dom.MappedPages(), dom.MappedBytes, dom.ext, pages, bytes, ext)
+		if !reflect.DeepEqual(dom.Runs(), runs) || dom.MappedPages() != pages || dom.MappedBytes != bytes || u.TotalMappedPages() != pages {
+			t.Errorf("failed map changed the domain: %d pages, %d bytes, runs %v; before %d, %d, %v",
+				dom.MappedPages(), dom.MappedBytes, dom.Runs(), pages, bytes, runs)
+		}
+		if err := dom.pt.Check(); err != nil {
+			t.Error(err)
 		}
 		if p.Now() != now {
 			t.Errorf("failed map charged %v", p.Now()-now)
@@ -175,9 +179,9 @@ func TestDestroyDomain(t *testing.T) {
 	})
 	k.Run()
 	u.DestroyDomain(dom)
-	if dom.ext != nil || dom.MappedPages() != 0 || u.TotalMappedPages() != 0 || u.Domains() != 0 {
-		t.Errorf("translations not released: %d extents, %d pages, %d total, %d domains",
-			len(dom.ext), dom.MappedPages(), u.TotalMappedPages(), u.Domains())
+	if dom.Runs() != nil || dom.MappedPages() != 0 || u.TotalMappedPages() != 0 || u.Domains() != 0 {
+		t.Errorf("translations not released: %d runs, %d pages, %d total, %d domains",
+			len(dom.Runs()), dom.MappedPages(), u.TotalMappedPages(), u.Domains())
 	}
 }
 
@@ -193,6 +197,43 @@ func TestTranslatePage(t *testing.T) {
 		if _, ok := dom.TranslatePage(5); ok {
 			t.Error("page 5 mapped unexpectedly")
 		}
+	})
+	k.Run()
+}
+
+// Regions mapped where both IOVA and HPA continue the previous mapping
+// join its run; an unmap from the middle splits it, and a region whose
+// pieces are HPA-contiguous is one run however many pieces it has.
+func TestMapMergesContinuingRuns(t *testing.T) {
+	k, _, u := setup()
+	dom := u.CreateDomain()
+	check := func(want []pagetab.Run) {
+		t.Helper()
+		if !reflect.DeepEqual(dom.Runs(), want) {
+			t.Errorf("runs %v, want %v", dom.Runs(), want)
+		}
+		if err := dom.pt.Check(); err != nil {
+			t.Error(err)
+		}
+	}
+	k.Go("t", func(p *sim.Proc) {
+		pieces := &hostmem.Region{Runs: []hostmem.Run{{Start: 100, Count: 2}, {Start: 102, Count: 2}, {Start: 104, Count: 1}}}
+		if err := dom.Map(p, 0, pieces); err != nil {
+			t.Fatal(err)
+		}
+		check([]pagetab.Run{{Key: 0, Val: 100, N: 5}})
+		// IOVA continues but HPA does not: a second run.
+		if err := dom.Map(p, 5*2*mb, &hostmem.Region{Runs: []hostmem.Run{{Start: 200, Count: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		check([]pagetab.Run{{Key: 0, Val: 100, N: 5}, {Key: 5, Val: 200, N: 1}})
+		dom.Unmap(p, 2*2*mb, 2*mb)
+		check([]pagetab.Run{{Key: 0, Val: 100, N: 2}, {Key: 3, Val: 103, N: 2}, {Key: 5, Val: 200, N: 1}})
+		// Remapping the hole with the page it held rejoins the run.
+		if err := dom.Map(p, 2*2*mb, &hostmem.Region{Runs: []hostmem.Run{{Start: 102, Count: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		check([]pagetab.Run{{Key: 0, Val: 100, N: 5}, {Key: 5, Val: 200, N: 1}})
 	})
 	k.Run()
 }

@@ -5,16 +5,18 @@
 // Address spaces follow the paper's Fig. 3: the guest uses GPAs; memory
 // slots map GPA ranges to host regions (HPAs); the EPT caches GPA→HPA after
 // the first touch of each page raises an EPT violation that KVM resolves.
-// The HPA of a slot page is already fixed by the slot (its backing runs, or
-// the page demand paging allocated for it), so the EPT is stored as one
-// present bit per slot page.
+// The HPA of a slot page is already fixed by the slot, so the EPT is stored
+// as one present bit per slot page. A slot keeps its slot page → HPA page
+// map in one run-length pagetab.Table: a backed slot's backing runs, merged
+// where they are HPA-contiguous, or the pages demand paging has allocated
+// so far. A fragmented 4 KiB region and a demand slot faulted in from
+// consecutive host pages are each one run.
 package kvm
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"fastiov/internal/hostmem"
@@ -53,6 +55,7 @@ type KVM struct {
 
 	nextPID int
 	vms     map[int]*VM
+	spare   []hostmem.Run // DestroyVM's scratch run list
 }
 
 // New creates the module.
@@ -75,21 +78,15 @@ type MemSlot struct {
 	Bytes   int64
 	Backing *hostmem.Region
 
-	// runs maps slot pages to a multi-run backing region's runs, in slot
-	// order; last caches the run of the previous lookup, so sequential
-	// touches skip the search. A single-run backing (the common contiguous
-	// slot) needs no map: runs stays nil and lookups read the run itself.
-	runs   []slotRun
-	last   int
-	demand pagetab.Table // slot page index -> demand-allocated HPA page (empty for backed slots)
+	// pages maps slot page index -> HPA page: the backing region's runs in
+	// slot order, or the demand-allocated pages. first backs its first run.
+	pages pagetab.Table
+	first [1]pagetab.Run
 	// mapped is the EPT present bit per slot page. A slot of at most 256
 	// pages (every default-geometry slot) keeps its bits in bits.
 	mapped []uint64
 	bits   [4]uint64
 }
-
-// slotRun backs slot pages [off, end) with host pages from hpa on.
-type slotRun struct{ off, end, hpa int64 }
 
 // VM is one microVM as KVM sees it.
 type VM struct {
@@ -129,29 +126,36 @@ func (h *KVM) CreateVM() *VM {
 	return vm
 }
 
-// DestroyVM removes the VM. Demand-allocated pages are freed, coalesced
-// into runs; backed regions are owned (and freed) by the VFIO/hypervisor
-// layer.
+// DestroyVM removes the VM. Each demand slot's pages are freed in one
+// Free call as runs sorted by HPA, merged where HPA-contiguous; backed
+// regions are owned (and freed) by the VFIO/hypervisor layer.
 func (h *KVM) DestroyVM(p *sim.Proc, vm *VM) {
 	for _, s := range vm.slots {
-		if s.demand.Len() == 0 {
+		if s.Backing != nil || len(s.pages.Runs()) == 0 {
 			continue
 		}
-		// One run per page, sorted by page and then merged in place.
-		runs := make([]hostmem.Run, 0, s.demand.Len())
-		s.demand.Range(func(_, hpa int64) { runs = append(runs, hostmem.Run{Start: hpa, Count: 1}) })
+		// Free may block on the zone lock, so the scratch list is taken
+		// while it runs: a VM destroyed meanwhile builds its own.
+		runs := h.spare[:0]
+		h.spare = nil
+		var pages int64
+		for _, r := range s.pages.Runs() {
+			runs = append(runs, hostmem.Run{Start: r.Val, Count: r.N})
+			pages += r.N
+		}
 		slices.SortFunc(runs, func(a, b hostmem.Run) int { return cmp.Compare(a.Start, b.Start) })
 		n := 0
 		for _, r := range runs {
 			if n > 0 && runs[n-1].Start+runs[n-1].Count == r.Start {
-				runs[n-1].Count++
+				runs[n-1].Count += r.Count
 			} else {
 				runs[n] = r
 				n++
 			}
 		}
-		h.mem.Free(p, &hostmem.Region{Runs: runs[:n], Bytes: int64(len(runs)) * h.mem.PageSize()})
-		s.demand = pagetab.Table{}
+		h.mem.Free(p, &hostmem.Region{Runs: runs[:n], Bytes: pages * h.mem.PageSize()})
+		h.spare = runs[:0]
+		s.pages = pagetab.Table{}
 	}
 	delete(h.vms, vm.PID)
 }
@@ -167,7 +171,9 @@ func (h *KVM) DemandPages() int {
 	total := 0
 	for _, vm := range h.vms {
 		for _, s := range vm.slots {
-			total += s.demand.Len()
+			if s.Backing == nil {
+				total += int(s.pages.Len())
+			}
 		}
 	}
 	return total
@@ -192,6 +198,7 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 		slot = new(MemSlot)
 	}
 	*slot = MemSlot{Name: name, GPABase: gpaBase, Bytes: bytes, Backing: backing}
+	slot.pages = pagetab.With(slot.first[:])
 	if words := (pages + 63) / 64; words <= int64(len(slot.bits)) {
 		slot.mapped = slot.bits[:words]
 	} else {
@@ -201,41 +208,20 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 		if backing.PageCount()*ps < bytes {
 			return nil, fmt.Errorf("kvm: backing region too small for slot %q", name)
 		}
-		if len(backing.Runs) > 1 {
-			slot.runs = make([]slotRun, 0, len(backing.Runs))
-			var off int64
-			for _, r := range backing.Runs {
-				slot.runs = append(slot.runs, slotRun{off: off, end: off + r.Count, hpa: r.Start})
-				off += r.Count
-			}
+		var off int64
+		for _, r := range backing.Runs {
+			slot.pages.Insert(off, r.Start, r.Count)
+			off += r.Count
 		}
-	} else {
-		slot.demand = pagetab.Sized(pages)
 	}
 	vm.slots = append(vm.slots, slot)
 	return slot, nil
 }
 
-// hpaAt returns the HPA page backing slot-relative page index idx.
+// hpaAt returns the HPA page backing page idx of a backed slot.
 func (s *MemSlot) hpaAt(idx int64) int64 {
-	if s.runs == nil {
-		return s.Backing.Runs[0].Start + idx
-	}
-	r := &s.runs[s.last]
-	if idx < r.off || idx >= r.end {
-		s.last = sort.Search(len(s.runs), func(i int) bool { return s.runs[i].end > idx })
-		r = &s.runs[s.last]
-	}
-	return r.hpa + idx - r.off
-}
-
-// lookup returns the HPA page backing slot page idx; ok is false for a
-// demand page not allocated yet.
-func (s *MemSlot) lookup(idx int64) (hpa int64, ok bool) {
-	if s.Backing != nil {
-		return s.hpaAt(idx), true
-	}
-	return s.demand.Get(idx)
+	hpa, _ := s.pages.Get(idx)
+	return hpa
 }
 
 // present reports whether slot page idx has an EPT entry.
@@ -262,7 +248,7 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 		return err
 	}
 	idx := (gpa - slot.GPABase) / vm.mem.PageSize()
-	hpa, ok := slot.lookup(idx)
+	hpa, ok := slot.pages.Get(idx)
 	if !slot.present(idx) {
 		if !ok {
 			// Demand paging: the host fault handler allocates and zeroes
@@ -272,7 +258,7 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 				return err
 			}
 			vm.mem.ZeroPage(p, hpa)
-			slot.demand.Set(idx, hpa)
+			slot.pages.Set(idx, hpa)
 		}
 		if vm.kvm.Hook != nil {
 			vm.kvm.Hook.OnEPTFault(p, vm.PID, hpa)
@@ -369,7 +355,7 @@ func (s *touchStepper) Step() (time.Duration, bool) {
 		}
 		idx := (s.addr - slot.GPABase) / ps
 		if slot.present(idx) {
-			hpa, _ := slot.lookup(idx)
+			hpa, _ := slot.pages.Get(idx)
 			vm.Hits++
 			vm.access(hpa, s.write)
 			continue
@@ -420,7 +406,7 @@ func (vm *VM) ResolveHPA(p *sim.Proc, gpa int64) (int64, error) {
 		return 0, err
 	}
 	idx := (gpa - slot.GPABase) / ps
-	if hpa, ok := slot.lookup(idx); ok {
+	if hpa, ok := slot.pages.Get(idx); ok {
 		return hpa, nil
 	}
 	r, err := vm.mem.Allocate(p, ps)
@@ -429,7 +415,7 @@ func (vm *VM) ResolveHPA(p *sim.Proc, gpa int64) (int64, error) {
 	}
 	hpa := r.Runs[0].Start
 	vm.mem.ZeroPage(p, hpa)
-	slot.demand.Set(idx, hpa)
+	slot.pages.Set(idx, hpa)
 	return hpa, nil
 }
 

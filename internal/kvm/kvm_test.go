@@ -1,10 +1,12 @@
 package kvm
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"fastiov/internal/hostmem"
+	"fastiov/internal/iommu"
 	"fastiov/internal/sim"
 )
 
@@ -405,6 +407,105 @@ func TestEPTEntriesCountsTouchAndTouchRange(t *testing.T) {
 		}
 		if vm.Faults != 16 {
 			t.Errorf("faults = %d, want 16", vm.Faults)
+		}
+	})
+	k.Run()
+}
+
+// A guest of fragmented 4 KiB pages (every region cut into 16-page
+// pieces) holds one run per region in its IOMMU domain and in each slot,
+// since the pieces are HPA-contiguous; every page still translates to the
+// page the flattened region holds there.
+func TestFragmentedMappingKeepsOneRunPerRange(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := hostmem.DefaultConfig()
+	cfg.TotalBytes = 4096 * hostmem.PageSize4K
+	cfg.PageSize = hostmem.PageSize4K
+	cfg.MaxRunPages = 16
+	mem := hostmem.New(k, cfg)
+	h := New(k, mem)
+	u := iommu.New(k, mem.PageSize())
+	const ps = hostmem.PageSize4K
+	k.Go("t", func(p *sim.Proc) {
+		vm, dom := h.CreateVM(), u.CreateDomain()
+		var gpa int64
+		var flat []int64 // the per-page reference, by GPA page
+		for i, pages := range []int64{300, 100, 37} {
+			r, err := mem.Allocate(p, pages*ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int((pages + 15) / 16); len(r.Runs) != want {
+				t.Fatalf("region %d: %d pieces, want %d", i, len(r.Runs), want)
+			}
+			for _, run := range r.Runs {
+				for pg := run.Start; pg < run.Start+run.Count; pg++ {
+					flat = append(flat, pg)
+				}
+			}
+			if err := dom.Map(p, gpa, r); err != nil {
+				t.Fatal(err)
+			}
+			slot, err := vm.AddSlot(fmt.Sprint("region", i), gpa, pages*ps, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs := slot.pages.Runs(); len(runs) != 1 || slot.pages.Check() != nil {
+				t.Errorf("region %d: slot runs %v (%v), want one", i, runs, slot.pages.Check())
+			}
+			gpa += pages * ps
+			if _, err := mem.Allocate(p, ps); err != nil { // keep the regions apart in HPA
+				t.Fatal(err)
+			}
+		}
+		if len(dom.Runs()) != 3 {
+			t.Errorf("domain runs %v, want one per region", dom.Runs())
+		}
+		for idx, want := range flat {
+			g := int64(idx) * ps
+			if hpa, err := dom.Translate(g + 5); err != nil || hpa != want*ps+5 {
+				t.Fatalf("Translate(%#x) = %#x, %v; want %#x", g+5, hpa, err, want*ps+5)
+			}
+			slot, err := vm.slotFor(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := slot.hpaAt((g - slot.GPABase) / ps); got != want {
+				t.Fatalf("hpaAt of GPA page %d = %d, want %d", idx, got, want)
+			}
+		}
+	})
+	k.Run()
+}
+
+// Faulting in a 16-page demand slot from consecutive host pages, as a
+// fastiov guest's image slot is, keeps one run in the slot itself: the
+// touch allocates nothing.
+func TestDemandSlotTouchAllocatesNothing(t *testing.T) {
+	k, _, h := newHost(1 << 30)
+	const pages = 16
+	var vms []*VM
+	for range 8 {
+		vm := h.CreateVM()
+		if _, err := vm.AddSlot("image", 0, pages*hostmem.PageSize2M, nil); err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	k.Go("t", func(p *sim.Proc) {
+		next := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			vm := vms[next]
+			next++
+			if err := vm.TouchRange(p, 0, pages*hostmem.PageSize2M, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("touching a %d-page demand slot: %v allocs, want 0", pages, allocs)
+		}
+		if runs := vms[next-1].slots[0].pages.Runs(); len(runs) != 1 || runs[0].N != pages {
+			t.Errorf("demand slot runs %v, want one of %d pages", runs, pages)
 		}
 	})
 	k.Run()

@@ -73,7 +73,8 @@ type NIC struct {
 	cfg  Config
 	pf   *pci.Device
 	vfs  []VF  // by VF number
-	free []*VF // into vfs, in lease order
+	free []*VF // into vfs, in lease order from free[head] on
+	head int
 
 	// link models the shared 25 GbE pipe: capacity is expressed in "lanes"
 	// of linkBps/lanes each so concurrent downloads share fairly.
@@ -143,11 +144,14 @@ func (n *NIC) VFs() []VF { return n.vfs }
 
 // AllocVF leases a free VF from the pool.
 func (n *NIC) AllocVF() (*VF, error) {
-	if len(n.free) == 0 {
+	if n.FreeVFs() == 0 {
 		return nil, fmt.Errorf("nic: no free VFs (of %d)", len(n.vfs))
 	}
-	vf := n.free[0]
-	n.free = n.free[1:]
+	vf := n.free[n.head]
+	n.head++
+	if n.head == len(n.free) {
+		n.free, n.head = n.free[:0], 0
+	}
 	vf.Assigned = true
 	return vf, nil
 }
@@ -160,11 +164,17 @@ func (n *NIC) ReleaseVF(vf *VF) {
 	vf.Assigned = false
 	vf.LinkUp = false
 	vf.HostIfname = ""
+	// The list is a FIFO in one backing array sized for every VF: a full
+	// tail slides the queue to the front instead of growing it.
+	if n.head > 0 && len(n.free) == cap(n.free) {
+		k := copy(n.free, n.free[n.head:])
+		n.free, n.head = n.free[:k], 0
+	}
 	n.free = append(n.free, vf)
 }
 
 // FreeVFs returns the number of unassigned VFs.
-func (n *NIC) FreeVFs() int { return len(n.free) }
+func (n *NIC) FreeVFs() int { return len(n.free) - n.head }
 
 // DMAWrite models the NIC's DMA engine writing bytes of received packet
 // data into guest memory at iova, translating through the IOMMU domain. The

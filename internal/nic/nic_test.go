@@ -172,3 +172,60 @@ func TestCardBackref(t *testing.T) {
 		t.Error("VF card backref wrong")
 	}
 }
+
+// Leases and releases in any interleaving hand VFs out in the order of
+// the slice queue the free list replaced (lease from the front, release to
+// the back), and churn allocates nothing once the pool exists.
+func TestVFChurnKeepsOrderWithoutAllocating(t *testing.T) {
+	const vfs = 8
+	_, _, n := newCard(t, vfs)
+	var ref, leased []*VF
+	for i := range n.VFs() {
+		ref = append(ref, &n.VFs()[i])
+	}
+	state := uint64(0x9E3779B97F4A7C15)
+	for op := 0; op < 5000; op++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		if state%2 == 0 && len(leased) > 0 {
+			i := int(state>>8) % len(leased)
+			vf := leased[i]
+			leased = append(leased[:i], leased[i+1:]...)
+			n.ReleaseVF(vf)
+			ref = append(ref, vf)
+			continue
+		}
+		vf, err := n.AllocVF()
+		if len(ref) == 0 {
+			if err == nil {
+				t.Fatalf("op %d: leased %s from an empty pool", op, vf.Name())
+			}
+			continue
+		}
+		if err != nil || vf != ref[0] {
+			t.Fatalf("op %d: AllocVF = %v, %v; want %s", op, vf, err, ref[0].Name())
+		}
+		ref = ref[1:]
+		leased = append(leased, vf)
+		if n.FreeVFs() != len(ref) {
+			t.Fatalf("op %d: FreeVFs = %d, want %d", op, n.FreeVFs(), len(ref))
+		}
+	}
+	for _, vf := range leased {
+		n.ReleaseVF(vf)
+	}
+	// AllocsPerRun rounds down, so one run is many cycles: a list that
+	// reallocated every few cycles would read above 0.
+	allocs := testing.AllocsPerRun(10, func() {
+		for range 1000 {
+			a, _ := n.AllocVF()
+			b, _ := n.AllocVF()
+			n.ReleaseVF(a)
+			n.ReleaseVF(b)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lease/release churn: %v allocs per 1000 cycles, want 0", allocs)
+	}
+}

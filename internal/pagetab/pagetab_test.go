@@ -1,66 +1,102 @@
 package pagetab
 
-// Differential coverage against the reference the table replaced: a plain
-// Go map[int64]int64 restricted to the table's non-negative value domain.
-// Every operation sequence — including value 0 (the internal +1 bias must
-// stay invisible), overwrites, and keys spanning many chunks — must behave
-// identically. The negative-value rejection is
-// pinned separately: -1 would collide with the bias's absent sentinel, a
-// corruption this differential test originally caught.
+// Differential coverage against a per-page reference: a plain Go
+// map[int64]int64 restricted to the table's non-negative domain. Every
+// operation sequence — single-page sets including value 0, overwrites,
+// ranged inserts and deletes at arbitrary offsets that trim, split, join
+// and merge runs — must leave the table holding exactly the reference's
+// pages, with no two mergeable neighbours. The negative-value rejection is
+// pinned separately.
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 )
 
-// drive applies an op stream to a Table and a map and cross-checks every
-// result. Keys concentrate on a few chunks so the last-chunk cache and
-// chunk boundaries both get exercised.
+// window bounds the keys drive touches; every op is checked over it.
+const window = 96
+
+// drive applies an op stream to a Table and a map and cross-checks the
+// table against the map after every op. Values are drawn from a few
+// diagonals (val = key + c), so neighbouring inserts often continue each
+// other and must merge.
 func drive(t *testing.T, ops []byte) {
 	t.Helper()
 	tab := new(Table)
 	ref := map[int64]int64{}
-	key := func(b byte) int64 { return int64(b)*37 - 500 } // spans negative-adjacent chunks? keys stay >= -500
-	for i := 0; i+1 < len(ops); i += 2 {
-		k := key(ops[i+1])
-		if k < 0 {
-			k = -k
+	pos := 0
+	next := func() int64 {
+		if pos >= len(ops) {
+			return 0
 		}
-		switch ops[i] % 2 {
+		pos++
+		return int64(ops[pos-1])
+	}
+	for op := 0; pos < len(ops); op++ {
+		code := next() % 4
+		k := next() % window
+		var what string
+		switch code {
 		case 0: // Set, including value 0
-			v := int64(ops[i+1])
+			v := next() % 3 * 50
+			if v > 0 {
+				v += k
+			}
+			what = fmt.Sprintf("Set(%d, %d)", k, v)
 			tab.Set(k, v)
 			ref[k] = v
-		case 1: // Get
+		case 1: // ranged insert, overwriting
+			v, n := k+next()%3*50, next()%12
+			what = fmt.Sprintf("Insert(%d, %d, %d)", k, v, n)
+			tab.Insert(k, v, n)
+			for i := int64(0); i < n; i++ {
+				ref[k+i] = v + i
+			}
+		case 2: // ranged delete
+			n := next() % 24
+			what = fmt.Sprintf("Delete(%d, %d)", k, n)
+			removed := tab.Delete(k, n)
+			for i := int64(0); i < n; i++ {
+				if _, ok := ref[k+i]; ok {
+					removed--
+				}
+				delete(ref, k+i)
+			}
+			if removed != 0 {
+				t.Fatalf("op %d %s: removed count off by %d", op, what, removed)
+			}
+		case 3: // Get at a random key, moving the cursor
+			what = fmt.Sprintf("Get(%d)", k)
 			v, ok := tab.Get(k)
-			rv, rok := ref[k]
-			if ok != rok || v != rv {
-				t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", i, k, v, ok, rv, rok)
+			if rv, rok := ref[k]; ok != rok || v != rv {
+				t.Fatalf("op %d %s = (%d,%v), want (%d,%v)", op, what, v, ok, rv, rok)
 			}
 		}
-		if tab.Len() != len(ref) {
-			t.Fatalf("op %d: Len() = %d, want %d", i, tab.Len(), len(ref))
+		if err := tab.Check(); err != nil {
+			t.Fatalf("op %d %s: %v (runs %v)", op, what, err, tab.Runs())
+		}
+		if tab.Len() != int64(len(ref)) {
+			t.Fatalf("op %d %s: Len() = %d, want %d", op, what, tab.Len(), len(ref))
+		}
+		for key := int64(0); key < 2*window; key++ {
+			v, ok := tab.Get(key)
+			if rv, rok := ref[key]; ok != rok || v != rv {
+				t.Fatalf("op %d %s: Get(%d) = (%d,%v), want (%d,%v); runs %v", op, what, key, v, ok, rv, rok, tab.Runs())
+			}
 		}
 	}
-	// Full contents via Range: ascending keys, exact values.
-	var keys []int64
-	for k := range ref {
-		keys = append(keys, k)
+	// Runs expand to exactly the reference's pages.
+	n := 0
+	for _, r := range tab.Runs() {
+		for i := int64(0); i < r.N; i++ {
+			if v, ok := ref[r.Key+i]; !ok || v != r.Val+i {
+				t.Fatalf("run %v holds (%d,%d); reference (%d,%v)", r, r.Key+i, r.Val+i, v, ok)
+			}
+			n++
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	i := 0
-	tab.Range(func(k, v int64) {
-		if i >= len(keys) {
-			t.Fatalf("Range: extra entry (%d,%d)", k, v)
-		}
-		if k != keys[i] || v != ref[k] {
-			t.Fatalf("Range entry %d: got (%d,%d), want (%d,%d)", i, k, v, keys[i], ref[keys[i]])
-		}
-		i++
-	})
-	if i != len(keys) {
-		t.Fatalf("Range visited %d entries, want %d", i, len(keys))
+	if n != len(ref) {
+		t.Fatalf("runs hold %d pages, reference %d", n, len(ref))
 	}
 }
 
@@ -82,15 +118,24 @@ func TestTableMatchesMapModel(t *testing.T) {
 	}
 }
 
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 1, 2, 1, 3, 1})
+	f.Add([]byte{1, 200, 1, 200, 2, 200, 0, 0})
+	// Insert two runs that a third joins, then split the joined run.
+	f.Add([]byte{1, 10, 0, 4, 1, 20, 0, 4, 1, 14, 0, 6, 2, 12, 3, 3, 12})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		drive(t, ops)
+	})
+}
+
 func TestNilTableBehavesLikeNilMap(t *testing.T) {
 	var tab *Table
 	if v, ok := tab.Get(5); ok || v != 0 {
 		t.Fatalf("nil Get = (%d,%v), want (0,false)", v, ok)
 	}
-	if tab.Len() != 0 {
-		t.Fatalf("nil Len = %d", tab.Len())
+	if tab.Len() != 0 || tab.Runs() != nil || tab.Check() != nil {
+		t.Fatalf("nil table: Len %d, runs %v, Check %v", tab.Len(), tab.Runs(), tab.Check())
 	}
-	tab.Range(func(k, v int64) { t.Fatal("nil Range visited an entry") })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil Set did not panic (nil map writes must panic)")
@@ -99,36 +144,41 @@ func TestNilTableBehavesLikeNilMap(t *testing.T) {
 	tab.Set(1, 1)
 }
 
-func TestSequentialFillSpansChunks(t *testing.T) {
+// Pages set in key order merge into one run exactly when their values
+// continue each other, and the cursor serves every page of a run.
+func TestSequentialFillMergesRuns(t *testing.T) {
 	tab := new(Table)
-	const n = 10 * chunkSize // many chunk transitions through the cache
+	const n = 1000
 	for i := int64(0); i < n; i++ {
-		tab.Set(i, i*3)
+		tab.Set(i, i*3) // values skip: one run per page
 	}
-	if tab.Len() != n {
-		t.Fatalf("Len = %d, want %d", tab.Len(), n)
+	for i := int64(n); i < 2*n; i++ {
+		tab.Set(i, 5000+i) // values continue: one run
 	}
-	var visited int64
-	tab.Range(func(k, v int64) {
-		if k != visited || v != k*3 {
-			t.Fatalf("Range: got (%d,%d), want (%d,%d)", k, v, visited, visited*3)
+	if tab.Len() != 2*n || len(tab.Runs()) != n+1 {
+		t.Fatalf("Len = %d, %d runs; want %d, %d", tab.Len(), len(tab.Runs()), 2*n, n+1)
+	}
+	for i := int64(0); i < 2*n; i++ {
+		want := i * 3
+		if i >= n {
+			want = 5000 + i
 		}
-		visited++
-	})
-	if visited != n {
-		t.Fatalf("Range visited %d, want %d", visited, n)
+		if v, ok := tab.Get(i); !ok || v != want {
+			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", i, v, ok, want)
+		}
 	}
-	// Value 0 round-trips through the +1 bias.
+	// Value 0 round-trips, and overwriting a page keeps the runs canonical.
 	tab.Set(3, 0)
 	if v, ok := tab.Get(3); !ok || v != 0 {
 		t.Fatalf("Get(3) = (%d,%v), want (0,true)", v, ok)
 	}
+	if err := tab.Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNegativeValueRejected(t *testing.T) {
-	// -1 is the dangerous case: biased it equals the absent sentinel, so
-	// accepting it would store an entry that reads as missing while still
-	// counting in Len.
+	// Page numbers are never negative; a negative value is a caller bug.
 	tab := new(Table)
 	defer func() {
 		if recover() == nil {
@@ -138,37 +188,45 @@ func TestNegativeValueRejected(t *testing.T) {
 	tab.Set(1, -1)
 }
 
-func FuzzTableOps(f *testing.F) {
-	f.Add([]byte{0, 1, 3, 1, 2, 1, 3, 1})
-	f.Add([]byte{1, 200, 1, 200, 2, 200, 0, 0})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		drive(t, ops)
-	})
+// A table made With a buffer keeps its runs there until they outgrow it,
+// then moves them to the heap intact.
+func TestWithGrowsPastItsBuffer(t *testing.T) {
+	var buf [2]Run
+	tab := With(buf[:])
+	tab.Insert(10, 100, 4)
+	tab.Insert(0, 50, 2)
+	if &tab.Runs()[0] != &buf[0] || buf[0] != (Run{0, 50, 2}) || buf[1] != (Run{10, 100, 4}) {
+		t.Fatalf("runs %v not kept in the buffer %v", tab.Runs(), buf)
+	}
+	tab.Insert(20, 0, 1)
+	tab.Insert(14, 104, 6) // continues the run at 10, not the one at 20
+	want := []Run{{0, 50, 2}, {10, 100, 10}, {20, 0, 1}}
+	if fmt.Sprint(tab.Runs()) != fmt.Sprint(want) || tab.Len() != 13 {
+		t.Fatalf("runs %v (Len %d), want %v (13)", tab.Runs(), tab.Len(), want)
+	}
+	if &tab.Runs()[0] == &buf[0] {
+		t.Fatal("three runs still in a two-run buffer")
+	}
+	if err := tab.Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-func TestSizedTableGrowsPastItsRange(t *testing.T) {
-	tab := Sized(chunkSize + 1) // a directory of two chunks
-	if _, ok := tab.Get(0); ok {
-		t.Fatal("Get on an empty sized table hit")
+// Inserting the gap between two runs that both continue it joins all three
+// into one run; deleting from the middle splits it again.
+func TestInsertJoinsAndDeleteSplits(t *testing.T) {
+	tab := new(Table)
+	tab.Insert(0, 100, 4)
+	tab.Insert(8, 108, 4)
+	tab.Insert(4, 104, 4)
+	if fmt.Sprint(tab.Runs()) != fmt.Sprint([]Run{{0, 100, 12}}) {
+		t.Fatalf("runs %v, want one joined run", tab.Runs())
 	}
-	keys := []int64{5, chunkSize, 7 * chunkSize, 3}
-	for i, k := range keys {
-		tab.Set(k, int64(i))
+	tab.Delete(5, 2)
+	if fmt.Sprint(tab.Runs()) != fmt.Sprint([]Run{{0, 100, 5}, {7, 107, 5}}) || tab.Len() != 10 {
+		t.Fatalf("runs %v (Len %d) after splitting delete", tab.Runs(), tab.Len())
 	}
-	if tab.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", tab.Len(), len(keys))
-	}
-	for i, k := range keys {
-		if v, ok := tab.Get(k); !ok || v != int64(i) {
-			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, i)
-		}
-	}
-	if _, ok := tab.Get(8 * chunkSize); ok {
-		t.Fatal("Get past the directory hit")
-	}
-	var got []int64
-	tab.Range(func(k, _ int64) { got = append(got, k) })
-	if fmt.Sprint(got) != fmt.Sprint([]int64{3, 5, chunkSize, 7 * chunkSize}) {
-		t.Fatalf("Range keys %v, want ascending", got)
+	if r, ok := tab.Next(5); !ok || r != (Run{7, 107, 5}) {
+		t.Fatalf("Next(5) = %v, %v", r, ok)
 	}
 }

@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -22,13 +22,15 @@ type Sample struct {
 // NewSample returns an empty sample.
 func NewSample() *Sample { return &Sample{} }
 
+// NewSampleCap returns an empty sample with room for n observations, so a
+// caller that knows its count adds them without regrowing the sample.
+func NewSampleCap(n int) *Sample {
+	return &Sample{values: make([]time.Duration, 0, max(n, 0))}
+}
+
 // FromDurations builds a sample from an existing slice (copied).
 func FromDurations(ds []time.Duration) *Sample {
-	s := NewSample()
-	for _, d := range ds {
-		s.Add(d)
-	}
-	return s
+	return &Sample{values: append([]time.Duration(nil), ds...)}
 }
 
 // Add appends an observation.
@@ -51,7 +53,7 @@ func (s *Sample) Sort() { s.ensureSorted() }
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
-		sort.Slice(s.values, func(i, j int) bool { return s.values[i] < s.values[j] })
+		slices.Sort(s.values)
 		s.sorted = true
 	}
 }

@@ -684,7 +684,7 @@ func (r *Recorder) ByStage() map[Stage]*stats.Sample {
 	ids := r.Traces()
 	out := make(map[Stage]*stats.Sample, len(perCtr))
 	for st, m := range perCtr {
-		s := stats.NewSample()
+		s := stats.NewSampleCap(len(ids))
 		for _, id := range ids {
 			s.Add(m[int32(id)]) // containers without the stage contribute 0
 		}
