@@ -784,29 +784,3 @@ func RunBaseline(name string, n int) (*Result, error) {
 	}
 	return res, nil
 }
-
-// SeedSweep runs the named baseline at concurrency n once per seed and
-// returns the per-seed mean startup times. Because each run is
-// deterministic given its seed, the spread across seeds quantifies the
-// sensitivity of a result to arrival jitter — the simulator's analog of
-// run-to-run variance on real hardware.
-func SeedSweep(name string, n int, seeds []uint64) (*stats.Sample, error) {
-	opts, err := OptionsFor(name)
-	if err != nil {
-		return nil, err
-	}
-	out := stats.NewSampleCap(len(seeds))
-	for _, seed := range seeds {
-		opts.Seed = seed
-		h, err := NewHost(DefaultHostSpec(), opts)
-		if err != nil {
-			return nil, err
-		}
-		res := h.StartupExperiment(n)
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		out.Add(res.Totals.Mean())
-	}
-	return out, nil
-}

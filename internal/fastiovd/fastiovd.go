@@ -201,11 +201,10 @@ func (m *Module) RegisterInstant(p *sim.Proc, pid int, region *hostmem.Region) {
 // OnEPTFault is the KVM fault hook (kvm.FaultHook): if the faulting page is
 // tracked for pid, zero it now and drop it from the table. If another
 // thread (the scrubber) is already zeroing the page, wait for it to finish
-// before letting KVM install the EPT entry.
+// before letting KVM install the EPT entry; if that thread died mid-zero,
+// the page is tracked again, and the fault zeroes it itself.
 func (m *Module) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
-	if s := m.tables[pid]; s != nil && s.has(hpaPage) {
-		m.claimAndZero(p, pid, s, hpaPage)
-		m.LazyZeroed++
+	if m.zeroTracked(p, pid, hpaPage) {
 		return
 	}
 	if c := m.current(hpaPage); c != nil {
@@ -213,7 +212,19 @@ func (m *Module) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
 			c.ev = sim.NewEvent(m.k, "fastiovd-zero")
 		}
 		c.ev.Await(p)
+		m.zeroTracked(p, pid, hpaPage)
 	}
+}
+
+// zeroTracked zeroes the page on the fault path if it is tracked for pid.
+func (m *Module) zeroTracked(p *sim.Proc, pid int, hpaPage int64) bool {
+	s := m.tables[pid]
+	if s == nil || !s.has(hpaPage) {
+		return false
+	}
+	m.claimAndZero(p, pid, s, hpaPage)
+	m.LazyZeroed++
+	return true
 }
 
 // FaultPending reports whether OnEPTFault has work for the page: it is
@@ -246,7 +257,7 @@ func (m *Module) claimAndZero(p *sim.Proc, pid int, s *pageSet, hpaPage int64) {
 		if completed {
 			m.complete(p, id)
 		} else {
-			m.rollback(id)
+			m.rollback(p, id)
 		}
 	}()
 	m.audit(hpaPage)
@@ -277,12 +288,17 @@ func (m *Module) complete(p *sim.Proc, id uint64) {
 	}
 }
 
-// rollback ends claim id whose zeroer was unwound mid-zero (a scrubber
+// rollback ends claim id whose zeroer p was unwound mid-zero (a scrubber
 // reaped at the end of a Run phase, a killed proc): the page is tracked
-// again — unless its owner was torn down in the meantime.
-func (m *Module) rollback(id uint64) {
-	if c := m.finish(id); !c.released {
+// again — unless its owner was torn down in the meantime — and the faults
+// waiting for the claim wake to zero it themselves.
+func (m *Module) rollback(p *sim.Proc, id uint64) {
+	c := m.finish(id)
+	if !c.released {
 		m.track(c.pid, c.page, 1)
+	}
+	if c.ev != nil {
+		c.ev.Fire(p)
 	}
 }
 
@@ -524,7 +540,7 @@ func (s *scrubber) unwind() {
 		s.m.mem.Bandwidth().Release(s.p, 1)
 	}
 	if s.id != 0 {
-		s.m.rollback(s.id)
+		s.m.rollback(s.p, s.id)
 	}
 }
 

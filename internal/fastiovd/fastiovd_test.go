@@ -244,6 +244,46 @@ func TestScrubberAndFaultPathCompose(t *testing.T) {
 	}
 }
 
+// TestDaemonCrashWakesClaimWaiter: a guest fault waiting for the
+// scrubber's claim on its page must not wait forever when the daemon dies
+// mid-zero. The rolled-back claim wakes the fault, which zeroes the page
+// before the guest reads it.
+func TestDaemonCrashWakesClaimWaiter(t *testing.T) {
+	r := newRig()
+	r.mod.StartScrubber(time.Millisecond, 1)
+	var vm *kvm.VM
+	r.k.Go("register", func(p *sim.Proc) {
+		region, _ := r.mem.Allocate(p, 4*mb)
+		vm = r.h.CreateVM()
+		vm.AddSlot("ram", 0, 4*mb, region)
+		r.mod.Register(p, vm.PID, region)
+	})
+	touched := false
+	// The scrubber wakes at 1 ms and holds membw for page 0 about 195us.
+	r.k.Go("vcpu", func(p *sim.Proc) {
+		p.Sleep(1050 * time.Microsecond)
+		if err := vm.Touch(p, 0, false); err != nil {
+			t.Error(err)
+		}
+		touched = true
+	})
+	r.k.Go("crash", func(p *sim.Proc) {
+		p.Sleep(1100 * time.Microsecond)
+		r.mod.CrashDaemon(p)
+	})
+	r.k.RunFor(50 * time.Millisecond)
+	if !touched {
+		t.Fatal("the fault still waits for a claim its dead zeroer rolled back")
+	}
+	if r.mod.LazyZeroed != 1 || r.mod.ScrubberRestarts != 1 {
+		t.Errorf("lazy-zeroed %d, restarts %d; want the fault to zero the page after one crash",
+			r.mod.LazyZeroed, r.mod.ScrubberRestarts)
+	}
+	if r.mem.Violations != 0 {
+		t.Errorf("%d reads of residual data", r.mem.Violations)
+	}
+}
+
 func TestReleaseDropsTable(t *testing.T) {
 	r := newRig()
 	r.k.Go("t", func(p *sim.Proc) {

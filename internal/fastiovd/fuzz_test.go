@@ -342,6 +342,16 @@ var opsScripts = map[string][]byte{
 		0x67, 0, 0, 0, // daemon crash at 300us
 		0x0d, 0, 0, 0,
 	},
+	// The scrubber claims page 0 at 100us and holds membw for it; a fault
+	// on that page at 150us waits for the claim, and CrashDaemon at 200us
+	// kills the scrubber mid-hold: the rollback wakes the fault, which
+	// zeroes the page itself.
+	"crash-scrubber-with-waiter": {0,
+		0x00, 0, 0, 0, // register pid 1, region 0
+		0x33, 0, 0, 0, // fault pid 1 on page 0 at 150us: waits
+		0x47, 0, 0, 0, // daemon crash at 200us
+		0x0d, 0, 0, 0,
+	},
 	// Three pages per pass: the scrubber zeroes one page from 100us, then
 	// faults at 250us leave membw full when it moves to the next, so it
 	// waits in Acquire mid-pass when CrashDaemon strikes at 350us.

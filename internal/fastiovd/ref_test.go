@@ -148,6 +148,11 @@ func (m *refModule) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
 	}
 	if ev, busy := m.inflight[hpaPage]; busy {
 		ev.Await(p)
+		// A claim unwound mid-zero tracks the page again: zero it here.
+		if _, ok := m.tables[pid][hpaPage]; ok {
+			m.claimAndZero(p, pid, hpaPage)
+			m.LazyZeroed++
+		}
 	}
 }
 
@@ -167,23 +172,20 @@ func (m *refModule) claimAndZero(p *sim.Proc, pid int, hpaPage int64) {
 	completed := false
 	defer func() {
 		delete(m.inflight, hpaPage)
-		if completed {
-			ev.Fire(p)
-			return
-		}
 		// Unwound mid-zero: restore the claim — unless the owner was torn
 		// down in the meantime. A released pid's pages are back in the
 		// allocator; re-tracking them would strand a table entry forever.
-		if m.released[pid] {
-			return
+		if !completed && !m.released[pid] {
+			tt := m.tables[pid]
+			if tt == nil {
+				tt = make(map[int64]refPageInfo)
+				m.tables[pid] = tt
+			}
+			tt[hpaPage] = refPageInfo{registered: p.Now()}
+			m.scrubQueue = append(m.scrubQueue, refScrubEntry{pid: pid, page: hpaPage})
 		}
-		tt := m.tables[pid]
-		if tt == nil {
-			tt = make(map[int64]refPageInfo)
-			m.tables[pid] = tt
-		}
-		tt[hpaPage] = refPageInfo{registered: p.Now()}
-		m.scrubQueue = append(m.scrubQueue, refScrubEntry{pid: pid, page: hpaPage})
+		// Waiters wake either way; after an unwind they zero the page.
+		ev.Fire(p)
 	}()
 	m.zero(p, hpaPage)
 	completed = true

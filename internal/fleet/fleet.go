@@ -683,26 +683,29 @@ func (f *Fleet) stop(p *sim.Proc, host int, sb *cri.Sandbox) {
 }
 
 // Run places Cfg.Requests container starts across the fleet and runs the
-// shared kernel to quiescence. Each request is one proc: at its arrival
-// instant it dispatches through the scheduler (or counts a rejection when
-// no host is in capacity), then Finish seals observers and audits.
+// shared kernel to quiescence, then Finish seals observers and audits.
 func (f *Fleet) Run() *Result {
 	// Finish's audit teardown runs on the run's idle coroutines.
 	defer f.K.Hold()()
-	cfg := f.Cfg
-	arrivals := make([]time.Duration, cfg.Requests)
+	f.arrive()
+	f.K.Run()
+	return f.Finish()
+}
+
+// arrive spawns one proc per request: at its arrival instant it dispatches
+// through the scheduler (or counts a rejection when no host is in
+// capacity).
+func (f *Fleet) arrive() {
+	arrivals := make([]time.Duration, f.Cfg.Requests)
 	f.rng.Durations(arrivals, DefaultJitter)
-	for i := 0; i < cfg.Requests; i++ {
+	for i := range arrivals {
 		id := i
-		at := f.K.Now() + arrivals[i]
-		f.K.GoAtName(at, sim.DecimalName("ctr-", id), func(p *sim.Proc) {
+		f.K.GoAtName(f.K.Now()+arrivals[i], sim.DecimalName("ctr-", id), func(p *sim.Proc) {
 			if host, _, _, _ := f.Dispatch(p, id); host < 0 {
 				f.rejected++
 			}
 		})
 	}
-	f.K.Run()
-	return f.Finish()
 }
 
 // Finish seals the run after the kernel has quiesced: it seals the sampled
