@@ -15,10 +15,10 @@ import (
 
 	"fastiov/internal/audit"
 	"fastiov/internal/cni"
+	"fastiov/internal/cost"
 	"fastiov/internal/cri"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/fault"
-	"fastiov/internal/guest"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/hypervisor"
 	"fastiov/internal/iommu"
@@ -120,6 +120,10 @@ type Options struct {
 
 	// Layout is the per-container guest memory geometry.
 	Layout hypervisor.Layout
+
+	// Costs is the host's calibration; every substrate charges it through
+	// a pointer to the host's copy.
+	Costs cost.Model
 
 	// Seed drives start-time jitter.
 	Seed uint64
@@ -254,6 +258,7 @@ func OptionsFor(name string) (Options, error) {
 		Name:    name,
 		Network: NetSRIOV,
 		Layout:  hypervisor.DefaultLayout(),
+		Costs:   cost.Default(),
 		Seed:    1,
 	}
 	all := func() {
@@ -365,11 +370,12 @@ func (h *Host) AuditSnapshot() audit.Snapshot { return audit.Capture(h.auditSyst
 // pushes the pool re-zeroing off the readiness path onto the background
 // scrubber — a near-flat curve in the VF count.
 func (h *Host) RecoveryCost(lostTracked int) time.Duration {
+	c := h.Mem.Costs()
 	if h.Opts.LazyZeroing {
-		reload := vfio.DefaultCosts().DeviceReset // module reload + one sanity FLR
-		return reload + time.Duration(lostTracked)*h.Lazy.RegisterCostPerPage
+		reload := c.DeviceReset // module reload + one sanity FLR
+		return reload + time.Duration(lostTracked)*c.RegisterCostPerPage
 	}
-	return time.Duration(h.Spec.NumVFs) * vfio.DefaultCosts().DeviceReset
+	return time.Duration(h.Spec.NumVFs) * c.DeviceReset
 }
 
 // NewHost boots a machine: creates the hardware, pre-creates the VFs, and
@@ -393,6 +399,9 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.Costs.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.Scope != "" {
 		// Scope the NIC too: its link resource (and the VF names derived
 		// from the card name) must be host-unique under a shared kernel
@@ -403,7 +412,6 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		K:          k,
 		Spec:       spec,
 		Opts:       opts,
-		Mem:        hostmem.NewScoped(k, spec.Memory, opts.Scope),
 		Topo:       pci.NewTopology(),
 		CPU:        sim.NewResource(opts.Scope+"cpu", spec.Cores),
 		Rec:        telemetry.NewRecorder(),
@@ -411,6 +419,10 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		CgroupLock: sim.NewMutex(opts.Scope + "cgroup"),
 		IrqLock:    sim.NewMutex(opts.Scope + "irq-routing"),
 	}
+	// The host's one cost model is the allocator's copy: every other
+	// substrate charges through c.
+	h.Mem = hostmem.NewScoped(k, spec.Memory, opts.Costs, opts.Scope)
+	c := h.Mem.Costs()
 	// The tracer attaches before any simulated work (including boot-time
 	// VF binding) so the stream covers the full execution.
 	if opts.Trace {
@@ -423,27 +435,27 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	pol := fault.DefaultPolicy()
 	h.Mem.Faults = h.Faults
 
-	h.MMU = iommu.New(k, h.Mem.PageSize())
+	h.MMU = iommu.New(k, h.Mem.PageSize(), c)
 	h.MMU.Faults = h.Faults
-	h.NIC = nic.New(k, h.Topo, spec.NIC)
-	if err := h.NIC.CreateVFs(nil, spec.NumVFs, h.Topo); err != nil {
+	h.NIC = nic.New(k, h.Topo, spec.NIC, c)
+	if err := h.NIC.CreateVFs(spec.NumVFs, h.Topo); err != nil {
 		return nil, err
 	}
 	mode := vfio.LockGlobal
 	if opts.LockDecomposition {
 		mode = vfio.LockParentChild
 	}
-	h.VFIO = vfio.New(k, h.Topo, h.Mem, h.MMU, mode, vfio.DefaultCosts())
+	h.VFIO = vfio.New(k, h.Topo, h.Mem, h.MMU, mode, c)
 	h.VFIO.Scope = opts.Scope
 	h.VFIO.Faults = h.Faults
 	h.VFIO.Retry = pol
-	h.KVM = kvm.New(k, h.Mem)
+	h.KVM = kvm.New(k, h.Mem, c)
 	if opts.LazyZeroing {
-		h.Lazy = fastiovd.New(k, h.Mem)
+		h.Lazy = fastiovd.New(k, h.Mem, c)
 		h.Lazy.Faults = h.Faults
 		h.KVM.Hook = h.Lazy
 		if !opts.DisableScrubber {
-			h.Lazy.StartScrubber(2*time.Millisecond, 8)
+			h.Lazy.StartScrubber(c.ScrubInterval, c.ScrubPagesPerPass)
 		}
 	}
 	if opts.PreZeroFraction > 0 {
@@ -463,7 +475,7 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		}
 	}
 
-	h.Env = hypervisor.NewEnv(k, rng, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
+	h.Env = hypervisor.NewEnv(k, rng, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU, c)
 	h.Env.Faults = h.Faults
 	h.Env.Retry = pol
 
@@ -478,30 +490,22 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		} else if opts.LockDecomposition && opts.LazyZeroing {
 			name = "fastiov"
 		}
-		sriov := cni.NewSRIOV(name, h.NIC, h.VFIO, h.RTNL, cni.DefaultCosts(), opts.RebindFlaw)
+		sriov := cni.NewSRIOV(name, h.NIC, h.VFIO, h.RTNL, c, opts.RebindFlaw)
 		sriov.Faults = h.Faults
 		plugin = sriov
 	case NetIPvtap:
-		ipvtap := cni.NewIPvtap(h.RTNL, h.CgroupLock, cni.DefaultCosts())
+		ipvtap := cni.NewIPvtap(h.RTNL, h.CgroupLock, c)
 		ipvtap.Faults = h.Faults
 		plugin = ipvtap
 	default:
 		return nil, fmt.Errorf("cluster: unknown network mode %d", opts.Network)
 	}
 
-	gcosts := guest.DefaultCosts()
-	if opts.VDPA {
-		// The guest uses the standard virtio-net driver instead of the
-		// vendor VF driver: a lighter probe, no vendor-specific setup.
-		gcosts.DriverProbe = 4 * time.Millisecond
-		gcosts.PCIEnum = 2 * time.Millisecond
-	}
-	h.Eng = cri.NewEngine(h.Env, plugin, h.Rec, h.CgroupLock, h.IrqLock, cri.DefaultCosts(), cri.Options{
+	h.Eng = cri.NewEngine(h.Env, plugin, h.Rec, h.CgroupLock, h.IrqLock, cri.Options{
 		AsyncVFInit:  opts.AsyncVFInit,
 		SkipImageMap: opts.SkipImageMap,
 		VDPA:         opts.VDPA,
 		Layout:       opts.Layout,
-		GuestCosts:   gcosts,
 		Faults:       h.Faults,
 		Retry:        pol,
 	})

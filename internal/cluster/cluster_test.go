@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
@@ -240,6 +242,52 @@ func TestInvalidHostSpecRejected(t *testing.T) {
 				t.Error("RestoreSnapshot accepted the spec")
 			}
 		})
+	}
+}
+
+// TestInvalidCostModelRejected pins that a cost model with a rate, chunk or
+// batch that is not positive is an error naming the field, from both boot
+// entry points, where a substrate would otherwise divide by it or loop on
+// it. Zero durations stay legal: a zero poll interval turns polling off.
+func TestInvalidCostModelRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*cost.Model)
+	}{
+		{"ZeroBytesPerSec", func(c *cost.Model) { c.ZeroBytesPerSec = 0 }},
+		{"ScrubPagesPerPass", func(c *cost.Model) { c.ScrubPagesPerPass = 0 }},
+		{"LinkBps", func(c *cost.Model) { c.LinkBps = 0 }},
+		{"VirtioBytesPerSec", func(c *cost.Model) { c.VirtioBytesPerSec = 0 }},
+		{"VirtioChunk", func(c *cost.Model) { c.VirtioChunk = 0 }},
+		{"ImageCopyBytesPerSec", func(c *cost.Model) { c.ImageCopyBytesPerSec = 0 }},
+		{"CoalesceBatch", func(c *cost.Model) { c.CoalesceBatch = 0 }},
+		{"VhostCopyBytesPerSec", func(c *cost.Model) { c.VhostCopyBytesPerSec = -1 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			opts, err := OptionsFor(BaselineFastIOV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&opts.Costs)
+			if _, err := NewHost(DefaultHostSpec(), opts); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("NewHost: err = %v, want one naming %s", err, tc.field)
+			}
+			if _, err := RestoreSnapshot(&Snapshot{Spec: DefaultHostSpec(), Opts: opts}); err == nil {
+				t.Error("RestoreSnapshot accepted the model")
+			}
+		})
+	}
+	opts, err := OptionsFor(BaselineVanilla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Costs.AgentPollInterval = 0
+	h, err := NewHost(DefaultHostSpec(), opts)
+	if err != nil {
+		t.Fatalf("a zero poll interval was rejected: %v", err)
+	}
+	if res := h.StartupExperiment(4); res.Err != nil {
+		t.Fatal(res.Err)
 	}
 }
 

@@ -31,7 +31,7 @@ func meteredHost(t *testing.T, spec HostSpec, baseline string, mutate func(*Opti
 // on baselines that map the image region — exactly, not up to sampling
 // error.
 //
-// The spec pins ZeroBytesPerSec to PageSize*1000, so one page costs
+// The cost model pins ZeroBytesPerSec to PageSize*1000, so one page costs
 // exactly 1 ms of one stream and batched runs of n pages cost exactly
 // n ms, with no integer truncation anywhere. Image population charges one
 // stream for ImageBytes/ImageCopyBytesPerSec per container (the same
@@ -42,7 +42,7 @@ func meteredHost(t *testing.T, spec HostSpec, baseline string, mutate func(*Opti
 // split a page between the integral and the counter.
 func TestMembwConservation(t *testing.T) {
 	spec := DefaultHostSpec()
-	spec.Memory.ZeroBytesPerSec = spec.Memory.PageSize * 1000 // exactly 1ms per page
+	msPerPage := func(o *Options) { o.Costs.ZeroBytesPerSec = spec.Memory.PageSize * 1000 } // exactly 1ms per page
 	const n = 20
 	for _, tc := range []struct {
 		name     string
@@ -53,8 +53,8 @@ func TestMembwConservation(t *testing.T) {
 		imageCopies int
 		mutate      func(*Options)
 	}{
-		{"vanilla", BaselineVanilla, n, nil},
-		{"fastiov-noscrub", BaselineFastIOV, 0, func(o *Options) { o.DisableScrubber = true }},
+		{"vanilla", BaselineVanilla, n, msPerPage},
+		{"fastiov-noscrub", BaselineFastIOV, 0, func(o *Options) { msPerPage(o); o.DisableScrubber = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := meteredHost(t, spec, tc.baseline, tc.mutate)

@@ -7,8 +7,8 @@ package cni
 import (
 	"fmt"
 	"strconv"
-	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/nic"
 	"fastiov/internal/sim"
@@ -66,44 +66,6 @@ type Plugin interface {
 	Del(p *sim.Proc, sandboxID int, res *Result) error
 }
 
-// Costs shared by the plugins.
-type Costs struct {
-	// VFParamSetup is the PF-driver call configuring VF parameters
-	// (MAC, VLAN, spoof check).
-	VFParamSetup time.Duration
-	// MoveToNNS is moving an interface into the sandbox namespace.
-	MoveToNNS time.Duration
-	// RTNLHoldDummy is the rtnl-lock hold to create a dummy interface.
-	RTNLHoldDummy time.Duration
-	// RTNLHoldIpvtap is the rtnl-lock hold to create and configure an
-	// ipvtap device — the kernel-network-call serialization behind the
-	// software CNI's addCNI bottleneck (§6.4).
-	RTNLHoldIpvtap time.Duration
-	// IpvtapCgroupHold is the extra cgroup-lock work software CNIs do for
-	// per-device resource isolation (§6.4's second deficiency).
-	IpvtapCgroupHold time.Duration
-	// IPConfig is address/route configuration on the interface.
-	IPConfig time.Duration
-	// AddTimeout is the plugin's own device-wait budget: an injected
-	// add-device fault consumes this much time before the Add call returns
-	// its timeout error (real CNIs block on netlink/device readiness until
-	// their deadline fires).
-	AddTimeout time.Duration
-}
-
-// DefaultCosts mirrors the calibration in DESIGN.md.
-func DefaultCosts() Costs {
-	return Costs{
-		VFParamSetup:     2 * time.Millisecond,
-		MoveToNNS:        1 * time.Millisecond,
-		RTNLHoldDummy:    1 * time.Millisecond,
-		RTNLHoldIpvtap:   18 * time.Millisecond,
-		IpvtapCgroupHold: 12 * time.Millisecond,
-		IPConfig:         2 * time.Millisecond,
-		AddTimeout:       20 * time.Millisecond,
-	}
-}
-
 // SRIOV is the SR-IOV CNI plugin family.
 //
 // Rebind=true reproduces the upstream plugin's flaw: every Add binds the VF
@@ -118,7 +80,7 @@ type SRIOV struct {
 	card   *nic.NIC
 	vfio   *vfio.Driver
 	rtnl   *sim.Mutex
-	costs  Costs
+	costs  *cost.Model
 	Rebind bool
 
 	// Faults, when non-nil, can time out Add calls (before any VF is
@@ -127,8 +89,8 @@ type SRIOV struct {
 }
 
 // NewSRIOV builds an SR-IOV plugin. rtnl is the host's global rtnl lock.
-func NewSRIOV(name string, card *nic.NIC, drv *vfio.Driver, rtnl *sim.Mutex, costs Costs, rebind bool) *SRIOV {
-	return &SRIOV{name: name, card: card, vfio: drv, rtnl: rtnl, costs: costs, Rebind: rebind}
+func NewSRIOV(name string, card *nic.NIC, drv *vfio.Driver, rtnl *sim.Mutex, c *cost.Model, rebind bool) *SRIOV {
+	return &SRIOV{name: name, card: card, vfio: drv, rtnl: rtnl, costs: c, Rebind: rebind}
 }
 
 // Name implements Plugin.
@@ -192,15 +154,15 @@ func (s *SRIOV) Del(p *sim.Proc, sandboxID int, res *Result) error {
 type IPvtap struct {
 	rtnl       *sim.Mutex
 	cgroupLock *sim.Mutex
-	costs      Costs
+	costs      *cost.Model
 
 	// Faults mirrors SRIOV.Faults for the software-CNI path.
 	Faults *fault.Injector
 }
 
 // NewIPvtap builds the plugin; rtnl and cgroupLock are host-global.
-func NewIPvtap(rtnl, cgroupLock *sim.Mutex, costs Costs) *IPvtap {
-	return &IPvtap{rtnl: rtnl, cgroupLock: cgroupLock, costs: costs}
+func NewIPvtap(rtnl, cgroupLock *sim.Mutex, c *cost.Model) *IPvtap {
+	return &IPvtap{rtnl: rtnl, cgroupLock: cgroupLock, costs: c}
 }
 
 // Name implements Plugin.

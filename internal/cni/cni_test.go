@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/nic"
@@ -19,6 +20,8 @@ type rig struct {
 	drv  *vfio.Driver
 	rtnl *sim.Mutex
 	cg   *sim.Mutex
+
+	costs *cost.Model
 }
 
 // newRig builds a host with nVFs VFs; preBind binds them to vfio-pci at
@@ -26,15 +29,16 @@ type rig struct {
 func newRig(t *testing.T, nVFs int, preBind bool) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 1 << 30
-	mem := hostmem.New(k, memCfg)
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, nVFs, topo); err != nil {
+	mem := hostmem.New(k, memCfg, c)
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(nVFs, topo); err != nil {
 		t.Fatal(err)
 	}
-	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), vfio.LockGlobal, vfio.DefaultCosts())
+	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), vfio.LockGlobal, &c)
 	if preBind {
 		for _, vf := range card.VFs() {
 			vf.Dev.BindBoot("vfio-pci")
@@ -43,12 +47,12 @@ func newRig(t *testing.T, nVFs int, preBind bool) *rig {
 			}
 		}
 	}
-	return &rig{k: k, card: card, drv: drv, rtnl: sim.NewMutex("rtnl"), cg: sim.NewMutex("cgroup")}
+	return &rig{k: k, card: card, drv: drv, rtnl: sim.NewMutex("rtnl"), cg: sim.NewMutex("cgroup"), costs: &c}
 }
 
 func TestFixedSRIOVReturnsVFIODevice(t *testing.T) {
 	r := newRig(t, 2, true)
-	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, DefaultCosts(), false)
+	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, r.costs, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		res, err := plugin.Add(p, 0, nil)
 		if err != nil {
@@ -75,7 +79,7 @@ func TestFixedSRIOVReturnsVFIODevice(t *testing.T) {
 
 func TestRebindSRIOVBindsHostDriver(t *testing.T) {
 	r := newRig(t, 1, false)
-	plugin := NewSRIOV("sriov-rebind", r.card, r.drv, r.rtnl, DefaultCosts(), true)
+	plugin := NewSRIOV("sriov-rebind", r.card, r.drv, r.rtnl, r.costs, true)
 	r.k.Go("t", func(p *sim.Proc) {
 		res, err := plugin.Add(p, 0, nil)
 		if err != nil {
@@ -100,7 +104,7 @@ func TestRebindSRIOVBindsHostDriver(t *testing.T) {
 func TestFixedFasterThanRebind(t *testing.T) {
 	measure := func(rebind bool) sim.Duration {
 		r := newRig(t, 1, !rebind)
-		plugin := NewSRIOV("x", r.card, r.drv, r.rtnl, DefaultCosts(), rebind)
+		plugin := NewSRIOV("x", r.card, r.drv, r.rtnl, r.costs, rebind)
 		var elapsed sim.Duration
 		r.k.Go("t", func(p *sim.Proc) {
 			start := p.Now()
@@ -119,7 +123,7 @@ func TestFixedFasterThanRebind(t *testing.T) {
 
 func TestVFExhaustion(t *testing.T) {
 	r := newRig(t, 1, true)
-	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, DefaultCosts(), false)
+	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, r.costs, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		if _, err := plugin.Add(p, 0, nil); err != nil {
 			t.Fatal(err)
@@ -133,7 +137,7 @@ func TestVFExhaustion(t *testing.T) {
 
 func TestFixedCNIRequiresRegistration(t *testing.T) {
 	r := newRig(t, 1, false) // VFs not pre-bound
-	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, DefaultCosts(), false)
+	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, r.costs, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		if _, err := plugin.Add(p, 0, nil); err == nil {
 			t.Error("fixed CNI on unregistered VF should fail")
@@ -148,7 +152,7 @@ func TestFixedCNIRequiresRegistration(t *testing.T) {
 
 func TestIPvtapRecordsStages(t *testing.T) {
 	r := newRig(t, 1, false)
-	plugin := NewIPvtap(r.rtnl, r.cg, DefaultCosts())
+	plugin := NewIPvtap(r.rtnl, r.cg, r.costs)
 	var stages []telemetry.Stage
 	rec := func(st telemetry.Stage, s, e time.Duration) { stages = append(stages, st) }
 	r.k.Go("t", func(p *sim.Proc) {
@@ -174,7 +178,7 @@ func TestIPvtapRecordsStages(t *testing.T) {
 
 func TestIPvtapContendsOnRTNL(t *testing.T) {
 	r := newRig(t, 1, false)
-	plugin := NewIPvtap(r.rtnl, r.cg, DefaultCosts())
+	plugin := NewIPvtap(r.rtnl, r.cg, r.costs)
 	n := 8
 	for i := 0; i < n; i++ {
 		i := i
@@ -185,7 +189,7 @@ func TestIPvtapContendsOnRTNL(t *testing.T) {
 		})
 	}
 	end := r.k.Run()
-	costs := DefaultCosts()
+	costs := cost.Default()
 	// The rtnl and cgroup phases pipeline across containers, but within
 	// each lock the adds serialize: makespan >= n * rtnl hold.
 	minSerial := time.Duration(n) * costs.RTNLHoldIpvtap
@@ -214,7 +218,7 @@ func TestNoNetworkPlugin(t *testing.T) {
 
 func TestSRIOVDelWithoutVFFails(t *testing.T) {
 	r := newRig(t, 1, true)
-	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, DefaultCosts(), false)
+	plugin := NewSRIOV("sriov", r.card, r.drv, r.rtnl, r.costs, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		if err := plugin.Del(p, 0, &Result{}); err == nil {
 			t.Error("del without VF should fail")

@@ -18,25 +18,6 @@ import (
 	"fastiov/internal/telemetry"
 )
 
-// Costs is the engine-side cost model.
-type Costs struct {
-	// NNSCreate is network-namespace creation.
-	NNSCreate time.Duration
-	// CgroupHold is the hold time on the host-global cgroup lock.
-	CgroupHold time.Duration
-	// CgroupWork is the CPU time of cgroup hierarchy setup.
-	CgroupWork time.Duration
-}
-
-// DefaultCosts mirrors the calibration in DESIGN.md.
-func DefaultCosts() Costs {
-	return Costs{
-		NNSCreate:  2 * time.Millisecond,
-		CgroupHold: 4500 * time.Microsecond,
-		CgroupWork: 5 * time.Millisecond,
-	}
-}
-
 // Options selects the networking mode and the FastIOV optimization
 // switches (the ablation axes of §6.2).
 type Options struct {
@@ -53,12 +34,8 @@ type Options struct {
 	// the zeroing question) is unchanged: vhost-vdpa pins and maps guest
 	// memory just like VFIO.
 	VDPA bool
-	// VDPADeviceAdd is the `vdpa dev add` + char-device setup cost.
-	VDPADeviceAdd time.Duration
 	// Layout is the guest memory geometry.
 	Layout hypervisor.Layout
-	// GuestCosts parameterizes the guest-side model.
-	GuestCosts guest.Costs
 	// Faults and Retry enable fault-aware startup: a timed-out CNI add is
 	// re-invoked under the Retry policy, with backoff waits recorded as
 	// retry telemetry spans. Inert at their zero values.
@@ -77,21 +54,21 @@ type Engine struct {
 	env    *hypervisor.Env
 	plugin cni.Plugin
 	rec    *telemetry.Recorder
-	costs  Costs
 	opts   Options
 
 	cgroupLock *sim.Mutex
 	irqLock    *sim.Mutex
 }
 
-// NewEngine wires an engine. cgroupLock and irqLock are host-global and
-// shared with any other components that contend on them (e.g. the IPvtap
-// plugin shares cgroupLock).
-func NewEngine(env *hypervisor.Env, plugin cni.Plugin, rec *telemetry.Recorder, cgroupLock, irqLock *sim.Mutex, costs Costs, opts Options) *Engine {
+// NewEngine wires an engine; it charges the costs of env.Costs.
+// cgroupLock and irqLock are host-global and shared with any other
+// components that contend on them (e.g. the IPvtap plugin shares
+// cgroupLock).
+func NewEngine(env *hypervisor.Env, plugin cni.Plugin, rec *telemetry.Recorder, cgroupLock, irqLock *sim.Mutex, opts Options) *Engine {
 	return &Engine{
 		env: env, plugin: plugin, rec: rec,
 		cgroupLock: cgroupLock, irqLock: irqLock,
-		costs: costs, opts: opts,
+		opts: opts,
 	}
 }
 
@@ -225,12 +202,12 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 	}
 
 	// Containerd: isolated network namespace, then cgroups.
-	p.Sleep(e.costs.NNSCreate)
+	p.Sleep(e.env.Costs.NNSCreate)
 	start := p.Now()
 	e.cgroupLock.Lock(p)
-	p.Sleep(e.costs.CgroupHold)
+	p.Sleep(e.env.Costs.CgroupHold)
 	e.cgroupLock.Unlock(p)
-	e.env.CPU.Use(p, 1, e.costs.CgroupWork)
+	e.env.CPU.Use(p, 1, e.env.Costs.CgroupWork)
 	e.rec.Record(id, telemetry.StageCgroup, start, p.Now())
 
 	// CNI plugin: t_config. A timed-out add (injected fault) is retried
@@ -334,7 +311,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 			// registration — the devset lock is never taken. Recorded
 			// under 4-vfio-dev so the ablation tables stay comparable.
 			start := p.Now()
-			mvm.RegisterVDPA(p, e.opts.VDPADeviceAdd)
+			mvm.RegisterVDPA(p)
 			e.rec.Record(id, telemetry.StageVFIODev, start, p.Now())
 		} else {
 			if err := mvm.OpenDevice(p); err != nil {
@@ -363,7 +340,7 @@ func (e *Engine) RunPodSandbox(p *sim.Proc, id int) (*Sandbox, error) {
 		return fail(err)
 	}
 
-	g := sb.guest.Init(mvm, vf, e.irqLock, e.opts.GuestCosts)
+	g := sb.guest.Init(mvm, vf, e.irqLock)
 	sb.Guest = g
 	if err := g.Boot(p); err != nil {
 		return fail(fmt.Errorf("sandbox %d: boot: %w", id, err))

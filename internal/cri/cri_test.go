@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"fastiov/internal/cni"
+	"fastiov/internal/cost"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/fault"
-	"fastiov/internal/guest"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/hypervisor"
 	"fastiov/internal/iommu"
@@ -42,23 +42,24 @@ type rigConfig struct {
 func newRig(t *testing.T, cfg rigConfig) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 8 << 30
-	mem := hostmem.New(k, memCfg)
+	mem := hostmem.New(k, memCfg, c)
 	topo := pci.NewTopology()
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, 8, topo); err != nil {
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(8, topo); err != nil {
 		t.Fatal(err)
 	}
 	mode := vfio.LockGlobal
 	if cfg.lazy {
 		mode = vfio.LockParentChild
 	}
-	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), mode, vfio.DefaultCosts())
-	kv := kvm.New(k, mem)
+	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), mode, &c)
+	kv := kvm.New(k, mem, &c)
 	var mod *fastiovd.Module
 	if cfg.lazy {
-		mod = fastiovd.New(k, mem)
+		mod = fastiovd.New(k, mem, &c)
 		kv.Hook = mod
 	}
 	if !cfg.rebind && !cfg.noNet {
@@ -69,7 +70,7 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 			}
 		}
 	}
-	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 16))
+	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 16), &c)
 	rtnl := sim.NewMutex("rtnl")
 	cg := sim.NewMutex("cgroup")
 	irq := sim.NewMutex("irq")
@@ -77,15 +78,14 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 	if cfg.noNet {
 		plugin = cni.NoNetwork{}
 	} else {
-		plugin = cni.NewSRIOV("sriov", card, drv, rtnl, cni.DefaultCosts(), cfg.rebind)
+		plugin = cni.NewSRIOV("sriov", card, drv, rtnl, &c, cfg.rebind)
 	}
 	rec := telemetry.NewRecorder()
 	layout := hypervisor.Layout{RAMBytes: 64 << 20, ImageBytes: 32 << 20, FirmwareBytes: 8 << 20}
-	eng := NewEngine(env, plugin, rec, cg, irq, DefaultCosts(), Options{
+	eng := NewEngine(env, plugin, rec, cg, irq, Options{
 		AsyncVFInit:  cfg.async,
 		SkipImageMap: cfg.skip,
 		Layout:       layout,
-		GuestCosts:   guest.DefaultCosts(),
 		Faults:       fault.NewInjector(1, cfg.plan),
 		Retry:        fault.DefaultPolicy(),
 	})

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/kvm"
@@ -25,39 +26,6 @@ import (
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
 )
-
-// Costs parameterizes the per-packet path models. Defaults approximate a
-// 25 GbE NIC with NAPI-style coalescing and a single-queue virtio path.
-type Costs struct {
-	// IOMMULookup is the IOTLB-hit translation cost per DMA descriptor.
-	IOMMULookup time.Duration
-	// IrqInject is the hypervisor's interrupt-relay (irqfd) cost.
-	IrqInject time.Duration
-	// CoalesceBatch is the packets amortizing one interrupt.
-	CoalesceBatch int
-	// GuestRxWork is the guest driver's per-packet processing.
-	GuestRxWork time.Duration
-	// HostStackWork is the host kernel network-stack cost per packet on
-	// the software path.
-	HostStackWork time.Duration
-	// VhostCopyBytesPerSec is the vhost worker's copy rate into the vring.
-	VhostCopyBytesPerSec int64
-	// VringKick is the guest-notify cost per batch on the virtio path.
-	VringKick time.Duration
-}
-
-// DefaultCosts returns the calibrated model.
-func DefaultCosts() Costs {
-	return Costs{
-		IOMMULookup:          120 * time.Nanosecond,
-		IrqInject:            2 * time.Microsecond,
-		CoalesceBatch:        32,
-		GuestRxWork:          600 * time.Nanosecond,
-		HostStackWork:        2500 * time.Nanosecond,
-		VhostCopyBytesPerSec: 12 << 30,
-		VringKick:            1500 * time.Nanosecond,
-	}
-}
 
 // Result reports one streaming run.
 type Result struct {
@@ -88,7 +56,7 @@ type Passthrough struct {
 	Domain *iommu.Domain
 	Mem    *hostmem.Allocator
 	VM     *kvm.VM
-	Costs  Costs
+	Costs  *cost.Model
 }
 
 // Stream receives n packets of size bytes each, returning throughput and
@@ -130,7 +98,7 @@ func (pt *Passthrough) Stream(p *sim.Proc, n int, size int64, iovaBase, window i
 type Virtio struct {
 	Mem   *hostmem.Allocator
 	VM    *kvm.VM
-	Costs Costs
+	Costs *cost.Model
 }
 
 // Stream receives n packets of size bytes each through the vring at

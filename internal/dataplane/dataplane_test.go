@@ -3,6 +3,7 @@ package dataplane
 import (
 	"testing"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/kvm"
@@ -20,30 +21,33 @@ type rig struct {
 	vm  *kvm.VM
 	dom *iommu.Domain
 	nic *nic.NIC
+
+	costs *cost.Model
 }
 
 // newRig builds a VM with a 32 MB DMA-mapped RX window at IOVA/GPA 0.
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 2 << 30
-	mem := hostmem.New(k, cfg)
+	mem := hostmem.New(k, cfg, c)
 	topo := pci.NewTopology()
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, 1, topo); err != nil {
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(1, topo); err != nil {
 		t.Fatal(err)
 	}
-	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), vfio.LockParentChild, vfio.DefaultCosts())
+	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), vfio.LockParentChild, &c)
 	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := kvm.New(k, mem)
+	kv := kvm.New(k, mem, &c)
 	vm := kv.CreateVM()
-	r := &rig{k: k, mem: mem, vm: vm, nic: card}
+	r := &rig{k: k, mem: mem, vm: vm, nic: card, costs: &c}
 	k.Go("setup", func(p *sim.Proc) {
 		drv.Open(p, vd)
 		region, err := drv.MapDMA(p, vd, 0, 32*mb, nil)
@@ -64,7 +68,7 @@ func TestPassthroughStream(t *testing.T) {
 	r := newRig(t)
 	var res Result
 	r.k.Go("rx", func(p *sim.Proc) {
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: r.costs}
 		var err error
 		res, err = pt.Stream(p, 10000, 1500, 0, 32*mb)
 		if err != nil {
@@ -89,7 +93,7 @@ func TestPassthroughStream(t *testing.T) {
 func TestPassthroughFaultsOutsideWindow(t *testing.T) {
 	r := newRig(t)
 	r.k.Go("rx", func(p *sim.Proc) {
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: r.costs}
 		// IOVA base beyond the mapped 32 MB: IOMMU fault.
 		if _, err := pt.Stream(p, 1, 1500, 64*mb, 32*mb); err == nil {
 			t.Error("DMA outside mapping should fault")
@@ -101,11 +105,11 @@ func TestPassthroughFaultsOutsideWindow(t *testing.T) {
 func TestWindowSmallerThanPacketRejected(t *testing.T) {
 	r := newRig(t)
 	r.k.Go("rx", func(p *sim.Proc) {
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: r.costs}
 		if _, err := pt.Stream(p, 1, 9000, 0, 1500); err == nil {
 			t.Error("tiny window accepted")
 		}
-		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: r.costs}
 		if _, err := vr.Stream(p, 1, 9000, 0, 1500); err == nil {
 			t.Error("tiny window accepted (virtio)")
 		}
@@ -117,7 +121,7 @@ func TestVirtioStream(t *testing.T) {
 	r := newRig(t)
 	var res Result
 	r.k.Go("rx", func(p *sim.Proc) {
-		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: r.costs}
 		var err error
 		res, err = vr.Stream(p, 10000, 1500, 0, 32*mb)
 		if err != nil {
@@ -136,14 +140,14 @@ func TestPassthroughBeatsVirtio(t *testing.T) {
 	r := newRig(t)
 	var ptRes, vRes Result
 	r.k.Go("rx", func(p *sim.Proc) {
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: r.costs}
 		var err error
 		ptRes, err = pt.Stream(p, 20000, 1500, 0, 32*mb)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: r.costs}
 		vRes, err = vr.Stream(p, 20000, 1500, 0, 32*mb)
 		if err != nil {
 			t.Error(err)
@@ -162,8 +166,8 @@ func TestCoalescingImprovesThroughput(t *testing.T) {
 	r := newRig(t)
 	var coalesced, perPacket Result
 	r.k.Go("rx", func(p *sim.Proc) {
-		costs := DefaultCosts()
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: costs}
+		costs := cost.Default()
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: &costs}
 		var err error
 		coalesced, err = pt.Stream(p, 10000, 1500, 0, 32*mb)
 		if err != nil {
@@ -171,7 +175,6 @@ func TestCoalescingImprovesThroughput(t *testing.T) {
 			return
 		}
 		costs.CoalesceBatch = 1
-		pt.Costs = costs
 		perPacket, err = pt.Stream(p, 10000, 1500, 0, 32*mb)
 		if err != nil {
 			t.Error(err)
@@ -190,8 +193,8 @@ func TestCoalescingImprovesThroughput(t *testing.T) {
 func TestStreamAllocsIndependentOfPackets(t *testing.T) {
 	r := newRig(t)
 	r.k.Go("rx", func(p *sim.Proc) {
-		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
-		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: DefaultCosts()}
+		pt := &Passthrough{NIC: r.nic, Domain: r.dom, Mem: r.mem, VM: r.vm, Costs: r.costs}
+		vr := &Virtio{Mem: r.mem, VM: r.vm, Costs: r.costs}
 		for _, s := range []struct {
 			name   string
 			stream func(n int) (Result, error)

@@ -94,6 +94,7 @@ func TestScenarioKeySeparatesEveryInput(t *testing.T) {
 		{"baseline", base, keyOf(x, startup(onHost(cluster.BaselineFastIOV), 20))},
 		{"layout", base, keyOf(x, startup(host(func(r *recipe) { r.host.Opts.Layout = atMemories([]int64{1 << 30}, 20)[0].layout }), 20))},
 		{"host spec", base, keyOf(x, startup(host(func(r *recipe) { r.host.Spec.NumVFs = 64 }), 20))},
+		{"cost model", base, keyOf(x, startup(host(func(r *recipe) { r.host.Opts.Costs.DeviceReset++ }), 20))},
 		{"scrubber off", keyOf(x, startup(onHost(cluster.BaselineFastIOV), 20)), keyOf(x, startup(func() recipe {
 			r := onHost(cluster.BaselineFastIOV)
 			r.host.Opts.DisableScrubber = true

@@ -50,12 +50,12 @@ func stream(r recipe, packets int, size int64) scenario[*dpOutcome] {
 					Domain: mvm.VFDevice().Domain(),
 					Mem:    h.Mem,
 					VM:     mvm.VM,
-					Costs:  dataplane.DefaultCosts(),
+					Costs:  h.Env.Costs,
 				}
 				if out.Pass, runErr = pt.Stream(p, packets, size, 0, window); runErr != nil {
 					return
 				}
-				vr := &dataplane.Virtio{Mem: h.Mem, VM: mvm.VM, Costs: dataplane.DefaultCosts()}
+				vr := &dataplane.Virtio{Mem: h.Mem, VM: mvm.VM, Costs: h.Env.Costs}
 				if out.Virt, runErr = vr.Stream(p, packets, size, 0, window); runErr != nil {
 					return
 				}

@@ -17,8 +17,8 @@ import (
 func BenchmarkFastiovdRegisterScrub(b *testing.B) {
 	const pages = 256
 	k := sim.NewKernel()
-	mem := hostmem.New(k, hostmem.DefaultConfig())
-	mod := New(k, mem)
+	mem := hostmem.New(k, hostmem.DefaultConfig(), testCosts)
+	mod := New(k, mem, &testCosts)
 	mod.StartScrubber(2*time.Millisecond, 8)
 	k.Go("vm-churn", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/sim"
@@ -32,8 +33,9 @@ import (
 
 // Module is one loaded instance of fastiovd.
 type Module struct {
-	k   *sim.Kernel
-	mem *hostmem.Allocator
+	k     *sim.Kernel
+	mem   *hostmem.Allocator
+	costs *cost.Model
 
 	// tables is the two-tier table: PID -> the pid's deferred pages.
 	// tracked is the sum of their sizes.
@@ -56,11 +58,9 @@ type Module struct {
 	inflight []claim
 	claims   uint64 // claim ids issued
 
-	// RegisterCostPerPage models the bookkeeping insert per deferred page.
-	RegisterCostPerPage time.Duration
-
-	// Corruptions counts pages zeroed after live data was written to them —
-	// each one would be a guest crash or data-loss bug on real hardware.
+	// Corruptions counts pages zeroed after live data was written to them,
+	// before the claim or while it zeroed — each one would be a guest crash
+	// or data-loss bug on real hardware.
 	Corruptions int
 
 	// LazyZeroed / ScrubZeroed / InstantZeroed count pages cleared on the
@@ -115,13 +115,8 @@ type claim struct {
 }
 
 // New loads the module.
-func New(k *sim.Kernel, mem *hostmem.Allocator) *Module {
-	return &Module{
-		k:                   k,
-		mem:                 mem,
-		tables:              make(map[int]*pageSet),
-		RegisterCostPerPage: 120 * time.Nanosecond,
-	}
+func New(k *sim.Kernel, mem *hostmem.Allocator, c *cost.Model) *Module {
+	return &Module{k: k, mem: mem, costs: c, tables: make(map[int]*pageSet)}
 }
 
 // Register defers zeroing for every page of region, owned by microVM pid.
@@ -147,7 +142,7 @@ func (m *Module) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 			m.track(pid, run.Start, run.Count)
 		}
 	}
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	if cost := time.Duration(n) * m.costs.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 }
@@ -261,7 +256,11 @@ func (m *Module) claimAndZero(p *sim.Proc, pid int, s *pageSet, hpaPage int64) {
 		}
 	}()
 	m.audit(hpaPage)
-	m.mem.ZeroPage(p, hpaPage)
+	if d, dirty := m.mem.ZeroCost(hpaPage); dirty {
+		m.mem.Bandwidth().Use(p, 1, d)
+		m.audit(hpaPage)
+		m.mem.MarkZeroed(hpaPage)
+	}
 	completed = true
 }
 
@@ -365,15 +364,18 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 			n += count
 		})
 	}
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	if cost := time.Duration(n) * m.costs.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 	m.ScrubberRestarts++
 	m.StartScrubber(m.scrub.interval, m.scrub.pagesPerPass)
 }
 
-// audit counts a corruption if the page about to be zeroed already holds
-// live data (that data would be destroyed).
+// audit counts a corruption if the page about to be zeroed holds live data
+// (that data would be destroyed). A claim audits its page when it starts
+// and, if the page was dirty then, again just before marking it zeroed,
+// catching a write that landed mid-zero; a page written before the claim
+// is not zeroed, so each zeroing counts at most once.
 func (m *Module) audit(hpaPage int64) {
 	if m.mem.State(hpaPage) == hostmem.Written {
 		m.Corruptions++
@@ -469,7 +471,7 @@ func (s *scrubber) run(p *sim.Proc) {
 
 // Step implements sim.Stepper. Its order of effects is the one of
 // OnEPTFault's claimAndZero: claim, audit, zeroing-time draw, acquire,
-// hold, release, mark zeroed, complete.
+// hold, release, audit again, mark zeroed, complete.
 func (s *scrubber) Step() (time.Duration, bool) {
 	m := s.m
 	switch s.state {
@@ -491,6 +493,7 @@ func (s *scrubber) Step() (time.Duration, bool) {
 	case scrubHeld:
 		m.mem.Bandwidth().Release(s.p, 1)
 		s.holding = false
+		m.audit(s.page)
 		m.mem.MarkZeroed(s.page)
 		s.zeroed()
 	}

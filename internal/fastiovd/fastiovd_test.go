@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/kvm"
 	"fastiov/internal/sim"
@@ -18,13 +19,16 @@ type rig struct {
 	mod *Module
 }
 
+// testCosts is the default cost model the tests charge; none edits it.
+var testCosts = cost.Default()
+
 func newRig() *rig {
 	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 2 << 30
-	mem := hostmem.New(k, cfg)
-	h := kvm.New(k, mem)
-	mod := New(k, mem)
+	mem := hostmem.New(k, cfg, testCosts)
+	h := kvm.New(k, mem, &testCosts)
+	mod := New(k, mem, &testCosts)
 	h.Hook = mod
 	return &rig{k: k, mem: mem, h: h, mod: mod}
 }
@@ -241,6 +245,57 @@ func TestScrubberAndFaultPathCompose(t *testing.T) {
 	}
 	if r.mem.Violations != 0 {
 		t.Errorf("violations = %d", r.mem.Violations)
+	}
+}
+
+// TestWriteDuringZeroingIsCorruption: a write that lands on a claimed page
+// while its zeroer holds membw is erased when the page is marked zeroed,
+// so it counts as a corruption, as a write before the claim does; each
+// zeroing counts at most once. The write stands for any store the
+// protocol failed to fence (a hypervisor or device write).
+func TestWriteDuringZeroingIsCorruption(t *testing.T) {
+	// Zeroing one 2 MB page holds membw for about 195µs; the scrubber
+	// claims its first page at 1ms.
+	for _, c := range []struct {
+		name    string
+		scrub   bool
+		writeAt time.Duration
+	}{
+		{"scrubber hold", true, time.Millisecond + 100*time.Microsecond},
+		{"fault hold", false, 100 * time.Microsecond},
+		{"before the claim", true, 500 * time.Microsecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig()
+			if c.scrub {
+				r.mod.StartScrubber(time.Millisecond, 1)
+			}
+			var page int64
+			r.k.Go("guest", func(p *sim.Proc) {
+				region, _ := r.mem.Allocate(p, 2*mb)
+				page = region.Runs[0].Start
+				vm := r.h.CreateVM()
+				vm.AddSlot("ram", 0, 2*mb, region)
+				r.mod.Register(p, vm.PID, region)
+				if !c.scrub {
+					if err := vm.Touch(p, 0, false); err != nil {
+						t.Error(err)
+					}
+				}
+				p.Sleep(5 * time.Millisecond) // outlive the scrubber's first pass
+			})
+			r.k.Go("writer", func(p *sim.Proc) {
+				p.Sleep(c.writeAt)
+				r.mem.WriteData(page)
+			})
+			r.k.Run()
+			if r.mod.Corruptions != 1 {
+				t.Errorf("corruptions = %d, want 1", r.mod.Corruptions)
+			}
+			if r.mod.LazyZeroed+r.mod.ScrubZeroed != 1 {
+				t.Errorf("lazy(%d)+scrub(%d) zeroings, want 1", r.mod.LazyZeroed, r.mod.ScrubZeroed)
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func newOpsRig(newMod func(*sim.Kernel, *hostmem.Allocator) moduleOps) *opsRig {
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = opsPages * hostmem.PageSize2M
 	cfg.MaxRunPages = 3
-	r.mem = hostmem.New(r.k, cfg)
+	r.mem = hostmem.New(r.k, cfg, testCosts)
 	r.mod = newMod(r.k, r.mem)
 	r.k.Go("setup", func(p *sim.Proc) {
 		for i := range r.regions {
@@ -227,8 +227,8 @@ func runOps(script []byte, newMod func(*sim.Kernel, *hostmem.Allocator) moduleOp
 	return r.log.String()
 }
 
-func newModuleOps(k *sim.Kernel, mem *hostmem.Allocator) moduleOps { return New(k, mem) }
-func newRefOps(k *sim.Kernel, mem *hostmem.Allocator) moduleOps    { return newRef(k, mem) }
+func newModuleOps(k *sim.Kernel, mem *hostmem.Allocator) moduleOps { return New(k, mem, &testCosts) }
+func newRefOps(k *sim.Kernel, mem *hostmem.Allocator) moduleOps    { return newRef(k, mem, &testCosts) }
 
 // checkAgainstRef runs script on the module and the reference model and
 // fails at the first line where their logs differ.

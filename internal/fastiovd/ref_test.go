@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/sim"
@@ -57,11 +58,11 @@ type refModule struct {
 	// mid-zero). Registering for the pid again reclaims ownership.
 	released map[int]bool
 
-	// RegisterCostPerPage models the bookkeeping insert per deferred page.
-	RegisterCostPerPage time.Duration
+	costs *cost.Model
 
-	// Corruptions counts pages zeroed after live data was written to them —
-	// each one would be a guest crash or data-loss bug on real hardware.
+	// Corruptions counts pages zeroed after live data was written to them,
+	// before the claim or while it zeroed — each one would be a guest crash
+	// or data-loss bug on real hardware.
 	Corruptions int
 
 	// LazyZeroed / ScrubZeroed / InstantZeroed count pages cleared on the
@@ -89,14 +90,14 @@ type refModule struct {
 }
 
 // newRef loads the reference module.
-func newRef(k *sim.Kernel, mem *hostmem.Allocator) *refModule {
+func newRef(k *sim.Kernel, mem *hostmem.Allocator, c *cost.Model) *refModule {
 	return &refModule{
-		k:                   k,
-		mem:                 mem,
-		tables:              make(map[int]map[int64]refPageInfo),
-		inflight:            make(map[int64]*sim.Event),
-		released:            make(map[int]bool),
-		RegisterCostPerPage: 120 * time.Nanosecond,
+		k:        k,
+		mem:      mem,
+		costs:    c,
+		tables:   make(map[int]map[int64]refPageInfo),
+		inflight: make(map[int64]*sim.Event),
+		released: make(map[int]bool),
 	}
 }
 
@@ -119,7 +120,7 @@ func (m *refModule) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 			n++
 		}
 	}
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	if cost := time.Duration(n) * m.costs.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 }
@@ -236,20 +237,30 @@ func (m *refModule) CrashDaemon(p *sim.Proc) {
 			n++
 		}
 	}
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	if cost := time.Duration(n) * m.costs.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 	m.ScrubberRestarts++
 	m.StartScrubber(m.scrubInterval, m.scrubPagesPerPass)
 }
 
-// zero clears one page, auditing the crash case: the page must not already
-// hold live data (that data would be destroyed).
+// zero clears one page, auditing the crash case: the page must not hold
+// live data when the claim starts, nor after a dirty page's zeroing time,
+// just before it is marked zeroed (that data would be destroyed).
 func (m *refModule) zero(p *sim.Proc, hpaPage int64) {
+	m.audit(hpaPage)
+	if d, dirty := m.mem.ZeroCost(hpaPage); dirty {
+		m.mem.Bandwidth().Use(p, 1, d)
+		m.audit(hpaPage)
+		m.mem.MarkZeroed(hpaPage)
+	}
+}
+
+// audit counts a corruption if the page holds live data.
+func (m *refModule) audit(hpaPage int64) {
 	if m.mem.State(hpaPage) == hostmem.Written {
 		m.Corruptions++
 	}
-	m.mem.ZeroPage(p, hpaPage)
 }
 
 // Tracked returns the number of pages still awaiting zeroing for pid.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fastiov/internal/cluster"
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
@@ -235,9 +236,10 @@ func TestSignalsMatchReferenceMultiDevset(t *testing.T) {
 	for _, mode := range []vfio.LockMode{vfio.LockGlobal, vfio.LockParentChild} {
 		t.Run(mode.String(), func(t *testing.T) {
 			k := sim.NewKernel()
+			c := cost.Default()
 			topo := pci.NewTopology()
-			mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
-			drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), mode, vfio.DefaultCosts())
+			mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1}, c)
+			drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), mode, &c)
 			sets := map[*vfio.DevSet][]*vfio.Device{}
 			var order []*vfio.DevSet
 			for bus := 1; bus <= 2; bus++ {

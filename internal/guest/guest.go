@@ -5,65 +5,15 @@
 package guest
 
 import (
-	"time"
-
 	"fastiov/internal/hypervisor"
 	"fastiov/internal/nic"
 	"fastiov/internal/sim"
 )
 
-// Costs is the guest-side cost model.
-type Costs struct {
-	// KernelBoot is the guest kernel's CPU time from firmware entry to
-	// agent start.
-	KernelBoot time.Duration
-	// BootTouchBase and BootTouchFrac size the guest RAM written during
-	// boot as base + frac*RAM: a fixed kernel working set (code, slab,
-	// initial page cache) plus per-byte metadata (struct page, page
-	// tables). These are the pages whose lazy zeroing cost moves into the
-	// boot path under FastIOV's decoupled zeroing.
-	BootTouchBase int64
-	BootTouchFrac float64
-	// PCIEnum is the CPU cost of enumerating the passthrough device.
-	PCIEnum time.Duration
-	// DriverProbe is the VF driver's CPU work registering the netdev.
-	DriverProbe time.Duration
-	// IrqSetupHold is how long MSI-X/irqfd setup holds the host-global
-	// interrupt-routing lock — the serialization that makes interface
-	// readiness "a few hundred milliseconds up to seconds" at high
-	// concurrency (§3.2.4).
-	IrqSetupHold time.Duration
-	// AgentNetConfig is the agent's MAC/IP assignment work.
-	AgentNetConfig time.Duration
-	// AgentPollInterval is the period of the agent/runtime readiness
-	// polling loop; interface availability is only observed at poll
-	// boundaries, adding a uniform detection delay.
-	AgentPollInterval time.Duration
-	// ContainerCreate is the CPU work of creating the container process
-	// once its image is in the guest.
-	ContainerCreate time.Duration
-}
-
-// DefaultCosts mirrors the calibration in DESIGN.md.
-func DefaultCosts() Costs {
-	return Costs{
-		KernelBoot:        200 * time.Millisecond,
-		BootTouchBase:     96 << 20,
-		BootTouchFrac:     0.02,
-		PCIEnum:           5 * time.Millisecond,
-		DriverProbe:       12 * time.Millisecond,
-		IrqSetupHold:      48 * time.Millisecond,
-		AgentNetConfig:    8 * time.Millisecond,
-		AgentPollInterval: 600 * time.Millisecond,
-		ContainerCreate:   30 * time.Millisecond,
-	}
-}
-
 // Guest is one microVM interior.
 type Guest struct {
-	MVM   *hypervisor.MicroVM
-	VF    *nic.VF // nil without SR-IOV
-	Costs Costs
+	MVM *hypervisor.MicroVM
+	VF  *nic.VF // nil without SR-IOV
 
 	// irqLock is the host-global interrupt-routing lock shared by every
 	// guest on the host.
@@ -74,9 +24,10 @@ type Guest struct {
 }
 
 // Init makes g the guest state and returns it. irqLock is host-global and
-// shared. A sandbox holds its guest by value.
-func (g *Guest) Init(mvm *hypervisor.MicroVM, vf *nic.VF, irqLock *sim.Mutex, costs Costs) *Guest {
-	*g = Guest{MVM: mvm, VF: vf, Costs: costs, irqLock: irqLock}
+// shared. A sandbox holds its guest by value; its costs are the host's
+// (mvm.Env.Costs).
+func (g *Guest) Init(mvm *hypervisor.MicroVM, vf *nic.VF, irqLock *sim.Mutex) *Guest {
+	*g = Guest{MVM: mvm, VF: vf, irqLock: irqLock}
 	g.booted.Init(mvm.Env.K, "guest-booted")
 	g.ifaceReady.Init(mvm.Env.K, "iface-ready")
 	return g
@@ -92,9 +43,10 @@ func (g *Guest) Boot(p *sim.Proc) error {
 	if err := g.MVM.VM.TouchRange(p, l.FirmwareBase(), l.FirmwareBytes, false); err != nil {
 		return err
 	}
-	g.MVM.Env.CPU.Use(p, 1, g.Costs.KernelBoot)
+	c := g.MVM.Env.Costs
+	g.MVM.Env.CPU.Use(p, 1, c.KernelBoot)
 	// Kernel writes its working set across RAM.
-	touch := g.Costs.BootTouchBase + int64(float64(l.RAMBytes)*g.Costs.BootTouchFrac)
+	touch := c.BootTouchBase + int64(float64(l.RAMBytes)*c.BootTouchFrac)
 	if touch > l.RAMBytes {
 		touch = l.RAMBytes
 	}
@@ -115,23 +67,29 @@ func (g *Guest) Booted() *sim.Event { return &g.booted }
 // InitVFDriver performs the two-step interface initialization (§3.2.4):
 // (1) the VF driver enumerates the PCI device, registers the netdev (MSI-X
 // setup under the host irq-routing lock), and raises the link; (2) the
-// agent assigns MAC and IP. Fires the interface-ready event when done.
+// agent assigns MAC and IP. Fires the interface-ready event when done. A
+// vdpa device is driven by the standard virtio-net driver: a lighter probe,
+// no vendor-specific setup.
 func (g *Guest) InitVFDriver(p *sim.Proc) {
 	if g.VF == nil {
 		g.ifaceReady.Fire(p)
 		return
 	}
 	g.booted.Await(p)
-	env := g.MVM.Env
-	env.CPU.Use(p, 1, g.Costs.PCIEnum)
-	env.CPU.Use(p, 1, g.Costs.DriverProbe)
+	env, c := g.MVM.Env, g.MVM.Env.Costs
+	enum, probe := c.PCIEnum, c.DriverProbe
+	if g.MVM.VDPA() {
+		enum, probe = c.VDPAPCIEnum, c.VDPADriverProbe
+	}
+	env.CPU.Use(p, 1, enum)
+	env.CPU.Use(p, 1, probe)
 	// MSI-X vectors and irqfd routes are installed through the host's
 	// global interrupt-routing state.
 	g.irqLock.Lock(p)
-	p.Sleep(g.Costs.IrqSetupHold)
+	p.Sleep(c.IrqSetupHold)
 	g.irqLock.Unlock(p)
 	g.VF.LinkUp = true
-	env.CPU.Use(p, 1, g.Costs.AgentNetConfig)
+	env.CPU.Use(p, 1, c.AgentNetConfig)
 	g.ifaceReady.Fire(p)
 }
 
@@ -143,8 +101,8 @@ func (g *Guest) IfaceReady() *sim.Event { return &g.ifaceReady }
 // agent "periodically check[s] the status of the network interface").
 func (g *Guest) WaitIfaceReady(p *sim.Proc) {
 	g.ifaceReady.Await(p)
-	if g.VF != nil && g.Costs.AgentPollInterval > 0 {
-		p.Sleep(g.MVM.Env.Rand.Duration(g.Costs.AgentPollInterval))
+	if poll := g.MVM.Env.Costs.AgentPollInterval; g.VF != nil && poll > 0 {
+		p.Sleep(g.MVM.Env.Rand.Duration(poll))
 	}
 }
 
@@ -158,6 +116,6 @@ func (g *Guest) LaunchApp(p *sim.Proc, imageBytes int64, proactive bool) error {
 			return err
 		}
 	}
-	g.MVM.Env.CPU.Use(p, 1, g.Costs.ContainerCreate)
+	g.MVM.Env.CPU.Use(p, 1, g.MVM.Env.Costs.ContainerCreate)
 	return nil
 }

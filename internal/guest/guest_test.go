@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/hypervisor"
@@ -28,22 +29,23 @@ type rig struct {
 func newRig(t *testing.T, lazy bool) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
-	mem := hostmem.New(k, memCfg)
+	mem := hostmem.New(k, memCfg, c)
 	topo := pci.NewTopology()
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, 2, topo); err != nil {
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(2, topo); err != nil {
 		t.Fatal(err)
 	}
-	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize()), vfio.LockParentChild, vfio.DefaultCosts())
-	kv := kvm.New(k, mem)
+	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), vfio.LockParentChild, &c)
+	kv := kvm.New(k, mem, &c)
 	var mod *fastiovd.Module
 	if lazy {
-		mod = fastiovd.New(k, mem)
+		mod = fastiovd.New(k, mem, &c)
 		kv.Hook = mod
 	}
-	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 8))
+	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 8), &c)
 	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
@@ -76,7 +78,7 @@ func TestBootFiresEventAndTouchesMemory(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock)
 		if g.Booted().Fired() {
 			t.Error("booted before Boot")
 		}
@@ -101,7 +103,7 @@ func TestDriverInitRaisesLinkAndFiresReady(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock)
 		g.Boot(p)
 		g.InitVFDriver(p)
 		if !vf.LinkUp {
@@ -120,7 +122,7 @@ func TestDriverInitWaitsForBoot(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock)
 		r.k.Go("init", func(q *sim.Proc) {
 			g.InitVFDriver(q)
 			initDone = q.Now()
@@ -143,7 +145,7 @@ func TestNoVFFiresReadyImmediately(t *testing.T) {
 		if err := mvm.SetupMemoryDemand(p); err != nil {
 			t.Fatal(err)
 		}
-		g := new(Guest).Init(mvm, nil, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, nil, r.irqLock)
 		start := p.Now()
 		g.InitVFDriver(p)
 		if p.Now() != start {
@@ -165,9 +167,8 @@ func TestWaitIfaceReadyAddsPollDelay(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		costs := DefaultCosts()
-		costs.AgentPollInterval = 100 * time.Millisecond
-		g := new(Guest).Init(mvm, vf, r.irqLock, costs)
+		r.env.Costs.AgentPollInterval = 100 * time.Millisecond
+		g := new(Guest).Init(mvm, vf, r.irqLock)
 		g.Boot(p)
 		g.InitVFDriver(p)
 		before := p.Now()
@@ -185,8 +186,7 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 	// irq-routing lock forces the second's MSI-X setup to wait — the
 	// §3.2.4 contention FastIOV masks with asynchrony.
 	r := newRig(t, false)
-	costs := DefaultCosts()
-	costs.AgentPollInterval = 0
+	r.env.Costs.AgentPollInterval = 0
 	var ends []sim.Duration
 	for i := 0; i < 2; i++ {
 		i := i
@@ -197,7 +197,7 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			g := new(Guest).Init(mvm, &r.card.VFs()[i], r.irqLock, costs)
+			g := new(Guest).Init(mvm, &r.card.VFs()[i], r.irqLock)
 			if err := g.Boot(p); err != nil {
 				t.Error(err)
 				return
@@ -214,8 +214,8 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 	if gap < 0 {
 		gap = -gap
 	}
-	if gap < costs.IrqSetupHold {
-		t.Errorf("irq setups overlapped: completion gap %v < hold %v", gap, costs.IrqSetupHold)
+	if hold := r.env.Costs.IrqSetupHold; gap < hold {
+		t.Errorf("irq setups overlapped: completion gap %v < hold %v", gap, hold)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestLaunchAppTransfersImage(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
 		vf, _ := r.card.AllocVF()
-		g := new(Guest).Init(mvm, vf, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, vf, r.irqLock)
 		g.Boot(p)
 		if err := g.LaunchApp(p, 32<<20, true); err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestLaunchAppZeroImageBytes(t *testing.T) {
 	r := newRig(t, false)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm := r.startVM(t, p)
-		g := new(Guest).Init(mvm, nil, r.irqLock, DefaultCosts())
+		g := new(Guest).Init(mvm, nil, r.irqLock)
 		g.Boot(p)
 		if err := g.LaunchApp(p, 0, false); err != nil {
 			t.Fatal(err)

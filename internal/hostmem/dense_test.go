@@ -9,11 +9,14 @@ package hostmem
 import (
 	"fmt"
 	"time"
+
+	"fastiov/internal/cost"
 )
 
 // denseAlloc is the per-page reference model of Allocator.
 type denseAlloc struct {
 	cfg   Config
+	costs *cost.Model
 	pages int64
 
 	state     []ContentState
@@ -27,10 +30,11 @@ type denseAlloc struct {
 	clock       time.Duration
 }
 
-func newDense(cfg Config) *denseAlloc {
+func newDense(cfg Config, c *cost.Model) *denseAlloc {
 	pages := cfg.TotalBytes / cfg.PageSize
 	return &denseAlloc{
 		cfg:       cfg,
+		costs:     c,
 		pages:     pages,
 		state:     make([]ContentState, pages),
 		allocated: make([]bool, pages),
@@ -83,7 +87,7 @@ func (d *denseAlloc) allocate(bytes int64) (*Region, error) {
 			i++
 		}
 		region.Runs = append(region.Runs, run)
-		d.clock += d.cfg.RetrieveCostPerRun + time.Duration(run.Count)*d.cfg.RetrieveCostPerPage
+		d.clock += d.costs.RetrieveCostPerRun + time.Duration(run.Count)*d.costs.RetrieveCostPerPage
 		if i >= d.pages {
 			i = 0
 		}
@@ -130,7 +134,7 @@ func (d *denseAlloc) zeroRegion(region *Region) {
 				j++
 			}
 			n := j - i
-			d.clock += time.Duration(int64(time.Second) * n * d.cfg.PageSize / d.cfg.ZeroBytesPerSec)
+			d.clock += time.Duration(int64(time.Second) * n * d.cfg.PageSize / d.costs.ZeroBytesPerSec)
 			for k := i; k < j; k++ {
 				d.markState(k, Zeroed)
 			}
@@ -147,7 +151,7 @@ func (d *denseAlloc) pin(region *Region) {
 		}
 		d.pinned[pg]++
 	})
-	d.clock += time.Duration(region.PageCount()) * d.cfg.PinCostPerPage
+	d.clock += time.Duration(region.PageCount()) * d.costs.PinCostPerPage
 }
 
 func (d *denseAlloc) unpin(region *Region) {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/sim"
 )
 
@@ -86,8 +87,9 @@ func runScript(script []byte) error {
 	}
 
 	k := sim.NewKernel()
-	a := New(k, cfg)
-	d := newDense(cfg)
+	c := cost.Default()
+	a := New(k, cfg, c)
+	d := newDense(cfg, &c)
 	var err error
 	k.Go("script", func(p *sim.Proc) {
 		var regions []*Region

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/sim"
 )
@@ -59,7 +60,7 @@ func (c ContentState) String() string {
 	return "invalid"
 }
 
-// Config sizes the allocator and its cost model.
+// Config sizes the allocator; its costs come from the host's cost.Model.
 type Config struct {
 	// TotalBytes is the host physical memory size.
 	TotalBytes int64
@@ -69,34 +70,20 @@ type Config struct {
 	// ZeroStreams is the number of zeroing operations that can proceed at
 	// full rate concurrently; streams beyond this queue. It models the
 	// memory controller's streaming-write limit (aggregate bandwidth =
-	// ZeroStreams * ZeroBytesPerSec).
+	// ZeroStreams * cost.Model.ZeroBytesPerSec).
 	ZeroStreams int64
-	// ZeroBytesPerSec is the zeroing throughput of one stream (one core's
-	// non-temporal store rate).
-	ZeroBytesPerSec int64
-	// RetrieveCostPerRun is the fixed cost of collecting one contiguous run
-	// of free pages (the batched function-call cost of Fig. 6 "retrieving").
-	RetrieveCostPerRun time.Duration
-	// RetrieveCostPerPage is the marginal per-page retrieval cost.
-	RetrieveCostPerPage time.Duration
-	// PinCostPerPage is the per-page cost of refcount pinning.
-	PinCostPerPage time.Duration
 	// MaxRunPages caps contiguous-run length to model fragmentation
 	// (0 = unfragmented: runs as long as the free list allows).
 	MaxRunPages int64
 }
 
 // DefaultConfig mirrors the paper's testbed: 256 GB DDR4-3200, 2 MB
-// hugepages, ~10 GB/s per-core zeroing bounded at ~50 GB/s aggregate.
+// hugepages, four full-rate zeroing streams.
 func DefaultConfig() Config {
 	return Config{
-		TotalBytes:          256 << 30,
-		PageSize:            PageSize2M,
-		ZeroStreams:         4,
-		ZeroBytesPerSec:     10 << 30,
-		RetrieveCostPerRun:  2 * time.Microsecond,
-		RetrieveCostPerPage: 150 * time.Nanosecond,
-		PinCostPerPage:      20 * time.Microsecond,
+		TotalBytes:  256 << 30,
+		PageSize:    PageSize2M,
+		ZeroStreams: 4,
 	}
 }
 
@@ -144,6 +131,7 @@ const (
 type Allocator struct {
 	k     *sim.Kernel
 	cfg   Config
+	costs cost.Model
 	pages int64
 
 	state []*stateChunk // content state by chunk; a nil chunk is all Dirty
@@ -175,27 +163,25 @@ type Allocator struct {
 // New builds an allocator; all pages start free and dirty (residual data
 // from "previous tenants"), matching the paper's worst-case assumption for
 // a warm multi-tenant host.
-func New(k *sim.Kernel, cfg Config) *Allocator { return NewScoped(k, cfg, "") }
+func New(k *sim.Kernel, cfg Config, c cost.Model) *Allocator { return NewScoped(k, cfg, c, "") }
 
 // NewScoped builds an allocator whose sim-lock names carry a scope prefix
 // (e.g. "h003-zone", "h003-membw"). Multi-host simulations sharing one
 // kernel scope each host's primitives so trace and metrics observers — which
 // match primitives by name — can tell the hosts apart. An empty scope keeps
 // the historical names.
-func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
+func NewScoped(k *sim.Kernel, cfg Config, c cost.Model, scope string) *Allocator {
 	if cfg.PageSize <= 0 || cfg.TotalBytes < cfg.PageSize {
 		panic("hostmem: invalid geometry")
 	}
 	if cfg.ZeroStreams <= 0 {
 		cfg.ZeroStreams = 1
 	}
-	if cfg.ZeroBytesPerSec <= 0 {
-		cfg.ZeroBytesPerSec = 10 << 30
-	}
 	pages := cfg.TotalBytes / cfg.PageSize
 	return &Allocator{
 		k:        k,
 		cfg:      cfg,
+		costs:    c,
 		pages:    pages,
 		state:    make([]*stateChunk, (pages+chunkPages-1)/chunkPages),
 		free:     []extent{{0, pages}},
@@ -233,6 +219,12 @@ func (a *Allocator) StateDigest() uint64 {
 	}
 	return h
 }
+
+// Costs returns the allocator's copy of the cost model it was built with.
+// A host boots its allocator first and hands every other substrate this
+// pointer, so the host holds one copy, in an object that points at none of
+// the others.
+func (a *Allocator) Costs() *cost.Model { return &a.costs }
 
 // PageSize returns the allocation granule.
 func (a *Allocator) PageSize() int64 { return a.cfg.PageSize }
@@ -317,7 +309,7 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 		var run Run
 		run, x, i = a.cutRun(x, i, remaining)
 		region.Runs = append(region.Runs, run)
-		cost += a.cfg.RetrieveCostPerRun + time.Duration(run.Count)*a.cfg.RetrieveCostPerPage
+		cost += a.costs.RetrieveCostPerRun + time.Duration(run.Count)*a.costs.RetrieveCostPerPage
 		remaining -= run.Count
 	}
 	a.freeCnt -= need
@@ -340,7 +332,7 @@ func (a *Allocator) AllocatePage(p *sim.Proc) (int64, error) {
 	run, _, i := a.cutRun(a.freeAt(a.freeHead), a.freeHead, 1)
 	a.freeCnt--
 	a.freeHead = i
-	if cost := a.cfg.RetrieveCostPerRun + a.cfg.RetrieveCostPerPage; cost > 0 {
+	if cost := a.costs.RetrieveCostPerRun + a.costs.RetrieveCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 	return run.Start, nil
@@ -502,7 +494,7 @@ func (a *Allocator) ZeroCost(page int64) (d time.Duration, dirty bool) {
 	if a.State(page) != Dirty {
 		return 0, false
 	}
-	return a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.cfg.ZeroBytesPerSec)), true
+	return a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.costs.ZeroBytesPerSec)), true
 }
 
 // MarkZeroed is the last half of ZeroPage: it records page as cleared.
@@ -520,7 +512,7 @@ func (a *Allocator) ZeroRegion(p *sim.Proc, region *Region) {
 		for i := a.seekDirty(run.Start, end, true); i < end; {
 			j := a.seekDirty(i, end, false)
 			n := j - i
-			d := a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*n*a.cfg.PageSize/a.cfg.ZeroBytesPerSec))
+			d := a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*n*a.cfg.PageSize/a.costs.ZeroBytesPerSec))
 			a.membw.Use(p, 1, d)
 			a.markRange(i, j, Zeroed)
 			a.ZeroedBytes += n * a.cfg.PageSize
@@ -535,7 +527,7 @@ func (a *Allocator) Pin(p *sim.Proc, region *Region) {
 	for _, run := range region.Runs {
 		a.addPins(run.Start, run.Start+run.Count, 1)
 	}
-	if d := time.Duration(region.PageCount()) * a.cfg.PinCostPerPage; d > 0 {
+	if d := time.Duration(region.PageCount()) * a.costs.PinCostPerPage; d > 0 {
 		p.Sleep(d)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/sim"
 )
 
@@ -16,11 +17,14 @@ func testConfig() Config {
 	return cfg
 }
 
+// testCosts is the default cost model the tests charge.
+var testCosts = cost.Default()
+
 // run executes fn inside a one-proc simulation.
 func run(t *testing.T, cfg Config, fn func(p *sim.Proc, a *Allocator)) *Allocator {
 	t.Helper()
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, testCosts)
 	k.Go("test", func(p *sim.Proc) { fn(p, a) })
 	k.Run()
 	return a
@@ -103,10 +107,10 @@ func TestFreedPagesAreDirty(t *testing.T) {
 
 func TestZeroRegionCostMatchesBandwidth(t *testing.T) {
 	cfg := testConfig()
-	cfg.RetrieveCostPerRun = 0
-	cfg.RetrieveCostPerPage = 0
+	c := cost.Default()
+	c.RetrieveCostPerRun, c.RetrieveCostPerPage = 0, 0
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, c)
 	var elapsed time.Duration
 	k.Go("z", func(p *sim.Proc) {
 		r, _ := a.Allocate(p, 512<<20)
@@ -142,10 +146,10 @@ func TestZeroConcurrencyBoundedByStreams(t *testing.T) {
 	cfg := testConfig()
 	cfg.TotalBytes = 16 << 30
 	cfg.ZeroStreams = 2
-	cfg.RetrieveCostPerRun = 0
-	cfg.RetrieveCostPerPage = 0
+	c := cost.Default()
+	c.RetrieveCostPerRun, c.RetrieveCostPerPage = 0, 0
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, c)
 	// 4 procs each zero 1 GB; 1 GB at 10 GB/s = 100 ms; with 2 streams the
 	// makespan must be ~200 ms, not 100 ms.
 	for i := 0; i < 4; i++ {
@@ -250,7 +254,7 @@ func TestWriteDataThenRead(t *testing.T) {
 func TestPreZeroFraction(t *testing.T) {
 	cfg := testConfig()
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, testCosts)
 	a.PreZero(0.5)
 	clean := int64(0)
 	for i := int64(0); i < a.TotalPages(); i++ {
@@ -266,10 +270,10 @@ func TestPreZeroFraction(t *testing.T) {
 
 func TestPreZeroFullMakesZeroingFree(t *testing.T) {
 	cfg := testConfig()
-	cfg.RetrieveCostPerRun = 0
-	cfg.RetrieveCostPerPage = 0
+	c := cost.Default()
+	c.RetrieveCostPerRun, c.RetrieveCostPerPage = 0, 0
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, c)
 	a.PreZero(1.0)
 	k.Go("z", func(p *sim.Proc) {
 		r, _ := a.Allocate(p, 256<<20)
@@ -306,9 +310,10 @@ func TestFragmentationIncreasesRetrievalCost(t *testing.T) {
 	measure := func(maxRun int64) time.Duration {
 		cfg := testConfig()
 		cfg.MaxRunPages = maxRun
-		cfg.PinCostPerPage = 0
+		c := cost.Default()
+		c.PinCostPerPage = 0
 		k := sim.NewKernel()
-		a := New(k, cfg)
+		a := New(k, cfg, c)
 		var elapsed time.Duration
 		k.Go("t", func(p *sim.Proc) {
 			start := p.Now()
@@ -346,7 +351,7 @@ func TestAllocationReusesFreedPages(t *testing.T) {
 func TestConcurrentAllocatorsNoOverlap(t *testing.T) {
 	cfg := testConfig()
 	k := sim.NewKernel()
-	a := New(k, cfg)
+	a := New(k, cfg, testCosts)
 	owners := make(map[int64]int)
 	for i := 0; i < 8; i++ {
 		i := i
@@ -375,7 +380,7 @@ func TestAllocFreeBalanceProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		cfg := testConfig()
 		k := sim.NewKernel()
-		a := New(k, cfg)
+		a := New(k, cfg, testCosts)
 		initial := a.FreePages()
 		ok := true
 		k.Go("t", func(p *sim.Proc) {

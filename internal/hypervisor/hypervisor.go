@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
@@ -16,43 +17,6 @@ import (
 	"fastiov/internal/telemetry"
 	"fastiov/internal/vfio"
 )
-
-// Costs is the hypervisor-side cost model.
-type Costs struct {
-	// ProcessStart is the CPU time to fork and initialize the (Kata-)QEMU
-	// process and its device model.
-	ProcessStart time.Duration
-	// VirtioFSDaemon is the CPU time to start virtiofsd and set up the
-	// shared directory.
-	VirtioFSDaemon time.Duration
-	// VhostLockHold is the time the vhost/virtio registration path holds
-	// the host-global lock — the serialization that makes 2-virtiofs grow
-	// with concurrency (§3.2.1, measured but not VF-related).
-	VhostLockHold time.Duration
-	// FSMountGuest is the guest-side mount cost once virtiofsd is up.
-	FSMountGuest time.Duration
-	// VirtioBytesPerSec is one virtioFS stream's copy throughput.
-	VirtioBytesPerSec int64
-	// VirtioChunk is the shared-buffer size per vring descriptor batch.
-	VirtioChunk int64
-	// ImageCopyBytesPerSec is the rate at which the microVM image content
-	// is populated into DMA-mapped (pinned) pages. Image pages are
-	// file-backed: they are filled with file content, never zeroed.
-	ImageCopyBytesPerSec int64
-}
-
-// DefaultCosts mirrors the calibration in DESIGN.md.
-func DefaultCosts() Costs {
-	return Costs{
-		ProcessStart:         40 * time.Millisecond,
-		VirtioFSDaemon:       15 * time.Millisecond,
-		VhostLockHold:        21 * time.Millisecond,
-		FSMountGuest:         5 * time.Millisecond,
-		VirtioBytesPerSec:    4 << 30,
-		VirtioChunk:          8 << 20,
-		ImageCopyBytesPerSec: 6 << 30,
-	}
-}
 
 // Env bundles the host-side modules a microVM needs. One Env is shared by
 // every microVM on a host.
@@ -69,7 +33,8 @@ type Env struct {
 	CPU *sim.Resource
 	// VhostLock serializes vhost/virtio device registration host-wide.
 	VhostLock *sim.Mutex
-	Costs     Costs
+	// Costs is the host's cost model, read by every microVM and guest.
+	Costs *cost.Model
 
 	// Faults, when non-nil, enables fault-aware startup: DMA-map calls are
 	// retried under Retry with backoff waits surfaced as retry telemetry
@@ -86,12 +51,13 @@ type Env struct {
 // host-wide (virtiofs vhost-user devices plus vdpa devices).
 func (e *Env) VhostRegistrations() int { return e.vhostRegs }
 
-// NewEnv wires an Env on kernel k and host stream rng, default cost model.
-func NewEnv(k *sim.Kernel, rng *sim.Rand, mem *hostmem.Allocator, kv *kvm.KVM, vf *vfio.Driver, lazy *fastiovd.Module, cpu *sim.Resource) *Env {
+// NewEnv wires an Env on kernel k and host stream rng, charging the costs
+// of c.
+func NewEnv(k *sim.Kernel, rng *sim.Rand, mem *hostmem.Allocator, kv *kvm.KVM, vf *vfio.Driver, lazy *fastiovd.Module, cpu *sim.Resource, c *cost.Model) *Env {
 	return &Env{
 		K: k, Rand: rng, Mem: mem, KVM: kv, VFIO: vf, Lazy: lazy, CPU: cpu,
 		VhostLock: sim.NewMutex("vhost"),
-		Costs:     DefaultCosts(),
+		Costs:     c,
 	}
 }
 
@@ -136,6 +102,7 @@ type MicroVM struct {
 	imgRegion    *hostmem.Region
 	fwRegion     *hostmem.Region
 	imageSkipped bool
+	vdpa         bool
 
 	// virtioCursor rotates shared-buffer placement across guest RAM so
 	// successive transfers exercise different pages.
@@ -259,11 +226,7 @@ func (m *MicroVM) MapGuestMemory(p *sim.Proc, vd *vfio.Device, skipImage bool) e
 			return err
 		}
 		// Populate the image content into the pinned pages.
-		rate := env.Costs.ImageCopyBytesPerSec
-		if rate <= 0 {
-			rate = 8 << 30
-		}
-		env.Mem.Bandwidth().Use(p, 1, time.Duration(l.ImageBytes*int64(time.Second)/rate))
+		env.Mem.Bandwidth().Use(p, 1, time.Duration(l.ImageBytes*int64(time.Second)/env.Costs.ImageCopyBytesPerSec))
 		env.Mem.WriteRegion(img)
 		m.span(telemetry.StageDMAImage, start, p.Now())
 	}
@@ -372,19 +335,19 @@ func (m *MicroVM) RegisterVhost(p *sim.Proc) {
 
 // RegisterVDPA adds the VF as a vdpa device through the vhost framework
 // (§7): a per-device char dev — the devset-wide lock is never taken — plus
-// a vhost registration that is lighter than a full vhost-user bring-up (a
-// quarter of the hold). deviceAdd is the `vdpa dev add` + char-device
-// setup cost; <= 0 selects the default.
-func (m *MicroVM) RegisterVDPA(p *sim.Proc, deviceAdd time.Duration) {
-	if deviceAdd <= 0 {
-		deviceAdd = 5 * time.Millisecond
-	}
-	m.Env.CPU.Use(p, 1, deviceAdd)
+// a vhost registration that is lighter than a full vhost-user bring-up.
+// The guest then drives the device with the standard virtio-net driver.
+func (m *MicroVM) RegisterVDPA(p *sim.Proc) {
+	m.Env.CPU.Use(p, 1, m.Env.Costs.VDPADeviceAdd)
 	m.Env.VhostLock.Lock(p)
-	p.Sleep(m.Env.Costs.VhostLockHold / 4)
+	p.Sleep(m.Env.Costs.VDPALockHold)
 	m.Env.VhostLock.Unlock(p)
 	m.noteVhost()
+	m.vdpa = true
 }
+
+// VDPA reports whether the VM's network device was added through vdpa.
+func (m *MicroVM) VDPA() bool { return m.vdpa }
 
 func (m *MicroVM) noteVhost() {
 	m.vhostRegs++
@@ -414,9 +377,6 @@ func (m *MicroVM) SetupVirtioFS(p *sim.Proc) {
 // with proactive=false under deferred zeroing to reproduce the corruption.
 func (m *MicroVM) VirtioFSRead(p *sim.Proc, bytes int64, proactive bool) error {
 	chunk := m.Env.Costs.VirtioChunk
-	if chunk <= 0 {
-		chunk = 8 << 20
-	}
 	for moved := int64(0); moved < bytes; moved += chunk {
 		n := chunk
 		if bytes-moved < n {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
@@ -32,24 +33,25 @@ func smallLayout() Layout {
 func newRig(t *testing.T, lazy bool) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
-	mem := hostmem.New(k, memCfg)
+	mem := hostmem.New(k, memCfg, c)
 	topo := pci.NewTopology()
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, 4, topo); err != nil {
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(4, topo); err != nil {
 		t.Fatal(err)
 	}
-	mmu := iommu.New(k, mem.PageSize())
-	drv := vfio.New(k, topo, mem, mmu, vfio.LockParentChild, vfio.DefaultCosts())
-	kv := kvm.New(k, mem)
+	mmu := iommu.New(k, mem.PageSize(), &c)
+	drv := vfio.New(k, topo, mem, mmu, vfio.LockParentChild, &c)
+	kv := kvm.New(k, mem, &c)
 	var mod *fastiovd.Module
 	if lazy {
-		mod = fastiovd.New(k, mem)
+		mod = fastiovd.New(k, mem, &c)
 		kv.Hook = mod
 	}
 	cpu := sim.NewResource("cpu", 8)
-	env := NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, cpu)
+	env := NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, cpu, &c)
 	r := &rig{k: k, mem: mem, env: env, card: card, lazy: mod}
 	for _, vf := range card.VFs() {
 		vf.Dev.BindBoot("vfio-pci")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/sim"
 )
@@ -64,7 +65,8 @@ func runDomainScript(script []byte) error {
 		return int64(script[pos-1])
 	}
 	k := sim.NewKernel()
-	u := New(k, hostmem.PageSize4K)
+	c := cost.Default()
+	u := New(k, hostmem.PageSize4K, &c)
 	ps := u.PageSize()
 	d := u.CreateDomain()
 	other := u.CreateDomain() // must stay untouched
@@ -86,7 +88,7 @@ func runDomainScript(script []byte) error {
 				r.Bytes = r.PageCount() * ps
 				what = fmt.Sprintf("map %v at page %d", r.Runs, base)
 				gerr := d.Map(p, base*ps, r)
-				werr := ref.mapRegion(base, r, u.MapCostPerPage)
+				werr := ref.mapRegion(base, r, u.costs.MapCostPerPage)
 				if (gerr == nil) != (werr == nil) {
 					err = fmt.Errorf("op %d %s: error %v, reference %v", op, what, gerr, werr)
 				} else if gerr != nil && gerr.Error() != fmt.Sprintf("%v in domain %d", werr, d.ID) {

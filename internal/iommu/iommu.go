@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/pagetab"
@@ -27,9 +28,7 @@ type IOMMU struct {
 	pageSize int64
 	nextID   int
 	domains  map[int]*Domain
-
-	// MapCostPerPage is the cost of installing one I/O page-table entry.
-	MapCostPerPage time.Duration
+	costs    *cost.Model
 
 	// Faults, when non-nil, can fail Map calls (transient DMA-map errors)
 	// and inflate the per-PTE install cost.
@@ -38,13 +37,8 @@ type IOMMU struct {
 
 // New creates an IOMMU whose page tables use the given granule (must match
 // the host allocator's page size).
-func New(k *sim.Kernel, pageSize int64) *IOMMU {
-	return &IOMMU{
-		k:              k,
-		pageSize:       pageSize,
-		domains:        make(map[int]*Domain),
-		MapCostPerPage: 300 * time.Nanosecond,
-	}
+func New(k *sim.Kernel, pageSize int64, c *cost.Model) *IOMMU {
+	return &IOMMU{k: k, pageSize: pageSize, domains: make(map[int]*Domain), costs: c}
 }
 
 // Domain is one guest's I/O address space (one I/O page table).
@@ -121,7 +115,7 @@ func (d *Domain) Map(p *sim.Proc, iovaBase int64, region *hostmem.Region) error 
 		iova += r.Count
 	}
 	d.MappedBytes += count * d.unit.pageSize
-	if cost := d.unit.Faults.Inflate(fault.SiteDMAMap, time.Duration(count)*d.unit.MapCostPerPage); cost > 0 {
+	if cost := d.unit.Faults.Inflate(fault.SiteDMAMap, time.Duration(count)*d.unit.costs.MapCostPerPage); cost > 0 {
 		p.Sleep(cost)
 	}
 	return nil

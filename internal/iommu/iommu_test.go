@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/pagetab"
 	"fastiov/internal/sim"
@@ -15,8 +16,9 @@ func setup() (*sim.Kernel, *hostmem.Allocator, *IOMMU) {
 	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = 1 << 30
-	mem := hostmem.New(k, cfg)
-	return k, mem, New(k, mem.PageSize())
+	c := cost.Default()
+	mem := hostmem.New(k, cfg, c)
+	return k, mem, New(k, mem.PageSize(), &c)
 }
 
 func TestMapAndTranslate(t *testing.T) {
@@ -155,7 +157,7 @@ func TestDomainsIsolated(t *testing.T) {
 
 func TestMapChargesPerPageCost(t *testing.T) {
 	k, mem, u := setup()
-	u.MapCostPerPage = 1000 // 1µs
+	u.costs.MapCostPerPage = 1000 // 1µs
 	dom := u.CreateDomain()
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 8*mb) // 4 pages

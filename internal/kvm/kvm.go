@@ -19,6 +19,7 @@ import (
 	"slices"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/pagetab"
 	"fastiov/internal/sim"
@@ -39,12 +40,9 @@ type FaultHook interface {
 
 // KVM is the hypervisor kernel module.
 type KVM struct {
-	k   *sim.Kernel
-	mem *hostmem.Allocator
-
-	// EPTFaultCost is the fixed vmexit + resolve + EPT-insert cost of one
-	// violation (excluding any hook work such as lazy zeroing).
-	EPTFaultCost time.Duration
+	k     *sim.Kernel
+	mem   *hostmem.Allocator
+	costs *cost.Model
 
 	// Hook, when non-nil, runs during every EPT violation.
 	Hook FaultHook
@@ -59,13 +57,8 @@ type KVM struct {
 }
 
 // New creates the module.
-func New(k *sim.Kernel, mem *hostmem.Allocator) *KVM {
-	return &KVM{
-		k:            k,
-		mem:          mem,
-		EPTFaultCost: 15 * time.Microsecond,
-		vms:          make(map[int]*VM),
-	}
+func New(k *sim.Kernel, mem *hostmem.Allocator, c *cost.Model) *KVM {
+	return &KVM{k: k, mem: mem, costs: c, vms: make(map[int]*VM)}
 }
 
 // MemSlot maps a GPA range to backing memory. Backing == nil means the slot
@@ -264,7 +257,7 @@ func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
 			vm.kvm.Hook.OnEPTFault(p, vm.PID, hpa)
 		}
 		vm.install(slot, idx)
-		p.Sleep(vm.kvm.EPTFaultCost)
+		p.Sleep(vm.kvm.costs.EPTFaultCost)
 	} else {
 		vm.Hits++
 	}
@@ -369,7 +362,7 @@ func (s *touchStepper) Step() (time.Duration, bool) {
 		}
 		vm.install(slot, idx)
 		s.hpa, s.faulted = hpa, true
-		return vm.kvm.EPTFaultCost, true
+		return vm.kvm.costs.EPTFaultCost, true
 	}
 	return 0, false
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/sim"
@@ -16,8 +17,9 @@ func newHost(totalBytes int64) (*sim.Kernel, *hostmem.Allocator, *KVM) {
 	k := sim.NewKernel()
 	cfg := hostmem.DefaultConfig()
 	cfg.TotalBytes = totalBytes
-	mem := hostmem.New(k, cfg)
-	return k, mem, New(k, mem)
+	c := cost.Default()
+	mem := hostmem.New(k, cfg, c)
+	return k, mem, New(k, mem, &c)
 }
 
 func TestBackedSlotTranslation(t *testing.T) {
@@ -59,7 +61,8 @@ func TestFragmentedSlotLookup(t *testing.T) {
 			flat = append(flat, pg)
 		}
 	}
-	vm := &VM{mem: hostmem.New(sim.NewKernel(), hostmem.DefaultConfig())}
+	c := cost.Default()
+	vm := &VM{mem: hostmem.New(sim.NewKernel(), hostmem.DefaultConfig(), c)}
 	slot, err := vm.AddSlot("ram", 0, int64(len(flat))*hostmem.PageSize2M, &hostmem.Region{Runs: runs})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +261,7 @@ func TestPIDsAreUnique(t *testing.T) {
 
 func TestEPTFaultCostCharged(t *testing.T) {
 	k, mem, h := newHost(1 << 30)
-	h.EPTFaultCost = time.Millisecond
+	h.costs.EPTFaultCost = time.Millisecond
 	k.Go("t", func(p *sim.Proc) {
 		region, _ := mem.Allocate(p, 8*mb)
 		mem.ZeroRegion(p, region)
@@ -422,9 +425,10 @@ func TestFragmentedMappingKeepsOneRunPerRange(t *testing.T) {
 	cfg.TotalBytes = 4096 * hostmem.PageSize4K
 	cfg.PageSize = hostmem.PageSize4K
 	cfg.MaxRunPages = 16
-	mem := hostmem.New(k, cfg)
-	h := New(k, mem)
-	u := iommu.New(k, mem.PageSize())
+	c := cost.Default()
+	mem := hostmem.New(k, cfg, c)
+	h := New(k, mem, &c)
+	u := iommu.New(k, mem.PageSize(), &c)
 	const ps = hostmem.PageSize4K
 	k.Go("t", func(p *sim.Proc) {
 		vm, dom := h.CreateVM(), u.CreateDomain()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fastiovd"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/sim"
@@ -47,10 +48,11 @@ func newTouchRig(maxRunPages, zeroStreams int64, hooked bool) *touchRig {
 	cfg.TotalBytes = 64 * ps
 	cfg.MaxRunPages = maxRunPages
 	cfg.ZeroStreams = zeroStreams
-	r.mem = hostmem.New(r.k, cfg)
-	r.h = New(r.k, r.mem)
+	c := cost.Default()
+	r.mem = hostmem.New(r.k, cfg, c)
+	r.h = New(r.k, r.mem, &c)
 	if hooked {
-		r.mod = fastiovd.New(r.k, r.mem)
+		r.mod = fastiovd.New(r.k, r.mem, &c)
 		r.h.Hook = r.mod
 	}
 	r.k.SetProbe(func(at time.Duration, ev sim.ProbeEvent) {
@@ -90,7 +92,7 @@ func (r *touchRig) touch(touch touchFn, vm *VM, p *sim.Proc, gpa, bytes int64, w
 func (r *touchRig) ticker(n int) {
 	r.k.Go("ticker", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			p.Sleep(r.h.EPTFaultCost)
+			p.Sleep(r.h.costs.EPTFaultCost)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/pci"
@@ -18,23 +19,15 @@ import (
 
 // Config describes the card.
 type Config struct {
-	Name       string
-	Bus        int // PCI bus the PF and all VFs share
-	MaxVFs     int
-	LinkBps    int64         // link speed in bits/sec (25 GbE default)
-	VFCreation time.Duration // hardware config time per VF at pre-creation
-	SlotReset  bool          // whether VFs support slot-level reset (rare)
+	Name      string
+	Bus       int // PCI bus the PF and all VFs share
+	MaxVFs    int
+	SlotReset bool // whether VFs support slot-level reset (rare)
 }
 
 // DefaultConfig mirrors the testbed's Intel E810.
 func DefaultConfig() Config {
-	return Config{
-		Name:       "e810",
-		Bus:        0x17,
-		MaxVFs:     256,
-		LinkBps:    25_000_000_000,
-		VFCreation: 30 * time.Millisecond,
-	}
+	return Config{Name: "e810", Bus: 0x17, MaxVFs: 256}
 }
 
 // VF is one virtual function.
@@ -82,13 +75,11 @@ type NIC struct {
 	laneBps int64
 }
 
-// New creates the card and places its PF on the topology.
-func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
+// New creates the card and places its PF on the topology; its link runs at
+// the model's LinkBps.
+func New(k *sim.Kernel, topo *pci.Topology, cfg Config, c *cost.Model) *NIC {
 	if cfg.MaxVFs <= 0 {
 		panic("nic: MaxVFs must be positive")
-	}
-	if cfg.LinkBps <= 0 {
-		cfg.LinkBps = 25_000_000_000
 	}
 	pf := topo.AddDevice(&pci.Device{
 		Addr:   pci.BDF{Bus: cfg.Bus, Dev: 0, Fn: 0},
@@ -102,7 +93,7 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 		cfg:     cfg,
 		pf:      pf,
 		link:    sim.NewResource(cfg.Name+"-link", lanes),
-		laneBps: cfg.LinkBps / lanes,
+		laneBps: c.LinkBps / lanes,
 	}
 	pf.BindBoot("ice") // PF driver attaches during host boot
 	return n
@@ -112,10 +103,9 @@ func New(k *sim.Kernel, topo *pci.Topology, cfg Config) *NIC {
 func (n *NIC) PF() *pci.Device { return n.pf }
 
 // CreateVFs performs the one-time VF pre-creation the Kubelet triggers after
-// host boot (§2.3): NIC hardware configuration per VF, placing the VFs on
-// the PF's bus. Time for this step is charged but, as in the paper, it is
-// outside the measured startup window.
-func (n *NIC) CreateVFs(p *sim.Proc, count int, topo *pci.Topology) error {
+// host boot (§2.3), placing the VFs on the PF's bus. As in the paper, it is
+// outside the measured startup window, so it takes no simulated time.
+func (n *NIC) CreateVFs(count int, topo *pci.Topology) error {
 	if count > n.cfg.MaxVFs {
 		return fmt.Errorf("nic: %d VFs exceeds card limit %d", count, n.cfg.MaxVFs)
 	}
@@ -130,9 +120,6 @@ func (n *NIC) CreateVFs(p *sim.Proc, count int, topo *pci.Topology) error {
 	n.vfs = make([]VF, count)
 	n.free = make([]*VF, count)
 	for i := range n.vfs {
-		if p != nil {
-			p.Sleep(n.cfg.VFCreation)
-		}
 		n.vfs[i] = VF{Index: i, Dev: &devs[i], nic: n}
 		n.free[i] = &n.vfs[i]
 	}

@@ -4,16 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/pci"
 	"fastiov/internal/sim"
 )
+
+// testCosts is the default cost model the tests charge.
+var testCosts = cost.Default()
 
 func newCard(t *testing.T, vfs int) (*sim.Kernel, *pci.Topology, *NIC) {
 	t.Helper()
 	k := sim.NewKernel()
 	topo := pci.NewTopology()
-	n := New(k, topo, DefaultConfig())
-	if err := n.CreateVFs(nil, vfs, topo); err != nil {
+	n := New(k, topo, DefaultConfig(), &testCosts)
+	if err := n.CreateVFs(vfs, topo); err != nil {
 		t.Fatal(err)
 	}
 	return k, topo, n
@@ -54,8 +58,8 @@ func TestSlotResetOption(t *testing.T) {
 	topo := pci.NewTopology()
 	cfg := DefaultConfig()
 	cfg.SlotReset = true
-	n := New(k, topo, cfg)
-	if err := n.CreateVFs(nil, 2, topo); err != nil {
+	n := New(k, topo, cfg, &testCosts)
+	if err := n.CreateVFs(2, topo); err != nil {
 		t.Fatal(err)
 	}
 	if n.VFs()[0].Dev.Reset != pci.ResetSlot {
@@ -66,15 +70,15 @@ func TestSlotResetOption(t *testing.T) {
 func TestVFLimit(t *testing.T) {
 	k := sim.NewKernel()
 	topo := pci.NewTopology()
-	n := New(k, topo, DefaultConfig())
-	if err := n.CreateVFs(nil, 257, topo); err == nil {
+	n := New(k, topo, DefaultConfig(), &testCosts)
+	if err := n.CreateVFs(257, topo); err == nil {
 		t.Error("creating 257 VFs on a 256-VF card should fail")
 	}
 }
 
 func TestDoubleCreateFails(t *testing.T) {
 	_, topo, n := newCard(t, 2)
-	if err := n.CreateVFs(nil, 2, topo); err == nil {
+	if err := n.CreateVFs(2, topo); err == nil {
 		t.Error("second CreateVFs should fail")
 	}
 }

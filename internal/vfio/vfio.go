@@ -19,6 +19,7 @@ import (
 	"slices"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
@@ -41,39 +42,6 @@ func (m LockMode) String() string {
 		return "parent-child"
 	}
 	return "global-mutex"
-}
-
-// Costs is the open-path cost model. Defaults approximate the testbed: the
-// dominant term is the PCI bus scan over the full VF population performed
-// under the devset lock.
-type Costs struct {
-	// BusScanPerDevice is the per-device cost of the membership scan the
-	// open path performs over every device on the bus.
-	BusScanPerDevice time.Duration
-	// OpenCountCheck is the fixed cost of validating the devset's total
-	// open count.
-	OpenCountCheck time.Duration
-	// DeviceReset is the function-level reset issued when a device is
-	// opened or released.
-	DeviceReset time.Duration
-	// FDSetup covers fd allocation, region info queries, and irq setup.
-	FDSetup time.Duration
-	// Bind/Unbind are the sysfs driver (re)bind costs (§5's implementation
-	// flaw: vanilla SR-IOV CNI pays these on every container start).
-	Bind   time.Duration
-	Unbind time.Duration
-}
-
-// DefaultCosts mirrors the calibration in DESIGN.md §5.
-func DefaultCosts() Costs {
-	return Costs{
-		BusScanPerDevice: 320 * time.Microsecond,
-		OpenCountCheck:   100 * time.Microsecond,
-		DeviceReset:      8 * time.Millisecond,
-		FDSetup:          2 * time.Millisecond,
-		Bind:             25 * time.Millisecond,
-		Unbind:           15 * time.Millisecond,
-	}
 }
 
 // ZeroHook, when non-nil, replaces eager zeroing in the DMA-map path:
@@ -100,7 +68,7 @@ type Driver struct {
 	mem   *hostmem.Allocator
 	mmu   *iommu.IOMMU
 	mode  LockMode
-	costs Costs
+	costs *cost.Model
 
 	// Faults, when non-nil, injects reset failures on the open and
 	// devset-reset paths; Retry bounds the in-lock FLR reissue loop. Both
@@ -142,14 +110,14 @@ type Driver struct {
 }
 
 // New creates a driver.
-func New(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.IOMMU, mode LockMode, costs Costs) *Driver {
+func New(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator, mmu *iommu.IOMMU, mode LockMode, c *cost.Model) *Driver {
 	return &Driver{
 		k:       k,
 		topo:    topo,
 		mem:     mem,
 		mmu:     mmu,
 		mode:    mode,
-		costs:   costs,
+		costs:   c,
 		busSets: make(map[int]*DevSet),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fastiov/internal/cost"
 	"fastiov/internal/hostmem"
 	"fastiov/internal/iommu"
 	"fastiov/internal/nic"
@@ -25,16 +26,17 @@ type rig struct {
 func newRig(t *testing.T, mode LockMode, nVFs int) *rig {
 	t.Helper()
 	k := sim.NewKernel()
+	c := cost.Default()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 8 << 30
-	mem := hostmem.New(k, memCfg)
-	mmu := iommu.New(k, mem.PageSize())
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, nVFs, topo); err != nil {
+	mem := hostmem.New(k, memCfg, c)
+	mmu := iommu.New(k, mem.PageSize(), &c)
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(nVFs, topo); err != nil {
 		t.Fatal(err)
 	}
-	drv := New(k, topo, mem, mmu, mode, DefaultCosts())
+	drv := New(k, topo, mem, mmu, mode, &c)
 	r := &rig{k: k, topo: topo, mem: mem, mmu: mmu, drv: drv}
 	for _, vf := range card.VFs() {
 		vf.Dev.BindBoot("vfio-pci")
@@ -62,10 +64,11 @@ func TestBusResetDevicesShareDevset(t *testing.T) {
 
 func TestSlotResetDevicesGetOwnDevset(t *testing.T) {
 	k := sim.NewKernel()
+	c := cost.Default()
 	topo := pci.NewTopology()
-	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
-	mmu := iommu.New(k, mem.PageSize())
-	drv := New(k, topo, mem, mmu, LockGlobal, DefaultCosts())
+	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1}, c)
+	mmu := iommu.New(k, mem.PageSize(), &c)
+	drv := New(k, topo, mem, mmu, LockGlobal, &c)
 	var sets []*DevSet
 	for i := 0; i < 3; i++ {
 		d := topo.AddDevice(&pci.Device{Addr: pci.BDF{Bus: 1, Dev: i, Fn: 0}, Reset: pci.ResetSlot})
@@ -83,9 +86,10 @@ func TestSlotResetDevicesGetOwnDevset(t *testing.T) {
 
 func TestRegisterRequiresVFIODriver(t *testing.T) {
 	k := sim.NewKernel()
+	c := cost.Default()
 	topo := pci.NewTopology()
-	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1, ZeroBytesPerSec: 10 << 30})
-	drv := New(k, topo, mem, iommu.New(k, mem.PageSize()), LockGlobal, DefaultCosts())
+	mem := hostmem.New(k, hostmem.Config{TotalBytes: 1 << 30, PageSize: hostmem.PageSize2M, ZeroStreams: 1}, c)
+	drv := New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), LockGlobal, &c)
 	d := topo.AddDevice(&pci.Device{Addr: pci.BDF{Bus: 1, Dev: 0, Fn: 0}})
 	d.BindBoot("ice")
 	if _, err := drv.Register(d); err == nil {
@@ -124,7 +128,7 @@ func TestGlobalLockSerializesOpens(t *testing.T) {
 	n := 32
 	end := openAll(t, LockGlobal, n)
 	// Each open holds the global mutex for >= busScan(n devices)+reset.
-	costs := DefaultCosts()
+	costs := cost.Default()
 	minPer := time.Duration(n)*costs.BusScanPerDevice + costs.DeviceReset
 	if end < time.Duration(n)*minPer {
 		t.Errorf("global-lock makespan %v, want >= %v (fully serialized)", end, time.Duration(n)*minPer)
@@ -139,7 +143,7 @@ func TestParentChildParallelizesOpens(t *testing.T) {
 		t.Errorf("parent-child makespan %v not ≪ global %v", parallel, serial)
 	}
 	// A single open costs check+reset+fd; all n run concurrently.
-	costs := DefaultCosts()
+	costs := cost.Default()
 	one := costs.OpenCountCheck + costs.DeviceReset + costs.FDSetup
 	if parallel != one {
 		t.Errorf("parent-child makespan %v, want %v (fully parallel)", parallel, one)
@@ -395,16 +399,17 @@ func TestDMAWriteThroughMapping(t *testing.T) {
 	// End-to-end: map guest memory, have the NIC DMA-write into it, and
 	// verify translations and page states.
 	k := sim.NewKernel()
+	c := cost.Default()
 	topo := pci.NewTopology()
 	memCfg := hostmem.DefaultConfig()
 	memCfg.TotalBytes = 4 << 30
-	mem := hostmem.New(k, memCfg)
-	mmu := iommu.New(k, mem.PageSize())
-	card := nic.New(k, topo, nic.DefaultConfig())
-	if err := card.CreateVFs(nil, 2, topo); err != nil {
+	mem := hostmem.New(k, memCfg, c)
+	mmu := iommu.New(k, mem.PageSize(), &c)
+	card := nic.New(k, topo, nic.DefaultConfig(), &c)
+	if err := card.CreateVFs(2, topo); err != nil {
 		t.Fatal(err)
 	}
-	drv := New(k, topo, mem, mmu, LockParentChild, DefaultCosts())
+	drv := New(k, topo, mem, mmu, LockParentChild, &c)
 	vf := &card.VFs()[0]
 	vf.Dev.BindBoot("vfio-pci")
 	vd, _ := drv.Register(vf.Dev)
