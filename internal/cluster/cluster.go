@@ -586,7 +586,7 @@ func (r *Result) SuccessRate() float64 {
 // Result.Leaks; the teardown phase runs after all telemetry marks, so the
 // measured results are unaffected.
 func (h *Host) StartupExperiment(n int) *Result {
-	// The teardown phase runs its stop procs on the wave's coroutines.
+	// The teardown phase runs its proc on one of the wave's coroutines.
 	defer h.K.Hold()()
 	res := h.startupWave(n, 0)
 	if h.Opts.Audit {
@@ -597,12 +597,34 @@ func (h *Host) StartupExperiment(n int) *Result {
 		if h.Tracer != nil {
 			h.K.SetProbe(nil)
 		}
-		if err := h.stopAll(res.Live(), nil); err != nil {
+		var err error
+		h.K.Go("teardown", func(p *sim.Proc) { err = h.StopSandboxes(p, res.Sandboxes) })
+		h.K.Run()
+		if err != nil {
 			res.Err = errors.Join(res.Err, err)
 		}
 		res.Leaks = audit.NewReport(h.Baseline, h.AuditSnapshot())
 	}
 	return res
+}
+
+// StopSandboxes stops sbs one after another on p, in order, skipping nil
+// entries (failed starts), and joins every stop's error in that order: a
+// failed stop does not end the loop, so the later sandboxes still come
+// down. It is the audit teardown, which only has to leave the host clean
+// for the leak audit and models no teardown timing, so one proc per host
+// stands in for the concurrent teardown that ChurnExperiment models.
+func (h *Host) StopSandboxes(p *sim.Proc, sbs []*cri.Sandbox) error {
+	var errs []error
+	for _, sb := range sbs {
+		if sb == nil {
+			continue
+		}
+		if err := h.Eng.StopPodSandbox(p, sb); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // StartOne runs a single pod-sandbox start on the host from within an
@@ -683,11 +705,15 @@ func (h *Host) startupWave(n, base int) *Result {
 	return res
 }
 
-// stopAll tears the sandboxes down concurrently (one proc per sandbox) in
-// a fresh kernel phase, invoking each (when non-nil) with every sandbox's
-// reclaim latency. Teardown errors are aggregated, not fail-fast: the
-// remaining sandboxes still come down.
-func (h *Host) stopAll(sbs []*cri.Sandbox, each func(id int, took time.Duration)) error {
+// stopConcurrently tears the sandboxes down as the serverless recycling
+// loop does: one proc per sandbox, all released at the same instant in a
+// fresh kernel phase, so their stops contend for the host's locks and
+// zeroing bandwidth. It calls each (when non-nil) with every sandbox's
+// reclaim latency, which the recovery experiment's reclaim columns
+// report, so this fan-out is modelled behaviour and not only cleanup.
+// Teardown errors are aggregated, not fail-fast: the remaining sandboxes
+// still come down.
+func (h *Host) stopConcurrently(sbs []*cri.Sandbox, each func(id int, took time.Duration)) error {
 	if len(sbs) == 0 {
 		return nil
 	}
@@ -760,7 +786,7 @@ func (h *Host) ChurnExperiment(waves, n int) *ChurnResult {
 		n, took := rec.StageTotal(telemetry.StageRollback)
 		out.Rollbacks += n
 		out.RollbackTime += took
-		if err := h.stopAll(res.Live(), func(_ int, took time.Duration) {
+		if err := h.stopConcurrently(res.Live(), func(_ int, took time.Duration) {
 			out.Reclaim.Add(took)
 		}); err != nil {
 			out.Err = errors.Join(out.Err, err)

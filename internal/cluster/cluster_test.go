@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"fastiov/internal/cost"
+	"fastiov/internal/cri"
 	"fastiov/internal/fault"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
@@ -581,5 +583,64 @@ func TestSeedSweepVarianceSmall(t *testing.T) {
 	spread := float64(sweep.Max()-sweep.Min()) / float64(sweep.Mean())
 	if spread > 0.10 {
 		t.Errorf("seed spread %.1f%% exceeds 10%%: %v", 100*spread, sweep.Values())
+	}
+}
+
+// TestAuditTeardownSpawnsOneProc: an audited StartupExperiment stops its
+// sandboxes from one proc, so it spawns exactly one proc more than the
+// same wave unaudited, and leaves the host clean.
+func TestAuditTeardownSpawnsOneProc(t *testing.T) {
+	procs := func(audited bool) int {
+		opts, _ := OptionsFor(BaselineFastIOV)
+		opts.Audit = audited
+		h, err := NewHost(DefaultHostSpec(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := h.StartupExperiment(20)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if audited && !res.Leaks.Clean() {
+			t.Errorf("dirty audit:\n%s", res.Leaks)
+		}
+		_, _, n := h.K.Clock()
+		return n
+	}
+	if plain, audited := procs(false), procs(true); audited != plain+1 {
+		t.Errorf("audit teardown spawned %d procs for 20 sandboxes, want 1", audited-plain)
+	}
+}
+
+// TestStopSandboxesPastError: a sandbox whose stop fails does not end the
+// loop. The sandboxes after it still come down, nil entries are skipped,
+// and the failure is reported.
+func TestStopSandboxesPastError(t *testing.T) {
+	opts, _ := OptionsFor(BaselineFastIOV)
+	h, err := NewHost(DefaultHostSpec(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeVFs := h.NIC.FreeVFs()
+	res := h.StartupExperiment(4)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// A corrupted CNI result makes the second sandbox's CNI Del fail and
+	// keeps its VF out.
+	broken := res.Sandboxes[1]
+	broken.CNIRes.VF = nil
+	sbs := append([]*cri.Sandbox{nil}, res.Sandboxes...)
+	var stopErr error
+	h.K.Go("teardown", func(p *sim.Proc) { stopErr = h.StopSandboxes(p, sbs) })
+	h.K.Run()
+	if want := fmt.Sprintf("sandbox %d: cni del", broken.ID); stopErr == nil || !strings.Contains(stopErr.Error(), want) {
+		t.Errorf("error %v, want it to report %q", stopErr, want)
+	}
+	if n := h.KVM.LiveVMs(); n != 0 {
+		t.Errorf("%d microVMs left after teardown", n)
+	}
+	if got := h.NIC.FreeVFs(); got != freeVFs-1 {
+		t.Errorf("%d free VFs after teardown, want %d (all but the corrupted sandbox's)", got, freeVFs-1)
 	}
 }

@@ -20,9 +20,9 @@ func TestStartAllocsPerPod(t *testing.T) {
 		baseline string
 		max      float64
 	}{
-		{BaselineVanilla, 44},
-		{BaselineFastIOV, 49},
-		{BaselineNoNet, 58},
+		{BaselineVanilla, 25},
+		{BaselineFastIOV, 27},
+		{BaselineNoNet, 47},
 	} {
 		t.Run(c.baseline, func(t *testing.T) {
 			opts, err := OptionsFor(c.baseline)

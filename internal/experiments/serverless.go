@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 // computation finish, §6.6). Tasks killed by injected faults are dropped
 // from the sample — a faulted sweep measures the survivors — while genuine
 // errors still abort the run. Without faults every task completes, so the
-// sample is built identically to the pre-fault layer. Every completed
-// sandbox is stopped after the sample is taken.
+// sample is built identically to the pre-fault layer. Once the sample is
+// taken, one proc stops every started sandbox in task order.
 func completions(r recipe, n int, app serverless.App) scenario[*stats.Sample] {
 	return scenario[*stats.Sample]{recipe: r, work: "serverless", args: struct {
 		N   int
@@ -27,7 +26,7 @@ func completions(r recipe, n int, app serverless.App) scenario[*stats.Sample] {
 	}{n, app}, fingerprint: sampleFingerprint,
 		run: func(sys system) (*stats.Sample, error) {
 			h := sys.host
-			// The teardown phase runs on the task phase's coroutines.
+			// The teardown proc runs on one of the task phase's coroutines.
 			defer h.K.Hold()()
 			completions := make([]time.Duration, n)
 			sandboxes := make([]*cri.Sandbox, n)
@@ -64,18 +63,10 @@ func completions(r recipe, n int, app serverless.App) scenario[*stats.Sample] {
 			}
 			sample := stats.FromDurations(done)
 			sample.Sort()
-			for _, sb := range sandboxes {
-				if sb == nil {
-					continue
-				}
-				h.K.GoAtName(h.K.Now(), sim.DecimalName("stop-", sb.ID), func(p *sim.Proc) {
-					if err := h.Eng.StopPodSandbox(p, sb); err != nil {
-						errs = append(errs, err)
-					}
-				})
-			}
+			var err error
+			h.K.Go("teardown", func(p *sim.Proc) { err = h.StopSandboxes(p, sandboxes) })
 			h.K.Run()
-			return sample, errors.Join(errs...)
+			return sample, err
 		}}
 }
 

@@ -158,7 +158,7 @@ func (m *Module) track(pid int, start, count int64) {
 func (m *Module) table(pid int) *pageSet {
 	s := m.tables[pid]
 	if s == nil {
-		s = new(pageSet)
+		s = newPageSet()
 		m.tables[pid] = s
 	}
 	return s

@@ -5,11 +5,28 @@ import "slices"
 // pageSet is one pid's second tier: the set of its deferred pages. It keeps
 // the sorted, disjoint page runs the pid registered and one presence bit per
 // page of those runs, so a region of any size costs a few allocations and a
-// lookup is a binary search over a handful of runs.
+// lookup is a binary search over a handful of runs. Its first run and first
+// inlineWords presence words are stored in the set itself, the way a
+// hostmem.Region holds its first run: a contiguous guest of up to 256 pages
+// (512 MiB at 2 MiB pages) costs one allocation. A set is handled by
+// pointer (newPageSet): a copy would share that storage with the original.
 type pageSet struct {
-	runs []setRun
-	bits []uint64
-	n    int // pages present
+	runs  []setRun
+	bits  []uint64
+	n     int // pages present
+	run   [1]setRun
+	words [inlineWords]uint64
+}
+
+// inlineWords is the number of presence words a pageSet holds inline.
+const inlineWords = 4
+
+// newPageSet returns an empty set whose runs and bits start in its inline
+// storage; reserve and add move them to the heap only beyond it.
+func newPageSet() *pageSet {
+	s := new(pageSet)
+	s.runs, s.bits = s.run[:0], s.words[:0]
+	return s
 }
 
 // setRun covers pages [start, start+count); its presence bits start at bit
@@ -60,7 +77,8 @@ func (s *pageSet) remove(pg int64) {
 }
 
 // reserve grows the set's capacity for runs more runs holding words more
-// presence words, so adding them allocates nothing more.
+// presence words, so adding them allocates nothing more. Within the inline
+// storage it allocates nothing.
 func (s *pageSet) reserve(runs, words int) {
 	s.runs = slices.Grow(s.runs, runs)
 	s.bits = slices.Grow(s.bits, words)

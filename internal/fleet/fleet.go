@@ -770,18 +770,21 @@ func (f *Fleet) Finish() *Result {
 		// unaudited ones. The signals were read above and the registry is
 		// sealed.
 		f.K.SetProbe(nil)
+		// One proc per host stops its sandboxes in placement order: the
+		// teardown models no timing, it only has to leave every host
+		// clean. Errors join in host order, then sandbox order.
+		stopErrs := make([]error, len(f.Hosts))
 		for hi, sbs := range live {
-			h := f.Hosts[hi]
-			for _, sb := range sbs {
-				sb := sb
-				f.K.GoAtName(f.K.Now(), sim.DecimalName("stop-", sb.ID), func(p *sim.Proc) {
-					if err := h.Eng.StopPodSandbox(p, sb); err != nil {
-						errs = append(errs, err)
-					}
-				})
+			if len(sbs) == 0 {
+				continue
 			}
+			h := f.Hosts[hi]
+			f.K.GoAtName(f.K.Now(), sim.DecimalName("teardown-", hi), func(p *sim.Proc) {
+				stopErrs[hi] = h.StopSandboxes(p, sbs)
+			})
 		}
 		f.K.Run()
+		errs = append(errs, stopErrs...) // errors.Join drops the nils
 		baselines := make([]audit.Snapshot, len(f.Hosts))
 		finals := make([]audit.Snapshot, len(f.Hosts))
 		res.PerHost = make([]*audit.Report, len(f.Hosts))

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -297,5 +298,105 @@ func TestFreeVFHeadroomDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { f.FreeVFHeadroom() }); n != 0 {
 		t.Errorf("FreeVFHeadroom allocates %v times per call, want 0", n)
+	}
+}
+
+// runUnfinished runs an audited fleet's arrivals to quiescence without
+// Finish, so a test can look at the surviving sandboxes before the audit
+// teardown. The returned release drains the run's coroutines.
+func runUnfinished(t *testing.T, cfg Config) (*Fleet, func()) {
+	t.Helper()
+	cfg.Audit = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := f.K.Hold()
+	f.arrive()
+	f.K.Run()
+	return f, release
+}
+
+// TestFinishTeardownOneProcPerHost: Finish's audit teardown stops each
+// host's sandboxes from one proc, so it spawns at most one proc per host
+// with live sandboxes, and still leaves every host clean.
+func TestFinishTeardownOneProcPerHost(t *testing.T) {
+	f, release := runUnfinished(t, smallCfg(cluster.BaselineFastIOV, PolicyLeastLoaded, 1))
+	defer release()
+	hosts, pods := 0, 0
+	for _, sbs := range f.live {
+		if len(sbs) > 0 {
+			hosts++
+			pods += len(sbs)
+		}
+	}
+	if hosts < 2 || pods <= hosts {
+		t.Fatalf("%d pods on %d hosts: too few to tell a per-host teardown from a per-pod one", pods, hosts)
+	}
+	_, _, before := f.K.Clock()
+	res := f.Finish()
+	_, _, after := f.K.Clock()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if spawned := after - before; spawned > hosts {
+		t.Errorf("Finish spawned %d procs to stop %d pods, want at most one per host (%d)", spawned, pods, hosts)
+	}
+	for i, rep := range res.PerHost {
+		if !rep.Clean() {
+			t.Errorf("host %d dirty after teardown:\n%s", i, rep)
+		}
+	}
+	if !res.Leaks.Clean() {
+		t.Errorf("fleet-wide audit dirty:\n%s", res.Leaks)
+	}
+}
+
+// TestFinishTeardownStopsPastErrors: a sandbox whose stop fails does not
+// end its host's teardown. The sandboxes placed after it still come down,
+// and the errors are reported in host order, then sandbox order.
+func TestFinishTeardownStopsPastErrors(t *testing.T) {
+	f, release := runUnfinished(t, smallCfg(cluster.BaselineFastIOV, PolicyLeastLoaded, 1))
+	defer release()
+	first, last := 0, len(f.live)-1
+	if len(f.live[first]) < 2 || len(f.live[last]) < 2 {
+		t.Fatalf("placements %v leave no later sandbox on host %d or %d", f.placements, first, last)
+	}
+	// Corrupt the first sandbox of the last host, then of the first host:
+	// its CNI Del fails and its VF stays out. The report must follow host
+	// order, not the order the sandboxes were broken in.
+	ids := make([]int, 0, 2)
+	for _, hi := range []int{last, first} {
+		sb := f.live[hi][0]
+		sb.CNIRes.VF = nil
+		ids = append(ids, sb.ID)
+	}
+	freeBefore := make([]int, len(f.Hosts))
+	for i, h := range f.Hosts {
+		freeBefore[i] = h.NIC.FreeVFs()
+	}
+	res := f.Finish()
+	if res.Err == nil {
+		t.Fatal("corrupted sandboxes stopped without error")
+	}
+	msg := res.Err.Error()
+	atFirst := strings.Index(msg, fmt.Sprintf("sandbox %d: cni del", ids[1]))
+	atLast := strings.Index(msg, fmt.Sprintf("sandbox %d: cni del", ids[0]))
+	if atFirst < 0 || atLast < 0 || atFirst > atLast {
+		t.Errorf("error %q: want sandbox %d (host %d) reported, then sandbox %d (host %d)", msg, ids[1], first, ids[0], last)
+	}
+	for i, h := range f.Hosts {
+		if n := h.KVM.LiveVMs(); n != 0 {
+			t.Errorf("host %d: %d microVMs left after teardown", i, n)
+		}
+		want := freeBefore[i] + len(f.live[i])
+		if i == first || i == last {
+			want-- // the corrupted sandbox's VF cannot be released
+		} else if !res.PerHost[i].Clean() {
+			t.Errorf("host %d dirty after teardown:\n%s", i, res.PerHost[i])
+		}
+		if got := h.NIC.FreeVFs(); got != want {
+			t.Errorf("host %d: %d free VFs after teardown, want %d", i, got, want)
+		}
 	}
 }

@@ -50,10 +50,14 @@
 //     keeps them for its next phase and drains them when it returns. The
 //     pool then pays iter.Pull once per peak-concurrent proc of the
 //     owner's whole run, not of each phase, as SystemC keeps a thread
-//     process for the whole simulation. Proc records themselves are NOT
-//     pooled: user code retains *Proc handles past exit (Join, Done,
-//     Finished on an already-finished proc), so recycling records would
-//     alias live references. The per-proc cost is one record; the
+//     process for the whole simulation. A proc should stand for
+//     concurrency the model has: an audit teardown models no timing, so it
+//     stops a host's sandboxes one after another from one proc per host.
+//     Under a hold that proc runs on a coroutine the measured phase left
+//     idle, and a fleet's teardown costs one proc record per host, not one
+//     per pod. Proc records themselves are NOT pooled: user code retains
+//     *Proc handles past exit (Join, Done, Finished on an already-finished
+//     proc), so recycling records would alias live references. The per-proc cost is one record; the
 //     per-coroutine cost is one iter.Pull, paid at a new concurrency peak.
 //   - Parking allocates nothing. A proc parks on at most one primitive at
 //     a time, so every wait queue (Mutex, RWMutex, Resource, Queue, Event,
