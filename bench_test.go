@@ -362,6 +362,28 @@ func BenchmarkStartupC200(b *testing.B) {
 	}
 }
 
+// BenchmarkHostBoot boots the paper-default host (256 VFs, 256 GB of 2 MB
+// pages) for vanilla and fastiov. A boot holds no per-VF and no per-page
+// state: a VF's records are built at its first lease and content state at
+// a page's first transition away from dirty, so its cost is a few
+// kilobytes whatever the VF count and memory size.
+func BenchmarkHostBoot(b *testing.B) {
+	for _, name := range []string{cluster.BaselineVanilla, cluster.BaselineFastIOV} {
+		b.Run(name, func(b *testing.B) {
+			opts, err := cluster.OptionsFor(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.NewHost(cluster.DefaultHostSpec(), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFleet100x20 is the scale headline: 100 heterogeneous hosts on
 // one shared kernel, 2000 container starts placed by the least-loaded
 // policy, leak-audited per host and fleet-wide.

@@ -9,12 +9,14 @@ import (
 )
 
 // TestBootCostIndependentOfVFCount pins that booting a host, directly or
-// from a snapshot recipe, costs O(1) heap allocations in the VF count: the
-// VF pool, PCI devices and VFIO registrations live in per-host tables, and
-// lock names are formatted on first read. Each case boots at 64 and at 256 VFs;
-// the allocation counts may differ by a small constant only.
+// from a snapshot recipe, costs O(1) heap allocations and bytes in the VF
+// count: the VFs are a count on their bus, registered at boot as a count,
+// and a VF's NIC, PCI and VFIO records are built when it is first leased;
+// lock names are formatted on first read. Each case boots at 64 and at 256
+// VFs; the allocation counts may differ by a small constant only, and the
+// bytes by less than 8 KiB.
 func TestBootCostIndependentOfVFCount(t *testing.T) {
-	const slack = 8
+	const slack, byteSlack = 8, 8 << 10
 	specs := []struct {
 		name      string
 		baseline  string
@@ -67,16 +69,22 @@ func TestBootCostIndependentOfVFCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var allocs [2]float64
+				var allocs, bytes [2]float64
 				for i, vfs := range []int{64, 256} {
 					spec := DefaultHostSpec()
 					spec.NumVFs = vfs
 					spec.NIC.SlotReset = sc.slotReset
-					allocs[i] = testing.AllocsPerRun(5, bc.boot(t, spec, opts))
+					boot := bc.boot(t, spec, opts)
+					allocs[i] = testing.AllocsPerRun(5, boot)
+					bytes[i] = bytesPerRun(5, boot)
 				}
 				if d := allocs[1] - allocs[0]; d > slack || d < -slack {
 					t.Errorf("allocs at 64 VFs %v, at 256 VFs %v: differ by more than %d", allocs[0], allocs[1], slack)
 				}
+				if d := bytes[1] - bytes[0]; d >= byteSlack {
+					t.Errorf("bytes at 64 VFs %.0f, at 256 VFs %.0f: 256 VFs cost %d or more extra", bytes[0], bytes[1], byteSlack)
+				}
+				t.Logf("bytes per boot at 64 VFs %.0f, at 256 VFs %.0f", bytes[0], bytes[1])
 				if bc.name == "NewHost" && !sc.slotReset && allocs[1] > 100 {
 					t.Errorf("NewHost on the default spec: %v allocs, want at most 100", allocs[1])
 				}

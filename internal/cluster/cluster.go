@@ -466,12 +466,10 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 	// once at host boot; the flawed CNI leaves VFs unbound and rebinds on
 	// every container start.
 	if opts.Network == NetSRIOV && !opts.RebindFlaw {
-		vfs := h.NIC.VFs()
-		for i := range vfs {
-			vfs[i].Dev.BindBoot("vfio-pci")
-			if _, err := h.VFIO.Register(vfs[i].Dev); err != nil {
-				return nil, err
-			}
+		vfs := h.NIC.VFBlock()
+		vfs.BindBoot("vfio-pci")
+		if err := h.VFIO.RegisterVFs(vfs); err != nil {
+			return nil, err
 		}
 	}
 

@@ -40,11 +40,9 @@ func newRig(t *testing.T, nVFs int, preBind bool) *rig {
 	}
 	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), vfio.LockGlobal, &c)
 	if preBind {
-		for _, vf := range card.VFs() {
-			vf.Dev.BindBoot("vfio-pci")
-			if _, err := drv.Register(vf.Dev); err != nil {
-				t.Fatal(err)
-			}
+		card.VFBlock().BindBoot("vfio-pci")
+		if err := drv.RegisterVFs(card.VFBlock()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return &rig{k: k, card: card, drv: drv, rtnl: sim.NewMutex("rtnl"), cg: sim.NewMutex("cgroup"), costs: &c}

@@ -63,11 +63,9 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 		kv.Hook = mod
 	}
 	if !cfg.rebind && !cfg.noNet {
-		for _, vf := range card.VFs() {
-			vf.Dev.BindBoot("vfio-pci")
-			if _, err := drv.Register(vf.Dev); err != nil {
-				t.Fatal(err)
-			}
+		card.VFBlock().BindBoot("vfio-pci")
+		if err := drv.RegisterVFs(card.VFBlock()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 16), &c)

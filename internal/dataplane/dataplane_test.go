@@ -39,7 +39,10 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	drv := vfio.New(k, topo, mem, iommu.New(k, mem.PageSize(), &c), vfio.LockParentChild, &c)
-	vf := &card.VFs()[0]
+	vf, err := card.AllocVF()
+	if err != nil {
+		t.Fatal(err)
+	}
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
 	if err != nil {

@@ -21,6 +21,7 @@ type rig struct {
 	mem     *hostmem.Allocator
 	env     *hypervisor.Env
 	card    *nic.NIC
+	vf      *nic.VF // leased, with vd its registration
 	vd      *vfio.Device
 	irqLock *sim.Mutex
 	lazy    *fastiovd.Module
@@ -46,13 +47,16 @@ func newRig(t *testing.T, lazy bool) *rig {
 		kv.Hook = mod
 	}
 	env := hypervisor.NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, sim.NewResource("cpu", 8), &c)
-	vf := &card.VFs()[0]
+	vf, err := card.AllocVF()
+	if err != nil {
+		t.Fatal(err)
+	}
 	vf.Dev.BindBoot("vfio-pci")
 	vd, err := drv.Register(vf.Dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{k: k, mem: mem, env: env, card: card, vd: vd, irqLock: sim.NewMutex("irq"), lazy: mod}
+	return &rig{k: k, mem: mem, env: env, card: card, vf: vf, vd: vd, irqLock: sim.NewMutex("irq"), lazy: mod}
 }
 
 func layout() hypervisor.Layout {
@@ -188,6 +192,11 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 	r := newRig(t, false)
 	r.env.Costs.AgentPollInterval = 0
 	var ends []sim.Duration
+	other, err := r.card.AllocVF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vfs := []*nic.VF{r.vf, other}
 	for i := 0; i < 2; i++ {
 		i := i
 		r.k.Go("vm", func(p *sim.Proc) {
@@ -197,7 +206,7 @@ func TestIrqLockSerializesDriverInits(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			g := new(Guest).Init(mvm, &r.card.VFs()[i], r.irqLock)
+			g := new(Guest).Init(mvm, vfs[i], r.irqLock)
 			if err := g.Boot(p); err != nil {
 				t.Error(err)
 				return

@@ -6,10 +6,12 @@
 // Costs are charged per page, as the paper's DMA-map pipeline is (Fig. 6),
 // but nothing is stored per page of host memory: the free list is a sorted
 // list of free extents, pin refcounts are run-length segments, and content
-// state lives in fixed-size chunks that are allocated only when one of
-// their pages first leaves the Dirty state. Allocating, pinning, freeing
-// and cloning cost O(runs), and content state costs memory in proportion
-// to the pages a run touches, not to the host's size.
+// state lives at two bits a page in fixed-size chunks (1 KiB for 4096
+// pages) that are allocated only when one of their pages first leaves the
+// Dirty state. Allocating, pinning, freeing and cloning cost O(runs), a
+// range of content state is set, searched and counted a 32-page word at a
+// time, and content state costs memory in proportion to the pages a run
+// touches, not to the host's size.
 //
 // Content state is the heart of the paper's correctness argument (§4.3.2):
 // a page freed by one tenant holds residual data and MUST be zeroed before
@@ -21,6 +23,7 @@ package hostmem
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"fastiov/internal/cost"
@@ -192,16 +195,36 @@ func NewScoped(k *sim.Kernel, cfg Config, c cost.Model, scope string) *Allocator
 	}
 }
 
-// Content state is stored in chunks of chunkPages pages. Dirty is the zero
-// ContentState, so a chunk none of whose pages has left Dirty is not
-// allocated at all.
+// Content state is stored at two bits a page, 32 pages to a word, in
+// chunks of chunkPages pages (1 KiB each). Dirty is the zero ContentState,
+// so a chunk none of whose pages has left Dirty is not allocated at all.
 const (
 	chunkBits  = 12
 	chunkPages = 1 << chunkBits
 	chunkMask  = chunkPages - 1
+	wordBits   = 5
+	wordPages  = 1 << wordBits
+	wordMask   = wordPages - 1
 )
 
-type stateChunk [chunkPages]ContentState
+type stateChunk [chunkPages / wordPages]uint64
+
+// lowBits has the low bit of every page's two-bit field set.
+const lowBits = 0x5555555555555555
+
+// live returns the low bit of each page field of w that is not Dirty.
+func live(w uint64) uint64 { return (w | w>>1) & lowBits }
+
+// fields returns the mask of the page fields [lo, hi) of a word, 0 <= lo
+// <= hi <= wordPages.
+func fields(lo, hi int64) uint64 {
+	return (uint64(1)<<(2*hi) - 1) &^ (uint64(1)<<(2*lo) - 1)
+}
+
+// get returns the state of page j of the chunk.
+func (c *stateChunk) get(j int64) ContentState {
+	return ContentState(c[j>>wordBits] >> (2 * (j & wordMask)) & 3)
+}
 
 // StateDigest folds the per-page content states into an FNV-1a hash — a
 // cheap fingerprint for determinism checks.
@@ -212,7 +235,7 @@ func (a *Allocator) StateDigest() uint64 {
 		for i := range n {
 			var s ContentState
 			if c != nil {
-				s = c[i]
+				s = c.get(i)
 			}
 			h = (h ^ uint64(s)) * 1099511628211
 		}
@@ -245,8 +268,9 @@ func (a *Allocator) markState(page int64, s ContentState) {
 	if s == Dirty && a.state[page>>chunkBits] == nil {
 		return
 	}
-	c := a.chunkFor(page)
-	old := c[page&chunkMask]
+	j := page & chunkMask
+	w, sh := &a.chunkFor(page)[j>>wordBits], 2*(j&wordMask)
+	old := ContentState(*w >> sh & 3)
 	if old == s {
 		return
 	}
@@ -256,7 +280,7 @@ func (a *Allocator) markState(page int64, s ContentState) {
 	if s == Dirty {
 		a.dirtyCnt++
 	}
-	c[page&chunkMask] = s
+	*w = *w&^(3<<sh) | uint64(s)<<sh
 }
 
 // chunkFor returns the chunk holding page, allocating it (all Dirty) if it
@@ -425,35 +449,38 @@ func (a *Allocator) WriteRegion(region *Region) {
 }
 
 // markRange sets pages [start, end) to content state s, maintaining the
-// dirty-page backlog counter. It works one chunk at a time and skips the
+// dirty-page backlog counter. It works one word of 32 pages at a time,
+// counting the Dirty pages it overwrites by popcount, and skips the
 // unallocated chunks when s is Dirty.
 func (a *Allocator) markRange(start, end int64, s ContentState) {
+	pattern := uint64(s) * lowBits // s in every field
 	for start < end {
 		stop := min(end, (start|chunkMask)+1)
 		if s == Dirty && a.state[start>>chunkBits] == nil {
 			start = stop
 			continue
 		}
-		lo := start & chunkMask
-		sub := a.chunkFor(start)[lo : lo+stop-start]
-		var dirty int64
-		for i, old := range sub {
-			if old == Dirty {
-				dirty++
+		c := a.chunkFor(start)
+		for start < stop {
+			wstop := min(stop, (start|wordMask)+1)
+			n, lo := wstop-start, start&wordMask
+			m := fields(lo, lo+n)
+			w := &c[start&chunkMask>>wordBits]
+			dirty := n - int64(bits.OnesCount64(live(*w)&m))
+			*w = *w&^m | pattern&m
+			if s == Dirty {
+				a.dirtyCnt += n - dirty
+			} else {
+				a.dirtyCnt -= dirty
 			}
-			sub[i] = s
+			start = wstop
 		}
-		if s == Dirty {
-			a.dirtyCnt += int64(len(sub)) - dirty
-		} else {
-			a.dirtyCnt -= dirty
-		}
-		start = stop
 	}
 }
 
 // seekDirty returns the first page in [i, end) that is Dirty when dirty is
-// set, or not Dirty otherwise; end if there is none.
+// set, or not Dirty otherwise; end if there is none. It tests a word of 32
+// pages at a time.
 func (a *Allocator) seekDirty(i, end int64, dirty bool) int64 {
 	for i < end {
 		stop := min(end, (i|chunkMask)+1)
@@ -465,10 +492,15 @@ func (a *Allocator) seekDirty(i, end int64, dirty bool) int64 {
 			i = stop
 			continue
 		}
-		for ; i < stop; i++ {
-			if (c[i&chunkMask] == Dirty) == dirty {
-				return i
+		for i < stop {
+			x := live(c[i&chunkMask>>wordBits])
+			if dirty {
+				x ^= lowBits
 			}
+			if x &= fields(i&wordMask, wordPages); x != 0 {
+				return min(i&^wordMask+int64(bits.TrailingZeros64(x)/2), end)
+			}
+			i = (i | wordMask) + 1
 		}
 	}
 	return end
@@ -558,7 +590,7 @@ func (a *Allocator) PinnedPages() int64 { return a.pinnedCnt }
 // State returns a page's content state.
 func (a *Allocator) State(page int64) ContentState {
 	if c := a.state[page>>chunkBits]; c != nil {
-		return c[page&chunkMask]
+		return c.get(page & chunkMask)
 	}
 	return Dirty
 }
@@ -596,12 +628,21 @@ func (a *Allocator) PreZero(fraction float64) {
 	for _, e := range a.free {
 		for i := e.start; i < e.end && target > 0; {
 			c := a.chunkFor(i)
-			for stop := min(e.end, (i|chunkMask)+1); i < stop && target > 0; i++ {
-				if c[i&chunkMask] == Dirty {
-					c[i&chunkMask] = Zeroed
-					a.dirtyCnt--
-					target--
+			for stop := min(e.end, (i|chunkMask)+1); i < stop && target > 0; {
+				wstop := min(stop, (i|wordMask)+1)
+				lo := i & wordMask
+				w := &c[i&chunkMask>>wordBits]
+				// The low bit of each Dirty field in range: setting it
+				// makes the page Zeroed.
+				d := ^live(*w) & lowBits & fields(lo, lo+wstop-i)
+				for n := int64(bits.OnesCount64(d)); n > target; n-- {
+					d &^= uint64(1) << (63 - bits.LeadingZeros64(d)) // keep the lowest target pages
 				}
+				*w |= d
+				n := int64(bits.OnesCount64(d))
+				a.dirtyCnt -= n
+				target -= n
+				i = wstop
 			}
 		}
 	}

@@ -53,7 +53,11 @@ func newRig(t *testing.T, lazy bool) *rig {
 	cpu := sim.NewResource("cpu", 8)
 	env := NewEnv(k, sim.NewRand(1), mem, kv, drv, mod, cpu, &c)
 	r := &rig{k: k, mem: mem, env: env, card: card, lazy: mod}
-	for _, vf := range card.VFs() {
+	for range card.NumVFs() {
+		vf, err := card.AllocVF()
+		if err != nil {
+			t.Fatal(err)
+		}
 		vf.Dev.BindBoot("vfio-pci")
 		vd, err := drv.Register(vf.Dev)
 		if err != nil {

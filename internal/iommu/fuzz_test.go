@@ -68,8 +68,8 @@ func runDomainScript(script []byte) error {
 	c := cost.Default()
 	u := New(k, hostmem.PageSize4K, &c)
 	ps := u.PageSize()
-	d := u.CreateDomain()
-	other := u.CreateDomain() // must stay untouched
+	d := u.InitDomain(new(Domain))
+	other := u.InitDomain(new(Domain)) // must stay untouched
 	ref := &refDomain{pt: make(map[int64]int64)}
 	var err error
 	k.Go("script", func(p *sim.Proc) {

@@ -54,10 +54,12 @@ type Domain struct {
 	first [hostmem.GuestRegions]pagetab.Run
 }
 
-// CreateDomain allocates a fresh, empty domain.
-func (u *IOMMU) CreateDomain() *Domain {
+// InitDomain makes *d a fresh, empty domain with the next ID, in storage
+// its owner holds (a VFIO device keeps its domain inline), and returns d.
+// d must not be live.
+func (u *IOMMU) InitDomain(d *Domain) *Domain {
 	u.nextID++
-	d := &Domain{ID: u.nextID, unit: u}
+	*d = Domain{ID: u.nextID, unit: u}
 	d.pt = pagetab.With(d.first[:])
 	u.domains[d.ID] = d
 	return d

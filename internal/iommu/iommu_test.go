@@ -23,7 +23,7 @@ func setup() (*sim.Kernel, *hostmem.Allocator, *IOMMU) {
 
 func TestMapAndTranslate(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		region, _ := mem.Allocate(p, 8*mb)
 		if err := dom.Map(p, 0, region); err != nil {
@@ -46,7 +46,7 @@ func TestMapAndTranslate(t *testing.T) {
 
 func TestTranslateUnmappedFaults(t *testing.T) {
 	k, _, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		if _, err := dom.Translate(0); err == nil {
 			t.Error("translate of empty domain should fault")
@@ -57,7 +57,7 @@ func TestTranslateUnmappedFaults(t *testing.T) {
 
 func TestDoubleMapRejected(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r1, _ := mem.Allocate(p, 4*mb)
 		r2, _ := mem.Allocate(p, 4*mb)
@@ -76,7 +76,7 @@ func TestDoubleMapRejected(t *testing.T) {
 // change, no time charged.
 func TestFailedMapLeavesDomainUnchanged(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r1, _ := mem.Allocate(p, 4*mb) // 2 pages
 		r2, _ := mem.Allocate(p, 8*mb) // 4 pages
@@ -109,7 +109,7 @@ func TestFailedMapLeavesDomainUnchanged(t *testing.T) {
 
 func TestUnalignedIOVARejected(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 2*mb)
 		if err := dom.Map(p, 4096, r); err == nil {
@@ -121,7 +121,7 @@ func TestUnalignedIOVARejected(t *testing.T) {
 
 func TestUnmapRemovesTranslations(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 8*mb)
 		dom.Map(p, 16*mb, r)
@@ -141,7 +141,7 @@ func TestUnmapRemovesTranslations(t *testing.T) {
 
 func TestDomainsIsolated(t *testing.T) {
 	k, mem, u := setup()
-	a, b := u.CreateDomain(), u.CreateDomain()
+	a, b := u.InitDomain(new(Domain)), u.InitDomain(new(Domain))
 	if a.ID == b.ID {
 		t.Fatal("duplicate domain ids")
 	}
@@ -158,7 +158,7 @@ func TestDomainsIsolated(t *testing.T) {
 func TestMapChargesPerPageCost(t *testing.T) {
 	k, mem, u := setup()
 	u.costs.MapCostPerPage = 1000 // 1µs
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 8*mb) // 4 pages
 		before := p.Now()
@@ -172,7 +172,7 @@ func TestMapChargesPerPageCost(t *testing.T) {
 
 func TestDestroyDomain(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 4*mb)
 		if err := dom.Map(p, 0, r); err != nil {
@@ -189,7 +189,7 @@ func TestDestroyDomain(t *testing.T) {
 
 func TestTranslatePage(t *testing.T) {
 	k, mem, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	k.Go("t", func(p *sim.Proc) {
 		r, _ := mem.Allocate(p, 2*mb)
 		dom.Map(p, 0, r)
@@ -208,7 +208,7 @@ func TestTranslatePage(t *testing.T) {
 // pieces are HPA-contiguous is one run however many pieces it has.
 func TestMapMergesContinuingRuns(t *testing.T) {
 	k, _, u := setup()
-	dom := u.CreateDomain()
+	dom := u.InitDomain(new(Domain))
 	check := func(want []pagetab.Run) {
 		t.Helper()
 		if !reflect.DeepEqual(dom.Runs(), want) {

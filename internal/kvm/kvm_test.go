@@ -431,7 +431,7 @@ func TestFragmentedMappingKeepsOneRunPerRange(t *testing.T) {
 	u := iommu.New(k, mem.PageSize(), &c)
 	const ps = hostmem.PageSize4K
 	k.Go("t", func(p *sim.Proc) {
-		vm, dom := h.CreateVM(), u.CreateDomain()
+		vm, dom := h.CreateVM(), u.InitDomain(new(iommu.Domain))
 		var gpa int64
 		var flat []int64 // the per-page reference, by GPA page
 		for i, pages := range []int64{300, 100, 37} {

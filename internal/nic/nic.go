@@ -30,7 +30,8 @@ func DefaultConfig() Config {
 	return Config{Name: "e810", Bus: 0x17, MaxVFs: 256}
 }
 
-// VF is one virtual function.
+// VF is one virtual function: its NIC state and its PCI record, built at
+// the VF's first lease.
 type VF struct {
 	Index int
 	Dev   *pci.Device
@@ -45,7 +46,9 @@ type VF struct {
 	// LinkUp is set once the guest driver brings the interface up.
 	LinkUp bool
 
-	nic *NIC
+	nic  *NIC
+	next *VF        // the next released VF in the free list
+	dev  pci.Device // backs Dev
 }
 
 // Card returns the NIC this VF belongs to.
@@ -62,12 +65,19 @@ func (vf *VF) MAC() string {
 
 // NIC is the SR-IOV card.
 type NIC struct {
-	k    *sim.Kernel
-	cfg  Config
-	pf   *pci.Device
-	vfs  []VF  // by VF number
-	free []*VF // into vfs, in lease order from free[head] on
-	head int
+	k   *sim.Kernel
+	cfg Config
+	pf  *pci.Device
+	vfs *pci.VFBlock // nil until CreateVFs
+
+	// The free list is a FIFO. It starts as every VF in number order, and
+	// a released VF joins its tail behind all of them, so it is the VFs
+	// never leased, [fresh, n), then the released ones in release order,
+	// linked through VF.next from head to tail. A VF's record is built
+	// when fresh passes it and is never dropped.
+	fresh      int
+	head, tail *VF
+	released   int
 
 	// link models the shared 25 GbE pipe: capacity is expressed in "lanes"
 	// of linkBps/lanes each so concurrent downloads share fairly.
@@ -104,40 +114,52 @@ func (n *NIC) PF() *pci.Device { return n.pf }
 
 // CreateVFs performs the one-time VF pre-creation the Kubelet triggers after
 // host boot (§2.3), placing the VFs on the PF's bus. As in the paper, it is
-// outside the measured startup window, so it takes no simulated time.
+// outside the measured startup window, so it takes no simulated time. The
+// VFs are a count on the bus until they are leased.
 func (n *NIC) CreateVFs(count int, topo *pci.Topology) error {
 	if count > n.cfg.MaxVFs {
 		return fmt.Errorf("nic: %d VFs exceeds card limit %d", count, n.cfg.MaxVFs)
 	}
-	if len(n.vfs) > 0 {
+	if n.vfs != nil {
 		return fmt.Errorf("nic: VFs already created")
 	}
 	reset := pci.ResetBus
 	if n.cfg.SlotReset {
 		reset = pci.ResetSlot
 	}
-	devs := topo.AddVFs(n.pf, count, pci.Device{Vendor: 0x8086, DevID: 0x1889, Reset: reset})
-	n.vfs = make([]VF, count)
-	n.free = make([]*VF, count)
-	for i := range n.vfs {
-		n.vfs[i] = VF{Index: i, Dev: &devs[i], nic: n}
-		n.free[i] = &n.vfs[i]
-	}
+	n.vfs = topo.AddVFs(n.pf, count, pci.Device{Vendor: 0x8086, DevID: 0x1889, Reset: reset})
 	return nil
 }
 
-// VFs returns all created VFs, indexed by VF number (not a copy).
-func (n *NIC) VFs() []VF { return n.vfs }
+// VFBlock returns the card's VFs as the PCI topology holds them (nil
+// before CreateVFs): what host boot binds and registers.
+func (n *NIC) VFBlock() *pci.VFBlock { return n.vfs }
+
+// NumVFs returns the number of created VFs.
+func (n *NIC) NumVFs() int {
+	if n.vfs == nil {
+		return 0
+	}
+	return n.vfs.Len()
+}
 
 // AllocVF leases a free VF from the pool.
 func (n *NIC) AllocVF() (*VF, error) {
-	if n.FreeVFs() == 0 {
-		return nil, fmt.Errorf("nic: no free VFs (of %d)", len(n.vfs))
-	}
-	vf := n.free[n.head]
-	n.head++
-	if n.head == len(n.free) {
-		n.free, n.head = n.free[:0], 0
+	var vf *VF
+	switch {
+	case n.fresh < n.NumVFs():
+		vf = &VF{Index: n.fresh, nic: n}
+		vf.Dev = n.vfs.Init(&vf.dev, n.fresh)
+		n.fresh++
+	case n.head != nil:
+		vf = n.head
+		if n.head = vf.next; n.head == nil {
+			n.tail = nil
+		}
+		vf.next = nil
+		n.released--
+	default:
+		return nil, fmt.Errorf("nic: no free VFs (of %d)", n.NumVFs())
 	}
 	vf.Assigned = true
 	return vf, nil
@@ -151,17 +173,17 @@ func (n *NIC) ReleaseVF(vf *VF) {
 	vf.Assigned = false
 	vf.LinkUp = false
 	vf.HostIfname = ""
-	// The list is a FIFO in one backing array sized for every VF: a full
-	// tail slides the queue to the front instead of growing it.
-	if n.head > 0 && len(n.free) == cap(n.free) {
-		k := copy(n.free, n.free[n.head:])
-		n.free, n.head = n.free[:k], 0
+	if n.tail == nil {
+		n.head = vf
+	} else {
+		n.tail.next = vf
 	}
-	n.free = append(n.free, vf)
+	n.tail = vf
+	n.released++
 }
 
 // FreeVFs returns the number of unassigned VFs.
-func (n *NIC) FreeVFs() int { return len(n.free) - n.head }
+func (n *NIC) FreeVFs() int { return n.NumVFs() - n.fresh + n.released }
 
 // DMAWrite models the NIC's DMA engine writing bytes of received packet
 // data into guest memory at iova, translating through the IOMMU domain. The

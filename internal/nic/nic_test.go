@@ -36,7 +36,11 @@ func TestPFBoundAtBoot(t *testing.T) {
 func TestVFsShareBusWithPF(t *testing.T) {
 	_, _, n := newCard(t, 16)
 	bus := n.PF().Bus()
-	for _, vf := range n.VFs() {
+	for range n.NumVFs() {
+		vf, err := n.AllocVF()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if vf.Dev.Bus() != bus {
 			t.Fatal("VF on different bus than PF")
 		}
@@ -48,7 +52,7 @@ func TestVFsShareBusWithPF(t *testing.T) {
 		}
 	}
 	// PF + 16 VFs on the bus.
-	if got := len(bus.Devices()); got != 17 {
+	if got := bus.Population(); got != 17 {
 		t.Errorf("bus population = %d, want 17", got)
 	}
 }
@@ -62,7 +66,7 @@ func TestSlotResetOption(t *testing.T) {
 	if err := n.CreateVFs(2, topo); err != nil {
 		t.Fatal(err)
 	}
-	if n.VFs()[0].Dev.Reset != pci.ResetSlot {
+	if vf, _ := n.AllocVF(); vf.Dev.Reset != pci.ResetSlot {
 		t.Error("SlotReset config ignored")
 	}
 }
@@ -115,7 +119,9 @@ func TestReleaseUnassignedPanics(t *testing.T) {
 		}
 	}()
 	_, _, n := newCard(t, 1)
-	n.ReleaseVF(&n.VFs()[0])
+	vf, _ := n.AllocVF()
+	n.ReleaseVF(vf)
+	n.ReleaseVF(vf)
 }
 
 func TestReleaseResetsState(t *testing.T) {
@@ -132,7 +138,8 @@ func TestReleaseResetsState(t *testing.T) {
 func TestMACsUnique(t *testing.T) {
 	_, _, n := newCard(t, 64)
 	seen := map[string]bool{}
-	for _, vf := range n.VFs() {
+	for range n.NumVFs() {
+		vf, _ := n.AllocVF()
 		if seen[vf.MAC()] {
 			t.Fatalf("duplicate MAC %s", vf.MAC())
 		}
@@ -172,21 +179,24 @@ func TestConcurrentTransfersShareLanes(t *testing.T) {
 
 func TestCardBackref(t *testing.T) {
 	_, _, n := newCard(t, 1)
-	if n.VFs()[0].Card() != n {
+	if vf, _ := n.AllocVF(); vf.Card() != n {
 		t.Error("VF card backref wrong")
 	}
 }
 
 // Leases and releases in any interleaving hand VFs out in the order of
 // the slice queue the free list replaced (lease from the front, release to
-// the back), and churn allocates nothing once the pool exists.
+// the back), a VF keeps the record its first lease built, and churn
+// allocates nothing once every VF has been leased.
 func TestVFChurnKeepsOrderWithoutAllocating(t *testing.T) {
 	const vfs = 8
 	_, _, n := newCard(t, vfs)
-	var ref, leased []*VF
-	for i := range n.VFs() {
-		ref = append(ref, &n.VFs()[i])
+	var ref []int // VF numbers in hand-out order
+	for i := range n.NumVFs() {
+		ref = append(ref, i)
 	}
+	var leased []*VF
+	recs := map[int]*VF{}
 	state := uint64(0x9E3779B97F4A7C15)
 	for op := 0; op < 5000; op++ {
 		state ^= state << 13
@@ -197,7 +207,7 @@ func TestVFChurnKeepsOrderWithoutAllocating(t *testing.T) {
 			vf := leased[i]
 			leased = append(leased[:i], leased[i+1:]...)
 			n.ReleaseVF(vf)
-			ref = append(ref, vf)
+			ref = append(ref, vf.Index)
 			continue
 		}
 		vf, err := n.AllocVF()
@@ -207,14 +217,21 @@ func TestVFChurnKeepsOrderWithoutAllocating(t *testing.T) {
 			}
 			continue
 		}
-		if err != nil || vf != ref[0] {
-			t.Fatalf("op %d: AllocVF = %v, %v; want %s", op, vf, err, ref[0].Name())
+		if err != nil || vf.Index != ref[0] {
+			t.Fatalf("op %d: AllocVF = %v, %v; want VF %d", op, vf, err, ref[0])
 		}
+		if rec, ok := recs[vf.Index]; ok && rec != vf {
+			t.Fatalf("op %d: VF %d has a new record", op, vf.Index)
+		}
+		recs[vf.Index] = vf
 		ref = ref[1:]
 		leased = append(leased, vf)
 		if n.FreeVFs() != len(ref) {
 			t.Fatalf("op %d: FreeVFs = %d, want %d", op, n.FreeVFs(), len(ref))
 		}
+	}
+	if len(recs) != vfs {
+		t.Fatalf("%d of %d VFs leased", len(recs), vfs)
 	}
 	for _, vf := range leased {
 		n.ReleaseVF(vf)

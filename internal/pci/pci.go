@@ -7,7 +7,6 @@ package pci
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"fastiov/internal/sim"
@@ -53,7 +52,8 @@ type Device struct {
 
 	driver string
 	bus    *Bus
-	index  int
+	block  *VFBlock // the SR-IOV block a VF belongs to
+	data   any      // the bound driver's record of the device
 }
 
 // Driver returns the name of the currently bound driver ("" if unbound).
@@ -61,6 +61,22 @@ func (d *Device) Driver() string { return d.driver }
 
 // Bus returns the bus this device sits on.
 func (d *Device) Bus() *Bus { return d.bus }
+
+// DriverData returns the record a driver attached with SetDriverData (nil
+// if none), as Linux's dev_get_drvdata does.
+func (d *Device) DriverData() any { return d.data }
+
+// SetDriverData attaches a driver's record of the device.
+func (d *Device) SetDriverData(v any) { d.data = v }
+
+// VFBlock returns the SR-IOV block a VF belongs to and its VF number in
+// it; the block is nil for any other device.
+func (d *Device) VFBlock() (*VFBlock, int) {
+	if d.block == nil {
+		return nil, 0
+	}
+	return d.block, (d.Addr.Dev-1)*8 + d.Addr.Fn
+}
 
 // Bind binds the device to a driver, charging the bind cost (sysfs
 // driver_override + probe). Binding over an existing driver panics: callers
@@ -95,23 +111,83 @@ func (d *Device) Unbind(p *sim.Proc, cost time.Duration) {
 	d.driver = ""
 }
 
-// Index returns the device's position in its topology: devices are
-// numbered in the order they were added, from 0.
-func (d *Device) Index() int { return d.index }
-
 // Bus is one PCI bus segment.
 type Bus struct {
 	Number  int
+	topo    *Topology
 	devices []*Device
+	vfs     *VFBlock // the SR-IOV block on the bus, if any
 }
 
-// Devices returns the devices on the bus (not a copy).
+// Devices returns the devices placed on the bus with AddDevice (not a
+// copy). A VF block's functions have no entry here; Population counts
+// them.
 func (b *Bus) Devices() []*Device { return b.devices }
+
+// Population returns the number of functions on the bus, VFs included:
+// what a bus scan walks.
+func (b *Bus) Population() int {
+	n := len(b.devices)
+	if b.vfs != nil {
+		n += b.vfs.n
+	}
+	return n
+}
+
+// VFBlock is a PF's SR-IOV virtual functions, placed on the PF's bus as a
+// count: VF i sits at device 1+i/8, function i%8. A VF has no Device until
+// its owner builds one with Init, so a host pays for the VFs it uses, not
+// for the ones it creates.
+type VFBlock struct {
+	pf     *Device
+	n      int
+	vf     Device // what every VF's record starts as
+	driver string // the driver bound to every VF at boot
+}
+
+// Len returns the number of VFs in the block.
+func (b *VFBlock) Len() int { return b.n }
+
+// PF returns the physical function the VFs belong to.
+func (b *VFBlock) PF() *Device { return b.pf }
+
+// Reset returns the reset scope every VF of the block supports.
+func (b *VFBlock) Reset() ResetScope { return b.vf.Reset }
+
+// addr returns VF i's address.
+func (b *VFBlock) addr(i int) BDF {
+	return BDF{Bus: b.pf.Addr.Bus, Dev: 1 + i/8, Fn: i % 8}
+}
+
+// BindBoot binds every VF of the block to driver during host boot, at no
+// cost; a record Init builds later starts bound to it. It must run before
+// the first Init.
+func (b *VFBlock) BindBoot(driver string) {
+	if b.driver != "" {
+		panic(fmt.Sprintf("pci: VFs of %s already bound to %s", b.pf.Addr, b.driver))
+	}
+	b.driver = driver
+}
+
+// Driver returns the driver bound to the block's VFs at boot ("" if none).
+func (b *VFBlock) Driver() string { return b.driver }
+
+// Init makes *d the record of VF i: the block's template with its
+// address, parentage, bus and boot driver filled in.
+func (b *VFBlock) Init(d *Device, i int) *Device {
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("pci: VF %d of %s out of range [0, %d)", i, b.pf.Addr, b.n))
+	}
+	*d = b.vf
+	d.Addr = b.addr(i)
+	d.IsVF, d.Parent = true, b.pf
+	d.driver, d.bus, d.block = b.driver, b.pf.bus, b
+	return d
+}
 
 // Topology is the host's set of PCI buses.
 type Topology struct {
-	buses []*Bus    // in creation order
-	devs  []*Device // by Index
+	buses []*Bus // in creation order
 }
 
 // NewTopology returns an empty topology.
@@ -124,7 +200,7 @@ func (t *Topology) AddBus(n int) *Bus {
 			return b
 		}
 	}
-	b := &Bus{Number: n}
+	b := &Bus{Number: n, topo: t}
 	t.buses = append(t.buses, b)
 	return b
 }
@@ -137,50 +213,41 @@ func (t *Topology) AddDevice(d *Device) *Device {
 			panic("pci: duplicate BDF " + d.Addr.String())
 		}
 	}
-	t.place(b, d)
+	if b.vfs != nil && inVFRange(d.Addr, b.vfs.n) {
+		panic("pci: duplicate BDF " + d.Addr.String())
+	}
+	d.bus = b
+	b.devices = append(b.devices, d)
 	return d
 }
 
-// AddVFs places n virtual functions of pf on pf's bus in one block, each a
-// copy of vf with its address, IsVF and Parent filled in. VFs pack 8
-// functions per device number, offset past the PF: VF i sits at device
-// 1+i/8, function i%8. The block is returned and indexed by VF number.
-func (t *Topology) AddVFs(pf *Device, n int, vf Device) []Device {
+// inVFRange reports whether addr is one of the device.function slots
+// [8, 8+n) that a block of n VFs covers.
+func inVFRange(addr BDF, n int) bool {
+	slot := addr.Dev*8 + addr.Fn
+	return addr.Fn < 8 && slot >= 8 && slot < 8+n
+}
+
+// AddVFs places n virtual functions of pf on pf's bus as one block; each
+// VF's record is a copy of vf with its address, IsVF and Parent filled in
+// (see VFBlock.Init). VFs pack 8 functions per device number, offset past
+// the PF: VF i sits at device 1+i/8, function i%8. A bus holds at most one
+// block.
+func (t *Topology) AddVFs(pf *Device, n int, vf Device) *VFBlock {
 	b := pf.bus
-	// The block covers device.function slots [8, 8+n) of the bus.
+	if b.vfs != nil && b.vfs.n > 0 && n > 0 {
+		panic("pci: duplicate BDF " + b.vfs.addr(0).String())
+	}
 	for _, o := range b.devices {
-		if slot := o.Addr.Dev*8 + o.Addr.Fn; o.Addr.Fn < 8 && slot >= 8 && slot < 8+n {
+		if inVFRange(o.Addr, n) {
 			panic("pci: duplicate BDF " + o.Addr.String())
 		}
 	}
-	block := make([]Device, n)
-	t.devs = slices.Grow(t.devs, n)
-	b.devices = slices.Grow(b.devices, n)
-	for i := range block {
-		d := &block[i]
-		*d = vf
-		d.Addr = BDF{Bus: b.Number, Dev: 1 + i/8, Fn: i % 8}
-		d.IsVF, d.Parent = true, pf
-		t.place(b, d)
-	}
-	return block
+	b.vfs = &VFBlock{pf: pf, n: n, vf: vf}
+	return b.vfs
 }
 
-// place appends d to bus b and to the topology's device order.
-func (t *Topology) place(b *Bus, d *Device) {
-	d.bus = b
-	d.index = len(t.devs)
-	b.devices = append(b.devices, d)
-	t.devs = append(t.devs, d)
-}
-
-// Len returns the number of devices.
-func (t *Topology) Len() int { return len(t.devs) }
-
-// Device returns the device with index i.
-func (t *Topology) Device(i int) *Device { return t.devs[i] }
-
-// Lookup finds a device by address.
+// Lookup finds a device placed with AddDevice by address.
 func (t *Topology) Lookup(addr BDF) (*Device, bool) {
 	for _, b := range t.buses {
 		if b.Number != addr.Bus {
@@ -194,6 +261,9 @@ func (t *Topology) Lookup(addr BDF) (*Device, bool) {
 	}
 	return nil, false
 }
+
+// Has reports whether d sits on one of the topology's buses.
+func (t *Topology) Has(d *Device) bool { return d.bus != nil && d.bus.topo == t }
 
 // Buses returns all buses in creation order (not a copy).
 func (t *Topology) Buses() []*Bus { return t.buses }

@@ -122,23 +122,28 @@ func TestAddVFsBlock(t *testing.T) {
 	topo := NewTopology()
 	pf := topo.AddDevice(&Device{Addr: BDF{Bus: 0x17}})
 	vfs := topo.AddVFs(pf, 10, Device{DevID: 0x1889, Reset: ResetSlot})
-	for i := range vfs {
-		vf := &vfs[i]
+	vfs.BindBoot("vfio-pci")
+	for i := range vfs.Len() {
+		vf := vfs.Init(new(Device), i)
 		if want := (BDF{Bus: 0x17, Dev: 1 + i/8, Fn: i % 8}); vf.Addr != want {
 			t.Errorf("VF %d at %s, want %s", i, vf.Addr, want)
 		}
 		if !vf.IsVF || vf.Parent != pf || vf.DevID != 0x1889 || vf.Reset != ResetSlot || vf.Bus() != pf.Bus() {
 			t.Errorf("VF %d = %+v", i, vf)
 		}
-		if vf.Index() != 1+i || topo.Device(vf.Index()) != vf {
-			t.Errorf("VF %d has index %d", i, vf.Index())
+		if b, n := vf.VFBlock(); b != vfs || n != i || vf.Driver() != "vfio-pci" || !topo.Has(vf) {
+			t.Errorf("VF %d: block %p number %d driver %q", i, b, n, vf.Driver())
 		}
 	}
-	if topo.Len() != 11 || len(pf.Bus().Devices()) != 11 {
-		t.Errorf("topology has %d devices, bus %d; want 11", topo.Len(), len(pf.Bus().Devices()))
+	// The VFs are a count: the bus scan sees them, the device list does not.
+	if pf.Bus().Population() != 11 || len(pf.Bus().Devices()) != 1 {
+		t.Errorf("bus population %d, %d placed devices; want 11, 1", pf.Bus().Population(), len(pf.Bus().Devices()))
 	}
-	if got, ok := topo.Lookup(BDF{Bus: 0x17, Dev: 2, Fn: 1}); !ok || got != &vfs[9] {
-		t.Error("lookup of VF 9 failed")
+	if b, _ := pf.VFBlock(); b != nil {
+		t.Error("PF reports a VF block")
+	}
+	if _, ok := topo.Lookup(BDF{Bus: 0x17, Dev: 2, Fn: 1}); ok {
+		t.Error("lookup found a VF record the topology does not hold")
 	}
 }
 
@@ -164,6 +169,32 @@ func TestAddVFsOverlapPanics(t *testing.T) {
 		}()
 		if got != tc.panic {
 			t.Errorf("%d VFs with %s taken: panic %v, want %v", tc.n, tc.taken, got, tc.panic)
+		}
+	}
+}
+
+// A device placed after a VF block may not take one of the block's
+// addresses: the block holds them without a record each.
+func TestAddDeviceInVFRangePanics(t *testing.T) {
+	for _, tc := range []struct {
+		addr  BDF
+		panic bool
+	}{
+		{BDF{Bus: 1, Dev: 1, Fn: 0}, true},
+		{BDF{Bus: 1, Dev: 2, Fn: 1}, true},
+		{BDF{Bus: 1, Dev: 2, Fn: 2}, false},
+		{BDF{Bus: 2, Dev: 1, Fn: 0}, false},
+	} {
+		topo := NewTopology()
+		pf := topo.AddDevice(&Device{Addr: BDF{Bus: 1}})
+		topo.AddVFs(pf, 10, Device{})
+		got := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			topo.AddDevice(&Device{Addr: tc.addr})
+			return false
+		}()
+		if got != tc.panic {
+			t.Errorf("device at %s after 10 VFs: panic %v, want %v", tc.addr, got, tc.panic)
 		}
 	}
 }

@@ -67,12 +67,10 @@ func (c *Container) AttachGroup(p *sim.Proc, g *Group) error {
 	if g.cont != nil {
 		return fmt.Errorf("vfio: group %d already attached to container %d", g.ID, g.cont.ID)
 	}
-	dom := c.driver.mmu.CreateDomain()
 	if g.dev.domain != nil {
-		c.driver.mmu.DestroyDomain(dom)
 		return fmt.Errorf("vfio: device %s already has a domain", g.dev.PDev.Addr)
 	}
-	g.dev.domain = dom
+	g.dev.domain = c.driver.mmu.InitDomain(&g.dev.dom)
 	g.cont = c
 	c.groups = append(c.groups, g)
 	return nil

@@ -86,17 +86,17 @@ type Driver struct {
 	Scope string
 
 	busSets map[int]*DevSet // bus number -> shared devset
-	// devices maps a PCI device's topology index to its registration (nil
-	// when unregistered). Registrations and singleton devsets are carved
-	// from blocks (devPool, setPool) sized to the devices that may still
-	// register, so a host's 256 VFs cost a few allocations, not 256.
-	devices    []*Device
-	registered int
-	devPool    []Device
-	setPool    []DevSet
+	// registered and opens are the devices currently registered and the
+	// sum of their open counts.
+	registered, opens int
+	// vfs is the VF block registered at boot, by count: its VF i holds
+	// group vfGroup+1+i and, if slot-reset, devset vfSet+1+i, and gets its
+	// Device at its first Lookup.
+	vfs            *pci.VFBlock
+	vfGroup, vfSet int
 	// devPrefix and setPrefix are Scope plus the lock-name prefixes, fixed
-	// at the first Register; lock names are formatted from them on first
-	// read.
+	// at the first registration; lock names are formatted from them on
+	// first read.
 	devPrefix, setPrefix string
 
 	nextFD    int
@@ -133,8 +133,8 @@ func (d *Driver) DevsetWaits() *sim.WaitCount { return &d.devsetWaits }
 // DevSet groups devices sharing a reset domain (§3.2.2).
 type DevSet struct {
 	ID      int
-	devices []*Device
-	solo    [1]*Device // backs devices for a singleton devset
+	bus     *pci.Bus // the bus the members sit on
+	members int
 	// totalOpen is the devset's global state: the sum of member open
 	// counts. Under LockGlobal it is guarded by the global mutex; under
 	// LockParentChild it is maintained under the per-child mutex and read
@@ -145,35 +145,34 @@ type DevSet struct {
 	rw     sim.RWMutex // hierarchical discipline (parent lock)
 }
 
-// Devices returns the member devices.
-func (s *DevSet) Devices() []*Device { return s.devices }
+// Members returns the number of registered member devices.
+func (s *DevSet) Members() int { return s.members }
 
 // TotalOpen returns the devset-wide open count.
 func (s *DevSet) TotalOpen() int { return s.totalOpen }
 
-// Device is a VFIO-bound device.
+// Device is a VFIO-bound device. It is built at the device's first
+// registration, or, for a VF registered at boot, at its first Lookup, and
+// is kept on the PCI device (pci.Device.DriverData) for reuse when the
+// device registers again.
 type Device struct {
 	PDev *pci.Device
 	Set  *DevSet
 
-	openCount int
-	mu        sim.Mutex // child lock (hierarchical discipline)
-	fd        int
+	registered bool
+	openCount  int
+	mu         sim.Mutex // child lock (hierarchical discipline)
+	fd         int
 
+	// domain is dom while the device has an IOMMU domain, nil otherwise.
 	domain *iommu.Domain
-	// dma is the device's DMA mapping table, nil until the first MapDMA.
-	dma *dmaTable
-	// group is the device's IOMMU group (singleton for ACS-isolated VFs).
-	group Group
-}
-
-// dmaTable holds a device's live DMA mappings in ascending IOVA order: the
-// one table of them, which the device's container reads too. It is
-// allocated at the device's first map, so an unused device costs a
-// pointer.
-type dmaTable struct {
+	dom    iommu.Domain
+	// maps holds the device's live DMA mappings in ascending IOVA order:
+	// the one table of them, which the device's container reads too.
 	maps  []dmaMapping
 	first [hostmem.GuestRegions]dmaMapping // backs maps, one per guest region
+	// group is the device's IOMMU group (singleton for ACS-isolated VFs).
+	group Group
 }
 
 // dmaMapping is one live DMA mapping: the region mapped at IOVA iova.
@@ -183,12 +182,7 @@ type dmaMapping struct {
 }
 
 // mappings returns the device's live DMA mappings in ascending IOVA order.
-func (vd *Device) mappings() []dmaMapping {
-	if vd.dma == nil {
-		return nil
-	}
-	return vd.dma.maps
-}
+func (vd *Device) mappings() []dmaMapping { return vd.maps }
 
 // mapping returns the index of the mapping at iova and true, or the index
 // at which one would be inserted and false.
@@ -208,58 +202,96 @@ func (vd *Device) Domain() *iommu.Domain { return vd.domain }
 // Register admits a PCI device into VFIO management, forming or joining its
 // devset: slot-reset-capable devices get a singleton devset; bus-reset
 // devices join the shared devset of their bus. The device must already be
-// bound to the vfio-pci driver.
+// bound to the vfio-pci driver. A device registering again reuses its
+// Device.
 func (d *Driver) Register(pdev *pci.Device) (*Device, error) {
 	if pdev.Driver() != "vfio-pci" {
 		return nil, fmt.Errorf("vfio: %s bound to %q, not vfio-pci", pdev.Addr, pdev.Driver())
 	}
-	id := pdev.Index()
-	if id >= d.topo.Len() || d.topo.Device(id) != pdev {
+	if !d.topo.Has(pdev) {
 		return nil, fmt.Errorf("vfio: %s not in the driver's topology", pdev.Addr)
 	}
 	if _, dup := d.Lookup(pdev); dup {
 		return nil, fmt.Errorf("vfio: %s already registered", pdev.Addr)
 	}
-	if d.devPrefix == "" {
-		d.devPrefix, d.setPrefix = d.Scope+DevLockPrefix, d.Scope+DevsetLockPrefix
-	}
-	if id >= len(d.devices) {
-		d.devices = append(d.devices, make([]*Device, d.topo.Len()-len(d.devices))...)
-	}
-	rest := d.topo.Len() - d.registered // devices that may still register
+	d.prefixes()
 	var set *DevSet
 	if pdev.Reset == pci.ResetSlot {
 		d.nextSet++
-		set = d.newSet(take(&d.setPool, rest), d.nextSet)
-		set.devices = set.solo[:0]
-	} else if set = d.busSets[pdev.Addr.Bus]; set == nil {
-		d.nextSet++
-		set = d.newSet(new(DevSet), d.nextSet)
-		set.devices = make([]*Device, 0, rest)
-		d.busSets[pdev.Addr.Bus] = set
+		set = d.newSet(d.nextSet, pdev.Bus())
+	} else {
+		set = d.busSet(pdev.Bus())
 	}
-	// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
+	set.members++
 	d.nextGroup++
-	vd := take(&d.devPool, rest)
-	*vd = Device{PDev: pdev, Set: set, group: Group{ID: d.nextGroup}}
-	a := pdev.Addr
-	vd.mu.Init(sim.IndexedName(d.devPrefix, a.Bus<<16|a.Dev<<8|a.Fn, appendBDF))
-	vd.group.driver, vd.group.dev = d, vd
-	set.devices = append(set.devices, vd)
-	d.devices[id] = vd
 	d.registered++
-	return vd, nil
+	return d.admit(pdev, set, d.nextGroup), nil
 }
 
-// take returns the first element of *pool, refilling the pool with a block
-// of n zero elements when it is empty.
-func take[T any](pool *[]T, n int) *T {
-	if len(*pool) == 0 {
-		*pool = make([]T, max(n, 1))
+// RegisterVFs registers every VF of b at once, as host boot does after
+// binding them to vfio-pci: the driver counts them as registered and as
+// devset members, and reserves their group (and singleton devset) ids in
+// VF order, but builds a VF's Device only at its first Lookup. A driver
+// registers at most one block.
+func (d *Driver) RegisterVFs(b *pci.VFBlock) error {
+	if b.Driver() != "vfio-pci" {
+		return fmt.Errorf("vfio: VFs of %s bound to %q, not vfio-pci", b.PF().Addr, b.Driver())
 	}
-	x := &(*pool)[0]
-	*pool = (*pool)[1:]
-	return x
+	if !d.topo.Has(b.PF()) {
+		return fmt.Errorf("vfio: %s not in the driver's topology", b.PF().Addr)
+	}
+	if d.vfs != nil {
+		return fmt.Errorf("vfio: VFs of %s already registered", d.vfs.PF().Addr)
+	}
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	d.prefixes()
+	d.vfs, d.vfGroup, d.vfSet = b, d.nextGroup, d.nextSet
+	d.nextGroup += n
+	if b.Reset() == pci.ResetSlot {
+		d.nextSet += n
+	} else {
+		d.busSet(b.PF().Bus()).members += n
+	}
+	d.registered += n
+	return nil
+}
+
+// prefixes fixes the lock-name prefixes at the first registration.
+func (d *Driver) prefixes() {
+	if d.devPrefix == "" {
+		d.devPrefix, d.setPrefix = d.Scope+DevLockPrefix, d.Scope+DevsetLockPrefix
+	}
+}
+
+// busSet returns the shared devset of bus b, creating it empty.
+func (d *Driver) busSet(b *pci.Bus) *DevSet {
+	set := d.busSets[b.Number]
+	if set == nil {
+		d.nextSet++
+		set = d.newSet(d.nextSet, b)
+		d.busSets[b.Number] = set
+	}
+	return set
+}
+
+// admit makes pdev's Device a registration in set with IOMMU group id
+// group, building the Device on pdev's first registration.
+func (d *Driver) admit(pdev *pci.Device, set *DevSet, group int) *Device {
+	vd, _ := pdev.DriverData().(*Device)
+	if vd == nil || vd.group.driver != d {
+		vd = &Device{PDev: pdev}
+		vd.maps = vd.first[:0]
+		a := pdev.Addr
+		vd.mu.Init(sim.IndexedName(d.devPrefix, a.Bus<<16|a.Dev<<8|a.Fn, appendBDF))
+		pdev.SetDriverData(vd)
+	}
+	vd.Set, vd.registered, vd.fd = set, true, 0
+	// Every ACS-isolated function forms a singleton IOMMU group (Fig. 2).
+	vd.group = Group{ID: group, driver: d, dev: vd}
+	return vd
 }
 
 // appendBDF renders a BDF packed as bus<<16 | dev<<8 | fn, as BDF.String
@@ -276,9 +308,9 @@ const DevsetLockPrefix = "vfio-devset-"
 // DevLockPrefix prefixes per-device lock names ("vfio-dev-<addr>").
 const DevLockPrefix = "vfio-dev-"
 
-// newSet initializes s as devset id with its two locks.
-func (d *Driver) newSet(s *DevSet, id int) *DevSet {
-	s.ID = id
+// newSet returns devset id for devices on bus b, with its two locks.
+func (d *Driver) newSet(id int, b *pci.Bus) *DevSet {
+	s := &DevSet{ID: id, bus: b}
 	name := sim.DecimalName(d.setPrefix, id)
 	s.global.Init(name).CountWaiters(&d.devsetWaits)
 	s.rw.Init(name).CountWaiters(&d.devsetWaits)
@@ -286,27 +318,36 @@ func (d *Driver) newSet(s *DevSet, id int) *DevSet {
 }
 
 // Unregister removes a device from VFIO management. It must be closed.
+// The Device stays with the PCI device for its next registration.
 func (d *Driver) Unregister(vd *Device) error {
+	if !vd.registered || vd.group.driver != d {
+		return fmt.Errorf("vfio: %s not registered", vd.PDev.Addr)
+	}
 	if vd.openCount > 0 {
 		return fmt.Errorf("vfio: %s still open", vd.PDev.Addr)
 	}
-	d.devices[vd.PDev.Index()] = nil
+	vd.registered = false
+	vd.Set.members--
 	d.registered--
-	for i, m := range vd.Set.devices {
-		if m == vd {
-			vd.Set.devices = append(vd.Set.devices[:i], vd.Set.devices[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 
-// Lookup returns the VFIO device for a PCI device.
+// Lookup returns the VFIO device for a PCI device. A VF registered at boot
+// gets its Device here, on its first lookup.
 func (d *Driver) Lookup(pdev *pci.Device) (*Device, bool) {
-	if id := pdev.Index(); id < len(d.devices) {
-		if vd := d.devices[id]; vd != nil && vd.PDev == pdev {
+	if vd, ok := pdev.DriverData().(*Device); ok && vd.group.driver == d {
+		if vd.registered {
 			return vd, true
 		}
+		return nil, false
+	}
+	if b, i := pdev.VFBlock(); b != nil && b == d.vfs {
+		set := d.busSets[pdev.Addr.Bus]
+		if pdev.Reset == pci.ResetSlot {
+			set = d.newSet(d.vfSet+1+i, pdev.Bus())
+			set.members = 1
+		}
+		return d.admit(pdev, set, d.vfGroup+1+i), true
 	}
 	return nil, false
 }
@@ -316,15 +357,7 @@ func (d *Driver) Lookup(pdev *pci.Device) (*Device, bool) {
 func (d *Driver) RegisteredCount() int { return d.registered }
 
 // TotalOpens returns the host-wide sum of device fd open counts.
-func (d *Driver) TotalOpens() int {
-	total := 0
-	for _, vd := range d.devices {
-		if vd != nil {
-			total += vd.openCount
-		}
-	}
-	return total
-}
+func (d *Driver) TotalOpens() int { return d.opens }
 
 // Open performs the device-open path of VF registration (§3.2.2): the
 // hypervisor obtains an fd for the device, which resets the function and
@@ -374,8 +407,7 @@ func (d *Driver) OpenErr(p *sim.Proc, vd *Device) (fd int, retried time.Duration
 // reset succeeded, so a failed open leaves no open count behind.
 func (d *Driver) openWork(p *sim.Proc, vd *Device, scanBus bool) (time.Duration, error) {
 	if scanBus {
-		n := len(vd.PDev.Bus().Devices())
-		p.Sleep(time.Duration(n) * d.costs.BusScanPerDevice)
+		p.Sleep(time.Duration(vd.PDev.Bus().Population()) * d.costs.BusScanPerDevice)
 	}
 	p.Sleep(d.costs.OpenCountCheck)
 	var retried time.Duration
@@ -390,6 +422,7 @@ func (d *Driver) openWork(p *sim.Proc, vd *Device, scanBus bool) (time.Duration,
 	p.Sleep(d.costs.FDSetup)
 	vd.openCount++
 	vd.Set.totalOpen++
+	d.opens++
 	d.nextFD++
 	vd.fd = d.nextFD
 	return retried, nil
@@ -421,6 +454,7 @@ func (d *Driver) Close(p *sim.Proc, vd *Device) {
 		}
 		vd.openCount--
 		vd.Set.totalOpen--
+		d.opens--
 		if vd.openCount == 0 {
 			// Teardown reset: latency-inflatable but never failed — a
 			// release path has nothing useful to do with the error.
@@ -430,8 +464,7 @@ func (d *Driver) Close(p *sim.Proc, vd *Device) {
 	switch d.mode {
 	case LockGlobal:
 		vd.Set.global.Lock(p)
-		n := len(vd.PDev.Bus().Devices())
-		p.Sleep(time.Duration(n) * d.costs.BusScanPerDevice)
+		p.Sleep(time.Duration(vd.PDev.Bus().Population()) * d.costs.BusScanPerDevice)
 		release()
 		vd.Set.global.Unlock(p)
 	case LockParentChild:
@@ -457,14 +490,13 @@ func (d *Driver) ResetSet(p *sim.Proc, s *DevSet) error {
 		unlock = func() { s.rw.Unlock(p) }
 	}
 	defer unlock()
-	if len(s.devices) > 0 {
-		n := len(s.devices[0].PDev.Bus().Devices())
-		p.Sleep(time.Duration(n) * d.costs.BusScanPerDevice)
+	if s.members > 0 {
+		p.Sleep(time.Duration(s.bus.Population()) * d.costs.BusScanPerDevice)
 	}
 	if s.totalOpen > 0 {
 		return fmt.Errorf("vfio: devset %d busy: %d opens", s.ID, s.totalOpen)
 	}
-	for range s.devices {
+	for range s.members {
 		p.Sleep(d.Faults.Inflate(fault.SiteBusReset, d.costs.DeviceReset))
 	}
 	if err := d.Faults.Fail(fault.SiteBusReset); err != nil {
@@ -473,10 +505,10 @@ func (d *Driver) ResetSet(p *sim.Proc, s *DevSet) error {
 		// with its own FLR retry budget. Only if a member's retries also
 		// run dry does the devset reset fail.
 		d.Stats.BusResetFailures++
-		for _, vd := range s.devices {
+		for i := range s.members {
 			d.Stats.SlotFallbacks++
 			if _, rerr := d.resetDevice(p); rerr != nil {
-				return fmt.Errorf("vfio: devset %d: bus reset failed, slot reset of %s: %w", s.ID, vd.PDev.Addr, rerr)
+				return fmt.Errorf("vfio: devset %d: bus reset failed, slot reset of member %d: %w", s.ID, i, rerr)
 			}
 		}
 	}
@@ -497,7 +529,7 @@ func (d *Driver) MapDMA(p *sim.Proc, vd *Device, iovaBase, bytes int64, hook Zer
 		return nil, fmt.Errorf("vfio: IOVA %#x already mapped for %s", iovaBase, vd.PDev.Addr)
 	}
 	if vd.domain == nil {
-		vd.domain = d.mmu.CreateDomain()
+		vd.domain = d.mmu.InitDomain(&vd.dom)
 	}
 	region, err := d.mem.Allocate(p, bytes) // retrieve
 	if err != nil {
@@ -514,13 +546,9 @@ func (d *Driver) MapDMA(p *sim.Proc, vd *Device, iovaBase, bytes int64, hook Zer
 		d.mem.Free(p, region)
 		return nil, err
 	}
-	if vd.dma == nil {
-		vd.dma = new(dmaTable)
-		vd.dma.maps = vd.dma.first[:0]
-	}
 	// Search again: the map slept, and the table may have changed.
 	i, _ := vd.mapping(iovaBase)
-	vd.dma.maps = slices.Insert(vd.dma.maps, i, dmaMapping{iova: iovaBase, region: region})
+	vd.maps = slices.Insert(vd.maps, i, dmaMapping{iova: iovaBase, region: region})
 	return region, nil
 }
 
@@ -530,24 +558,11 @@ func (d *Driver) UnmapDMA(p *sim.Proc, vd *Device, iovaBase int64) error {
 	if !ok {
 		return fmt.Errorf("vfio: no mapping at IOVA %#x for %s", iovaBase, vd.PDev.Addr)
 	}
-	region := vd.dma.maps[i].region
-	vd.dma.maps = slices.Delete(vd.dma.maps, i, i+1)
+	region := vd.maps[i].region
+	vd.maps = slices.Delete(vd.maps, i, i+1)
 	vd.domain.Unmap(p, iovaBase, region.Bytes)
 	d.mem.Unpin(p, region)
 	d.mem.Free(p, region)
-	return nil
-}
-
-// ReleaseDomain destroys the device's IOMMU domain after all mappings are
-// gone (container teardown).
-func (d *Driver) ReleaseDomain(vd *Device) error {
-	if n := len(vd.mappings()); n > 0 {
-		return fmt.Errorf("vfio: %d live mappings on %s", n, vd.PDev.Addr)
-	}
-	if vd.domain != nil {
-		d.mmu.DestroyDomain(vd.domain)
-		vd.domain = nil
-	}
 	return nil
 }
 

@@ -38,11 +38,20 @@ func newRig(t *testing.T, mode LockMode, nVFs int) *rig {
 	}
 	drv := New(k, topo, mem, mmu, mode, &c)
 	r := &rig{k: k, topo: topo, mem: mem, mmu: mmu, drv: drv}
-	for _, vf := range card.VFs() {
-		vf.Dev.BindBoot("vfio-pci")
-		vd, err := drv.Register(vf.Dev)
+	// Boot registration, as a host does it: a VF's Device is built at its
+	// first Lookup.
+	card.VFBlock().BindBoot("vfio-pci")
+	if err := drv.RegisterVFs(card.VFBlock()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range nVFs {
+		vf, err := card.AllocVF()
 		if err != nil {
 			t.Fatal(err)
+		}
+		vd, ok := drv.Lookup(vf.Dev)
+		if !ok {
+			t.Fatalf("VF %d not registered", i)
 		}
 		r.vds = append(r.vds, vd)
 	}
@@ -57,8 +66,8 @@ func TestBusResetDevicesShareDevset(t *testing.T) {
 			t.Fatal("bus-reset VFs should share one devset")
 		}
 	}
-	if len(set.Devices()) != 8 {
-		t.Errorf("devset has %d devices, want 8", len(set.Devices()))
+	if set.Members() != 8 {
+		t.Errorf("devset has %d devices, want 8", set.Members())
 	}
 }
 
@@ -257,8 +266,8 @@ func TestUnregisterOpenDeviceFails(t *testing.T) {
 		}
 	})
 	r.k.Run()
-	if len(r.vds[1].Set.Devices()) != 1 {
-		t.Errorf("devset should have 1 device left, has %d", len(r.vds[1].Set.Devices()))
+	if r.vds[1].Set.Members() != 1 {
+		t.Errorf("devset should have 1 device left, has %d", r.vds[1].Set.Members())
 	}
 }
 
@@ -363,9 +372,6 @@ func TestUnmapDMAFreesAndUnpins(t *testing.T) {
 				}
 			}
 		}
-		if err := r.drv.ReleaseDomain(r.vds[0]); err != nil {
-			t.Errorf("release domain: %v", err)
-		}
 	})
 	r.k.Run()
 }
@@ -376,20 +382,6 @@ func TestUnmapUnknownIOVAFails(t *testing.T) {
 		r.drv.Open(p, r.vds[0])
 		if err := r.drv.UnmapDMA(p, r.vds[0], 0x1000000); err == nil {
 			t.Error("unmap of unknown IOVA should fail")
-		}
-	})
-	r.k.Run()
-}
-
-func TestReleaseDomainWithLiveMappingsFails(t *testing.T) {
-	r := newRig(t, LockGlobal, 1)
-	r.k.Go("t", func(p *sim.Proc) {
-		r.drv.Open(p, r.vds[0])
-		if _, err := r.drv.MapDMA(p, r.vds[0], 0, 2<<20, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.drv.ReleaseDomain(r.vds[0]); err == nil {
-			t.Error("release with live mappings should fail")
 		}
 	})
 	r.k.Run()
@@ -410,7 +402,7 @@ func TestDMAWriteThroughMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	drv := New(k, topo, mem, mmu, LockParentChild, &c)
-	vf := &card.VFs()[0]
+	vf, _ := card.AllocVF()
 	vf.Dev.BindBoot("vfio-pci")
 	vd, _ := drv.Register(vf.Dev)
 	k.Go("t", func(p *sim.Proc) {
