@@ -253,6 +253,32 @@ func FuzzTraceReplay(f *testing.F) {
 		6, 0x07, 3, 0xf0, 0x30, // wake p3, N MinInt64
 		1, 0x00, 2, 0xb0, 0x3e, // exit p2, N 1<<40, a 62µs step
 	}, []byte(nil))
+	// Each prediction of the per-proc codec, hit and missed. An unblock
+	// with no open block, first where the zero context predicts it, then
+	// on another class a microsecond later.
+	f.Add([]byte{3, 0, 0, 0, 0, 3, 1, 0, 0, 1}, []byte(nil))
+	// An unblock whose class (sleep, then mutex "a") or object (mutex "a",
+	// then mutex "b") differs from its block.
+	f.Add([]byte{2, 1, 0, 0, 0, 3, 0x14, 0, 0, 5, 2, 0x14, 0, 0, 0, 3, 0x26, 0, 0, 2}, []byte(nil))
+	// Three 3µs sleeps, then a 5µs one, with p2's 4µs sleeps between.
+	f.Add([]byte{
+		2, 1, 0, 0, 0, 2, 1, 1, 0, 0, 3, 1, 0, 0, 3, 3, 1, 1, 0, 1,
+		2, 1, 0, 0, 0, 2, 1, 1, 0, 0, 3, 1, 0, 0, 3, 3, 1, 1, 0, 1,
+		2, 1, 0, 0, 0, 3, 1, 0, 0, 3, 2, 1, 0, 0, 0, 3, 1, 0, 0, 5,
+	}, []byte(nil))
+	// Acquire and release mutex "a", then mutex "b": a different object
+	// than the proc's last hold.
+	f.Add([]byte{4, 0x14, 0, 0, 1, 5, 0x14, 0, 0, 1, 4, 0x26, 0, 0, 1, 5, 0x26, 0, 0, 1}, []byte(nil))
+	// Resource "a" held with n 1 (the initial prediction), then 2, then 3.
+	f.Add([]byte{
+		4, 0x17, 0, 0x12, 1, 5, 0x17, 0, 0x12, 1,
+		4, 0x17, 0, 0x24, 1, 5, 0x17, 0, 0x24, 1,
+		4, 0x17, 0, 0x36, 1, 5, 0x17, 0, 0x36, 1,
+	}, []byte(nil))
+	// A waker on records whose other fields are all predicted: an unblock
+	// woken by p2, and p1's second acquire of mutex "a" with n 1 granted
+	// by p3.
+	f.Add([]byte{2, 1, 0, 0, 0, 3, 1, 0, 2, 0, 4, 0x14, 0, 0x12, 0, 5, 0x14, 0, 0x12, 0, 4, 0x14, 0, 0x15, 0}, []byte(nil))
 
 	f.Fuzz(func(t *testing.T, data, windows []byte) {
 		events := decodeEvents(data)

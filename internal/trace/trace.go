@@ -9,19 +9,21 @@
 //
 // The stream is stored as bytes, at the cost of its information. Each event
 // is one header byte (its kind and which fields follow) plus varints for
-// the time delta from the previous event and only those fields that
-// changed or are non-zero: a typical event takes 3-5 bytes. The bytes live
-// in pointer-free chunks, so recording never copies the stream and the
-// garbage collector never scans it. One decoder (records) is the only
+// only those fields its own proc's last events do not predict: a sleep
+// of the proc's usual length, or a re-acquire of the proc's last lock, is
+// the header alone, and a typical event takes about 2 bytes. The bytes
+// live in pointer-free chunks, so recording never copies the stream and
+// the garbage collector never scans it. One decoder (records) is the only
 // reader. Object names are interned into a per-trace table (id 0 is ""),
 // which also holds each name pre-quoted for the canonical encoding. Procs
 // are stored as dense slots: a traced kernel's proc ids are its slots, and
 // FromEvents maps arbitrary ids onto slots in ascending id order. Recording
-// keeps no per-proc state beyond the name, held unformatted (a
-// sim.DecimalName's prefix and index) until something prints it; binding
-// container procs reads the prefix and index without formatting them.
-// Analyze replays the stream once through dense tables indexed by slot and
-// object id, and keeps no per-event result (see replay).
+// keeps per proc only the name, held unformatted (a sim.DecimalName's
+// prefix and index) until something prints it, and the encoder's
+// prediction context (procCtx); binding container procs reads the prefix
+// and index without formatting them. Analyze replays the stream once
+// through dense tables indexed by slot and object id, and keeps no
+// per-event result (see replay).
 //
 // Tracing is strictly opt-in: with no probe installed the kernel's
 // emission sites cost one nil check each, and traced runs produce
@@ -85,25 +87,33 @@ type record struct {
 	class uint8
 }
 
-// The stored stream is a sequence of variable-length records. Each starts
-// with a header byte: the kind in the low three bits, then one flag per
-// optional field. The fields follow in this order, as varints except the
-// one-byte class:
+// The stored stream is a sequence of variable-length records, each coded
+// against a prediction from the last events of its own proc (procCtx). A
+// record starts with a header byte: the kind in the low three bits, then
+// one flag per field that differs from its prediction. The fields follow
+// in this order, as varints except the one-byte class:
 //
-//	at     zigzag delta from the previous record's at   always
-//	class  the wait class                               flagClass: changed
-//	proc   the proc slot                                flagProc: changed
-//	obj    the object id                                flagObj: changed
-//	waker  the waker slot                               flagWaker: non-zero
-//	n      zigzag                                       flagN: non-zero
+//	proc   the proc slot          flagProc: differs from the previous record's
+//	at     zigzag delta from the  flagTime: differs from the prediction
+//	       previous record's at
+//	class  the wait class, then   flagObj: either differs from the prediction
+//	obj    the object id
+//	waker  the waker slot         flagWaker: non-zero
+//	n      zigzag                 flagN: differs from the prediction
 //
-// "Changed" compares with the previous record (the first compares with the
-// zero record). Deltas wrap in int64, so any sequence of timestamps, time
-// running backwards included, decodes exactly.
+// The predictions: an unblock is at its proc's open block's at plus the
+// proc's last block→unblock length, and every other kind at the previous
+// record's at. A block is on (sleep, ""), an unblock on its proc's open
+// block, an acquire or release on its proc's last hold, and the rest on
+// (none, ""). An acquire or release has its proc's last hold's n (1
+// before the first), the rest n 0. The first record follows proc slot 0
+// at time 0. Deltas wrap in int64, so any sequence of timestamps, time
+// running backwards included, decodes exactly; a record whose prediction
+// fails carries its fields, so every stream FromEvents accepts round-trips.
 const (
 	kindMask  = 0x07
-	flagClass = 0x08
-	flagProc  = 0x10
+	flagProc  = 0x08
+	flagTime  = 0x10
 	flagObj   = 0x20
 	flagWaker = 0x40
 	flagN     = 0x80
@@ -113,6 +123,47 @@ const (
 	maxRecord = 1 + 2*binary.MaxVarintLen64 + 1 + 3*binary.MaxVarintLen32
 )
 
+// procCtx is what the encoder and the decoder predict a proc slot's next
+// record from: its unmatched block, the length of its last block→unblock
+// and its last acquire or release. Both sides update it after every record
+// of the proc, so they always agree. The zero value is a fresh proc's.
+type procCtx struct {
+	openAt    int64 // the open block's at
+	dur       int64 // the last block→unblock length
+	held      int64 // the last hold's n minus 1, so a fresh proc predicts 1
+	openObj   uint32
+	holdObj   uint32
+	openClass uint8
+	holdClass uint8
+}
+
+// predict sets r's time, class, object and n to what c predicts for a
+// record of r's kind. r.at holds the previous record's at on entry.
+func (c *procCtx) predict(r *record) {
+	switch Kind(r.kind) {
+	case Block:
+		r.class, r.obj, r.n = uint8(sim.WaitSleep), 0, 0
+	case Unblock:
+		r.at, r.class, r.obj, r.n = c.openAt+c.dur, c.openClass, c.openObj, 0
+	case Acquire, Release:
+		r.class, r.obj, r.n = c.holdClass, c.holdObj, c.held+1
+	default:
+		r.class, r.obj, r.n = 0, 0, 0
+	}
+}
+
+// update advances c past its proc's record r.
+func (c *procCtx) update(r *record) {
+	switch Kind(r.kind) {
+	case Block:
+		c.openAt, c.openClass, c.openObj = r.at, r.class, r.obj
+	case Unblock:
+		c.dur = r.at - c.openAt
+	case Acquire, Release:
+		c.holdClass, c.holdObj, c.held = r.class, r.obj, r.n-1
+	}
+}
+
 // Stream chunks grow from minChunk bytes, doubling up to maxChunk. A record
 // never straddles two chunks, so a chunk's length is exactly its records.
 const (
@@ -121,10 +172,12 @@ const (
 )
 
 // procEntry is one proc slot's name, captured the first time the proc is
-// the subject of an event. A sim.DecimalName is kept as its prefix and
-// index and formatted only when read (ProcName, the Chrome export), so the
-// names of the many procs nothing prints cost no string.
+// the subject of an event, and the encoder's context for the slot. A
+// sim.DecimalName is kept as its prefix and index and formatted only when
+// read (ProcName, the Chrome export), so the names of the many procs
+// nothing prints cost no string.
 type procEntry struct {
+	ctx     procCtx
 	name    string // the name, or a decimal name's prefix
 	idx     int32  // a decimal name's index
 	named   bool
@@ -143,7 +196,7 @@ func (e *procEntry) String() string {
 type Trace struct {
 	chunks [][]byte // the encoded records; every chunk but the last is closed
 	count  int      // records stored
-	last   record   // the previous record, the encoder's delta base
+	last   record   // the previous record
 
 	objs    []string // object id → name; objs[0] == ""
 	quoted  []string // object id → strconv.Quote(name)
@@ -151,7 +204,7 @@ type Trace struct {
 	lastObj string // one-entry intern cache
 	lastID  uint32
 
-	procs  []procEntry // by slot
+	procs  []procEntry // by slot; slot 0 is id 0, "no proc"
 	ids    []int32     // slot → proc id; nil when slots are ids
 	nslots int         // 1 + highest slot referenced by a record
 
@@ -164,6 +217,7 @@ func New() *Trace {
 		objs:   []string{""},
 		quoted: []string{`""`},
 		objID:  map[string]uint32{"": 0},
+		procs:  make([]procEntry, 1),
 		nslots: 1,
 	}
 }
@@ -219,13 +273,13 @@ func (t *Trace) name(id int, name sim.Name) {
 	for len(t.procs) <= id {
 		t.procs = append(t.procs, procEntry{})
 	}
-	e := procEntry{named: true}
+	e := &t.procs[id]
+	e.named = true
 	if prefix, idx, ok := name.Decimal(); ok {
 		e.name, e.idx, e.decimal = prefix, int32(idx), true
 	} else {
 		e.name = name.String()
 	}
-	t.procs[id] = e
 	if id >= t.nslots {
 		t.nslots = id + 1
 	}
@@ -259,58 +313,66 @@ func (t *Trace) push(r *record) {
 		t.chunks = append(t.chunks, make([]byte, 0, size))
 		n++
 	}
+	c := &t.procs[r.proc].ctx
+	e := record{at: t.last.at, kind: r.kind}
+	c.predict(&e)
 	b := t.chunks[n-1]
 	h := len(b)
 	b = append(b, r.kind)
-	b = binary.AppendVarint(b, r.at-t.last.at)
-	if r.class != t.last.class {
-		b[h] |= flagClass
-		b = append(b, r.class)
-	}
 	if r.proc != t.last.proc {
 		b[h] |= flagProc
 		b = binary.AppendUvarint(b, uint64(uint32(r.proc)))
 	}
-	if r.obj != t.last.obj {
+	if r.at != e.at {
+		b[h] |= flagTime
+		b = binary.AppendVarint(b, r.at-t.last.at)
+	}
+	if r.class != e.class || r.obj != e.obj {
 		b[h] |= flagObj
+		b = append(b, r.class)
 		b = binary.AppendUvarint(b, uint64(r.obj))
 	}
 	if r.waker != 0 {
 		b[h] |= flagWaker
 		b = binary.AppendUvarint(b, uint64(uint32(r.waker)))
 	}
-	if r.n != 0 {
+	if r.n != e.n {
 		b[h] |= flagN
 		b = binary.AppendVarint(b, r.n)
 	}
 	t.chunks[n-1] = b
+	c.update(r)
 	t.last = *r
 	t.count++
 }
 
 // records returns the stream's only reader: it decodes the records in
-// recorded order. The yielded record is reused by the next step, so a
-// caller must copy what it keeps.
+// recorded order, keeping its own context per proc slot. The yielded
+// record is reused by the next step, so a caller must copy what it keeps.
 func (t *Trace) records() iter.Seq[*record] {
 	return func(yield func(*record) bool) {
+		ctx := make([]procCtx, t.nslots)
 		var r record
 		var v uint64
 		for _, c := range t.chunks {
 			for i := 0; i < len(c); {
 				h := c[i]
+				i++
 				r.kind = h & kindMask
-				v, i = uvarint(c, i+1)
-				r.at += unzigzag(v)
-				if h&flagClass != 0 {
-					r.class = c[i]
-					i++
-				}
 				if h&flagProc != 0 {
 					v, i = uvarint(c, i)
 					r.proc = int32(v)
 				}
-				if h&flagObj != 0 {
+				x := &ctx[r.proc]
+				prev := r.at
+				x.predict(&r)
+				if h&flagTime != 0 {
 					v, i = uvarint(c, i)
+					r.at = prev + unzigzag(v)
+				}
+				if h&flagObj != 0 {
+					r.class = c[i]
+					v, i = uvarint(c, i+1)
 					r.obj = uint32(v)
 				}
 				r.waker = 0
@@ -318,11 +380,11 @@ func (t *Trace) records() iter.Seq[*record] {
 					v, i = uvarint(c, i)
 					r.waker = int32(v)
 				}
-				r.n = 0
 				if h&flagN != 0 {
 					v, i = uvarint(c, i)
 					r.n = unzigzag(v)
 				}
+				x.update(&r)
 				if !yield(&r) {
 					return
 				}
@@ -348,8 +410,8 @@ func uvarint(b []byte, i int) (v uint64, next int) {
 // unzigzag inverts binary.AppendVarint's zigzag mapping.
 func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
-// storedBytes returns the encoded stream's length in bytes.
-func (t *Trace) storedBytes() int {
+// Bytes returns the encoded stream's length in bytes.
+func (t *Trace) Bytes() int {
 	n := 0
 	for _, c := range t.chunks {
 		n += len(c)

@@ -33,9 +33,9 @@ type Group struct {
 	cont   *Container
 }
 
-// Container is one I/O address space (a /dev/vfio/vfio fd). Its DMA
-// mappings are those of its first group's device: every device in a
-// container shares one domain, and the device keeps the one table of
+// Container is one I/O address space (a /dev/vfio/vfio fd). Each attached
+// group's device gets its own IOMMU domain; the container's DMA mappings
+// go through its first group's device, which keeps the one table of
 // mappings.
 type Container struct {
 	ID     int
@@ -58,8 +58,8 @@ func (d *Driver) OpenContainer() *Container {
 
 // AttachGroup implements VFIO_GROUP_SET_CONTAINER: binds the group's
 // devices to the container's I/O address space. A group may be attached to
-// only one container at a time; every device in the group adopts the
-// container's IOMMU domain.
+// only one container at a time; the group's device gets an IOMMU domain
+// of its own, which Close destroys.
 func (c *Container) AttachGroup(p *sim.Proc, g *Group) error {
 	if c.closed {
 		return fmt.Errorf("vfio: container %d closed", c.ID)
@@ -101,8 +101,7 @@ func (c *Container) MapDMA(p *sim.Proc, iovaBase, bytes int64, hook ZeroHook) (*
 	if len(c.groups) == 0 {
 		return nil, fmt.Errorf("vfio: container %d has no attached groups", c.ID)
 	}
-	// Delegate to the first attached device's mapping path (all devices in
-	// the container share one domain).
+	// Delegate to the first attached device's mapping path.
 	vd := c.groups[0].dev
 	if _, dup := vd.mapping(iovaBase); dup {
 		return nil, fmt.Errorf("vfio: container %d IOVA %#x already mapped", c.ID, iovaBase)
@@ -122,8 +121,9 @@ func (c *Container) UnmapDMA(p *sim.Proc, iovaBase int64) error {
 	return c.driver.UnmapDMA(p, vd, iovaBase)
 }
 
-// Close tears the container down: every mapping is unmapped, the domain is
-// destroyed, and groups detach. Devices must be closed first.
+// Close tears the container down: every mapping is unmapped, every
+// attached group's domain is destroyed, and groups detach. Devices must be
+// closed first.
 func (c *Container) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil
@@ -133,19 +133,17 @@ func (c *Container) Close(p *sim.Proc) error {
 			return fmt.Errorf("vfio: device %s still open", g.dev.PDev.Addr)
 		}
 	}
-	if len(c.groups) > 0 {
-		// Unmap in ascending IOVA order, so teardown is deterministic.
-		vd := c.groups[0].dev
+	// Each attached group's device has its own domain. Unmap each in
+	// ascending IOVA order, so teardown is deterministic, then destroy it.
+	for _, g := range c.groups {
+		vd := g.dev
 		for m := vd.mappings(); len(m) > 0; m = vd.mappings() {
 			if err := c.driver.UnmapDMA(p, vd, m[0].iova); err != nil {
 				return err
 			}
 		}
-		// All devices in the container share one domain; release it once.
 		if dom := vd.domain; dom != nil {
-			for _, g := range c.groups {
-				g.dev.domain = nil
-			}
+			vd.domain = nil
 			c.driver.mmu.DestroyDomain(dom)
 		}
 	}

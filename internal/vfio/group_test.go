@@ -215,3 +215,37 @@ func TestContainerMappingsZeroedByDefault(t *testing.T) {
 	})
 	r.k.Run()
 }
+
+// TestContainerCloseDestroysEveryDomain attaches two groups to one
+// container, each of whose devices gets its own domain, and requires Close
+// to destroy both.
+func TestContainerCloseDestroysEveryDomain(t *testing.T) {
+	r := newRig(t, LockGlobal, 2)
+	before := r.mmu.Domains()
+	r.k.Go("t", func(p *sim.Proc) {
+		c := r.drv.OpenContainer()
+		for _, vd := range r.vds {
+			if err := c.AttachGroup(p, vd.Group()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.MapDMA(p, 0, 8<<20, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.mmu.Domains(); got != before+2 {
+			t.Fatalf("%d domains after two attaches, want %d", got, before+2)
+		}
+		if err := c.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		for _, vd := range r.vds {
+			if vd.Domain() != nil {
+				t.Errorf("device %s keeps a domain after close", vd.PDev.Addr)
+			}
+		}
+	})
+	r.k.Run()
+	if got := r.mmu.Domains(); got != before {
+		t.Errorf("%d domains after close, want %d", got, before)
+	}
+}
